@@ -68,8 +68,8 @@ use xqib_browser::{FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
 use xqib_dom::store::shared_store;
 use xqib_dom::SharedStore;
 use xqib_storage::{
-    content_digest, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal, WalRecord,
-    WAL_FILE,
+    content_digest, fnv1a, mix64, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal,
+    WalRecord, WAL_FILE,
 };
 use xqib_xquery::wire;
 
@@ -78,22 +78,6 @@ use crate::metrics::ServerMetrics;
 use crate::render;
 use crate::server::{param, split_url, AppServer, ServerResponse};
 use crate::xmldb::{apply_wal_record, DurabilityConfig, XmlDb};
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Lowercase-hex encodes replication payloads for the text-bodied
 /// [`Request`] transport.
@@ -192,7 +176,7 @@ impl Router {
         if self.ring.is_empty() {
             return 0;
         }
-        let h = mix64(fnv1a(uri));
+        let h = mix64(fnv1a(uri.as_bytes()));
         let i = match self.ring.binary_search_by(|(p, _)| p.cmp(&h)) {
             Ok(i) => i,
             Err(i) => i % self.ring.len(),
@@ -1182,7 +1166,7 @@ impl Cluster {
         let leader = self.shards[s].leader.as_mut()?;
         leader.db.load(uri, xml).ok()?;
         let _ = leader.db.commit();
-        leader.refresh_snapshots();
+        leader.invalidate_snapshots();
         self.topology.note_home(uri, s);
         Some(s)
     }
@@ -1430,7 +1414,7 @@ impl Cluster {
             let leader = self.shards[to].leader.as_mut()?;
             leader.db.load(uri, &xml).ok()?;
             let _ = leader.db.commit();
-            leader.refresh_snapshots();
+            leader.invalidate_snapshots();
         }
         self.rstats.migrations_started += 1;
         Some(MigrationPhase::Copying {
@@ -1519,7 +1503,7 @@ impl Cluster {
                 return CutoverStep::Recopy;
             }
             let _ = dest.db.commit();
-            dest.refresh_snapshots();
+            dest.invalidate_snapshots();
             return CutoverStep::Forwarded {
                 base_seq: new_base,
                 copy_digest: final_digest,

@@ -27,7 +27,7 @@ use xqib_browser::net::{FaultPlan, Response};
 use xqib_browser::{EventLoop, RecoveryConfig, RecoveryStats};
 use xqib_core::plugin::{Plugin, PluginConfig};
 use xqib_minijs::JsEngine;
-use xqib_storage::StorageFaultPlan;
+use xqib_storage::{mix64, StorageFaultPlan};
 use xqib_xdm::{XdmError, XdmResult};
 
 use crate::cluster::{
@@ -47,13 +47,6 @@ const TICK_MS: u64 = 50;
 const LAG_BACKOFF_THRESHOLD: u64 = 8;
 /// Cities served by the mash-up scenario's shared `cities.xml`.
 const CITIES: &[&str] = &["Madrid", "Zurich", "Oslo", "Kyoto", "Quito"];
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 // ---------------------------------------------------------------------
 // Configuration

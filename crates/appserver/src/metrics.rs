@@ -208,7 +208,7 @@ impl ServerMetrics {
     }
 
     /// Folds in the engine counters accumulated since `baseline`. The
-    /// engine counters are process-global and monotone, so the server keeps
+    /// engine counters are per-thread and monotone, so the server keeps
     /// the snapshot taken at construction as its baseline.
     pub fn record_engine_stats(&mut self, baseline: EngineStats, now: EngineStats) {
         self.order_index_rebuilds = now

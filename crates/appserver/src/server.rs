@@ -5,10 +5,12 @@
 //! [`AppServer::handle_budgeted`]): the evaluator is preempted with
 //! `XQIB0014` once the budget is spent, which the HTTP layer maps to 504.
 //! The server also keeps whole-document snapshots of every bound document
-//! (refreshed after successful updates) so the request governor can degrade
-//! render-class requests to a cached snapshot instead of failing them —
-//! the paper's own "serve whole documents rather than individual queries
-//! to documents" caching argument (§6.1).
+//! so the request governor can degrade render-class requests to a cached
+//! snapshot instead of failing them — the paper's own "serve whole
+//! documents rather than individual queries to documents" caching argument
+//! (§6.1). The cache is filled on demand by the first degraded read after
+//! an invalidation (successful updates invalidate it), so a write pays for
+//! the write, not for re-serialising the whole store.
 
 use std::collections::HashMap;
 
@@ -74,14 +76,15 @@ impl ServerResponse {
 pub struct AppServer {
     pub db: XmlDb,
     pub metrics: ServerMetrics,
-    /// Process-global engine counters at construction time; `metrics`
+    /// This thread's engine counters at construction time; `metrics`
     /// reports the delta from here.
     engine_baseline: EngineStats,
-    /// Whole-document snapshots by URI: the degradation cache. Refreshed at
-    /// construction and after every successful `/update`, so a degraded
-    /// response is always a well-formed document the server once served —
-    /// possibly stale, never torn.
-    snapshots: HashMap<String, String>,
+    /// Whole-document snapshots by URI: the degradation cache. `None` after
+    /// construction and after every [`Self::invalidate_snapshots`]; the
+    /// next degraded read re-dumps the store. A degraded response is always
+    /// a well-formed document the server committed — possibly stale, never
+    /// torn.
+    snapshots: Option<HashMap<String, String>>,
 }
 
 impl AppServer {
@@ -117,33 +120,38 @@ impl AppServer {
     pub fn from_db(db: XmlDb) -> Self {
         let mut metrics = ServerMetrics::default();
         metrics.record_durability(&db.durability_stats());
-        let mut server = AppServer {
+        AppServer {
             db,
             metrics,
             engine_baseline: engine_stats::snapshot(),
-            snapshots: HashMap::new(),
-        };
-        server.refresh_snapshots();
-        server
+            snapshots: None,
+        }
     }
 
-    /// Re-serialises every bound document into the degradation cache.
-    pub fn refresh_snapshots(&mut self) {
-        self.snapshots = self.db.dump().into_iter().collect();
+    /// Marks the degradation cache stale after the store changed: the next
+    /// degraded read re-serialises every bound document. Costs nothing
+    /// until then.
+    pub fn invalidate_snapshots(&mut self) {
+        self.snapshots = None;
     }
 
     /// The cached whole-document snapshot a degraded request falls back to:
     /// `/doc?uri=U` degrades to the snapshot of `U`, every other
     /// render-class route (`/page`, `/index`) to the corpus snapshot. The
     /// response carries an `X-XQIB-Degraded` marker so clients can tell a
-    /// fallback from a fresh render.
-    pub fn degraded_snapshot(&self, url: &str) -> Option<ServerResponse> {
+    /// fallback from a fresh render. The first call after an invalidation
+    /// refills the cache from the store; later calls serve from it.
+    pub fn degraded_snapshot(&mut self, url: &str) -> Option<ServerResponse> {
         let (path, query) = split_url(url);
         let uri = match path.as_str() {
             "/doc" => param(&query, "uri")?,
             _ => render::CORPUS_URI.to_string(),
         };
-        let body = self.snapshots.get(&uri)?.clone();
+        let db = &self.db;
+        let snapshots = self
+            .snapshots
+            .get_or_insert_with(|| db.dump().into_iter().collect());
+        let body = snapshots.get(&uri)?.clone();
         Some(
             ServerResponse::new(200, body)
                 .with_header("X-XQIB-Degraded", "whole-document-snapshot"),
@@ -210,9 +218,9 @@ impl AppServer {
                 Some(xq) => {
                     let r = self.render_query(&xq, budget);
                     if path == "/update" && r.0.status == 200 {
-                        // keep the degradation cache fresh: a later degraded
-                        // response reflects the last successful update
-                        self.refresh_snapshots();
+                        // a later degraded response reflects the last
+                        // successful update
+                        self.invalidate_snapshots();
                     }
                     r
                 }
@@ -333,8 +341,8 @@ mod tests {
         assert_eq!(s.metrics.xquery_evals, 1);
         assert!(s.metrics.bytes_out > 0);
         // Rendering the page evaluates paths over the corpus, which needs
-        // the order index at least once (the counters are process-global,
-        // so only a lower bound is assertable).
+        // the order index at least once (the counters are per thread, not
+        // per server, so only a lower bound is assertable).
         assert!(s.metrics.order_index_rebuilds >= 1);
         assert!(s.metrics.sorts_performed + s.metrics.sorts_elided >= 1);
     }
@@ -504,6 +512,35 @@ mod tests {
         s.handle("/update?xq=insert+node+%3Cnote%3Ehi%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*");
         let snap = s.degraded_snapshot("/index").unwrap();
         assert!(snap.body.contains("<note>hi</note>"));
+    }
+
+    fn insert_note(text: &str) -> String {
+        format!("xq=insert+node+%3Cnote%3E{text}%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*")
+    }
+
+    #[test]
+    fn degradation_cache_is_filled_on_demand_after_updates() {
+        let mut s = server();
+        for i in 0..5 {
+            let r = s.handle(&format!("/update?{}", insert_note(&format!("n{i}"))));
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        // the first degraded read after the updates sees every one of them
+        let snap = s.degraded_snapshot("/index").unwrap();
+        for i in 0..5 {
+            assert!(snap.body.contains(&format!("<note>n{i}</note>")));
+        }
+        assert_eq!(Some(snap.body.clone()), s.db.serialize("corpus.xml"));
+        // no intervening update: served from the cache, byte for byte
+        assert_eq!(s.degraded_snapshot("/index").unwrap().body, snap.body);
+        // an updating /query does not invalidate, so the cache stays put
+        let r = s.handle(&format!("/query?{}", insert_note("q")));
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(s.degraded_snapshot("/index").unwrap().body, snap.body);
+        // the next /update invalidates, and the refill sees both writes
+        s.handle(&format!("/update?{}", insert_note("u")));
+        let snap = s.degraded_snapshot("/index").unwrap();
+        assert!(snap.body.contains("<note>q</note>") && snap.body.contains("<note>u</note>"));
     }
 
     // ----- split_url / param edge cases -------------------------------------

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use xqib_browser::event_loop::EventLoop;
 use xqib_browser::net::{Fault, FaultPlan};
-use xqib_storage::{StorageFaultPlan, VirtualDisk};
+use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
 use xqib_xdm::XdmResult;
 
 use crate::cluster::{
@@ -242,15 +242,6 @@ impl SimReport {
         all.sort_unstable();
         all[(all.len() * 99).div_ceil(100).max(1) - 1]
     }
-}
-
-/// SplitMix64 finaliser — the same draw-per-input idiom as the fault
-/// plans, so one master seed derives every decision.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The URL the `n`-th arrival of client `c` requests, drawn from the mix.

@@ -23,14 +23,20 @@ use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
 
-/// Engine-wide counters for the order index and path normalisation, so the
+/// Engine counters for the order index and path normalisation, so the
 /// wins (and rebuild storms) are observable from the app-server metrics.
+///
+/// The counters are per thread: the engine is single-threaded, and a
+/// server diffing them against a baseline must not see work done by other
+/// threads of the same process (e.g. tests running in parallel).
 pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::cell::Cell;
 
-    static REBUILDS: AtomicU64 = AtomicU64::new(0);
-    static SORTS_PERFORMED: AtomicU64 = AtomicU64::new(0);
-    static SORTS_ELIDED: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static REBUILDS: Cell<u64> = const { Cell::new(0) };
+        static SORTS_PERFORMED: Cell<u64> = const { Cell::new(0) };
+        static SORTS_ELIDED: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// Point-in-time snapshot of the engine counters.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -44,27 +50,29 @@ pub mod stats {
     }
 
     pub fn record_rebuild() {
-        REBUILDS.fetch_add(1, Relaxed);
+        REBUILDS.set(REBUILDS.get() + 1);
     }
     pub fn record_sort() {
-        SORTS_PERFORMED.fetch_add(1, Relaxed);
+        SORTS_PERFORMED.set(SORTS_PERFORMED.get() + 1);
     }
     pub fn record_elided_sort() {
-        SORTS_ELIDED.fetch_add(1, Relaxed);
+        SORTS_ELIDED.set(SORTS_ELIDED.get() + 1);
     }
 
+    /// This thread's counters.
     pub fn snapshot() -> EngineStats {
         EngineStats {
-            order_index_rebuilds: REBUILDS.load(Relaxed),
-            sorts_performed: SORTS_PERFORMED.load(Relaxed),
-            sorts_elided: SORTS_ELIDED.load(Relaxed),
+            order_index_rebuilds: REBUILDS.get(),
+            sorts_performed: SORTS_PERFORMED.get(),
+            sorts_elided: SORTS_ELIDED.get(),
         }
     }
 
+    /// Zeroes this thread's counters.
     pub fn reset() {
-        REBUILDS.store(0, Relaxed);
-        SORTS_PERFORMED.store(0, Relaxed);
-        SORTS_ELIDED.store(0, Relaxed);
+        REBUILDS.set(0);
+        SORTS_PERFORMED.set(0);
+        SORTS_ELIDED.set(0);
     }
 }
 

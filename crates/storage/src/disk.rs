@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::{fnv1a, mix64};
+
 /// Sector granularity for corruption draws (one draw per sector).
 const SECTOR: usize = 64;
 
@@ -154,14 +156,6 @@ impl Inner {
     fn permille_hit(&mut self, permille: u16) -> bool {
         permille > 0 && (self.draw() % 1000) < permille as u64
     }
-}
-
-/// SplitMix64 finaliser (same mixer as the network fault plan).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A cheaply clonable handle to one virtual device (all clones share state,
@@ -382,7 +376,7 @@ impl VirtualDisk {
             inner.stats.decay_sweeps += 1;
             let names: Vec<String> = inner.files.keys().cloned().collect();
             for name in names {
-                let fh = crate::fnv1a(name.as_bytes());
+                let fh = fnv1a(name.as_bytes());
                 let synced_len = inner.files[&name].synced_len;
                 let mut flips: Vec<(usize, u8)> = Vec::new();
                 let mut sector = 0usize;

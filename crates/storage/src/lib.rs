@@ -28,15 +28,36 @@ pub use checkpoint::{Checkpoint, CKPT_SLOTS};
 pub use disk::{DiskError, DiskStats, StorageFaultPlan, VirtualDisk};
 pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 
+/// Reflected CRC-32 polynomial (IEEE 802.3).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting byte `i` through the
+/// eight bitwise steps, so [`crc32`] does one lookup per byte instead.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -145,6 +166,21 @@ pub struct DurabilityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bitwise definition the table is derived from; [`crc32`] must
+    /// agree with it on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -154,5 +190,12 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_table_agrees_with_bitwise(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 }
