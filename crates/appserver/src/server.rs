@@ -324,7 +324,7 @@ fn bad_request(msg: &str) -> ServerResponse {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusSpec};
+    use crate::corpus::{article_ids, generate_corpus, CorpusSpec};
     use proptest::prelude::*;
 
     fn server() -> AppServer {
@@ -333,18 +333,53 @@ mod tests {
 
     #[test]
     fn page_route_renders_article() {
+        let url = "http://ref2.example/page?article=j0-v0-i0-a0";
         let mut s = server();
-        let r = s.handle("http://ref2.example/page?article=j0-v0-i0-a0");
+        let r = s.handle(url);
         assert_eq!(r.status, 200);
         assert!(r.body.contains("<table id=\"refs\">"));
         assert_eq!(s.metrics.requests, 1);
         assert_eq!(s.metrics.xquery_evals, 1);
         assert!(s.metrics.bytes_out > 0);
-        // Rendering the page evaluates paths over the corpus, which needs
+        // The interpreter's breadth-first path steps over the corpus need
         // the order index at least once (the counters are per thread, not
-        // per server, so only a lower bound is assertable).
-        assert!(s.metrics.order_index_rebuilds >= 1);
-        assert!(s.metrics.sorts_performed + s.metrics.sorts_elided >= 1);
+        // per server, so only a lower bound is assertable). The compiled
+        // tier streams the same paths without it.
+        let mut interpreted = server();
+        interpreted.db.plan_mode = false;
+        let ri = interpreted.handle(url);
+        assert_eq!(ri.body, r.body, "both tiers render the same page");
+        assert!(interpreted.metrics.order_index_rebuilds >= 1);
+        assert!(interpreted.metrics.sorts_performed + interpreted.metrics.sorts_elided >= 1);
+    }
+
+    /// The hot render routes stay on the compiled tier: their queries
+    /// lower without a single interpreter fallback, and the compiled body
+    /// is byte-identical to the interpreted one for every article.
+    #[test]
+    fn render_routes_are_compiled_and_match_the_interpreter() {
+        let ids = article_ids(&CorpusSpec::default());
+        let registry = xqib_xquery::ModuleRegistry::new();
+        let queries = ids
+            .iter()
+            .map(|id| render::article_page_query(id))
+            .chain([render::index_page_query()]);
+        for q in queries {
+            let plan = xqib_xquery::plancache::compile_plan(&q, &registry, false).unwrap();
+            assert_eq!(plan.stats().fallbacks, 0, "{q}");
+        }
+        let mut compiled = server();
+        let mut interpreted = server();
+        interpreted.db.plan_mode = false;
+        let urls = ids
+            .iter()
+            .map(|id| format!("/page?article={id}"))
+            .chain(["/index".to_string()]);
+        for url in urls {
+            let c = compiled.handle(&url);
+            assert_eq!(c.status, 200, "{url}: {}", c.body);
+            assert_eq!(c.body, interpreted.handle(&url).body, "{url}");
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * `plan_render_route` — the §6.1 server's render route end to end:
 //!   interpreted (plan mode off) vs compiled-cold (cache invalidated every
-//!   request) vs compiled-cached. The cached row is the headline number —
-//!   it elides the per-request parse + lowering entirely.
+//!   request) vs compiled-cached. Both compiled rows execute the lowered
+//!   page on the streaming executor (the `<html>` constructor lowers, so
+//!   its enclosed paths and FLWORs do too); the cached row is the headline
+//!   number — it also elides the per-request parse + lowering.
 //! * `plan_paths` — §7-style path/FLWOR/exists workloads, interpreted vs
 //!   compiled, over a 1000-book library.
 //! * `plan_early_exit` — `exists(//…)` and fused positional predicates

@@ -149,22 +149,23 @@ pub enum Quantifier {
     Every,
 }
 
-/// Content of a direct element constructor.
+/// Content of a direct element constructor. `E` is the expression form of
+/// the enclosed parts: the AST's [`Expr`], or a lowered plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ElemContent {
+pub enum ElemContent<E = Expr> {
     /// literal character data
     Text(String),
     /// `{ expr }`
-    Enclosed(Expr),
+    Enclosed(E),
     /// nested constructor or other expression-valued child
-    Child(Expr),
+    Child(E),
 }
 
 /// Content of an attribute value template: literal and enclosed parts.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrContent {
+pub enum AttrContent<E = Expr> {
     Text(String),
-    Enclosed(Expr),
+    Enclosed(E),
 }
 
 /// Insert positions of the Update Facility.

@@ -19,10 +19,7 @@ pub(crate) fn eval_constructor(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<
             attrs,
             ns_decls,
             children,
-        } => {
-            let elem = build_element(ctx, name.clone(), ns_decls, attrs, children)?;
-            Ok(vec![Item::Node(elem)])
-        }
+        } => build_element(ctx, name, ns_decls, attrs, children, eval_expr),
         Expr::ComputedElement { name, content } => {
             let qname = resolve_name(ctx, name)?;
             let doc_id = ctx.construction_doc;
@@ -140,18 +137,25 @@ fn resolve_name(ctx: &mut DynamicContext, name: &NameExpr) -> XdmResult<QName> {
     }
 }
 
-fn build_element(
+/// Builds a direct element constructor in the construction document and
+/// returns it as a one-item sequence. Shared by both tiers: `eval` runs an
+/// enclosed part — `eval_expr` over the AST for the interpreter,
+/// `exec::eval_plan` over lowered plans for the executor — so attribute
+/// value templates, text nodes, content copying and the `XQDY0025`/
+/// `XQTY0024` errors are the same code on either tier.
+pub(crate) fn build_element<E>(
     ctx: &mut DynamicContext,
-    name: QName,
+    name: &QName,
     ns_decls: &[(String, String)],
-    attrs: &[(QName, Vec<AttrContent>)],
-    children: &[ElemContent],
-) -> XdmResult<NodeRef> {
+    attrs: &[(QName, Vec<AttrContent<E>>)],
+    children: &[ElemContent<E>],
+    eval: fn(&mut DynamicContext, &E) -> XdmResult<Sequence>,
+) -> XdmResult<Sequence> {
     let doc_id = ctx.construction_doc;
     let elem = {
         let mut store = ctx.store.borrow_mut();
         let doc = store.doc_mut(doc_id);
-        let e = doc.create_element(name);
+        let e = doc.create_element(name.clone());
         for (p, u) in ns_decls {
             doc.add_ns_decl(e, p.clone(), u.clone())
                 .map_err(|er| XdmError::new("XQDY0025", er.to_string()))?;
@@ -166,7 +170,7 @@ fn build_element(
             match part {
                 AttrContent::Text(t) => value.push_str(t),
                 AttrContent::Enclosed(e) => {
-                    let seq = eval_expr(ctx, e)?;
+                    let seq = eval(ctx, e)?;
                     value.push_str(&sequence_to_string(ctx, &seq));
                 }
             }
@@ -188,12 +192,12 @@ fn build_element(
                     .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
             }
             ElemContent::Enclosed(e) | ElemContent::Child(e) => {
-                let seq = eval_expr(ctx, e)?;
+                let seq = eval(ctx, e)?;
                 add_content(ctx, elem_ref, &seq)?;
             }
         }
     }
-    Ok(elem_ref)
+    Ok(vec![Item::Node(elem_ref)])
 }
 
 /// Content-sequence processing: adjacent atomic values are joined with

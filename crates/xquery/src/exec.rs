@@ -38,6 +38,7 @@ use xqib_xdm::{
 use crate::ast::Axis;
 use crate::context::DynamicContext;
 use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds};
+use crate::eval::constructor::build_element;
 use crate::eval::flwor::sort_keyed;
 use crate::eval::path::{
     axis_concat_stays_sorted, axis_is_reverse, axis_nodes, node_test_matches, take_index, PosTake,
@@ -249,6 +250,12 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             }
             eval::call_function(ctx, name, argv)
         }
+        Plan::Element {
+            name,
+            ns_decls,
+            attrs,
+            children,
+        } => build_element(ctx, name, ns_decls, attrs, children, eval_plan),
     }
 }
 

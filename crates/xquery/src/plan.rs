@@ -23,10 +23,14 @@
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
 //!
-//! Anything the IR does not model (constructors, updates, full-text,
-//! type-switch, events, …) lowers to [`Plan::Fallback`], which the executor
-//! hands verbatim to the interpreter — the plan tier is a fast path, never
-//! a second dialect.
+//! Direct element constructors lower to [`Plan::Element`]: their attribute
+//! value templates and content parts become plans, so the paths and FLWORs
+//! enclosed in a rendered page run on the executor, while the element
+//! itself is built by the interpreter's own routine. Anything else the IR
+//! does not model (computed constructors, updates, full-text, type-switch,
+//! events, …) lowers to [`Plan::Fallback`], which the executor hands
+//! verbatim to the interpreter — the plan tier is a fast path, never a
+//! second dialect.
 //!
 //! # Streaming soundness
 //!
@@ -51,7 +55,8 @@ use xqib_xdm::{
 };
 
 use crate::ast::{
-    ArithOp, Axis, AxisStep, Expr, FlworClause, KindTest, NodeTest, PathStart, Statement, StepExpr,
+    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, KindTest, NodeTest,
+    PathStart, Statement, StepExpr,
 };
 use crate::context::StaticContext;
 use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
@@ -145,6 +150,14 @@ pub(crate) enum Plan {
     Call {
         name: QName,
         args: Vec<Plan>,
+    },
+    /// direct element constructor with lowered enclosed parts, built by
+    /// the interpreter's own `build_element`
+    Element {
+        name: QName,
+        ns_decls: Vec<(String, String)>,
+        attrs: Vec<(QName, Vec<AttrContent<Plan>>)>,
+        children: Vec<ElemContent<Plan>>,
     },
     /// anything the IR does not model: evaluated by the interpreter
     Fallback(Rc<Expr>),
@@ -355,6 +368,38 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
         },
         Expr::Path { start, steps } => lower_path(sctx, *start, steps, stats),
         Expr::FunctionCall { name, args } => lower_call(sctx, name, args, stats),
+        Expr::DirectElement {
+            name,
+            attrs,
+            ns_decls,
+            children,
+        } => Plan::Element {
+            name: name.clone(),
+            ns_decls: ns_decls.clone(),
+            attrs: attrs
+                .iter()
+                .map(|(aname, parts)| {
+                    let parts = parts
+                        .iter()
+                        .map(|part| match part {
+                            AttrContent::Text(t) => AttrContent::Text(t.clone()),
+                            AttrContent::Enclosed(e) => {
+                                AttrContent::Enclosed(lower_expr(sctx, e, stats))
+                            }
+                        })
+                        .collect();
+                    (aname.clone(), parts)
+                })
+                .collect(),
+            children: children
+                .iter()
+                .map(|child| match child {
+                    ElemContent::Text(t) => ElemContent::Text(t.clone()),
+                    ElemContent::Enclosed(e) => ElemContent::Enclosed(lower_expr(sctx, e, stats)),
+                    ElemContent::Child(e) => ElemContent::Child(lower_expr(sctx, e, stats)),
+                })
+                .collect(),
+        },
         other => {
             stats.fallbacks += 1;
             Plan::Fallback(Rc::new(other.clone()))
@@ -510,20 +555,21 @@ fn lower_path(
     // `//t` parses as RootDescendant; materialize the d-o-s step so the
     // fusion pass below sees the same shape as an explicit `/descendant-
     // or-self::node()/child::t`.
-    let mut ast_steps: Vec<StepExpr> = Vec::with_capacity(steps.len() + 1);
+    let dos = StepExpr::Axis(AxisStep {
+        axis: Axis::DescendantOrSelf,
+        test: NodeTest::Kind(KindTest::AnyKind),
+        predicates: vec![],
+    });
+    let mut ast_steps: Vec<&StepExpr> = Vec::with_capacity(steps.len() + 1);
     let start_plan = match start {
         PathStart::Root => PathStartPlan::Root,
         PathStart::RootDescendant => {
-            ast_steps.push(StepExpr::Axis(AxisStep {
-                axis: Axis::DescendantOrSelf,
-                test: NodeTest::Kind(KindTest::AnyKind),
-                predicates: vec![],
-            }));
+            ast_steps.push(&dos);
             PathStartPlan::Root
         }
         PathStart::Relative => PathStartPlan::Relative,
     };
-    ast_steps.extend(steps.iter().cloned());
+    ast_steps.extend(steps);
 
     let mut plan_steps: Vec<PlanStep> = Vec::with_capacity(ast_steps.len());
     let mut lazy = true;
@@ -535,7 +581,7 @@ fn lower_path(
     };
     let mut idx = 0;
     while idx < ast_steps.len() {
-        match &ast_steps[idx] {
+        match ast_steps[idx] {
             StepExpr::Filter {
                 primary,
                 predicates,
@@ -574,7 +620,7 @@ fn lower_path(
                     && matches!(ax.test, NodeTest::Kind(KindTest::AnyKind))
                     && ax.predicates.is_empty()
                 {
-                    if let Some(StepExpr::Axis(next)) = ast_steps.get(idx + 1) {
+                    if let Some(StepExpr::Axis(next)) = ast_steps.get(idx + 1).copied() {
                         if next.axis == Axis::Child
                             && next.predicates.iter().all(|p| is_positional_free(sctx, p))
                         {
@@ -1306,8 +1352,37 @@ mod tests {
 
     #[test]
     fn uncovered_constructs_fall_back() {
-        let p = plan_of("<a>{1}</a>");
+        let p = plan_of("element a {1}");
         assert!(matches!(body_plan(&p), Plan::Fallback(_)));
+        assert_eq!(p.stats.fallbacks, 1);
+    }
+
+    #[test]
+    fn direct_constructor_lowers_its_enclosed_parts() {
+        let p = plan_of("<a id=\"{1 + 1}\"><b>{//item}</b>{element c {}}</a>");
+        let Plan::Element {
+            attrs, children, ..
+        } = body_plan(&p)
+        else {
+            panic!("expected an element plan");
+        };
+        assert!(matches!(
+            attrs[0].1[0],
+            AttrContent::Enclosed(Plan::Const(_))
+        ));
+        let ElemContent::Child(Plan::Element {
+            children: inner, ..
+        }) = &children[0]
+        else {
+            panic!("nested constructors lower recursively");
+        };
+        assert!(matches!(inner[0], ElemContent::Enclosed(Plan::Path(_))));
+        assert_eq!(p.stats.fused_steps, 1);
+        // the computed constructor inside stays an interpreter fallback
+        assert!(matches!(
+            children[1],
+            ElemContent::Enclosed(Plan::Fallback(_))
+        ));
         assert_eq!(p.stats.fallbacks, 1);
     }
 }

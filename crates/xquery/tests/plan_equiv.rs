@@ -121,7 +121,7 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             _ => gen_path(rng),
         };
     }
-    match rng.below(12) {
+    match rng.below(14) {
         0 => format!(
             "{} {} {}",
             gen_expr(rng, depth - 1),
@@ -177,8 +177,52 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             gen_path(rng),
             gen_expr(rng, depth - 1)
         ),
+        12 => gen_ctor(rng, depth - 1),
+        13 => {
+            // a constructed node as a path start
+            let mut p = format!("({})", gen_ctor(rng, depth - 1));
+            for _ in 0..(1 + rng.below(2)) {
+                p.push_str(&gen_step(rng));
+            }
+            p
+        }
         _ => format!("sum(({}))", gen_expr(rng, depth - 1)),
     }
+}
+
+/// A direct element constructor: attribute value templates whose enclosed
+/// parts may be empty or multi-item, and content mixing literal text,
+/// atomics, nodes copied out of `t.xml`, empty sequences and (while depth
+/// remains) nested constructors.
+fn gen_ctor(rng: &mut Rng, depth: u64) -> String {
+    let tag = rng.pick(&TAGS);
+    let sub = depth.saturating_sub(1);
+    let mut attrs = String::new();
+    for name in ["id", "n"] {
+        if rng.below(2) == 0 {
+            continue;
+        }
+        let avt = match rng.below(4) {
+            0 => "{()}".to_string(),
+            1 => format!("x{{{} to {}}}y", rng.below(3), rng.below(5)),
+            2 => format!("{{{}}}", gen_path(rng)),
+            _ => format!("{{{}}}-{{{}}}", gen_expr(rng, sub), gen_expr(rng, sub)),
+        };
+        attrs.push_str(&format!(" {name}=\"{avt}\""));
+    }
+    let mut content = String::new();
+    for _ in 0..rng.below(4) {
+        match rng.below(6) {
+            0 => content.push_str(rng.pick(&["t", "a b", "{{x}}"])),
+            1 => content.push_str("{()}"),
+            2 => content.push_str(&format!("{{{}}}", gen_path(rng))),
+            3 => content.push_str(&format!("{{({}, '{}')}}", rng.below(9), rng.pick(&IDS))),
+            4 => content.push_str(&format!("{{{}}}", gen_expr(rng, sub))),
+            _ if depth > 0 => content.push_str(&gen_ctor(rng, sub)),
+            _ => content.push_str("<e/>"),
+        }
+    }
+    format!("<{tag}{attrs}>{content}</{tag}>")
 }
 
 /// Randomised updating statements over the generated document, exercising
