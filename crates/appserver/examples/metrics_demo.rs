@@ -1,5 +1,6 @@
 //! Serves a few requests against a generated corpus and prints the
-//! per-server metrics, including the document-order engine counters.
+//! per-server `/metrics` counters, including the document-order engine
+//! counters.
 //!
 //!     cargo run -p xqib-appserver --example metrics_demo [-- <url>...]
 
@@ -25,13 +26,9 @@ fn main() {
         }
     }
 
-    let m = &server.metrics;
-    println!("requests:            {}", m.requests);
-    println!("bytes_out:           {}", m.bytes_out);
-    println!("xquery_evals:        {}", m.xquery_evals);
-    println!("order_index_rebuilds:{}", m.order_index_rebuilds);
-    println!("sorts_performed:     {}", m.sorts_performed);
-    println!("sorts_elided:        {}", m.sorts_elided);
-    println!("plan_cache_hits:     {}", m.plan_cache_hits);
-    println!("plan_cache_misses:   {}", m.plan_cache_misses);
+    server.metrics_snapshot().visit(&mut |name, value| {
+        if value > 0 {
+            println!("{name:<22}{value}");
+        }
+    });
 }

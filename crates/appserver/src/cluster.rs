@@ -73,8 +73,9 @@ use xqib_storage::{
 };
 use xqib_xquery::wire;
 
+use crate::fleet::FleetStats;
 use crate::governor::Class;
-use crate::metrics::ServerMetrics;
+use crate::metrics::MetricsSnapshot;
 use crate::render;
 use crate::server::{param, split_url, AppServer, ServerResponse};
 use crate::xmldb::{apply_wal_record, DurabilityConfig, XmlDb};
@@ -205,8 +206,7 @@ pub enum TopologyChange {
     Rebalance(u64),
 }
 
-/// Cumulative resharding counters, mirrored into [`ServerMetrics`] via
-/// [`ServerMetrics::record_resharding`].
+/// Cumulative resharding counters, served on the cluster's `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReshardStats {
     /// Ring installs (add, decommission, rebalance) — each bumps the epoch.
@@ -227,6 +227,30 @@ pub struct ReshardStats {
     pub cutover_fences: u64,
     /// Decommissioned shards fully drained and retired.
     pub drains: u64,
+}
+
+impl ReshardStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let ReshardStats {
+            epoch_bumps,
+            migrations_started,
+            migrations_completed,
+            migrations_aborted,
+            docs_moved,
+            tail_frames_forwarded,
+            cutover_fences,
+            drains,
+        } = *self;
+        f("reshard-epoch-bumps", epoch_bumps);
+        f("reshard-migrations-started", migrations_started);
+        f("reshard-migrations-completed", migrations_completed);
+        f("reshard-migrations-aborted", migrations_aborted);
+        f("reshard-docs-moved", docs_moved);
+        f("reshard-tail-frames-forwarded", tail_frames_forwarded);
+        f("reshard-cutover-fences", cutover_fences);
+        f("reshard-drains", drains);
+    }
 }
 
 /// Shared routing state: the ring, its epoch, and the per-document *home*
@@ -396,8 +420,7 @@ enum CutoverStep {
 // Stats
 // ---------------------------------------------------------------------
 
-/// Cumulative replication counters, mirrored into [`ServerMetrics`] via
-/// [`ServerMetrics::record_replication`].
+/// Cumulative replication counters, served on the cluster's `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// WAL frames shipped to followers (every attempt, including resends).
@@ -423,9 +446,37 @@ pub struct ReplicationStats {
     pub max_replica_lag: u64,
 }
 
+impl ReplicationStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let ReplicationStats {
+            frames_shipped,
+            frames_acked,
+            frames_retried,
+            snapshots_shipped,
+            probes,
+            failovers,
+            follower_reads,
+            ownership_rejections,
+            blackout_ms,
+            max_replica_lag,
+        } = *self;
+        f("repl-frames-shipped", frames_shipped);
+        f("repl-frames-acked", frames_acked);
+        f("repl-frames-retried", frames_retried);
+        f("repl-snapshots-shipped", snapshots_shipped);
+        f("repl-probes", probes);
+        f("repl-failovers", failovers);
+        f("repl-follower-reads", follower_reads);
+        f("repl-ownership-rejections", ownership_rejections);
+        f("repl-blackout-ms", blackout_ms);
+        f("repl-max-replica-lag", max_replica_lag);
+    }
+}
+
 /// Cumulative end-to-end integrity counters: latent decay observed, scrub
-/// verdicts, quarantines and verified repairs. Mirrored into
-/// [`ServerMetrics`] via [`ServerMetrics::record_integrity`].
+/// verdicts, quarantines and verified repairs. Served on the cluster's
+/// `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Anti-entropy scrub cycles run across the cluster.
@@ -464,6 +515,44 @@ pub struct IntegrityStats {
     pub decay_sweeps: u64,
     /// At-rest synced sectors hit by latent bit rot.
     pub sectors_decayed: u64,
+}
+
+impl IntegrityStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let IntegrityStats {
+            scrub_cycles,
+            scrub_docs_checked,
+            scrub_digest_mismatches,
+            scrub_wal_corruptions,
+            scrub_ckpt_corruptions,
+            scrub_ckpt_lost,
+            quarantines,
+            repairs_started,
+            repairs_verified,
+            leader_demotions,
+            promote_heals,
+            reads_verified,
+            reads_refused,
+            decay_sweeps,
+            sectors_decayed,
+        } = *self;
+        f("scrub-cycles", scrub_cycles);
+        f("scrub-docs-checked", scrub_docs_checked);
+        f("scrub-digest-mismatches", scrub_digest_mismatches);
+        f("scrub-wal-corruptions", scrub_wal_corruptions);
+        f("scrub-ckpt-corruptions", scrub_ckpt_corruptions);
+        f("scrub-ckpt-lost", scrub_ckpt_lost);
+        f("integrity-quarantines", quarantines);
+        f("integrity-repairs-started", repairs_started);
+        f("integrity-repairs-verified", repairs_verified);
+        f("integrity-leader-demotions", leader_demotions);
+        f("integrity-promote-heals", promote_heals);
+        f("integrity-reads-verified", reads_verified);
+        f("integrity-reads-refused", reads_refused);
+        f("decay-sweeps", decay_sweeps);
+        f("decay-sectors", sectors_decayed);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -946,6 +1035,8 @@ pub struct Cluster {
     stats: Rc<RefCell<ReplicationStats>>,
     istats: IntegrityStats,
     rstats: ReshardStats,
+    /// Totals of the last fleet run reported to the cluster.
+    fleet: FleetStats,
     migrations: Vec<Migration>,
     topo_schedule: Vec<(u64, TopologyChange)>,
     crashes: Vec<(u64, usize)>,
@@ -974,6 +1065,7 @@ impl Cluster {
             stats,
             istats: IntegrityStats::default(),
             rstats: ReshardStats::default(),
+            fleet: FleetStats::default(),
             migrations: Vec::new(),
             topo_schedule: Vec::new(),
             crashes: Vec::new(),
@@ -2553,42 +2645,34 @@ impl Cluster {
         sh.pending = keep;
     }
 
-    /// The `/metrics` surface: the first live leader's metrics with the
-    /// cluster's replication, integrity and resharding counters mirrored
-    /// in (every live leader gets the same snapshot, so any shard's
-    /// endpoint agrees; shard 0 may be retired).
+    /// The `/metrics` surface: the first live leader serves its own
+    /// counters with the cluster's replication, integrity, resharding and
+    /// fleet counters added (shard 0 may be retired). With no live leader
+    /// the cluster serves its counters alone, the server's reading zero.
     fn metrics_response(&mut self) -> ServerResponse {
-        let stats = self.stats.borrow().clone();
-        let istats = self.integrity_stats();
-        let rstats = self.rstats.clone();
-        for sh in &mut self.shards {
-            if let Some(leader) = sh.leader.as_mut() {
-                leader.metrics.record_replication(&stats);
-                leader.metrics.record_integrity(&istats);
-                leader.metrics.record_resharding(&rstats);
-            }
-        }
+        let (replication, integrity) = (self.stats(), self.integrity_stats());
+        let (reshard, fleet) = (self.rstats.clone(), self.fleet.clone());
+        let layers = |m: &mut MetricsSnapshot| {
+            m.replication = replication;
+            m.integrity = integrity;
+            m.reshard = reshard;
+            m.fleet = fleet;
+        };
         match self.shards.iter_mut().find_map(|sh| sh.leader.as_mut()) {
-            Some(leader) => leader.handle("/metrics"),
+            Some(leader) => leader.handle_layered("/metrics", None, layers).0,
             None => {
-                let mut m = ServerMetrics::default();
-                m.record_replication(&stats);
-                m.record_integrity(&istats);
-                m.record_resharding(&rstats);
+                let mut m = MetricsSnapshot::default();
+                layers(&mut m);
                 ServerResponse::new(200, m.to_xml())
             }
         }
     }
 
-    /// Mirrors a fleet run's aggregate counters into every live leader's
-    /// metrics, so the next `/metrics` render reports the client side of
-    /// the deployment alongside the server and replication counters.
-    pub fn record_fleet(&mut self, stats: &crate::fleet::FleetStats) {
-        for sh in &mut self.shards {
-            if let Some(leader) = sh.leader.as_mut() {
-                leader.metrics.record_fleet(stats);
-            }
-        }
+    /// Stores a fleet run's totals, so the next `/metrics` render reports
+    /// the client side of the deployment alongside the server and
+    /// replication counters.
+    pub fn set_fleet_stats(&mut self, stats: &FleetStats) {
+        self.fleet = stats.clone();
     }
 }
 
@@ -3368,30 +3452,71 @@ mod tests {
         assert_eq!(ist.quarantines, 1);
     }
 
-    #[test]
-    fn metrics_surface_carries_replication_counters() {
+    fn metrics_at(c: &mut Cluster, now: u64) -> String {
+        match c.submit("/metrics", now) {
+            Submitted::Done(d) if d.response.status == 200 => d.response.body,
+            other => panic!("metrics failed: {other:?}"),
+        }
+    }
+
+    /// The value of one counter in a `/metrics` body.
+    fn metric(body: &str, name: &str) -> u64 {
+        let open = format!("<{name}>");
+        let at = body.find(&open).expect(name) + open.len();
+        body[at..]
+            .split('<')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .expect(name)
+    }
+
+    /// One acked update on a shard with a follower, then `/metrics`. With
+    /// group commit the leader's handler only appends the update; the
+    /// cluster's commit after it fsyncs, and that fsync must show.
+    fn acked_update_then_metrics() -> (Cluster, String) {
         let mut c = seeded(ClusterConfig {
             shards: 1,
             followers: 1,
             ack_replicas: 1,
+            durability: DurabilityConfig {
+                group_commit: 8,
+                ..DurabilityConfig::default()
+            },
             ..ClusterConfig::default()
         });
-        match c.submit(&update_url("d5.xml", "mx"), 0) {
-            Submitted::Pending(id) => {
-                let _ = await_update(&mut c, id, 0);
-            }
-            Submitted::Done(_) => {}
-        }
-        let done = match c.submit("/metrics", 100) {
-            Submitted::Done(d) => d,
-            Submitted::Pending(_) => panic!("metrics cannot pend"),
+        let now = match c.submit(&update_url("d5.xml", "mx"), 0) {
+            Submitted::Pending(id) => await_update(&mut c, id, 0).1,
+            Submitted::Done(_) => 0,
         };
-        assert_eq!(done.response.status, 200);
-        assert!(
-            done.response.body.contains("<repl-frames-shipped>"),
-            "metrics body missing replication counters: {}",
-            done.response.body
+        let m = metrics_at(&mut c, now + 1);
+        (c, m)
+    }
+
+    #[test]
+    fn metrics_read_the_leaders_durability_live() {
+        let (c, m) = acked_update_then_metrics();
+        let leader = c.shards[0].leader.as_ref().expect("leader");
+        let stats = leader.db.durability_stats();
+        assert_eq!(metric(&m, "wal-fsyncs"), stats.fsyncs);
+        assert_eq!(metric(&m, "wal-appends"), stats.wal_appends);
+        assert_eq!(metric(&m, "checkpoints"), stats.checkpoints);
+        assert!(metric(&m, "repl-frames-shipped") > 0);
+        assert_eq!(metric(&m, "repl-frames-acked"), c.stats().frames_acked);
+    }
+
+    #[test]
+    fn metrics_without_a_live_leader_serve_cluster_counters_alone() {
+        let (mut c, before) = acked_update_then_metrics();
+        c.crash_leader(0, 500);
+        let m = metrics_at(&mut c, 500);
+        for server in ["requests", "bytes-out", "xquery-evals", "wal-fsyncs"] {
+            assert_eq!(metric(&m, server), 0, "{server}");
+        }
+        assert_eq!(
+            metric(&m, "repl-frames-shipped"),
+            metric(&before, "repl-frames-shipped")
         );
+        assert!(metric(&m, "repl-frames-shipped") > 0);
     }
 
     // -----------------------------------------------------------------
@@ -3688,36 +3813,6 @@ mod tests {
         );
         for (uri, marker) in &markers {
             assert!(c.contains(uri, marker), "{marker} lost on {uri}");
-        }
-    }
-
-    #[test]
-    fn metrics_surface_carries_reshard_counters() {
-        let mut c = Cluster::new(ClusterConfig {
-            seed: 42,
-            shards: 2,
-            followers: 0,
-            ack_replicas: 0,
-            ..ClusterConfig::default()
-        });
-        let (_, now) = marked(&mut c, 12, 0);
-        let _ = c.add_shard(now);
-        let (settled, _) = c.quiesce(now);
-        let done = match c.submit("/metrics", settled) {
-            Submitted::Done(d) => d,
-            Submitted::Pending(_) => panic!("metrics cannot pend"),
-        };
-        assert_eq!(done.response.status, 200);
-        for needle in [
-            "<reshard-epoch-bumps>",
-            "<reshard-docs-moved>",
-            "<reshard-cutover-fences>",
-        ] {
-            assert!(
-                done.response.body.contains(needle),
-                "metrics body missing {needle}: {}",
-                done.response.body
-            );
         }
     }
 }

@@ -189,7 +189,8 @@ impl FleetConfig {
 // Report
 // ---------------------------------------------------------------------
 
-/// Fleet-wide totals (mirrored into `ServerMetrics` as `fleet-*`).
+/// Fleet-wide totals. A cluster the totals are reported to serves them on
+/// `/metrics` as `fleet-*`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
     pub clients: u64,
@@ -220,6 +221,52 @@ pub struct FleetStats {
     /// `(behind_calls − origin_requests) * 1000 / behind_calls`, saturating:
     /// the §6.1 offload claim as a number.
     pub cache_hit_permille: u64,
+}
+
+impl FleetStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let FleetStats {
+            clients,
+            interactions,
+            behind_calls,
+            attempts,
+            retries,
+            timeouts,
+            fetch_errors,
+            breaker_opens,
+            breaker_fast_fails,
+            stale_served,
+            stale_events,
+            error_events,
+            completions,
+            evictions,
+            quarantine_trips,
+            retry_after_honored,
+            degraded_observed,
+            origin_requests,
+            cache_hit_permille,
+        } = *self;
+        f("fleet-clients", clients);
+        f("fleet-interactions", interactions);
+        f("fleet-behind-calls", behind_calls);
+        f("fleet-attempts", attempts);
+        f("fleet-retries", retries);
+        f("fleet-timeouts", timeouts);
+        f("fleet-fetch-errors", fetch_errors);
+        f("fleet-breaker-opens", breaker_opens);
+        f("fleet-breaker-fast-fails", breaker_fast_fails);
+        f("fleet-stale-served", stale_served);
+        f("fleet-stale-events", stale_events);
+        f("fleet-error-events", error_events);
+        f("fleet-completions", completions);
+        f("fleet-evictions", evictions);
+        f("fleet-quarantine-trips", quarantine_trips);
+        f("fleet-retry-after-honored", retry_after_honored);
+        f("fleet-degraded-observed", degraded_observed);
+        f("fleet-origin-requests", origin_requests);
+        f("fleet-cache-hit-permille", cache_hit_permille);
+    }
 }
 
 /// One simulated browser's outcome.

@@ -142,8 +142,7 @@ impl GovernorConfig {
 }
 
 /// Overload counters (and the raw queue-delay samples the percentiles are
-/// computed from). Mirrored into `ServerMetrics` via
-/// [`crate::ServerMetrics::record_overload`].
+/// computed from). The governor serves them live on `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OverloadStats {
     /// Requests offered to the governor.
@@ -181,6 +180,27 @@ impl OverloadStats {
         // nearest-rank (ceiling) convention: p99 of 5 samples is the max
         let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
         sorted[rank.max(1) - 1]
+    }
+
+    /// Visits each served counter: `shed` counts both flavours, and the
+    /// queue-delay percentiles are computed from the samples.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let OverloadStats {
+            submitted: _,
+            admitted,
+            completed: _,
+            shed_queue_full: _,
+            shed_queue_delay: _,
+            degraded,
+            deadline_exceeded,
+            queue_delays: _,
+        } = self;
+        f("admitted", *admitted);
+        f("shed", self.shed());
+        f("degraded", *degraded);
+        f("deadline-exceeded", *deadline_exceeded);
+        f("queue-delay-p50-ms", self.queue_delay_percentile(50));
+        f("queue-delay-p99-ms", self.queue_delay_percentile(99));
     }
 }
 
@@ -420,13 +440,6 @@ impl GovernedServer {
         done
     }
 
-    /// Mirrors the governor's overload counters into the wrapped server's
-    /// `ServerMetrics` (so `/metrics` reports them).
-    pub fn sync_metrics(&mut self) {
-        let stats = self.gov.stats.clone();
-        self.server.metrics.record_overload(&stats);
-    }
-
     /// Virtual time at which the server is next free.
     pub fn free_at(&self) -> u64 {
         self.gov.free_at
@@ -464,7 +477,12 @@ impl GovernedServer {
         } else {
             let budget =
                 (deadline > 0).then(|| (deadline - delay).saturating_mul(self.gov.cfg.fuel_per_ms));
-            let (resp, fuel_used) = self.server.handle_budgeted(&p.url, budget);
+            // a `/metrics` request served here reports the live overload
+            // counters next to the server's own
+            let stats = &self.gov.stats;
+            let (resp, fuel_used) = self.server.handle_layered(&p.url, budget, |m| {
+                m.overload = stats.clone();
+            });
             // fuel retired on the engine is the virtual CPU cost; every
             // request additionally pays 1 ms of fixed routing/serialisation
             let service_ms = fuel_used / self.gov.cfg.fuel_per_ms + 1;
@@ -674,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_metrics_mirrors_overload_counters() {
+    fn metrics_through_the_governor_report_live_overload_counters() {
         let mut g = governed(GovernorConfig {
             queue_capacity: 1,
             ..Default::default()
@@ -682,11 +700,11 @@ mod tests {
         g.submit("/index", 0);
         g.submit("/index", 0); // shed: queue full
         g.drain();
-        g.sync_metrics();
-        assert_eq!(g.server.metrics.admitted, 1);
-        assert_eq!(g.server.metrics.shed, 1);
-        let xml = g.server.handle("/metrics");
-        assert!(xml.body.contains("<admitted>1</admitted>"), "{}", xml.body);
-        assert!(xml.body.contains("<shed>1</shed>"));
+        g.submit("/metrics", 1_000);
+        let done = g.drain();
+        let body = &done[0].response.body;
+        // the /metrics request itself was admitted too
+        assert!(body.contains("<admitted>2</admitted>"), "{body}");
+        assert!(body.contains("<shed>1</shed>"), "{body}");
     }
 }

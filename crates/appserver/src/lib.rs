@@ -41,7 +41,7 @@ pub use fleet::{
     run_fleet, ClientReport, FleetChaos, FleetConfig, FleetReport, FleetStats, Scenario,
 };
 pub use governor::{Admission, Class, GovernedServer, GovernorConfig, Outcome, RequestGovernor};
-pub use metrics::ServerMetrics;
+pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use server::AppServer;
 pub use simulate::{
     run_sim, run_sim_with_server, ArrivalPattern, ClientSpec, RouteMix, SimConfig, SimReport,

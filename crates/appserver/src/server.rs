@@ -20,7 +20,7 @@ use xqib_dom::order::stats::EngineStats;
 use xqib_storage::VirtualDisk;
 use xqib_xdm::XdmResult;
 
-use crate::metrics::ServerMetrics;
+use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::render;
 use crate::xmldb::{DurabilityConfig, XmlDb};
 
@@ -76,7 +76,7 @@ impl ServerResponse {
 pub struct AppServer {
     pub db: XmlDb,
     pub metrics: ServerMetrics,
-    /// This thread's engine counters at construction time; `metrics`
+    /// This thread's engine counters at construction time; `/metrics`
     /// reports the delta from here.
     engine_baseline: EngineStats,
     /// Whole-document snapshots by URI: the degradation cache. `None` after
@@ -118,11 +118,9 @@ impl AppServer {
     /// shards use this: only the shard owning `corpus.xml` holds the
     /// corpus; the rest serve whatever documents route to them.
     pub fn from_db(db: XmlDb) -> Self {
-        let mut metrics = ServerMetrics::default();
-        metrics.record_durability(&db.durability_stats());
         AppServer {
             db,
-            metrics,
+            metrics: ServerMetrics::default(),
             engine_baseline: engine_stats::snapshot(),
             snapshots: None,
         }
@@ -168,7 +166,7 @@ impl AppServer {
     ///   individual queries to documents", §6.1);
     /// * `/query?xq=Q` — ad-hoc server-side XQuery (legacy fine-grained API);
     /// * `/update?xq=Q` — updating XQuery (journaled in durable mode);
-    /// * `/metrics` — the [`ServerMetrics`] counters as XML.
+    /// * `/metrics` — this server's [`MetricsSnapshot`] as XML.
     pub fn handle(&mut self, url: &str) -> ServerResponse {
         self.handle_budgeted(url, None).0
     }
@@ -178,6 +176,18 @@ impl AppServer {
     /// consumed (0 for routes that evaluate nothing), which the request
     /// governor converts back into virtual service time.
     pub fn handle_budgeted(&mut self, url: &str, budget: Option<u64>) -> (ServerResponse, u64) {
+        self.handle_layered(url, budget, |_| {})
+    }
+
+    /// Like [`Self::handle_budgeted`], for a server running inside other
+    /// layers (a governor, a cluster): a `/metrics` request calls `layers`
+    /// to add their counters to this server's snapshot before rendering.
+    pub fn handle_layered(
+        &mut self,
+        url: &str,
+        budget: Option<u64>,
+        layers: impl FnOnce(&mut MetricsSnapshot),
+    ) -> (ServerResponse, u64) {
         self.metrics.requests += 1;
         let (path, query) = split_url(url);
         let (resp, fuel_used) = match path.as_str() {
@@ -226,20 +236,33 @@ impl AppServer {
                 }
                 None => (bad_request("missing xq parameter"), 0),
             },
-            "/metrics" => (ServerResponse::new(200, self.metrics.to_xml()), 0),
+            "/metrics" => {
+                let mut snapshot = self.metrics_snapshot();
+                layers(&mut snapshot);
+                (ServerResponse::new(200, snapshot.to_xml()), 0)
+            }
             other => (not_found(&format!("no route {other}")), 0),
         };
         self.metrics.bytes_out += resp.body.len() as u64;
-        self.metrics
-            .record_engine_stats(self.engine_baseline, engine_stats::snapshot());
-        self.metrics.record_durability(&self.db.durability_stats());
         (resp, fuel_used)
+    }
+
+    /// This server's `/metrics` counters, read from their owners now: its
+    /// own, its database's and the engine's. The layers around it stay at
+    /// their defaults.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            server: self.metrics.clone(),
+            xquery_evals: self.db.evals,
+            engine: engine_stats::snapshot().since(self.engine_baseline),
+            durability: self.db.durability_stats(),
+            plan_cache: self.db.plan_stats(),
+            ..MetricsSnapshot::default()
+        }
     }
 
     fn render_query(&mut self, xq: &str, budget: Option<u64>) -> (ServerResponse, u64) {
         let (result, fuel_used) = self.db.query_with_deadline(xq, budget);
-        self.metrics.xquery_evals = self.db.evals;
-        self.metrics.record_plan_cache(&self.db.plan_stats());
         let resp = match result {
             Ok(body) => ServerResponse::new(200, body),
             Err(e) => ServerResponse::new(status_for(&e.code), format!("<error>{e}</error>")),
@@ -339,7 +362,7 @@ mod tests {
         assert_eq!(r.status, 200);
         assert!(r.body.contains("<table id=\"refs\">"));
         assert_eq!(s.metrics.requests, 1);
-        assert_eq!(s.metrics.xquery_evals, 1);
+        assert_eq!(s.db.evals, 1);
         assert!(s.metrics.bytes_out > 0);
         // The interpreter's breadth-first path steps over the corpus need
         // the order index at least once (the counters are per thread, not
@@ -349,8 +372,9 @@ mod tests {
         interpreted.db.plan_mode = false;
         let ri = interpreted.handle(url);
         assert_eq!(ri.body, r.body, "both tiers render the same page");
-        assert!(interpreted.metrics.order_index_rebuilds >= 1);
-        assert!(interpreted.metrics.sorts_performed + interpreted.metrics.sorts_elided >= 1);
+        let engine = interpreted.metrics_snapshot().engine;
+        assert!(engine.order_index_rebuilds >= 1);
+        assert!(engine.sorts_performed + engine.sorts_elided >= 1);
     }
 
     /// The hot render routes stay on the compiled tier: their queries
@@ -388,7 +412,7 @@ mod tests {
         let r = s.handle("/doc?uri=corpus.xml");
         assert_eq!(r.status, 200);
         assert!(r.body.starts_with("<library>"));
-        assert_eq!(s.metrics.xquery_evals, 0, "no server-side XQuery");
+        assert_eq!(s.db.evals, 0, "no server-side XQuery");
     }
 
     #[test]
@@ -460,13 +484,16 @@ mod tests {
             "/update?xq=insert+node+%3Cnote%3Ehi%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*",
         );
         assert_eq!(r.status, 200);
-        assert!(s.metrics.wal_appends >= 2, "corpus load + update journaled");
+        assert!(
+            s.db.durability_stats().wal_appends >= 2,
+            "corpus load + update journaled"
+        );
         let r = s.handle("/query?xq=count(doc('corpus.xml')//note)");
         assert_eq!(r.body, "1");
         // the journaled update survives a crash + recovery
         disk.crash();
         let mut s2 = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
-        assert_eq!(s2.metrics.recoveries, 1);
+        assert_eq!(s2.db.durability_stats().recoveries, 1);
         let r = s2.handle("/query?xq=count(doc('corpus.xml')//note)");
         assert_eq!(r.body, "1");
     }

@@ -26,7 +26,7 @@ use crate::cluster::{
 };
 use crate::corpus::{generate_corpus, CorpusSpec};
 use crate::governor::{Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome};
-use crate::metrics::ServerMetrics;
+use crate::metrics::MetricsSnapshot;
 use crate::server::AppServer;
 use crate::xmldb::DurabilityConfig;
 
@@ -200,9 +200,9 @@ pub struct SimReport {
     pub duration_ms: u64,
     /// Indexed by [`Class::index`].
     pub per_class: [ClassStats; 3],
-    /// The server's final metrics snapshot (includes the mirrored overload
-    /// counters — what the `/metrics` route would serve).
-    pub metrics: ServerMetrics,
+    /// The server's final counters with the governor's overload counters:
+    /// what a `/metrics` request through the governor would serve.
+    pub metrics: MetricsSnapshot,
 }
 
 impl SimReport {
@@ -418,11 +418,13 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
     }
     debug_assert!(inflight.is_empty(), "every admitted request completed");
 
-    g.sync_metrics();
     let report = SimReport {
         duration_ms: cfg.duration_ms,
         per_class,
-        metrics: g.server.metrics.clone(),
+        metrics: MetricsSnapshot {
+            overload: g.gov.stats.clone(),
+            ..g.server.metrics_snapshot()
+        },
     };
     Ok((report, g))
 }
@@ -785,10 +787,10 @@ mod tests {
         let report = run_sim(&SimConfig::steady(7, 5, 4_000)).unwrap();
         assert_eq!(report.issued(), 20);
         assert_eq!(report.shed(), 0, "{report:?}");
-        assert_eq!(report.metrics.shed, 0);
-        assert_eq!(report.metrics.degraded, 0);
+        assert_eq!(report.metrics.overload.shed(), 0);
+        assert_eq!(report.metrics.overload.degraded, 0);
         assert_eq!(report.goodput() + report.errors(), 20);
-        assert!(report.metrics.admitted >= 20);
+        assert!(report.metrics.overload.admitted >= 20);
     }
 
     #[test]
@@ -825,7 +827,7 @@ mod tests {
             report.goodput() > 0,
             "shedding keeps the server making progress"
         );
-        assert_eq!(report.metrics.shed, report.shed());
+        assert_eq!(report.metrics.overload.shed(), report.shed());
     }
 
     impl SimReport {

@@ -1,7 +1,7 @@
-//! Smoke test for the durability counters surfaced through
-//! `ServerMetrics`: a load → update → checkpoint → crash → recover cycle
-//! must bump `wal_appends`, `wal_fsyncs`, `checkpoints` and `recoveries`,
-//! and a torn WAL tail must show up as `torn_tails_dropped`.
+//! Smoke test for the durability counters the server reads live for
+//! `/metrics`: a load → update → checkpoint → crash → recover cycle must
+//! bump `wal_appends`, `fsyncs`, `checkpoints` and `recoveries`, and a
+//! torn WAL tail must show up as `torn_tails_dropped`.
 
 use xqib_appserver::server::AppServer;
 use xqib_appserver::xmldb::{DurabilityConfig, XmlDb};
@@ -20,29 +20,27 @@ fn durability_counters_flow_through_server_metrics() {
     let r = server
         .handle("/update?xq=insert node <note>remember</note> into doc('corpus.xml')/library");
     assert_eq!(r.status, 200);
+    let stats = server.db.durability_stats();
     assert!(
-        server.metrics.wal_appends >= 2,
+        stats.wal_appends >= 2,
         "corpus load + update journaled, got {}",
-        server.metrics.wal_appends
+        stats.wal_appends
     );
-    assert!(server.metrics.wal_fsyncs >= 2, "each op group-committed");
-    assert_eq!(
-        server.metrics.checkpoints, 0,
-        "nothing crossed the threshold"
-    );
+    assert!(stats.fsyncs >= 2, "each op group-committed");
+    assert_eq!(stats.checkpoints, 0, "nothing crossed the threshold");
 
+    // a checkpoint outside any request shows on the next /metrics
     server.db.checkpoint().unwrap();
-    // metrics mirror on the next request
-    let r = server.handle("/query?xq=count(doc('corpus.xml')//note)");
-    assert_eq!(r.body, "1");
-    assert_eq!(server.metrics.checkpoints, 1);
-    assert_eq!(server.metrics.recoveries, 0);
+    let m = server.handle("/metrics").body;
+    assert!(m.contains("<checkpoints>1</checkpoints>"), "{m}");
+    assert!(m.contains("<recoveries>0</recoveries>"), "{m}");
 
     drop(server);
     disk.crash();
     let mut server = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
-    assert_eq!(server.metrics.recoveries, 1);
-    assert_eq!(server.metrics.torn_tails_dropped, 0, "nothing was torn");
+    let stats = server.db.durability_stats();
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(stats.torn_tails_dropped, 0, "nothing was torn");
     let r = server.handle("/query?xq=count(doc('corpus.xml')//note)");
     assert_eq!(r.body, "1", "checkpointed update survived");
 }
@@ -77,7 +75,7 @@ fn losing_every_checkpoint_slot_is_surfaced_on_metrics() {
     }
 
     let mut server = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
-    assert_eq!(server.metrics.recoveries, 1);
+    assert_eq!(server.db.durability_stats().recoveries, 1);
     let r = server.handle("/metrics");
     assert_eq!(r.status, 200);
     assert!(

@@ -110,7 +110,7 @@ fn identical_seeds_produce_bit_identical_reports() {
 #[test]
 fn fleet_counters_surface_on_the_metrics_route() {
     let (report, mut cluster) = run_fleet(&FleetConfig::quiet(5 ^ env_seed())).unwrap();
-    cluster.record_fleet(&report.totals);
+    cluster.set_fleet_stats(&report.totals);
     let done = match cluster.submit("/metrics", report.duration_ms + 1) {
         Submitted::Done(d) => d,
         Submitted::Pending(_) => panic!("metrics cannot pend"),

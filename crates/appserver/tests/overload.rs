@@ -54,13 +54,13 @@ fn assert_conservation(report: &SimReport) {
         );
     }
     // the governor's own books agree with the client-side tally
-    assert_eq!(report.metrics.shed, report.shed());
+    assert_eq!(report.metrics.overload.shed(), report.shed());
     assert_eq!(
-        report.metrics.degraded,
+        report.metrics.overload.degraded,
         report.per_class.iter().map(|c| c.degraded).sum::<u64>()
     );
     assert_eq!(
-        report.metrics.deadline_exceeded,
+        report.metrics.overload.deadline_exceeded,
         report
             .per_class
             .iter()
@@ -155,8 +155,8 @@ proptest! {
         let (report, _) = run_sim_with_server(&cfg).unwrap();
         assert_conservation(&report);
         prop_assert_eq!(report.shed(), 0);
-        prop_assert_eq!(report.metrics.degraded, 0);
-        prop_assert_eq!(report.metrics.deadline_exceeded, 0);
+        prop_assert_eq!(report.metrics.overload.degraded, 0);
+        prop_assert_eq!(report.metrics.overload.deadline_exceeded, 0);
         prop_assert_eq!(report.goodput(), report.issued());
     }
 }
@@ -216,12 +216,22 @@ fn flood_responses_are_honest() {
     assert!(shed > 0, "a 100-deep flood must overflow the 64-slot queue");
     assert!(degraded > 0, "late renders must fall back to the snapshot");
 
-    // the /metrics route serves the overload counters the flood produced
-    g.sync_metrics();
-    let xml = g.server.handle("/metrics").body;
-    assert!(xml.contains(&format!("<shed>{shed}</shed>")), "{xml}");
-    assert!(
-        xml.contains(&format!("<degraded>{degraded}</degraded>")),
-        "{xml}"
-    );
+    // /metrics submitted through the governor serves the overload
+    // counters the flood produced, live: admitted counts itself too
+    let full = completions
+        .iter()
+        .filter(|c| c.outcome == Outcome::ShedQueueFull)
+        .count();
+    g.submit("/metrics", g.free_at());
+    let done = g.drain();
+    assert_eq!(done[0].outcome, Outcome::Served);
+    let xml = &done[0].response.body;
+    let admitted = 100 - full + 1;
+    for expect in [
+        format!("<admitted>{admitted}</admitted>"),
+        format!("<shed>{shed}</shed>"),
+        format!("<degraded>{degraded}</degraded>"),
+    ] {
+        assert!(xml.contains(&expect), "missing {expect}: {xml}");
+    }
 }

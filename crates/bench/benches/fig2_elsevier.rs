@@ -42,7 +42,7 @@ fn print_table() {
             "server-rendered",
             &k.to_string(),
             &server.metrics.requests.to_string(),
-            &server.metrics.xquery_evals.to_string(),
+            &server.db.evals.to_string(),
             &server.metrics.bytes_out.to_string(),
         ]);
 
@@ -56,7 +56,7 @@ fn print_table() {
             "migrated+cache",
             &k.to_string(),
             &server.borrow().metrics.requests.to_string(),
-            &server.borrow().metrics.xquery_evals.to_string(),
+            &server.borrow().db.evals.to_string(),
             &server.borrow().metrics.bytes_out.to_string(),
         ]);
 
@@ -74,7 +74,7 @@ fn print_table() {
             "migrated-nocache",
             &k.to_string(),
             &server.borrow().metrics.requests.to_string(),
-            &server.borrow().metrics.xquery_evals.to_string(),
+            &server.borrow().db.evals.to_string(),
             &server.borrow().metrics.bytes_out.to_string(),
         ]);
     }

@@ -49,12 +49,12 @@ fn arm_json(name: &str, r: &SimReport) -> String {
         r.goodput(),
         r.goodput_rps(),
         r.shed(),
-        r.metrics.degraded,
-        r.metrics.deadline_exceeded,
+        r.metrics.overload.degraded,
+        r.metrics.overload.deadline_exceeded,
         r.latency_p99(),
         render.latency_percentile(50),
         render.latency_percentile(99),
-        r.metrics.queue_delay_p99_ms,
+        r.metrics.overload.queue_delay_percentile(99),
     )
 }
 

@@ -112,7 +112,8 @@ impl ListenerGuard {
     }
 }
 
-/// Counters over all listeners (mirrored into `ServerMetrics`).
+/// Counters over all listeners, served to XQuery by
+/// `browser:listenerStatus()`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct QuarantineStats {
     /// Listener invocations that returned a dynamic error.

@@ -278,8 +278,8 @@ impl StaleCache {
     }
 }
 
-/// Counters for the whole fault/recovery path (mirrored into the app
-/// server's `ServerMetrics` next to the PR 1 engine counters).
+/// Counters for the whole fault/recovery path, served to XQuery by
+/// `browser:fetchStatus()`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// `behind` attempts executed (first tries + retries).

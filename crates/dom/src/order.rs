@@ -49,6 +49,34 @@ pub mod stats {
         pub sorts_elided: u64,
     }
 
+    impl EngineStats {
+        /// The work done since `baseline`, saturating at zero should the
+        /// counters have been reset in between.
+        pub fn since(self, baseline: EngineStats) -> EngineStats {
+            EngineStats {
+                order_index_rebuilds: self
+                    .order_index_rebuilds
+                    .saturating_sub(baseline.order_index_rebuilds),
+                sorts_performed: self
+                    .sorts_performed
+                    .saturating_sub(baseline.sorts_performed),
+                sorts_elided: self.sorts_elided.saturating_sub(baseline.sorts_elided),
+            }
+        }
+
+        /// Visits each counter under the name `/metrics` serves it by.
+        pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+            let EngineStats {
+                order_index_rebuilds,
+                sorts_performed,
+                sorts_elided,
+            } = *self;
+            f("order-index-rebuilds", order_index_rebuilds);
+            f("sorts-performed", sorts_performed);
+            f("sorts-elided", sorts_elided);
+        }
+    }
+
     pub fn record_rebuild() {
         REBUILDS.set(REBUILDS.get() + 1);
     }
@@ -66,13 +94,6 @@ pub mod stats {
             sorts_performed: SORTS_PERFORMED.get(),
             sorts_elided: SORTS_ELIDED.get(),
         }
-    }
-
-    /// Zeroes this thread's counters.
-    pub fn reset() {
-        REBUILDS.set(0);
-        SORTS_PERFORMED.set(0);
-        SORTS_ELIDED.set(0);
     }
 }
 
@@ -342,6 +363,20 @@ pub fn cmp_doc_order_local_naive(doc: &Document, a: NodeId, b: NodeId) -> Orderi
 mod tests {
     use super::*;
     use crate::name::QName;
+
+    #[test]
+    fn engine_stats_since_is_a_saturating_delta() {
+        use stats::EngineStats;
+        let stats = |order_index_rebuilds, sorts_performed, sorts_elided| EngineStats {
+            order_index_rebuilds,
+            sorts_performed,
+            sorts_elided,
+        };
+        let (base, now) = (stats(10, 20, 30), stats(12, 25, 37));
+        assert_eq!(now.since(base), stats(2, 5, 7));
+        // counters reset in between must not underflow
+        assert_eq!(base.since(now), EngineStats::default());
+    }
 
     fn sample() -> (Store, NodeRef, NodeRef, NodeRef, NodeRef, NodeRef) {
         // <r a="1"><x/><y><z/></y></r>

@@ -139,7 +139,7 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
-/// Durability counters the server tier surfaces through `ServerMetrics`.
+/// Durability counters; the server tier reads them live for `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Redo records appended to the WAL.
@@ -161,6 +161,30 @@ pub struct DurabilityStats {
     /// Recovered documents whose content digest disagreed with the digest
     /// recorded in the WAL.
     pub recovery_digest_mismatches: u64,
+}
+
+impl DurabilityStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let DurabilityStats {
+            wal_appends,
+            fsyncs,
+            checkpoints,
+            recoveries,
+            torn_tails_dropped,
+            ckpt_slots_lost,
+            wal_corruptions,
+            recovery_digest_mismatches,
+        } = *self;
+        f("wal-appends", wal_appends);
+        f("wal-fsyncs", fsyncs);
+        f("checkpoints", checkpoints);
+        f("recoveries", recoveries);
+        f("torn-tails-dropped", torn_tails_dropped);
+        f("ckpt-slots-lost", ckpt_slots_lost);
+        f("wal-corruptions", wal_corruptions);
+        f("recovery-digest-mismatches", recovery_digest_mismatches);
+    }
 }
 
 #[cfg(test)]

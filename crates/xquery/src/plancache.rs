@@ -40,7 +40,7 @@ use xqib_xdm::XdmResult;
 use crate::plan::{lower, CompiledPlan};
 use crate::runtime::{compile_with, ModuleRegistry};
 
-/// Hit/miss/eviction counters, cheap to copy into server metrics.
+/// Hit/miss/eviction counters, read by the server's `/metrics`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups answered from the cache.
@@ -52,6 +52,22 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Epoch bumps (each drops the whole cache).
     pub invalidations: u64,
+}
+
+impl PlanCacheStats {
+    /// Visits each counter under the name `/metrics` serves it by.
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let PlanCacheStats {
+            hits,
+            misses,
+            evictions,
+            invalidations,
+        } = *self;
+        f("plan-cache-hits", hits);
+        f("plan-cache-misses", misses);
+        f("plan-cache-evictions", evictions);
+        f("plan-cache-invalidations", invalidations);
+    }
 }
 
 struct Entry {

@@ -31,7 +31,7 @@ fn main() {
         session.len() + 1
     );
     println!("server requests:      {}", server.metrics.requests);
-    println!("server XQuery evals:  {}", server.metrics.xquery_evals);
+    println!("server XQuery evals:  {}", server.db.evals);
     println!("bytes over the wire:  {}", server.metrics.bytes_out);
 
     // ----- deployment B: migrated to the client ------------------------------
@@ -66,10 +66,7 @@ fn main() {
     }
     println!("\n=== migrated deployment (same session) ===");
     println!("server requests:      {}", server.borrow().metrics.requests);
-    println!(
-        "server XQuery evals:  {}",
-        server.borrow().metrics.xquery_evals
-    );
+    println!("server XQuery evals:  {}", server.borrow().db.evals);
     println!(
         "bytes over the wire:  {}",
         server.borrow().metrics.bytes_out

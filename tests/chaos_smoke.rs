@@ -1,0 +1,121 @@
+//! One fixed seed of each distributed experiment, small enough for the
+//! root package's test run: the governed simulator, the cluster chaos
+//! scenario (leader crash, partition, latent decay, a shard added mid-run)
+//! and a quiet browser fleet. Each run's core invariant holds, a rerun
+//! with the same seed reports the same, and each deployment's `/metrics`
+//! serves exactly the golden list of names.
+//!
+//!     cargo test -q --test chaos_smoke
+
+use xqib::appserver::simulate::{
+    run_cluster_sim, run_sim_with_server, ClusterSimConfig, SimConfig,
+};
+use xqib::appserver::{run_fleet, Cluster, FleetConfig, Submitted, TopologyChange};
+use xqib::storage::StorageFaultPlan;
+
+const GOLDEN: &str = include_str!("../crates/appserver/tests/metrics_names.txt");
+
+/// Checks a `/metrics` body against the golden names and returns its
+/// counters.
+fn golden(body: &str) -> Vec<(String, u64)> {
+    let mut rest = body
+        .strip_prefix("<metrics>")
+        .and_then(|b| b.strip_suffix("</metrics>"))
+        .expect(body);
+    let mut counters = Vec::new();
+    while let Some(open) = rest.strip_prefix('<') {
+        let (name, tail) = open.split_once('>').expect(body);
+        let (value, tail) = tail.split_once("</").expect(body);
+        counters.push((name.to_string(), value.parse().expect(body)));
+        rest = tail
+            .strip_prefix(name)
+            .and_then(|t| t.strip_prefix('>'))
+            .expect(body);
+    }
+    assert!(rest.is_empty(), "{body}");
+    let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, GOLDEN.lines().collect::<Vec<_>>());
+    counters
+}
+
+fn metric(counters: &[(String, u64)], name: &str) -> u64 {
+    counters.iter().find(|(n, _)| n == name).map_or(0, |c| c.1)
+}
+
+fn cluster_metrics(c: &mut Cluster, now: u64) -> Vec<(String, u64)> {
+    match c.submit("/metrics", now) {
+        Submitted::Done(d) => golden(&d.response.body),
+        Submitted::Pending(_) => panic!("metrics cannot pend"),
+    }
+}
+
+#[test]
+fn governed_server_smoke() {
+    let mut cfg = SimConfig::steady(11, 60, 1_500);
+    cfg.disk_fault = Some(StorageFaultPlan::seeded(11));
+    let (report, mut g) = run_sim_with_server(&cfg).unwrap();
+    let (again, _) = run_sim_with_server(&cfg).unwrap();
+    assert_eq!(report, again, "same seed, same report");
+    assert!(report.goodput() > 0);
+
+    g.submit("/metrics", g.free_at());
+    let done = g.drain();
+    let m = golden(&done[0].response.body);
+    let overload = &report.metrics.overload;
+    assert_eq!(metric(&m, "admitted"), overload.admitted + 1);
+    assert_eq!(metric(&m, "shed"), overload.shed());
+    assert_eq!(metric(&m, "requests"), report.metrics.server.requests + 1);
+}
+
+#[test]
+fn cluster_smoke() {
+    let mut cfg = ClusterSimConfig::steady(5, 1_200);
+    cfg.cluster.shards = 2;
+    cfg.cluster.followers = 2;
+    cfg.cluster.ack_replicas = 1;
+    cfg.cluster.disk_fault = Some(
+        StorageFaultPlan::seeded(5)
+            .with_decay_permille(2)
+            .with_decay_period_ms(80),
+    );
+    cfg.leader_crashes.push((500, 0));
+    cfg.partitions.push((1, 1, 200, 600));
+    cfg.topology.push((700, TopologyChange::AddShard));
+    let (report, mut c) = run_cluster_sim(&cfg);
+    let (again, _) = run_cluster_sim(&cfg);
+    assert_eq!(report, again, "same seed, same report");
+    assert!(report.acked_updates > 0);
+    assert_eq!(report.missing_acked_updates(&c), Vec::<String>::new());
+    assert_eq!(report.dual_owner_violations(), Vec::<String>::new());
+
+    let (now, _) = c.quiesce(cfg.duration_ms + 1);
+    let m = cluster_metrics(&mut c, now);
+    for exercised in ["repl-failovers", "reshard-epoch-bumps", "scrub-cycles"] {
+        assert!(metric(&m, exercised) > 0, "{exercised}");
+    }
+    assert_eq!(metric(&m, "repl-failovers"), c.stats().failovers);
+    assert_eq!(
+        metric(&m, "reshard-epoch-bumps"),
+        c.reshard_stats().epoch_bumps
+    );
+    assert_eq!(metric(&m, "scrub-cycles"), c.integrity_stats().scrub_cycles);
+}
+
+#[test]
+fn fleet_smoke() {
+    let cfg = FleetConfig::quiet(3);
+    let (report, mut c) = run_fleet(&cfg).unwrap();
+    let (again, _) = run_fleet(&cfg).unwrap();
+    assert_eq!(report, again, "same seed, same report");
+    assert_eq!(report.missing_acked, vec![]);
+    assert_eq!(report.outcome_mismatches, Vec::<usize>::new());
+    assert!(report.converged);
+
+    c.set_fleet_stats(&report.totals);
+    let m = cluster_metrics(&mut c, report.duration_ms + 1);
+    assert_eq!(metric(&m, "fleet-clients"), report.totals.clients);
+    assert_eq!(
+        metric(&m, "fleet-origin-requests"),
+        report.totals.origin_requests
+    );
+}

@@ -34,7 +34,7 @@ fn server_rendered_deployment_costs_one_eval_per_interaction() {
         assert!(r.body.contains("<table id=\"refs\">"));
     }
     assert_eq!(server.metrics.requests as usize, k + 1);
-    assert_eq!(server.metrics.xquery_evals as usize, k + 1);
+    assert_eq!(server.db.evals as usize, k + 1);
     assert!(server.metrics.bytes_out > 0);
 }
 
@@ -74,7 +74,7 @@ fn migrated_deployment_renders_in_the_browser() {
     assert!(page.contains("(j0-v0-i0-a0)"));
     assert!(page.contains("<span id=\"refcount\">5</span>"));
     // the server only served the document — it evaluated no XQuery
-    assert_eq!(server.borrow().metrics.xquery_evals, 0);
+    assert_eq!(server.borrow().db.evals, 0);
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn client_cache_eliminates_repeat_round_trips() {
     // one /doc fetch for the whole session; everything else came from the
     // browser-side document cache
     assert_eq!(server.borrow().metrics.requests, 1);
-    assert_eq!(server.borrow().metrics.xquery_evals, 0);
+    assert_eq!(server.borrow().db.evals, 0);
     let migrated_bytes = server.borrow().metrics.bytes_out;
 
     // compare with the server-rendered deployment on the same session

@@ -22,7 +22,7 @@ fn readme_recovery_example() {
     disk.crash(); // power loss: unsynced tails are torn off, bit rot per plan
 
     let mut server = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
-    assert_eq!(server.metrics.recoveries, 1);
+    assert_eq!(server.db.durability_stats().recoveries, 1);
     let r = server.handle("/query?xq=count(doc('corpus.xml')//note)");
     assert_eq!(r.body, "1"); // the journaled update survived the crash
 }
