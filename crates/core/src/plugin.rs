@@ -25,8 +25,9 @@ use xqib_dom::{
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 use xqib_xquery::ast::{Expr, MainModule};
 use xqib_xquery::context::{DynamicContext, EngineHooks, StaticContext};
+use xqib_xquery::exec;
 use xqib_xquery::functions::native;
-use xqib_xquery::plan::lower;
+use xqib_xquery::plan::{lower, lower_functions, ExprPlan};
 use xqib_xquery::plancache::{self, PlanCache};
 use xqib_xquery::runtime::{self, ModuleRegistry};
 
@@ -42,9 +43,10 @@ pub enum ListenerKind {
     /// An XQuery function registered via `attach listener` or
     /// `browser:addEventListener` — invoked as `f($evt, $obj)` (§4.3.1).
     XQuery(QName),
-    /// Inline XQuery from an `onclick="…"`-style attribute; evaluated with
-    /// the target as context item, `$event` and `$value` bound.
-    XQueryInline(Rc<Expr>),
+    /// Inline XQuery from an `onclick="…"`-style attribute, lowered once
+    /// by `load_page`; evaluated with the target as context item, `$event`
+    /// and `$value` bound.
+    XQueryInline(Rc<ExprPlan>),
     /// A host-language listener (the minijs baseline of §6.2): shares the
     /// DOM and dispatch machinery with XQuery listeners.
     External(ExternalListener),
@@ -448,18 +450,20 @@ impl Plugin {
             }
             modules_compiled.push(q.module.clone());
         }
-        let merged = Rc::new(merged);
+        // every listener body is lowered once, here, against the page's
+        // merged function library
+        let merged = lower_functions(&Rc::new(merged));
         self.ctx.sctx = merged.clone();
 
-        // inline attribute listeners (parsed against the merged context)
+        // inline attribute listeners (lowered against the merged context)
         for (target, event_attr, code) in attr_listeners {
             // `onclick` attribute → `onclick` event type
             match xqib_xquery::parser::parse_expr_str(&code) {
                 Ok(expr) => {
+                    let plan = Rc::new(ExprPlan::lower(&merged, &expr));
                     let mut host = self.host.borrow_mut();
                     let id = host.events.fresh_listener_id();
-                    host.listeners
-                        .insert(id, ListenerKind::XQueryInline(Rc::new(expr)));
+                    host.listeners.insert(id, ListenerKind::XQueryInline(plan));
                     host.events.add_listener(target, &event_attr, id, false);
                 }
                 Err(_) => {
@@ -475,7 +479,7 @@ impl Plugin {
                 module: module.clone(),
                 sctx: merged.clone(),
             };
-            q.execute(&mut self.ctx)?;
+            lower(&q).execute(&mut self.ctx)?;
             self.sync_views()?;
         }
         self.scripts = modules_compiled;
@@ -607,23 +611,15 @@ impl Plugin {
         self.host.borrow_mut().recovery.stats.attempts += 1;
         if attempt == 1 {
             // readyState 1: request started, no result yet
-            runtime::invoke(
-                &mut self.ctx,
-                listener,
-                vec![vec![Item::integer(1)], vec![]],
-            )?;
+            self.invoke_ready_state(listener, 1, vec![]);
         }
         match self.eval_behind_call(call, &env) {
             Ok(result) => {
                 xqib_xquery::eval::apply_pending(&mut self.ctx)?;
                 self.host.borrow_mut().recovery.stats.completions += 1;
                 // readyState 4: done
-                runtime::invoke(
-                    &mut self.ctx,
-                    listener,
-                    vec![vec![Item::integer(4)], result],
-                )?;
-                self.sync_views()
+                self.invoke_ready_state(listener, 4, result);
+                Ok(())
             }
             Err(_) => {
                 // a failed attempt must not leak half-built page updates
@@ -654,6 +650,19 @@ impl Plugin {
                 }
             }
         }
+    }
+
+    /// Invokes a `behind` listener as `listener($readyState, $result)`,
+    /// contained like a DOM event listener (see [`run_guarded`]): a failure
+    /// discards its pending updates and becomes a synthetic `error` event
+    /// instead of an error out of the event loop.
+    fn invoke_ready_state(&mut self, listener: &QName, state: i64, result: Sequence) {
+        let host = self.host.clone();
+        let id = host.borrow_mut().xq_listener_id(listener);
+        run_guarded(&mut self.ctx, &host, id, self.page_doc, |ctx| {
+            exec::invoke(ctx, listener, vec![vec![Item::integer(state)], result])?;
+            sync_views_static(ctx, &host)
+        });
     }
 
     /// Evaluates the `behind` call expression in its captured environment.
@@ -693,12 +702,8 @@ impl Plugin {
             (Ok(result), None) => {
                 xqib_xquery::eval::apply_pending(&mut self.ctx)?;
                 self.host.borrow_mut().recovery.stats.completions += 1;
-                runtime::invoke(
-                    &mut self.ctx,
-                    listener,
-                    vec![vec![Item::integer(4)], result],
-                )?;
-                self.sync_views()
+                self.invoke_ready_state(listener, 4, result);
+                Ok(())
             }
             (Ok(result), Some(url)) => {
                 // the stale pass's own updates are applied (the call ran to
@@ -761,13 +766,7 @@ impl Plugin {
     /// Applies window-view write-backs to the BOM (status/name changes,
     /// `location/href` navigation).
     pub fn sync_views(&mut self) -> XdmResult<()> {
-        let mut host = self.host.borrow_mut();
-        let host = &mut *host;
-        let store = self.store.borrow();
-        for view in &host.views {
-            let _navigations = window_xml::sync_view(&store, &mut host.browser, view);
-        }
-        Ok(())
+        sync_views_static(&self.ctx, &self.host)
     }
 
     /// All alert messages shown so far.
@@ -786,25 +785,17 @@ impl Plugin {
         let store = self.store.borrow();
         let doc_id = self.page_doc?;
         let doc = store.doc(doc_id);
-        doc.descendants_or_self(doc.root())
-            .into_iter()
-            .find(|&n| doc.get_attribute(n, None, "id") == Some(id))
+        doc.find_descendant(doc.root(), |n| doc.get_attribute(n, None, "id") == Some(id))
             .map(|n| NodeRef::new(doc_id, n))
     }
 
     /// Finds the first element with the given local name.
     pub fn first_element_named(&self, local: &str) -> Option<NodeRef> {
-        let store = self.store.borrow();
         let doc_id = self.page_doc?;
-        let doc = store.doc(doc_id);
-        doc.descendants_or_self(doc.root())
-            .into_iter()
-            .find(|&n| {
-                doc.element_name(n)
-                    .map(|q| &*q.local == local)
-                    .unwrap_or(false)
-            })
-            .map(|n| NodeRef::new(doc_id, n))
+        Some(NodeRef::new(
+            doc_id,
+            element_named(&self.store.borrow(), doc_id, local)?,
+        ))
     }
 
     /// Serialises the current page DOM.
@@ -846,11 +837,7 @@ impl Plugin {
                 }))
             })?
         };
-        let saved = self.ctx.sctx.clone();
-        self.ctx.sctx = plan.static_context().clone();
-        let r = plan.execute(&mut self.ctx);
-        self.ctx.sctx = saved;
-        let out = r?;
+        let out = plan.execute(&mut self.ctx)?;
         self.sync_views()?;
         Ok(out)
     }
@@ -892,33 +879,54 @@ pub fn dispatch_event_inner(
     for step in plan {
         let kind = host.borrow().listeners.get(&step.listener).cloned();
         let Some(kind) = kind else { continue };
-        let admitted = {
-            let mut h = host.borrow_mut();
-            let now = h.tasks.now();
-            h.quarantine.allow(step.listener, now)
-        };
-        if !admitted {
-            continue; // quarantined: contained out of the dispatch plan
-        }
-        let budget = host.borrow().isolation.listener_fuel;
-        ctx.set_fuel(budget);
-        let outcome = run_listener_isolated(ctx, host, &kind, event, step.current_target);
-        ctx.set_fuel(None);
-        match outcome {
-            ListenerRun::Completed => {
-                host.borrow_mut().quarantine.on_success(step.listener);
-            }
-            ListenerRun::Failed(err) => {
-                record_listener_failure(host, step.listener, false, err.code == "XQIB0011");
-                raise_error_event(ctx, host, event, format!("{} {}", err.code, err.message));
-            }
-            ListenerRun::Panicked(msg) => {
-                record_listener_failure(host, step.listener, true, false);
-                raise_error_event(ctx, host, event, format!("panic {msg}"));
-            }
-        }
+        run_guarded(ctx, host, step.listener, Some(event.target.doc), |ctx| {
+            invoke_listener(ctx, host, &kind, event, step.current_target)
+        });
     }
     Ok(())
+}
+
+/// One contained listener invocation, for DOM event listeners and `behind`
+/// listeners alike: quarantined listeners are skipped, the rest run under
+/// the listener fuel budget and [`run_listener_isolated`], and a failure is
+/// booked against the listener's quarantine guard and queued as a synthetic
+/// `error` event in `error_doc`.
+fn run_guarded(
+    ctx: &mut DynamicContext,
+    host: &Rc<RefCell<HostState>>,
+    listener: ListenerId,
+    error_doc: Option<DocId>,
+    invoke: impl FnOnce(&mut DynamicContext) -> XdmResult<()>,
+) {
+    let admitted = {
+        let mut h = host.borrow_mut();
+        let now = h.tasks.now();
+        h.quarantine.allow(listener, now)
+    };
+    if !admitted {
+        return; // quarantined: contained out of the dispatch plan
+    }
+    let budget = host.borrow().isolation.listener_fuel;
+    ctx.set_fuel(budget);
+    let outcome = run_listener_isolated(ctx, invoke);
+    ctx.set_fuel(None);
+    let detail = match outcome {
+        ListenerRun::Completed => {
+            host.borrow_mut().quarantine.on_success(listener);
+            return;
+        }
+        ListenerRun::Failed(err) => {
+            record_listener_failure(host, listener, false, err.code == "XQIB0011");
+            format!("{} {}", err.code, err.message)
+        }
+        ListenerRun::Panicked(msg) => {
+            record_listener_failure(host, listener, true, false);
+            format!("panic {msg}")
+        }
+    };
+    if let Some(doc) = error_doc {
+        raise_error_event(ctx, host, doc, detail);
+    }
 }
 
 /// Invokes one listener behind `catch_unwind`, repairing the dynamic
@@ -928,15 +936,10 @@ pub fn dispatch_event_inner(
 /// a failed listener invisible to engine state and DOM alike.
 fn run_listener_isolated(
     ctx: &mut DynamicContext,
-    host: &Rc<RefCell<HostState>>,
-    kind: &ListenerKind,
-    event: &DomEvent,
-    current_target: NodeRef,
+    invoke: impl FnOnce(&mut DynamicContext) -> XdmResult<()>,
 ) -> ListenerRun {
     let checkpoint = ctx.checkpoint();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        invoke_listener(ctx, host, kind, event, current_target)
-    }));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| invoke(&mut *ctx)));
     match result {
         Ok(Ok(())) => ListenerRun::Completed,
         Ok(Err(err)) => {
@@ -988,22 +991,13 @@ fn record_listener_failure(
 fn raise_error_event(
     ctx: &mut DynamicContext,
     host: &Rc<RefCell<HostState>>,
-    failed: &DomEvent,
+    doc_id: DocId,
     detail: String,
 ) {
-    let doc_id = failed.target.doc;
     let target = {
         let store = ctx.store.borrow();
-        let doc = store.doc(doc_id);
-        doc.descendants_or_self(doc.root())
-            .into_iter()
-            .find(|&n| {
-                doc.element_name(n)
-                    .map(|q| &*q.local == "body")
-                    .unwrap_or(false)
-            })
-            .map(|n| NodeRef::new(doc_id, n))
-            .unwrap_or_else(|| NodeRef::new(doc_id, doc.root()))
+        let node = element_named(&store, doc_id, "body").unwrap_or_else(|| store.root(doc_id).node);
+        NodeRef::new(doc_id, node)
     };
     let mut ev = DomEvent::new("error", target);
     ev.detail = detail;
@@ -1012,7 +1006,16 @@ fn raise_error_event(
         .schedule(0, PluginTask::Dispatch(ev));
 }
 
-/// Invokes a single listener of whatever kind.
+/// The first element of `doc_id`, in document order, with the given local
+/// name.
+fn element_named(store: &xqib_dom::Store, doc_id: DocId, local: &str) -> Option<xqib_dom::NodeId> {
+    let doc = store.doc(doc_id);
+    doc.find_descendant(doc.root(), |n| {
+        doc.element_name(n).is_some_and(|q| &*q.local == local)
+    })
+}
+
+/// Invokes a single listener of whatever kind, on the plan tier.
 fn invoke_listener(
     ctx: &mut DynamicContext,
     host: &Rc<RefCell<HostState>>,
@@ -1023,7 +1026,7 @@ fn invoke_listener(
     match kind {
         ListenerKind::XQuery(name) => {
             let evt_node = build_event_node(ctx, event)?;
-            runtime::invoke(
+            exec::invoke(
                 ctx,
                 name,
                 vec![vec![Item::Node(evt_node)], vec![Item::Node(current_target)]],
@@ -1031,7 +1034,7 @@ fn invoke_listener(
             sync_views_static(ctx, host)?;
             Ok(())
         }
-        ListenerKind::XQueryInline(expr) => {
+        ListenerKind::XQueryInline(plan) => {
             let evt_node = build_event_node(ctx, event)?;
             ctx.push_scope();
             ctx.bind_var(QName::local("event"), vec![Item::Node(evt_node)]);
@@ -1045,9 +1048,7 @@ fn invoke_listener(
                     .to_string()
             };
             ctx.bind_var(QName::local("value"), vec![Item::string(value)]);
-            let r = ctx.with_focus(Item::Node(current_target), 1, 1, |ctx| {
-                xqib_xquery::eval::eval_expr(ctx, expr)
-            });
+            let r = ctx.with_focus(Item::Node(current_target), 1, 1, |ctx| plan.eval(ctx));
             ctx.pop_scope();
             r?;
             xqib_xquery::eval::apply_pending(ctx)?;
@@ -1061,6 +1062,9 @@ fn invoke_listener(
     }
 }
 
+/// Window-view write-back after a listener. A loop over the bound views: a
+/// page that never materialised a window view (the §6a click page) pays
+/// only the two borrows.
 fn sync_views_static(ctx: &DynamicContext, host: &Rc<RefCell<HostState>>) -> XdmResult<()> {
     let mut host = host.borrow_mut();
     let host = &mut *host;

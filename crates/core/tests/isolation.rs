@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use xqib_browser::events::ListenerId;
+use xqib_browser::net::Response;
 use xqib_browser::{IsolationConfig, ListenerQuarantine, QuarantineState};
 use xqib_core::plugin::{Plugin, PluginConfig};
 
@@ -156,6 +157,52 @@ fn fuel_budget_preempts_runaway_listener() {
     // afterwards is unmetered and the engine is fully usable
     let out = p.eval("count(1 to 100000)").unwrap();
     assert_eq!(p.render(&out), "100000");
+}
+
+#[test]
+fn failing_behind_listener_is_contained_and_leaks_no_updates() {
+    let mut p = Plugin::new(PluginConfig::default());
+    p.host
+        .borrow_mut()
+        .net
+        .register("http://api.test/", 25, |_req| Response::ok("<items/>"));
+    p.load_page(
+        r#"<html><head><script type="text/xquery"><![CDATA[
+        declare updating function local:onDoc($readyState, $result) {
+            if ($readyState eq 4)
+            then (insert node <leak/> into //p, fn:error())
+            else ()
+        };
+        declare updating function local:onerr($evt, $obj) {
+            insert node <caught>{data($evt/detail)}</caught> into //body[1]
+        };
+        on event "error" at //body attach listener local:onerr
+        ]]></script></head><body><p/></body></html>"#,
+    )
+    .unwrap();
+    p.eval(
+        r#"on event "stateChanged" behind browser:httpGet("http://api.test/a.xml")
+           attach listener local:onDoc"#,
+    )
+    .unwrap();
+    // the failing readyState-4 listener does not error the event loop, and
+    // the synthetic error event queued behind it is still drained
+    p.run_until_idle().unwrap();
+    let page = p.serialize_page();
+    assert!(
+        page.contains("<caught>FOER0000"),
+        "the error listener saw the failure: {page}"
+    );
+    assert!(
+        !page.contains("<leak/>"),
+        "half-built update applied: {page}"
+    );
+    // the discarded update does not ride along with the next evaluation
+    p.eval("insert node <later/> into //p").unwrap();
+    let page = p.serialize_page();
+    assert!(page.contains("<p><later/></p>"), "{page}");
+    let stats = p.host.borrow().quarantine.stats.clone();
+    assert_eq!(stats.listener_errors, 1);
 }
 
 proptest! {

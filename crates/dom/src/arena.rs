@@ -264,6 +264,23 @@ impl Document {
         out
     }
 
+    /// The first of `id` and its descendants, in pre-order, satisfying
+    /// `pred` — the walk stops there instead of collecting the subtree.
+    pub fn find_descendant(
+        &self,
+        id: NodeId,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            if pred(n) {
+                return Some(n);
+            }
+            stack.extend(self.children(n).iter().rev());
+        }
+        None
+    }
+
     /// True if `ancestor` is `node` or one of its ancestors.
     pub fn is_ancestor_or_self(&self, ancestor: NodeId, node: NodeId) -> bool {
         let mut cur = Some(node);
@@ -950,6 +967,40 @@ mod tests {
         assert_eq!(d.string_value(d.root()), "Hello, World");
         assert_eq!(d.string_value(body), "Hello, World");
         assert_eq!(d.string_value(t1), "Hello, ");
+    }
+
+    #[test]
+    fn find_descendant_stops_at_the_first_preorder_match() {
+        let (mut d, html) = doc_with_root();
+        let head = d.create_element(QName::local("head"));
+        let body = d.create_element(QName::local("body"));
+        d.append_child(html, head).unwrap();
+        d.append_child(html, body).unwrap();
+        let p1 = d.create_element(QName::local("p"));
+        let p2 = d.create_element(QName::local("p"));
+        d.append_child(head, p1).unwrap();
+        d.append_child(body, p2).unwrap();
+        let is_p = |d: &Document, n| d.element_name(n).is_some_and(|q| &*q.local == "p");
+        let mut visited = 0;
+        let hit = d.find_descendant(d.root(), |n| {
+            visited += 1;
+            is_p(&d, n)
+        });
+        assert_eq!(hit, Some(p1), "pre-order: head's p before body's");
+        assert_eq!(visited, 4, "root, html, head, p — body is never visited");
+        assert_eq!(d.find_descendant(body, |n| is_p(&d, n)), Some(p2));
+        assert_eq!(
+            d.find_descendant(html, |n| n == html),
+            Some(html),
+            "self counts"
+        );
+        assert_eq!(d.find_descendant(head, |n| n == body), None);
+        let all = d.descendants_or_self(d.root());
+        assert_eq!(
+            d.find_descendant(d.root(), |n| is_p(&d, n)),
+            all.into_iter().find(|&n| is_p(&d, n)),
+            "same answer as filtering the collected walk"
+        );
     }
 
     #[test]

@@ -268,6 +268,36 @@ pub fn sort_dedup(store: &Store, nodes: &mut Vec<NodeRef>) {
     nodes.dedup();
 }
 
+/// The nodes of a document-ordered, duplicate-free sequence that no earlier
+/// node of it contains as a descendant. A `descendant(-or-self)` step from
+/// a contained node selects a subset of what its container selects, so
+/// only these nodes contribute — and their outputs concatenate in document
+/// order. Attributes are never contained: they are not descendants.
+pub fn outermost(store: &Store, nodes: &[NodeRef]) -> Vec<NodeRef> {
+    let mut out: Vec<NodeRef> = Vec::with_capacity(nodes.len());
+    // sorted and duplicate-free: only the last kept non-attribute node can
+    // contain the next one
+    let mut container: Option<NodeRef> = None;
+    for &n in nodes {
+        let doc = store.doc(n.doc);
+        if doc.kind(n.node).is_attribute() {
+            out.push(n);
+            continue;
+        }
+        let inside = container.is_some_and(|k| {
+            let ix = doc.order_index();
+            k.doc == n.doc
+                && ix.tree_root(k.node) == ix.tree_root(n.node)
+                && ix.end(k.node) >= ix.begin(n.node)
+        });
+        if !inside {
+            out.push(n);
+            container = Some(n);
+        }
+    }
+    out
+}
+
 /// True if `nodes` is already strictly document-ordered **and** no node's
 /// subtree contains a later node. Under that condition the concatenated
 /// results of a `child`/`attribute`/`self`/`descendant(-or-self)` step are
@@ -507,5 +537,15 @@ mod tests {
         assert!(!strictly_ordered_disjoint(&s, [x, x].into_iter()));
         assert!(strictly_ordered_disjoint(&s, [r].into_iter()));
         assert!(strictly_ordered_disjoint(&s, [].into_iter()));
+    }
+
+    #[test]
+    fn outermost_drops_contained_nodes_but_not_attributes() {
+        let (s, r, a, x, y, z) = sample();
+        assert_eq!(outermost(&s, &[r, a, x, y, z]), vec![r, a]);
+        assert_eq!(outermost(&s, &[x, y, z]), vec![x, y]);
+        assert_eq!(outermost(&s, &[a, x, z]), vec![a, x, z]);
+        assert!(strictly_ordered_disjoint(&s, outermost(&s, &[x, y, z])));
+        assert!(outermost(&s, &[]).is_empty());
     }
 }

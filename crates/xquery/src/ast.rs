@@ -180,9 +180,34 @@ pub enum InsertPos {
 
 /// A computed name: either a static QName or an expression evaluated to one.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NameExpr {
+pub enum NameExpr<E = Expr> {
     Static(QName),
-    Dynamic(Box<Expr>),
+    Dynamic(Box<E>),
+}
+
+/// The Update Facility expressions that append primitives to the pending
+/// update list (§3.2). `E` is the expression form of their target, source
+/// and value parts: the AST's [`Expr`], or a lowered plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum UpdateExpr<E = Expr> {
+    Insert {
+        source: Box<E>,
+        pos: InsertPos,
+        target: Box<E>,
+    },
+    Delete(Box<E>),
+    ReplaceNode {
+        target: Box<E>,
+        with: Box<E>,
+    },
+    ReplaceValue {
+        target: Box<E>,
+        with: Box<E>,
+    },
+    Rename {
+        target: Box<E>,
+        name: NameExpr<E>,
+    },
 }
 
 /// Full-text selection (simplified FTSelection grammar).
@@ -309,24 +334,7 @@ pub enum Expr {
     },
     ComputedDocument(Box<Expr>),
     // --- XQuery Update Facility ---
-    Insert {
-        source: Box<Expr>,
-        pos: InsertPos,
-        target: Box<Expr>,
-    },
-    Delete(Box<Expr>),
-    ReplaceNode {
-        target: Box<Expr>,
-        with: Box<Expr>,
-    },
-    ReplaceValue {
-        target: Box<Expr>,
-        with: Box<Expr>,
-    },
-    Rename {
-        target: Box<Expr>,
-        name: NameExpr,
-    },
+    Update(UpdateExpr),
     Transform {
         bindings: Vec<(QName, Expr)>,
         modify: Box<Expr>,
@@ -395,6 +403,11 @@ pub struct FunctionDecl {
     pub return_type: Option<SequenceType>,
     pub kind: FunctionKind,
     pub body: Rc<Expr>,
+    /// The body lowered by [`crate::plan::lower_functions`] against the
+    /// static context that holds this declaration; `None` until then.
+    /// [`crate::context::StaticContext::declare_function`] clears it, so a
+    /// declaration copied into another context is lowered again there.
+    pub plan: Option<Rc<crate::plan::ExprPlan>>,
 }
 
 /// A global variable declaration.

@@ -93,7 +93,11 @@ pub struct StaticContext {
 }
 
 impl StaticContext {
-    pub fn declare_function(&mut self, decl: FunctionDecl) {
+    /// Declares a function. Any plan the declaration carries is dropped: it
+    /// was lowered against another context, whose declarations may shadow
+    /// `fn:` names differently (see `plan::lower_functions`).
+    pub fn declare_function(&mut self, mut decl: FunctionDecl) {
+        decl.plan = None;
         self.functions
             .insert((decl.name.clone(), decl.params.len()), Rc::new(decl));
     }
@@ -115,10 +119,16 @@ pub struct Focus {
 pub struct DynamicContext {
     pub store: SharedStore,
     pub sctx: Rc<StaticContext>,
-    /// Variable scopes; index 0 holds the globals.
-    scopes: Vec<HashMap<QName, Sequence>>,
-    /// Function-call barriers: a lookup never crosses below the last barrier
-    /// (except into the globals).
+    /// Global variables: the prolog's, and those bound while no local scope
+    /// is open.
+    globals: HashMap<QName, Sequence>,
+    /// Local bindings of every open scope, innermost last. A scope is a
+    /// suffix of this list, so opening and closing one allocates nothing.
+    locals: Vec<(QName, Sequence)>,
+    /// Start of each open scope in `locals`.
+    scopes: Vec<usize>,
+    /// Function-call barriers: a lookup never reaches a local below the
+    /// last barrier (globals stay visible).
     barriers: Vec<usize>,
     pub focus: Option<Focus>,
     /// The virtual clock (epoch millis) — `fn:current-dateTime` et al. read
@@ -170,6 +180,7 @@ pub struct DynamicContext {
 /// replayed by the host when the listener does not return normally.
 #[derive(Debug, Clone)]
 pub struct CtxCheckpoint {
+    locals_len: usize,
     scopes_len: usize,
     barriers_len: usize,
     call_depth: usize,
@@ -190,7 +201,9 @@ impl DynamicContext {
         DynamicContext {
             store,
             sctx,
-            scopes: vec![HashMap::new()],
+            globals: HashMap::new(),
+            locals: Vec::new(),
+            scopes: Vec::new(),
             barriers: Vec::new(),
             focus: None,
             now_millis: 1_240_214_400_000, // 2009-04-20T08:00:00, WWW'09 week
@@ -256,6 +269,7 @@ impl DynamicContext {
     /// Captures the scope/barrier/focus state for later [`Self::restore`].
     pub fn checkpoint(&self) -> CtxCheckpoint {
         CtxCheckpoint {
+            locals_len: self.locals.len(),
             scopes_len: self.scopes.len(),
             barriers_len: self.barriers.len(),
             call_depth: self.call_depth,
@@ -268,7 +282,8 @@ impl DynamicContext {
     /// focus are restored. Used to repair state after a listener panicked or
     /// errored mid-evaluation.
     pub fn restore(&mut self, cp: &CtxCheckpoint) {
-        self.scopes.truncate(cp.scopes_len.max(1));
+        self.locals.truncate(cp.locals_len);
+        self.scopes.truncate(cp.scopes_len);
         self.barriers.truncate(cp.barriers_len);
         self.call_depth = cp.call_depth;
         self.focus = cp.focus.clone();
@@ -289,70 +304,64 @@ impl DynamicContext {
 
     // ----- variables --------------------------------------------------------
 
-    /// Binds a variable in the innermost scope.
+    /// Binds a variable in the innermost scope (the globals when no local
+    /// scope is open), replacing a binding of the same name there.
     pub fn bind_var(&mut self, name: QName, value: Sequence) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name, value);
+        let Some(&start) = self.scopes.last() else {
+            self.globals.insert(name, value);
+            return;
+        };
+        match self.locals[start..].iter_mut().find(|(k, _)| *k == name) {
+            Some(slot) => slot.1 = value,
+            None => self.locals.push((name, value)),
+        }
     }
 
     /// Binds a global variable.
     pub fn bind_global(&mut self, name: QName, value: Sequence) {
-        self.scopes[0].insert(name, value);
+        self.globals.insert(name, value);
+    }
+
+    /// The locals visible from here: everything above the last barrier.
+    fn visible_locals(&self) -> &[(QName, Sequence)] {
+        &self.locals[self.barriers.last().copied().unwrap_or(0)..]
     }
 
     /// Looks a variable up, respecting function-call barriers.
     pub fn lookup_var(&self, name: &QName) -> Option<&Sequence> {
-        let floor = self.barriers.last().copied().unwrap_or(0);
-        for scope in self.scopes[floor.max(1).min(self.scopes.len())..]
-            .iter()
-            .rev()
-        {
-            if let Some(v) = scope.get(name) {
-                return Some(v);
-            }
+        match self.visible_locals().iter().rev().find(|(k, _)| k == name) {
+            Some((_, v)) => Some(v),
+            // barrier frames still see globals
+            None => self.globals.get(name),
         }
-        // barrier frames still see globals
-        self.scopes[0].get(name)
     }
 
     /// Re-assigns an existing variable (scripting `set $x := …`); searches
     /// visible scopes, erroring if the variable was never declared.
     pub fn assign_var(&mut self, name: &QName, value: Sequence) -> XdmResult<()> {
         let floor = self.barriers.last().copied().unwrap_or(0);
-        let lo = floor.max(1).min(self.scopes.len());
-        for scope in self.scopes[lo..].iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return Ok(());
-            }
-        }
-        if let Some(slot) = self.scopes[0].get_mut(name) {
-            *slot = value;
-            return Ok(());
-        }
-        Err(XdmError::undefined(format!(
-            "cannot assign to undeclared variable ${name}"
-        )))
+        let slot = match self.locals[floor..]
+            .iter_mut()
+            .rev()
+            .find(|(k, _)| k == name)
+        {
+            Some((_, v)) => v,
+            None => self.globals.get_mut(name).ok_or_else(|| {
+                XdmError::undefined(format!("cannot assign to undeclared variable ${name}"))
+            })?,
+        };
+        *slot = value;
+        Ok(())
     }
 
     /// Snapshot of every variable binding currently visible — used by the
     /// `behind` construct (§4.4) to capture the environment of an
     /// asynchronous call before queuing it on the event loop.
     pub fn snapshot_visible_vars(&self) -> Vec<(QName, Sequence)> {
-        let floor = self.barriers.last().copied().unwrap_or(0);
         let mut out: Vec<(QName, Sequence)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        let lo = floor.max(1).min(self.scopes.len());
-        for scope in self.scopes[lo..].iter().rev() {
-            for (k, v) in scope {
-                if seen.insert(k.clone()) {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
-        }
-        for (k, v) in &self.scopes[0] {
+        let locals = self.visible_locals().iter().rev().map(|(k, v)| (k, v));
+        for (k, v) in locals.chain(&self.globals) {
             if seen.insert(k.clone()) {
                 out.push((k.clone(), v.clone()));
             }
@@ -361,23 +370,23 @@ impl DynamicContext {
     }
 
     pub fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(self.locals.len());
     }
 
     pub fn pop_scope(&mut self) {
-        debug_assert!(self.scopes.len() > 1, "cannot pop the global scope");
-        self.scopes.pop();
+        let start = self.scopes.pop().expect("cannot pop the global scope");
+        self.locals.truncate(start);
     }
 
     /// Enters a function body: fresh scope invisible to caller locals.
     pub fn push_function_frame(&mut self) {
-        self.scopes.push(HashMap::new());
-        self.barriers.push(self.scopes.len() - 1);
+        self.push_scope();
+        self.barriers.push(self.locals.len());
     }
 
     pub fn pop_function_frame(&mut self) {
         self.barriers.pop();
-        self.scopes.pop();
+        self.pop_scope();
     }
 
     // ----- focus ------------------------------------------------------------
@@ -411,7 +420,14 @@ impl DynamicContext {
     // ----- natives ----------------------------------------------------------
 
     /// Registers a native function (the plug-in's `browser:` library).
+    /// The `fn:` namespace is reserved for built-ins: the plan tier
+    /// resolves unshadowed `fn:` calls at lowering, past any native.
     pub fn register_native(&mut self, name: QName, arity: usize, f: NativeFn) {
+        debug_assert_ne!(
+            name.ns.as_deref(),
+            Some(xqib_dom::name::FN_NS),
+            "natives may not register under fn:"
+        );
         self.natives.insert((name, arity), f);
     }
 

@@ -285,6 +285,9 @@ pub(crate) fn copy_into(store: &mut xqib_dom::Store, target_doc: DocId, src: Nod
 /// String value of a content sequence: items joined with spaces.
 pub(crate) fn sequence_to_string(ctx: &DynamicContext, seq: &Sequence) -> String {
     let store = ctx.store.borrow();
+    if let [item] = &seq[..] {
+        return atomize(&store, item).string_value();
+    }
     seq.iter()
         .map(|i| atomize(&store, i).string_value())
         .collect::<Vec<_>>()

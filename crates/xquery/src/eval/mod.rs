@@ -101,12 +101,12 @@ pub fn eval_expr(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Sequence> {
         | Expr::ComputedComment(_)
         | Expr::ComputedPi { .. }
         | Expr::ComputedDocument(_) => constructor::eval_constructor(ctx, e),
-        Expr::Insert { .. }
-        | Expr::Delete(_)
-        | Expr::ReplaceNode { .. }
-        | Expr::ReplaceValue { .. }
-        | Expr::Rename { .. }
-        | Expr::Transform { .. } => update::eval_update(ctx, e),
+        Expr::Update(u) => update::eval_update(ctx, u, eval_expr),
+        Expr::Transform {
+            bindings,
+            modify,
+            ret,
+        } => update::eval_transform(ctx, bindings, modify, ret),
         Expr::Block(stmts) => eval_block(ctx, stmts),
         Expr::FtContains { source, selection } => fulltext::eval_ftcontains(ctx, source, selection),
         Expr::EventAttach {
@@ -468,7 +468,11 @@ pub fn eval_string(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<String> {
 
 /// Evaluates an expression expected to produce zero or more nodes.
 pub(crate) fn node_sequence(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Vec<NodeRef>> {
-    let v = eval_expr(ctx, e)?;
+    nodes_of(eval_expr(ctx, e)?)
+}
+
+/// The nodes of a sequence expected to hold nothing else.
+pub(crate) fn nodes_of(v: Sequence) -> XdmResult<Vec<NodeRef>> {
     v.into_iter()
         .map(|i| match i {
             Item::Node(n) => Ok(n),
@@ -596,12 +600,30 @@ pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
 
 // ----- function calls -------------------------------------------------------
 
+/// How a user-declared function's body runs inside the frame
+/// [`call_user_function`] sets up: the interpreter walks the AST (and stays
+/// the oracle); the executor runs the declaration's lowered plan.
+pub(crate) type BodyEval = fn(&mut DynamicContext, &FunctionDecl) -> XdmResult<Sequence>;
+
+pub(crate) fn interpret_body(ctx: &mut DynamicContext, decl: &FunctionDecl) -> XdmResult<Sequence> {
+    eval_expr(ctx, &decl.body)
+}
+
 /// Calls a function by name with pre-evaluated arguments. Resolution order:
 /// `xs:` constructor → user-declared → native (browser library) → built-in.
 pub fn call_function(
     ctx: &mut DynamicContext,
     name: &QName,
     args: Vec<Sequence>,
+) -> XdmResult<Sequence> {
+    call_function_with(ctx, name, args, interpret_body)
+}
+
+pub(crate) fn call_function_with(
+    ctx: &mut DynamicContext,
+    name: &QName,
+    args: Vec<Sequence>,
+    body: BodyEval,
 ) -> XdmResult<Sequence> {
     if name.ns.as_deref() == Some(XS_NS) {
         if args.len() == 1 {
@@ -612,15 +634,16 @@ pub fn call_function(
         return Err(XdmError::unknown_function(&name.lexical(), args.len()));
     }
     if let Some(decl) = ctx.sctx.lookup_function(name, args.len()) {
-        return call_user_function(ctx, &decl, args);
+        return call_user_function_with(ctx, &decl, args, body);
     }
     if let Some(native) = ctx.lookup_native(name, args.len()) {
         return native(ctx, args);
     }
-    if let Some(r) = functions::call_builtin(ctx, name, args.clone()) {
+    let arity = args.len();
+    if let Some(r) = functions::call_builtin(ctx, name, args) {
         return r;
     }
-    Err(XdmError::unknown_function(&name.lexical(), args.len()))
+    Err(XdmError::unknown_function(&name.lexical(), arity))
 }
 
 /// Invokes a user-declared function: fresh frame, parameter binding with
@@ -629,6 +652,15 @@ pub fn call_user_function(
     ctx: &mut DynamicContext,
     decl: &FunctionDecl,
     args: Vec<Sequence>,
+) -> XdmResult<Sequence> {
+    call_user_function_with(ctx, decl, args, interpret_body)
+}
+
+fn call_user_function_with(
+    ctx: &mut DynamicContext,
+    decl: &FunctionDecl,
+    args: Vec<Sequence>,
+    body: BodyEval,
 ) -> XdmResult<Sequence> {
     let used = ctx
         .stack_base
@@ -654,7 +686,7 @@ pub fn call_user_function(
             }
             ctx.bind_var(pname.clone(), value);
         }
-        eval_expr(ctx, &decl.body)
+        body(ctx, decl)
     })();
     ctx.pop_function_frame();
     ctx.call_depth -= 1;
@@ -662,6 +694,23 @@ pub fn call_user_function(
         Err(e) if e.code == EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
         other => other,
     }
+}
+
+/// A host's re-entry into a listener function: the call, `exit with`
+/// unwinding, then the pending updates applied so the page reflects the
+/// handler's effects. `body` picks the tier, as in [`call_function_with`].
+pub(crate) fn invoke_with(
+    ctx: &mut DynamicContext,
+    name: &QName,
+    args: Vec<Sequence>,
+    body: BodyEval,
+) -> XdmResult<Sequence> {
+    let r = match call_function_with(ctx, name, args, body) {
+        Err(e) if e.code == EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
+        other => other,
+    }?;
+    apply_pending(ctx)?;
+    Ok(r)
 }
 
 // ----- style attribute fallback (§4.5) ---------------------------------------

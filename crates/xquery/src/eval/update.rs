@@ -1,25 +1,34 @@
 //! Evaluation of XQuery Update Facility expressions into pending-update
 //! primitives (§3.2 of the paper), plus `transform … modify … return`.
 
-use xqib_dom::{NodeKind, NodeRef};
+use xqib_dom::{NodeKind, NodeRef, QName};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Expr, InsertPos, NameExpr};
+use crate::ast::{Expr, InsertPos, NameExpr, UpdateExpr};
 use crate::context::DynamicContext;
 use crate::pul::UpdatePrimitive;
 
 use super::constructor::copy_into;
-use super::{eval_expr, node_sequence};
+use super::{eval_expr, nodes_of};
 
-pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Sequence> {
-    match e {
-        Expr::Insert {
+/// Appends the primitives of one update expression to the pending update
+/// list. Shared by both tiers: `eval` runs a target, source or value part —
+/// `eval_expr` over the AST for the interpreter, `exec::eval_plan` over
+/// lowered plans for the executor — so evaluation order, the copy of
+/// inserted content and every `XU*` error are the same code on either tier.
+pub(crate) fn eval_update<E>(
+    ctx: &mut DynamicContext,
+    u: &UpdateExpr<E>,
+    eval: fn(&mut DynamicContext, &E) -> XdmResult<Sequence>,
+) -> XdmResult<Sequence> {
+    match u {
+        UpdateExpr::Insert {
             source,
             pos,
             target,
         } => {
-            let src_nodes = node_sequence(ctx, source)?;
-            let targets = eval_expr(ctx, target)?;
+            let src_nodes = nodes_of(eval(ctx, source)?)?;
+            let targets = eval(ctx, target)?;
             let target = exactly_one_node(&targets, "insert target")?;
 
             // split source into attributes and content nodes
@@ -98,15 +107,15 @@ pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Seque
             }
             Ok(vec![])
         }
-        Expr::Delete(target) => {
-            let targets = node_sequence(ctx, target)?;
+        UpdateExpr::Delete(target) => {
+            let targets = nodes_of(eval(ctx, target)?)?;
             for t in targets {
                 ctx.pul.push(UpdatePrimitive::Delete { target: t });
             }
             Ok(vec![])
         }
-        Expr::ReplaceNode { target, with } => {
-            let targets = eval_expr(ctx, target)?;
+        UpdateExpr::ReplaceNode { target, with } => {
+            let targets = eval(ctx, target)?;
             let target = exactly_one_node(&targets, "replace target")?;
             {
                 let store = ctx.store.borrow();
@@ -121,7 +130,7 @@ pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Seque
                 let store = ctx.store.borrow();
                 store.doc(target.doc).kind(target.node).is_attribute()
             };
-            let replacements = node_sequence(ctx, with)?;
+            let replacements = nodes_of(eval(ctx, with)?)?;
             {
                 let store = ctx.store.borrow();
                 for r in &replacements {
@@ -141,17 +150,17 @@ pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Seque
             });
             Ok(vec![])
         }
-        Expr::ReplaceValue { target, with } => {
-            let targets = eval_expr(ctx, target)?;
+        UpdateExpr::ReplaceValue { target, with } => {
+            let targets = eval(ctx, target)?;
             let target = exactly_one_node(&targets, "replace value target")?;
-            let value_seq = eval_expr(ctx, with)?;
+            let value_seq = eval(ctx, with)?;
             let value = super::constructor::sequence_to_string(ctx, &value_seq);
             ctx.pul
                 .push(UpdatePrimitive::ReplaceValue { target, value });
             Ok(vec![])
         }
-        Expr::Rename { target, name } => {
-            let targets = eval_expr(ctx, target)?;
+        UpdateExpr::Rename { target, name } => {
+            let targets = eval(ctx, target)?;
             let target = exactly_one_node(&targets, "rename target")?;
             {
                 let store = ctx.store.borrow();
@@ -171,12 +180,12 @@ pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Seque
             let qname = match name {
                 NameExpr::Static(q) => q.clone(),
                 NameExpr::Dynamic(e) => {
-                    let v = eval_expr(ctx, e)?;
+                    let v = eval(ctx, e)?;
                     match v.first() {
                         Some(Item::Atomic(xqib_xdm::Atomic::QName(q))) => q.clone(),
                         Some(i) => {
                             let s = i.string_value(&ctx.store.borrow());
-                            xqib_dom::QName::local(&s)
+                            QName::local(&s)
                         }
                         None => return Err(XdmError::new("XQDY0074", "empty rename name")),
                     }
@@ -188,41 +197,44 @@ pub(crate) fn eval_update(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Seque
             });
             Ok(vec![])
         }
-        Expr::Transform {
-            bindings,
-            modify,
-            ret,
-        } => {
-            ctx.push_scope();
-            let result = (|| {
-                for (var, src) in bindings {
-                    let v = eval_expr(ctx, src)?;
-                    let node = exactly_one_node(&v, "copy binding")?;
-                    let copied = {
-                        let mut store = ctx.store.borrow_mut();
-                        let c = copy_into(&mut store, node.doc, node);
-                        NodeRef::new(node.doc, c)
-                    };
-                    ctx.bind_var(var.clone(), vec![Item::Node(copied)]);
-                }
-                // run `modify` against a private PUL applied immediately —
-                // its effects touch only the copies
-                let outer_pul = ctx.pul.take();
-                let modify_result = eval_expr(ctx, modify);
-                let inner_pul = ctx.pul.take();
-                ctx.pul = outer_pul;
-                modify_result?;
-                {
-                    let mut store = ctx.store.borrow_mut();
-                    inner_pul.apply(&mut store)?;
-                }
-                eval_expr(ctx, ret)
-            })();
-            ctx.pop_scope();
-            result
-        }
-        _ => unreachable!("eval_update called with a non-update expression"),
     }
+}
+
+/// `copy $x := E modify U return R`: the interpreter only — the plan tier
+/// lowers a transform to a fallback.
+pub(crate) fn eval_transform(
+    ctx: &mut DynamicContext,
+    bindings: &[(QName, Expr)],
+    modify: &Expr,
+    ret: &Expr,
+) -> XdmResult<Sequence> {
+    ctx.push_scope();
+    let result = (|| {
+        for (var, src) in bindings {
+            let v = eval_expr(ctx, src)?;
+            let node = exactly_one_node(&v, "copy binding")?;
+            let copied = {
+                let mut store = ctx.store.borrow_mut();
+                let c = copy_into(&mut store, node.doc, node);
+                NodeRef::new(node.doc, c)
+            };
+            ctx.bind_var(var.clone(), vec![Item::Node(copied)]);
+        }
+        // run `modify` against a private PUL applied immediately —
+        // its effects touch only the copies
+        let outer_pul = ctx.pul.take();
+        let modify_result = eval_expr(ctx, modify);
+        let inner_pul = ctx.pul.take();
+        ctx.pul = outer_pul;
+        modify_result?;
+        {
+            let mut store = ctx.store.borrow_mut();
+            inner_pul.apply(&mut store)?;
+        }
+        eval_expr(ctx, ret)
+    })();
+    ctx.pop_scope();
+    result
 }
 
 fn exactly_one_node(seq: &Sequence, what: &str) -> XdmResult<NodeRef> {

@@ -35,7 +35,7 @@ use xqib_xdm::{
     atomize, effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult,
 };
 
-use crate::ast::Axis;
+use crate::ast::{Axis, FunctionDecl};
 use crate::context::DynamicContext;
 use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds};
 use crate::eval::constructor::build_element;
@@ -43,17 +43,29 @@ use crate::eval::flwor::sort_keyed;
 use crate::eval::path::{
     axis_concat_stays_sorted, axis_is_reverse, axis_nodes, node_test_matches, take_index, PosTake,
 };
+use crate::eval::update::eval_update;
 use crate::eval::{self, EXIT_CODE};
+use crate::functions;
 use crate::plan::{
-    comparable_infallible, plan_class, yields_nodes_only, CompiledPlan, PathPlan, PathStartPlan,
-    Plan, PlanAxisStep, PlanClause, PlanPred, PlanStep, PlanStmt, PredStage, ValClass,
+    comparable_infallible, plan_class, yields_nodes_only, CompiledPlan, ExprPlan, PathPlan,
+    PathStartPlan, Plan, PlanAxisStep, PlanClause, PlanPred, PlanStep, PlanStmt, PredStage,
+    ValClass,
 };
 
 impl CompiledPlan {
     /// Executes the lowered program: globals, body statements with
     /// scripting visibility between them, `exit with` unwinding, final
-    /// update application. Mirrors `CompiledQuery::execute`.
+    /// update application. Mirrors `CompiledQuery::execute`. The plan's
+    /// static context (whose declarations carry the lowered function
+    /// bodies) is installed for the run.
     pub fn execute(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
+        let saved = std::mem::replace(&mut ctx.sctx, self.sctx.clone());
+        let r = self.run(ctx);
+        ctx.sctx = saved;
+        r
+    }
+
+    fn run(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
         self.init_globals(ctx)?;
         let result = exec_statements(ctx, &self.body);
         let result = match result {
@@ -77,6 +89,30 @@ impl CompiledPlan {
             }
         }
         Ok(())
+    }
+}
+
+impl ExprPlan {
+    /// Evaluates the lowered expression in the current context. Pending
+    /// updates are left to the caller, as with `eval::eval_expr`.
+    pub fn eval(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
+        eval_plan(ctx, &self.plan)
+    }
+}
+
+/// Invokes a listener function by name like [`crate::runtime::invoke`], on
+/// the plan tier: user-declared bodies run their lowered plans inside the
+/// same call frame (type checks, recursion guard, `exit with`).
+pub fn invoke(ctx: &mut DynamicContext, name: &QName, args: Vec<Sequence>) -> XdmResult<Sequence> {
+    eval::invoke_with(ctx, name, args, run_body)
+}
+
+/// The plan tier's [`eval::BodyEval`]: the lowered body when the
+/// declaration carries one, the interpreter otherwise.
+fn run_body(ctx: &mut DynamicContext, decl: &FunctionDecl) -> XdmResult<Sequence> {
+    match &decl.plan {
+        Some(p) => p.eval(ctx),
+        None => eval::eval_expr(ctx, &decl.body),
     }
 }
 
@@ -243,12 +279,21 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
                 }
             }
         }
-        Plan::Call { name, args } => {
+        Plan::Call {
+            name,
+            args,
+            builtin,
+        } => {
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
                 argv.push(eval_plan(ctx, a)?);
             }
-            eval::call_function(ctx, name, argv)
+            if *builtin {
+                let arity = argv.len();
+                return functions::call_builtin(ctx, name, argv)
+                    .unwrap_or_else(|| Err(XdmError::unknown_function(&name.lexical(), arity)));
+            }
+            eval::call_function_with(ctx, name, argv, run_body)
         }
         Plan::Element {
             name,
@@ -256,6 +301,13 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             attrs,
             children,
         } => build_element(ctx, name, ns_decls, attrs, children, eval_plan),
+        Plan::Block(stmts) => {
+            ctx.push_scope();
+            let r = exec_statements(ctx, stmts);
+            ctx.pop_scope();
+            r
+        }
+        Plan::Update(u) => eval_update(ctx, u, eval_plan),
     }
 }
 
@@ -431,6 +483,12 @@ fn eager_axis_step(
     step: &PlanAxisStep,
     input_normalized: bool,
 ) -> XdmResult<Sequence> {
+    let pruned = if input_normalized && input.len() > 1 {
+        outermost_inputs(ctx, input, step)
+    } else {
+        None
+    };
+    let input = pruned.as_ref().unwrap_or(input);
     let mut out_refs: Vec<NodeRef> = Vec::new();
     for item in input {
         let Item::Node(n) = item else {
@@ -463,6 +521,37 @@ fn eager_axis_step(
         }
     }
     Ok(out_refs.into_iter().map(Item::Node).collect())
+}
+
+/// Position-free stages judge each candidate on its own, so a descendant
+/// step from a node nested in an earlier input adds nothing: only the
+/// outermost inputs need to run, and their outputs need no sort (`//s//p`
+/// over nested sections). Candidates are still judged in the
+/// interpreter's order up to the first error, and never more often.
+/// `None` when the step or the (document-ordered) input does not qualify.
+fn outermost_inputs(
+    ctx: &DynamicContext,
+    input: &Sequence,
+    step: &PlanAxisStep,
+) -> Option<Sequence> {
+    let qualifies = matches!(step.axis, Axis::Descendant | Axis::DescendantOrSelf)
+        && step.stages.iter().all(|s| {
+            matches!(
+                s,
+                PredStage::AttrEq { .. } | PredStage::AttrEqVar { .. } | PredStage::Filter(_)
+            )
+        });
+    if !qualifies {
+        return None;
+    }
+    let nodes: Vec<NodeRef> = input.iter().map(Item::as_node).collect::<Option<_>>()?;
+    let store = ctx.store.borrow();
+    Some(
+        xqib_dom::order::outermost(&store, &nodes)
+            .into_iter()
+            .map(Item::Node)
+            .collect(),
+    )
 }
 
 /// The interpreter's filter-step arm: per-item focus, predicates,
@@ -603,20 +692,15 @@ fn apply_stages(
                 let store = ctx.store.borrow();
                 current.retain(|&c| attr_eq(&store, c, name, value));
             }
-            PredStage::Filter(p) => {
-                let size = current.len();
-                let mut next = Vec::with_capacity(size);
-                for (i, &c) in current.iter().enumerate() {
-                    let keep = ctx.with_focus(Item::Node(c), i + 1, size, |ctx| {
-                        let v = eval_plan(ctx, &p.plan)?;
-                        effective_boolean_value(&v)
-                    })?;
-                    if keep {
-                        next.push(c);
-                    }
+            PredStage::AttrEqVar { name, var, pred } => match probe_values(ctx, var) {
+                Some(values) => {
+                    ctx.charge_fuel(current.len() as u64)?;
+                    let store = ctx.store.borrow();
+                    current.retain(|&c| values.iter().any(|v| attr_eq(&store, c, name, v)));
                 }
-                current = next;
-            }
+                None => current = filter_stage(ctx, current, pred)?,
+            },
+            PredStage::Filter(p) => current = filter_stage(ctx, current, p)?,
             PredStage::General(preds) => {
                 for pred in preds {
                     if let Some(take) = &pred.take {
@@ -643,6 +727,45 @@ fn apply_stages(
         }
     }
     Ok(current)
+}
+
+/// A position-free predicate tested one candidate at a time.
+fn filter_stage(
+    ctx: &mut DynamicContext,
+    nodes: Vec<NodeRef>,
+    p: &PlanPred,
+) -> XdmResult<Vec<NodeRef>> {
+    let size = nodes.len();
+    let mut next = Vec::with_capacity(size);
+    for (i, &c) in nodes.iter().enumerate() {
+        let keep = ctx.with_focus(Item::Node(c), i + 1, size, |ctx| {
+            let v = eval_plan(ctx, &p.plan)?;
+            effective_boolean_value(&v)
+        })?;
+        if keep {
+            next.push(c);
+        }
+    }
+    Ok(next)
+}
+
+/// The string values an attribute probe compares against, when `$var`'s
+/// items are all `xs:string`, `xs:untypedAtomic` or `xs:anyURI` — the types
+/// an untyped attribute compares with by plain string equality. `None`
+/// (unbound, a node, any other type) means the predicate must be tested
+/// as written. The value is read once per candidate list: nothing but the
+/// comparison itself runs between two candidates of one stage, so it is
+/// the value every candidate would see.
+fn probe_values(ctx: &DynamicContext, var: &QName) -> Option<Vec<String>> {
+    ctx.lookup_var(var)?
+        .iter()
+        .map(|item| match item {
+            Item::Atomic(a @ (Atomic::String(_) | Atomic::Untyped(_) | Atomic::AnyUri(_))) => {
+                Some(a.string_value())
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 fn attr_eq(store: &Store, c: NodeRef, name: &QName, value: &str) -> bool {
@@ -994,7 +1117,9 @@ fn admit(
                     return Ok(false);
                 }
             }
-            PredStage::General(_) => unreachable!("general stages are buffered"),
+            PredStage::General(_) | PredStage::AttrEqVar { .. } => {
+                unreachable!("general and variable-probe stages are buffered")
+            }
         }
     }
     Ok(true)
@@ -1006,14 +1131,16 @@ fn admit(
 
 type Tuple = Vec<(QName, Sequence)>;
 
+/// Runs `f` in a scope binding a tuple's variables: `tuple.iter().cloned()`
+/// while the tuple lives on, the tuple itself when this is its last use.
 fn with_tuple<R>(
     ctx: &mut DynamicContext,
-    tuple: &Tuple,
+    tuple: impl IntoIterator<Item = (QName, Sequence)>,
     f: impl FnOnce(&mut DynamicContext) -> XdmResult<R>,
 ) -> XdmResult<R> {
     ctx.push_scope();
     for (name, value) in tuple {
-        ctx.bind_var(name.clone(), value.clone());
+        ctx.bind_var(name, value);
     }
     let r = f(ctx);
     ctx.pop_scope();
@@ -1031,7 +1158,7 @@ fn exec_flwor(ctx: &mut DynamicContext, clauses: &[PlanClause], ret: &Plan) -> X
     }
     let mut out = Vec::new();
     for tuple in tuples {
-        let v = with_tuple(ctx, &tuple, |ctx| eval_plan(ctx, ret))?;
+        let v = with_tuple(ctx, tuple, |ctx| eval_plan(ctx, ret))?;
         out.extend(v);
     }
     Ok(out)
@@ -1046,7 +1173,7 @@ fn apply_plan_clause(
         PlanClause::For { var, at, ty, seq } => {
             let mut out = Vec::new();
             for tuple in tuples {
-                let items = with_tuple(ctx, &tuple, |ctx| eval_plan(ctx, seq))?;
+                let items = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, seq))?;
                 for (i, item) in items.into_iter().enumerate() {
                     ctx.charge_fuel(1)?;
                     if let Some(t) = ty {
@@ -1071,7 +1198,7 @@ fn apply_plan_clause(
         PlanClause::Let { var, expr } => {
             let mut out = Vec::with_capacity(tuples.len());
             for tuple in tuples {
-                let v = with_tuple(ctx, &tuple, |ctx| eval_plan(ctx, expr))?;
+                let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, expr))?;
                 let mut new_tuple = tuple;
                 new_tuple.push((var.clone(), v));
                 out.push(new_tuple);
@@ -1081,7 +1208,7 @@ fn apply_plan_clause(
         PlanClause::Where(cond) => {
             let mut out = Vec::with_capacity(tuples.len());
             for tuple in tuples {
-                let keep = with_tuple(ctx, &tuple, |ctx| {
+                let keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
                     let v = eval_plan(ctx, cond)?;
                     effective_boolean_value(&v)
                 })?;
@@ -1096,7 +1223,8 @@ fn apply_plan_clause(
             for tuple in tuples {
                 let mut keys = Vec::with_capacity(specs.len());
                 for spec in specs {
-                    let v = with_tuple(ctx, &tuple, |ctx| eval_plan(ctx, &spec.key))?;
+                    let v =
+                        with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, &spec.key))?;
                     let key = match v.len() {
                         0 => None,
                         1 => Some(atomize(&ctx.store.borrow(), &v[0])),
@@ -1176,11 +1304,11 @@ fn try_stream_flwor(
         for clause in rest {
             match clause {
                 PlanClause::Let { var: lv, expr } => {
-                    let v = with_tuple(ctx, &tuple, |ctx| eval_plan(ctx, expr))?;
+                    let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, expr))?;
                     tuple.push((lv.clone(), v));
                 }
                 PlanClause::Where(cond) => {
-                    keep = with_tuple(ctx, &tuple, |ctx| {
+                    keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
                         let v = eval_plan(ctx, cond)?;
                         effective_boolean_value(&v)
                     })?;
@@ -1196,7 +1324,7 @@ fn try_stream_flwor(
         }
     }
     let mut out = Vec::new();
-    for tuple in &tuples {
+    for tuple in tuples {
         let v = with_tuple(ctx, tuple, |ctx| eval_plan(ctx, ret))?;
         out.extend(v);
     }
@@ -1316,6 +1444,11 @@ mod tests {
         same("doc('t.xml')//item[2]/preceding-sibling::item");
         same("doc('t.xml')//name/../name");
         same("doc('t.xml')//*[@id][price/text() = '20']");
+        // descendant steps from nested inputs
+        same("doc('t.xml')//*//price");
+        same("doc('t.xml')//*//*[@id = 'b']");
+        same("doc('t.xml')/site//node()//text()");
+        same("doc('t.xml')//*/descendant-or-self::*[price][1]");
     }
 
     #[test]

@@ -57,11 +57,11 @@ impl<'a> Parser<'a> {
         } else {
             pos
         };
-        Ok(Expr::Insert {
+        Ok(Expr::Update(UpdateExpr::Insert {
             source: source.boxed(),
             pos,
             target: target.boxed(),
-        })
+        }))
     }
 
     /// `delete node(s) Target`
@@ -71,7 +71,7 @@ impl<'a> Parser<'a> {
             self.expect_kw("node")?;
         }
         let target = self.parse_expr_single()?;
-        Ok(Expr::Delete(target.boxed()))
+        Ok(Expr::Update(UpdateExpr::Delete(target.boxed())))
     }
 
     /// `replace (value of)? node Target with Expr`
@@ -88,17 +88,17 @@ impl<'a> Parser<'a> {
         let target = self.parse_expr_single()?;
         self.expect_kw("with")?;
         let with = self.parse_expr_single()?;
-        Ok(if value_of {
-            Expr::ReplaceValue {
+        Ok(Expr::Update(if value_of {
+            UpdateExpr::ReplaceValue {
                 target: target.boxed(),
                 with: with.boxed(),
             }
         } else {
-            Expr::ReplaceNode {
+            UpdateExpr::ReplaceNode {
                 target: target.boxed(),
                 with: with.boxed(),
             }
-        })
+        }))
     }
 
     /// `rename node Target as NewName`
@@ -108,10 +108,10 @@ impl<'a> Parser<'a> {
         let target = self.parse_expr_single()?;
         self.expect_kw("as")?;
         let name = self.parse_name_expr()?;
-        Ok(Expr::Rename {
+        Ok(Expr::Update(UpdateExpr::Rename {
             target: target.boxed(),
             name,
-        })
+        }))
     }
 
     /// `copy $x := E (, $y := E)* modify E return E` (with optional leading

@@ -225,6 +225,7 @@ impl<'a> Parser<'a> {
             return_type,
             kind,
             body: std::rc::Rc::new(body),
+            plan: None,
         })
     }
 }

@@ -16,21 +16,28 @@
 //! * **predicate pushdown** — predicates are classified into pipeline
 //!   *stages* applied per candidate while the axis enumerates:
 //!   positional takes (`[1]`, `[last()]`), attribute-equality probes
-//!   (`[@id = "x"]`, answered straight off the attribute table), lazy
-//!   position-free filters, and a buffered general tail for everything
-//!   positional.
+//!   (`[@id = "x"]` and `[@id = $v]`, answered straight off the attribute
+//!   table), lazy position-free filters, and a buffered general tail for
+//!   everything positional.
 //! * **early-exit rewrites** — `exists()`, `empty()`, `not()` and `count()`
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
 //!
-//! Direct element constructors lower to [`Plan::Element`]: their attribute
-//! value templates and content parts become plans, so the paths and FLWORs
-//! enclosed in a rendered page run on the executor, while the element
-//! itself is built by the interpreter's own routine. Anything else the IR
-//! does not model (computed constructors, updates, full-text, type-switch,
-//! events, …) lowers to [`Plan::Fallback`], which the executor hands
-//! verbatim to the interpreter — the plan tier is a fast path, never a
-//! second dialect.
+//! Constructs whose *parts* the IR models but whose effect it does not
+//! re-implement lower to nodes that hand lowered parts to the interpreter's
+//! own routine: direct element constructors ([`Plan::Element`],
+//! `build_element`), `insert`/`delete`/`replace`/`rename`
+//! ([`Plan::Update`], `eval_update` appending to the same pending update
+//! list), and scripting blocks ([`Plan::Block`], statements with updates
+//! applied between them). Declared function bodies are lowered once per
+//! static context by [`lower_functions`] and stored with their
+//! declarations; compiled callers run them inside the interpreter's call
+//! frame. What still lowers to [`Plan::Fallback`] — `transform`, computed
+//! constructors, `behind` and the other event and style statements,
+//! full-text, and the XQuery 1.0 forms the rewrites never needed
+//! (type-switch, quantifiers, set operators, node comparisons, `instance
+//! of`/`treat`/`cast`) — is handed verbatim to the interpreter: the plan
+//! tier is a fast path, never a second dialect.
 //!
 //! # Streaming soundness
 //!
@@ -45,6 +52,15 @@
 //! document order (tracked through the static [`Inv`] invariant lattice);
 //! steps without the flag run as buffered sort barriers inside the lazy
 //! pipeline, exactly reproducing the interpreter's normalisation.
+//!
+//! The variable-valued probe [`PredStage::AttrEqVar`] is infallible only
+//! when its variable holds string-like items, which is a run-time fact, so
+//! it counts as fallible (its predicate as written can raise, e.g. `@id`
+//! against a number) and a path carrying it is never lazy. It runs in the
+//! eager per-node stage pipeline, which decides between probe and
+//! predicate once per candidate list; nothing else evaluates between two
+//! candidates of one stage, so every candidate sees the value the
+//! interpreter's per-candidate test would read.
 
 use std::rc::Rc;
 
@@ -55,8 +71,8 @@ use xqib_xdm::{
 };
 
 use crate::ast::{
-    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, KindTest, NodeTest,
-    PathStart, Statement, StepExpr,
+    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, FunctionDecl, KindTest,
+    NameExpr, NodeTest, PathStart, Statement, StepExpr, UpdateExpr,
 };
 use crate::context::StaticContext;
 use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
@@ -96,6 +112,34 @@ impl CompiledPlan {
 
     pub fn static_context(&self) -> &Rc<StaticContext> {
         &self.sctx
+    }
+}
+
+/// A lowered standalone expression: a declared function body (see
+/// [`lower_functions`]) or a host's inline listener. Lowered once, run any
+/// number of times by [`ExprPlan::eval`].
+pub struct ExprPlan {
+    pub(crate) plan: Plan,
+    stats: PlanStats,
+}
+
+impl ExprPlan {
+    pub fn lower(sctx: &StaticContext, e: &Expr) -> Self {
+        let mut stats = PlanStats::default();
+        let plan = lower_expr(sctx, e, &mut stats);
+        ExprPlan { plan, stats }
+    }
+
+    pub fn stats(&self) -> PlanStats {
+        self.stats
+    }
+}
+
+impl std::fmt::Debug for ExprPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExprPlan")
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
     }
 }
 
@@ -146,10 +190,13 @@ pub(crate) enum Plan {
     },
     Count(Box<Plan>),
     Not(Box<Plan>),
-    /// generic function call through the interpreter's dispatch chain
+    /// generic function call through the interpreter's dispatch chain;
+    /// `builtin` when the name statically resolves to an `fn:` built-in
+    /// (see [`is_fn_builtin`]), which skips the user and native lookups
     Call {
         name: QName,
         args: Vec<Plan>,
+        builtin: bool,
     },
     /// direct element constructor with lowered enclosed parts, built by
     /// the interpreter's own `build_element`
@@ -159,6 +206,12 @@ pub(crate) enum Plan {
         attrs: Vec<(QName, Vec<AttrContent<Plan>>)>,
         children: Vec<ElemContent<Plan>>,
     },
+    /// scripting block: its statements run in a fresh scope, with pending
+    /// updates applied between them
+    Block(Vec<PlanStmt>),
+    /// `insert`/`delete`/`replace`/`rename` with lowered parts, appended to
+    /// the pending update list by the interpreter's own `eval_update`
+    Update(UpdateExpr<Plan>),
     /// anything the IR does not model: evaluated by the interpreter
     Fallback(Rc<Expr>),
 }
@@ -241,6 +294,14 @@ pub(crate) enum PredStage {
     Take(PosTake),
     /// `[@name = "literal"]` answered directly off the attribute table
     AttrEq { name: QName, value: Rc<str> },
+    /// `[@name = $var]`: the same probe while `$var` holds only
+    /// `xs:string`/`xs:untypedAtomic`/`xs:anyURI` items; otherwise `pred`,
+    /// the predicate as written, tested per candidate
+    AttrEqVar {
+        name: QName,
+        var: QName,
+        pred: PlanPred,
+    },
     /// position-free predicate: tested one candidate at a time
     Filter(PlanPred),
     /// positional tail: buffered per node and applied with true positions,
@@ -252,7 +313,7 @@ impl PredStage {
     pub(crate) fn infallible(&self) -> bool {
         match self {
             PredStage::Take(_) | PredStage::AttrEq { .. } => true,
-            PredStage::Filter(p) => p.infallible,
+            PredStage::AttrEqVar { pred: p, .. } | PredStage::Filter(p) => p.infallible,
             PredStage::General(ps) => ps.iter().all(|p| p.infallible),
         }
     }
@@ -263,9 +324,11 @@ impl PredStage {
 // ---------------------------------------------------------------------------
 
 /// Lowers a compiled module to a plan. Lowering never fails: uncovered
-/// constructs become interpreter fallbacks.
+/// constructs become interpreter fallbacks. The plan's static context is
+/// the module's with every declared function body lowered (see
+/// [`lower_functions`]); the counters cover the globals and the body.
 pub fn lower(q: &CompiledQuery) -> CompiledPlan {
-    let sctx = q.sctx.clone();
+    let sctx = lower_functions(&q.sctx);
     let mut stats = PlanStats::default();
     let globals = q
         .module
@@ -289,6 +352,35 @@ pub fn lower(q: &CompiledQuery) -> CompiledPlan {
         body,
         stats,
     }
+}
+
+/// Lowers every declared function body of `sctx` that carries no plan yet,
+/// against `sctx` itself, and stores each plan with its declaration.
+/// Returns `sctx` itself when there is nothing left to lower, so a context
+/// is lowered once however many callers ask.
+pub fn lower_functions(sctx: &Rc<StaticContext>) -> Rc<StaticContext> {
+    if sctx.functions.values().all(|d| d.plan.is_some()) {
+        return sctx.clone();
+    }
+    let functions = sctx
+        .functions
+        .iter()
+        .map(|(key, decl)| {
+            let decl = match decl.plan {
+                Some(_) => decl.clone(),
+                None => Rc::new(FunctionDecl {
+                    plan: Some(Rc::new(ExprPlan::lower(sctx, &decl.body))),
+                    ..(**decl).clone()
+                }),
+            };
+            (key.clone(), decl)
+        })
+        .collect();
+    Rc::new(StaticContext {
+        functions,
+        options: sctx.options.clone(),
+        browser_profile: sctx.browser_profile,
+    })
 }
 
 fn lower_stmt(sctx: &StaticContext, s: &Statement, stats: &mut PlanStats) -> PlanStmt {
@@ -400,10 +492,45 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
                 })
                 .collect(),
         },
+        Expr::Block(stmts) => {
+            Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s, stats)).collect())
+        }
+        Expr::Update(u) => Plan::Update(lower_update(sctx, u, stats)),
         other => {
             stats.fallbacks += 1;
             Plan::Fallback(Rc::new(other.clone()))
         }
+    }
+}
+
+fn lower_update(sctx: &StaticContext, u: &UpdateExpr, stats: &mut PlanStats) -> UpdateExpr<Plan> {
+    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+    match u {
+        UpdateExpr::Insert {
+            source,
+            pos,
+            target,
+        } => UpdateExpr::Insert {
+            source: low(source),
+            pos: *pos,
+            target: low(target),
+        },
+        UpdateExpr::Delete(target) => UpdateExpr::Delete(low(target)),
+        UpdateExpr::ReplaceNode { target, with } => UpdateExpr::ReplaceNode {
+            target: low(target),
+            with: low(with),
+        },
+        UpdateExpr::ReplaceValue { target, with } => UpdateExpr::ReplaceValue {
+            target: low(target),
+            with: low(with),
+        },
+        UpdateExpr::Rename { target, name } => UpdateExpr::Rename {
+            target: low(target),
+            name: match name {
+                NameExpr::Static(q) => NameExpr::Static(q.clone()),
+                NameExpr::Dynamic(e) => NameExpr::Dynamic(low(e)),
+            },
+        },
     }
 }
 
@@ -457,6 +584,7 @@ fn lower_call(sctx: &StaticContext, name: &QName, args: &[Expr], stats: &mut Pla
     Plan::Call {
         name: name.clone(),
         args: args.iter().map(|a| lower_expr(sctx, a, stats)).collect(),
+        builtin: is_fn_builtin(sctx, name, args.len()),
     }
 }
 
@@ -672,9 +800,16 @@ fn lower_stages(sctx: &StaticContext, preds: &[Expr], stats: &mut PlanStats) -> 
             continue;
         }
         if let Some((name, value)) = attr_eq_pattern(p) {
-            stages.push(PredStage::AttrEq { name, value });
             stats.pushed_preds += 1;
             i += 1;
+            stages.push(match value {
+                EqOperand::Lit(value) => PredStage::AttrEq { name, value },
+                EqOperand::Var(var) => PredStage::AttrEqVar {
+                    name,
+                    var,
+                    pred: lower_pred(sctx, p, stats),
+                },
+            });
             continue;
         }
         let lowered = lower_pred(sctx, p, stats);
@@ -710,18 +845,32 @@ fn lower_pred(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) -> PlanPred
     }
 }
 
-/// `[@name = "literal"]` (either operand order): answered by a direct
-/// attribute-table probe. Matches the interpreter exactly: the attribute
-/// atomizes to untyped, which a general comparison against a string casts
-/// to string — plain string equality, and an absent attribute is `false`.
-fn attr_eq_pattern(e: &Expr) -> Option<(QName, Rc<str>)> {
+/// The other side of an attribute-equality predicate.
+enum EqOperand {
+    Lit(Rc<str>),
+    Var(QName),
+}
+
+/// `[@name = "literal"]` or `[@name = $var]` (either operand order):
+/// answered by a direct attribute-table probe. Matches the interpreter
+/// exactly: the attribute atomizes to untyped, which a general comparison
+/// against a string, untyped or `xs:anyURI` item casts to that item's type
+/// — plain string equality against any of the items, and an absent
+/// attribute is `false`. A variable's items are only known at run time, so
+/// the executor checks them before probing.
+fn attr_eq_pattern(e: &Expr) -> Option<(QName, EqOperand)> {
     let Expr::GeneralComp(CompOp::Eq, l, r) = e else {
         return None;
     };
-    if let (Some(q), Some(v)) = (attr_step(l), string_lit(r)) {
+    let operand = |e: &Expr| match e {
+        Expr::Literal(Atomic::String(s)) => Some(EqOperand::Lit(s.clone())),
+        Expr::VarRef(v) => Some(EqOperand::Var(v.clone())),
+        _ => None,
+    };
+    if let (Some(q), Some(v)) = (attr_step(l), operand(r)) {
         return Some((q, v));
     }
-    if let (Some(q), Some(v)) = (attr_step(r), string_lit(l)) {
+    if let (Some(q), Some(v)) = (attr_step(r), operand(l)) {
         return Some((q, v));
     }
     None
@@ -740,13 +889,6 @@ fn attr_step(e: &Expr) -> Option<QName> {
             test: NodeTest::Name(q),
             predicates,
         }) if predicates.is_empty() => Some(q.clone()),
-        _ => None,
-    }
-}
-
-fn string_lit(e: &Expr) -> Option<Rc<str>> {
-    match e {
-        Expr::Literal(Atomic::String(s)) => Some(s.clone()),
         _ => None,
     }
 }
@@ -1290,8 +1432,13 @@ mod tests {
              f:exists(//a)",
         );
         assert!(
-            matches!(body_plan(&p), Plan::Call { .. }),
+            matches!(body_plan(&p), Plan::Call { builtin: false, .. }),
             "a user-declared fn:exists must go through the generic call path"
+        );
+        let p = plan_of("concat('a', 'b')");
+        assert!(
+            matches!(body_plan(&p), Plan::Call { builtin: true, .. }),
+            "an unshadowed fn: name resolves to the built-in at lowering"
         );
     }
 
@@ -1348,6 +1495,58 @@ mod tests {
             Plan::Const(seq) => assert_eq!(seq.len(), 1),
             _ => panic!("constant condition should fold"),
         }
+    }
+
+    #[test]
+    fn blocks_and_updates_lower_with_plan_parts() {
+        let p = plan_of(
+            "{ declare variable $x := 1; insert node <a/> into //b; set $x := 2; \
+             rename node //c[1] as 'd'; $x }",
+        );
+        let Plan::Block(stmts) = body_plan(&p) else {
+            panic!("expected a block plan");
+        };
+        assert_eq!(stmts.len(), 5);
+        let PlanStmt::Expr(Plan::Update(UpdateExpr::Insert { source, target, .. })) = &stmts[1]
+        else {
+            panic!("expected a lowered insert");
+        };
+        assert!(matches!(**source, Plan::Element { .. }));
+        assert!(matches!(**target, Plan::Path(_)));
+        assert_eq!(p.stats.fallbacks, 0);
+    }
+
+    #[test]
+    fn declared_function_bodies_are_lowered_once_with_their_declarations() {
+        let q = runtime::compile(
+            "declare function local:f($x as xs:integer) { { $x + 1 } }; local:f(1)",
+        )
+        .expect("compiles");
+        let p = lower(&q);
+        let decl = p.sctx.functions.values().next().expect("one declaration");
+        let body = decl.plan.as_ref().expect("body lowered");
+        assert_eq!(body.stats().fallbacks, 0);
+        assert!(matches!(body.plan, Plan::Block(_)));
+        // lowering the lowered context again is free: the same context
+        assert!(Rc::ptr_eq(&lower_functions(&p.sctx), &p.sctx));
+        // the compile-time context stays unlowered for the interpreter
+        assert!(q.sctx.functions.values().all(|d| d.plan.is_none()));
+    }
+
+    #[test]
+    fn variable_attr_eq_becomes_probe_stage_but_not_lazy() {
+        let p = plan_of("let $v := \"x\" return //item[@id = $v]");
+        let Plan::Flwor { ret, .. } = body_plan(&p) else {
+            panic!("expected a FLWOR");
+        };
+        let Plan::Path(pp) = &**ret else {
+            panic!("expected a path");
+        };
+        assert!(!pp.lazy, "the predicate as written can raise");
+        let PlanStep::Axis(ax) = &pp.steps[0] else {
+            panic!("axis step");
+        };
+        assert!(matches!(ax.stages[0], PredStage::AttrEqVar { .. }));
     }
 
     #[test]

@@ -187,7 +187,9 @@ impl Txn {
     }
 
     fn save_attributes(&mut self, store: &Store, elem: NodeRef) {
-        if self.track {
+        // non-elements (an attribute insert whose anchor's parent is the
+        // document node) reject the mutation itself: nothing to undo
+        if self.track && store.doc(elem.doc).kind(elem.node).is_element() {
             self.undo.push(UndoOp::Attributes {
                 elem,
                 snapshot: store.doc(elem.doc).attributes(elem.node).to_vec(),

@@ -163,16 +163,11 @@ pub fn render_sequence(ctx: &DynamicContext, seq: &Sequence) -> String {
         .join(" ")
 }
 
-/// Invokes a (listener) function by name — the plug-in's re-entry point
-/// when the browser dispatches an event (Figure 1's loop). Pending updates
-/// raised by the listener are applied before returning, so the page reflects
-/// the handler's effects.
+/// Invokes a (listener) function by name on the interpreter — the oracle
+/// for the plug-in's re-entry point when the browser dispatches an event
+/// (Figure 1's loop; the plug-in itself uses the compiled
+/// [`crate::exec::invoke`]). Pending updates raised by the listener are
+/// applied before returning, so the page reflects the handler's effects.
 pub fn invoke(ctx: &mut DynamicContext, name: &QName, args: Vec<Sequence>) -> XdmResult<Sequence> {
-    let r = eval::call_function(ctx, name, args);
-    let r = match r {
-        Err(e) if e.code == EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
-        other => other,
-    }?;
-    eval::apply_pending(ctx)?;
-    Ok(r)
+    eval::invoke_with(ctx, name, args, eval::interpret_body)
 }

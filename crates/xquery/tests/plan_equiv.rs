@@ -8,17 +8,28 @@
 //! interpreter's unlimited-fuel answer, and whenever it fails it must fail
 //! with the fuel code.
 //!
+//! Updating programs — the update primitives, scripting blocks and declared
+//! functions — are compared one level deeper: the wire encoding of every
+//! pending update list each tier builds, and the document after the final
+//! list is applied and after an apply that an injected crash point rolled
+//! back.
+//!
 //! Deterministic CI matrix hook: `XQIB_PLAN_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
 //! query space while any single failure stays reproducible.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use xqib_dom::store::shared_store;
 use xqib_dom::SharedStore;
-use xqib_xquery::plan::lower;
+use xqib_xquery::ast::Statement;
+use xqib_xquery::plan::{lower, ExprPlan};
 use xqib_xquery::plancache::{compile_plan, static_fingerprint, PlanCache};
+use xqib_xquery::pul::CrashPoint;
 use xqib_xquery::runtime::{self, ModuleRegistry};
-use xqib_xquery::DynamicContext;
+use xqib_xquery::{eval, wire, DynamicContext};
 
 fn env_seed() -> u64 {
     std::env::var("XQIB_PLAN_SEED")
@@ -121,7 +132,7 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             _ => gen_path(rng),
         };
     }
-    match rng.below(14) {
+    match rng.below(15) {
         0 => format!(
             "{} {} {}",
             gen_expr(rng, depth - 1),
@@ -186,6 +197,23 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             }
             p
         }
+        14 => {
+            // a variable-valued attribute probe: string-like bindings are
+            // probed, anything else tests the predicate as written
+            let value = match rng.below(6) {
+                0 => format!("'{}'", rng.pick(&IDS)),
+                1 => format!("('{}', '{}')", rng.pick(&IDS), rng.pick(&IDS)),
+                2 => format!("xs:anyURI('{}')", rng.pick(&IDS)),
+                3 => rng.below(3).to_string(),
+                4 => "()".to_string(),
+                _ => format!("doc('t.xml')//{}/@id", rng.pick(&TAGS)),
+            };
+            format!(
+                "let $p := {value} return doc('t.xml')//{}[@id = $p]{}",
+                rng.pick(&TAGS),
+                gen_step(rng)
+            )
+        }
         _ => format!("sum(({}))", gen_expr(rng, depth - 1)),
     }
 }
@@ -237,6 +265,138 @@ fn gen_update(rng: &mut Rng) -> String {
     }
 }
 
+/// Declared functions every updating program may call: recursion, typed
+/// parameters, an updating body, `exit with` from a sequential body, and a
+/// runaway recursion the depth guard must stop on both tiers.
+const FUNCTIONS: &str = r#"
+declare updating function local:ins($t, $k as xs:integer) {
+  insert node <f k="{$k}"/> into $t
+};
+declare function local:sum($n as xs:integer) {
+  if ($n le 0) then 0 else $n + local:sum($n - 1)
+};
+declare updating function local:chain($n as xs:integer) {
+  if ($n le 0) then ()
+  else (insert node <c>{$n}</c> into doc('t.xml')/r, local:chain($n - 1))
+};
+declare sequential function local:ex($n) {
+  if ($n gt 2) then exit with concat('big', $n) else ();
+  insert node <e n="{$n}"/> into doc('t.xml')/r;
+  'small'
+};
+declare function local:str($s as xs:string) { concat($s, '!') };
+declare function local:runaway($n) { local:runaway($n + 1) };
+"#;
+
+/// An update target: usually one node, sometimes none or several (the
+/// `XUDY0027`/`XUTY0008` paths), sometimes an atomic.
+fn gen_target(rng: &mut Rng) -> String {
+    match rng.below(8) {
+        0 => format!("doc('t.xml')//{}", rng.pick(&TAGS)),
+        1 => "doc('t.xml')/r".to_string(),
+        2 => format!("doc('t.xml')//*[@id = '{}']", rng.pick(&IDS)),
+        3 => "'atomic'".to_string(),
+        _ => format!("(doc('t.xml')//{})[1]", rng.pick(&TAGS)),
+    }
+}
+
+/// Inserted or replacing content: constructed elements with enclosed
+/// parts, copies of existing nodes, attributes, or an atomic (a type error).
+fn gen_source(rng: &mut Rng) -> String {
+    match rng.below(6) {
+        0 => format!("<n{}/>", rng.below(5)),
+        1 => format!(
+            "<m id=\"{{'{}'}}\">{{doc('t.xml')//{}[1]}}</m>",
+            rng.pick(&IDS),
+            rng.pick(&TAGS)
+        ),
+        2 => format!("doc('t.xml')//{}", rng.pick(&TAGS)),
+        3 => format!("attribute x{} {{'{}'}}", rng.below(3), rng.below(9)),
+        4 => format!("(<p/>, <q>{}</q>)", rng.below(9)),
+        _ => "42".to_string(),
+    }
+}
+
+/// One update primitive, every form the parser accepts.
+fn gen_primitive(rng: &mut Rng) -> String {
+    let t = gen_target(rng);
+    match rng.below(10) {
+        0 => format!("insert node {} into {t}", gen_source(rng)),
+        1 => format!("insert node {} as first into {t}", gen_source(rng)),
+        2 => format!("insert nodes {} as last into {t}", gen_source(rng)),
+        3 => format!("insert node {} before {t}", gen_source(rng)),
+        4 => format!("insert node {} after {t}", gen_source(rng)),
+        5 => format!("delete nodes {t}"),
+        6 => format!("replace node {t} with {}", gen_source(rng)),
+        7 => format!(
+            "replace value of node {t} with ({}, '{}')",
+            rng.below(9),
+            rng.pick(&IDS)
+        ),
+        8 => format!("rename node {t} as 'z{}'", rng.below(3)),
+        _ => format!("rename node {t} as (concat('y', {}))", rng.below(3)),
+    }
+}
+
+/// A call into [`FUNCTIONS`].
+fn gen_call(rng: &mut Rng) -> String {
+    match rng.below(12) {
+        0 | 1 => format!("local:sum({})", rng.below(6)),
+        2 | 3 => format!("local:chain({})", rng.below(4)),
+        4 | 5 => format!("local:ex({})", rng.below(5)),
+        6 => format!("local:str('{}')", rng.pick(&IDS)),
+        7 => format!("local:str({})", rng.below(9)),
+        8 => "local:runaway(0)".to_string(),
+        _ => format!("local:ins({}, {})", gen_target(rng), rng.below(9)),
+    }
+}
+
+/// A scripting block: variable declarations, assignment, `while` loops
+/// whose bodies update, nested blocks and function calls. Pending updates
+/// become visible between statements.
+fn gen_block(rng: &mut Rng, depth: u64) -> String {
+    let mut stmts = vec![format!("declare variable $i := {}", rng.below(2))];
+    for _ in 0..(1 + rng.below(3)) {
+        stmts.push(match rng.below(6) {
+            0 => gen_primitive(rng),
+            1 => format!(
+                "while ($i < {}) {{ {}; set $i := $i + 1; }}",
+                rng.below(4),
+                gen_primitive(rng)
+            ),
+            2 if depth > 0 => gen_block(rng, depth - 1),
+            3 => format!("set $i := $i + {}", rng.below(3)),
+            4 => gen_call(rng),
+            _ => format!(
+                "declare variable $n := count(doc('t.xml')//{})",
+                rng.pick(&TAGS)
+            ),
+        });
+    }
+    stmts.push(match rng.below(3) {
+        0 => gen_primitive(rng),
+        1 => gen_call(rng),
+        _ => "$i".to_string(),
+    });
+    format!("{{ {} }}", stmts.join("; "))
+}
+
+/// An updating program body: a block, a primitive, a call, or a sequence
+/// mixing them (one snapshot: nothing is applied until the end).
+fn gen_updating(rng: &mut Rng) -> String {
+    match rng.below(5) {
+        0 | 1 => gen_block(rng, 2),
+        2 => gen_primitive(rng),
+        3 => gen_call(rng),
+        _ => format!(
+            "({}, {}, {})",
+            gen_primitive(rng),
+            gen_call(rng),
+            gen_primitive(rng)
+        ),
+    }
+}
+
 // ----- harness --------------------------------------------------------------
 
 fn store_with_doc(xml: &str) -> SharedStore {
@@ -275,6 +435,83 @@ fn run(
     (result, after)
 }
 
+/// What one tier did with an updating program.
+#[derive(Debug, PartialEq)]
+struct UpdateRun {
+    /// the rendered value, or the error code
+    result: Result<String, String>,
+    /// wire encoding of every pending update list built: those applied
+    /// between statements, then the final one
+    puls: Vec<Vec<u8>>,
+    /// the document before the final list is applied
+    before: String,
+    /// how applying the final list ended
+    apply: Result<(), String>,
+    /// the document after that apply (or its rollback)
+    after: String,
+}
+
+/// Evaluates `{FUNCTIONS} {body}` on one tier — the interpreter's
+/// `eval_expr`, or the lowered plan with lowered function bodies — leaving
+/// the final pending update list for the harness to encode and apply
+/// under `crash`.
+fn run_updating(
+    body: &str,
+    xml: &str,
+    use_plan: bool,
+    fuel: Option<u64>,
+    crash: CrashPoint,
+) -> UpdateRun {
+    let src = format!("{FUNCTIONS}\n{body}");
+    let q = runtime::compile(&src)
+        .unwrap_or_else(|e| panic!("`{body}` does not compile: {}", e.message));
+    let [Statement::Expr(e)] = &q.module.body[..] else {
+        panic!("one expression statement: {body}");
+    };
+    let plan = lower(&q);
+    let store = store_with_doc(xml);
+    let sctx = if use_plan {
+        plan.static_context().clone()
+    } else {
+        q.sctx.clone()
+    };
+    let journal = Rc::new(RefCell::new(Vec::new()));
+    let mut ctx = DynamicContext::new(store.clone(), sctx.clone());
+    ctx.pul_journal = Some(journal.clone());
+    ctx.set_fuel(fuel);
+    let r = if use_plan {
+        ExprPlan::lower(&sctx, e).eval(&mut ctx)
+    } else {
+        eval::eval_expr(&mut ctx, e)
+    };
+    let result = r
+        .map(|seq| runtime::render_sequence(&ctx, &seq))
+        .map_err(|e| e.code);
+    ctx.set_fuel(None);
+    let serialized = || {
+        let s = store.borrow();
+        let id = s.doc_by_uri("t.xml").expect("doc survives");
+        xqib_dom::serialize::serialize_document(s.doc(id))
+    };
+    let mut puls = journal.take();
+    let before = serialized();
+    let pul = ctx.pul.take();
+    let apply = if result.is_ok() {
+        puls.push(wire::encode_pul(&store.borrow(), &pul).expect("pending list encodes"));
+        pul.apply_with_crash(&mut store.borrow_mut(), crash)
+            .map_err(|e| e.code)
+    } else {
+        Ok(())
+    };
+    UpdateRun {
+        result,
+        puls,
+        before,
+        apply,
+        after: serialized(),
+    }
+}
+
 proptest! {
     /// Unlimited fuel: results, error codes, and document effects all
     /// match, item for item.
@@ -300,6 +537,34 @@ proptest! {
         let (cr, cdoc) = run(&q, &xml, None, true);
         prop_assert_eq!(&ir, &cr, "update result divergence on `{}`", q);
         prop_assert_eq!(&idoc, &cdoc, "update effect divergence on `{}` over {}", q, xml);
+    }
+
+    /// Update primitives, blocks and declared functions: both tiers build
+    /// the same pending update lists (byte for byte on the wire), raise the
+    /// same error codes, and leave the same document after the final apply
+    /// and after an apply that an injected crash rolled back — where the
+    /// rollback restores the document exactly. Under a fuel budget the
+    /// compiled tier answers like the oracle or raises the preemption code.
+    #[test]
+    fn updating_programs_match(seed in any::<u64>()) {
+        let mut rng = Rng(seed ^ env_seed().wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        let xml = gen_doc(&mut rng);
+        let body = gen_updating(&mut rng);
+        for crash in [CrashPoint::none(), CrashPoint::at(rng.below(4))] {
+            let i = run_updating(&body, &xml, false, None, crash);
+            let c = run_updating(&body, &xml, true, None, crash);
+            prop_assert_eq!(&i, &c, "tier divergence on `{}` over {}", body, xml);
+            if i.apply.is_err() {
+                prop_assert_eq!(&i.before, &i.after, "rollback left a trace: `{}`", body);
+            }
+        }
+        let budget = 1 + rng.below(400);
+        let oracle = run_updating(&body, &xml, false, None, CrashPoint::none());
+        let budgeted = run_updating(&body, &xml, true, Some(budget), CrashPoint::none());
+        match &budgeted.result {
+            Err(code) if code == "XQIB0011" => {}
+            _ => prop_assert_eq!(&budgeted, &oracle, "budgeted divergence on `{}`", body),
+        }
     }
 
     /// Fuel budgets: the compiled engine either reproduces the oracle's
