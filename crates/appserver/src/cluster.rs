@@ -4,28 +4,32 @@
 //! shards by a consistent-hash ring; each shard is one durable leader
 //! ([`AppServer`]) plus K followers that replicate by **WAL shipping**: the
 //! leader sends its committed WAL frames — the exact on-disk bytes, CRC
-//! and all — over a fault-injected [`VirtualNetwork`], and each follower
-//! replays them through the same [`apply_wal_record`] redo path recovery
-//! uses, appending the raw frames to its *own* WAL so its disk image stays
-//! a byte-prefix of the leader's log (modulo its own checkpoints).
+//! and all — as typed `ReplMsg`s over a per-seat fault-injected `Link`.
+//! Each follower (a `ReplicaNode`, in `replica.rs`) replays them through
+//! the same [`apply_wal_record`](crate::xmldb::apply_wal_record) redo path
+//! recovery uses, appending the raw frames to its *own* WAL so its disk
+//! image stays a byte-prefix of the leader's log (modulo its own
+//! checkpoints), and answers with a `ReplReply`. Nothing on this path is
+//! text.
 //!
 //! The protocol leans on three properties the storage tier already has:
 //!
 //! * **Torn-tail tolerance** — a truncated shipment decodes to the longest
-//!   intact frame prefix ([`Wal::scan_bytes`]), so a cut-off message just
-//!   acks less and the rest is resent.
+//!   intact frame prefix
+//!   ([`Wal::scan_bytes`](xqib_storage::Wal::scan_bytes)), so a cut-off
+//!   message just acks less and the rest is resent.
 //! * **Idempotent replay** — frames at or below the follower's applied
 //!   sequence are skipped, so a resend after a lost ack
-//!   ([`xqib_browser::net::Fault::ReplyLost`]) is harmless.
+//!   ([`xqib_browser::Fault::ReplyLost`]) is harmless.
 //! * **Checkpoint = snapshot** — when the leader has checkpointed past a
-//!   straggler's position (log gap), it ships a [`Checkpoint`] as a full
-//!   snapshot instead.
+//!   straggler's position (log gap), it ships a
+//!   [`Checkpoint`](xqib_storage::Checkpoint) as a full snapshot instead.
 //!
 //! An update is **acked** (HTTP 200 surfaced to the client) only once the
 //! leader has fsynced it *and* at least `ack_replicas` followers have
 //! durably acknowledged its sequence. On leader crash, the cluster waits
-//! `failover_detect_ms`, then probes followers over the (possibly
-//! partitioned) network until it hears from `K - ack_replicas + 1` of them
+//! `failover_detect_ms`, then probes followers over their (possibly
+//! partitioned) links until it hears from `K - ack_replicas + 1` of them
 //! — a set that must intersect every ack quorum — and promotes the one
 //! with the greatest `(term, acked)` pair (Raft's election restriction)
 //! via the ordinary [`AppServer::recover`] path. The
@@ -59,62 +63,19 @@
 //! shard's seats. Migrations compose with crashes, partitions and decay:
 //! a step that needs a leader simply waits for failover to supply one.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
-use xqib_browser::{FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
-use xqib_dom::store::shared_store;
-use xqib_dom::SharedStore;
-use xqib_storage::{
-    content_digest, fnv1a, mix64, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal,
-    WalRecord, WAL_FILE,
-};
-use xqib_xquery::wire;
+use xqib_browser::FaultPlan;
+use xqib_storage::{content_digest, fnv1a, mix64, IntegrityError, StorageFaultPlan, VirtualDisk};
 
 use crate::fleet::FleetStats;
 use crate::governor::Class;
 use crate::metrics::MetricsSnapshot;
 use crate::render;
+use crate::replica::{Link, ReplMsg, ReplReply, ReplicaNode};
 use crate::server::{param, split_url, AppServer, ServerResponse};
-use crate::xmldb::{apply_wal_record, DurabilityConfig, XmlDb};
-
-/// Lowercase-hex encodes replication payloads for the text-bodied
-/// [`Request`] transport.
-fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
-        out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
-    }
-    out
-}
-
-/// Decodes as many whole hex pairs as are intact; a truncated or mangled
-/// tail yields a byte *prefix* — exactly the torn-shipment shape the WAL
-/// scanner is built to absorb.
-fn from_hex(s: &str) -> Vec<u8> {
-    let b = s.as_bytes();
-    let mut out = Vec::with_capacity(b.len() / 2);
-    let mut i = 0;
-    while i + 1 < b.len() {
-        match ((b[i] as char).to_digit(16), (b[i + 1] as char).to_digit(16)) {
-            (Some(hi), Some(lo)) => out.push((hi * 16 + lo) as u8),
-            _ => break,
-        }
-        i += 2;
-    }
-    out
-}
-
-/// First `u64` attribute with this name in a tiny XML reply.
-fn parse_attr(xml: &str, name: &str) -> Option<u64> {
-    let pat = format!("{name}=\"");
-    let start = xml.find(&pat)? + pat.len();
-    let rest = &xml[start..];
-    rest[..rest.find('"')?].parse().ok()
-}
+use crate::xmldb::{DurabilityConfig, XmlDb};
 
 // ---------------------------------------------------------------------
 // Routing
@@ -253,15 +214,9 @@ impl ReshardStats {
     }
 }
 
-/// Shared routing state: the ring, its epoch, and the per-document *home*
-/// pins that keep routing stable while migrations are in flight. Cheap to
-/// clone — all holders see every install and cutover instantly.
-#[derive(Clone)]
+/// Routing state: the ring, its epoch, and the per-document *home* pins
+/// that keep routing stable while migrations are in flight.
 pub(crate) struct Topology {
-    state: Rc<RefCell<TopologyState>>,
-}
-
-struct TopologyState {
     router: Router,
     epoch: TopologyEpoch,
     /// Documents pinned to the shard currently serving them. Routing
@@ -276,102 +231,58 @@ struct TopologyState {
 }
 
 impl Topology {
-    fn new(router: Router) -> Topology {
+    pub(crate) fn new(router: Router) -> Topology {
         Topology {
-            state: Rc::new(RefCell::new(TopologyState {
-                router,
-                epoch: 0,
-                homes: BTreeMap::new(),
-                resident: BTreeMap::new(),
-            })),
+            router,
+            epoch: 0,
+            homes: BTreeMap::new(),
+            resident: BTreeMap::new(),
         }
-    }
-
-    fn epoch(&self) -> TopologyEpoch {
-        self.state.borrow().epoch
     }
 
     /// The shard a request for `uri` must go to *now*: its home pin if it
     /// has one, else the ring.
     fn owner(&self, uri: &str) -> usize {
-        let st = self.state.borrow();
-        match st.homes.get(uri) {
+        match self.homes.get(uri) {
             Some(&s) => s,
-            None => st.router.owner(uri),
+            None => self.router.owner(uri),
         }
-    }
-
-    /// Where the current ring says `uri` should eventually live.
-    fn ring_owner(&self, uri: &str) -> usize {
-        self.state.borrow().router.owner(uri)
-    }
-
-    fn members(&self) -> Vec<usize> {
-        self.state.borrow().router.members().to_vec()
     }
 
     /// Whether `shard` may hold/replicate `uri`: it is the home, or a
     /// past/under-copy resident.
-    fn replicable_at(&self, shard: usize, uri: &str) -> bool {
-        let st = self.state.borrow();
-        match st.homes.get(uri) {
-            Some(&home) if home == shard => return true,
-            None if st.router.owner(uri) == shard => return true,
-            _ => {}
-        }
-        st.resident.get(uri).is_some_and(|r| r.contains(&shard))
+    pub(crate) fn replicable_at(&self, shard: usize, uri: &str) -> bool {
+        self.owner(uri) == shard || self.resident.get(uri).is_some_and(|r| r.contains(&shard))
     }
 
     /// Installs a new ring and bumps the epoch.
-    fn install(&self, router: Router) -> TopologyEpoch {
-        let mut st = self.state.borrow_mut();
-        st.router = router;
-        st.epoch += 1;
-        st.epoch
+    fn install(&mut self, router: Router) {
+        self.router = router;
+        self.epoch += 1;
     }
 
-    /// Pins `uri` to the shard that loaded it.
-    fn note_home(&self, uri: &str, shard: usize) {
-        let mut st = self.state.borrow_mut();
-        st.homes.insert(uri.to_string(), shard);
-        let res = st.resident.entry(uri.to_string()).or_default();
+    /// Marks `shard` a legitimate resident of `uri` (it loaded the
+    /// document, or a copy to it is starting).
+    fn add_resident(&mut self, uri: &str, shard: usize) {
+        let res = self.resident.entry(uri.to_string()).or_default();
         if !res.contains(&shard) {
             res.push(shard);
         }
     }
 
-    /// Marks `to` a legitimate resident while the copy runs.
-    fn begin_copy(&self, uri: &str, to: usize) {
-        let mut st = self.state.borrow_mut();
-        let res = st.resident.entry(uri.to_string()).or_default();
-        if !res.contains(&to) {
-            res.push(to);
-        }
+    /// Pins `uri` to `shard`, which becomes a resident.
+    fn pin_home(&mut self, uri: &str, shard: usize) {
+        self.homes.insert(uri.to_string(), shard);
+        self.add_resident(uri, shard);
     }
 
     /// Atomic cutover: the home pin flips to `to` and the epoch bumps in
     /// one tick, so the source's acceptances (old epoch) and the
-    /// destination's (new epoch) can never share an epoch. `from` stays
-    /// resident (its replicas keep the bytes forever).
-    fn cutover(&self, uri: &str, to: usize) -> TopologyEpoch {
-        let mut st = self.state.borrow_mut();
-        st.homes.insert(uri.to_string(), to);
-        let res = st.resident.entry(uri.to_string()).or_default();
-        if !res.contains(&to) {
-            res.push(to);
-        }
-        st.epoch += 1;
-        st.epoch
-    }
-
-    /// Snapshot of every document's current home, sorted by URI.
-    fn homes(&self) -> Vec<(String, usize)> {
-        self.state
-            .borrow()
-            .homes
-            .iter()
-            .map(|(u, &s)| (u.clone(), s))
-            .collect()
+    /// destination's (new epoch) can never share an epoch. The source
+    /// stays resident (its replicas keep the bytes forever).
+    fn cutover(&mut self, uri: &str, to: usize) {
+        self.pin_home(uri, to);
+        self.epoch += 1;
     }
 }
 
@@ -518,6 +429,22 @@ pub struct IntegrityStats {
 }
 
 impl IntegrityStats {
+    /// Tallies one scrub probe of a node's disk — mid-prefix WAL damage and
+    /// checkpoint-slot verdicts — and reports whether anything is damaged.
+    fn count_disk_damage(&mut self, wal_rot: bool, ckpt_verdicts: &[IntegrityError]) -> bool {
+        if wal_rot {
+            self.scrub_wal_corruptions += 1;
+        }
+        for v in ckpt_verdicts {
+            match v {
+                IntegrityError::CheckpointSlotCorrupt { .. } => self.scrub_ckpt_corruptions += 1,
+                IntegrityError::AllCheckpointSlotsCorrupt => self.scrub_ckpt_lost += 1,
+                _ => {}
+            }
+        }
+        wal_rot || !ckpt_verdicts.is_empty()
+    }
+
     /// Visits each counter under the name `/metrics` serves it by.
     pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
         let IntegrityStats {
@@ -644,274 +571,6 @@ impl Default for ClusterConfig {
 }
 
 // ---------------------------------------------------------------------
-// Follower
-// ---------------------------------------------------------------------
-
-/// A follower replica: its own store, disk and WAL position. Lives behind
-/// the seat's network handler; the leader only ever talks to it through
-/// [`VirtualNetwork`] messages.
-pub struct ReplicaNode {
-    shard: usize,
-    term: u64,
-    store: SharedStore,
-    disk: VirtualDisk,
-    cfg: DurabilityConfig,
-    topology: Topology,
-    stats: Rc<RefCell<ReplicationStats>>,
-    ckpt_gen: u64,
-    /// Highest frame applied to the in-memory store.
-    applied: u64,
-    /// Highest frame durable on this follower's own disk.
-    acked: u64,
-}
-
-impl ReplicaNode {
-    fn fresh(
-        shard: usize,
-        disk: VirtualDisk,
-        topology: Topology,
-        stats: Rc<RefCell<ReplicationStats>>,
-        cfg: DurabilityConfig,
-    ) -> ReplicaNode {
-        disk.delete(WAL_FILE);
-        ReplicaNode {
-            shard,
-            term: 0,
-            store: shared_store(),
-            disk,
-            cfg,
-            topology,
-            stats,
-            ckpt_gen: 0,
-            applied: 0,
-            acked: 0,
-        }
-    }
-
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    pub fn acked(&self) -> u64 {
-        self.acked
-    }
-
-    pub fn serialize(&self, uri: &str) -> Option<String> {
-        let store = self.store.borrow();
-        let id = store.doc_by_uri(uri)?;
-        Some(xqib_dom::serialize::serialize_document(store.doc(id)))
-    }
-
-    fn owns(&self, record: &WalRecord) -> bool {
-        match record {
-            WalRecord::Load { uri, .. } | WalRecord::Digest { uri, .. } => {
-                self.topology.replicable_at(self.shard, uri)
-            }
-            WalRecord::Pul(bytes) => match wire::pul_doc_uris(bytes) {
-                Ok(uris) => uris
-                    .iter()
-                    .all(|u| self.topology.replicable_at(self.shard, u)),
-                Err(_) => false,
-            },
-        }
-    }
-
-    /// Replays a shipped byte stream: skip what's already applied, stop at
-    /// the first gap, foreign document or inapplicable record, persist the
-    /// accepted raw frames, and report the new durable position plus
-    /// whether the batch was refused over ownership. `None` fences a
-    /// stale-term sender.
-    fn accept_frames(&mut self, term: u64, data: &[u8]) -> Option<(u64, bool)> {
-        if term < self.term {
-            return None;
-        }
-        self.term = term;
-        let replay = Wal::scan_bytes(data);
-        let mut start = 0usize;
-        let mut refused = false;
-        for (seq, record, end) in replay.records {
-            let bytes = &data[start..end];
-            start = end;
-            if seq <= self.applied {
-                continue; // idempotent resend after a lost ack
-            }
-            if seq != self.applied + 1 {
-                break; // gap: the sender must fall back to a snapshot
-            }
-            if !self.owns(&record) {
-                self.stats.borrow_mut().ownership_rejections += 1;
-                refused = true;
-                break;
-            }
-            if !apply_wal_record(&self.store, &record) {
-                break;
-            }
-            self.disk.append(WAL_FILE, bytes);
-            self.applied = seq;
-        }
-        if self.applied > self.acked && self.disk.sync(WAL_FILE).is_ok() {
-            self.acked = self.applied;
-        }
-        self.maybe_checkpoint();
-        Some((self.acked, refused))
-    }
-
-    /// Installs a full snapshot (log-gap resync or new-term reset),
-    /// replacing local state wholesale. `None` fences stale terms, refuses
-    /// foreign documents and undecodable payloads.
-    fn install_snapshot(&mut self, term: u64, data: &[u8]) -> Option<u64> {
-        if term < self.term {
-            return None;
-        }
-        let ck = Checkpoint::decode(data)?;
-        for (uri, _) in &ck.docs {
-            if !self.topology.replicable_at(self.shard, uri) {
-                self.stats.borrow_mut().ownership_rejections += 1;
-                return None;
-            }
-        }
-        let store = shared_store();
-        for (uri, xml) in &ck.docs {
-            let doc = xqib_dom::parse_document(xml).ok()?;
-            store.borrow_mut().add_document(doc, Some(uri));
-        }
-        let local = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: ck.seq,
-            docs: ck.docs,
-        };
-        if local.write(&self.disk).is_err() {
-            return None;
-        }
-        self.ckpt_gen += 1;
-        self.disk.truncate(WAL_FILE);
-        self.term = term;
-        self.store = store;
-        self.applied = local.seq;
-        self.acked = local.seq;
-        Some(self.acked)
-    }
-
-    /// Followers checkpoint independently once their copy of the log grows
-    /// past the threshold, truncating it just like the leader does.
-    fn maybe_checkpoint(&mut self) {
-        let threshold = self.cfg.checkpoint_threshold;
-        if threshold == 0 || self.disk.len(WAL_FILE) <= threshold {
-            return;
-        }
-        self.force_checkpoint();
-    }
-
-    /// Writes a fresh checkpoint from the replica's intact in-memory state
-    /// and truncates its WAL. Beyond the size-triggered housekeeping this
-    /// is the node-local *repair* path: a rotted WAL frame or checkpoint
-    /// slot is superseded wholesale by a new snapshot of memory, with no
-    /// window where acked state exists only on damaged media.
-    fn force_checkpoint(&mut self) -> bool {
-        let docs = {
-            let store = self.store.borrow();
-            store
-                .uri_bindings()
-                .into_iter()
-                .map(|(uri, id)| (uri, xqib_dom::serialize::serialize_document(store.doc(id))))
-                .collect()
-        };
-        let ck = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: self.applied,
-            docs,
-        };
-        if ck.write(&self.disk).is_ok() {
-            self.ckpt_gen += 1;
-            self.disk.truncate(WAL_FILE);
-            // the checkpoint write fsynced the slot: state is durable
-            self.acked = self.applied;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Recomputed content digest of one locally-held document.
-    fn digest_for(&self, uri: &str) -> Option<u64> {
-        self.serialize(uri).map(|xml| content_digest(uri, &xml))
-    }
-
-    /// Typed integrity verdicts for this replica's own disk image:
-    /// mid-prefix WAL damage plus any checkpoint-slot verdicts. A torn WAL
-    /// tail is *not* reported — it is the expected crash shape.
-    fn disk_damage(&self) -> (bool, Vec<IntegrityError>) {
-        let wal_rot = Wal::scan(&self.disk, WAL_FILE).mid_prefix_damage();
-        let (_, verdicts) = Checkpoint::read_latest_verified(&self.disk);
-        (wal_rot, verdicts)
-    }
-
-    /// Fault-injection hook: silently replaces a document in the replica's
-    /// *memory*, modelling the divergence a mis-apply or memory fault
-    /// would cause. Disk and shipped digests are untouched, so only a
-    /// digest cross-check can notice.
-    pub fn poison_document(&mut self, uri: &str) -> bool {
-        if self.store.borrow().doc_by_uri(uri).is_none() {
-            return false;
-        }
-        let Ok(doc) = xqib_dom::parse_document("<rotted/>") else {
-            return false;
-        };
-        self.store.borrow_mut().add_document(doc, Some(uri));
-        true
-    }
-
-    fn handle(node: &Rc<RefCell<Option<ReplicaNode>>>, req: &Request) -> Response {
-        let mut guard = node.borrow_mut();
-        let Some(n) = guard.as_mut() else {
-            return Response {
-                status: 503,
-                body: "<error>not a replica</error>".to_string(),
-                content_type: "application/xml".to_string(),
-            };
-        };
-        if req.query_param("probe").is_some() {
-            return Response::ok(format!(
-                "<state term=\"{}\" acked=\"{}\" applied=\"{}\"/>",
-                n.term, n.acked, n.applied
-            ));
-        }
-        let term = req
-            .query_param("term")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        let body = req.body.as_deref().unwrap_or("");
-        let acked = match body.split_at(usize::from(!body.is_empty())) {
-            ("F", hex) => n.accept_frames(term, &from_hex(hex)),
-            ("S", hex) => n.install_snapshot(term, &from_hex(hex)).map(|a| (a, false)),
-            _ => {
-                return Response {
-                    status: 400,
-                    body: "<error>bad replication payload</error>".to_string(),
-                    content_type: "application/xml".to_string(),
-                }
-            }
-        };
-        match acked {
-            Some((seq, false)) => Response::ok(format!("<ack seq=\"{seq}\"/>")),
-            // foreign document in the batch: a non-200 reply makes the
-            // leader count a failure (backoff, breaker) instead of
-            // hot-looping the identical shipment on every tick
-            Some((seq, true)) => Response {
-                status: 421,
-                body: format!("<nack reason=\"ownership\" seq=\"{seq}\"/>"),
-                content_type: "application/xml".to_string(),
-            },
-            None => Response {
-                status: 409,
-                body: format!("<nack term=\"{}\"/>", n.term),
-                content_type: "application/xml".to_string(),
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Cluster plumbing
 // ---------------------------------------------------------------------
 
@@ -936,7 +595,9 @@ struct Seat {
     host: String,
     disk: VirtualDisk,
     /// `Some` while this seat is a follower; `None` while it's the leader.
-    replica: Rc<RefCell<Option<ReplicaNode>>>,
+    replica: Option<ReplicaNode>,
+    /// The leader's link to this seat.
+    link: Link,
     /// Leader's knowledge of this follower's durable position — learned
     /// exclusively from ack replies, never by peeking.
     acked: u64,
@@ -954,6 +615,66 @@ struct Seat {
     health: SeatHealth,
 }
 
+impl Seat {
+    /// Sends one message to this seat's replica over its link: the reply,
+    /// if the replica ran, and the latency after which the leader hears it
+    /// (`None`: the reply was lost).
+    fn send(
+        &mut self,
+        term: u64,
+        msg: ReplMsg,
+        topology: &Topology,
+        now: u64,
+        latency_ms: u64,
+    ) -> Option<(ReplReply, Option<u64>)> {
+        let node = self.replica.as_mut()?;
+        self.link
+            .carry(now, latency_ms, || node.handle(term, msg, topology))
+    }
+
+    /// Forgets what the leader knew of this follower — nothing acked or
+    /// shipped, no backoff, the next send due at `now`. With `wipe` the
+    /// seat's files are deleted and it restarts as an empty replica of
+    /// shard `s`; `force_snapshot` makes the next shipment a term-stamped
+    /// snapshot.
+    fn restart(
+        &mut self,
+        s: usize,
+        cfg: &ClusterConfig,
+        now: u64,
+        wipe: bool,
+        force_snapshot: bool,
+    ) {
+        if wipe {
+            for f in self.disk.files() {
+                self.disk.delete(&f);
+            }
+            self.replica = Some(ReplicaNode::fresh(
+                s,
+                self.disk.clone(),
+                cfg.follower_durability,
+            ));
+        }
+        self.acked = 0;
+        self.shipped_top = 0;
+        self.attempt = 0;
+        self.force_snapshot = force_snapshot;
+        self.next_send_at = now;
+    }
+}
+
+/// The fault plan of the link to seat `slot` of shard `s`: the cluster's
+/// template (or a clean plan) reseeded per seat, so links fail
+/// independently.
+fn link_plan(cfg: &ClusterConfig, s: usize, slot: usize) -> FaultPlan {
+    let mut plan = cfg
+        .repl_fault
+        .clone()
+        .unwrap_or_else(|| FaultPlan::seeded(0));
+    plan.seed = mix64(cfg.seed ^ ((s as u64) << 32) ^ slot as u64);
+    plan
+}
+
 /// An update applied on the leader but not yet covered by the ack rule.
 struct PendingUpdate {
     id: u64,
@@ -961,6 +682,37 @@ struct PendingUpdate {
     arrival: u64,
     url: String,
     response: ServerResponse,
+}
+
+impl PendingUpdate {
+    /// The update's completion at `now`: the leader's response once acked,
+    /// a retryable 503 when it was lost in failover or timed out.
+    fn finish(self, shard: usize, now: u64, outcome: ClusterOutcome) -> ClusterCompletion {
+        let response = match outcome {
+            ClusterOutcome::LostInFailover => ServerResponse::new(
+                503,
+                "<error code=\"XQIB0016\">update lost in failover; retry</error>",
+            )
+            .with_header("Retry-After", "1"),
+            ClusterOutcome::AckTimeout => ServerResponse::new(
+                503,
+                "<error code=\"XQIB0017\">replication ack timeout; \
+                 update applied on the leader but not replicated</error>",
+            )
+            .with_header("Retry-After", "1"),
+            _ => self.response,
+        };
+        ClusterCompletion {
+            id: self.id,
+            shard,
+            class: Class::Update,
+            url: self.url,
+            arrival: self.arrival,
+            finished: now,
+            outcome,
+            response,
+        }
+    }
 }
 
 struct Shard {
@@ -978,6 +730,23 @@ struct Shard {
     draining: bool,
     /// Fully drained and shut down; refuses everything with 421.
     retired: bool,
+}
+
+impl Shard {
+    /// Follower seats: every seat but the leader's that holds a replica.
+    fn followers(&self) -> impl Iterator<Item = &Seat> {
+        let leader = self.leader_seat;
+        self.seats
+            .iter()
+            .enumerate()
+            .filter(move |(i, seat)| *i != leader && seat.replica.is_some())
+            .map(|(_, seat)| seat)
+    }
+
+    /// Followers whose durable position the leader knows covers `seq`.
+    fn acks_through(&self, seq: u64) -> usize {
+        self.followers().filter(|seat| seat.acked >= seq).count()
+    }
 }
 
 /// How a cluster request ended.
@@ -1030,9 +799,8 @@ pub struct Cluster {
     /// Seed of the currently installed ring; [`Cluster::rebalance`] folds
     /// a salt into it.
     ring_seed: u64,
-    net: VirtualNetwork,
     shards: Vec<Shard>,
-    stats: Rc<RefCell<ReplicationStats>>,
+    stats: ReplicationStats,
     istats: IntegrityStats,
     rstats: ReshardStats,
     /// Totals of the last fleet run reported to the cluster.
@@ -1049,20 +817,14 @@ pub struct Cluster {
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Cluster {
         let nshards = cfg.shards.max(1);
-        let topology = Topology::new(Router::new(nshards, cfg.seed));
-        let stats = Rc::new(RefCell::new(ReplicationStats::default()));
-        let mut net = VirtualNetwork::new();
-        let mut shards = Vec::with_capacity(nshards);
-        for s in 0..nshards {
-            shards.push(Cluster::spawn_shard(&cfg, &mut net, &topology, &stats, s));
-        }
         Cluster {
+            topology: Topology::new(Router::new(nshards, cfg.seed)),
             ring_seed: cfg.seed,
+            shards: (0..nshards)
+                .map(|s| Cluster::spawn_shard(&cfg, s))
+                .collect(),
             cfg,
-            topology,
-            net,
-            shards,
-            stats,
+            stats: ReplicationStats::default(),
             istats: IntegrityStats::default(),
             rstats: ReshardStats::default(),
             fleet: FleetStats::default(),
@@ -1076,19 +838,10 @@ impl Cluster {
         }
     }
 
-    /// Builds one shard's seats (leader + followers) and wires its hosts
-    /// into the network. Associated so [`Cluster::add_shard`] can call it
-    /// with disjoint field borrows.
-    fn spawn_shard(
-        cfg: &ClusterConfig,
-        net: &mut VirtualNetwork,
-        topology: &Topology,
-        stats: &Rc<RefCell<ReplicationStats>>,
-        s: usize,
-    ) -> Shard {
+    /// Builds one shard's seats: the leader at slot 0, then followers.
+    fn spawn_shard(cfg: &ClusterConfig, s: usize) -> Shard {
         let mut seats = Vec::with_capacity(cfg.followers + 1);
         for slot in 0..=cfg.followers {
-            let host = format!("s{s}r{slot}.xqib");
             let disk = match &cfg.disk_fault {
                 Some(plan) => {
                     let mut plan = plan.clone();
@@ -1097,31 +850,16 @@ impl Cluster {
                 }
                 None => VirtualDisk::new(),
             };
-            let replica: Rc<RefCell<Option<ReplicaNode>>> = Rc::new(RefCell::new(None));
-            if slot != 0 {
-                *replica.borrow_mut() = Some(ReplicaNode::fresh(
-                    s,
-                    disk.clone(),
-                    topology.clone(),
-                    stats.clone(),
-                    cfg.follower_durability,
-                ));
-                if let Some(plan) = &cfg.repl_fault {
-                    let mut plan = plan.clone();
-                    plan.seed = mix64(cfg.seed ^ ((s as u64) << 32) ^ slot as u64);
-                    net.set_fault_plan(&host, plan);
-                }
-            }
-            let handler_node = replica.clone();
-            net.register(
-                &format!("http://{host}/"),
-                cfg.link_latency_ms,
-                move |req| ReplicaNode::handle(&handler_node, req),
-            );
+            let follower = slot != 0;
             seats.push(Seat {
-                host,
+                host: format!("s{s}r{slot}.xqib"),
+                replica: follower
+                    .then(|| ReplicaNode::fresh(s, disk.clone(), cfg.follower_durability)),
+                link: match &cfg.repl_fault {
+                    Some(_) if follower => Link::with_plan(link_plan(cfg, s, slot)),
+                    _ => Link::default(),
+                },
                 disk,
-                replica,
                 acked: 0,
                 shipped_top: 0,
                 attempt: 0,
@@ -1157,7 +895,7 @@ impl Cluster {
 
     /// Current topology epoch; bumped by every ring install.
     pub fn epoch(&self) -> TopologyEpoch {
-        self.topology.epoch()
+        self.topology.epoch
     }
 
     /// Cumulative resharding counters.
@@ -1199,7 +937,7 @@ impl Cluster {
     }
 
     pub fn stats(&self) -> ReplicationStats {
-        self.stats.borrow().clone()
+        self.stats.clone()
     }
 
     /// Cluster-wide integrity counters; decay sweeps and rotted sectors
@@ -1232,11 +970,8 @@ impl Cluster {
             .as_ref()
             .map(|l| l.db.committed_seq())
             .unwrap_or(0);
-        sh.seats
-            .iter()
-            .enumerate()
-            .filter(|(i, seat)| *i != sh.leader_seat && seat.replica.borrow().is_some())
-            .map(|(_, seat)| committed.saturating_sub(seat.acked))
+        sh.followers()
+            .map(|seat| committed.saturating_sub(seat.acked))
             .collect()
     }
 
@@ -1259,7 +994,7 @@ impl Cluster {
         leader.db.load(uri, xml).ok()?;
         let _ = leader.db.commit();
         leader.invalidate_snapshots();
-        self.topology.note_home(uri, s);
+        self.topology.pin_home(uri, s);
         Some(s)
     }
 
@@ -1283,16 +1018,10 @@ impl Cluster {
     }
 
     /// Partitions one follower link for `[from, to)` virtual ms.
+    /// Replaces the link's fault plan, so its request index restarts.
     pub fn partition(&mut self, shard: usize, slot: usize, from: u64, to: u64) {
-        let host = self.shards[shard].seats[slot].host.clone();
-        let mut plan = self
-            .cfg
-            .repl_fault
-            .clone()
-            .unwrap_or_else(|| FaultPlan::seeded(0));
-        plan.seed = mix64(self.cfg.seed ^ ((shard as u64) << 32) ^ slot as u64);
-        plan.flaps.push((from, to));
-        self.net.set_fault_plan(&host, plan);
+        let plan = link_plan(&self.cfg, shard, slot).down_between(from, to);
+        self.shards[shard].seats[slot].link = Link::with_plan(plan);
     }
 
     // -----------------------------------------------------------------
@@ -1304,9 +1033,8 @@ impl Cluster {
     /// new ring claims. Returns the new shard's id.
     pub fn add_shard(&mut self, now: u64) -> usize {
         let s = self.shards.len();
-        let shard = Cluster::spawn_shard(&self.cfg, &mut self.net, &self.topology, &self.stats, s);
-        self.shards.push(shard);
-        let mut members = self.topology.members();
+        self.shards.push(Cluster::spawn_shard(&self.cfg, s));
+        let mut members = self.topology.router.members().to_vec();
         members.push(s);
         self.install_ring(&members, now);
         s
@@ -1325,8 +1053,10 @@ impl Cluster {
         }
         let members: Vec<usize> = self
             .topology
+            .router
             .members()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&m| m != s)
             .collect();
         if members.is_empty() {
@@ -1341,7 +1071,7 @@ impl Cluster {
     /// keys — relief for a hot shard without changing membership.
     pub fn rebalance(&mut self, salt: u64, now: u64) {
         self.ring_seed = mix64(self.ring_seed ^ 0x4eba ^ salt);
-        let members = self.topology.members();
+        let members = self.topology.router.members().to_vec();
         self.install_ring(&members, now);
     }
 
@@ -1374,7 +1104,7 @@ impl Cluster {
         while i < self.migrations.len() {
             let keep = {
                 let m = &self.migrations[i];
-                self.topology.ring_owner(&m.uri) == m.to
+                self.topology.router.owner(&m.uri) == m.to
             };
             if keep {
                 i += 1;
@@ -1383,11 +1113,11 @@ impl Cluster {
                 self.rstats.migrations_aborted += 1;
             }
         }
-        for (uri, home) in self.topology.homes() {
+        for (uri, home) in self.topology.homes.clone() {
             if self.shards[home].retired {
                 continue; // already moved; stale schedule entry
             }
-            let want = self.topology.ring_owner(&uri);
+            let want = self.topology.router.owner(&uri);
             if want == home || self.shards[want].retired {
                 continue;
             }
@@ -1429,7 +1159,7 @@ impl Cluster {
                         None => false,
                     };
                     if src_empty {
-                        let _ = self.topology.cutover(&uri, to);
+                        self.topology.cutover(&uri, to);
                         self.rstats.cutover_fences += 1;
                         self.rstats.migrations_completed += 1;
                         finished.push(mi);
@@ -1501,7 +1231,7 @@ impl Cluster {
         let copy_digest = content_digest(uri, &xml);
         // the destination is a legitimate resident from here on, so its
         // followers accept the shipped frames
-        self.topology.begin_copy(uri, to);
+        self.topology.add_resident(uri, to);
         {
             let leader = self.shards[to].leader.as_mut()?;
             leader.db.load(uri, &xml).ok()?;
@@ -1580,7 +1310,7 @@ impl Cluster {
             if !self.replica_durable(to) {
                 return CutoverStep::Wait;
             }
-            let _ = self.topology.cutover(uri, to);
+            self.topology.cutover(uri, to);
             self.rstats.docs_moved += 1;
             self.rstats.cutover_fences += 1;
             self.rstats.migrations_completed += 1;
@@ -1613,7 +1343,7 @@ impl Cluster {
         }
         // the fence: routing flips, the epoch bumps, and the source starts
         // refusing with 421 + the new epoch, atomically in this tick
-        let _ = self.topology.cutover(uri, to);
+        self.topology.cutover(uri, to);
         self.rstats.docs_moved += 1;
         self.rstats.cutover_fences += 1;
         self.rstats.migrations_completed += 1;
@@ -1629,15 +1359,8 @@ impl Cluster {
             return false;
         };
         let committed = leader.db.committed_seq();
-        let live: Vec<&Seat> = sh
-            .seats
-            .iter()
-            .enumerate()
-            .filter(|(i, seat)| *i != sh.leader_seat && seat.replica.borrow().is_some())
-            .map(|(_, seat)| seat)
-            .collect();
-        let need = self.cfg.ack_replicas.min(live.len());
-        live.iter().filter(|seat| seat.acked >= committed).count() >= need
+        let need = self.cfg.ack_replicas.min(sh.followers().count());
+        sh.acks_through(committed) >= need
     }
 
     /// Retires draining shards that no longer home any document and have
@@ -1648,7 +1371,7 @@ impl Cluster {
             if !self.shards[s].draining || self.shards[s].retired {
                 continue;
             }
-            if self.topology.homes().iter().any(|(_, h)| *h == s) {
+            if self.topology.homes.values().any(|&h| h == s) {
                 continue;
             }
             if self.migrations.iter().any(|m| m.from == s) {
@@ -1662,7 +1385,7 @@ impl Cluster {
             sh.leader = None;
             sh.leaderless_since = None;
             for seat in &mut sh.seats {
-                *seat.replica.borrow_mut() = None;
+                seat.replica = None;
             }
             self.rstats.drains += 1;
         }
@@ -1719,9 +1442,9 @@ impl Cluster {
         let uri = Self::routing_uri(url);
         let owner = self.topology.owner(&uri);
         if owner != shard || self.shards[shard].retired {
-            self.stats.borrow_mut().ownership_rejections += 1;
+            self.stats.ownership_rejections += 1;
             return done(
-                ServerResponse::misrouted(shard, &uri, owner, self.topology.epoch()),
+                ServerResponse::misrouted(shard, &uri, owner, self.topology.epoch),
                 ClusterOutcome::Misrouted,
                 now,
             );
@@ -1741,55 +1464,31 @@ impl Cluster {
 
     fn serve_update(&mut self, shard: usize, url: &str, id: u64, now: u64) -> Submitted {
         let need = self.cfg.ack_replicas.min(self.cfg.followers);
-        let sh = &mut self.shards[shard];
-        let Some(leader) = sh.leader.as_mut() else {
-            return Submitted::Done(Box::new(ClusterCompletion {
+        let done = |response: ServerResponse, outcome: ClusterOutcome| {
+            Submitted::Done(Box::new(ClusterCompletion {
                 id,
                 shard,
                 class: Class::Update,
                 url: url.to_string(),
                 arrival: now,
                 finished: now,
-                outcome: ClusterOutcome::NoLeader,
-                response: no_leader_response(),
-            }));
+                outcome,
+                response,
+            }))
+        };
+        let sh = &mut self.shards[shard];
+        let Some(leader) = sh.leader.as_mut() else {
+            return done(no_leader_response(), ClusterOutcome::NoLeader);
         };
         let response = leader.handle(url);
         if response.status != 200 {
-            return Submitted::Done(Box::new(ClusterCompletion {
-                id,
-                shard,
-                class: Class::Update,
-                url: url.to_string(),
-                arrival: now,
-                finished: now,
-                outcome: ClusterOutcome::Served,
-                response,
-            }));
+            return done(response, ClusterOutcome::Served);
         }
         let seq = leader.db.appended_seq();
         let _ = leader.db.commit();
         let committed = leader.db.committed_seq();
-        let leader_seat = sh.leader_seat;
-        let acks = sh
-            .seats
-            .iter()
-            .enumerate()
-            .filter(|(i, seat)| {
-                *i != leader_seat && seat.replica.borrow().is_some() && seat.acked >= seq
-            })
-            .count();
-        if committed >= seq && acks >= need {
-            return Submitted::Done(Box::new(ClusterCompletion {
-                id,
-                shard,
-                class: Class::Update,
-                url: url.to_string(),
-                arrival: now,
-                finished: now,
-                outcome: ClusterOutcome::AckedUpdate,
-                response,
-            }));
+        if committed >= seq && sh.acks_through(seq) >= need {
+            return done(response, ClusterOutcome::AckedUpdate);
         }
         sh.pending.push_back(PendingUpdate {
             id,
@@ -1876,15 +1575,16 @@ impl Cluster {
             if !usable {
                 continue;
             }
-            let guard = seat.replica.borrow();
-            let Some(node) = guard.as_ref() else {
+            let Some(node) = seat.replica.as_ref() else {
                 continue;
             };
-            let lag = committed.unwrap_or(node.applied).saturating_sub(seat.acked);
+            let lag = committed
+                .unwrap_or(node.applied())
+                .saturating_sub(seat.acked);
             if !any_lag && lag > self.cfg.max_read_lag {
                 continue;
             }
-            candidates.push((i, lag, node.applied));
+            candidates.push((i, lag, node.applied()));
         }
         if candidates.is_empty() {
             return None;
@@ -1902,8 +1602,7 @@ impl Cluster {
         let (body, host, want) = {
             let sh = &self.shards[shard];
             let seat = &sh.seats[seat_idx];
-            let guard = seat.replica.borrow();
-            let body = guard.as_ref()?.serialize(uri)?;
+            let body = seat.replica.as_ref()?.serialize(uri)?;
             let want = sh.leader.as_ref().and_then(|l| l.db.digest_of(uri));
             (body, seat.host.clone(), want)
         };
@@ -1922,7 +1621,7 @@ impl Cluster {
                 self.istats.reads_verified += 1;
             }
         }
-        self.stats.borrow_mut().follower_reads += 1;
+        self.stats.follower_reads += 1;
         Some(
             ServerResponse::new(200, body)
                 .with_header("X-XQIB-Replica", &host)
@@ -1936,27 +1635,11 @@ impl Cluster {
     /// resync path). The seat re-enters the read pool only after the
     /// scrubber sees it caught up with matching digests.
     fn quarantine_and_resync(&mut self, s: usize, i: usize, now: u64) {
-        let topology = self.topology.clone();
-        let stats = self.stats.clone();
-        let follower_cfg = self.cfg.follower_durability;
-        let until = now + self.cfg.quarantine_ms;
         let seat = &mut self.shards[s].seats[i];
-        for f in seat.disk.files() {
-            seat.disk.delete(&f);
-        }
-        *seat.replica.borrow_mut() = Some(ReplicaNode::fresh(
-            s,
-            seat.disk.clone(),
-            topology,
-            stats,
-            follower_cfg,
-        ));
-        seat.acked = 0;
-        seat.shipped_top = 0;
-        seat.attempt = 0;
-        seat.force_snapshot = true;
-        seat.next_send_at = now;
-        seat.health = SeatHealth::Quarantined { until };
+        seat.restart(s, &self.cfg, now, true, true);
+        seat.health = SeatHealth::Quarantined {
+            until: now + self.cfg.quarantine_ms,
+        };
         self.istats.quarantines += 1;
         self.istats.repairs_started += 1;
     }
@@ -1982,32 +1665,9 @@ impl Cluster {
             .as_ref()
             .map(|l| (l.db.wal_integrity(), l.db.checkpoint_integrity()));
         if let Some((wal, ckpts)) = leader_probe {
-            let mut slot_damage = false;
-            for v in &ckpts {
-                match v {
-                    IntegrityError::CheckpointSlotCorrupt { .. } => {
-                        self.istats.scrub_ckpt_corruptions += 1;
-                        slot_damage = true;
-                    }
-                    IntegrityError::AllCheckpointSlotsCorrupt => {
-                        self.istats.scrub_ckpt_lost += 1;
-                        slot_damage = true;
-                    }
-                    _ => {}
-                }
-            }
             let mid_prefix = matches!(wal, Some(IntegrityError::WalCorruption { .. }));
-            if mid_prefix {
-                self.istats.scrub_wal_corruptions += 1;
-            }
-            let has_followers = {
-                let sh = &self.shards[s];
-                sh.seats
-                    .iter()
-                    .enumerate()
-                    .any(|(i, seat)| i != sh.leader_seat && seat.replica.borrow().is_some())
-            };
-            if mid_prefix && has_followers {
+            let damaged = self.istats.count_disk_damage(mid_prefix, &ckpts);
+            if mid_prefix && self.shards[s].followers().next().is_some() {
                 // The durable log under an otherwise-live leader is rotten.
                 // Demote it and let the ordinary election promote a replica
                 // whose bytes still verify, rather than ever serving or
@@ -2022,38 +1682,29 @@ impl Cluster {
                 // caught-up peer, with nothing lost. Backdating
                 // `leaderless_since` makes the failover detector fire
                 // immediately.
-                let detect = self.cfg.failover_detect_ms;
-                let topology = self.topology.clone();
-                let stats = self.stats.clone();
-                let follower_cfg = self.cfg.follower_durability;
                 let sh = &mut self.shards[s];
                 if let Some(mut leader) = sh.leader.take() {
                     let committed = leader.db.committed_seq();
                     let _ = leader.db.checkpoint();
-                    let seat = sh.leader_seat;
-                    let disk = sh.seats[seat].disk.clone();
-                    let (ck, _) = Checkpoint::read_latest_verified(&disk);
-                    *sh.seats[seat].replica.borrow_mut() = Some(ReplicaNode {
-                        shard: s,
-                        term: sh.term,
-                        store: leader.db.store.clone(),
-                        disk,
-                        cfg: follower_cfg,
-                        topology,
-                        stats,
-                        ckpt_gen: ck.map(|c| c.gen).unwrap_or(0),
-                        applied: committed,
-                        acked: committed,
-                    });
-                    sh.seats[seat].health = SeatHealth::Healthy;
+                    let seat = &mut sh.seats[sh.leader_seat];
+                    seat.replica = Some(ReplicaNode::demoted(
+                        s,
+                        sh.term,
+                        leader.db.store.clone(),
+                        seat.disk.clone(),
+                        self.cfg.follower_durability,
+                        committed,
+                    ));
+                    seat.restart(s, &self.cfg, now, false, false);
+                    seat.health = SeatHealth::Healthy;
                 }
-                sh.leaderless_since = Some(now.saturating_sub(detect));
+                sh.leaderless_since = Some(now.saturating_sub(self.cfg.failover_detect_ms));
                 sh.next_probe_at = now;
                 sh.probed = vec![None; sh.seats.len()];
                 self.istats.leader_demotions += 1;
                 return; // follower scrubbing resumes once a leader exists
             }
-            if mid_prefix || slot_damage {
+            if damaged {
                 // No quorum to hand off to (or only slot damage): rewrite
                 // durable state from intact memory — checkpoint + truncate
                 // supersede the damaged bytes.
@@ -2073,40 +1724,25 @@ impl Cluster {
             if i == leader_seat {
                 continue;
             }
+            let seat = &mut self.shards[s].seats[i];
             // lifecycle: a quarantine cool-off elapses into probation
-            if let SeatHealth::Quarantined { until } = self.shards[s].seats[i].health {
+            if let SeatHealth::Quarantined { until } = seat.health {
                 if now >= until {
-                    self.shards[s].seats[i].health = SeatHealth::Probation;
+                    seat.health = SeatHealth::Probation;
                 }
             }
-            let rep = self.shards[s].seats[i].replica.clone();
-            let mut guard = rep.borrow_mut();
-            let Some(node) = guard.as_mut() else {
+            let Some(node) = seat.replica.as_mut() else {
                 continue;
             };
             // own-disk probe: typed damage self-heals from intact memory
             // (every applied frame was CRC-checked on arrival), so a fresh
             // checkpoint supersedes the rot without losing acked state
             let (wal_rot, verdicts) = node.disk_damage();
-            if wal_rot {
-                self.istats.scrub_wal_corruptions += 1;
-            }
-            for v in &verdicts {
-                match v {
-                    IntegrityError::CheckpointSlotCorrupt { .. } => {
-                        self.istats.scrub_ckpt_corruptions += 1;
-                    }
-                    IntegrityError::AllCheckpointSlotsCorrupt => {
-                        self.istats.scrub_ckpt_lost += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if wal_rot || !verdicts.is_empty() {
+            if self.istats.count_disk_damage(wal_rot, &verdicts) {
                 node.force_checkpoint();
                 self.istats.repairs_started += 1;
-                if self.shards[s].seats[i].health == SeatHealth::Healthy {
-                    self.shards[s].seats[i].health = SeatHealth::Quarantined {
+                if seat.health == SeatHealth::Healthy {
+                    seat.health = SeatHealth::Quarantined {
                         until: now + self.cfg.quarantine_ms,
                     };
                     self.istats.quarantines += 1;
@@ -2115,7 +1751,7 @@ impl Cluster {
             // digest cross-check: only meaningful when the replica claims
             // to hold the leader's whole committed log — a lagged replica
             // is old, not wrong
-            let caught_up = node.applied >= committed;
+            let caught_up = node.applied() >= committed;
             let mut diverged = false;
             if caught_up {
                 for (uri, want) in &digests {
@@ -2126,7 +1762,6 @@ impl Cluster {
                     }
                 }
             }
-            drop(guard);
             if diverged {
                 // divergence means this replica's *memory* can no longer be
                 // trusted: wipe and resync from a leader snapshot
@@ -2134,11 +1769,8 @@ impl Cluster {
                 continue;
             }
             // probation → healthy only once caught up with clean digests
-            if self.shards[s].seats[i].health == SeatHealth::Probation
-                && caught_up
-                && self.shards[s].seats[i].acked >= committed
-            {
-                self.shards[s].seats[i].health = SeatHealth::Healthy;
+            if seat.health == SeatHealth::Probation && caught_up && seat.acked >= committed {
+                seat.health = SeatHealth::Healthy;
                 self.istats.repairs_verified += 1;
             }
         }
@@ -2227,12 +1859,7 @@ impl Cluster {
                 return false;
             };
             let committed = leader.db.committed_seq();
-            sh.pending.is_empty()
-                && sh.seats.iter().enumerate().all(|(i, seat)| {
-                    i == sh.leader_seat
-                        || seat.replica.borrow().is_none()
-                        || seat.acked >= committed
-                })
+            sh.pending.is_empty() && sh.followers().all(|seat| seat.acked >= committed)
         })
     }
 
@@ -2250,7 +1877,7 @@ impl Cluster {
             .seats
             .iter()
             .enumerate()
-            .filter(|(_, seat)| seat.replica.borrow().is_some())
+            .filter(|(_, seat)| seat.replica.is_some())
             .map(|(i, _)| i)
             .collect();
         if follower_seats.is_empty() {
@@ -2265,25 +1892,24 @@ impl Cluster {
         }
         // probe round: every follower we have not heard from yet
         if now >= self.shards[s].next_probe_at {
+            let sh = &mut self.shards[s];
             for &i in &follower_seats {
-                if self.shards[s].probed[i].is_some() {
+                if sh.probed[i].is_some() {
                     continue;
                 }
-                let host = self.shards[s].seats[i].host.clone();
-                self.stats.borrow_mut().probes += 1;
-                let req = Request::get(&format!("http://{host}/replicate?probe=1"));
-                if let NetOutcome::Reply { resp, .. } = self.net.fetch_at(&req, now) {
-                    if resp.status == 200 {
-                        if let (Some(term), Some(acked)) = (
-                            parse_attr(&resp.body, "term"),
-                            parse_attr(&resp.body, "acked"),
-                        ) {
-                            self.shards[s].probed[i] = Some((term, acked));
-                        }
-                    }
+                self.stats.probes += 1;
+                let reply = sh.seats[i].send(
+                    sh.term,
+                    ReplMsg::Probe,
+                    &self.topology,
+                    now,
+                    self.cfg.link_latency_ms,
+                );
+                if let Some((ReplReply::State { term, acked }, Some(_))) = reply {
+                    sh.probed[i] = Some((term, acked));
                 }
             }
-            self.shards[s].next_probe_at = now + probe_retry;
+            sh.next_probe_at = now + probe_retry;
         }
         // Quorum: any K − ack_replicas + 1 followers must include one that
         // holds every acked update (pigeonhole against the ack rule).
@@ -2314,14 +1940,10 @@ impl Cluster {
         // as new as its disk (`applied >= acked`), so unconditionally
         // checkpoint from memory — truncating whatever the log carried —
         // before handing the disk to recovery.
-        {
-            let rep = self.shards[s].seats[win].replica.clone();
-            let mut guard = rep.borrow_mut();
-            if let Some(node) = guard.as_mut() {
-                let (wal_rot, verdicts) = node.disk_damage();
-                if node.force_checkpoint() && (wal_rot || !verdicts.is_empty()) {
-                    self.istats.promote_heals += 1;
-                }
+        if let Some(node) = self.shards[s].seats[win].replica.as_mut() {
+            let (wal_rot, verdicts) = node.disk_damage();
+            if node.force_checkpoint() && (wal_rot || !verdicts.is_empty()) {
+                self.istats.promote_heals += 1;
             }
         }
         let disk = self.shards[s].seats[win].disk.clone();
@@ -2349,31 +1971,13 @@ impl Cluster {
         out: &mut Vec<ClusterCompletion>,
     ) {
         let committed = server.db.committed_seq();
-        let follower_cfg = self.cfg.follower_durability;
-        let topology = self.topology.clone();
-        let stats = self.stats.clone();
         let sh = &mut self.shards[s];
         let old = sh.leader_seat;
         if old != win {
             // the crashed leader's seat rejoins as an empty follower and
             // resyncs over the wire like any straggler
-            let oseat = &mut sh.seats[old];
-            for f in oseat.disk.files() {
-                oseat.disk.delete(&f);
-            }
-            *oseat.replica.borrow_mut() = Some(ReplicaNode::fresh(
-                s,
-                oseat.disk.clone(),
-                topology,
-                stats,
-                follower_cfg,
-            ));
-            oseat.acked = 0;
-            oseat.shipped_top = 0;
-            oseat.attempt = 0;
-            oseat.force_snapshot = false;
-            oseat.next_send_at = now;
-            *sh.seats[win].replica.borrow_mut() = None;
+            sh.seats[old].restart(s, &self.cfg, now, true, false);
+            sh.seats[win].replica = None;
         }
         sh.leader_seat = win;
         sh.leader = Some(server);
@@ -2381,40 +1985,20 @@ impl Cluster {
         sh.leaderless_since = None;
         sh.probed = vec![None; sh.seats.len()];
         for (i, seat) in sh.seats.iter_mut().enumerate() {
-            if i == win || i == old || seat.replica.borrow().is_none() {
+            if i == win || i == old || seat.replica.is_none() {
                 continue;
             }
             // new term asserts the new leader's log: snapshot reset wipes
             // any divergent un-acked suffix and fences the old term
-            seat.force_snapshot = true;
-            seat.acked = 0;
-            seat.shipped_top = 0;
-            seat.attempt = 0;
-            seat.next_send_at = now;
+            seat.restart(s, &self.cfg, now, false, true);
         }
-        {
-            let mut st = self.stats.borrow_mut();
-            st.failovers += 1;
-            st.blackout_ms += now.saturating_sub(since);
-        }
+        self.stats.failovers += 1;
+        self.stats.blackout_ms += now.saturating_sub(since);
         // pending updates beyond the new leader's log are gone for good
         let mut keep = VecDeque::new();
         while let Some(p) = self.shards[s].pending.pop_front() {
             if p.seq > committed {
-                out.push(ClusterCompletion {
-                    id: p.id,
-                    shard: s,
-                    class: Class::Update,
-                    url: p.url,
-                    arrival: p.arrival,
-                    finished: now,
-                    outcome: ClusterOutcome::LostInFailover,
-                    response: ServerResponse::new(
-                        503,
-                        "<error code=\"XQIB0016\">update lost in failover; retry</error>",
-                    )
-                    .with_header("Retry-After", "1"),
-                });
+                out.push(p.finish(s, now, ClusterOutcome::LostInFailover));
             } else {
                 keep.push_back(p);
             }
@@ -2425,170 +2009,127 @@ impl Cluster {
     /// Ships committed WAL frames (or snapshots) to every follower link
     /// whose send timer is due, with breaker + backoff on failures.
     fn pump(&mut self, s: usize, now: u64) {
-        let nseats = self.shards[s].seats.len();
-        for i in 0..nseats {
-            if self.shards[s].leader.is_none() || i == self.shards[s].leader_seat {
+        let Cluster {
+            cfg,
+            topology,
+            shards,
+            stats,
+            send_seq,
+            ..
+        } = self;
+        let sh = &mut shards[s];
+        let Some(leader) = sh.leader.as_mut() else {
+            return;
+        };
+        for (i, seat) in sh.seats.iter_mut().enumerate() {
+            if i == sh.leader_seat || seat.replica.is_none() || now < seat.next_send_at {
                 continue;
             }
-            if self.shards[s].seats[i].replica.borrow().is_none() {
+            if !seat.breaker.allow(now, &mut seat.rstats) {
+                seat.next_send_at = now + cfg.probe_retry_ms.max(1);
                 continue;
             }
-            // phase 1: decide what to ship (leader + seat borrows only)
-            let (payload, host, term, frame_meta, was_snapshot) = {
-                let cfg = &self.cfg;
-                let sh = &mut self.shards[s];
-                let seat = &mut sh.seats[i];
-                if now < seat.next_send_at {
-                    continue;
+            let backoff_id = mix64(((s as u64) << 8) | i as u64);
+            let mut snapshot = seat.force_snapshot;
+            let mut frames = Vec::new();
+            if !snapshot {
+                match leader.db.committed_frames_after(seat.acked) {
+                    Some(f) if f.is_empty() => continue, // caught up
+                    Some(f) => frames = f,
+                    None => snapshot = true, // log gap: checkpointed past
                 }
-                if !seat.breaker.allow(now, &mut seat.rstats) {
-                    seat.next_send_at = now + cfg.probe_retry_ms.max(1);
-                    continue;
-                }
-                let Some(leader) = sh.leader.as_mut() else {
-                    continue;
-                };
-                let mut snapshot = seat.force_snapshot;
-                let mut frames = Vec::new();
-                if !snapshot {
-                    match leader.db.committed_frames_after(seat.acked) {
-                        Some(f) if f.is_empty() => continue, // caught up
-                        Some(f) => frames = f,
-                        None => snapshot = true, // log gap: checkpointed past
+            }
+            // the payload, and each frame's `(seq, end offset)` in it
+            let (mut data, ends) = if snapshot {
+                match leader.db.replication_snapshot() {
+                    Some(ck) => (ck.encode(), Vec::new()),
+                    None => {
+                        seat.attempt += 1;
+                        seat.next_send_at = now + cfg.retry.backoff_delay(seat.attempt, backoff_id);
+                        continue;
                     }
                 }
-                if snapshot {
-                    match leader.db.replication_snapshot() {
-                        Some(ck) => (
-                            format!("S{}", to_hex(&ck.encode())),
-                            seat.host.clone(),
-                            sh.term,
-                            Vec::new(),
-                            true,
-                        ),
-                        None => {
-                            seat.attempt += 1;
-                            seat.next_send_at = now
-                                + cfg.retry.backoff_delay(
-                                    seat.attempt,
-                                    mix64(((s as u64) << 8) | i as u64),
-                                );
-                            continue;
-                        }
-                    }
-                } else {
-                    frames.truncate(cfg.max_batch_frames.max(1));
-                    let mut bytes = Vec::new();
-                    let mut meta: Vec<(u64, usize)> = Vec::with_capacity(frames.len());
-                    for f in &frames {
-                        bytes.extend_from_slice(&f.bytes);
-                        meta.push((f.seq, bytes.len()));
-                    }
-                    (
-                        format!("F{}", to_hex(&bytes)),
-                        seat.host.clone(),
-                        sh.term,
-                        meta,
-                        false,
-                    )
-                }
-            };
-            // deterministic in-flight truncation (torn shipments)
-            let draw = mix64(self.cfg.seed ^ 0x5eed ^ self.send_seq);
-            self.send_seq += 1;
-            let body = if self.cfg.ship_truncate_permille > 0
-                && draw % 1000 < u64::from(self.cfg.ship_truncate_permille)
-            {
-                let cut = 1 + (mix64(draw) as usize) % payload.len().max(2);
-                payload[..cut.min(payload.len())].to_string()
             } else {
-                payload
+                frames.truncate(cfg.max_batch_frames.max(1));
+                let mut bytes = Vec::new();
+                let mut ends = Vec::with_capacity(frames.len());
+                for f in &frames {
+                    bytes.extend_from_slice(&f.bytes);
+                    ends.push((f.seq, bytes.len()));
+                }
+                (bytes, ends)
             };
-            // frames whose bytes fully survived the in-flight cut (one tag
-            // char, then two hex chars per byte) are the ones on the wire
-            let delivered = body.len().saturating_sub(1) / 2;
-            let sent: Vec<u64> = frame_meta
+            // Deterministic in-flight truncation (torn shipments). The cut
+            // reuses the draw of the former text transport, which sent one
+            // tag character plus two hex digits per byte: of its `2n + 1`
+            // cut points, `c` delivered `c / 2` whole bytes. Keeping that
+            // arithmetic keeps every seeded trajectory.
+            let draw = mix64(cfg.seed ^ 0x5eed ^ *send_seq);
+            *send_seq += 1;
+            if cfg.ship_truncate_permille > 0 && draw % 1000 < u64::from(cfg.ship_truncate_permille)
+            {
+                let cut = mix64(draw) % (2 * data.len() as u64 + 1) / 2;
+                data.truncate(cut as usize);
+            }
+            // frames whose bytes fully survived the cut are on the wire
+            let sent: Vec<u64> = ends
                 .iter()
-                .take_while(|&&(_, end)| end <= delivered)
+                .take_while(|&&(_, end)| end <= data.len())
                 .map(|&(seq, _)| seq)
                 .collect();
-            {
-                let shipped_top = self.shards[s].seats[i].shipped_top;
-                let mut st = self.stats.borrow_mut();
-                if was_snapshot {
-                    st.snapshots_shipped += 1;
-                } else {
-                    st.frames_shipped += sent.len() as u64;
-                    st.frames_retried += sent.iter().filter(|&&q| q <= shipped_top).count() as u64;
-                }
+            if snapshot {
+                stats.snapshots_shipped += 1;
+            } else {
+                stats.frames_shipped += sent.len() as u64;
+                stats.frames_retried +=
+                    sent.iter().filter(|&&q| q <= seat.shipped_top).count() as u64;
             }
-            // phase 2: the network call (handler may borrow replica/stats)
-            let req = Request::post(
-                &format!("http://{host}/replicate?shard={s}&term={term}"),
-                &body,
-            );
-            let outcome = self.net.fetch_at(&req, now);
-            // phase 3: apply the outcome to the link
-            let cfg = &self.cfg;
-            let seat = &mut self.shards[s].seats[i];
+            let msg = if snapshot {
+                ReplMsg::Snapshot(data)
+            } else {
+                ReplMsg::Frames(data)
+            };
+            let reply = seat.send(sh.term, msg, topology, now, cfg.link_latency_ms);
             if let Some(&top) = sent.last() {
                 seat.shipped_top = seat.shipped_top.max(top);
             }
-            let mut refused_seq = None;
-            let acked = match outcome {
-                NetOutcome::Reply { resp, latency_ms } if resp.status == 200 => {
-                    parse_attr(&resp.body, "seq").map(|a| (a, latency_ms))
+            // a refusal counts where the replica made it, heard or not
+            if reply.is_some_and(|(r, _)| r.refuses_ownership()) {
+                stats.ownership_rejections += 1;
+            }
+            let mut learn_acked = |seat: &mut Seat, ack: u64| {
+                if ack > seat.acked {
+                    stats.frames_acked += ack - seat.acked;
+                    seat.acked = ack;
                 }
-                NetOutcome::Reply { resp, .. } => {
-                    refused_seq = parse_attr(&resp.body, "seq");
-                    None
-                }
-                _ => None,
             };
-            match acked {
-                Some((ack, latency_ms)) => {
+            match reply {
+                Some((ReplReply::Ack(ack), Some(latency_ms))) => {
                     seat.breaker.on_success(&mut seat.rstats);
                     seat.attempt = 0;
-                    if was_snapshot {
+                    if snapshot {
                         seat.force_snapshot = false;
                         // log reset: frames beyond the snapshot are fresh
                         seat.shipped_top = ack;
                     }
-                    if ack > seat.acked {
-                        self.stats.borrow_mut().frames_acked += ack - seat.acked;
-                        seat.acked = ack;
-                    }
+                    learn_acked(seat, ack);
                     // an ack below the shipped top (torn shipment) leaves
                     // committed frames unshipped: the next tick resends
                     seat.next_send_at = now + latency_ms.max(1);
                 }
-                None => {
+                _ => {
                     // an ownership refusal still reports the follower's
                     // durable position for the frames before the break
-                    if let Some(a) = refused_seq {
-                        if a > seat.acked {
-                            self.stats.borrow_mut().frames_acked += a - seat.acked;
-                            seat.acked = a;
-                        }
+                    if let Some((ReplReply::OwnershipRefused { acked }, Some(_))) = reply {
+                        learn_acked(seat, acked);
                     }
                     seat.breaker.on_failure(now, &mut seat.rstats);
                     seat.attempt += 1;
-                    seat.next_send_at = now
-                        + cfg
-                            .retry
-                            .backoff_delay(seat.attempt, mix64(((s as u64) << 8) | i as u64));
+                    seat.next_send_at = now + cfg.retry.backoff_delay(seat.attempt, backoff_id);
                 }
             }
-            let committed = self.shards[s]
-                .leader
-                .as_ref()
-                .map(|l| l.db.committed_seq())
-                .unwrap_or(0);
-            let lag = committed.saturating_sub(self.shards[s].seats[i].acked);
-            let mut st = self.stats.borrow_mut();
-            if lag > st.max_replica_lag {
-                st.max_replica_lag = lag;
-            }
+            let lag = leader.db.committed_seq().saturating_sub(seat.acked);
+            stats.max_replica_lag = stats.max_replica_lag.max(lag);
         }
     }
 
@@ -2599,45 +2140,13 @@ impl Cluster {
         let timeout = self.cfg.ack_timeout_ms;
         let sh = &mut self.shards[s];
         let committed = sh.leader.as_ref().map(|l| l.db.committed_seq());
-        let leader_seat = sh.leader_seat;
         let mut keep = VecDeque::new();
         while let Some(p) = sh.pending.pop_front() {
-            let acks = sh
-                .seats
-                .iter()
-                .enumerate()
-                .filter(|(i, seat)| {
-                    *i != leader_seat && seat.replica.borrow().is_some() && seat.acked >= p.seq
-                })
-                .count();
-            let satisfied = committed.is_some_and(|c| c >= p.seq) && acks >= need;
+            let satisfied = committed.is_some_and(|c| c >= p.seq) && sh.acks_through(p.seq) >= need;
             if satisfied {
-                out.push(ClusterCompletion {
-                    id: p.id,
-                    shard: s,
-                    class: Class::Update,
-                    url: p.url,
-                    arrival: p.arrival,
-                    finished: now,
-                    outcome: ClusterOutcome::AckedUpdate,
-                    response: p.response,
-                });
+                out.push(p.finish(s, now, ClusterOutcome::AckedUpdate));
             } else if now.saturating_sub(p.arrival) >= timeout {
-                out.push(ClusterCompletion {
-                    id: p.id,
-                    shard: s,
-                    class: Class::Update,
-                    url: p.url,
-                    arrival: p.arrival,
-                    finished: now,
-                    outcome: ClusterOutcome::AckTimeout,
-                    response: ServerResponse::new(
-                        503,
-                        "<error code=\"XQIB0017\">replication ack timeout; \
-                         update applied on the leader but not replicated</error>",
-                    )
-                    .with_header("Retry-After", "1"),
-                });
+                out.push(p.finish(s, now, ClusterOutcome::AckTimeout));
             } else {
                 keep.push_back(p);
             }
@@ -2701,6 +2210,8 @@ fn first_doc_literal(xq: &str) -> Option<String> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use xqib_browser::Fault;
+    use xqib_storage::WAL_FILE;
 
     fn doc_url(uri: &str) -> String {
         format!("/doc?uri={uri}")
@@ -2765,8 +2276,8 @@ mod tests {
         assert!(done.finished > done.arrival, "ack must cost round trips");
         // the follower replica holds the marker via shipped WAL frames
         let sh0 = &c.shards[0];
-        let follower = sh0.seats[1].replica.borrow();
-        let xml = follower.as_ref().unwrap().serialize("d0.xml").unwrap();
+        let follower = sh0.seats[1].replica.as_ref().unwrap();
+        let xml = follower.serialize("d0.xml").unwrap();
         assert!(xml.contains("k1"), "follower missing the update: {xml}");
         let stats = c.stats();
         assert!(stats.frames_shipped > 0);
@@ -2999,53 +2510,87 @@ mod tests {
         assert_eq!(ok.response.status, 200);
     }
 
+    /// A one-shard, one-follower cluster holding `uri`, whose follower
+    /// link meets `fault` on its next message.
+    fn faulted_link(uri: &str, fault: Option<Fault>) -> Cluster {
+        let mut c = Cluster::new(ClusterConfig {
+            seed: 42,
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        // loaded straight into the leader: a URI the ring gives another
+        // shard stays foreign to this shard's follower
+        let leader = c.shards[0].leader.as_mut().unwrap();
+        leader.db.load(uri, "<root/>").unwrap();
+        leader.db.commit().unwrap();
+        let mut plan = FaultPlan::seeded(0);
+        plan.scripted.push(fault);
+        c.shards[0].seats[1].link = Link::with_plan(plan);
+        c
+    }
+
+    /// Every fault kind, one shipment each: whether the replica applied
+    /// the frames, and what the leader learned from the reply.
     #[test]
-    fn followers_refuse_shipped_frames_for_foreign_documents() {
-        // Craft a follower for shard 0 and feed it frames that belong to a
-        // different shard: it must refuse and not advance its ack.
-        let topology = Topology::new(Router::new(4, 9));
-        let stats = Rc::new(RefCell::new(ReplicationStats::default()));
-        let mut foreign = None;
-        for i in 0..64 {
-            let uri = format!("x{i}.xml");
-            if topology.ring_owner(&uri) != 0 {
-                foreign = Some(uri);
-                break;
+    fn each_link_fault_decides_whether_the_replica_runs_and_the_leader_hears() {
+        let table = [
+            (None, true, true),
+            (Some(Fault::Timeout), false, false),
+            (Some(Fault::Error(503)), false, false),
+            (Some(Fault::ReplyLost), true, false),
+            (Some(Fault::Truncate), true, false),
+        ];
+        for (fault, runs, heard) in table {
+            let mut c = faulted_link("d0.xml", fault);
+            let _ = c.advance(0);
+            let seat = &c.shards[0].seats[1];
+            let applied = seat.replica.as_ref().unwrap().applied();
+            assert_eq!(applied > 0, runs, "{fault:?}: replica ran");
+            assert_eq!(seat.acked, if heard { applied } else { 0 }, "{fault:?}");
+            if heard {
+                assert_eq!(seat.next_send_at, c.cfg.link_latency_ms);
             }
+            assert_eq!(seat.attempt, u32::from(!heard), "{fault:?}: backoff");
+            let stats = c.stats();
+            assert_eq!(stats.frames_shipped, 2, "load + digest frames");
+            assert_eq!(stats.frames_acked, seat.acked, "{fault:?}");
+            assert_eq!(stats.ownership_rejections, 0);
         }
-        let foreign = foreign.expect("some uri must hash off shard 0");
-        let mut node = ReplicaNode::fresh(
-            0,
-            VirtualDisk::new(),
-            topology,
-            stats.clone(),
-            DurabilityConfig::default(),
-        );
-        // build a real frame stream via a scratch durable db
-        let scratch = VirtualDisk::new();
-        let mut db = XmlDb::durable(scratch.clone(), DurabilityConfig::default());
-        db.load(&foreign, "<root/>").unwrap();
-        db.commit().unwrap();
-        let data = scratch.read(WAL_FILE).unwrap();
-        let (acked, refused) = node.accept_frames(1, &data).unwrap();
-        assert_eq!(acked, 0, "foreign document must not be acked");
-        assert!(refused, "ownership break must be reported");
-        assert_eq!(node.applied(), 0);
-        assert_eq!(stats.borrow().ownership_rejections, 1);
-        assert!(node.serialize(&foreign).is_none());
-        // over the wire the refusal is a non-200 reply, so a leader with a
-        // broken router backs off instead of hot-looping the same batch
-        let node = Rc::new(RefCell::new(Some(node)));
-        let req = Request::post(
-            "http://s0r1.xqib/replicate?shard=0&term=1",
-            &format!("F{}", to_hex(&data)),
-        );
-        let resp = ReplicaNode::handle(&node, &req);
-        assert_eq!(
-            resp.status, 421,
-            "ownership refusal must not read as success"
-        );
-        assert_eq!(stats.borrow().ownership_rejections, 2);
+    }
+
+    #[test]
+    fn ownership_refusals_count_where_the_replica_refuses_even_unheard() {
+        // the document is homed on another shard, so this shard's
+        // follower may not hold it
+        let mut c = faulted_link("x.xml", None);
+        c.topology.pin_home("x.xml", 1);
+        for (fault, counted) in [
+            (None, 1),
+            (Some(Fault::ReplyLost), 1),
+            (Some(Fault::Truncate), 1),
+            (Some(Fault::Timeout), 0),
+            (Some(Fault::Error(503)), 0),
+        ] {
+            let mut plan = FaultPlan::seeded(0);
+            plan.scripted.push(fault);
+            c.shards[0].seats[1].link = Link::with_plan(plan);
+            let seat = &mut c.shards[0].seats[1];
+            seat.next_send_at = 0;
+            seat.attempt = 0;
+            let before = c.stats().ownership_rejections;
+            let _ = c.advance(0);
+            let seat = &c.shards[0].seats[1];
+            assert_eq!(seat.replica.as_ref().unwrap().applied(), 0);
+            assert_eq!(seat.acked, 0, "{fault:?}: nothing durable to learn");
+            assert_eq!(seat.attempt, 1, "{fault:?}: a refusal is a failure");
+            assert_eq!(
+                c.stats().ownership_rejections - before,
+                counted,
+                "{fault:?}"
+            );
+        }
     }
 
     #[test]
@@ -3130,8 +2675,8 @@ mod tests {
             if slot == c.leader_seat(0) {
                 continue;
             }
-            let guard = c.shards[0].seats[slot].replica.borrow();
-            let xml = guard.as_ref().unwrap().serialize("d3.xml").unwrap();
+            let replica = c.shards[0].seats[slot].replica.as_ref().unwrap();
+            let xml = replica.serialize("d3.xml").unwrap();
             assert_eq!(xml, leader_xml, "follower {slot} diverged");
         }
         // shipped counts only frames whose bytes survived the in-flight
@@ -3201,8 +2746,8 @@ mod tests {
             c.stats().snapshots_shipped > 0,
             "resync must ship a snapshot"
         );
-        let guard = c.shards[0].seats[1].replica.borrow();
-        let xml = guard.as_ref().unwrap().serialize("d4.xml").unwrap();
+        let replica = c.shards[0].seats[1].replica.as_ref().unwrap();
+        let xml = replica.serialize("d4.xml").unwrap();
         for i in 0..12 {
             assert!(
                 xml.contains(&format!("s{i}")),
@@ -3304,8 +2849,8 @@ mod tests {
         let disk = c.shards[0].seats[1].disk.clone();
         rot_first_frame(&disk);
         {
-            let rep = c.shards[0].seats[1].replica.borrow();
-            let (rot, _) = rep.as_ref().unwrap().disk_damage();
+            let rep = c.shards[0].seats[1].replica.as_ref().unwrap();
+            let (rot, _) = rep.disk_damage();
             assert!(rot, "the flip must read as mid-prefix WAL damage");
         }
         // the next scrub pass detects the rot, re-checkpoints the replica
@@ -3324,8 +2869,8 @@ mod tests {
             SeatHealth::Quarantined { .. }
         ));
         {
-            let rep = c.shards[0].seats[1].replica.borrow();
-            let (rot, verdicts) = rep.as_ref().unwrap().disk_damage();
+            let rep = c.shards[0].seats[1].replica.as_ref().unwrap();
+            let (rot, verdicts) = rep.disk_damage();
             assert!(
                 !rot && verdicts.is_empty(),
                 "the repair checkpoint must supersede the rot"
@@ -3348,11 +2893,8 @@ mod tests {
             ..ClusterConfig::default()
         });
         let (acked, now) = acked_markers(&mut c, "d0.xml", 2, 10, "div");
-        {
-            let rep = c.shards[0].seats[1].replica.clone();
-            let mut guard = rep.borrow_mut();
-            assert!(guard.as_mut().unwrap().poison_document("d0.xml"));
-        }
+        let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
+        assert!(rep.poison_document("d0.xml"));
         // disk and WAL digests are untouched — only the digest cross-check
         // against the leader's sealed digests can notice the divergence
         let scrub = c.cfg.scrub_interval_ms;
@@ -3373,8 +2915,8 @@ mod tests {
         drive(&mut c, now, end);
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
         assert!(c.integrity_stats().repairs_verified >= 1);
-        let rep = c.shards[0].seats[1].replica.borrow();
-        let xml = rep.as_ref().unwrap().serialize("d0.xml").unwrap();
+        let rep = c.shards[0].seats[1].replica.as_ref().unwrap();
+        let xml = rep.serialize("d0.xml").unwrap();
         assert!(!xml.contains("rotted"), "poison survived the resync: {xml}");
         for m in &acked {
             assert!(xml.contains(m.as_str()), "resync lost acked {m}: {xml}");
@@ -3424,11 +2966,8 @@ mod tests {
             ..ClusterConfig::default()
         });
         let (_, now) = acked_markers(&mut c, "d0.xml", 1, 10, "rr");
-        {
-            let rep = c.shards[0].seats[1].replica.clone();
-            let mut guard = rep.borrow_mut();
-            assert!(guard.as_mut().unwrap().poison_document("d0.xml"));
-        }
+        let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
+        assert!(rep.poison_document("d0.xml"));
         // the follower is in-sync and healthy, so the read router picks it;
         // its body hashes wrong against the leader's sealed digest, so the
         // read is refused, the seat quarantined, and the leader serves

@@ -27,6 +27,7 @@ pub mod governor;
 pub mod metrics;
 pub mod migrate;
 pub mod render;
+mod replica;
 pub mod server;
 pub mod simulate;
 pub mod webservice;

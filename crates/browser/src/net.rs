@@ -14,6 +14,8 @@
 
 use std::collections::HashMap;
 
+use xqib_storage::mix64;
+
 /// An HTTP-ish request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -227,14 +229,6 @@ impl FaultPlan {
         };
         (fault, jitter)
     }
-}
-
-/// SplitMix64 finaliser: one deterministic draw per distinct input.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// What a fault-aware fetch produced.

@@ -13,6 +13,8 @@
 
 use std::collections::HashMap;
 
+use xqib_storage::mix64;
+
 use crate::net::Response;
 
 /// How a `behind` call's fetches are retried and timed out.
@@ -78,13 +80,6 @@ impl RetryPolicy {
             ^ (attempt as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         mix64(x) % (self.jitter_ms + 1)
     }
-}
-
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Circuit-breaker states, per the classic closed → open → half-open

@@ -8,17 +8,29 @@ use crate::context::DynamicContext;
 
 use super::eval_expr;
 
+/// Longest range `lo to hi` either tier builds or streams. A longer one
+/// raises `XPDY0130` (implementation limit exceeded) instead of asking for
+/// an allocation the host cannot make.
+pub(crate) const MAX_RANGE_LEN: u64 = 1 << 24;
+
 pub(crate) fn eval_range(ctx: &mut DynamicContext, lo: &Expr, hi: &Expr) -> XdmResult<Sequence> {
     let l = atomic_operand(ctx, lo)?;
     let h = atomic_operand(ctx, hi)?;
-    let Some((l, h)) = range_bounds(l, h)? else {
-        return Ok(vec![]);
-    };
-    Ok((l..=h).map(Item::integer).collect())
+    range_items(l, h)
+}
+
+/// The integers of `lo to hi` as a sequence: the one range builder both
+/// tiers share.
+pub(crate) fn range_items(lo: Option<Atomic>, hi: Option<Atomic>) -> XdmResult<Sequence> {
+    Ok(match range_bounds(lo, hi)? {
+        Some((l, h)) => (l..=h).map(Item::integer).collect(),
+        None => vec![],
+    })
 }
 
 /// Resolves range endpoints to inclusive integer bounds; `None` when the
-/// range is empty (an empty operand or `lo > hi`).
+/// range is empty (an empty operand or `lo > hi`), `XPDY0130` when it is
+/// longer than [`MAX_RANGE_LEN`].
 pub(crate) fn range_bounds(
     lo: Option<Atomic>,
     hi: Option<Atomic>,
@@ -28,7 +40,17 @@ pub(crate) fn range_bounds(
     };
     let l = l.as_double()? as i64;
     let h = h.as_double()? as i64;
-    Ok(if l > h { None } else { Some((l, h)) })
+    if l > h {
+        return Ok(None);
+    }
+    // the unsigned distance cannot overflow, whatever the endpoints
+    if h.abs_diff(l) >= MAX_RANGE_LEN {
+        return Err(XdmError::new(
+            "XPDY0130",
+            format!("range {l} to {h} is longer than {MAX_RANGE_LEN} items"),
+        ));
+    }
+    Ok(Some((l, h)))
 }
 
 pub(crate) fn eval_neg(ctx: &mut DynamicContext, inner: &Expr) -> XdmResult<Sequence> {

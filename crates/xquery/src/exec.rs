@@ -37,7 +37,7 @@ use xqib_xdm::{
 
 use crate::ast::{Axis, FunctionDecl};
 use crate::context::DynamicContext;
-use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds};
+use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds, range_items};
 use crate::eval::constructor::build_element;
 use crate::eval::flwor::sort_keyed;
 use crate::eval::path::{
@@ -202,10 +202,7 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
         Plan::Range(lo, hi) => {
             let l = plan_atomic(ctx, lo)?;
             let h = plan_atomic(ctx, hi)?;
-            let Some((l, h)) = range_bounds(l, h)? else {
-                return Ok(vec![]);
-            };
-            Ok((l..=h).map(Item::integer).collect())
+            range_items(l, h)
         }
         Plan::Arith(op, l, r) => {
             let (Some(a), Some(b)) = (plan_atomic(ctx, l)?, plan_atomic(ctx, r)?) else {

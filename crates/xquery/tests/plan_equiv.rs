@@ -595,6 +595,26 @@ proptest! {
     }
 }
 
+/// A range longer than the implementation limit raises `XPDY0130` on both
+/// tiers instead of asking for the allocation. The first query is a case an
+/// earlier generator drew at `XQIB_PLAN_SEED=34`: the `<b>` content
+/// concatenates to a 40-digit number, so the range reached `i64::MAX` and
+/// both tiers panicked with "capacity overflow". The second streams its
+/// range through `count` on the compiled tier.
+#[test]
+fn oversized_ranges_raise_the_same_error_on_both_tiers() {
+    let xml = r#"<r><c id="k2"><b id="k3"><b><c id="k3">78</c><a>88</a></b><d id="k3"><d>92</d><b>24</b></d></b><b id="k3"><d id="k2"><d>54</d><b>70</b></d></b></c><d><a id="k3">43</a><a><d id="k3">49</d></a><b id="k3"><c><d>51</d><a id="k1">95</a></c></b></d></r>"#;
+    for q in [
+        r#"(2 to 10 + <b id="{doc('t.xml')/c/d//*}" n="{doc('t.xml')/d[position() < 1]/@id}">{12}{doc('t.xml')/*[last()]}{doc('t.xml')//d[last()]}</b>, ('k3' * 13, (<d>{(5, 'k2')}<e/></d>)/b[@id = 'k2']/@id))"#,
+        "count(1 to 100000000000)",
+    ] {
+        let (interpreted, _) = run(q, xml, None, false);
+        let (compiled, _) = run(q, xml, None, true);
+        assert_eq!(interpreted, Err("XPDY0130".to_string()), "{q}");
+        assert_eq!(compiled, interpreted, "{q}");
+    }
+}
+
 /// The plan-cache invalidation regression: a cached plan must not survive
 /// a static-context change. Re-registering a module under the same URI
 /// changes the fingerprint, so the stale plan (which baked in the old

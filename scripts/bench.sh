@@ -46,6 +46,13 @@
 #                           virtual time (the bench binary writes this
 #                           report itself)
 #
+# `scripts/bench.sh virtual` reruns only the cluster_failover, scrub,
+# reshard and fleet benches and fails if BENCH_cluster.json,
+# BENCH_scrub.json, BENCH_reshard.json or BENCH_fleet.json then differs
+# from the committed file. Those four reports are deterministic
+# virtual-time model outputs, so a change that moves a trajectory must
+# commit the regenerated report with it.
+#
 # Each report has the shape
 #
 #   { "benchmarks": { "<group>/<function>/<param>": <median ns/iter>, ... } }
@@ -57,6 +64,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = virtual ]; then
+    for bench in cluster_failover scrub reshard fleet; do
+        cargo bench -p xqib-bench --bench "$bench"
+    done
+    git diff --exit-code -- BENCH_cluster.json BENCH_scrub.json BENCH_reshard.json BENCH_fleet.json
+    exit 0
+fi
 
 # Distils target/criterion into $1. The report dir must contain only the
 # wanted bench's entries — callers clean it before each run.
