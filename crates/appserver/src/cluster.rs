@@ -63,7 +63,7 @@
 //! shard's seats. Migrations compose with crashes, partitions and decay:
 //! a step that needs a leader simply waits for failover to supply one.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
 use xqib_browser::FaultPlan;
@@ -486,6 +486,25 @@ impl IntegrityStats {
 // Configuration
 // ---------------------------------------------------------------------
 
+/// Max WAL frames per shipment.
+const MAX_BATCH_FRAMES: usize = 64;
+/// Consecutive link failures before a seat's breaker opens.
+const BREAKER_FAILURES: u32 = 5;
+/// How long an open link breaker stays open, virtual ms.
+const BREAKER_OPEN_MS: u64 = 100;
+/// Delay between probe rounds while gathering the failover quorum, and
+/// before an open breaker's link is tried again.
+const PROBE_RETRY_MS: u64 = 25;
+/// Bounded staleness of healthy-path follower `/doc` reads, in frames.
+const MAX_READ_LAG: u64 = 64;
+/// How long a quarantined follower stays out of the read pool before
+/// probation; readmission still requires its digests to match.
+const QUARANTINE_MS: u64 = 400;
+/// Copy-phase window of a document migration, virtual ms: how long the
+/// source keeps serving (accumulating a WAL tail) after the snapshot lands
+/// at the destination, before tail-forwarding and cutover.
+const MIGRATION_COPY_MS: u64 = 40;
+
 /// Cluster topology and replication tuning.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -507,38 +526,17 @@ pub struct ClusterConfig {
     /// ‰ of shipments truncated in flight by the cluster itself (exercises
     /// torn-frame acceptance end to end, on top of any network plan).
     pub ship_truncate_permille: u16,
-    /// Max frames per shipment.
-    pub max_batch_frames: usize,
     /// Round-trip latency of every replication link, virtual ms.
     pub link_latency_ms: u64,
-    /// Backoff schedule for failed shipments.
-    pub retry: RetryPolicy,
-    /// Consecutive link failures before the breaker opens.
-    pub breaker_failures: u32,
-    /// How long an open link breaker stays open, virtual ms.
-    pub breaker_open_ms: u64,
     /// Leaderless time before failover probing starts.
     pub failover_detect_ms: u64,
-    /// Delay between probe rounds while gathering the failover quorum.
-    pub probe_retry_ms: u64,
     /// Pending updates time out with 503 after this long un-acked.
     pub ack_timeout_ms: u64,
-    /// Serve `/doc` renders from followers within `max_read_lag`.
-    pub follower_reads: bool,
-    /// Bounded staleness for healthy-path follower reads, in frames.
-    pub max_read_lag: u64,
     /// Fault plan template for every seat's virtual disk; reseeded per seat
     /// so disks fail independently.
     pub disk_fault: Option<StorageFaultPlan>,
     /// Anti-entropy scrub interval, virtual ms (`0` disables scrubbing).
     pub scrub_interval_ms: u64,
-    /// How long a quarantined follower stays out of the read pool before
-    /// probation; readmission still requires its digests to match.
-    pub quarantine_ms: u64,
-    /// Copy-phase window of a document migration, virtual ms: how long the
-    /// source keeps serving (accumulating a WAL tail) after the snapshot
-    /// lands at the destination, before tail-forwarding and cutover.
-    pub migration_copy_ms: u64,
 }
 
 impl Default for ClusterConfig {
@@ -552,22 +550,25 @@ impl Default for ClusterConfig {
             follower_durability: DurabilityConfig::default(),
             repl_fault: None,
             ship_truncate_permille: 0,
-            max_batch_frames: 64,
             link_latency_ms: 5,
-            retry: RetryPolicy::default(),
-            breaker_failures: 5,
-            breaker_open_ms: 100,
             failover_detect_ms: 150,
-            probe_retry_ms: 25,
             ack_timeout_ms: 1500,
-            follower_reads: true,
-            max_read_lag: 64,
             disk_fault: None,
             scrub_interval_ms: 250,
-            quarantine_ms: 400,
-            migration_copy_ms: 40,
         }
     }
+}
+
+/// The faults and topology changes scheduled for one run; see
+/// [`Cluster::schedule`].
+#[derive(Debug, Clone, Default)]
+pub struct ClusterChaos {
+    /// Leader crashes: `(at_ms, shard)`.
+    pub leader_crashes: Vec<(u64, usize)>,
+    /// Follower link partitions: `(shard, slot, from_ms, to_ms)`.
+    pub partitions: Vec<(usize, usize, u64, u64)>,
+    /// Topology changes: `(at_ms, change)`.
+    pub topology: Vec<(u64, TopologyChange)>,
 }
 
 // ---------------------------------------------------------------------
@@ -865,7 +866,7 @@ impl Cluster {
                 attempt: 0,
                 next_send_at: 0,
                 force_snapshot: false,
-                breaker: CircuitBreaker::new(cfg.breaker_failures, cfg.breaker_open_ms),
+                breaker: CircuitBreaker::new(BREAKER_FAILURES, BREAKER_OPEN_MS),
                 rstats: RecoveryStats::default(),
                 health: SeatHealth::Healthy,
             });
@@ -916,12 +917,6 @@ impl Cluster {
     /// Whether a shard is draining toward retirement.
     pub fn is_draining(&self, shard: usize) -> bool {
         self.shards.get(shard).is_some_and(|sh| sh.draining)
-    }
-
-    /// Schedules a topology change; [`advance`](Self::advance) applies it.
-    pub fn schedule_topology(&mut self, at: u64, change: TopologyChange) {
-        self.topo_schedule.push((at, change));
-        self.topo_schedule.sort_by_key(|(t, _)| *t);
     }
 
     pub fn term(&self, shard: usize) -> u64 {
@@ -998,12 +993,6 @@ impl Cluster {
         Some(s)
     }
 
-    /// Schedules a leader crash; [`advance`](Self::advance) executes it.
-    pub fn crash_leader_at(&mut self, at: u64, shard: usize) {
-        self.crashes.push((at, shard));
-        self.crashes.sort_unstable();
-    }
-
     /// Crashes the shard's leader now: power-loss on its disk (torn
     /// unsynced tail), leadership vacated.
     pub fn crash_leader(&mut self, shard: usize, now: u64) {
@@ -1017,11 +1006,27 @@ impl Cluster {
         sh.probed = vec![None; sh.seats.len()];
     }
 
-    /// Partitions one follower link for `[from, to)` virtual ms.
-    /// Replaces the link's fault plan, so its request index restarts.
-    pub fn partition(&mut self, shard: usize, slot: usize, from: u64, to: u64) {
-        let plan = link_plan(&self.cfg, shard, slot).down_between(from, to);
-        self.shards[shard].seats[slot].link = Link::with_plan(plan);
+    /// Partitions one follower link for `[from, to)` virtual ms, on top of
+    /// any window already scheduled on it.
+    fn partition(&mut self, shard: usize, slot: usize, from: u64, to: u64) {
+        let cfg = &self.cfg;
+        self.shards[shard].seats[slot]
+            .link
+            .down_between(from, to, || link_plan(cfg, shard, slot));
+    }
+
+    /// Schedules a run's chaos: [`advance`](Self::advance) executes each
+    /// crash and topology change at its time; partitions go on their links
+    /// now.
+    pub fn schedule(&mut self, chaos: &ClusterChaos) {
+        self.crashes.extend(&chaos.leader_crashes);
+        self.crashes.sort_unstable();
+        // stable: changes due at one time apply in the order given
+        self.topo_schedule.extend(&chaos.topology);
+        self.topo_schedule.sort_by_key(|(t, _)| *t);
+        for &(shard, slot, from, to) in &chaos.partitions {
+            self.partition(shard, slot, from, to);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1193,7 +1198,7 @@ impl Cluster {
                             // so a hot document is re-checked per copy
                             // window, not per tick
                             self.migrations[mi].phase = MigrationPhase::Copying {
-                                done_at: now + self.cfg.migration_copy_ms,
+                                done_at: now + MIGRATION_COPY_MS,
                                 base_seq,
                                 copy_digest,
                             };
@@ -1240,7 +1245,7 @@ impl Cluster {
         }
         self.rstats.migrations_started += 1;
         Some(MigrationPhase::Copying {
-            done_at: now + self.cfg.migration_copy_ms,
+            done_at: now + MIGRATION_COPY_MS,
             base_seq,
             copy_digest,
         })
@@ -1517,7 +1522,7 @@ impl Cluster {
         let has_leader = self.shards[shard].leader.is_some();
         if has_leader {
             // bounded-staleness follower read for whole-document fetches
-            if self.cfg.follower_reads && path == "/doc" {
+            if path == "/doc" {
                 if let Some(resp) = self.follower_doc(shard, uri, false, now) {
                     return done(resp, ClusterOutcome::FollowerRead);
                 }
@@ -1548,7 +1553,7 @@ impl Cluster {
 
     /// A `/doc` body served from a follower replica. Healthy path
     /// (`any_lag = false`): round-robin over *healthy* followers within
-    /// `max_read_lag`, and the body's content digest is verified against
+    /// [`MAX_READ_LAG`], and the body's content digest is verified against
     /// the leader's recorded digest before it leaves the cluster — a
     /// mismatch quarantines the seat for resync and falls back to the
     /// leader. Blackout path (`any_lag = true`): the most caught-up
@@ -1581,7 +1586,7 @@ impl Cluster {
             let lag = committed
                 .unwrap_or(node.applied())
                 .saturating_sub(seat.acked);
-            if !any_lag && lag > self.cfg.max_read_lag {
+            if !any_lag && lag > MAX_READ_LAG {
                 continue;
             }
             candidates.push((i, lag, node.applied()));
@@ -1638,7 +1643,7 @@ impl Cluster {
         let seat = &mut self.shards[s].seats[i];
         seat.restart(s, &self.cfg, now, true, true);
         seat.health = SeatHealth::Quarantined {
-            until: now + self.cfg.quarantine_ms,
+            until: now + QUARANTINE_MS,
         };
         self.istats.quarantines += 1;
         self.istats.repairs_started += 1;
@@ -1743,7 +1748,7 @@ impl Cluster {
                 self.istats.repairs_started += 1;
                 if seat.health == SeatHealth::Healthy {
                     seat.health = SeatHealth::Quarantined {
-                        until: now + self.cfg.quarantine_ms,
+                        until: now + QUARANTINE_MS,
                     };
                     self.istats.quarantines += 1;
                 }
@@ -1865,7 +1870,6 @@ impl Cluster {
 
     fn try_failover(&mut self, s: usize, now: u64, out: &mut Vec<ClusterCompletion>) {
         let detect = self.cfg.failover_detect_ms;
-        let probe_retry = self.cfg.probe_retry_ms;
         if self.shards[s].retired || self.shards[s].leader.is_some() {
             return;
         }
@@ -1886,7 +1890,7 @@ impl Cluster {
             let disk = self.shards[s].seats[seat].disk.clone();
             match AppServer::recover(disk, self.cfg.durability) {
                 Ok(server) => self.install_leader(s, seat, server, since, now, out),
-                Err(_) => self.shards[s].next_probe_at = now + probe_retry,
+                Err(_) => self.shards[s].next_probe_at = now + PROBE_RETRY_MS,
             }
             return;
         }
@@ -1909,7 +1913,7 @@ impl Cluster {
                     sh.probed[i] = Some((term, acked));
                 }
             }
-            sh.next_probe_at = now + probe_retry;
+            sh.next_probe_at = now + PROBE_RETRY_MS;
         }
         // Quorum: any K − ack_replicas + 1 followers must include one that
         // holds every acked update (pigeonhole against the ack rule).
@@ -1952,7 +1956,7 @@ impl Cluster {
             Err(_) => {
                 // damaged candidate: drop it and re-probe the rest
                 self.shards[s].probed[win] = None;
-                self.shards[s].next_probe_at = now + probe_retry;
+                self.shards[s].next_probe_at = now + PROBE_RETRY_MS;
             }
         }
     }
@@ -2021,12 +2025,13 @@ impl Cluster {
         let Some(leader) = sh.leader.as_mut() else {
             return;
         };
+        let retry = RetryPolicy::default();
         for (i, seat) in sh.seats.iter_mut().enumerate() {
             if i == sh.leader_seat || seat.replica.is_none() || now < seat.next_send_at {
                 continue;
             }
             if !seat.breaker.allow(now, &mut seat.rstats) {
-                seat.next_send_at = now + cfg.probe_retry_ms.max(1);
+                seat.next_send_at = now + PROBE_RETRY_MS;
                 continue;
             }
             let backoff_id = mix64(((s as u64) << 8) | i as u64);
@@ -2045,12 +2050,12 @@ impl Cluster {
                     Some(ck) => (ck.encode(), Vec::new()),
                     None => {
                         seat.attempt += 1;
-                        seat.next_send_at = now + cfg.retry.backoff_delay(seat.attempt, backoff_id);
+                        seat.next_send_at = now + retry.backoff_delay(seat.attempt, backoff_id);
                         continue;
                     }
                 }
             } else {
-                frames.truncate(cfg.max_batch_frames.max(1));
+                frames.truncate(MAX_BATCH_FRAMES);
                 let mut bytes = Vec::new();
                 let mut ends = Vec::with_capacity(frames.len());
                 for f in &frames {
@@ -2125,7 +2130,7 @@ impl Cluster {
                     }
                     seat.breaker.on_failure(now, &mut seat.rstats);
                     seat.attempt += 1;
-                    seat.next_send_at = now + cfg.retry.backoff_delay(seat.attempt, backoff_id);
+                    seat.next_send_at = now + retry.backoff_delay(seat.attempt, backoff_id);
                 }
             }
             let lag = leader.db.committed_seq().saturating_sub(seat.acked);
@@ -2193,17 +2198,80 @@ fn no_leader_response() -> ServerResponse {
     .with_header("Retry-After", "1")
 }
 
-/// First `doc("…")` / `doc('…')` literal in an XQuery — the routing key
-/// for `/query` and `/update` requests that don't pass `uri=` explicitly.
-fn first_doc_literal(xq: &str) -> Option<String> {
-    let start = xq.find("doc(")? + 4;
-    let rest = &xq[start..];
-    let quote = rest.chars().next()?;
-    if quote != '"' && quote != '\'' {
-        return None;
+/// A client's routing table: each document's owner, cached for
+/// `refresh_ms` (`0` resolves every request afresh). A cached owner that
+/// refuses a request with a 421 fence is re-resolved, and the request is
+/// retried there once.
+#[derive(Debug)]
+pub struct RouteCache {
+    refresh_ms: u64,
+    /// uri → (resolved at, owner)
+    routes: HashMap<String, (u64, usize)>,
+    /// Requests that hit a 421 fence and were retried on the fresh owner.
+    pub reroutes: u64,
+}
+
+impl RouteCache {
+    pub fn new(refresh_ms: u64) -> RouteCache {
+        RouteCache {
+            refresh_ms,
+            routes: HashMap::new(),
+            reroutes: 0,
+        }
     }
-    let inner = &rest[1..];
-    Some(inner[..inner.find(quote)?].to_string())
+
+    /// Serves `url` on the cached owner of its document, chasing a fence
+    /// to the fresh owner.
+    pub fn serve(&mut self, cluster: &mut Cluster, url: &str, now: u64) -> Submitted {
+        let uri = Cluster::routing_uri(url);
+        let shard = match self.routes.get(&uri) {
+            Some(&(at, shard)) if now < at.saturating_add(self.refresh_ms) => shard,
+            _ => self.resolve(cluster, &uri, now),
+        };
+        match cluster.serve_at(shard, url, now) {
+            Submitted::Done(d) if d.outcome == ClusterOutcome::Misrouted => {
+                self.reroutes += 1;
+                let fresh = self.resolve(cluster, &uri, now);
+                cluster.serve_at(fresh, url, now)
+            }
+            submitted => submitted,
+        }
+    }
+
+    fn resolve(&mut self, cluster: &Cluster, uri: &str, now: u64) -> usize {
+        let owner = cluster.owner(uri);
+        self.routes.insert(uri.to_string(), (now, owner));
+        owner
+    }
+}
+
+/// The first `doc("…")` / `doc('…')` call in an XQuery whose argument is
+/// a string literal — the routing key for `/query` and `/update` requests
+/// that don't pass `uri=` explicitly. Only a bare `doc(` or `fn:doc(`
+/// counts: `local:mydoc(` is another function.
+fn first_doc_literal(xq: &str) -> Option<String> {
+    let is_name_char = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':');
+    let mut from = 0;
+    while let Some(at) = xq[from..].find("doc(") {
+        let call = from + at;
+        from = call + 4;
+        let before = &xq[..call];
+        if before
+            .strip_suffix("fn:")
+            .unwrap_or(before)
+            .ends_with(is_name_char)
+        {
+            continue;
+        }
+        let rest = &xq[from..];
+        let Some(quote) = rest.chars().next().filter(|&q| q == '"' || q == '\'') else {
+            continue;
+        };
+        if let Some(end) = rest[1..].find(quote) {
+            return Some(rest[1..=end].to_string());
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -2778,7 +2846,10 @@ mod tests {
                 }
                 now += 7;
             }
-            c.crash_leader_at(now + 10, 0);
+            c.schedule(&ClusterChaos {
+                leader_crashes: vec![(now + 10, 0)],
+                ..ClusterChaos::default()
+            });
             let (_, rest) = c.quiesce(now);
             done.extend(rest);
             (done, c.stats())
@@ -2878,7 +2949,7 @@ mod tests {
         }
         // cool-off elapses into probation; the scrubber readmits the seat
         // only after seeing it caught up with matching digests
-        let end = now + c.cfg.quarantine_ms + 2 * scrub + 10;
+        let end = now + QUARANTINE_MS + 2 * scrub + 10;
         drive(&mut c, now, end);
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
         assert!(c.integrity_stats().repairs_verified >= 1);
@@ -2911,7 +2982,7 @@ mod tests {
         ));
         // the wiped seat resyncs from a leader snapshot, serves cool-off,
         // and is readmitted once its digests match again
-        let end = now + c.cfg.quarantine_ms + 3 * scrub;
+        let end = now + QUARANTINE_MS + 3 * scrub;
         drive(&mut c, now, end);
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
         assert!(c.integrity_stats().repairs_verified >= 1);
@@ -3260,7 +3331,10 @@ mod tests {
             ack_replicas: 0,
             ..ClusterConfig::default()
         });
-        c.schedule_topology(500, TopologyChange::AddShard);
+        c.schedule(&ClusterChaos {
+            topology: vec![(500, TopologyChange::AddShard)],
+            ..ClusterChaos::default()
+        });
         let _ = c.advance(100);
         assert_eq!(c.shard_count(), 2, "topology change applied early");
         let _ = c.advance(600);
@@ -3353,5 +3427,107 @@ mod tests {
         for (uri, marker) in &markers {
             assert!(c.contains(uri, marker), "{marker} lost on {uri}");
         }
+    }
+
+    #[test]
+    fn routing_uri_skips_names_that_end_in_doc() {
+        let routed = |xq: &str| Cluster::routing_uri(&format!("/query?xq={xq}"));
+        let udf =
+            r#"declare function local:mydoc($d) { $d//a }; count(local:mydoc(doc("d3.xml")))"#;
+        assert_eq!(routed(udf), "d3.xml");
+        assert_eq!(routed("count(fn:doc('d4.xml')//a)"), "d4.xml");
+        assert_eq!(
+            routed(r#"let $u := "d1.xml" return (doc($u), doc("d5.xml"))"#),
+            "d5.xml"
+        );
+        assert_eq!(routed("count(x:doc('d6.xml'))"), render::CORPUS_URI);
+    }
+
+    #[test]
+    fn a_second_partition_keeps_the_first_window() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let (now, _) = c.quiesce(0);
+        c.partition(0, 1, now, now + 300);
+        c.partition(0, 1, now + 500, now + 600);
+        let id = match c.submit(&update_url("d0.xml", "p1"), now + 10) {
+            Submitted::Pending(id) => id,
+            Submitted::Done(d) => panic!("acked with the follower dark: {:?}", d.outcome),
+        };
+        for t in now + 10..now + 300 {
+            assert!(
+                c.advance(t).iter().all(|d| d.id != id),
+                "the follower acked at {t}, inside the first window"
+            );
+        }
+        let (done, at) = await_update(&mut c, id, now + 300);
+        assert_eq!(done.outcome, ClusterOutcome::AckedUpdate);
+        assert!(at < now + 500, "acked only after the second window");
+    }
+
+    /// Two shards holding the six seeded documents, each read once through
+    /// `routes`; then a third shard joins and every move completes. Returns
+    /// the documents that moved.
+    fn grown_behind(routes: &mut RouteCache) -> (Cluster, Vec<String>, u64) {
+        let mut c = seeded(ClusterConfig {
+            shards: 2,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let uris: Vec<String> = (0..6).map(|i| format!("d{i}.xml")).collect();
+        let before: Vec<usize> = uris.iter().map(|u| c.owner(u)).collect();
+        for uri in &uris {
+            let _ = routes.serve(&mut c, &doc_url(uri), 0);
+        }
+        c.add_shard(1);
+        let (now, _) = c.quiesce(1);
+        let moved = uris
+            .into_iter()
+            .zip(before)
+            .filter(|(u, b)| c.owner(u) != *b)
+            .map(|(u, _)| u)
+            .collect();
+        (c, moved, now)
+    }
+
+    fn served(s: Submitted) -> Box<ClusterCompletion> {
+        match s {
+            Submitted::Done(d) => d,
+            Submitted::Pending(_) => panic!("doc reads cannot pend"),
+        }
+    }
+
+    #[test]
+    fn a_route_cache_that_always_resolves_never_hits_a_fence() {
+        let mut routes = RouteCache::new(0);
+        let (mut c, moved, now) = grown_behind(&mut routes);
+        assert!(!moved.is_empty(), "the new shard must claim a document");
+        for uri in &moved {
+            let done = served(routes.serve(&mut c, &doc_url(uri), now));
+            assert_eq!(done.response.status, 200);
+        }
+        assert_eq!(routes.reroutes, 0);
+    }
+
+    #[test]
+    fn a_stale_route_is_fenced_once_then_goes_to_the_new_owner() {
+        let mut routes = RouteCache::new(u64::MAX);
+        let (mut c, moved, now) = grown_behind(&mut routes);
+        let uri = &moved[0];
+        let first = served(routes.serve(&mut c, &doc_url(uri), now));
+        assert_eq!(first.response.status, 200);
+        assert_eq!(first.shard, c.owner(uri));
+        assert_eq!(routes.reroutes, 1);
+        let refusals = c.stats().ownership_rejections;
+        let second = served(routes.serve(&mut c, &doc_url(uri), now));
+        assert_eq!(second.response.status, 200);
+        assert_eq!(second.shard, c.owner(uri));
+        assert_eq!(routes.reroutes, 1, "the fresh route needs no chase");
+        assert_eq!(c.stats().ownership_rejections, refusals);
     }
 }

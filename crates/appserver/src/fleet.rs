@@ -20,7 +20,6 @@
 //! the same [`FleetConfig`] produces a bit-identical [`FleetReport`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use xqib_browser::net::{FaultPlan, Response};
@@ -31,7 +30,8 @@ use xqib_storage::{mix64, StorageFaultPlan};
 use xqib_xdm::{XdmError, XdmResult};
 
 use crate::cluster::{
-    Cluster, ClusterConfig, IntegrityStats, ReplicationStats, Submitted, TopologyChange,
+    Cluster, ClusterChaos, ClusterConfig, IntegrityStats, ReplicationStats, RouteCache, Submitted,
+    TopologyChange,
 };
 use crate::corpus::{article_ids, generate_corpus, CorpusSpec};
 
@@ -74,23 +74,6 @@ impl Scenario {
     }
 }
 
-/// The chaos playing out underneath the fleet.
-#[derive(Debug, Clone, Default)]
-pub struct FleetChaos {
-    /// Fault-plan template for every browser↔cluster link; reseeded per
-    /// client so links fail independently.
-    pub net: Option<FaultPlan>,
-    /// Storage-fault template for every cluster seat's virtual disk.
-    pub disk: Option<StorageFaultPlan>,
-    /// Replication-link partitions: `(shard, slot, from_ms, to_ms)`.
-    pub partitions: Vec<(usize, usize, u64, u64)>,
-    /// Scheduled leader crashes: `(at_ms, shard)`.
-    pub leader_crashes: Vec<(u64, usize)>,
-    /// Scheduled topology changes: `(at_ms, change)`. Clients keep their
-    /// cached routes and re-resolve on the resulting 421 fences.
-    pub reshards: Vec<(u64, TopologyChange)>,
-}
-
 /// A fleet run: who, how many, against what, under which chaos.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -111,7 +94,13 @@ pub struct FleetConfig {
     /// Per-client recovery knobs (stale cache bound, breaker, retries).
     pub recovery: RecoveryConfig,
     pub cluster: ClusterConfig,
-    pub chaos: FleetChaos,
+    /// The cluster's crashes, partitions and topology changes. Clients keep
+    /// their cached routes across a topology change and chase the 421
+    /// fences it raises.
+    pub chaos: ClusterChaos,
+    /// Fault-plan template for every browser↔cluster link; reseeded per
+    /// client so links fail independently.
+    pub net_fault: Option<FaultPlan>,
     pub corpus: CorpusSpec,
 }
 
@@ -127,7 +116,8 @@ impl Default for FleetConfig {
             think_ms: 200,
             recovery: RecoveryConfig::default(),
             cluster: ClusterConfig::default(),
-            chaos: FleetChaos::default(),
+            chaos: ClusterChaos::default(),
+            net_fault: None,
             corpus: CorpusSpec::default(),
         }
     }
@@ -152,13 +142,8 @@ impl FleetConfig {
             mashup_clients: 3,
             cart_clients: 3,
             interactions_per_client: 5,
-            chaos: FleetChaos {
-                net: Some(
-                    FaultPlan::seeded(0)
-                        .with_timeout_permille(120)
-                        .with_error_permille(80),
-                ),
-                disk: Some(StorageFaultPlan {
+            cluster: ClusterConfig {
+                disk_fault: Some(StorageFaultPlan {
                     seed: 0,
                     sync_fail_permille: 30,
                     corrupt_permille: 20,
@@ -168,18 +153,26 @@ impl FleetConfig {
                     decay_permille: 2,
                     decay_period_ms: 100,
                 }),
-                partitions: vec![(0, 1, 400, 2500)],
+                ..ClusterConfig::default()
+            },
+            chaos: ClusterChaos {
                 // both shards lose their leader mid-run, so every document
                 // sees a blackout whichever shard owns it
                 leader_crashes: vec![(1200, 0), (1400, 1)],
+                partitions: vec![(0, 1, 400, 2500)],
                 // the cluster also grows a shard and reshuffles the ring
                 // mid-run: cached routes go stale and clients must chase
                 // the 421 fences to the new owners
-                reshards: vec![
+                topology: vec![
                     (800, TopologyChange::AddShard),
                     (1800, TopologyChange::Rebalance(7)),
                 ],
             },
+            net_fault: Some(
+                FaultPlan::seeded(0)
+                    .with_timeout_permille(120)
+                    .with_error_permille(80),
+            ),
             ..FleetConfig::default()
         }
     }
@@ -464,25 +457,22 @@ impl LastMeta {
 /// shared clock is monotone across clients, so the cluster never sees
 /// time regress even though client clocks drift apart.
 ///
-/// Each client caches its routing decisions per document URI, the way a
-/// real browser would pin a shard endpoint. When a topology change moves
-/// a document, the cached route hits the old owner's 421 epoch fence; the
-/// bridge then re-resolves the owner and retries once, bumping the shared
-/// `reroutes` counter.
+/// Each client pins a document's owner for good in its own
+/// [`RouteCache`], the way a real browser would pin a shard endpoint, and
+/// chases a 421 fence when a topology change moves the document.
 fn wire_cluster(
     plugin: &mut Plugin,
     cluster: &Rc<RefCell<Cluster>>,
     cluster_now: &Rc<Cell<u64>>,
     meta: &Rc<RefCell<LastMeta>>,
-    reroutes: &Rc<Cell<u64>>,
+    routes: &Rc<RefCell<RouteCache>>,
     step_ms: u64,
     pending_cap_ms: u64,
 ) {
     let cluster = cluster.clone();
     let clock = cluster_now.clone();
     let meta = meta.clone();
-    let reroutes = reroutes.clone();
-    let routes: RefCell<HashMap<String, usize>> = RefCell::new(HashMap::new());
+    let routes = routes.clone();
     plugin.host.borrow_mut().net.register_with_now(
         &format!("{CLUSTER_BASE}/"),
         CLUSTER_LATENCY_MS,
@@ -490,20 +480,9 @@ fn wire_cluster(
             let entered = clock.get().max(now);
             clock.set(entered);
             let mut t = entered;
-            let uri = Cluster::routing_uri(&req.url);
-            let shard = *routes
+            let submitted = routes
                 .borrow_mut()
-                .entry(uri.clone())
-                .or_insert_with(|| cluster.borrow().owner(&uri));
-            let mut submitted = cluster.borrow_mut().serve_at(shard, &req.url, t);
-            if matches!(&submitted, Submitted::Done(d) if d.response.status == 421) {
-                // stale route: the document moved (or the shard retired)
-                // since this client last resolved it. Chase the fence.
-                reroutes.set(reroutes.get() + 1);
-                let fresh = cluster.borrow().owner(&uri);
-                routes.borrow_mut().insert(uri, fresh);
-                submitted = cluster.borrow_mut().serve_at(fresh, &req.url, t);
-            }
+                .serve(&mut cluster.borrow_mut(), &req.url, t);
             let completion = match submitted {
                 Submitted::Done(c) => Some(*c),
                 Submitted::Pending(id) => {
@@ -579,6 +558,7 @@ struct ClientState {
     nocache: bool,
     idx: usize,
     meta: Rc<RefCell<LastMeta>>,
+    routes: Rc<RefCell<RouteCache>>,
     /// Keeps the mash-up JS engine (and its listeners) alive.
     _engine: Option<Rc<RefCell<JsEngine>>>,
     cart_uri: String,
@@ -661,10 +641,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
     let expected_cities = CITIES.len().to_string();
 
     // --- the shared cluster, with chaos scheduled up front
-    let mut ccfg = cfg.cluster.clone();
-    ccfg.seed = mix64(cfg.seed ^ 0xc105);
-    ccfg.disk_fault = cfg.chaos.disk.clone();
-    let mut cluster = Cluster::new(ccfg);
+    let mut cluster = Cluster::new(ClusterConfig {
+        seed: mix64(cfg.seed ^ 0xc105),
+        ..cfg.cluster.clone()
+    });
     let mut load = |uri: &str, xml: &str| -> XdmResult<()> {
         cluster
             .load(uri, xml)
@@ -683,20 +663,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
     for i in 0..cfg.cart_clients {
         load(&format!("cart-{i}.xml"), "<cart/>")?;
     }
-    for &(at, shard) in &cfg.chaos.leader_crashes {
-        cluster.crash_leader_at(at, shard);
-    }
-    for &(shard, slot, from, to) in &cfg.chaos.partitions {
-        cluster.partition(shard, slot, from, to);
-    }
-    for &(at, change) in &cfg.chaos.reshards {
-        cluster.schedule_topology(at, change);
-    }
+    cluster.schedule(&cfg.chaos);
     let step_ms = cfg.cluster.link_latency_ms.max(1);
     let pending_cap_ms = cfg.cluster.ack_timeout_ms + cfg.cluster.failover_detect_ms + 2_000;
     let cluster = Rc::new(RefCell::new(cluster));
     let cluster_now = Rc::new(Cell::new(0u64));
-    let reroutes = Rc::new(Cell::new(0u64));
 
     // --- the clients
     let roster: Vec<(Scenario, bool)> =
@@ -722,16 +693,17 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
             ..Default::default()
         });
         let meta = Rc::new(RefCell::new(LastMeta::default()));
+        let routes = Rc::new(RefCell::new(RouteCache::new(u64::MAX)));
         wire_cluster(
             &mut plugin,
             &cluster,
             &cluster_now,
             &meta,
-            &reroutes,
+            &routes,
             step_ms,
             pending_cap_ms,
         );
-        if let Some(plan) = &cfg.chaos.net {
+        if let Some(plan) = &cfg.net_fault {
             let mut plan = plan.clone();
             plan.seed = mix64(cfg.seed ^ 0xf1ee7 ^ idx as u64);
             plugin
@@ -797,6 +769,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
             nocache,
             idx,
             meta,
+            routes,
             _engine: engine,
             cart_uri,
             interactions: 0,
@@ -1013,7 +986,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
         duration_ms,
         replication,
         integrity,
-        reroutes: reroutes.get(),
+        reroutes: clients.iter().map(|c| c.routes.borrow().reroutes).sum(),
     };
     // the bridge handlers inside each plugin's virtual network hold clones
     // of the cluster Rc — drop the fleet before unwrapping it

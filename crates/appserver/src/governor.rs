@@ -39,6 +39,7 @@
 
 use std::collections::VecDeque;
 
+use crate::metrics::nearest_rank;
 use crate::server::{split_url, AppServer, ServerResponse};
 
 /// Request priority classes, in dequeue order: interactive page renders
@@ -169,19 +170,6 @@ impl OverloadStats {
         self.shed_queue_full + self.shed_queue_delay
     }
 
-    /// The `pct`-th percentile queue delay (nearest-rank over all dequeued
-    /// requests; 0 when nothing was dequeued).
-    pub fn queue_delay_percentile(&self, pct: u64) -> u64 {
-        if self.queue_delays.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.queue_delays.clone();
-        sorted.sort_unstable();
-        // nearest-rank (ceiling) convention: p99 of 5 samples is the max
-        let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
-        sorted[rank.max(1) - 1]
-    }
-
     /// Visits each served counter: `shed` counts both flavours, and the
     /// queue-delay percentiles are computed from the samples.
     pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
@@ -193,14 +181,14 @@ impl OverloadStats {
             shed_queue_delay: _,
             degraded,
             deadline_exceeded,
-            queue_delays: _,
+            queue_delays,
         } = self;
         f("admitted", *admitted);
         f("shed", self.shed());
         f("degraded", *degraded);
         f("deadline-exceeded", *deadline_exceeded);
-        f("queue-delay-p50-ms", self.queue_delay_percentile(50));
-        f("queue-delay-p99-ms", self.queue_delay_percentile(99));
+        f("queue-delay-p50-ms", nearest_rank(queue_delays, 50));
+        f("queue-delay-p99-ms", nearest_rank(queue_delays, 99));
     }
 }
 

@@ -34,13 +34,11 @@ pub mod webservice;
 pub mod xmldb;
 
 pub use cluster::{
-    Cluster, ClusterCompletion, ClusterConfig, ClusterOutcome, IntegrityStats, ReplicationStats,
-    ReshardStats, Router, Submitted, TopologyChange, TopologyEpoch,
+    Cluster, ClusterChaos, ClusterCompletion, ClusterConfig, ClusterOutcome, IntegrityStats,
+    ReplicationStats, ReshardStats, RouteCache, Router, Submitted, TopologyChange, TopologyEpoch,
 };
 pub use corpus::{generate_corpus, CorpusSpec};
-pub use fleet::{
-    run_fleet, ClientReport, FleetChaos, FleetConfig, FleetReport, FleetStats, Scenario,
-};
+pub use fleet::{run_fleet, ClientReport, FleetConfig, FleetReport, FleetStats, Scenario};
 pub use governor::{Admission, Class, GovernedServer, GovernorConfig, Outcome, RequestGovernor};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use server::AppServer;

@@ -108,6 +108,16 @@ impl MetricsSnapshot {
     }
 }
 
+/// The nearest-rank `pct`-th percentile of `samples` (0 when there are
+/// none): the smallest sample at or above `pct`% of them, so p99 of five
+/// samples is the largest.
+pub fn nearest_rank(samples: &[u64], pct: u64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -289,6 +299,18 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "duplicate names");
+    }
+
+    #[test]
+    fn nearest_rank_edge_cases() {
+        assert_eq!(nearest_rank(&[], 50), 0, "no samples");
+        assert_eq!(nearest_rank(&[7], 1), 7, "one sample");
+        assert_eq!(nearest_rank(&[7], 99), 7, "one sample");
+        let five = [40, 10, 50, 20, 30];
+        assert_eq!(nearest_rank(&five, 99), 50, "p99 of five is the max");
+        assert_eq!(nearest_rank(&five, 50), 30);
+        assert_eq!(nearest_rank(&five, 0), 10, "p0 is the min");
+        assert_eq!(nearest_rank(&five, 100), 50, "p100 is the max");
     }
 
     #[test]

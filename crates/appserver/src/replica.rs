@@ -73,6 +73,14 @@ impl Link {
         }
     }
 
+    /// Adds a `[from, to)` outage window. A link without a fault plan
+    /// first gets one from `make`; one with a plan keeps its earlier
+    /// windows and its request index.
+    pub(crate) fn down_between(&mut self, from: u64, to: u64, make: impl FnOnce() -> FaultPlan) {
+        let (plan, _) = self.plan.get_or_insert_with(|| (make(), 0));
+        plan.flaps.push((from, to));
+    }
+
     /// Carries one message sent at `now`; `run` is the replica handling it.
     /// Returns the replica's reply if it ran, with the latency after which
     /// the leader hears it — `None` when the reply is lost.

@@ -21,12 +21,12 @@ use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
 use xqib_xdm::XdmResult;
 
 use crate::cluster::{
-    Cluster, ClusterCompletion, ClusterConfig, ClusterOutcome, IntegrityStats, ReplicationStats,
-    ReshardStats, Submitted, TopologyChange, TopologyEpoch,
+    Cluster, ClusterChaos, ClusterCompletion, ClusterConfig, ClusterOutcome, IntegrityStats,
+    ReplicationStats, ReshardStats, RouteCache, Submitted, TopologyEpoch,
 };
 use crate::corpus::{generate_corpus, CorpusSpec};
 use crate::governor::{Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{nearest_rank, MetricsSnapshot};
 use crate::server::AppServer;
 use crate::xmldb::DurabilityConfig;
 
@@ -177,17 +177,6 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    /// Nearest-rank percentile over the delivered latencies (0 if none).
-    pub fn latency_percentile(&self, pct: u64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
-        sorted[rank.max(1) - 1]
-    }
-
     /// Useful responses (fresh + degraded).
     pub fn goodput(&self) -> u64 {
         self.ok + self.degraded
@@ -231,16 +220,12 @@ impl SimReport {
 
     /// p99 latency across every class, virtual ms.
     pub fn latency_p99(&self) -> u64 {
-        let mut all: Vec<u64> = self
+        let all: Vec<u64> = self
             .per_class
             .iter()
             .flat_map(|c| c.latencies.iter().copied())
             .collect();
-        if all.is_empty() {
-            return 0;
-        }
-        all.sort_unstable();
-        all[(all.len() * 99).div_ceil(100).max(1) - 1]
+        nearest_rank(&all, 99)
     }
 }
 
@@ -281,14 +266,6 @@ fn pick_url(cfg: &SimConfig, client: usize, n: u64) -> String {
     }
 }
 
-/// One generated arrival.
-#[derive(Debug, Clone)]
-struct ArrivalEvent {
-    client: usize,
-    n: u64,
-    url: String,
-}
-
 /// Runs the simulation to completion and reports per-class outcome
 /// counters, latency percentiles and the server's final metrics. Fails
 /// only when the generated corpus cannot be loaded (e.g. the seeded disk
@@ -316,8 +293,8 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
         .unwrap_or_else(GovernorConfig::unbounded);
     let mut g = GovernedServer::new(server, gov_cfg);
 
-    // --- generate every arrival on the shared virtual clock ---------------
-    let mut clock: EventLoop<ArrivalEvent> = EventLoop::new();
+    // --- generate every arrival's URL on the shared virtual clock ----------
+    let mut clock: EventLoop<String> = EventLoop::new();
     let mut per_class: [ClassStats; 3] = Default::default();
     for (client, spec) in cfg.clients.iter().enumerate() {
         let mut n = 0u64;
@@ -329,8 +306,7 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
             let in_window = rate * window / 1000;
             for k in 0..in_window {
                 let at = sec_start + k * window / in_window.max(1);
-                let url = pick_url(cfg, client, n);
-                clock.schedule(at, ArrivalEvent { client, n, url });
+                clock.schedule(at, pick_url(cfg, client, n));
                 n += 1;
             }
             sec_start += window;
@@ -338,13 +314,17 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
     }
 
     // --- drive arrivals through the fault layer into the governor ---------
-    let mut inflight: HashMap<u64, u64> = HashMap::new(); // id → net jitter
-    let mut truncated_ids: Vec<u64> = Vec::new();
-    let mut reply_lost_ids: Vec<u64> = Vec::new();
-    let record = |c: &Completion, jitter: u64, truncated: bool, stats: &mut [ClassStats; 3]| {
+    // id → (net jitter, the fault its reply meets)
+    let mut inflight: HashMap<u64, (u64, Option<Fault>)> = HashMap::new();
+    let complete = |c: &Completion, (jitter, fault), stats: &mut [ClassStats; 3]| {
         let s = &mut stats[c.class.index()];
+        if matches!(fault, Some(Fault::ReplyLost)) {
+            // served, but the reply vanished: the client sees a loss
+            s.lost += 1;
+            return;
+        }
         s.latencies.push(c.finished - c.arrival + jitter);
-        if truncated {
+        if matches!(fault, Some(Fault::Truncate)) {
             s.truncated += 1;
         }
         match c.outcome {
@@ -357,9 +337,9 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
     };
 
     let mut req_index = 0u64;
-    while let Some(ev) = clock.pop() {
+    while let Some(url) = clock.pop() {
         let now = clock.now();
-        let class = Class::of_url(&ev.url);
+        let class = Class::of_url(&url);
         per_class[class.index()].issued += 1;
         let (fault, jitter) = match &cfg.net_fault {
             Some(plan) => plan.decide(req_index, now),
@@ -379,42 +359,24 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
             }
             // ReplyLost still reaches the server: the request is admitted
             // and served, the client just never sees the reply — for the
-            // open-loop report it lands in the lost column below.
+            // open-loop report it lands in the lost column.
             Some(Fault::Truncate) | Some(Fault::ReplyLost) | None => {}
         }
-        let truncate = matches!(fault, Some(Fault::Truncate));
-        let reply_lost = matches!(fault, Some(Fault::ReplyLost));
-        match g.submit(&ev.url, now) {
-            Admission::Rejected(c) => record(&c, jitter, false, &mut per_class),
+        match g.submit(&url, now) {
+            // a refusal is the governor's own reply, recorded unfaulted
+            Admission::Rejected(c) => complete(&c, (jitter, None), &mut per_class),
             Admission::Queued(id) => {
-                inflight.insert(id, jitter);
-                if truncate {
-                    truncated_ids.push(id);
-                }
-                if reply_lost {
-                    reply_lost_ids.push(id);
-                }
+                inflight.insert(id, (jitter, fault));
             }
         }
         for c in g.run_until(now) {
-            let jitter = inflight.remove(&c.id).unwrap_or(0);
-            if reply_lost_ids.contains(&c.id) {
-                // served, but the reply vanished: the client sees a loss
-                per_class[c.class.index()].lost += 1;
-                continue;
-            }
-            record(&c, jitter, truncated_ids.contains(&c.id), &mut per_class);
+            let net = inflight.remove(&c.id).unwrap_or_default();
+            complete(&c, net, &mut per_class);
         }
-        let _ = ev.client;
-        let _ = ev.n;
     }
     for c in g.drain() {
-        let jitter = inflight.remove(&c.id).unwrap_or(0);
-        if reply_lost_ids.contains(&c.id) {
-            per_class[c.class.index()].lost += 1;
-            continue;
-        }
-        record(&c, jitter, truncated_ids.contains(&c.id), &mut per_class);
+        let net = inflight.remove(&c.id).unwrap_or_default();
+        complete(&c, net, &mut per_class);
     }
     debug_assert!(inflight.is_empty(), "every admitted request completed");
 
@@ -449,12 +411,8 @@ pub struct ClusterSimConfig {
     /// `/doc` read arrivals per virtual second.
     pub read_rps: u64,
     pub cluster: ClusterConfig,
-    /// Scheduled leader crashes: `(at_ms, shard)`.
-    pub leader_crashes: Vec<(u64, usize)>,
-    /// Follower partitions: `(shard, slot, from_ms, to_ms)`.
-    pub partitions: Vec<(usize, usize, u64, u64)>,
-    /// Scheduled topology changes: `(at_ms, change)`.
-    pub topology: Vec<(u64, TopologyChange)>,
+    /// Leader crashes, partitions and topology changes for the run.
+    pub chaos: ClusterChaos,
     /// How long the simulated clients cache a document's owner before
     /// re-resolving. `0` = always-fresh routing (no stale 421s). A
     /// positive value exercises the fencing path: stale clients hit the
@@ -475,9 +433,7 @@ impl ClusterSimConfig {
                 seed,
                 ..ClusterConfig::default()
             },
-            leader_crashes: Vec::new(),
-            partitions: Vec::new(),
-            topology: Vec::new(),
+            chaos: ClusterChaos::default(),
             route_refresh_ms: 0,
         }
     }
@@ -491,8 +447,8 @@ pub struct UpdateRecord {
     pub marker: String,
     pub uri: String,
     pub acked: bool,
-    /// The shard whose leader applied the update (acceptance is
-    /// synchronous in `serve_at`, so this is exact).
+    /// The shard whose leader applied the update, taken from its
+    /// completion (the shard `serve_at` ran it on, so this is exact).
     pub shard: usize,
     /// The topology epoch at acceptance time.
     pub epoch: TopologyEpoch,
@@ -520,7 +476,8 @@ pub struct ClusterReport {
     pub follower_reads: u64,
     /// … of which served stale during a blackout.
     pub degraded_reads: u64,
-    /// Requests a shard refused as not-owned (must stay 0 via `submit`).
+    /// 421 refusals still standing after the route cache's one retry
+    /// (must stay 0: every fence is chased).
     pub misrouted: u64,
     /// Ack latency percentiles over acked updates, virtual ms.
     pub ack_latency_p50: u64,
@@ -530,10 +487,9 @@ pub struct ClusterReport {
     pub stats: ReplicationStats,
     /// Anti-entropy scrub / verified-repair counters at end of run.
     pub integrity: IntegrityStats,
-    /// Client re-resolutions after a 421 fencing refusal.
+    /// 421 fences stale clients hit, each chased by a re-resolve and a
+    /// retry ([`RouteCache::reroutes`]).
     pub reroutes: u64,
-    /// 421 refusals stale clients hit (each is followed by a re-resolve).
-    pub fence_refusals: u64,
     /// The topology epoch when the run settled.
     pub final_epoch: TopologyEpoch,
     /// Resharding counters at end of run.
@@ -574,13 +530,6 @@ impl ClusterReport {
     }
 }
 
-fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() * pct.min(100) as usize).div_ceil(100).max(1) - 1]
-}
-
 /// Runs the cluster chaos scenario to completion. Returns the report and
 /// the cluster itself so tests can keep tormenting it (crash every
 /// leader, re-verify the ledger) after the run.
@@ -590,20 +539,10 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
     for i in 0..docs {
         let _ = c.load(&format!("d{i}.xml"), &format!("<root doc=\"{i}\"/>"));
     }
-    for &(shard, slot, from, to) in &cfg.partitions {
-        c.partition(shard, slot, from, to);
-    }
-    for &(at, shard) in &cfg.leader_crashes {
-        c.crash_leader_at(at, shard);
-    }
-    for &(at, change) in &cfg.topology {
-        c.schedule_topology(at, change);
-    }
+    c.schedule(&cfg.chaos);
     let mut report = ClusterReport::default();
-    // client-side route cache: uri → (fetched_at, shard). Refreshed after
-    // `route_refresh_ms`, or immediately on a 421 fencing refusal.
-    let mut routes: HashMap<String, (u64, usize)> = HashMap::new();
-    // completion id → ledger index, for pending updates
+    let mut routes = RouteCache::new(cfg.route_refresh_ms);
+    // completion id → ledger index, for updates
     let mut in_flight: HashMap<u64, usize> = HashMap::new();
     let mut ack_latencies: Vec<u64> = Vec::new();
     let settle = |done: ClusterCompletion,
@@ -611,6 +550,9 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
                   in_flight: &mut HashMap<u64, usize>,
                   lat: &mut Vec<u64>| {
         let ledger = in_flight.remove(&done.id);
+        if let Some(ix) = ledger {
+            report.updates[ix].shard = done.shard;
+        }
         match done.outcome {
             ClusterOutcome::AckedUpdate => {
                 report.acked_updates += 1;
@@ -642,20 +584,6 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
             }
         }
     };
-    // resolve a uri through the (possibly stale) client route cache
-    let resolve = |c: &Cluster, routes: &mut HashMap<String, (u64, usize)>, uri: &str, now: u64| {
-        if cfg.route_refresh_ms == 0 {
-            return c.owner(uri);
-        }
-        match routes.get(uri) {
-            Some(&(at, shard)) if now < at + cfg.route_refresh_ms => shard,
-            _ => {
-                let shard = c.owner(uri);
-                routes.insert(uri.to_string(), (now, shard));
-                shard
-            }
-        }
-    };
     let (mut un, mut rn) = (0u64, 0u64);
     for now in 0..=cfg.duration_ms {
         while un < cfg.update_rps * now / 1000 {
@@ -668,42 +596,23 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
                 "/update?xq=insert node <sim-update id=\"{marker}\"/> into doc(\"{uri}\")/*"
             );
             report.issued_updates += 1;
+            let submitted = routes.serve(&mut c, &url, now);
+            // `settle` fills in the shard that actually served it
             report.updates.push(UpdateRecord {
                 marker,
-                uri: uri.clone(),
-                acked: false,
                 shard: 0,
-                epoch: 0,
+                uri,
+                acked: false,
+                epoch: c.epoch(),
             });
             let ix = report.updates.len() - 1;
-            let mut shard = resolve(&c, &mut routes, &uri, now);
-            let mut submitted = c.serve_at(shard, &url, now);
-            // a 421 fence means the route cache was stale: re-resolve
-            // against the refreshed ring and retry once
-            if matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Misrouted) {
-                report.fence_refusals += 1;
-                report.reroutes += 1;
-                if let Submitted::Done(done) = submitted {
-                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
-                }
-                shard = c.owner(&uri);
-                routes.insert(uri.clone(), (now, shard));
-                submitted = c.serve_at(shard, &url, now);
-            }
-            report.updates[ix].shard = shard;
-            report.updates[ix].epoch = c.epoch();
             match submitted {
                 Submitted::Pending(id) => {
                     in_flight.insert(id, ix);
                 }
                 Submitted::Done(done) => {
-                    if done.outcome == ClusterOutcome::AckedUpdate {
-                        report.updates[ix].acked = true;
-                        report.acked_updates += 1;
-                        ack_latencies.push(0);
-                    } else {
-                        settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
-                    }
+                    in_flight.insert(done.id, ix);
+                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
                 }
             }
             un += 1;
@@ -711,23 +620,8 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
         while rn < cfg.read_rps * now / 1000 {
             let uri = format!("d{}.xml", mix64(cfg.seed ^ 0xbead ^ rn) % docs as u64);
             report.issued_reads += 1;
-            let mut shard = resolve(&c, &mut routes, &uri, now);
-            let mut submitted = c.serve_at(shard, &format!("/doc?uri={uri}"), now);
-            if matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Misrouted) {
-                report.fence_refusals += 1;
-                report.reroutes += 1;
-                if let Submitted::Done(done) = submitted {
-                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
-                }
-                shard = c.owner(&uri);
-                routes.insert(uri.clone(), (now, shard));
-                submitted = c.serve_at(shard, &format!("/doc?uri={uri}"), now);
-            }
-            match submitted {
-                Submitted::Done(done) => {
-                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies)
-                }
-                Submitted::Pending(_) => {}
+            if let Submitted::Done(done) = routes.serve(&mut c, &format!("/doc?uri={uri}"), now) {
+                settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
             }
             rn += 1;
         }
@@ -739,9 +633,9 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
     for done in rest {
         settle(done, &mut report, &mut in_flight, &mut ack_latencies);
     }
-    ack_latencies.sort_unstable();
     report.ack_latency_p50 = nearest_rank(&ack_latencies, 50);
     report.ack_latency_p99 = nearest_rank(&ack_latencies, 99);
+    report.reroutes = routes.reroutes;
     report.stats = c.stats();
     report.integrity = c.integrity_stats();
     report.final_epoch = c.epoch();
@@ -856,7 +750,7 @@ mod tests {
         let mut cfg = ClusterSimConfig::steady(21, 2_500);
         cfg.cluster.followers = 2;
         cfg.cluster.ack_replicas = 1;
-        cfg.leader_crashes = vec![(1_200, 0), (1_400, 1)];
+        cfg.chaos.leader_crashes = vec![(1_200, 0), (1_400, 1)];
         let (report, cluster) = run_cluster_sim(&cfg);
         assert_eq!(report.stats.failovers, 2, "both shards must fail over");
         assert!(report.acked_updates > 0);
@@ -875,7 +769,7 @@ mod tests {
         cfg.cluster.ack_timeout_ms = 300;
         // the only follower is dark for most of the run: updates cannot
         // satisfy the ack rule while the partition holds
-        cfg.partitions = vec![(0, 1, 0, 1_500), (1, 1, 0, 1_500)];
+        cfg.chaos.partitions = vec![(0, 1, 0, 1_500), (1, 1, 0, 1_500)];
         let (report, cluster) = run_cluster_sim(&cfg);
         assert!(
             report.ack_timeouts > 0,

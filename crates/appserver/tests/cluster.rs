@@ -70,7 +70,7 @@ fn scenario(seed: u64) -> ClusterSimConfig {
     for s in 0..cfg.cluster.shards {
         if !mix(seed, 9 + s as u64).is_multiple_of(3) {
             let at = 200 + mix(seed, 20 + s as u64) % (cfg.duration_ms - 300);
-            cfg.leader_crashes.push((at, s));
+            cfg.chaos.leader_crashes.push((at, s));
         }
     }
     // a transient partition on one follower link per shard
@@ -79,7 +79,7 @@ fn scenario(seed: u64) -> ClusterSimConfig {
             let slot = 1 + (mix(seed, 40 + s as u64) % cfg.cluster.followers as u64) as usize;
             let from = mix(seed, 50 + s as u64) % cfg.duration_ms;
             let to = (from + 200 + mix(seed, 60 + s as u64) % 600).min(cfg.duration_ms);
-            cfg.partitions.push((s, slot, from, to));
+            cfg.chaos.partitions.push((s, slot, from, to));
         }
     }
     cfg.update_rps = 20 + mix(seed, 70) % 40;
@@ -153,7 +153,7 @@ proptest! {
         let mut cfg = scenario(case_seed);
         cfg.cluster.shards = 2 + (mix(case_seed, 80) % 3) as usize;
         cfg.duration_ms = 200; // topology is what matters here
-        cfg.leader_crashes.clear();
+        cfg.chaos.leader_crashes.clear();
         let (_, mut cluster) = run_cluster_sim(&cfg);
         for i in 0..cfg.docs {
             let uri = format!("d{i}.xml");
@@ -270,8 +270,8 @@ fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
     // straggler finds a gap and must take the snapshot path
     cfg.cluster.durability.checkpoint_threshold = 96;
     cfg.cluster.follower_durability.checkpoint_threshold = 96;
-    cfg.partitions = vec![(0, 2, 200, 1_200)];
-    cfg.leader_crashes = vec![(1_600, 0)];
+    cfg.chaos.partitions = vec![(0, 2, 200, 1_200)];
+    cfg.chaos.leader_crashes = vec![(1_600, 0)];
     cfg.update_rps = 60;
     let (report, mut cluster) = run_cluster_sim(&cfg);
     assert!(report.acked_updates > 0);
@@ -304,8 +304,8 @@ fn scripted_double_failover_with_partition_keeps_acked_updates() {
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
-    cfg.leader_crashes = vec![(800, 0)];
-    cfg.partitions = vec![(0, 2, 700, 1_300)];
+    cfg.chaos.leader_crashes = vec![(800, 0)];
+    cfg.chaos.partitions = vec![(0, 2, 700, 1_300)];
     let (report, mut cluster) = run_cluster_sim(&cfg);
     assert!(report.acked_updates > 0);
     assert_eq!(report.stats.failovers, 1);

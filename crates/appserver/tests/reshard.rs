@@ -73,14 +73,14 @@ fn reshard_scenario(seed: u64) -> ClusterSimConfig {
                 (mix(seed, 40 + k) % cfg.cluster.shards as u64) as usize,
             ),
         };
-        cfg.topology.push((at, change));
+        cfg.chaos.topology.push((at, change));
     }
-    cfg.topology.sort_by_key(|(t, _)| *t);
+    cfg.chaos.topology.sort_by_key(|(t, _)| *t);
     // a mid-run leader crash on some shards, composing with migrations
     for s in 0..cfg.cluster.shards {
         if !mix(seed, 50 + s as u64).is_multiple_of(3) {
             let at = 200 + mix(seed, 60 + s as u64) % (cfg.duration_ms - 300);
-            cfg.leader_crashes.push((at, s));
+            cfg.chaos.leader_crashes.push((at, s));
         }
     }
     // a transient partition on one follower link per shard
@@ -89,7 +89,7 @@ fn reshard_scenario(seed: u64) -> ClusterSimConfig {
             let slot = 1 + (mix(seed, 80 + s as u64) % cfg.cluster.followers as u64) as usize;
             let from = mix(seed, 90 + s as u64) % cfg.duration_ms;
             let to = (from + 200 + mix(seed, 100 + s as u64) % 600).min(cfg.duration_ms);
-            cfg.partitions.push((s, slot, from, to));
+            cfg.chaos.partitions.push((s, slot, from, to));
         }
     }
     cfg.update_rps = 30 + mix(seed, 110) % 40;
@@ -121,7 +121,7 @@ proptest! {
             cfg
         );
         // every stale 421 was chased to the fresh owner, never surfaced
-        prop_assert_eq!(report.reroutes, report.fence_refusals);
+        prop_assert_eq!(report.misrouted, 0);
         // torment round: crash every surviving leader, re-elect, re-verify
         let mut now = cfg.duration_ms + 10_000;
         for s in 0..cluster.shard_count() {
@@ -208,7 +208,7 @@ fn stale_clients_chase_fences_across_a_mid_run_grow_and_rebalance() {
     cfg.cluster.followers = 1;
     cfg.cluster.ack_replicas = 1;
     cfg.route_refresh_ms = 1_000_000; // cache forever: only 421s re-resolve
-    cfg.topology = vec![
+    cfg.chaos.topology = vec![
         (600, TopologyChange::AddShard),
         (1_500, TopologyChange::Rebalance(3)),
     ];
@@ -223,11 +223,11 @@ fn stale_clients_chase_fences_across_a_mid_run_grow_and_rebalance() {
         report.reshard
     );
     assert!(
-        report.fence_refusals > 0,
+        report.reroutes > 0,
         "stale clients never hit a fence: {:?}",
         report
     );
-    assert_eq!(report.reroutes, report.fence_refusals);
+    assert_eq!(report.misrouted, 0, "a fence was hit but never chased");
     assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
     assert_eq!(report.dual_owner_violations(), Vec::<String>::new());
     assert_eq!(cluster.migrations_in_flight(), 0);
@@ -245,7 +245,7 @@ fn mid_run_decommission_drains_and_keeps_every_acked_update() {
     cfg.cluster.followers = 1;
     cfg.cluster.ack_replicas = 1;
     cfg.route_refresh_ms = 300;
-    cfg.topology = vec![(700, TopologyChange::Decommission(1))];
+    cfg.chaos.topology = vec![(700, TopologyChange::Decommission(1))];
     cfg.update_rps = 50;
     let (report, cluster) = run_cluster_sim(&cfg);
     assert!(report.acked_updates > 0);

@@ -12,52 +12,34 @@
 //! window + probe/promotion time.
 
 use xqib_appserver::simulate::{run_cluster_sim, ClusterReport, ClusterSimConfig};
+use xqib_bench::write_report;
 
 fn arm_config(seed: u64, followers: usize) -> ClusterSimConfig {
     let mut cfg = ClusterSimConfig::steady(seed, 6_000);
     cfg.cluster.shards = 1;
     cfg.cluster.followers = followers;
     cfg.cluster.ack_replicas = followers; // every follower must ack
-    cfg.leader_crashes = vec![(2_000, 0)]; // one mid-run power loss
+    cfg.chaos.leader_crashes = vec![(2_000, 0)]; // one mid-run power loss
     cfg
 }
 
-fn arm_json(name: &str, r: &ClusterReport, duration_ms: u64) -> String {
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"issued_updates\": {},\n",
-            "      \"acked_updates\": {},\n",
-            "      \"acked_rps\": {},\n",
-            "      \"ack_latency_p50_ms\": {},\n",
-            "      \"ack_latency_p99_ms\": {},\n",
-            "      \"ack_timeouts\": {},\n",
-            "      \"lost_in_failover\": {},\n",
-            "      \"no_leader\": {},\n",
-            "      \"failovers\": {},\n",
-            "      \"blackout_ms\": {},\n",
-            "      \"follower_reads\": {},\n",
-            "      \"degraded_reads\": {},\n",
-            "      \"frames_shipped\": {},\n",
-            "      \"snapshots_shipped\": {}\n",
-            "    }}"
-        ),
-        name,
-        r.issued_updates,
-        r.acked_updates,
-        r.acked_updates * 1_000 / duration_ms.max(1),
-        r.ack_latency_p50,
-        r.ack_latency_p99,
-        r.ack_timeouts,
-        r.lost_in_failover,
-        r.no_leader,
-        r.stats.failovers,
-        r.stats.blackout_ms,
-        r.follower_reads,
-        r.degraded_reads,
-        r.stats.frames_shipped,
-        r.stats.snapshots_shipped,
-    )
+fn arm(r: &ClusterReport, duration_ms: u64) -> Vec<(&'static str, u64)> {
+    vec![
+        ("issued_updates", r.issued_updates),
+        ("acked_updates", r.acked_updates),
+        ("acked_rps", r.acked_updates * 1_000 / duration_ms.max(1)),
+        ("ack_latency_p50_ms", r.ack_latency_p50),
+        ("ack_latency_p99_ms", r.ack_latency_p99),
+        ("ack_timeouts", r.ack_timeouts),
+        ("lost_in_failover", r.lost_in_failover),
+        ("no_leader", r.no_leader),
+        ("failovers", r.stats.failovers),
+        ("blackout_ms", r.stats.blackout_ms),
+        ("follower_reads", r.follower_reads),
+        ("degraded_reads", r.degraded_reads),
+        ("frames_shipped", r.stats.frames_shipped),
+        ("snapshots_shipped", r.stats.snapshots_shipped),
+    ]
 }
 
 fn main() {
@@ -86,16 +68,8 @@ fn main() {
             report.stats.blackout_ms > 0,
             "{name}: crash must cost a blackout"
         );
-        arms.push(arm_json(name, &report, duration));
+        arms.push((name, arm(&report, duration)));
     }
 
-    let json = format!(
-        "{{\n  \"cluster_failover\": {{\n{}\n  }}\n}}\n",
-        arms.join(",\n")
-    );
-    // cargo runs benches with the package as CWD; the report belongs at
-    // the repo root next to the harvested BENCH_*.json files
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    std::fs::write(out, &json).expect("write BENCH_cluster.json");
-    println!("wrote BENCH_cluster.json:\n{json}");
+    write_report("BENCH_cluster.json", "cluster_failover", &arms);
 }

@@ -15,7 +15,10 @@
 //! binary writes `BENCH_fleet.json` directly (same pattern as the
 //! overload and cluster-failover benches).
 
+use std::fmt::Display;
+
 use xqib_appserver::fleet::{run_fleet, FleetConfig, FleetReport};
+use xqib_bench::write_report;
 
 fn elsevier_arm(seed: u64, caching: usize, nocache: usize) -> FleetConfig {
     let mut cfg = FleetConfig::quiet(seed);
@@ -27,47 +30,26 @@ fn elsevier_arm(seed: u64, caching: usize, nocache: usize) -> FleetConfig {
     cfg
 }
 
-fn arm_json(name: &str, r: &FleetReport) -> String {
+fn arm(r: &FleetReport) -> Vec<(&'static str, &dyn Display)> {
     let t = &r.totals;
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"clients\": {},\n",
-            "      \"interactions\": {},\n",
-            "      \"behind_calls\": {},\n",
-            "      \"origin_requests\": {},\n",
-            "      \"cache_hit_permille\": {},\n",
-            "      \"completions\": {},\n",
-            "      \"stale_events\": {},\n",
-            "      \"error_events\": {},\n",
-            "      \"retries\": {},\n",
-            "      \"breaker_opens\": {},\n",
-            "      \"retry_after_honored\": {},\n",
-            "      \"degraded_observed\": {},\n",
-            "      \"failovers\": {},\n",
-            "      \"blackout_ms\": {},\n",
-            "      \"converged\": {},\n",
-            "      \"duration_ms\": {}\n",
-            "    }}"
-        ),
-        name,
-        t.clients,
-        t.interactions,
-        t.behind_calls,
-        t.origin_requests,
-        t.cache_hit_permille,
-        t.completions,
-        t.stale_events,
-        t.error_events,
-        t.retries,
-        t.breaker_opens,
-        t.retry_after_honored,
-        t.degraded_observed,
-        r.replication.failovers,
-        r.replication.blackout_ms,
-        r.converged,
-        r.duration_ms,
-    )
+    vec![
+        ("clients", &t.clients),
+        ("interactions", &t.interactions),
+        ("behind_calls", &t.behind_calls),
+        ("origin_requests", &t.origin_requests),
+        ("cache_hit_permille", &t.cache_hit_permille),
+        ("completions", &t.completions),
+        ("stale_events", &t.stale_events),
+        ("error_events", &t.error_events),
+        ("retries", &t.retries),
+        ("breaker_opens", &t.breaker_opens),
+        ("retry_after_honored", &t.retry_after_honored),
+        ("degraded_observed", &t.degraded_observed),
+        ("failovers", &r.replication.failovers),
+        ("blackout_ms", &r.replication.blackout_ms),
+        ("converged", &r.converged),
+        ("duration_ms", &r.duration_ms),
+    ]
 }
 
 fn main() {
@@ -75,8 +57,6 @@ fn main() {
     let _ = std::env::args();
 
     let seed = 0xF1EE7;
-    let mut arms = Vec::new();
-
     // ≥100 Elsevier clients, whole-document caching on
     let (cached, _) = run_fleet(&elsevier_arm(seed, 100, 0)).expect("cached arm");
     assert!(cached.converged, "cached arm must converge");
@@ -86,7 +66,6 @@ fn main() {
         "repeat visits must be mostly cache hits (got {}‰)",
         cached.totals.cache_hit_permille
     );
-    arms.push(arm_json("whole_document_cache", &cached));
 
     // the same fleet size with cache-busting URLs: the origin baseline
     let (uncached, _) = run_fleet(&elsevier_arm(seed, 0, 100)).expect("no-cache arm");
@@ -99,7 +78,6 @@ fn main() {
         uncached.totals.origin_requests > cached.totals.origin_requests,
         "offload must show up as origin-traffic reduction"
     );
-    arms.push(arm_json("no_cache", &uncached));
 
     // the full chaos menu over the mixed fleet: invariants still hold
     let (chaos, _) = run_fleet(&FleetConfig::chaotic(seed)).expect("chaos arm");
@@ -107,12 +85,14 @@ fn main() {
     assert_eq!(chaos.outcome_mismatches, vec![]);
     assert!(chaos.converged, "chaos arm must converge post-recovery");
     assert!(chaos.replication.failovers >= 2);
-    arms.push(arm_json("chaos", &chaos));
 
-    let json = format!("{{\n  \"fleet\": {{\n{}\n  }}\n}}\n", arms.join(",\n"));
-    // cargo runs benches with the package as CWD; the report belongs at
-    // the repo root next to the harvested BENCH_*.json files
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(out, &json).expect("write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json:\n{json}");
+    write_report(
+        "BENCH_fleet.json",
+        "fleet",
+        &[
+            ("whole_document_cache", arm(&cached)),
+            ("no_cache", arm(&uncached)),
+            ("chaos", arm(&chaos)),
+        ],
+    );
 }

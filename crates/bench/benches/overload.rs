@@ -11,7 +11,9 @@
 //! injected faults — overload is the only adversary.
 
 use xqib_appserver::governor::Class;
+use xqib_appserver::metrics::nearest_rank;
 use xqib_appserver::simulate::{run_sim, ArrivalPattern, SimConfig, SimReport};
+use xqib_bench::write_report;
 
 fn burst_config(seed: u64, governed: bool) -> SimConfig {
     let mut cfg = SimConfig::steady(seed, 20, 6_000);
@@ -27,35 +29,23 @@ fn burst_config(seed: u64, governed: bool) -> SimConfig {
     cfg
 }
 
-fn arm_json(name: &str, r: &SimReport) -> String {
+fn arm(r: &SimReport) -> Vec<(&'static str, u64)> {
     let render = r.class(Class::Render);
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"issued\": {},\n",
-            "      \"goodput\": {},\n",
-            "      \"goodput_rps\": {},\n",
-            "      \"shed\": {},\n",
-            "      \"degraded\": {},\n",
-            "      \"deadline_exceeded\": {},\n",
-            "      \"latency_p99_ms\": {},\n",
-            "      \"render_latency_p50_ms\": {},\n",
-            "      \"render_latency_p99_ms\": {},\n",
-            "      \"queue_delay_p99_ms\": {}\n",
-            "    }}"
+    vec![
+        ("issued", r.issued()),
+        ("goodput", r.goodput()),
+        ("goodput_rps", r.goodput_rps()),
+        ("shed", r.shed()),
+        ("degraded", r.metrics.overload.degraded),
+        ("deadline_exceeded", r.metrics.overload.deadline_exceeded),
+        ("latency_p99_ms", r.latency_p99()),
+        ("render_latency_p50_ms", nearest_rank(&render.latencies, 50)),
+        ("render_latency_p99_ms", nearest_rank(&render.latencies, 99)),
+        (
+            "queue_delay_p99_ms",
+            nearest_rank(&r.metrics.overload.queue_delays, 99),
         ),
-        name,
-        r.issued(),
-        r.goodput(),
-        r.goodput_rps(),
-        r.shed(),
-        r.metrics.overload.degraded,
-        r.metrics.overload.deadline_exceeded,
-        r.latency_p99(),
-        render.latency_percentile(50),
-        render.latency_percentile(99),
-        r.metrics.overload.queue_delay_percentile(99),
-    )
+    ]
 }
 
 fn main() {
@@ -66,16 +56,11 @@ fn main() {
     let baseline = run_sim(&burst_config(seed, false)).expect("corpus load");
     let governed = run_sim(&burst_config(seed, true)).expect("corpus load");
 
-    let json = format!(
-        "{{\n  \"overload_burst_2x\": {{\n{},\n{}\n  }}\n}}\n",
-        arm_json("baseline", &baseline),
-        arm_json("governed", &governed),
+    write_report(
+        "BENCH_overload.json",
+        "overload_burst_2x",
+        &[("baseline", arm(&baseline)), ("governed", arm(&governed))],
     );
-    // cargo runs benches with the package as CWD; the report belongs at
-    // the repo root next to the harvested BENCH_*.json files
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
-    std::fs::write(out, &json).expect("write BENCH_overload.json");
-    println!("wrote BENCH_overload.json:\n{json}");
 
     // sanity: governance must actually tame tail latency under the burst
     assert!(

@@ -12,6 +12,7 @@
 //! acked update, whatever the decay intensity.
 
 use xqib_appserver::simulate::{run_cluster_sim, ClusterReport, ClusterSimConfig};
+use xqib_bench::write_report;
 use xqib_storage::StorageFaultPlan;
 
 fn arm_config(seed: u64, decay_permille: u16) -> ClusterSimConfig {
@@ -19,7 +20,7 @@ fn arm_config(seed: u64, decay_permille: u16) -> ClusterSimConfig {
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
-    cfg.leader_crashes = vec![(2_000, 0)]; // one mid-run power loss
+    cfg.chaos.leader_crashes = vec![(2_000, 0)]; // one mid-run power loss
     if decay_permille > 0 {
         cfg.cluster.disk_fault = Some(
             StorageFaultPlan::seeded(seed ^ 0x5C2B)
@@ -30,51 +31,28 @@ fn arm_config(seed: u64, decay_permille: u16) -> ClusterSimConfig {
     cfg
 }
 
-fn arm_json(name: &str, r: &ClusterReport) -> String {
+fn arm(r: &ClusterReport) -> Vec<(&'static str, u64)> {
     let i = &r.integrity;
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"issued_updates\": {},\n",
-            "      \"acked_updates\": {},\n",
-            "      \"lost_in_failover\": {},\n",
-            "      \"failovers\": {},\n",
-            "      \"decay_sweeps\": {},\n",
-            "      \"sectors_decayed\": {},\n",
-            "      \"scrub_cycles\": {},\n",
-            "      \"scrub_docs_checked\": {},\n",
-            "      \"scrub_wal_corruptions\": {},\n",
-            "      \"scrub_ckpt_corruptions\": {},\n",
-            "      \"scrub_digest_mismatches\": {},\n",
-            "      \"quarantines\": {},\n",
-            "      \"repairs_started\": {},\n",
-            "      \"repairs_verified\": {},\n",
-            "      \"leader_demotions\": {},\n",
-            "      \"promote_heals\": {},\n",
-            "      \"reads_verified\": {},\n",
-            "      \"reads_refused\": {}\n",
-            "    }}"
-        ),
-        name,
-        r.issued_updates,
-        r.acked_updates,
-        r.lost_in_failover,
-        r.stats.failovers,
-        i.decay_sweeps,
-        i.sectors_decayed,
-        i.scrub_cycles,
-        i.scrub_docs_checked,
-        i.scrub_wal_corruptions,
-        i.scrub_ckpt_corruptions,
-        i.scrub_digest_mismatches,
-        i.quarantines,
-        i.repairs_started,
-        i.repairs_verified,
-        i.leader_demotions,
-        i.promote_heals,
-        i.reads_verified,
-        i.reads_refused,
-    )
+    vec![
+        ("issued_updates", r.issued_updates),
+        ("acked_updates", r.acked_updates),
+        ("lost_in_failover", r.lost_in_failover),
+        ("failovers", r.stats.failovers),
+        ("decay_sweeps", i.decay_sweeps),
+        ("sectors_decayed", i.sectors_decayed),
+        ("scrub_cycles", i.scrub_cycles),
+        ("scrub_docs_checked", i.scrub_docs_checked),
+        ("scrub_wal_corruptions", i.scrub_wal_corruptions),
+        ("scrub_ckpt_corruptions", i.scrub_ckpt_corruptions),
+        ("scrub_digest_mismatches", i.scrub_digest_mismatches),
+        ("quarantines", i.quarantines),
+        ("repairs_started", i.repairs_started),
+        ("repairs_verified", i.repairs_verified),
+        ("leader_demotions", i.leader_demotions),
+        ("promote_heals", i.promote_heals),
+        ("reads_verified", i.reads_verified),
+        ("reads_refused", i.reads_refused),
+    ]
 }
 
 fn main() {
@@ -99,13 +77,8 @@ fn main() {
         } else {
             assert!(report.integrity.decay_sweeps > 0, "{name}: decay idle");
         }
-        arms.push(arm_json(name, &report));
+        arms.push((name, arm(&report)));
     }
 
-    let json = format!("{{\n  \"scrub\": {{\n{}\n  }}\n}}\n", arms.join(",\n"));
-    // cargo runs benches with the package as CWD; the report belongs at
-    // the repo root next to the harvested BENCH_*.json files
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scrub.json");
-    std::fs::write(out, &json).expect("write BENCH_scrub.json");
-    println!("wrote BENCH_scrub.json:\n{json}");
+    write_report("BENCH_scrub.json", "scrub", &arms);
 }

@@ -6,6 +6,7 @@
 //! Criterion timings for the same workload.
 
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::rc::Rc;
 
 use xqib_appserver::corpus::{generate_corpus, CorpusSpec};
@@ -77,4 +78,28 @@ pub fn migrated_plugin(spec: &CorpusSpec) -> (Plugin, Rc<RefCell<AppServer>>) {
 /// Prints a Markdown-ish table row (the harness output format).
 pub fn row(cols: &[&str]) {
     println!("| {} |", cols.join(" | "));
+}
+
+/// Writes a virtual-time experiment's report to `file` at the repo root
+/// and prints it. The shape is
+/// `{ "<group>": { "<arm>": { "<key>": <value>, … }, … } }`, keys and arms
+/// in the order given; each value is written as it displays, so it must
+/// be a JSON number or boolean.
+pub fn write_report<V: Display>(file: &str, group: &str, arms: &[(&str, Vec<(&str, V)>)]) {
+    let arms: Vec<String> = arms
+        .iter()
+        .map(|(arm, fields)| {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(key, value)| format!("      \"{key}\": {value}"))
+                .collect();
+            format!("    \"{arm}\": {{\n{}\n    }}", fields.join(",\n"))
+        })
+        .collect();
+    let json = format!("{{\n  \"{group}\": {{\n{}\n  }}\n}}\n", arms.join(",\n"));
+    // cargo runs benches with the package as CWD; the report belongs at
+    // the repo root next to the harvested BENCH_*.json files
+    let out = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}:\n{json}");
 }

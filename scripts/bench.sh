@@ -46,12 +46,12 @@
 #                           virtual time (the bench binary writes this
 #                           report itself)
 #
-# `scripts/bench.sh virtual` reruns only the cluster_failover, scrub,
-# reshard and fleet benches and fails if BENCH_cluster.json,
-# BENCH_scrub.json, BENCH_reshard.json or BENCH_fleet.json then differs
-# from the committed file. Those four reports are deterministic
-# virtual-time model outputs, so a change that moves a trajectory must
-# commit the regenerated report with it.
+# `scripts/bench.sh virtual` reruns only the overload, cluster_failover,
+# scrub, reshard and fleet benches and fails if BENCH_overload.json,
+# BENCH_cluster.json, BENCH_scrub.json, BENCH_reshard.json or
+# BENCH_fleet.json then differs from the committed file. Those five
+# reports are deterministic virtual-time model outputs, so a change that
+# moves a trajectory must commit the regenerated report with it.
 #
 # Each report has the shape
 #
@@ -66,10 +66,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = virtual ]; then
-    for bench in cluster_failover scrub reshard fleet; do
+    for bench in overload cluster_failover scrub reshard fleet; do
         cargo bench -p xqib-bench --bench "$bench"
     done
-    git diff --exit-code -- BENCH_cluster.json BENCH_scrub.json BENCH_reshard.json BENCH_fleet.json
+    git diff --exit-code -- BENCH_overload.json BENCH_cluster.json BENCH_scrub.json \
+        BENCH_reshard.json BENCH_fleet.json
     exit 0
 fi
 

@@ -78,9 +78,9 @@ fn cluster_smoke() {
             .with_decay_permille(2)
             .with_decay_period_ms(80),
     );
-    cfg.leader_crashes.push((500, 0));
-    cfg.partitions.push((1, 1, 200, 600));
-    cfg.topology.push((700, TopologyChange::AddShard));
+    cfg.chaos.leader_crashes.push((500, 0));
+    cfg.chaos.partitions.push((1, 1, 200, 600));
+    cfg.chaos.topology.push((700, TopologyChange::AddShard));
     let (report, mut c) = run_cluster_sim(&cfg);
     let (again, _) = run_cluster_sim(&cfg);
     assert_eq!(report, again, "same seed, same report");
