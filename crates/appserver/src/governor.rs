@@ -109,10 +109,13 @@ pub struct GovernorConfig {
 impl Default for GovernorConfig {
     fn default() -> Self {
         // Calibration: with the default corpus a `/page` render costs
-        // ≈2.1k fuel, the `/index` page ≈3.3k and an ad-hoc count query
-        // ≈1.6k, so at 100 fuel/ms renders take ≈20–35 virtual ms (a
-        // mixed workload saturates around 60 req/s) and the 100 ms render
-        // deadline leaves honest headroom under moderate queueing.
+        // ≈240 fuel when the attribute-value index answers its article
+        // lookup (≈330 on the first render after a write, which scans),
+        // the `/index` page ≈3.3k and an ad-hoc count query ≈20, so at
+        // 100 fuel/ms a page takes ≈3–4 virtual ms and the index page
+        // ≈34. The default route mix saturates around 200 req/s (the
+        // overload bench measures it), and the 100 ms render deadline
+        // leaves honest headroom under moderate queueing.
         GovernorConfig {
             queue_capacity: 64,
             deadline_ms: [100, 150, 200], // render, update, query

@@ -141,6 +141,8 @@ mod tests {
                 order_index_rebuilds: 6,
                 sorts_performed: 7,
                 sorts_elided: 8,
+                attr_index_builds: 80,
+                attr_index_hits: 81,
             },
             durability: DurabilityStats {
                 wal_appends: 9,

@@ -3,15 +3,26 @@
 //! deployment of §6.1). The same rendering logic later runs in the browser
 //! after migration — that is the whole point of the scenario.
 
+use std::sync::OnceLock;
+
 /// The corpus document URI inside the XML database.
 pub const CORPUS_URI: &str = "corpus.xml";
 
-/// XQuery producing the browse page for one article: title, author, the
-/// reference table and the reference statistics ("statistics, years…").
-/// This is shared by the server renderer and the migrated client script.
-pub fn article_body_query(article_id: &str) -> String {
+/// The external variable the `/page` plan reads the article ID from.
+pub const ARTICLE_VAR: &str = "article";
+
+/// The browse page for the article `$article`: title, author, the
+/// reference table and the reference statistics ("statistics, years…")
+/// inside the HTML envelope. The one page body: the prepared route and
+/// [`article_page_query`] differ only in how their prolog binds
+/// `$article`.
+fn article_page_body() -> String {
     format!(
-        r#"let $a := doc("{CORPUS_URI}")//article[@id="{article_id}"]
+        r#"<html>
+  <head><title>Reference 2.0</title></head>
+  <body>
+    <div id="nav">Reference 2.0</div>
+    {{ let $a := doc("{CORPUS_URI}")//article[@id = ${ARTICLE_VAR}]
 let $refs := $a/references/reference
 return
   <div id="content">
@@ -27,22 +38,34 @@ return
       <span id="minyear">{{min(for $r in $refs return number($r/year))}}</span>
       <span id="maxyear">{{max(for $r in $refs return number($r/year))}}</span>
     </div>
-  </div>"#
+  </div> }}
+  </body>
+</html>"#
     )
 }
 
-/// XQuery producing the whole server-rendered page (HTML envelope around
-/// the article body).
+/// The `/page` query with `$article` declared external: one text, hence
+/// one cached plan, for every article. The server binds the requested ID
+/// as an `xs:string` when it executes the plan, so the ID is a value and
+/// never query text.
+pub fn article_page_prepared() -> &'static str {
+    static PREPARED: OnceLock<String> = OnceLock::new();
+    PREPARED.get_or_init(|| {
+        format!(
+            "declare variable ${ARTICLE_VAR} external;\n{}",
+            article_page_body()
+        )
+    })
+}
+
+/// The page for one article as a self-contained query: the same body,
+/// with `$article` declared in the prolog as a string literal holding the
+/// escaped ID.
 pub fn article_page_query(article_id: &str) -> String {
+    let literal = article_id.replace('&', "&amp;").replace('"', "&quot;");
     format!(
-        r#"<html>
-  <head><title>Reference 2.0</title></head>
-  <body>
-    <div id="nav">Reference 2.0</div>
-    {{ {body} }}
-  </body>
-</html>"#,
-        body = article_body_query(article_id)
+        "declare variable ${ARTICLE_VAR} := \"{literal}\";\n{}",
+        article_page_body()
     )
 }
 

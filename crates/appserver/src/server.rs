@@ -18,7 +18,7 @@ use xqib_browser::net::percent_decode;
 use xqib_dom::order::stats as engine_stats;
 use xqib_dom::order::stats::EngineStats;
 use xqib_storage::VirtualDisk;
-use xqib_xdm::XdmResult;
+use xqib_xdm::{Item, XdmResult};
 
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::render;
@@ -159,7 +159,8 @@ impl AppServer {
     /// Handles one request URL (path + query). Routes:
     ///
     /// * `/page?article=ID` — server-rendered article page (the "before"
-    ///   deployment: one XQuery evaluation per interaction);
+    ///   deployment: one XQuery evaluation per interaction), one prepared
+    ///   plan for every article with the ID bound as `$article`;
     /// * `/index` — server-rendered journal index;
     /// * `/doc?uri=U` — a whole stored document (the migrated deployment's
     ///   cache-friendly REST API: "serve whole documents rather than
@@ -192,10 +193,14 @@ impl AppServer {
         let (path, query) = split_url(url);
         let (resp, fuel_used) = match path.as_str() {
             "/page" => match param(&query, "article") {
-                Some(id) => self.render_query(&render::article_page_query(&id), budget),
+                Some(id) => self.render_query(
+                    render::article_page_prepared(),
+                    budget,
+                    &[(render::ARTICLE_VAR, Item::string(id))],
+                ),
                 None => (bad_request("missing article parameter"), 0),
             },
-            "/index" => self.render_query(&render::index_page_query(), budget),
+            "/index" => self.render_query(&render::index_page_query(), budget, &[]),
             "/doc" => match param(&query, "uri") {
                 // the read path recomputes the document's content digest
                 // against the one sealed at journal time: bytes that no
@@ -226,7 +231,7 @@ impl AppServer {
             },
             "/query" | "/update" => match param(&query, "xq") {
                 Some(xq) => {
-                    let r = self.render_query(&xq, budget);
+                    let r = self.render_query(&xq, budget, &[]);
                     if path == "/update" && r.0.status == 200 {
                         // a later degraded response reflects the last
                         // successful update
@@ -261,8 +266,13 @@ impl AppServer {
         }
     }
 
-    fn render_query(&mut self, xq: &str, budget: Option<u64>) -> (ServerResponse, u64) {
-        let (result, fuel_used) = self.db.query_with_deadline(xq, budget);
+    fn render_query(
+        &mut self,
+        xq: &str,
+        budget: Option<u64>,
+        bindings: &[(&str, Item)],
+    ) -> (ServerResponse, u64) {
+        let (result, fuel_used) = self.db.query_with_deadline(xq, budget, bindings);
         let resp = match result {
             Ok(body) => ServerResponse::new(200, body),
             Err(e) => ServerResponse::new(status_for(&e.code), format!("<error>{e}</error>")),
@@ -379,15 +389,18 @@ mod tests {
 
     /// The hot render routes stay on the compiled tier: their queries
     /// lower without a single interpreter fallback, and the compiled body
-    /// is byte-identical to the interpreted one for every article.
+    /// is byte-identical to the interpreted one for every article. `/page`
+    /// is one prepared plan: a single plan-cache miss serves every
+    /// article, and from the second render on the article is looked up in
+    /// the corpus's attribute-value index instead of walking the corpus.
     #[test]
     fn render_routes_are_compiled_and_match_the_interpreter() {
         let ids = article_ids(&CorpusSpec::default());
         let registry = xqib_xquery::ModuleRegistry::new();
-        let queries = ids
-            .iter()
-            .map(|id| render::article_page_query(id))
-            .chain([render::index_page_query()]);
+        let queries = ids.iter().map(|id| render::article_page_query(id)).chain([
+            render::article_page_prepared().to_string(),
+            render::index_page_query(),
+        ]);
         for q in queries {
             let plan = xqib_xquery::plancache::compile_plan(&q, &registry, false).unwrap();
             assert_eq!(plan.stats().fallbacks, 0, "{q}");
@@ -395,15 +408,56 @@ mod tests {
         let mut compiled = server();
         let mut interpreted = server();
         interpreted.db.plan_mode = false;
-        let urls = ids
-            .iter()
-            .map(|id| format!("/page?article={id}"))
-            .chain(["/index".to_string()]);
-        for url in urls {
+        for id in &ids {
+            let url = format!("/page?article={id}");
             let c = compiled.handle(&url);
             assert_eq!(c.status, 200, "{url}: {}", c.body);
             assert_eq!(c.body, interpreted.handle(&url).body, "{url}");
         }
+        let plans = compiled.db.plan_stats();
+        assert_eq!((plans.misses, plans.hits), (1, ids.len() as u64 - 1));
+        let engine = compiled.metrics_snapshot().engine;
+        assert_eq!(
+            (engine.attr_index_builds, engine.attr_index_hits),
+            (1, ids.len() as u64 - 1),
+            "the first render scans, the second builds, the rest look up"
+        );
+        let c = compiled.handle("/index");
+        assert_eq!(c.status, 200, "{}", c.body);
+        assert_eq!(c.body, interpreted.handle("/index").body);
+    }
+
+    /// `/page` binds the article ID as a value, never as query text: an ID
+    /// that would break out of a spliced string literal renders exactly
+    /// like an unknown ID, and so does the self-contained page text, whose
+    /// literal escapes it.
+    #[test]
+    fn hostile_article_ids_render_like_unknown_ones() {
+        let encode = |id: &str| -> String { id.bytes().map(|b| format!("%{b:02X}")).collect() };
+        let mut s = server();
+        let unknown = s.handle("/page?article=no-such-article");
+        assert_eq!(unknown.status, 200, "{}", unknown.body);
+        assert!(!unknown.body.contains("<tr>"), "{}", unknown.body);
+        let hostile = [
+            r#"x"]|//journal|//x[@id=""#,
+            "x']|//journal|//x[@id='",
+            "j0-v0-i0-a0\"]",
+            "]",
+            "{doc('corpus.xml')}",
+            "&",
+            "&amp;",
+            "j0-v0-i0-a0&x=1",
+            "\"\"",
+        ];
+        for id in hostile {
+            let r = s.handle(&format!("/page?article={}", encode(id)));
+            assert_eq!((r.status, &r.body), (200, &unknown.body), "{id}");
+            let q = s.db.query(&render::article_page_query(id));
+            assert_eq!(q.as_ref(), Ok(&unknown.body), "{id}");
+        }
+        // the encoding itself is harmless: a real ID still renders
+        let real = s.handle(&format!("/page?article={}", encode("j0-v0-i0-a0")));
+        assert!(real.body.contains("(j0-v0-i0-a0)"), "{}", real.body);
     }
 
     #[test]

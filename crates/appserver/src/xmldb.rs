@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, SharedStore};
+use xqib_dom::{DocId, QName, SharedStore};
 use xqib_storage::{
     content_digest, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
@@ -356,7 +356,7 @@ impl XmlDb {
     /// In durable mode any pending update lists the query applies are
     /// journaled as redo records.
     pub fn query(&mut self, src: &str) -> XdmResult<String> {
-        self.query_with_deadline(src, None).0
+        self.query_with_deadline(src, None, &[]).0
     }
 
     /// Runs an XQuery under an optional deadline budget, in engine fuel
@@ -365,12 +365,17 @@ impl XmlDb {
     /// list is a point of no return (the budget stops applying), so a
     /// deadline-killed query has applied — and journaled — nothing.
     ///
+    /// `bindings` supply the query's external variables (names in no
+    /// namespace), so a text that declares `$v external` compiles to one
+    /// cached plan whatever value each request binds.
+    ///
     /// Returns the result alongside the fuel actually consumed, which the
     /// request governor uses as the virtual-time cost of the evaluation.
     pub fn query_with_deadline(
         &mut self,
         src: &str,
         budget: Option<u64>,
+        bindings: &[(&str, Item)],
     ) -> (XdmResult<String>, u64) {
         self.evals += 1;
         let exec = match self.executable(src) {
@@ -378,6 +383,9 @@ impl XmlDb {
             Err(e) => return (Err(e), 0),
         };
         let mut ctx = DynamicContext::new(self.store.clone(), exec.static_context());
+        for (name, value) in bindings {
+            ctx.bind_global(QName::local(name), vec![value.clone()]);
+        }
         if let Some(budget) = budget {
             ctx.set_deadline_fuel(budget);
             ctx.fuel_commit_exempt = true;

@@ -10,6 +10,7 @@
 
 use std::cell::{Ref, RefCell};
 
+use crate::attr_index::AttrIndex;
 use crate::error::{DomError, DomResult};
 use crate::name::QName;
 use crate::node::{NodeData, NodeId, NodeKind};
@@ -30,6 +31,11 @@ pub struct Document {
     epoch: u64,
     /// Lazily (re)built document-order interval index; see [`OrderIndex`].
     order_index: RefCell<OrderIndex>,
+    /// Bumped by every in-place change of an attribute's name or value,
+    /// which leaves the structure (and so `epoch`) alone.
+    value_epoch: u64,
+    /// Lazily built attribute-value index; see [`crate::attr_index`].
+    attr_index: RefCell<AttrIndex>,
 }
 
 impl Default for Document {
@@ -51,6 +57,8 @@ impl Document {
             base_uri: None,
             epoch: 0,
             order_index: RefCell::new(OrderIndex::default()),
+            value_epoch: 0,
+            attr_index: RefCell::new(AttrIndex::default()),
         }
     }
 
@@ -60,6 +68,16 @@ impl Document {
     #[inline]
     fn touch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Marks an in-place write to `id`'s name or value. Only attributes
+    /// matter: they are what the attribute-value index keys on, and element
+    /// names are tested after a lookup, never stored in the index.
+    #[inline]
+    fn touch_value(&mut self, id: NodeId) {
+        if self.nodes[id.index()].kind.is_attribute() {
+            self.value_epoch += 1;
+        }
     }
 
     /// Current mutation epoch (monotonically increasing).
@@ -85,6 +103,33 @@ impl Document {
             crate::order::stats::record_rebuild();
         }
         self.order_index.borrow()
+    }
+
+    /// The elements under the document node whose attribute `name` equals
+    /// `value`, in document order — or `None` when the attribute-value
+    /// index has no table for `name` at the current epochs and the caller
+    /// should scan. The first probe of a name after a change returns
+    /// `None`; the second builds its table (see [`crate::attr_index`]). Like
+    /// [`Self::order_index`], the borrow must be dropped before the next
+    /// mutation.
+    pub fn attr_owners(&self, name: &QName, value: &str) -> Option<Ref<'_, [NodeId]>> {
+        let epochs = (self.epoch, self.value_epoch);
+        let built = self
+            .attr_index
+            .borrow()
+            .lookup(epochs, name, value)
+            .is_some();
+        if !built {
+            let mut ix = self.attr_index.borrow_mut();
+            if !ix.probe_unbuilt(self, epochs, name) {
+                return None;
+            }
+        }
+        crate::order::stats::record_attr_index_hit();
+        Ref::filter_map(self.attr_index.borrow(), |ix| {
+            ix.lookup(epochs, name, value)
+        })
+        .ok()
     }
 
     /// The document node.
@@ -580,6 +625,7 @@ impl Document {
                 NodeKind::Attribute { value: v, .. } => *v = value,
                 _ => unreachable!(),
             }
+            self.touch_value(existing);
             return Ok(existing);
         }
         let attr = self.create_attribute(name, value);
@@ -605,6 +651,7 @@ impl Document {
     /// Renames an element, attribute or PI (Update Facility `rename node`).
     pub fn rename(&mut self, id: NodeId, new_name: QName) -> DomResult<()> {
         self.check_exists(id)?;
+        self.touch_value(id);
         match &mut self.nodes[id.index()].kind {
             NodeKind::Element { name, .. } | NodeKind::Attribute { name, .. } => {
                 *name = new_name;
@@ -625,6 +672,7 @@ impl Document {
     /// (Update Facility `replace value of node` for simple nodes).
     pub fn set_simple_value(&mut self, id: NodeId, value: impl Into<String>) -> DomResult<()> {
         self.check_exists(id)?;
+        self.touch_value(id);
         match &mut self.nodes[id.index()].kind {
             NodeKind::Text { value: v }
             | NodeKind::Comment { value: v }

@@ -9,7 +9,9 @@
 //!   by [`NodeId`] — compact, cache-friendly and free of `Rc` cycles;
 //! * a multi-document [`Store`] with global node identity ([`NodeRef`]);
 //! * a from-scratch, namespace-aware **XML/XHTML parser** ([`parse_document`]);
-//! * **document order** comparison and stable sorting of node sets;
+//! * **document order** comparison and stable sorting of node sets, and an
+//!   attribute-value index that answers `//e[@a = "v"]` from a document
+//!   node with a lookup;
 //! * a **mutation API** (insert/detach/replace/rename/deep-copy) used by the
 //!   XQuery Update Facility to update live web pages, exactly as the paper's
 //!   plug-in updates Internet Explorer's DOM through an XDM wrapper;
@@ -19,6 +21,7 @@
 //! premise is that XQuery "can natively process (untyped) Web pages" (§3.1).
 
 pub mod arena;
+pub mod attr_index;
 pub mod error;
 pub mod name;
 pub mod node;

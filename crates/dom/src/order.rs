@@ -23,8 +23,9 @@ use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
 
-/// Engine counters for the order index and path normalisation, so the
-/// wins (and rebuild storms) are observable from the app-server metrics.
+/// Engine counters for the order index, path normalisation and the
+/// attribute-value index ([`crate::attr_index`]), so the wins (and rebuild
+/// storms) are observable from the app-server metrics.
 ///
 /// The counters are per thread: the engine is single-threaded, and a
 /// server diffing them against a baseline must not see work done by other
@@ -36,6 +37,8 @@ pub mod stats {
         static REBUILDS: Cell<u64> = const { Cell::new(0) };
         static SORTS_PERFORMED: Cell<u64> = const { Cell::new(0) };
         static SORTS_ELIDED: Cell<u64> = const { Cell::new(0) };
+        static ATTR_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
+        static ATTR_INDEX_HITS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Point-in-time snapshot of the engine counters.
@@ -47,6 +50,10 @@ pub mod stats {
         pub sorts_performed: u64,
         /// Axis steps whose normalisation was proven unnecessary.
         pub sorts_elided: u64,
+        /// Attribute-value index builds (one O(n) traversal each).
+        pub attr_index_builds: u64,
+        /// Attribute probes answered by the attribute-value index.
+        pub attr_index_hits: u64,
     }
 
     impl EngineStats {
@@ -61,6 +68,12 @@ pub mod stats {
                     .sorts_performed
                     .saturating_sub(baseline.sorts_performed),
                 sorts_elided: self.sorts_elided.saturating_sub(baseline.sorts_elided),
+                attr_index_builds: self
+                    .attr_index_builds
+                    .saturating_sub(baseline.attr_index_builds),
+                attr_index_hits: self
+                    .attr_index_hits
+                    .saturating_sub(baseline.attr_index_hits),
             }
         }
 
@@ -70,10 +83,14 @@ pub mod stats {
                 order_index_rebuilds,
                 sorts_performed,
                 sorts_elided,
+                attr_index_builds,
+                attr_index_hits,
             } = *self;
             f("order-index-rebuilds", order_index_rebuilds);
             f("sorts-performed", sorts_performed);
             f("sorts-elided", sorts_elided);
+            f("attr-index-builds", attr_index_builds);
+            f("attr-index-hits", attr_index_hits);
         }
     }
 
@@ -86,6 +103,12 @@ pub mod stats {
     pub fn record_elided_sort() {
         SORTS_ELIDED.set(SORTS_ELIDED.get() + 1);
     }
+    pub fn record_attr_index_build() {
+        ATTR_INDEX_BUILDS.set(ATTR_INDEX_BUILDS.get() + 1);
+    }
+    pub fn record_attr_index_hit() {
+        ATTR_INDEX_HITS.set(ATTR_INDEX_HITS.get() + 1);
+    }
 
     /// This thread's counters.
     pub fn snapshot() -> EngineStats {
@@ -93,6 +116,8 @@ pub mod stats {
             order_index_rebuilds: REBUILDS.get(),
             sorts_performed: SORTS_PERFORMED.get(),
             sorts_elided: SORTS_ELIDED.get(),
+            attr_index_builds: ATTR_INDEX_BUILDS.get(),
+            attr_index_hits: ATTR_INDEX_HITS.get(),
         }
     }
 }
@@ -397,13 +422,17 @@ mod tests {
     #[test]
     fn engine_stats_since_is_a_saturating_delta() {
         use stats::EngineStats;
-        let stats = |order_index_rebuilds, sorts_performed, sorts_elided| EngineStats {
-            order_index_rebuilds,
-            sorts_performed,
-            sorts_elided,
+        let stats = |[order_index_rebuilds, sorts_performed, sorts_elided, attr_index_builds, attr_index_hits]: [u64; 5]| {
+            EngineStats {
+                order_index_rebuilds,
+                sorts_performed,
+                sorts_elided,
+                attr_index_builds,
+                attr_index_hits,
+            }
         };
-        let (base, now) = (stats(10, 20, 30), stats(12, 25, 37));
-        assert_eq!(now.since(base), stats(2, 5, 7));
+        let (base, now) = (stats([10, 20, 30, 40, 50]), stats([12, 25, 37, 41, 59]));
+        assert_eq!(now.since(base), stats([2, 5, 7, 1, 9]));
         // counters reset in between must not underflow
         assert_eq!(base.since(now), EngineStats::default());
     }

@@ -28,7 +28,12 @@
 //! * anything outside the streaming subset — multi-item path starts,
 //!   fallible predicates, general FLWOR shapes — replays the interpreter's
 //!   breadth-first algorithm over the plan, value for value and charge
-//!   point for charge point.
+//!   point for charge point;
+//! * a `descendant(-or-self)` step from a document node that opens with an
+//!   attribute probe asks the document's attribute-value index instead of
+//!   enumerating the tree. The index answers with the candidates the probe
+//!   would admit, in document order, so only the charge differs: 1 plus
+//!   one unit per owner instead of one per node walked.
 
 use xqib_dom::{NodeRef, QName, Store};
 use xqib_xdm::{
@@ -654,6 +659,9 @@ fn node_survivors(
     step: &PlanAxisStep,
     reverse: bool,
 ) -> XdmResult<Vec<NodeRef>> {
+    if let Some((hits, rest)) = indexed_candidates(ctx, n, step)? {
+        return apply_stages(ctx, hits, rest);
+    }
     let candidates: Vec<NodeRef> = {
         let store = ctx.store.borrow();
         axis_nodes(&store, n, step.axis)
@@ -667,6 +675,54 @@ fn node_survivors(
         survivors.reverse();
     }
     Ok(survivors)
+}
+
+/// A `descendant(-or-self)` step from a document node whose first stage
+/// is an attribute probe with one string value, answered by the
+/// document's attribute-value index: the owners that pass the node test,
+/// charged 1 + one unit per owner, and the stages still to run. `None`
+/// when the step does not qualify or the index is not built for the
+/// document's current epochs — the caller scans, which is also how the
+/// index gets built (see `xqib_dom::attr_index`). Every call is one probe,
+/// so each step application must ask at most once.
+fn indexed_candidates<'s>(
+    ctx: &mut DynamicContext,
+    n: NodeRef,
+    step: &'s PlanAxisStep,
+) -> XdmResult<Option<(Vec<NodeRef>, &'s [PredStage])>> {
+    if !matches!(step.axis, Axis::Descendant | Axis::DescendantOrSelf) {
+        return Ok(None);
+    }
+    let values;
+    let (name, value, rest): (_, &str, _) = match step.stages.split_first() {
+        Some((PredStage::AttrEq { name, value }, rest)) => (name, value, rest),
+        Some((PredStage::AttrEqVar { name, var, .. }, rest)) => {
+            values = probe_values(ctx, var);
+            match values.as_deref() {
+                Some([value]) => (name, value, rest),
+                _ => return Ok(None),
+            }
+        }
+        _ => return Ok(None),
+    };
+    let (owners, hits) = {
+        let store = ctx.store.borrow();
+        let doc = store.doc(n.doc);
+        if !doc.kind(n.node).is_document() {
+            return Ok(None);
+        }
+        let Some(owners) = doc.attr_owners(name, value) else {
+            return Ok(None);
+        };
+        let hits: Vec<NodeRef> = owners
+            .iter()
+            .map(|&o| NodeRef::new(n.doc, o))
+            .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
+            .collect();
+        (owners.len() as u64, hits)
+    };
+    ctx.charge_fuel(1 + owners)?;
+    Ok(Some((hits, rest)))
 }
 
 fn apply_stages(
@@ -932,6 +988,10 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
         // reverse axes are only streamed off a single context node, where
         // the interpreter elides the sort and reverses into document order
         let survivors = node_survivors(ctx, n, step, true)?;
+        return Ok(StepOut::List(survivors.into_iter()));
+    }
+    if let Some((hits, rest)) = indexed_candidates(ctx, n, step)? {
+        let survivors = apply_stages(ctx, hits, rest)?;
         return Ok(StepOut::List(survivors.into_iter()));
     }
     let walker = match step.axis {

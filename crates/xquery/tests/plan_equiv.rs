@@ -22,8 +22,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use xqib_dom::attr_index::attr_owners_naive;
+use xqib_dom::order::stats;
 use xqib_dom::store::shared_store;
-use xqib_dom::SharedStore;
+use xqib_dom::{QName, SharedStore};
 use xqib_xquery::ast::Statement;
 use xqib_xquery::plan::{lower, ExprPlan};
 use xqib_xquery::plancache::{compile_plan, static_fingerprint, PlanCache};
@@ -397,6 +399,36 @@ fn gen_updating(rng: &mut Rng) -> String {
     }
 }
 
+/// Attribute names the index checks probe: the generated `@id`, an
+/// inserted `attribute x0`, and the renames [`gen_attr_update`] draws.
+const PROBE_NAMES: [&str; 3] = ["id", "x0", "y0"];
+/// Attribute values the index checks probe.
+const PROBE_VALUES: [&str; 6] = ["k1", "k2", "k3", "0", "1", "2"];
+
+/// An update that writes attributes in place — `replace value of` and
+/// `rename` on an `@id` or `@x0` — beside inserts and deletes of owners.
+fn gen_attr_update(rng: &mut Rng) -> String {
+    let attr = format!(
+        "(doc('t.xml')//@{})[{}]",
+        rng.pick(&["id", "x0"]),
+        1 + rng.below(3)
+    );
+    match rng.below(5) {
+        0 => format!("replace value of node {attr} with '{}'", rng.pick(&IDS)),
+        1 => format!("replace value of node {attr} with '{}'", rng.below(3)),
+        2 => format!("rename node {attr} as '{}'", rng.pick(&PROBE_NAMES)),
+        3 => format!(
+            "insert node attribute x0 {{'{}'}} into (doc('t.xml')//{})[1]",
+            rng.below(3),
+            rng.pick(&TAGS)
+        ),
+        _ => format!(
+            "delete node (doc('t.xml')//*[@id = '{}'])[1]",
+            rng.pick(&IDS)
+        ),
+    }
+}
+
 // ----- harness --------------------------------------------------------------
 
 fn store_with_doc(xml: &str) -> SharedStore {
@@ -415,24 +447,33 @@ fn run(
     use_plan: bool,
 ) -> (Result<String, String>, String) {
     let store = store_with_doc(xml);
-    let result = (|| {
-        let q = runtime::compile(src).map_err(|e| e.code)?;
-        let mut ctx = DynamicContext::new(store.clone(), q.sctx.clone());
-        ctx.set_fuel(fuel);
-        let r = if use_plan {
-            lower(&q).execute(&mut ctx)
-        } else {
-            q.execute(&mut ctx)
-        };
-        r.map(|seq| runtime::render_sequence(&ctx, &seq))
-            .map_err(|e| e.code)
-    })();
+    let result = eval_on(&store, src, fuel, use_plan);
     let after = {
         let s = store.borrow();
         let id = s.doc_by_uri("t.xml").expect("doc survives");
         xqib_dom::serialize::serialize_document(s.doc(id))
     };
     (result, after)
+}
+
+/// Evaluates `src` over an existing store on one tier; returns the
+/// rendered result or the error code.
+fn eval_on(
+    store: &SharedStore,
+    src: &str,
+    fuel: Option<u64>,
+    use_plan: bool,
+) -> Result<String, String> {
+    let q = runtime::compile(src).map_err(|e| e.code)?;
+    let mut ctx = DynamicContext::new(store.clone(), q.sctx.clone());
+    ctx.set_fuel(fuel);
+    let r = if use_plan {
+        lower(&q).execute(&mut ctx)
+    } else {
+        q.execute(&mut ctx)
+    };
+    r.map(|seq| runtime::render_sequence(&ctx, &seq))
+        .map_err(|e| e.code)
 }
 
 /// What one tier did with an updating program.
@@ -462,6 +503,17 @@ fn run_updating(
     fuel: Option<u64>,
     crash: CrashPoint,
 ) -> UpdateRun {
+    run_updating_on(&store_with_doc(xml), body, use_plan, fuel, crash)
+}
+
+/// [`run_updating`] over an existing store holding `t.xml`.
+fn run_updating_on(
+    store: &SharedStore,
+    body: &str,
+    use_plan: bool,
+    fuel: Option<u64>,
+    crash: CrashPoint,
+) -> UpdateRun {
     let src = format!("{FUNCTIONS}\n{body}");
     let q = runtime::compile(&src)
         .unwrap_or_else(|e| panic!("`{body}` does not compile: {}", e.message));
@@ -469,7 +521,6 @@ fn run_updating(
         panic!("one expression statement: {body}");
     };
     let plan = lower(&q);
-    let store = store_with_doc(xml);
     let sctx = if use_plan {
         plan.static_context().clone()
     } else {
@@ -565,6 +616,58 @@ proptest! {
             Err(code) if code == "XQIB0011" => {}
             _ => prop_assert_eq!(&budgeted, &oracle, "budgeted divergence on `{}`", body),
         }
+    }
+
+    /// The attribute-value index against a scan: random programs, in-place
+    /// attribute writes among them, apply their pending update lists to
+    /// one document, some rolled back by an injected crash. After each,
+    /// every answer the index gives equals the scan's — on the DOM, where
+    /// the second probe of a name builds its table, and through the
+    /// compiled tier, whose `//*[@a = v]` from the document node then asks
+    /// the index, against the interpreter, which always scans.
+    #[test]
+    fn attr_index_answers_match_scans(seed in any::<u64>()) {
+        let mut rng = Rng(seed ^ env_seed().wrapping_mul(0xA076_1D64_78BD_642F));
+        let store = store_with_doc(&gen_doc(&mut rng));
+        let hits_before = stats::snapshot().attr_index_hits;
+        for _ in 0..4 {
+            let body = if rng.below(2) == 0 {
+                gen_updating(&mut rng)
+            } else {
+                gen_attr_update(&mut rng)
+            };
+            let crash = if rng.below(3) == 0 {
+                CrashPoint::at(rng.below(4))
+            } else {
+                CrashPoint::none()
+            };
+            let run = run_updating_on(&store, &body, true, None, crash);
+            if run.apply.is_err() {
+                prop_assert_eq!(&run.before, &run.after, "rollback left a trace: `{}`", body);
+            }
+            for name in PROBE_NAMES.map(QName::local) {
+                for value in PROBE_VALUES {
+                    let s = store.borrow();
+                    let doc = s.doc(s.doc_by_uri("t.xml").expect("doc survives"));
+                    let scan = attr_owners_naive(doc, &name, value);
+                    for _ in 0..2 {
+                        if let Some(hit) = doc.attr_owners(&name, value) {
+                            prop_assert_eq!(&*hit, scan.as_slice(), "@{} = {} after `{}`", name, value, body);
+                        }
+                    }
+                }
+            }
+            let name = rng.pick(&PROBE_NAMES);
+            let value = rng.pick(&PROBE_VALUES);
+            for q in [
+                format!("doc('t.xml')//*[@{name} = '{value}']"),
+                format!("let $v := '{value}' return doc('t.xml')//{}[@{name} = $v]/@*", rng.pick(&TAGS)),
+            ] {
+                let interpreted = eval_on(&store, &q, None, false);
+                prop_assert_eq!(eval_on(&store, &q, None, true), interpreted, "`{}` after `{}`", q, body);
+            }
+        }
+        prop_assert!(stats::snapshot().attr_index_hits > hits_before, "the index answered");
     }
 
     /// Fuel budgets: the compiled engine either reproduces the oracle's
