@@ -1604,27 +1604,38 @@ impl Cluster {
             self.read_rr += 1;
             pick
         };
-        let (body, host, want) = {
-            let sh = &self.shards[shard];
-            let seat = &sh.seats[seat_idx];
-            let body = seat.replica.as_ref()?.serialize(uri)?;
-            let want = sh.leader.as_ref().and_then(|l| l.db.digest_of(uri));
-            (body, seat.host.clone(), want)
-        };
         // End-to-end read verification: a caught-up follower's body must
         // hash to the digest the leader sealed at journal time. A lagged
         // follower is serving an older (but internally consistent)
         // version, which bounded staleness already permits — only an
-        // in-sync body that hashes wrong is corruption.
-        if let (Some(c), Some(want)) = (committed, want) {
-            if applied >= c {
-                if content_digest(uri, &body) != want {
-                    self.istats.reads_refused += 1;
-                    self.quarantine_and_resync(shard, seat_idx, now);
-                    return None;
+        // in-sync body that hashes wrong is corruption. The body and its
+        // digest come out of one serializer pass.
+        let (body, host, verified) = {
+            let sh = &self.shards[shard];
+            let seat = &sh.seats[seat_idx];
+            let node = seat.replica.as_ref()?;
+            let want = sh
+                .leader
+                .as_ref()
+                .and_then(|l| l.db.digest_of(uri))
+                .filter(|_| committed.is_some_and(|c| applied >= c));
+            let (body, verified) = match want {
+                Some(want) => {
+                    let (body, got) = node.serialize_with_digest(uri)?;
+                    (body, Some(got == want))
                 }
-                self.istats.reads_verified += 1;
+                None => (node.serialize(uri)?, None),
+            };
+            (body, seat.host.clone(), verified)
+        };
+        match verified {
+            Some(false) => {
+                self.istats.reads_refused += 1;
+                self.quarantine_and_resync(shard, seat_idx, now);
+                return None;
             }
+            Some(true) => self.istats.reads_verified += 1,
+            None => {}
         }
         self.stats.follower_reads += 1;
         Some(

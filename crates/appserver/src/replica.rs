@@ -10,15 +10,16 @@
 //! reply be lost on the way back.
 
 use xqib_browser::{Fault, FaultPlan};
+use xqib_dom::serialize::serialize_document;
 use xqib_dom::store::shared_store;
 use xqib_dom::SharedStore;
-use xqib_storage::{
-    content_digest, Checkpoint, IntegrityError, VirtualDisk, Wal, WalRecord, WAL_FILE,
-};
+use xqib_storage::{Checkpoint, IntegrityError, VirtualDisk, Wal, WalRecord, WAL_FILE};
 use xqib_xquery::wire;
 
 use crate::cluster::Topology;
-use crate::xmldb::{apply_wal_record, DurabilityConfig};
+use crate::xmldb::{
+    apply_wal_record, doc_digest, dump_store, serialize_with_digest, with_doc, DurabilityConfig,
+};
 
 /// A leader→follower message. It travels with the sender's term, which
 /// fences stale leaders; probes ignore it.
@@ -168,9 +169,13 @@ impl ReplicaNode {
     }
 
     pub(crate) fn serialize(&self, uri: &str) -> Option<String> {
-        let store = self.store.borrow();
-        let id = store.doc_by_uri(uri)?;
-        Some(xqib_dom::serialize::serialize_document(store.doc(id)))
+        with_doc(&self.store, uri, serialize_document)
+    }
+
+    /// A locally-held document's serialization and its content digest, in
+    /// one pass (a verified follower read).
+    pub(crate) fn serialize_with_digest(&self, uri: &str) -> Option<(String, u64)> {
+        with_doc(&self.store, uri, |doc| serialize_with_digest(uri, doc))
     }
 
     /// Handles one message from a leader of `term`.
@@ -290,18 +295,10 @@ impl ReplicaNode {
     /// slot is superseded wholesale by a new snapshot of memory, with no
     /// window where acked state exists only on damaged media.
     pub(crate) fn force_checkpoint(&mut self) -> bool {
-        let docs = {
-            let store = self.store.borrow();
-            store
-                .uri_bindings()
-                .into_iter()
-                .map(|(uri, id)| (uri, xqib_dom::serialize::serialize_document(store.doc(id))))
-                .collect()
-        };
         let ck = Checkpoint {
             gen: self.ckpt_gen + 1,
             seq: self.applied,
-            docs,
+            docs: dump_store(&self.store),
         };
         if ck.write(&self.disk).is_ok() {
             self.ckpt_gen += 1;
@@ -314,9 +311,10 @@ impl ReplicaNode {
         }
     }
 
-    /// Recomputed content digest of one locally-held document.
+    /// Recomputed content digest of one locally-held document, hashed as
+    /// it is written.
     pub(crate) fn digest_for(&self, uri: &str) -> Option<u64> {
-        self.serialize(uri).map(|xml| content_digest(uri, &xml))
+        with_doc(&self.store, uri, |doc| doc_digest(uri, doc))
     }
 
     /// Typed integrity verdicts for this replica's own disk image:

@@ -26,10 +26,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use xqib_dom::serialize::{serialize_document, write_document};
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, QName, SharedStore};
+use xqib_dom::{DocId, Document, QName, SharedStore};
 use xqib_storage::{
-    content_digest, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
+    mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
 };
 use xqib_xdm::{Item, Sequence, XdmResult};
@@ -43,6 +44,53 @@ use xqib_xquery::wire;
 /// templates; 64 leaves generous room for ad-hoc `/query` traffic while
 /// keeping the O(n) LRU scan trivial.
 const PLAN_CACHE_CAPACITY: usize = 64;
+
+/// The content digest of `doc` bound to `uri`, hashed as the document is
+/// written: equal to [`xqib_storage::content_digest`] of its serialization,
+/// without building the serialization.
+pub(crate) fn doc_digest(uri: &str, doc: &Document) -> u64 {
+    let mut h = ContentHasher::new(uri);
+    write_document(doc, &mut |piece| h.update(piece));
+    h.finish()
+}
+
+/// The serialization of `doc` bound to `uri` and its content digest, in
+/// one pass: for paths that serve a body and verify it.
+pub(crate) fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
+    let mut xml = String::new();
+    let mut h = ContentHasher::new(uri);
+    write_document(doc, &mut |piece| {
+        xml.push_str(piece);
+        h.update(piece);
+    });
+    (xml, h.finish())
+}
+
+/// Runs `f` on the document bound to `uri` in `store`; `None` when the URI
+/// is unbound.
+pub(crate) fn with_doc<T>(
+    store: &SharedStore,
+    uri: &str,
+    f: impl FnOnce(&Document) -> T,
+) -> Option<T> {
+    let store = store.borrow();
+    let id = store.doc_by_uri(uri)?;
+    Some(f(store.doc(id)))
+}
+
+/// Serializes every document bound in `store`, sorted by URI: the
+/// checkpoint input of leaders and followers alike.
+pub(crate) fn dump_store(store: &SharedStore) -> Vec<(String, String)> {
+    let store = store.borrow();
+    store
+        .uri_bindings()
+        .into_iter()
+        .map(|(uri, id)| {
+            let xml = serialize_document(store.doc(id));
+            (uri, xml)
+        })
+        .collect()
+}
 
 /// Applies one redo record to a store, returning `false` when the record
 /// cannot be applied (unparseable document, undecodable or inapplicable
@@ -72,14 +120,7 @@ pub fn apply_wal_record(store: &SharedStore, record: &WalRecord) -> bool {
             }
         }
         WalRecord::Digest { uri, digest } => {
-            let s = store.borrow();
-            match s.doc_by_uri(uri) {
-                Some(id) => {
-                    let xml = xqib_dom::serialize::serialize_document(s.doc(id));
-                    content_digest(uri, &xml) == *digest
-                }
-                None => false,
-            }
+            with_doc(store, uri, |doc| doc_digest(uri, doc)) == Some(*digest)
         }
     }
 }
@@ -334,22 +375,12 @@ impl XmlDb {
 
     /// Serialises a stored document (whole-document REST responses).
     pub fn serialize(&self, uri: &str) -> Option<String> {
-        let store = self.store.borrow();
-        let id = store.doc_by_uri(uri)?;
-        Some(xqib_dom::serialize::serialize_document(store.doc(id)))
+        with_doc(&self.store, uri, serialize_document)
     }
 
     /// Serialises every bound document, sorted by URI (checkpoint input).
     pub fn dump(&self) -> Vec<(String, String)> {
-        let store = self.store.borrow();
-        store
-            .uri_bindings()
-            .into_iter()
-            .map(|(uri, id)| {
-                let xml = xqib_dom::serialize::serialize_document(store.doc(id));
-                (uri, xml)
-            })
-            .collect()
+        dump_store(&self.store)
     }
 
     /// Runs an XQuery against the database; returns the rendered result.
@@ -522,24 +553,25 @@ impl XmlDb {
             .collect()
     }
 
-    /// Serialises a document with the end-to-end check: recomputes the
-    /// content digest of the bytes about to be served and refuses to
-    /// respond when they no longer hash to what was acknowledged.
-    /// `Ok(None)` for unbound URIs; documents without a recorded digest
-    /// (ephemeral mode, unsealed loads) serve unchecked.
+    /// Serialises a document with the end-to-end check: hashes the bytes
+    /// about to be served as they are written and refuses to respond when
+    /// they no longer hash to what was acknowledged. `Ok(None)` for
+    /// unbound URIs; documents without a recorded digest (ephemeral mode,
+    /// unsealed loads) serve unchecked.
     pub fn verified_serialize(&self, uri: &str) -> Result<Option<String>, IntegrityError> {
-        let Some(xml) = self.serialize(uri) else {
+        let Some(want) = self.digest_of(uri) else {
+            return Ok(self.serialize(uri));
+        };
+        let Some((xml, got)) = with_doc(&self.store, uri, |doc| serialize_with_digest(uri, doc))
+        else {
             return Ok(None);
         };
-        if let Some(want) = self.digest_of(uri) {
-            let got = content_digest(uri, &xml);
-            if got != want {
-                return Err(IntegrityError::DigestMismatch {
-                    uri: uri.to_string(),
-                    want,
-                    got,
-                });
-            }
+        if got != want {
+            return Err(IntegrityError::DigestMismatch {
+                uri: uri.to_string(),
+                want,
+                got,
+            });
         }
         Ok(Some(xml))
     }
@@ -694,20 +726,19 @@ impl XmlDb {
         self.after_journaled_ops();
     }
 
-    /// Seals the content digest of each touched document: recomputes it
-    /// from the applied store, records it, and journals a digest frame per
-    /// document — the end-to-end integrity assertion recovery, replication
-    /// and the scrubber all verify against. Durable mode only: the digest
+    /// Seals the content digest of each touched document: hashes it from
+    /// the applied store as it is written, records it, and journals a
+    /// digest frame per document — the end-to-end integrity assertion
+    /// recovery, replication and the scrubber all verify against. Durable mode only: the digest
     /// map tracks *acknowledged* state, which ephemeral databases lack.
     fn seal_digests(&mut self, uris: &[String]) {
         if self.durable.is_none() {
             return;
         }
         for uri in uris {
-            let Some(xml) = self.serialize(uri) else {
+            let Some(digest) = with_doc(&self.store, uri, |doc| doc_digest(uri, doc)) else {
                 continue;
             };
-            let digest = content_digest(uri, &xml);
             self.digests.insert(uri.clone(), digest);
             if let Some(d) = &mut self.durable {
                 d.stats.wal_appends += 1;
@@ -739,7 +770,23 @@ impl XmlDb {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use xqib_storage::StorageFaultPlan;
+    use proptest::prelude::*;
+    use xqib_dom::testgen::random_document;
+    use xqib_storage::{content_digest, StorageFaultPlan};
+
+    proptest! {
+        /// Hashing a document as it is written is the digest of its
+        /// serialization, on trees that put every escape next to
+        /// multibyte UTF-8; so is the fused serialize-and-hash pass.
+        #[test]
+        fn streamed_digest_is_the_serialized_digest(seed in any::<u64>()) {
+            let doc = random_document(seed);
+            let xml = serialize_document(&doc);
+            let want = content_digest("d.xml", &xml);
+            prop_assert_eq!(doc_digest("d.xml", &doc), want);
+            prop_assert_eq!(serialize_with_digest("d.xml", &doc), (xml, want));
+        }
+    }
 
     #[test]
     fn load_and_query() {

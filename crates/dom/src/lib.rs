@@ -29,6 +29,8 @@ pub mod order;
 pub mod parser;
 pub mod serialize;
 pub mod store;
+#[cfg(any(test, feature = "testgen"))]
+pub mod testgen;
 
 pub use arena::Document;
 pub use error::{DomError, DomResult};

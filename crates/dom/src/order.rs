@@ -396,7 +396,8 @@ fn order_key(doc: &Document, node: NodeId) -> Vec<Step> {
 /// Reference comparison without the index: tree roots first (detached trees
 /// order by their root `NodeId`, exactly as the index does), then the
 /// child-index paths. Used by property tests to cross-check the index after
-/// arbitrary mutation sequences; not called on any hot path.
+/// arbitrary mutation sequences, and by debug assertions that must not
+/// build the index; not called on any hot path.
 pub fn cmp_doc_order_local_naive(doc: &Document, a: NodeId, b: NodeId) -> Ordering {
     if a == b {
         return Ordering::Equal;

@@ -6,29 +6,40 @@
 //! canonical serialisation.
 
 use crate::arena::Document;
+use crate::name::QName;
 use crate::node::{NodeId, NodeKind};
 
 /// Serialises `node` (and its subtree) to markup.
 pub fn serialize_node(doc: &Document, node: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, node, &mut out);
+    write_node(doc, node, &mut |piece| out.push_str(piece));
     out
 }
 
 /// Serialises a whole document (children of the document node).
 pub fn serialize_document(doc: &Document) -> String {
     let mut out = String::new();
-    for &c in doc.children(doc.root()) {
-        write_node(doc, c, &mut out);
-    }
+    write_document(doc, &mut |piece| out.push_str(piece));
     out
 }
 
-fn write_node(doc: &Document, node: NodeId, out: &mut String) {
+/// Writes a whole document as markup, handing it to `sink` piece by piece
+/// in order: the concatenation of the pieces is [`serialize_document`]'s
+/// output. The one serializer — a `String` is just one sink, a content
+/// hash fed as the document is written is another.
+pub fn write_document(doc: &Document, sink: &mut impl FnMut(&str)) {
+    for &c in doc.children(doc.root()) {
+        write_node(doc, c, sink);
+    }
+}
+
+/// Writes `node` (and its subtree) as markup to `sink`; see
+/// [`write_document`].
+fn write_node(doc: &Document, node: NodeId, sink: &mut impl FnMut(&str)) {
     match doc.kind(node) {
         NodeKind::Document { children } => {
             for &c in children {
-                write_node(doc, c, out);
+                write_node(doc, c, sink);
             }
         }
         NodeKind::Element {
@@ -37,84 +48,97 @@ fn write_node(doc: &Document, node: NodeId, out: &mut String) {
             children,
             ns_decls,
         } => {
-            out.push('<');
-            out.push_str(&name.lexical());
+            sink("<");
+            write_name(name, sink);
             for (p, u) in ns_decls {
                 if p.is_empty() {
-                    out.push_str(" xmlns=\"");
+                    sink(" xmlns=\"");
                 } else {
-                    out.push_str(" xmlns:");
-                    out.push_str(p);
-                    out.push_str("=\"");
+                    sink(" xmlns:");
+                    sink(p);
+                    sink("=\"");
                 }
-                escape_attr(u, out);
-                out.push('"');
+                write_escaped::<true>(u, sink);
+                sink("\"");
             }
             for &a in attrs {
                 if let NodeKind::Attribute { name, value } = doc.kind(a) {
-                    out.push(' ');
-                    out.push_str(&name.lexical());
-                    out.push_str("=\"");
-                    escape_attr(value, out);
-                    out.push('"');
+                    sink(" ");
+                    write_attribute(name, value, sink);
                 }
             }
             if children.is_empty() {
-                out.push_str("/>");
+                sink("/>");
             } else {
-                out.push('>');
+                sink(">");
                 for &c in children {
-                    write_node(doc, c, out);
+                    write_node(doc, c, sink);
                 }
-                out.push_str("</");
-                out.push_str(&name.lexical());
-                out.push('>');
+                sink("</");
+                write_name(name, sink);
+                sink(">");
             }
         }
-        NodeKind::Attribute { name, value } => {
-            // Serialising a bare attribute renders name="value".
-            out.push_str(&name.lexical());
-            out.push_str("=\"");
-            escape_attr(value, out);
-            out.push('"');
-        }
-        NodeKind::Text { value } => escape_text(value, out),
+        // Serialising a bare attribute renders name="value".
+        NodeKind::Attribute { name, value } => write_attribute(name, value, sink),
+        NodeKind::Text { value } => write_escaped::<false>(value, sink),
         NodeKind::Comment { value } => {
-            out.push_str("<!--");
-            out.push_str(value);
-            out.push_str("-->");
+            sink("<!--");
+            sink(value);
+            sink("-->");
         }
         NodeKind::ProcessingInstruction { target, value } => {
-            out.push_str("<?");
-            out.push_str(target);
+            sink("<?");
+            sink(target);
             if !value.is_empty() {
-                out.push(' ');
-                out.push_str(value);
+                sink(" ");
+                sink(value);
             }
-            out.push_str("?>");
+            sink("?>");
         }
     }
 }
 
-fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            c => out.push(c),
-        }
+/// The lexical name `prefix:local` (or `local`), written from its parts
+/// without building it.
+fn write_name(name: &QName, sink: &mut impl FnMut(&str)) {
+    if let Some(p) = name.prefix.as_deref().filter(|p| !p.is_empty()) {
+        sink(p);
+        sink(":");
     }
+    sink(&name.local);
 }
 
-fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
+fn write_attribute(name: &QName, value: &str, sink: &mut impl FnMut(&str)) {
+    write_name(name, sink);
+    sink("=\"");
+    write_escaped::<true>(value, sink);
+    sink("\"");
+}
+
+/// Writes `s` with the markup characters replaced by entity references:
+/// `<`, `&` and `"` in attribute values (`ATTR`), `<`, `>` and `&` in text.
+/// Each run between two escapes goes to `sink` as one slice. The escaped
+/// characters are ASCII and no byte of a multibyte UTF-8 sequence is, so
+/// matching on bytes only ever cuts `s` at a character boundary.
+fn write_escaped<const ATTR: bool>(s: &str, sink: &mut impl FnMut(&str)) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let entity = match b {
+            b'<' => "&lt;",
+            b'&' => "&amp;",
+            b'>' if !ATTR => "&gt;",
+            b'"' if ATTR => "&quot;",
+            _ => continue,
+        };
+        if run < i {
+            sink(&s[run..i]);
         }
+        sink(entity);
+        run = i + 1;
+    }
+    if run < s.len() {
+        sink(&s[run..]);
     }
 }
 
@@ -122,6 +146,144 @@ fn escape_attr(s: &str, out: &mut String) {
 mod tests {
     use super::*;
     use crate::parser::parse_document;
+    use crate::testgen::random_document;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time serializer [`write_node`] replaced, kept as the
+    /// oracle its output must match byte for byte.
+    mod oracle {
+        use crate::arena::Document;
+        use crate::node::{NodeId, NodeKind};
+
+        pub fn serialize_document(doc: &Document) -> String {
+            let mut out = String::new();
+            for &c in doc.children(doc.root()) {
+                write_node(doc, c, &mut out);
+            }
+            out
+        }
+
+        pub fn write_node(doc: &Document, node: NodeId, out: &mut String) {
+            match doc.kind(node) {
+                NodeKind::Document { children } => {
+                    for &c in children {
+                        write_node(doc, c, out);
+                    }
+                }
+                NodeKind::Element {
+                    name,
+                    attrs,
+                    children,
+                    ns_decls,
+                } => {
+                    out.push('<');
+                    out.push_str(&name.lexical());
+                    for (p, u) in ns_decls {
+                        if p.is_empty() {
+                            out.push_str(" xmlns=\"");
+                        } else {
+                            out.push_str(" xmlns:");
+                            out.push_str(p);
+                            out.push_str("=\"");
+                        }
+                        escape_attr(u, out);
+                        out.push('"');
+                    }
+                    for &a in attrs {
+                        if let NodeKind::Attribute { name, value } = doc.kind(a) {
+                            out.push(' ');
+                            out.push_str(&name.lexical());
+                            out.push_str("=\"");
+                            escape_attr(value, out);
+                            out.push('"');
+                        }
+                    }
+                    if children.is_empty() {
+                        out.push_str("/>");
+                    } else {
+                        out.push('>');
+                        for &c in children {
+                            write_node(doc, c, out);
+                        }
+                        out.push_str("</");
+                        out.push_str(&name.lexical());
+                        out.push('>');
+                    }
+                }
+                NodeKind::Attribute { name, value } => {
+                    out.push_str(&name.lexical());
+                    out.push_str("=\"");
+                    escape_attr(value, out);
+                    out.push('"');
+                }
+                NodeKind::Text { value } => escape_text(value, out),
+                NodeKind::Comment { value } => {
+                    out.push_str("<!--");
+                    out.push_str(value);
+                    out.push_str("-->");
+                }
+                NodeKind::ProcessingInstruction { target, value } => {
+                    out.push_str("<?");
+                    out.push_str(target);
+                    if !value.is_empty() {
+                        out.push(' ');
+                        out.push_str(value);
+                    }
+                    out.push_str("?>");
+                }
+            }
+        }
+
+        fn escape_text(s: &str, out: &mut String) {
+            for c in s.chars() {
+                match c {
+                    '<' => out.push_str("&lt;"),
+                    '>' => out.push_str("&gt;"),
+                    '&' => out.push_str("&amp;"),
+                    c => out.push(c),
+                }
+            }
+        }
+
+        fn escape_attr(s: &str, out: &mut String) {
+            for c in s.chars() {
+                match c {
+                    '<' => out.push_str("&lt;"),
+                    '&' => out.push_str("&amp;"),
+                    '"' => out.push_str("&quot;"),
+                    c => out.push(c),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_writer_matches_the_char_oracle(seed in any::<u64>()) {
+            let doc = random_document(seed);
+            prop_assert_eq!(serialize_document(&doc), oracle::serialize_document(&doc));
+            // every node on its own too: bare attributes, inner subtrees
+            for i in 0..doc.len() {
+                let n = NodeId(i as u32);
+                let mut want = String::new();
+                oracle::write_node(&doc, n, &mut want);
+                prop_assert_eq!(serialize_node(&doc, n), want);
+            }
+        }
+    }
+
+    #[test]
+    fn random_trees_cover_every_escape_and_shape() {
+        let all: String = (0..64)
+            .map(|s| serialize_document(&random_document(s)))
+            .collect();
+        for needle in [
+            "&lt;", "&gt;", "&amp;", "&quot;", "é&", "😀<", "xmlns=\"", "xmlns:", "<!--", "<?",
+            "/>", ":",
+        ] {
+            assert!(all.contains(needle), "no random tree serialized {needle:?}");
+        }
+    }
 
     fn roundtrip(src: &str) -> String {
         let d = parse_document(src).unwrap();

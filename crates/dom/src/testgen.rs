@@ -1,0 +1,105 @@
+//! Random document trees for property tests of the serializer and of
+//! everything that hashes or ships its output.
+//!
+//! The trees are built through the DOM API rather than parsed, so they
+//! reach shapes a markup round-trip normalises away: empty and adjacent
+//! text nodes, and `<`, `>`, `&` and `"` beside multibyte UTF-8 in text
+//! and in attribute values. Elements carry prefixes (the empty one too)
+//! and `xmlns` declarations; comments, processing instructions and empty
+//! elements all occur.
+//!
+//! A tree is a pure function of one `u64` seed, so a property test draws
+//! the seed and a failing case is reproduced from it. Compiled for this
+//! crate's tests and, behind the `testgen` feature, for other crates'.
+
+use crate::arena::Document;
+use crate::name::QName;
+use crate::node::NodeId;
+
+/// The characters escaping must handle, ASCII neighbours, and multibyte
+/// UTF-8 of two, three and four bytes.
+const TEXT: &[char] = &[
+    'a', 'b', 'z', ' ', '\n', '<', '>', '&', '"', '\'', '=', ';', 'é', '€', '😀',
+];
+const NAME: &[char] = &['a', 'b', 'x', 'y', 'é'];
+const LOWER: &[char] = &['a', 'b', 'c', 'p', 'q'];
+
+/// SplitMix64: the seed's stream of choices.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// `min..=max` characters drawn from `alphabet`.
+    fn string(&mut self, alphabet: &[char], min: usize, max: usize) -> String {
+        let len = min + self.below(max - min + 1);
+        (0..len)
+            .map(|_| alphabet[self.below(alphabet.len())])
+            .collect()
+    }
+
+    /// No prefix, the empty prefix, or a short one.
+    fn prefix(&mut self) -> Option<String> {
+        match self.below(3) {
+            0 => None,
+            1 => Some(String::new()),
+            _ => Some(self.string(LOWER, 1, 2)),
+        }
+    }
+}
+
+/// A random document of one to three top-level trees, at most four
+/// elements deep. Empty elements (no children) occur at every level.
+pub fn random_document(seed: u64) -> Document {
+    let mut g = Gen(seed);
+    let mut doc = Document::new();
+    let root = doc.root();
+    for _ in 0..1 + g.below(3) {
+        let n = random_node(&mut g, &mut doc, 4);
+        doc.append_child(root, n).unwrap();
+    }
+    doc
+}
+
+fn random_node(g: &mut Gen, doc: &mut Document, depth: u32) -> NodeId {
+    match g.below(if depth == 0 { 4 } else { 8 }) {
+        0 | 1 => doc.create_text(g.string(TEXT, 0, 12)),
+        2 => doc.create_comment(g.string(TEXT, 0, 8)),
+        3 => {
+            let target = g.string(LOWER, 1, 4);
+            doc.create_pi(target, g.string(NAME, 0, 6))
+        }
+        _ => {
+            let prefix = g.prefix();
+            let local = g.string(NAME, 1, 4);
+            let e = doc.create_element(QName::full(prefix.as_deref(), None, local));
+            for _ in 0..g.below(3) {
+                let p = g.string(LOWER, 0, 2);
+                doc.add_ns_decl(e, p, g.string(TEXT, 0, 8)).unwrap();
+            }
+            for _ in 0..g.below(4) {
+                // a prefix's namespace keeps same-named attributes of
+                // different prefixes apart, so each one survives
+                let p = g.prefix();
+                let ns = p.as_deref().map(|p| format!("urn:{p}"));
+                let name = QName::full(p.as_deref(), ns.as_deref(), g.string(NAME, 1, 3));
+                doc.set_attribute(e, name, g.string(TEXT, 0, 12)).unwrap();
+            }
+            for _ in 0..g.below(5) {
+                let c = random_node(g, doc, depth - 1);
+                doc.append_child(e, c).unwrap();
+            }
+            e
+        }
+    }
+}

@@ -31,10 +31,13 @@ pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// `CRC32_TABLE[i]` is the CRC register after shifting byte `i` through the
-/// eight bitwise steps, so [`crc32`] does one lookup per byte instead.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables (Kounavis & Berry, ISCC 2005). `CRC32_TABLES[0][i]`
+/// is the CRC register after shifting byte `i` through the eight bitwise
+/// steps; `CRC32_TABLES[k][i]` is the same byte followed by `k` zero bytes.
+/// So eight bytes fold into the register with eight independent lookups
+/// and one XOR tree, instead of a chain of eight dependent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -47,29 +50,61 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
+/// Slicing-by-8: eight bytes per step, the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// FNV-1a over a byte string — the workspace's standard content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues an FNV-1a hash over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// FNV-1a over a byte string — the workspace's standard content hash.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// SplitMix64 finaliser — the workspace's standard bit mixer.
@@ -86,8 +121,42 @@ pub fn mix64(x: u64) -> u64 {
 /// so replicas can cross-check state without shipping bodies, and so a
 /// read path can refuse to serve bytes that no longer hash to what was
 /// acknowledged.
+///
+/// The definition is over a stream: [`ContentHasher`] takes the
+/// serialization in pieces, as a serializer writes it, and this function
+/// is its one-piece case.
 pub fn content_digest(uri: &str, xml: &str) -> u64 {
-    mix64(fnv1a(uri.as_bytes()) ^ mix64(fnv1a(xml.as_bytes())))
+    let mut h = ContentHasher::new(uri);
+    h.update(xml);
+    h.finish()
+}
+
+/// [`content_digest`] of a serialization fed piece by piece: any split of
+/// the same bytes gives the same digest.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    uri: u64,
+    body: u64,
+}
+
+impl ContentHasher {
+    /// Starts the digest of the document bound to `uri`.
+    pub fn new(uri: &str) -> Self {
+        ContentHasher {
+            uri: fnv1a(uri.as_bytes()),
+            body: FNV_OFFSET,
+        }
+    }
+
+    /// Hashes the next piece of the serialization.
+    pub fn update(&mut self, piece: &str) {
+        self.body = fnv1a_extend(self.body, piece.as_bytes());
+    }
+
+    /// The digest of the pieces so far.
+    pub fn finish(&self) -> u64 {
+        mix64(self.uri ^ mix64(self.body))
+    }
 }
 
 /// Typed verdict of an integrity check over a WAL or checkpoint read.
@@ -192,7 +261,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The bitwise definition the table is derived from; [`crc32`] must
+    /// The bitwise definition the tables are derived from; [`crc32`] must
     /// agree with it on every input.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
@@ -217,9 +286,46 @@ mod tests {
     }
 
     proptest! {
+        /// Whole buffers, then every length from 0 to 17 at every start
+        /// offset from 0 to 7: both sides of an 8-byte step, every tail
+        /// length, and words that straddle the buffer's alignment.
         #[test]
         fn crc32_table_agrees_with_bitwise(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            if bytes.len() >= 7 + 17 {
+                for offset in 0..8 {
+                    for len in 0..=17 {
+                        let slice = &bytes[offset..offset + len];
+                        prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn content_digest_is_split_invariant(
+            uri in "[a-z./-]{0,12}",
+            xml in "[a-z<>&\"é€😀 ]{0,64}",
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            // cut at char boundaries, in order
+            let mut at: Vec<usize> = cuts
+                .iter()
+                .map(|c| c % (xml.len() + 1))
+                .filter(|&c| xml.is_char_boundary(c))
+                .collect();
+            at.sort_unstable();
+            let mut h = ContentHasher::new(&uri);
+            let mut from = 0;
+            for c in at.into_iter().chain([xml.len()]) {
+                h.update(&xml[from..c]);
+                from = c;
+            }
+            prop_assert_eq!(h.finish(), content_digest(&uri, &xml));
+            prop_assert_eq!(
+                content_digest(&uri, &xml),
+                mix64(fnv1a(uri.as_bytes()) ^ mix64(fnv1a(xml.as_bytes())))
+            );
         }
     }
 }

@@ -208,8 +208,17 @@ fn apply_axis_step(
                 out_refs.reverse();
             }
             xqib_dom::order::stats::record_elided_sort();
+            // Checked without the order index: building it here would make
+            // a debug build do (and count in the engine stats) work that
+            // the release build skips.
             debug_assert!(out_refs.windows(2).all(|w| {
-                xqib_dom::cmp_doc_order(&store, w[0], w[1]) == std::cmp::Ordering::Less
+                w[0].doc.cmp(&w[1].doc).then_with(|| {
+                    xqib_dom::order::cmp_doc_order_local_naive(
+                        store.doc(w[0].doc),
+                        w[0].node,
+                        w[1].node,
+                    )
+                }) == std::cmp::Ordering::Less
             }));
         } else {
             xqib_dom::order::sort_dedup(&store, &mut out_refs);
