@@ -13,6 +13,7 @@ use xqib_xdm::{Atomic, Item, Sequence, XdmError, XdmResult};
 use xqib_xquery::ast::LibraryModule;
 use xqib_xquery::context::{DynamicContext, StaticContext};
 use xqib_xquery::parser;
+use xqib_xquery::plan::lower_functions;
 
 /// A web-service endpoint backed by an XQuery library module.
 pub struct WebServiceHost {
@@ -46,7 +47,8 @@ impl WebServiceHost {
         }
         Ok(WebServiceHost {
             module: Rc::new(module),
-            sctx: Rc::new(sctx),
+            // every exported body is lowered once, here
+            sctx: lower_functions(&Rc::new(sctx)),
             calls: 0,
             failed_calls: 0,
         })
@@ -104,7 +106,7 @@ impl WebServiceHost {
                 }]
             })
             .collect();
-        let result = xqib_xquery::eval::call_user_function(&mut ctx, &decl, argv)?;
+        let result = xqib_xquery::exec::call_user_function(&mut ctx, &decl, argv)?;
         Ok(xqib_xquery::runtime::render_sequence(&ctx, &result))
     }
 

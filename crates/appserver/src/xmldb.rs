@@ -33,8 +33,8 @@ use xqib_storage::{
     mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
 };
-use xqib_xdm::{Item, Sequence, XdmResult};
-use xqib_xquery::context::{DynamicContext, StaticContext};
+use xqib_xdm::{Item, XdmResult};
+use xqib_xquery::context::DynamicContext;
 use xqib_xquery::plan::CompiledPlan;
 use xqib_xquery::plancache::{compile_plan, static_fingerprint, PlanCache, PlanCacheStats};
 use xqib_xquery::runtime::{self, ModuleRegistry};
@@ -161,29 +161,6 @@ struct Durable {
     stats: DurabilityStats,
 }
 
-/// A query ready to run: a plan shared out of the cache, or a one-shot
-/// interpreter compilation when plan mode is off.
-enum Executable {
-    Plan(Rc<CompiledPlan>),
-    Interp(runtime::CompiledQuery),
-}
-
-impl Executable {
-    fn static_context(&self) -> Rc<StaticContext> {
-        match self {
-            Executable::Plan(p) => p.static_context().clone(),
-            Executable::Interp(q) => q.sctx.clone(),
-        }
-    }
-
-    fn run(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
-        match self {
-            Executable::Plan(p) => p.execute(ctx),
-            Executable::Interp(q) => q.execute(ctx),
-        }
-    }
-}
-
 /// A server-side XML database.
 pub struct XmlDb {
     pub store: SharedStore,
@@ -193,10 +170,6 @@ pub struct XmlDb {
     modules: ModuleRegistry,
     /// Compiled plans keyed by (query text, static-context fingerprint).
     plans: PlanCache,
-    /// `false` routes every query through the tree-walking interpreter
-    /// instead of the compiled pipeline — the differential-testing and
-    /// regression-triage escape hatch.
-    pub plan_mode: bool,
     durable: Option<Durable>,
     /// Recorded content digest per document, sealed at journal time
     /// (durable mode only): what the read path and the scrubber verify
@@ -218,7 +191,6 @@ impl XmlDb {
             evals: 0,
             modules: ModuleRegistry::new(),
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            plan_mode: true,
             durable: None,
             digests: BTreeMap::new(),
         }
@@ -236,7 +208,6 @@ impl XmlDb {
             evals: 0,
             modules: ModuleRegistry::new(),
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            plan_mode: true,
             durable: Some(Durable {
                 disk,
                 wal,
@@ -329,7 +300,6 @@ impl XmlDb {
             evals: 0,
             modules: ModuleRegistry::new(),
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            plan_mode: true,
             durable: Some(Durable {
                 disk,
                 wal,
@@ -409,11 +379,11 @@ impl XmlDb {
         bindings: &[(&str, Item)],
     ) -> (XdmResult<String>, u64) {
         self.evals += 1;
-        let exec = match self.executable(src) {
-            Ok(e) => e,
+        let plan = match self.plan(src) {
+            Ok(p) => p,
             Err(e) => return (Err(e), 0),
         };
-        let mut ctx = DynamicContext::new(self.store.clone(), exec.static_context());
+        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
         for (name, value) in bindings {
             ctx.bind_global(QName::local(name), vec![value.clone()]);
         }
@@ -422,7 +392,7 @@ impl XmlDb {
             ctx.fuel_commit_exempt = true;
         }
         let journal = self.install_journal(&mut ctx);
-        let result = exec.run(&mut ctx);
+        let result = plan.execute(&mut ctx);
         self.drain_journal(journal);
         let fuel_used = ctx.fuel_used;
         (
@@ -434,8 +404,8 @@ impl XmlDb {
     /// Runs an XQuery with the context item set to a stored document.
     pub fn query_doc(&mut self, uri: &str, src: &str) -> XdmResult<String> {
         self.evals += 1;
-        let exec = self.executable(src)?;
-        let mut ctx = DynamicContext::new(self.store.clone(), exec.static_context());
+        let plan = self.plan(src)?;
+        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
         let root = {
             let store = self.store.borrow();
             let id = store
@@ -449,29 +419,18 @@ impl XmlDb {
             size: 1,
         });
         let journal = self.install_journal(&mut ctx);
-        let result = exec.run(&mut ctx);
+        let result = plan.execute(&mut ctx);
         self.drain_journal(journal);
         let result = result?;
         Ok(runtime::render_sequence(&ctx, &result))
     }
 
-    /// Resolves `src` to something runnable: a cached (or freshly lowered)
-    /// plan in plan mode, a one-shot interpreter compilation otherwise.
-    fn executable(&mut self, src: &str) -> XdmResult<Executable> {
-        if self.plan_mode {
-            let fp = static_fingerprint(&self.modules, false);
-            let modules = &self.modules;
-            let plan = self
-                .plans
-                .get_or_compile(src, fp, || compile_plan(src, modules, false))?;
-            Ok(Executable::Plan(plan))
-        } else {
-            Ok(Executable::Interp(runtime::compile_with(
-                src,
-                &self.modules,
-                false,
-            )?))
-        }
+    /// The plan for `src`: cached, or compiled, lowered and cached now.
+    fn plan(&mut self, src: &str) -> XdmResult<Rc<CompiledPlan>> {
+        let fp = static_fingerprint(&self.modules, false);
+        let modules = &self.modules;
+        self.plans
+            .get_or_compile(src, fp, || compile_plan(src, modules, false))
     }
 
     /// Parses and registers a library module for `import module` in later

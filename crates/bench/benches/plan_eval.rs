@@ -1,14 +1,15 @@
 //! Compiled-pipeline benchmarks: what the plan IR, streaming evaluator,
-//! and plan cache buy over the tree-walking interpreter.
+//! and plan cache buy over the tree-walking AST oracle (the `interpreted`
+//! rows, built with the dev-only `oracle` feature).
 //!
 //! Four groups:
 //!
 //! * `plan_render_route` — the §6.1 server's render route end to end:
-//!   interpreted (plan mode off) vs compiled-cold (cache invalidated every
-//!   request) vs compiled-cached. Both compiled rows execute the lowered
-//!   page on the streaming executor (the `<html>` constructor lowers, so
-//!   its enclosed paths and FLWORs do too); the cached row is the headline
-//!   number — it also elides the per-request parse + lowering.
+//!   interpreted (compile + oracle walk per request over the server's
+//!   store) vs compiled-cold (cache invalidated every request) vs
+//!   compiled-cached. Both compiled rows execute the lowered page on the
+//!   streaming executor; the cached row is the headline number — it also
+//!   elides the per-request parse + lowering.
 //! * `plan_paths` — §7-style path/FLWOR/exists workloads, interpreted vs
 //!   compiled, over a 1000-book library.
 //! * `plan_early_exit` — `exists(//…)` and fused positional predicates
@@ -21,9 +22,11 @@
 use criterion::{BenchmarkId, Criterion};
 
 use xqib_appserver::corpus::{generate_corpus, CorpusSpec};
-use xqib_appserver::AppServer;
+use xqib_appserver::{render, AppServer};
 use xqib_bench::criterion as crit;
 use xqib_dom::store::shared_store;
+use xqib_dom::QName;
+use xqib_xdm::Item;
 use xqib_xquery::plan::lower;
 use xqib_xquery::runtime::{self, render_sequence};
 use xqib_xquery::DynamicContext;
@@ -79,6 +82,24 @@ fn run_interp(src: &str, store: &xqib_dom::SharedStore) -> String {
     render_sequence(&ctx, &out)
 }
 
+/// One `/page` render on the oracle over the server's store, the way a
+/// server answered before the plan cache and the executor: compile and
+/// walk the AST per request, under an optional deadline budget.
+fn oracle_route(server: &AppServer, article: &str, budget: Option<u64>) -> String {
+    let q = runtime::compile(render::article_page_prepared()).unwrap();
+    let mut ctx = DynamicContext::new(server.db.store.clone(), q.sctx.clone());
+    ctx.bind_global(
+        QName::local(render::ARTICLE_VAR),
+        vec![Item::string(article)],
+    );
+    if let Some(budget) = budget {
+        ctx.set_deadline_fuel(budget);
+        ctx.fuel_commit_exempt = true;
+    }
+    let out = q.execute(&mut ctx).unwrap();
+    render_sequence(&ctx, &out)
+}
+
 /// One cached-plan evaluation: execute a pre-lowered plan.
 fn run_plan(plan: &xqib_xquery::plan::CompiledPlan, store: &xqib_dom::SharedStore) -> String {
     let mut ctx = DynamicContext::new(store.clone(), plan.static_context().clone());
@@ -95,13 +116,9 @@ fn bench(c: &mut Criterion) {
     // ----- the render route, three ways -------------------------------------
     let mut group = c.benchmark_group("plan_render_route");
     {
-        let mut server = AppServer::new(&corpus).expect("server");
-        server.db.plan_mode = false;
+        let server = AppServer::new(&corpus).expect("server");
         group.bench_function("interpreted", |b| {
-            b.iter(|| {
-                let r = server.handle(&route);
-                assert_eq!(r.status, 200);
-            })
+            b.iter(|| oracle_route(&server, article, None))
         });
     }
     {
@@ -180,13 +197,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_governed");
     let budget = 200_000u64;
     {
-        let mut server = AppServer::new(&corpus).expect("server");
-        server.db.plan_mode = false;
+        let server = AppServer::new(&corpus).expect("server");
         group.bench_function("interpreted", |b| {
-            b.iter(|| {
-                let (r, _fuel) = server.handle_budgeted(&route, Some(budget));
-                assert_eq!(r.status, 200);
-            })
+            b.iter(|| oracle_route(&server, article, Some(budget)))
         });
     }
     {

@@ -23,7 +23,7 @@ use xqib_dom::{
     DocId, NodeKind, NodeRef, QName, SharedStore,
 };
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
-use xqib_xquery::ast::{Expr, MainModule};
+use xqib_xquery::ast::MainModule;
 use xqib_xquery::context::{DynamicContext, EngineHooks, StaticContext};
 use xqib_xquery::exec;
 use xqib_xquery::functions::native;
@@ -57,11 +57,13 @@ pub enum PluginTask {
     /// Dispatch a DOM event through capture/target/bubble.
     Dispatch(DomEvent),
     /// An asynchronous `behind` call (§4.4): evaluate `call` in `env`, then
-    /// invoke `listener($readyState, $result)`. Failed attempts are
-    /// rescheduled with exponential backoff up to the retry policy's
-    /// `max_attempts`; `call_id` keys the deterministic backoff jitter.
+    /// invoke `listener($readyState, $result)`. `call` is the plan lowered
+    /// once with the statement that attached it, shared by every attach
+    /// and retry. Failed attempts are rescheduled with exponential backoff
+    /// up to the retry policy's `max_attempts`; `call_id` keys the
+    /// deterministic backoff jitter.
     Behind {
-        call: Rc<Expr>,
+        call: Rc<ExprPlan>,
         env: Vec<(QName, Sequence)>,
         listener: QName,
         attempt: u32,
@@ -233,7 +235,7 @@ impl EngineHooks for Hooks {
         &self,
         ctx: &mut DynamicContext,
         _event: &str,
-        call: &Expr,
+        call: Rc<ExprPlan>,
         listener: &QName,
     ) -> XdmResult<()> {
         let env = ctx.snapshot_visible_vars();
@@ -243,7 +245,7 @@ impl EngineHooks for Hooks {
         host.tasks.schedule(
             0,
             PluginTask::Behind {
-                call: Rc::new(call.clone()),
+                call,
                 env,
                 listener: listener.clone(),
                 attempt: 1,
@@ -601,7 +603,7 @@ impl Plugin {
     /// `stale`/`error` DOM events) instead of erroring the event loop.
     fn run_behind(
         &mut self,
-        call: &Rc<Expr>,
+        call: &Rc<ExprPlan>,
         env: Vec<(QName, Sequence)>,
         listener: &QName,
         attempt: u32,
@@ -665,13 +667,17 @@ impl Plugin {
         });
     }
 
-    /// Evaluates the `behind` call expression in its captured environment.
-    fn eval_behind_call(&mut self, call: &Expr, env: &[(QName, Sequence)]) -> XdmResult<Sequence> {
+    /// Evaluates the `behind` call in its captured environment.
+    fn eval_behind_call(
+        &mut self,
+        call: &ExprPlan,
+        env: &[(QName, Sequence)],
+    ) -> XdmResult<Sequence> {
         self.ctx.push_scope();
         for (name, value) in env {
             self.ctx.bind_var(name.clone(), value.clone());
         }
-        let result = xqib_xquery::eval::eval_expr(&mut self.ctx, call);
+        let result = call.eval(&mut self.ctx);
         self.ctx.pop_scope();
         result
     }
@@ -683,7 +689,7 @@ impl Plugin {
     /// `error` DOM event. Exactly one of the three outcomes is delivered.
     fn degrade_behind(
         &mut self,
-        call: &Expr,
+        call: &ExprPlan,
         env: &[(QName, Sequence)],
         listener: &QName,
     ) -> XdmResult<()> {

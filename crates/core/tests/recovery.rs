@@ -3,10 +3,13 @@
 //! circuit breakers in virtual time, and stale-cache degradation delivered
 //! as synthetic `stale`/`error` DOM events XQuery listeners can observe.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use xqib_browser::net::{Fault, FaultPlan, Response};
 use xqib_browser::{BreakerState, RecoveryConfig, RecoveryStats, RetryPolicy};
-use xqib_core::plugin::{Plugin, PluginConfig};
+use xqib_core::plugin::{Plugin, PluginConfig, PluginTask};
+use xqib_xquery::plan::ExprPlan;
 
 /// Deterministic CI matrix hook: `XQIB_FAULT_SEED` is mixed into every
 /// fault-plan seed, so the same suite explores different schedules per job.
@@ -37,6 +40,10 @@ on event "error" at //body attach listener local:onError
 <body><ul id="log"/><span id="flag"/></body></html>"#;
 
 fn plugin_with(recovery: RecoveryConfig) -> Plugin {
+    plugin_on(PAGE, recovery)
+}
+
+fn plugin_on(page: &str, recovery: RecoveryConfig) -> Plugin {
     let mut p = Plugin::new(PluginConfig {
         recovery,
         ..Default::default()
@@ -48,7 +55,7 @@ fn plugin_with(recovery: RecoveryConfig) -> Plugin {
             let n = req.url.rsplit('/').next().unwrap_or("").to_string();
             Response::ok(format!("<items><item>{n}</item></items>"))
         });
-    p.load_page(PAGE).unwrap();
+    p.load_page(page).unwrap();
     p
 }
 
@@ -95,6 +102,84 @@ fn two_failures_then_success_completes_on_the_third_attempt() {
     // backoff delays for call #1, and the 25 ms latency of the success
     let expected = 1000 + policy.backoff_delay(1, 1) + 1000 + policy.backoff_delay(2, 1) + 25;
     assert_eq!(p.host.borrow().tasks.now(), expected);
+}
+
+/// The call plans of the queued `behind` tasks; the queue is left as it was.
+fn queued_calls(p: &Plugin) -> Vec<Rc<ExprPlan>> {
+    let mut host = p.host.borrow_mut();
+    let tasks: Vec<PluginTask> = std::iter::from_fn(|| host.tasks.pop()).collect();
+    let calls = tasks
+        .iter()
+        .filter_map(|t| match t {
+            PluginTask::Behind { call, .. } => Some(call.clone()),
+            PluginTask::Dispatch(_) => None,
+        })
+        .collect();
+    for t in tasks {
+        host.tasks.schedule(0, t);
+    }
+    calls
+}
+
+/// A `behind` call and readyState listener built from a computed element
+/// around the fetch and a typeswitch over `$result` with a computed
+/// constructor in a branch run on the plan tier through the whole
+/// recovery path: against
+/// a down host each call is retried and then degrades to one `error`
+/// event, after the host heals the call completes, every call delivers
+/// exactly one outcome, and every attach of the one cached snippet shares
+/// the call plan lowered with it.
+#[test]
+fn lowered_behind_call_retries_degrades_and_shares_its_plan() {
+    let page = PAGE.replace(
+        "declare updating function local:onStale",
+        r#"declare updating function local:onTyped($readyState, $result) {
+  typeswitch ($result)
+    case element(fetched) return insert node
+      element li { attribute class { "typed" }, count($result//item) } into //ul[@id="log"]
+    default return ()
+};
+declare updating function local:onStale"#,
+    );
+    let snippet = r#"on event "stateChanged"
+        behind element fetched { browser:httpGet("http://api.test/t.xml") }
+        attach listener local:onTyped"#;
+    let mut p = plugin_on(&page, RecoveryConfig::default());
+    p.host
+        .borrow_mut()
+        .net
+        .set_fault_plan("api.test", FaultPlan::always_down(11));
+    p.eval(snippet).unwrap();
+    p.eval(snippet).unwrap();
+    let calls = queued_calls(&p);
+    assert_eq!(calls.len(), 2);
+    assert!(
+        Rc::ptr_eq(&calls[0], &calls[1]),
+        "one call plan per snippet"
+    );
+
+    p.run_until_idle().unwrap();
+    let s = stats(&p);
+    assert_eq!(s.attempts, 6, "three attempts per call: {s:?}");
+    assert_eq!(s.retries, 4, "{s:?}");
+    assert_eq!((s.completions, s.stale_events, s.error_events), (0, 0, 2));
+    assert!(p.serialize_page().contains("error:"), "the listener saw it");
+
+    // the host heals: past the breaker's open window the call completes
+    // and the readyState-4 branch builds its element
+    p.host.borrow_mut().net.clear_fault_plan("api.test");
+    p.host.borrow_mut().tasks.advance(10_000);
+    p.eval(snippet).unwrap();
+    assert!(Rc::ptr_eq(&queued_calls(&p)[0], &calls[0]));
+    p.run_until_idle().unwrap();
+    let s = stats(&p);
+    assert_eq!((s.completions, s.stale_events, s.error_events), (1, 0, 2));
+    let page = p.serialize_page();
+    assert_eq!(
+        page.matches(r#"<li class="typed">1</li>"#).count(),
+        1,
+        "{page}"
+    );
 }
 
 /// Runs the permanently-down scenario and returns everything observable.

@@ -6,7 +6,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use xqib_dom::{DocId, NodeRef, QName, SharedStore};
-use xqib_xquery::context::{DynamicContext, StaticContext};
+use xqib_xquery::context::DynamicContext;
+use xqib_xquery::plancache::{compile_plan, PlanCache};
+use xqib_xquery::runtime::ModuleRegistry;
 
 use crate::ast::*;
 use crate::parser::parse_program;
@@ -146,9 +148,14 @@ pub struct JsEngine {
     pub screen_width: f64,
     /// executed-statement counter (perf experiments)
     pub ops: u64,
-    /// compiled XPath cache for document.evaluate
-    xpath_cache: HashMap<String, Rc<xqib_xquery::ast::Expr>>,
+    /// lowered XPath plans for `document.evaluate`, least recently used
+    /// first out
+    xpath_plans: PlanCache,
 }
+
+/// XPath plans a page keeps: more than the handful of distinct expressions
+/// a page evaluates, so only a page that builds them in a loop evicts.
+const XPATH_PLAN_CAPACITY: usize = 64;
 
 impl JsEngine {
     pub fn new(store: SharedStore, doc: DocId) -> Self {
@@ -164,7 +171,7 @@ impl JsEngine {
             screen_height: 1024.0,
             screen_width: 1280.0,
             ops: 0,
-            xpath_cache: HashMap::new(),
+            xpath_plans: PlanCache::new(XPATH_PLAN_CAPACITY),
         }
     }
 
@@ -779,27 +786,22 @@ impl JsEngine {
     /// §2.2: embedded XPath — "all XPath expressions can be executed by an
     /// XQuery processor", so we hand the string to the XQuery engine.
     fn evaluate_xpath(&mut self, xpath: &str) -> Result<Vec<NodeRef>, JsError> {
-        let expr = match self.xpath_cache.get(xpath) {
-            Some(e) => e.clone(),
-            None => {
-                let e = Rc::new(
-                    xqib_xquery::parser::parse_expr_str(xpath)
-                        .map_err(|e| JsError(e.to_string()))?,
-                );
-                self.xpath_cache.insert(xpath.to_string(), e.clone());
-                e
-            }
-        };
-        let sctx = Rc::new(StaticContext::default());
-        let mut ctx = DynamicContext::new(self.store.clone(), sctx);
+        // one static environment (no modules, no browser profile), so the
+        // text alone keys the plan
+        let plan = self
+            .xpath_plans
+            .get_or_compile(xpath, 0, || {
+                compile_plan(xpath, &ModuleRegistry::new(), false)
+            })
+            .map_err(|e| JsError(e.to_string()))?;
+        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
         let root = self.store.borrow().root(self.doc);
         ctx.focus = Some(xqib_xquery::context::Focus {
             item: xqib_xdm::Item::Node(root),
             position: 1,
             size: 1,
         });
-        let result =
-            xqib_xquery::eval::eval_expr(&mut ctx, &expr).map_err(|e| JsError(e.to_string()))?;
+        let result = plan.execute(&mut ctx).map_err(|e| JsError(e.to_string()))?;
         Ok(result.into_iter().filter_map(|i| i.as_node()).collect())
     }
 
@@ -1021,6 +1023,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.alerts, vec!["c", "true"]);
+    }
+
+    #[test]
+    fn xpath_plans_stay_bounded() {
+        let mut e = engine_with("<html><body><div id=\"d7\"/></body></html>");
+        e.run(
+            "var hits = 0;
+             for (var i = 0; i < 10000; i = i + 1) {
+                 var r = document.evaluate(\"//div[@id='d\" + i + \"']\", document, null, 7, null);
+                 hits = hits + r.snapshotLength;
+             }
+             alert('' + hits);",
+        )
+        .unwrap();
+        assert_eq!(e.alerts, vec!["1"]);
+        assert!(e.xpath_plans.len() <= e.xpath_plans.capacity());
+        assert_eq!(e.xpath_plans.capacity(), XPATH_PLAN_CAPACITY);
     }
 
     #[test]

@@ -17,6 +17,14 @@ pub enum ArithOp {
     Mod,
 }
 
+/// Node-set operators (`union`/`|`, `intersect`, `except`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetOp {
+    Union,
+    Intersect,
+    Except,
+}
+
 /// Node comparison operators (`is`, `<<`, `>>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeCompOp {
@@ -113,31 +121,32 @@ pub enum PathStart {
     Relative,
 }
 
-/// FLWOR clauses.
+/// FLWOR clauses. `E` is the expression form of their parts: the AST's
+/// [`Expr`], or a lowered plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FlworClause {
+pub enum FlworClause<E = Expr> {
     For {
         var: QName,
         at: Option<QName>,
         ty: Option<SequenceType>,
-        seq: Expr,
+        seq: E,
     },
     Let {
         var: QName,
         ty: Option<SequenceType>,
-        expr: Expr,
+        expr: E,
     },
-    Where(Expr),
+    Where(E),
     OrderBy {
-        specs: Vec<OrderSpec>,
+        specs: Vec<OrderSpec<E>>,
         stable: bool,
     },
 }
 
 /// One `order by` key.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OrderSpec {
-    pub key: Expr,
+pub struct OrderSpec<E = Expr> {
+    pub key: E,
     pub descending: bool,
     pub empty_least: bool,
 }
@@ -210,15 +219,38 @@ pub enum UpdateExpr<E = Expr> {
     },
 }
 
-/// Full-text selection (simplified FTSelection grammar).
+/// Computed constructors. `E` is the expression form of their name and
+/// content parts: the AST's [`Expr`], or a lowered plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FtSelection {
-    Or(Vec<FtSelection>),
-    And(Vec<FtSelection>),
-    Not(Box<FtSelection>),
+pub enum Computed<E = Expr> {
+    Element {
+        name: NameExpr<E>,
+        content: Option<Box<E>>,
+    },
+    Attribute {
+        name: NameExpr<E>,
+        content: Option<Box<E>>,
+    },
+    Text(Box<E>),
+    Comment(Box<E>),
+    Pi {
+        target: NameExpr<E>,
+        content: Option<Box<E>>,
+    },
+    Document(Box<E>),
+}
+
+/// Full-text selection (simplified FTSelection grammar). `E` is the
+/// expression form of the word sources: the AST's [`Expr`], or a lowered
+/// plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FtSelection<E = Expr> {
+    Or(Vec<FtSelection<E>>),
+    And(Vec<FtSelection<E>>),
+    Not(Box<FtSelection<E>>),
     /// Words produced by an expression, with match options.
     Words {
-        expr: Box<Expr>,
+        expr: Box<E>,
         options: FtMatchOptions,
     },
 }
@@ -251,12 +283,40 @@ pub enum Statement {
     Expr(Expr),
 }
 
-/// Where an event listener is bound: `at` a location (§4.3.1) or `behind`
-/// an asynchronous call (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventBindMode {
-    At,
-    Behind,
+/// The browser grammar extensions (§4.3–4.5), bridged to the host through
+/// [`crate::context::EngineHooks`]. `E` is the expression form of their
+/// parts and `C` the form of a `behind` call: the AST's boxed [`Expr`], or
+/// the lowered plan the host keeps and runs later.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BrowserExpr<E = Expr, C = Box<E>> {
+    /// `on event E at T attach listener Q` (§4.3.1)
+    Attach {
+        event: Box<E>,
+        target: Box<E>,
+        listener: QName,
+    },
+    /// `on event E behind Call attach listener Q` (§4.4)
+    Behind {
+        event: Box<E>,
+        call: C,
+        listener: QName,
+    },
+    /// `on event E at T detach listener Q`
+    Detach {
+        event: Box<E>,
+        target: Box<E>,
+        listener: QName,
+    },
+    /// `trigger event E at T`
+    Trigger { event: Box<E>, target: Box<E> },
+    /// `set style P of T to V` (§4.5)
+    SetStyle {
+        prop: Box<E>,
+        target: Box<E>,
+        value: Box<E>,
+    },
+    /// `get style P of T`
+    GetStyle { prop: Box<E>, target: Box<E> },
 }
 
 /// The expression tree.
@@ -300,9 +360,7 @@ pub enum Expr {
         start: PathStart,
         steps: Vec<StepExpr>,
     },
-    Union(Box<Expr>, Box<Expr>),
-    Intersect(Box<Expr>, Box<Expr>),
-    Except(Box<Expr>, Box<Expr>),
+    SetOp(SetOp, Box<Expr>, Box<Expr>),
     InstanceOf(Box<Expr>, SequenceType),
     TreatAs(Box<Expr>, SequenceType),
     CastableAs(Box<Expr>, TypeName, bool),
@@ -318,21 +376,7 @@ pub enum Expr {
         ns_decls: Vec<(String, String)>,
         children: Vec<ElemContent>,
     },
-    ComputedElement {
-        name: NameExpr,
-        content: Option<Box<Expr>>,
-    },
-    ComputedAttribute {
-        name: NameExpr,
-        content: Option<Box<Expr>>,
-    },
-    ComputedText(Box<Expr>),
-    ComputedComment(Box<Expr>),
-    ComputedPi {
-        target: NameExpr,
-        content: Option<Box<Expr>>,
-    },
-    ComputedDocument(Box<Expr>),
+    Computed(Computed),
     // --- XQuery Update Facility ---
     Update(UpdateExpr),
     Transform {
@@ -348,30 +392,7 @@ pub enum Expr {
         selection: FtSelection,
     },
     // --- Browser extensions (§4.3–4.5) ---
-    EventAttach {
-        event: Box<Expr>,
-        mode: EventBindMode,
-        target: Box<Expr>,
-        listener: QName,
-    },
-    EventDetach {
-        event: Box<Expr>,
-        target: Box<Expr>,
-        listener: QName,
-    },
-    EventTrigger {
-        event: Box<Expr>,
-        target: Box<Expr>,
-    },
-    SetStyle {
-        prop: Box<Expr>,
-        target: Box<Expr>,
-        value: Box<Expr>,
-    },
-    GetStyle {
-        prop: Box<Expr>,
-        target: Box<Expr>,
-    },
+    Browser(BrowserExpr),
 }
 
 impl Expr {

@@ -15,7 +15,8 @@ use std::rc::Rc;
 use xqib_dom::{DocId, NodeRef, QName, SharedStore, Store};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Expr, FunctionDecl};
+use crate::ast::FunctionDecl;
+use crate::plan::ExprPlan;
 use crate::pul::Pul;
 
 /// Signature of a native (host-provided) function.
@@ -52,12 +53,13 @@ pub trait EngineHooks {
     ) -> XdmResult<()>;
 
     /// `on event E behind Call attach listener Q` (§4.4): bind the event to
-    /// the asynchronous evaluation of `call`.
+    /// the asynchronous evaluation of `call`, lowered once with the
+    /// statement.
     fn attach_behind(
         &self,
         ctx: &mut DynamicContext,
         event: &str,
-        call: &Expr,
+        call: Rc<ExprPlan>,
         listener: &QName,
     ) -> XdmResult<()>;
 

@@ -3,26 +3,26 @@
 
 use xqib_xdm::{atomize, Atomic, DateTime, Duration, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{ArithOp, Expr};
+use crate::ast::ArithOp;
 use crate::context::DynamicContext;
 
-use super::eval_expr;
+use super::Eval;
 
 /// Longest range `lo to hi` either tier builds or streams. A longer one
 /// raises `XPDY0130` (implementation limit exceeded) instead of asking for
 /// an allocation the host cannot make.
 pub(crate) const MAX_RANGE_LEN: u64 = 1 << 24;
 
-pub(crate) fn eval_range(ctx: &mut DynamicContext, lo: &Expr, hi: &Expr) -> XdmResult<Sequence> {
-    let l = atomic_operand(ctx, lo)?;
-    let h = atomic_operand(ctx, hi)?;
-    range_items(l, h)
-}
-
-/// The integers of `lo to hi` as a sequence: the one range builder both
-/// tiers share.
-pub(crate) fn range_items(lo: Option<Atomic>, hi: Option<Atomic>) -> XdmResult<Sequence> {
-    Ok(match range_bounds(lo, hi)? {
+/// `lo to hi` as a materialised sequence.
+pub(crate) fn eval_range<E>(
+    ctx: &mut DynamicContext,
+    lo: &E,
+    hi: &E,
+    eval: Eval<E>,
+) -> XdmResult<Sequence> {
+    let l = atomic_operand(ctx, lo, eval)?;
+    let h = atomic_operand(ctx, hi, eval)?;
+    Ok(match range_bounds(l, h)? {
         Some((l, h)) => (l..=h).map(Item::integer).collect(),
         None => vec![],
     })
@@ -53,8 +53,12 @@ pub(crate) fn range_bounds(
     Ok(Some((l, h)))
 }
 
-pub(crate) fn eval_neg(ctx: &mut DynamicContext, inner: &Expr) -> XdmResult<Sequence> {
-    let v = atomic_operand(ctx, inner)?;
+pub(crate) fn eval_neg<E>(
+    ctx: &mut DynamicContext,
+    inner: &E,
+    eval: Eval<E>,
+) -> XdmResult<Sequence> {
+    let v = atomic_operand(ctx, inner, eval)?;
     neg_atomic(v)
 }
 
@@ -71,13 +75,12 @@ pub(crate) fn neg_atomic(v: Option<Atomic>) -> XdmResult<Sequence> {
 }
 
 /// Evaluates to at most one atomized item (arithmetic operand rule).
-fn atomic_operand(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Option<Atomic>> {
-    let v = eval_expr(ctx, e)?;
-    atomic_from_seq(ctx, &v)
-}
-
-/// The arithmetic operand rule applied to an already-evaluated sequence.
-pub(crate) fn atomic_from_seq(ctx: &DynamicContext, v: &Sequence) -> XdmResult<Option<Atomic>> {
+pub(crate) fn atomic_operand<E>(
+    ctx: &mut DynamicContext,
+    e: &E,
+    eval: Eval<E>,
+) -> XdmResult<Option<Atomic>> {
+    let v = eval(ctx, e)?;
     match v.len() {
         0 => Ok(None),
         1 => {
@@ -90,13 +93,14 @@ pub(crate) fn atomic_from_seq(ctx: &DynamicContext, v: &Sequence) -> XdmResult<O
     }
 }
 
-pub(crate) fn eval_arith(
+pub(crate) fn eval_arith<E>(
     ctx: &mut DynamicContext,
     op: ArithOp,
-    l: &Expr,
-    r: &Expr,
+    l: &E,
+    r: &E,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let (Some(a), Some(b)) = (atomic_operand(ctx, l)?, atomic_operand(ctx, r)?) else {
+    let (Some(a), Some(b)) = (atomic_operand(ctx, l, eval)?, atomic_operand(ctx, r, eval)?) else {
         return Ok(vec![]);
     };
     apply_arith(op, &a, &b).map(|v| vec![Item::Atomic(v)])

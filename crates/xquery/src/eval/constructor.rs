@@ -7,112 +7,103 @@
 use xqib_dom::{DocId, NodeId, NodeRef, QName};
 use xqib_xdm::{atomize, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{AttrContent, ElemContent, Expr, NameExpr};
+use crate::ast::{AttrContent, Computed, ElemContent, NameExpr};
 use crate::context::DynamicContext;
 
-use super::eval_expr;
+use super::Eval;
 
-pub(crate) fn eval_constructor(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Sequence> {
-    match e {
-        Expr::DirectElement {
-            name,
-            attrs,
-            ns_decls,
-            children,
-        } => build_element(ctx, name, ns_decls, attrs, children, eval_expr),
-        Expr::ComputedElement { name, content } => {
-            let qname = resolve_name(ctx, name)?;
-            let doc_id = ctx.construction_doc;
-            let elem = {
-                let mut store = ctx.store.borrow_mut();
-                store.doc_mut(doc_id).create_element(qname)
-            };
+/// Builds a computed constructor's node: `element`, `attribute`, `text`,
+/// `comment` and `processing-instruction` nodes in the construction
+/// document, `document` nodes as a new document of their own.
+pub(crate) fn build_computed<E>(
+    ctx: &mut DynamicContext,
+    c: &Computed<E>,
+    eval: Eval<E>,
+) -> XdmResult<Sequence> {
+    let doc_id = ctx.construction_doc;
+    let node = match c {
+        Computed::Element { name, content } => {
+            let qname = resolve_name(ctx, name, eval)?;
+            let elem = ctx.store.borrow_mut().doc_mut(doc_id).create_element(qname);
             let elem_ref = NodeRef::new(doc_id, elem);
             if let Some(c) = content {
-                let seq = eval_expr(ctx, c)?;
+                let seq = eval(ctx, c)?;
                 add_content(ctx, elem_ref, &seq)?;
             }
-            Ok(vec![Item::Node(elem_ref)])
+            elem_ref
         }
-        Expr::ComputedAttribute { name, content } => {
-            let qname = resolve_name(ctx, name)?;
-            let value = match content {
-                Some(c) => {
-                    let seq = eval_expr(ctx, c)?;
-                    sequence_to_string(ctx, &seq)
-                }
-                None => String::new(),
-            };
-            let doc_id = ctx.construction_doc;
-            let attr = {
-                let mut store = ctx.store.borrow_mut();
-                store.doc_mut(doc_id).create_attribute(qname, value)
-            };
-            Ok(vec![Item::Node(NodeRef::new(doc_id, attr))])
+        Computed::Attribute { name, content } => {
+            let qname = resolve_name(ctx, name, eval)?;
+            let value = content_string(ctx, content.as_deref(), eval)?;
+            let attr = ctx
+                .store
+                .borrow_mut()
+                .doc_mut(doc_id)
+                .create_attribute(qname, value);
+            NodeRef::new(doc_id, attr)
         }
-        Expr::ComputedText(content) => {
-            let seq = eval_expr(ctx, content)?;
+        Computed::Text(content) => {
+            let seq = eval(ctx, content)?;
             if seq.is_empty() {
                 return Ok(vec![]);
             }
             let value = sequence_to_string(ctx, &seq);
-            let doc_id = ctx.construction_doc;
-            let t = {
-                let mut store = ctx.store.borrow_mut();
-                store.doc_mut(doc_id).create_text(value)
-            };
-            Ok(vec![Item::Node(NodeRef::new(doc_id, t))])
+            let t = ctx.store.borrow_mut().doc_mut(doc_id).create_text(value);
+            NodeRef::new(doc_id, t)
         }
-        Expr::ComputedComment(content) => {
-            let seq = eval_expr(ctx, content)?;
-            let value = sequence_to_string(ctx, &seq);
-            let doc_id = ctx.construction_doc;
-            let c = {
-                let mut store = ctx.store.borrow_mut();
-                store.doc_mut(doc_id).create_comment(value)
-            };
-            Ok(vec![Item::Node(NodeRef::new(doc_id, c))])
+        Computed::Comment(content) => {
+            let value = content_string(ctx, Some(&**content), eval)?;
+            let c = ctx.store.borrow_mut().doc_mut(doc_id).create_comment(value);
+            NodeRef::new(doc_id, c)
         }
-        Expr::ComputedPi { target, content } => {
-            let qname = resolve_name(ctx, target)?;
-            let value = match content {
-                Some(c) => {
-                    let seq = eval_expr(ctx, c)?;
-                    sequence_to_string(ctx, &seq)
-                }
-                None => String::new(),
-            };
-            let doc_id = ctx.construction_doc;
-            let pi = {
-                let mut store = ctx.store.borrow_mut();
-                store
-                    .doc_mut(doc_id)
-                    .create_pi(qname.local.to_string(), value)
-            };
-            Ok(vec![Item::Node(NodeRef::new(doc_id, pi))])
+        Computed::Pi { target, content } => {
+            let qname = resolve_name(ctx, target, eval)?;
+            let value = content_string(ctx, content.as_deref(), eval)?;
+            let pi = ctx
+                .store
+                .borrow_mut()
+                .doc_mut(doc_id)
+                .create_pi(qname.local.to_string(), value);
+            NodeRef::new(doc_id, pi)
         }
-        Expr::ComputedDocument(content) => {
-            let seq = eval_expr(ctx, content)?;
-            let doc_id = {
-                let mut store = ctx.store.borrow_mut();
-                store.new_document(None)
-            };
+        Computed::Document(content) => {
+            let seq = eval(ctx, content)?;
             let root = {
-                let store = ctx.store.borrow();
+                let mut store = ctx.store.borrow_mut();
+                let doc_id = store.new_document(None);
                 store.root(doc_id)
             };
             add_content(ctx, root, &seq)?;
-            Ok(vec![Item::Node(root)])
+            root
         }
-        _ => unreachable!("eval_constructor called with a non-constructor"),
+    };
+    Ok(vec![Item::Node(node)])
+}
+
+/// The string value of an optional content part; empty when absent.
+fn content_string<E>(
+    ctx: &mut DynamicContext,
+    content: Option<&E>,
+    eval: Eval<E>,
+) -> XdmResult<String> {
+    match content {
+        Some(c) => {
+            let seq = eval(ctx, c)?;
+            Ok(sequence_to_string(ctx, &seq))
+        }
+        None => Ok(String::new()),
     }
 }
 
-fn resolve_name(ctx: &mut DynamicContext, name: &NameExpr) -> XdmResult<QName> {
+fn resolve_name<E>(
+    ctx: &mut DynamicContext,
+    name: &NameExpr<E>,
+    eval: Eval<E>,
+) -> XdmResult<QName> {
     match name {
         NameExpr::Static(q) => Ok(q.clone()),
         NameExpr::Dynamic(e) => {
-            let v = eval_expr(ctx, e)?;
+            let v = eval(ctx, e)?;
             match v.first() {
                 Some(Item::Atomic(xqib_xdm::Atomic::QName(q))) => Ok(q.clone()),
                 Some(i) => {
@@ -138,18 +129,15 @@ fn resolve_name(ctx: &mut DynamicContext, name: &NameExpr) -> XdmResult<QName> {
 }
 
 /// Builds a direct element constructor in the construction document and
-/// returns it as a one-item sequence. Shared by both tiers: `eval` runs an
-/// enclosed part — `eval_expr` over the AST for the interpreter,
-/// `exec::eval_plan` over lowered plans for the executor — so attribute
-/// value templates, text nodes, content copying and the `XQDY0025`/
-/// `XQTY0024` errors are the same code on either tier.
+/// returns it as a one-item sequence: attribute value templates, text
+/// nodes, content copying and the `XQDY0025`/`XQTY0024` errors.
 pub(crate) fn build_element<E>(
     ctx: &mut DynamicContext,
     name: &QName,
     ns_decls: &[(String, String)],
     attrs: &[(QName, Vec<AttrContent<E>>)],
     children: &[ElemContent<E>],
-    eval: fn(&mut DynamicContext, &E) -> XdmResult<Sequence>,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
     let doc_id = ctx.construction_doc;
     let elem = {

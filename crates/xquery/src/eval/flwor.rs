@@ -5,55 +5,60 @@ use xqib_xdm::{
     atomize, compare_atomics, effective_boolean_value, Atomic, Item, Sequence, XdmError, XdmResult,
 };
 
-use crate::ast::{Expr, FlworClause, OrderSpec, Quantifier};
+use crate::ast::{FlworClause, Quantifier};
 use crate::context::DynamicContext;
 
-use super::eval_expr;
+use super::Eval;
 
 /// One tuple of the FLWOR tuple stream.
-type Tuple = Vec<(QName, Sequence)>;
+pub(crate) type Tuple = Vec<(QName, Sequence)>;
 
-pub(crate) fn eval_flwor(
+/// Runs `f` in a scope binding a tuple's variables: `tuple.iter().cloned()`
+/// while the tuple lives on, the tuple itself when this is its last use.
+pub(crate) fn with_tuple<R>(
     ctx: &mut DynamicContext,
-    clauses: &[FlworClause],
-    ret: &Expr,
-) -> XdmResult<Sequence> {
-    let mut tuples: Vec<Tuple> = vec![Vec::new()];
-    for clause in clauses {
-        tuples = apply_clause(ctx, tuples, clause)?;
-    }
-    let mut out = Vec::new();
-    for tuple in tuples {
-        let v = with_tuple(ctx, &tuple, |ctx| eval_expr(ctx, ret))?;
-        out.extend(v);
-    }
-    Ok(out)
-}
-
-fn with_tuple<R>(
-    ctx: &mut DynamicContext,
-    tuple: &Tuple,
+    tuple: impl IntoIterator<Item = (QName, Sequence)>,
     f: impl FnOnce(&mut DynamicContext) -> XdmResult<R>,
 ) -> XdmResult<R> {
     ctx.push_scope();
     for (name, value) in tuple {
-        ctx.bind_var(name.clone(), value.clone());
+        ctx.bind_var(name, value);
     }
     let r = f(ctx);
     ctx.pop_scope();
     r
 }
 
-fn apply_clause(
+/// The breadth-first FLWOR pipeline: each clause maps the whole tuple
+/// stream before the next runs, then `ret` runs once per surviving tuple.
+pub(crate) fn eval_flwor<E>(
+    ctx: &mut DynamicContext,
+    clauses: &[FlworClause<E>],
+    ret: &E,
+    eval: Eval<E>,
+) -> XdmResult<Sequence> {
+    let mut tuples: Vec<Tuple> = vec![Vec::new()];
+    for clause in clauses {
+        tuples = apply_clause(ctx, tuples, clause, eval)?;
+    }
+    let mut out = Vec::new();
+    for tuple in tuples {
+        out.extend(with_tuple(ctx, tuple, |ctx| eval(ctx, ret))?);
+    }
+    Ok(out)
+}
+
+fn apply_clause<E>(
     ctx: &mut DynamicContext,
     tuples: Vec<Tuple>,
-    clause: &FlworClause,
+    clause: &FlworClause<E>,
+    eval: Eval<E>,
 ) -> XdmResult<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(tuples.len());
     match clause {
         FlworClause::For { var, at, ty, seq } => {
-            let mut out = Vec::new();
             for tuple in tuples {
-                let items = with_tuple(ctx, &tuple, |ctx| eval_expr(ctx, seq))?;
+                let items = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval(ctx, seq))?;
                 for (i, item) in items.into_iter().enumerate() {
                     // one fuel unit per tuple the `for` clause materialises:
                     // cartesian blow-ups are preempted even though each
@@ -61,8 +66,7 @@ fn apply_clause(
                     ctx.charge_fuel(1)?;
                     if let Some(t) = ty {
                         let single = vec![item.clone()];
-                        let ok = ctx.with_store(|s| t.matches(s, &single));
-                        if !ok {
+                        if !ctx.with_store(|s| t.matches(s, &single)) {
                             return Err(XdmError::type_error(format!(
                                 "for ${var} as {t}: item does not match"
                             )));
@@ -76,67 +80,52 @@ fn apply_clause(
                     out.push(new_tuple);
                 }
             }
-            Ok(out)
         }
         FlworClause::Let { var, ty: _, expr } => {
-            let mut out = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                let v = with_tuple(ctx, &tuple, |ctx| eval_expr(ctx, expr))?;
-                let mut new_tuple = tuple;
-                new_tuple.push((var.clone(), v));
-                out.push(new_tuple);
+            for mut tuple in tuples {
+                let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval(ctx, expr))?;
+                tuple.push((var.clone(), v));
+                out.push(tuple);
             }
-            Ok(out)
         }
         FlworClause::Where(cond) => {
-            let mut out = Vec::with_capacity(tuples.len());
             for tuple in tuples {
-                let keep = with_tuple(ctx, &tuple, |ctx| {
-                    let v = eval_expr(ctx, cond)?;
-                    effective_boolean_value(&v)
+                let keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
+                    effective_boolean_value(&eval(ctx, cond)?)
                 })?;
                 if keep {
                     out.push(tuple);
                 }
             }
-            Ok(out)
         }
-        FlworClause::OrderBy { specs, stable: _ } => order_tuples(ctx, tuples, specs),
-    }
-}
-
-/// Sort key: one optional atomic per order spec per tuple.
-fn order_tuples(
-    ctx: &mut DynamicContext,
-    tuples: Vec<Tuple>,
-    specs: &[OrderSpec],
-) -> XdmResult<Vec<Tuple>> {
-    let mut keyed: Vec<(Vec<Option<Atomic>>, Tuple)> = Vec::with_capacity(tuples.len());
-    for tuple in tuples {
-        let mut keys = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let v = with_tuple(ctx, &tuple, |ctx| eval_expr(ctx, &spec.key))?;
-            let key = match v.len() {
-                0 => None,
-                1 => Some(atomize(&ctx.store.borrow(), &v[0])),
-                _ => return Err(XdmError::type_error("order by key must be a singleton")),
-            };
-            keys.push(key);
+        FlworClause::OrderBy { specs, stable: _ } => {
+            let mut keyed: Vec<(Vec<Option<Atomic>>, Tuple)> = Vec::with_capacity(tuples.len());
+            for tuple in tuples {
+                let mut keys = Vec::with_capacity(specs.len());
+                for spec in specs {
+                    let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval(ctx, &spec.key))?;
+                    keys.push(match &v[..] {
+                        [] => None,
+                        [item] => Some(atomize(&ctx.store.borrow(), item)),
+                        _ => return Err(XdmError::type_error("order by key must be a singleton")),
+                    });
+                }
+                keyed.push((keys, tuple));
+            }
+            let dirs: Vec<(bool, bool)> = specs
+                .iter()
+                .map(|s| (s.descending, s.empty_least))
+                .collect();
+            return sort_keyed(keyed, &dirs);
         }
-        keyed.push((keys, tuple));
     }
-    let dirs: Vec<(bool, bool)> = specs
-        .iter()
-        .map(|s| (s.descending, s.empty_least))
-        .collect();
-    sort_keyed(keyed, &dirs)
+    Ok(out)
 }
 
 /// Stable, spec-directed sort of keyed values. `dirs` is one
-/// `(descending, empty_least)` pair per order key. Shared between the
-/// interpreter and the compiled evaluator so `order by` ties, empty-key
-/// placement and the NaN-skip rule agree exactly.
-pub(crate) fn sort_keyed<T>(
+/// `(descending, empty_least)` pair per order key: `order by` ties,
+/// empty-key placement and the NaN-skip rule.
+fn sort_keyed<T>(
     mut keyed: Vec<(Vec<Option<Atomic>>, T)>,
     dirs: &[(bool, bool)],
 ) -> XdmResult<Vec<T>> {
@@ -182,33 +171,37 @@ pub(crate) fn sort_keyed<T>(
     Ok(keyed.into_iter().map(|(_, t)| t).collect())
 }
 
-pub(crate) fn eval_quantified(
+/// `some`/`every`: binds each variable to each item of its source in turn,
+/// nested left to right, and stops at the first deciding `satisfies`.
+pub(crate) fn quantified<E>(
     ctx: &mut DynamicContext,
     kind: Quantifier,
-    bindings: &[(QName, Expr)],
-    satisfies: &Expr,
+    bindings: &[(QName, E)],
+    satisfies: &E,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let result = quantify(ctx, kind, bindings, satisfies)?;
+    let result = quantify(ctx, kind, bindings, satisfies, eval)?;
     Ok(vec![Item::boolean(result)])
 }
 
-fn quantify(
+fn quantify<E>(
     ctx: &mut DynamicContext,
     kind: Quantifier,
-    bindings: &[(QName, Expr)],
-    satisfies: &Expr,
+    bindings: &[(QName, E)],
+    satisfies: &E,
+    eval: Eval<E>,
 ) -> XdmResult<bool> {
     match bindings.split_first() {
         None => {
-            let v = eval_expr(ctx, satisfies)?;
+            let v = eval(ctx, satisfies)?;
             effective_boolean_value(&v)
         }
         Some(((var, seq), rest)) => {
-            let items = eval_expr(ctx, seq)?;
+            let items = eval(ctx, seq)?;
             for item in items {
                 ctx.push_scope();
                 ctx.bind_var(var.clone(), vec![item]);
-                let inner = quantify(ctx, kind, rest, satisfies);
+                let inner = quantify(ctx, kind, rest, satisfies, eval);
                 ctx.pop_scope();
                 let inner = inner?;
                 match kind {

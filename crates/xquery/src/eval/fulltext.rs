@@ -4,34 +4,42 @@
 
 use xqib_xdm::{Sequence, XdmResult};
 
-use crate::ast::{Expr, FtMatchOptions, FtSelection};
+use crate::ast::{FtMatchOptions, FtSelection};
 use crate::context::DynamicContext;
 use crate::functions::regex::Regex;
 use crate::functions::stemmer::{stem, tokenize_words, tokenize_words_cased};
 
-use super::eval_expr;
+use super::Eval;
 
-pub(crate) fn eval_ftcontains(
+/// `source ftcontains selection`: true if any source item's string value
+/// matches.
+pub(crate) fn eval_ftcontains<E>(
     ctx: &mut DynamicContext,
-    source: &Expr,
-    selection: &FtSelection,
+    source: &E,
+    selection: &FtSelection<E>,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let items = eval_expr(ctx, source)?;
+    let items = eval(ctx, source)?;
     // ftcontains is existential over the source sequence
     for item in &items {
         let text = item.string_value(&ctx.store.borrow());
-        if selection_matches(ctx, &text, selection)? {
+        if selection_matches(ctx, &text, selection, eval)? {
             return Ok(vec![xqib_xdm::Item::boolean(true)]);
         }
     }
     Ok(vec![xqib_xdm::Item::boolean(false)])
 }
 
-fn selection_matches(ctx: &mut DynamicContext, text: &str, sel: &FtSelection) -> XdmResult<bool> {
+fn selection_matches<E>(
+    ctx: &mut DynamicContext,
+    text: &str,
+    sel: &FtSelection<E>,
+    eval: Eval<E>,
+) -> XdmResult<bool> {
     match sel {
         FtSelection::Or(items) => {
             for s in items {
-                if selection_matches(ctx, text, s)? {
+                if selection_matches(ctx, text, s, eval)? {
                     return Ok(true);
                 }
             }
@@ -39,15 +47,15 @@ fn selection_matches(ctx: &mut DynamicContext, text: &str, sel: &FtSelection) ->
         }
         FtSelection::And(items) => {
             for s in items {
-                if !selection_matches(ctx, text, s)? {
+                if !selection_matches(ctx, text, s, eval)? {
                     return Ok(false);
                 }
             }
             Ok(true)
         }
-        FtSelection::Not(inner) => Ok(!selection_matches(ctx, text, inner)?),
+        FtSelection::Not(inner) => Ok(!selection_matches(ctx, text, inner, eval)?),
         FtSelection::Words { expr, options } => {
-            let v = eval_expr(ctx, expr)?;
+            let v = eval(ctx, expr)?;
             // each item is a phrase; any phrase matching suffices
             for item in &v {
                 let phrase = item.string_value(&ctx.store.borrow());

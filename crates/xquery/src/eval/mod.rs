@@ -1,153 +1,53 @@
-//! The tree-walking evaluator.
+//! The semantics both evaluators share. Each routine is generic over the
+//! expression form of its parts and takes the evaluator that runs them
+//! ([`Eval`]): the plan executor (`exec::eval_plan`) on every shipped path,
+//! and the AST walker ([`eval_expr`], behind the dev-only `oracle` feature)
+//! that the differential suites compare the executor against. A construct's
+//! evaluation order, errors and effects therefore live in one routine.
 
 pub mod arith;
 pub mod constructor;
 pub mod flwor;
 pub mod fulltext;
+#[cfg(any(test, feature = "oracle"))]
+mod oracle;
 pub mod path;
 pub mod update;
 
+#[cfg(any(test, feature = "oracle"))]
+pub use oracle::eval_expr;
+#[cfg(any(test, feature = "oracle"))]
+pub(crate) use oracle::{eval_statements, interpret_body};
+
+use std::rc::Rc;
+
 use xqib_dom::{name::XS_NS, NodeRef, QName};
 use xqib_xdm::{
-    atomize, effective_boolean_value, general_compare, value_compare, Atomic, Item, Sequence,
-    XdmError, XdmResult,
+    atomize, general_compare, value_compare, Atomic, CompOp, Item, Sequence, SequenceType,
+    TypeName, XdmError, XdmResult,
 };
 
-use crate::ast::*;
-use crate::context::DynamicContext;
+use crate::ast::{BrowserExpr, FunctionDecl, NodeCompOp, SetOp};
+use crate::context::{DynamicContext, EngineHooks};
 use crate::functions;
+use crate::plan::ExprPlan;
 
 /// Internal control-flow code for `exit with` (never surfaces to callers).
 pub(crate) const EXIT_CODE: &str = "XQIB-EXIT";
 /// Maximum user-function recursion depth (secondary guard).
 const MAX_CALL_DEPTH: usize = 4096;
-/// Maximum engine stack consumption in bytes (primary guard — interpreter
+/// Maximum engine stack consumption in bytes (primary guard — evaluator
 /// frames are large in debug builds, so count bytes, not calls).
 const MAX_STACK_BYTES: usize = 1_000_000;
 
-/// Evaluates an expression to a sequence.
-pub fn eval_expr(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Sequence> {
-    // one fuel unit per expression step — the preemption granularity
-    ctx.charge_fuel(1)?;
-    match e {
-        Expr::Literal(a) => Ok(vec![Item::Atomic(a.clone())]),
-        Expr::VarRef(name) => ctx
-            .lookup_var(name)
-            .cloned()
-            .ok_or_else(|| XdmError::undefined(format!("undefined variable ${name}"))),
-        Expr::ContextItem => ctx.context_item().map(|i| vec![i]),
-        Expr::Sequence(items) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.extend(eval_expr(ctx, item)?);
-            }
-            Ok(out)
-        }
-        Expr::Range(lo, hi) => arith::eval_range(ctx, lo, hi),
-        Expr::Arith(op, l, r) => arith::eval_arith(ctx, *op, l, r),
-        Expr::Neg(inner) => arith::eval_neg(ctx, inner),
-        Expr::ValueComp(op, l, r) => eval_value_comp(ctx, *op, l, r),
-        Expr::GeneralComp(op, l, r) => eval_general_comp(ctx, *op, l, r),
-        Expr::NodeComp(op, l, r) => eval_node_comp(ctx, *op, l, r),
-        Expr::And(l, r) => {
-            let lv = effective_boolean_value(&eval_expr(ctx, l)?)?;
-            if !lv {
-                return Ok(vec![Item::boolean(false)]);
-            }
-            let rv = effective_boolean_value(&eval_expr(ctx, r)?)?;
-            Ok(vec![Item::boolean(rv)])
-        }
-        Expr::Or(l, r) => {
-            let lv = effective_boolean_value(&eval_expr(ctx, l)?)?;
-            if lv {
-                return Ok(vec![Item::boolean(true)]);
-            }
-            let rv = effective_boolean_value(&eval_expr(ctx, r)?)?;
-            Ok(vec![Item::boolean(rv)])
-        }
-        Expr::If { cond, then, els } => {
-            let c = effective_boolean_value(&eval_expr(ctx, cond)?)?;
-            if c {
-                eval_expr(ctx, then)
-            } else {
-                eval_expr(ctx, els)
-            }
-        }
-        Expr::Flwor { clauses, ret } => flwor::eval_flwor(ctx, clauses, ret),
-        Expr::Quantified {
-            kind,
-            bindings,
-            satisfies,
-        } => flwor::eval_quantified(ctx, *kind, bindings, satisfies),
-        Expr::TypeSwitch {
-            operand,
-            cases,
-            default_var,
-            default,
-        } => eval_typeswitch(ctx, operand, cases, default_var.as_ref(), default),
-        Expr::Path { start, steps } => path::eval_path(ctx, *start, steps),
-        Expr::Union(l, r) => eval_set_op(ctx, SetOp::Union, l, r),
-        Expr::Intersect(l, r) => eval_set_op(ctx, SetOp::Intersect, l, r),
-        Expr::Except(l, r) => eval_set_op(ctx, SetOp::Except, l, r),
-        Expr::InstanceOf(inner, st) => eval_instance_of(ctx, inner, st),
-        Expr::TreatAs(inner, st) => eval_treat_as(ctx, inner, st),
-        Expr::CastableAs(inner, ty, optional) => eval_castable(ctx, inner, *ty, *optional),
-        Expr::CastAs(inner, ty, optional) => eval_cast(ctx, inner, *ty, *optional),
-        Expr::FunctionCall { name, args } => eval_call(ctx, name, args),
-        Expr::DirectElement { .. }
-        | Expr::ComputedElement { .. }
-        | Expr::ComputedAttribute { .. }
-        | Expr::ComputedText(_)
-        | Expr::ComputedComment(_)
-        | Expr::ComputedPi { .. }
-        | Expr::ComputedDocument(_) => constructor::eval_constructor(ctx, e),
-        Expr::Update(u) => update::eval_update(ctx, u, eval_expr),
-        Expr::Transform {
-            bindings,
-            modify,
-            ret,
-        } => update::eval_transform(ctx, bindings, modify, ret),
-        Expr::Block(stmts) => eval_block(ctx, stmts),
-        Expr::FtContains { source, selection } => fulltext::eval_ftcontains(ctx, source, selection),
-        Expr::EventAttach {
-            event,
-            mode,
-            target,
-            listener,
-        } => eval_event_attach(ctx, event, *mode, target, listener),
-        Expr::EventDetach {
-            event,
-            target,
-            listener,
-        } => eval_event_detach(ctx, event, target, listener),
-        Expr::EventTrigger { event, target } => eval_event_trigger(ctx, event, target),
-        Expr::SetStyle {
-            prop,
-            target,
-            value,
-        } => eval_set_style(ctx, prop, target, value),
-        Expr::GetStyle { prop, target } => eval_get_style(ctx, prop, target),
-    }
-}
+/// How a shared routine evaluates one of its parts: `exec::eval_plan` over
+/// lowered plans, or the oracle's `eval_expr` over the AST.
+pub(crate) type Eval<E> = fn(&mut DynamicContext, &E) -> XdmResult<Sequence>;
 
-// ----- out-of-line arm implementations (keeps eval_expr's frame small) -------
-
-fn eval_value_comp(
-    ctx: &mut DynamicContext,
-    op: xqib_xdm::CompOp,
-    l: &Expr,
-    r: &Expr,
-) -> XdmResult<Sequence> {
-    let ls = eval_expr(ctx, l)?;
-    let rs = eval_expr(ctx, r)?;
-    value_comp_seqs(ctx, op, &ls, &rs)
-}
-
-/// Value comparison over already-evaluated operand sequences (shared with
-/// the compiled evaluator so both tiers agree exactly).
+/// Value comparison over already-evaluated operand sequences.
 pub(crate) fn value_comp_seqs(
     ctx: &DynamicContext,
-    op: xqib_xdm::CompOp,
+    op: CompOp,
     ls: &Sequence,
     rs: &Sequence,
 ) -> XdmResult<Sequence> {
@@ -169,22 +69,10 @@ pub(crate) fn value_comp_seqs(
     value_compare(op, &a, &b).map(|v| vec![Item::boolean(v)])
 }
 
-fn eval_general_comp(
-    ctx: &mut DynamicContext,
-    op: xqib_xdm::CompOp,
-    l: &Expr,
-    r: &Expr,
-) -> XdmResult<Sequence> {
-    let ls = eval_expr(ctx, l)?;
-    let rs = eval_expr(ctx, r)?;
-    general_comp_seqs(ctx, op, &ls, &rs)
-}
-
-/// General comparison over already-evaluated operand sequences (shared with
-/// the compiled evaluator so both tiers agree exactly).
+/// General comparison over already-evaluated operand sequences.
 pub(crate) fn general_comp_seqs(
     ctx: &DynamicContext,
-    op: xqib_xdm::CompOp,
+    op: CompOp,
     ls: &Sequence,
     rs: &Sequence,
 ) -> XdmResult<Sequence> {
@@ -198,19 +86,18 @@ pub(crate) fn general_comp_seqs(
     general_compare(op, &la, &ra).map(|v| vec![Item::boolean(v)])
 }
 
-fn eval_node_comp(
-    ctx: &mut DynamicContext,
+/// `is`, `<<` and `>>` over already-evaluated operand sequences.
+pub(crate) fn node_comp_seqs(
+    ctx: &DynamicContext,
     op: NodeCompOp,
-    l: &Expr,
-    r: &Expr,
+    ls: &Sequence,
+    rs: &Sequence,
 ) -> XdmResult<Sequence> {
-    let ls = eval_expr(ctx, l)?;
-    let rs = eval_expr(ctx, r)?;
     if ls.is_empty() || rs.is_empty() {
         return Ok(vec![]);
     }
-    let a = single_node(&ls)?;
-    let b = single_node(&rs)?;
+    let a = single_node(ls)?;
+    let b = single_node(rs)?;
     let store = ctx.store.borrow();
     let result = match op {
         NodeCompOp::Is => a == b,
@@ -224,45 +111,43 @@ fn eval_node_comp(
     Ok(vec![Item::boolean(result)])
 }
 
-fn eval_typeswitch(
+/// `typeswitch`: the first case whose type matches the operand's value
+/// runs with its variable bound, else the default.
+pub(crate) fn typeswitch<E>(
     ctx: &mut DynamicContext,
-    operand: &Expr,
-    cases: &[(xqib_xdm::SequenceType, Option<QName>, Expr)],
+    operand: &E,
+    cases: &[(SequenceType, Option<QName>, E)],
     default_var: Option<&QName>,
-    default: &Expr,
+    default: &E,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let value = eval_expr(ctx, operand)?;
-    for (st, var, body) in cases {
-        let matches = ctx.with_store(|s| st.matches(s, &value));
-        if matches {
-            ctx.push_scope();
-            if let Some(v) = var {
-                ctx.bind_var(v.clone(), value.clone());
-            }
-            let r = eval_expr(ctx, body);
-            ctx.pop_scope();
-            return r;
-        }
-    }
+    let value = eval(ctx, operand)?;
+    let (var, body) = cases
+        .iter()
+        .find(|(st, _, _)| ctx.with_store(|s| st.matches(s, &value)))
+        .map_or((default_var, default), |(_, var, body)| {
+            (var.as_ref(), body)
+        });
     ctx.push_scope();
-    if let Some(v) = default_var {
-        ctx.bind_var(v.clone(), value.clone());
+    if let Some(v) = var {
+        ctx.bind_var(v.clone(), value);
     }
-    let r = eval_expr(ctx, default);
+    let r = eval(ctx, body);
     ctx.pop_scope();
     r
 }
 
-#[derive(Clone, Copy)]
-enum SetOp {
-    Union,
-    Intersect,
-    Except,
-}
-
-fn eval_set_op(ctx: &mut DynamicContext, op: SetOp, l: &Expr, r: &Expr) -> XdmResult<Sequence> {
-    let a = node_sequence(ctx, l)?;
-    let b = node_sequence(ctx, r)?;
+/// `union`, `intersect` and `except`: node sequences in, a document-ordered
+/// duplicate-free node sequence out.
+pub(crate) fn set_op<E>(
+    ctx: &mut DynamicContext,
+    op: SetOp,
+    l: &E,
+    r: &E,
+    eval: Eval<E>,
+) -> XdmResult<Sequence> {
+    let a = nodes_of(eval(ctx, l)?)?;
+    let b = nodes_of(eval(ctx, r)?)?;
     let mut refs: Vec<NodeRef> = match op {
         SetOp::Union => {
             let mut v = a;
@@ -277,24 +162,26 @@ fn eval_set_op(ctx: &mut DynamicContext, op: SetOp, l: &Expr, r: &Expr) -> XdmRe
     Ok(refs.into_iter().map(Item::Node).collect())
 }
 
-fn eval_instance_of(
+/// `instance of`.
+pub(crate) fn instance_of<E>(
     ctx: &mut DynamicContext,
-    inner: &Expr,
-    st: &xqib_xdm::SequenceType,
+    inner: &E,
+    st: &SequenceType,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let v = eval_expr(ctx, inner)?;
-    let m = ctx.with_store(|s| st.matches(s, &v));
-    Ok(vec![Item::boolean(m)])
+    let v = eval(ctx, inner)?;
+    Ok(vec![Item::boolean(ctx.with_store(|s| st.matches(s, &v)))])
 }
 
-fn eval_treat_as(
+/// `treat as`.
+pub(crate) fn treat_as<E>(
     ctx: &mut DynamicContext,
-    inner: &Expr,
-    st: &xqib_xdm::SequenceType,
+    inner: &E,
+    st: &SequenceType,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let v = eval_expr(ctx, inner)?;
-    let m = ctx.with_store(|s| st.matches(s, &v));
-    if m {
+    let v = eval(ctx, inner)?;
+    if ctx.with_store(|s| st.matches(s, &v)) {
         Ok(v)
     } else {
         Err(XdmError::new(
@@ -304,144 +191,123 @@ fn eval_treat_as(
     }
 }
 
-fn eval_castable(
+/// `castable as`.
+pub(crate) fn castable<E>(
     ctx: &mut DynamicContext,
-    inner: &Expr,
-    ty: xqib_xdm::TypeName,
+    inner: &E,
+    ty: TypeName,
     optional: bool,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let v = eval_expr(ctx, inner)?;
-    let ok = match v.len() {
-        0 => optional,
-        1 => {
-            let a = atomize(&ctx.store.borrow(), &v[0]);
-            a.cast_to(ty).is_ok()
-        }
+    let v = eval(ctx, inner)?;
+    let ok = match &v[..] {
+        [] => optional,
+        [item] => atomize(&ctx.store.borrow(), item).cast_to(ty).is_ok(),
         _ => false,
     };
     Ok(vec![Item::boolean(ok)])
 }
 
-fn eval_cast(
+/// `cast as`.
+pub(crate) fn cast<E>(
     ctx: &mut DynamicContext,
-    inner: &Expr,
-    ty: xqib_xdm::TypeName,
+    inner: &E,
+    ty: TypeName,
     optional: bool,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
-    let v = eval_expr(ctx, inner)?;
-    match v.len() {
-        0 => {
-            if optional {
-                Ok(vec![])
-            } else {
-                Err(XdmError::type_error("cast of empty sequence"))
-            }
-        }
-        1 => {
-            let a = atomize(&ctx.store.borrow(), &v[0]);
+    let v = eval(ctx, inner)?;
+    match &v[..] {
+        [] if optional => Ok(vec![]),
+        [] => Err(XdmError::type_error("cast of empty sequence")),
+        [item] => {
+            let a = atomize(&ctx.store.borrow(), item);
             a.cast_to(ty).map(|r| vec![Item::Atomic(r)])
         }
         _ => Err(XdmError::type_error("cast of multi-item sequence")),
     }
 }
 
-fn eval_call(ctx: &mut DynamicContext, name: &QName, args: &[Expr]) -> XdmResult<Sequence> {
-    let mut argv = Vec::with_capacity(args.len());
-    for a in args {
-        argv.push(eval_expr(ctx, a)?);
-    }
-    call_function(ctx, name, argv)
-}
-
-fn eval_event_attach(
+/// The browser grammar extensions, routed to the host's [`EngineHooks`]
+/// (styles fall back to the `style` attribute without one). `call_plan`
+/// hands a `behind` call to the host as the lowered plan it keeps.
+pub(crate) fn eval_browser<E, C>(
     ctx: &mut DynamicContext,
-    event: &Expr,
-    mode: EventBindMode,
-    target: &Expr,
-    listener: &QName,
+    b: &BrowserExpr<E, C>,
+    eval: Eval<E>,
+    call_plan: fn(&DynamicContext, &C) -> Rc<ExprPlan>,
 ) -> XdmResult<Sequence> {
-    let ev = eval_string(ctx, event)?;
-    match mode {
-        EventBindMode::At => {
-            let targets = eval_expr(ctx, target)?;
+    match b {
+        BrowserExpr::Attach {
+            event,
+            target,
+            listener,
+        } => {
+            let ev = string_of(ctx, &**event, eval)?;
+            let targets = eval(ctx, target)?;
+            require_hooks(ctx)?.attach_listener(ctx, &ev, &targets, listener)?;
+        }
+        BrowserExpr::Behind {
+            event,
+            call,
+            listener,
+        } => {
+            let ev = string_of(ctx, &**event, eval)?;
             let hooks = require_hooks(ctx)?;
-            hooks.attach_listener(ctx, &ev, &targets, listener)?;
+            hooks.attach_behind(ctx, &ev, call_plan(ctx, call), listener)?;
         }
-        EventBindMode::Behind => {
-            let hooks = require_hooks(ctx)?;
-            hooks.attach_behind(ctx, &ev, target, listener)?;
+        BrowserExpr::Detach {
+            event,
+            target,
+            listener,
+        } => {
+            let ev = string_of(ctx, &**event, eval)?;
+            let targets = eval(ctx, target)?;
+            require_hooks(ctx)?.detach_listener(ctx, &ev, &targets, listener)?;
         }
-    }
-    Ok(vec![])
-}
-
-fn eval_event_detach(
-    ctx: &mut DynamicContext,
-    event: &Expr,
-    target: &Expr,
-    listener: &QName,
-) -> XdmResult<Sequence> {
-    let ev = eval_string(ctx, event)?;
-    let targets = eval_expr(ctx, target)?;
-    let hooks = require_hooks(ctx)?;
-    hooks.detach_listener(ctx, &ev, &targets, listener)?;
-    Ok(vec![])
-}
-
-fn eval_event_trigger(
-    ctx: &mut DynamicContext,
-    event: &Expr,
-    target: &Expr,
-) -> XdmResult<Sequence> {
-    let ev = eval_string(ctx, event)?;
-    let targets = eval_expr(ctx, target)?;
-    let hooks = require_hooks(ctx)?;
-    hooks.trigger_event(ctx, &ev, &targets)?;
-    Ok(vec![])
-}
-
-fn eval_set_style(
-    ctx: &mut DynamicContext,
-    prop: &Expr,
-    target: &Expr,
-    value: &Expr,
-) -> XdmResult<Sequence> {
-    let p = eval_string(ctx, prop)?;
-    let v = eval_string(ctx, value)?;
-    let targets = eval_expr(ctx, target)?;
-    for t in &targets {
-        let Item::Node(n) = t else {
-            return Err(XdmError::type_error("set style target must be a node"));
-        };
-        let handled = match ctx.hooks.clone() {
-            Some(h) => h.set_style(ctx, *n, &p, &v)?,
-            None => false,
-        };
-        if !handled {
-            set_style_attribute(ctx, *n, &p, &v)?;
+        BrowserExpr::Trigger { event, target } => {
+            let ev = string_of(ctx, &**event, eval)?;
+            let targets = eval(ctx, target)?;
+            require_hooks(ctx)?.trigger_event(ctx, &ev, &targets)?;
+        }
+        BrowserExpr::SetStyle {
+            prop,
+            target,
+            value,
+        } => {
+            let p = string_of(ctx, &**prop, eval)?;
+            let v = string_of(ctx, &**value, eval)?;
+            for t in &eval(ctx, target)? {
+                let Item::Node(n) = t else {
+                    return Err(XdmError::type_error("set style target must be a node"));
+                };
+                let handled = match ctx.hooks.clone() {
+                    Some(h) => h.set_style(ctx, *n, &p, &v)?,
+                    None => false,
+                };
+                if !handled {
+                    set_style_attribute(ctx, *n, &p, &v)?;
+                }
+            }
+        }
+        BrowserExpr::GetStyle { prop, target } => {
+            let p = string_of(ctx, &**prop, eval)?;
+            let targets = eval(ctx, target)?;
+            let Some(Item::Node(n)) = targets.first() else {
+                return Ok(vec![]);
+            };
+            let answered = match ctx.hooks.clone() {
+                Some(h) => h.get_style(ctx, *n, &p)?,
+                None => None,
+            };
+            let value = match answered {
+                Some(v) => v,
+                None => get_style_attribute(ctx, *n, &p),
+            };
+            return Ok(value.map(Item::string).into_iter().collect());
         }
     }
     Ok(vec![])
-}
-
-fn eval_get_style(ctx: &mut DynamicContext, prop: &Expr, target: &Expr) -> XdmResult<Sequence> {
-    let p = eval_string(ctx, prop)?;
-    let targets = eval_expr(ctx, target)?;
-    let Some(Item::Node(n)) = targets.first() else {
-        return Ok(vec![]);
-    };
-    let answered = match ctx.hooks.clone() {
-        Some(h) => h.get_style(ctx, *n, &p)?,
-        None => None,
-    };
-    let value = match answered {
-        Some(v) => v,
-        None => get_style_attribute(ctx, *n, &p),
-    };
-    Ok(match value {
-        Some(v) => vec![Item::string(v)],
-        None => vec![],
-    })
 }
 
 fn promote_untyped_to_string(a: Atomic) -> Atomic {
@@ -451,7 +317,7 @@ fn promote_untyped_to_string(a: Atomic) -> Atomic {
     }
 }
 
-fn require_hooks(ctx: &DynamicContext) -> XdmResult<std::rc::Rc<dyn crate::context::EngineHooks>> {
+fn require_hooks(ctx: &DynamicContext) -> XdmResult<Rc<dyn EngineHooks>> {
     ctx.hooks.clone().ok_or_else(|| {
         XdmError::new(
             "XQIB0002",
@@ -460,15 +326,10 @@ fn require_hooks(ctx: &DynamicContext) -> XdmResult<std::rc::Rc<dyn crate::conte
     })
 }
 
-/// Evaluates an expression and returns the string value of its first item.
-pub fn eval_string(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<String> {
-    let v = eval_expr(ctx, e)?;
+/// Evaluates a part and returns the string value of its first item.
+fn string_of<E>(ctx: &mut DynamicContext, e: &E, eval: Eval<E>) -> XdmResult<String> {
+    let v = eval(ctx, e)?;
     Ok(functions::string_arg(ctx, &v))
-}
-
-/// Evaluates an expression expected to produce zero or more nodes.
-pub(crate) fn node_sequence(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<Vec<NodeRef>> {
-    nodes_of(eval_expr(ctx, e)?)
 }
 
 /// The nodes of a sequence expected to hold nothing else.
@@ -487,84 +348,6 @@ fn single_node(seq: &Sequence) -> XdmResult<NodeRef> {
     match &seq[..] {
         [Item::Node(n)] => Ok(*n),
         _ => Err(XdmError::type_error("expected a single node")),
-    }
-}
-
-// ----- scripting blocks ---------------------------------------------------
-
-/// Evaluates a block: statements run sequentially, pending updates are
-/// applied *between* statements (§3.3 — "the effects of the execution of one
-/// expression become visible for the execution of other, sub-sequent
-/// expressions"). The value of the block is the value of its last statement.
-pub fn eval_block(ctx: &mut DynamicContext, stmts: &[Statement]) -> XdmResult<Sequence> {
-    ctx.push_scope();
-    let r = eval_statements(ctx, stmts);
-    ctx.pop_scope();
-    r
-}
-
-pub(crate) fn eval_statements(
-    ctx: &mut DynamicContext,
-    stmts: &[Statement],
-) -> XdmResult<Sequence> {
-    let mut last: Sequence = vec![];
-    for (i, stmt) in stmts.iter().enumerate() {
-        let is_last = i + 1 == stmts.len();
-        last = eval_statement(ctx, stmt)?;
-        // apply pending updates so the next statement sees them; the final
-        // statement's updates are left to the caller (top-level applies them
-        // after the whole program, matching snapshot semantics for plain
-        // queries while scripting blocks re-apply eagerly).
-        if !is_last {
-            apply_pending(ctx)?;
-        }
-    }
-    Ok(last)
-}
-
-fn eval_statement(ctx: &mut DynamicContext, stmt: &Statement) -> XdmResult<Sequence> {
-    match stmt {
-        Statement::VarDecl { name, ty: _, init } => {
-            let v = match init {
-                Some(e) => eval_expr(ctx, e)?,
-                None => vec![],
-            };
-            ctx.bind_var(name.clone(), v);
-            Ok(vec![])
-        }
-        Statement::Assign { name, value } => {
-            let v = eval_expr(ctx, value)?;
-            ctx.assign_var(name, v)?;
-            Ok(vec![])
-        }
-        Statement::While { cond, body } => {
-            let mut guard = 0u64;
-            loop {
-                let c = effective_boolean_value(&eval_expr(ctx, cond)?)?;
-                if !c {
-                    break;
-                }
-                ctx.push_scope();
-                let r = eval_statements(ctx, body);
-                ctx.pop_scope();
-                r?;
-                apply_pending(ctx)?;
-                guard += 1;
-                if guard > ctx.loop_guard {
-                    return Err(XdmError::new(
-                        "XQSE0001",
-                        "while loop exceeded the iteration guard",
-                    ));
-                }
-            }
-            Ok(vec![])
-        }
-        Statement::ExitWith(e) => {
-            let v = eval_expr(ctx, e)?;
-            ctx.exit_value = Some(v);
-            Err(XdmError::new(EXIT_CODE, "exit"))
-        }
-        Statement::Expr(e) => eval_expr(ctx, e),
     }
 }
 
@@ -601,24 +384,12 @@ pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
 // ----- function calls -------------------------------------------------------
 
 /// How a user-declared function's body runs inside the frame
-/// [`call_user_function`] sets up: the interpreter walks the AST (and stays
-/// the oracle); the executor runs the declaration's lowered plan.
+/// [`call_user_function_with`] sets up: the executor runs the declaration's
+/// lowered plan; the oracle walks the AST.
 pub(crate) type BodyEval = fn(&mut DynamicContext, &FunctionDecl) -> XdmResult<Sequence>;
-
-pub(crate) fn interpret_body(ctx: &mut DynamicContext, decl: &FunctionDecl) -> XdmResult<Sequence> {
-    eval_expr(ctx, &decl.body)
-}
 
 /// Calls a function by name with pre-evaluated arguments. Resolution order:
 /// `xs:` constructor → user-declared → native (browser library) → built-in.
-pub fn call_function(
-    ctx: &mut DynamicContext,
-    name: &QName,
-    args: Vec<Sequence>,
-) -> XdmResult<Sequence> {
-    call_function_with(ctx, name, args, interpret_body)
-}
-
 pub(crate) fn call_function_with(
     ctx: &mut DynamicContext,
     name: &QName,
@@ -648,15 +419,7 @@ pub(crate) fn call_function_with(
 
 /// Invokes a user-declared function: fresh frame, parameter binding with
 /// sequence-type checks, `exit with` handling for sequential functions.
-pub fn call_user_function(
-    ctx: &mut DynamicContext,
-    decl: &FunctionDecl,
-    args: Vec<Sequence>,
-) -> XdmResult<Sequence> {
-    call_user_function_with(ctx, decl, args, interpret_body)
-}
-
-fn call_user_function_with(
+pub(crate) fn call_user_function_with(
     ctx: &mut DynamicContext,
     decl: &FunctionDecl,
     args: Vec<Sequence>,
@@ -698,7 +461,8 @@ fn call_user_function_with(
 
 /// A host's re-entry into a listener function: the call, `exit with`
 /// unwinding, then the pending updates applied so the page reflects the
-/// handler's effects. `body` picks the tier, as in [`call_function_with`].
+/// handler's effects. `body` picks the evaluator, as in
+/// [`call_function_with`].
 pub(crate) fn invoke_with(
     ctx: &mut DynamicContext,
     name: &QName,

@@ -5,142 +5,10 @@
 use xqib_dom::{NodeKind, NodeRef, Store};
 use xqib_xdm::{effective_boolean_value, Atomic, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Axis, AxisStep, KindTest, NodeTest, PathStart, StepExpr};
+use crate::ast::{Axis, KindTest, NodeTest};
 use crate::context::DynamicContext;
 
-use super::eval_expr;
-
-pub(crate) fn eval_path(
-    ctx: &mut DynamicContext,
-    start: PathStart,
-    steps: &[StepExpr],
-) -> XdmResult<Sequence> {
-    // Initial context sequence, plus whether it is already known to be in
-    // document order without duplicates ("normalized") — the invariant the
-    // sort-elision below relies on. Singletons trivially are; a leading
-    // filter step keeps its expression's own order, so it is not.
-    let mut steps = steps;
-    let mut normalized = true;
-    let mut current: Sequence = match start {
-        PathStart::Relative => match &ctx.focus {
-            Some(f) => vec![f.item.clone()],
-            None => {
-                // A relative path whose first step is a primary expression
-                // (e.g. `doc("x")//y`, `$v/y`) needs no context item: the
-                // first step supplies the context for the rest.
-                let (first, rest) = steps
-                    .split_first()
-                    .ok_or_else(|| XdmError::undefined("relative path with no context item"))?;
-                match first {
-                    StepExpr::Filter {
-                        primary,
-                        predicates,
-                    } => {
-                        let r = eval_expr(ctx, primary)?;
-                        let filtered = apply_predicates(ctx, r, predicates)?;
-                        steps = rest;
-                        normalized = filtered.len() <= 1;
-                        filtered
-                    }
-                    StepExpr::Axis(_) => {
-                        return Err(XdmError::undefined("relative path with no context item"))
-                    }
-                }
-            }
-        },
-        PathStart::Root | PathStart::RootDescendant => {
-            let item = ctx.context_item()?;
-            let Item::Node(n) = item else {
-                return Err(XdmError::new(
-                    "XPTY0020",
-                    "`/` requires the context item to be a node",
-                ));
-            };
-            let store = ctx.store.borrow();
-            let root = store.doc(n.doc).tree_root(n.node);
-            vec![Item::Node(NodeRef::new(n.doc, root))]
-        }
-    };
-    if start == PathStart::RootDescendant {
-        current = apply_axis_step(
-            ctx,
-            &current,
-            &AxisStep {
-                axis: Axis::DescendantOrSelf,
-                test: NodeTest::Kind(KindTest::AnyKind),
-                predicates: vec![],
-            },
-            normalized,
-        )?;
-        // Axis steps always emit normalized output.
-    }
-    for step in steps {
-        (current, normalized) = apply_step(ctx, &current, step, normalized)?;
-    }
-    Ok(current)
-}
-
-/// Applies one step; returns the result sequence plus whether it is
-/// normalized (document order, duplicate-free).
-fn apply_step(
-    ctx: &mut DynamicContext,
-    input: &Sequence,
-    step: &StepExpr,
-    input_normalized: bool,
-) -> XdmResult<(Sequence, bool)> {
-    // fuel is charged per (step, context item): a step over a huge node set
-    // costs proportionally, so runaway traversals are preempted even when
-    // the query text is a single path expression
-    ctx.charge_fuel(1 + input.len() as u64)?;
-    match step {
-        StepExpr::Axis(ax) => apply_axis_step(ctx, input, ax, input_normalized).map(|s| (s, true)),
-        StepExpr::Filter {
-            primary,
-            predicates,
-        } => {
-            let mut combined: Sequence = Vec::new();
-            let size = input.len();
-            for (i, item) in input.iter().enumerate() {
-                let result =
-                    ctx.with_focus(item.clone(), i + 1, size, |ctx| eval_expr(ctx, primary))?;
-                combined.extend(apply_predicates(ctx, result, predicates)?);
-            }
-            // An empty or singleton result needs neither the XPTY0018
-            // homogeneity scan nor normalisation.
-            if combined.len() <= 1 {
-                return Ok((combined, true));
-            }
-            let mut any_node = false;
-            let mut any_atomic = false;
-            for r in &combined {
-                match r {
-                    Item::Node(_) => any_node = true,
-                    Item::Atomic(_) => any_atomic = true,
-                }
-            }
-            if any_node && any_atomic {
-                return Err(XdmError::new(
-                    "XPTY0018",
-                    "path step mixes nodes and atomic values",
-                ));
-            }
-            if any_node {
-                let mut refs: Vec<NodeRef> = combined
-                    .iter()
-                    .map(|i| i.as_node().expect("all nodes"))
-                    .collect();
-                let store = ctx.store.borrow();
-                xqib_dom::order::sort_dedup(&store, &mut refs);
-                Ok((refs.into_iter().map(Item::Node).collect(), true))
-            } else {
-                // Atomic-only results keep expression order; mark them
-                // non-normalized so a later axis step (which would be a
-                // type error anyway) never elides on their account.
-                Ok((combined, false))
-            }
-        }
-    }
-}
+use super::Eval;
 
 /// True if concatenating per-input results of `axis` preserves document
 /// order and never duplicates, given inputs that are strictly ordered and
@@ -161,72 +29,6 @@ pub(crate) fn axis_is_reverse(axis: Axis) -> bool {
     )
 }
 
-fn apply_axis_step(
-    ctx: &mut DynamicContext,
-    input: &Sequence,
-    step: &AxisStep,
-    input_normalized: bool,
-) -> XdmResult<Sequence> {
-    let mut out_refs: Vec<NodeRef> = Vec::new();
-    for item in input {
-        let Item::Node(n) = item else {
-            return Err(XdmError::new(
-                "XPTY0019",
-                "axis step applied to an atomic value",
-            ));
-        };
-        // candidates in axis order
-        let candidates: Vec<NodeRef> = {
-            let store = ctx.store.borrow();
-            axis_nodes(&store, *n, step.axis)
-                .into_iter()
-                .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
-                .collect()
-        };
-        let filtered = apply_predicates_to_nodes(ctx, candidates, &step.predicates)?;
-        out_refs.extend(filtered);
-    }
-
-    // Document-order normalisation, elided where the construction already
-    // guarantees it: a single context node emits each axis in (possibly
-    // reversed) document order with no duplicates, and subtree-confined
-    // axes concatenate in order over strictly-ordered, non-nested inputs.
-    if out_refs.len() > 1 {
-        let store = ctx.store.borrow();
-        let elide = if input.len() == 1 {
-            true
-        } else {
-            input_normalized
-                && axis_concat_stays_sorted(step.axis)
-                && xqib_dom::order::strictly_ordered_disjoint(
-                    &store,
-                    input.iter().filter_map(|i| i.as_node()),
-                )
-        };
-        if elide {
-            if input.len() == 1 && axis_is_reverse(step.axis) {
-                out_refs.reverse();
-            }
-            xqib_dom::order::stats::record_elided_sort();
-            // Checked without the order index: building it here would make
-            // a debug build do (and count in the engine stats) work that
-            // the release build skips.
-            debug_assert!(out_refs.windows(2).all(|w| {
-                w[0].doc.cmp(&w[1].doc).then_with(|| {
-                    xqib_dom::order::cmp_doc_order_local_naive(
-                        store.doc(w[0].doc),
-                        w[0].node,
-                        w[1].node,
-                    )
-                }) == std::cmp::Ordering::Less
-            }));
-        } else {
-            xqib_dom::order::sort_dedup(&store, &mut out_refs);
-        }
-    }
-    Ok(out_refs.into_iter().map(Item::Node).collect())
-}
-
 /// A predicate whose selection is a pure position lookup: a numeric literal
 /// (`[1]`, `[2.5]`) or a bare `last()` call resolving to the built-in.
 #[derive(Debug, Clone, Copy)]
@@ -238,11 +40,7 @@ pub(crate) enum PosTake {
 /// Recognises positional-take predicates. `last()` qualifies only when it
 /// is not shadowed by a user-declared function — the decision is static
 /// (the `fn:` namespace is reserved, natives live in `browser:`) so the
-/// interpreter and the compiled plan always agree on it.
-pub(crate) fn positional_take(ctx: &DynamicContext, pred: &crate::ast::Expr) -> Option<PosTake> {
-    static_positional_take(&ctx.sctx, pred)
-}
-
+/// executor and the oracle always agree on it.
 pub(crate) fn static_positional_take(
     sctx: &crate::context::StaticContext,
     pred: &crate::ast::Expr,
@@ -280,89 +78,99 @@ pub(crate) fn take_index(take: &PosTake, len: usize) -> Option<usize> {
     }
 }
 
-/// Applies predicates to a node list (in axis order: positions count along
-/// the axis direction).
-pub(crate) fn apply_predicates_to_nodes(
-    ctx: &mut DynamicContext,
-    nodes: Vec<NodeRef>,
-    predicates: &[crate::ast::Expr],
-) -> XdmResult<Vec<NodeRef>> {
-    let mut current = nodes;
-    for pred in predicates {
-        // Positional short-circuit: `[k]` / `[last()]` index directly
-        // instead of evaluating the predicate against every node — `//x[1]`
-        // must not pay for every sibling it discards.
-        if let Some(take) = positional_take(ctx, pred) {
-            ctx.charge_fuel(1)?;
-            current = match take_index(&take, current.len()) {
-                Some(i) => vec![current[i]],
-                None => vec![],
-            };
-            continue;
-        }
-        let size = current.len();
-        let mut next = Vec::with_capacity(current.len());
-        for (i, n) in current.iter().enumerate() {
-            let keep = ctx.with_focus(Item::Node(*n), i + 1, size, |ctx| {
-                predicate_truth(ctx, pred, i + 1)
-            })?;
-            if keep {
-                next.push(*n);
-            }
-        }
-        current = next;
-    }
-    Ok(current)
-}
-
-/// Applies predicates to a general sequence.
-pub(crate) fn apply_predicates(
-    ctx: &mut DynamicContext,
-    seq: Sequence,
-    predicates: &[crate::ast::Expr],
-) -> XdmResult<Sequence> {
-    let mut current = seq;
-    for pred in predicates {
-        if let Some(take) = positional_take(ctx, pred) {
-            ctx.charge_fuel(1)?;
-            current = match take_index(&take, current.len()) {
-                Some(i) => vec![current[i].clone()],
-                None => vec![],
-            };
-            continue;
-        }
-        let size = current.len();
-        let mut next = Vec::with_capacity(current.len());
-        for (i, item) in current.iter().enumerate() {
-            let keep = ctx.with_focus(item.clone(), i + 1, size, |ctx| {
-                predicate_truth(ctx, pred, i + 1)
-            })?;
-            if keep {
-                next.push(item.clone());
-            }
-        }
-        current = next;
-    }
-    Ok(current)
-}
-
 /// Predicate semantics: a numeric singleton is a position test, everything
 /// else takes the effective boolean value.
-pub(crate) fn predicate_truth(
+pub(crate) fn predicate_truth<E>(
     ctx: &mut DynamicContext,
-    pred: &crate::ast::Expr,
+    pred: &E,
     position: usize,
+    eval: Eval<E>,
 ) -> XdmResult<bool> {
-    let v = eval_expr(ctx, pred)?;
-    if v.len() == 1 {
-        if let Item::Atomic(a) = &v[0] {
-            if a.is_numeric() && !matches!(a, Atomic::Untyped(_)) {
-                let d = a.as_double()?;
-                return Ok(d == position as f64);
-            }
+    let v = eval(ctx, pred)?;
+    if let [Item::Atomic(a)] = &v[..] {
+        if a.is_numeric() && !matches!(a, Atomic::Untyped(_)) {
+            return Ok(a.as_double()? == position as f64);
         }
     }
     effective_boolean_value(&v)
+}
+
+/// A filter step's combined per-item output: `XPTY0018` if it mixes nodes
+/// and atomic values, nodes sorted into document order without duplicates,
+/// atomic values in expression order. The flag says whether the result is
+/// normalized (document order, duplicate-free).
+pub(crate) fn filter_step_output(
+    ctx: &DynamicContext,
+    combined: Sequence,
+) -> XdmResult<(Sequence, bool)> {
+    // An empty or singleton result needs neither the XPTY0018 homogeneity
+    // scan nor normalisation.
+    if combined.len() <= 1 {
+        return Ok((combined, true));
+    }
+    let any_node = combined.iter().any(|i| matches!(i, Item::Node(_)));
+    let any_atomic = combined.iter().any(|i| matches!(i, Item::Atomic(_)));
+    if any_node && any_atomic {
+        return Err(XdmError::new(
+            "XPTY0018",
+            "path step mixes nodes and atomic values",
+        ));
+    }
+    if !any_node {
+        // Atomic-only results keep expression order; mark them
+        // non-normalized so a later axis step (which would be a type error
+        // anyway) never elides on their account.
+        return Ok((combined, false));
+    }
+    let mut refs: Vec<NodeRef> = combined.iter().filter_map(Item::as_node).collect();
+    xqib_dom::order::sort_dedup(&ctx.store.borrow(), &mut refs);
+    Ok((refs.into_iter().map(Item::Node).collect(), true))
+}
+
+/// An axis step's output — each input's survivors in axis order, inputs
+/// concatenated — in document order without duplicates. The sort is
+/// elided where the construction already guarantees the order: a single
+/// context node emits each axis in (possibly reversed) document order with
+/// no duplicates, and subtree-confined axes concatenate in order over
+/// strictly-ordered, non-nested inputs.
+pub(crate) fn order_step_output(
+    ctx: &DynamicContext,
+    input: &Sequence,
+    axis: Axis,
+    input_normalized: bool,
+    mut out: Vec<NodeRef>,
+) -> Sequence {
+    if out.len() > 1 {
+        let store = ctx.store.borrow();
+        let elide = input.len() == 1
+            || input_normalized
+                && axis_concat_stays_sorted(axis)
+                && xqib_dom::order::strictly_ordered_disjoint(
+                    &store,
+                    input.iter().filter_map(|i| i.as_node()),
+                );
+        if elide {
+            if input.len() == 1 && axis_is_reverse(axis) {
+                out.reverse();
+            }
+            xqib_dom::order::stats::record_elided_sort();
+            // Checked without the order index: building it here would make
+            // a debug build do (and count in the engine stats) work that
+            // the release build skips.
+            debug_assert!(out.windows(2).all(|w| {
+                w[0].doc.cmp(&w[1].doc).then_with(|| {
+                    xqib_dom::order::cmp_doc_order_local_naive(
+                        store.doc(w[0].doc),
+                        w[0].node,
+                        w[1].node,
+                    )
+                }) == std::cmp::Ordering::Less
+            }));
+        } else {
+            xqib_dom::order::sort_dedup(&store, &mut out);
+        }
+    }
+    out.into_iter().map(Item::Node).collect()
 }
 
 /// Produces the nodes on `axis` from `n`, in axis order (reverse axes yield
@@ -541,13 +349,4 @@ fn kind_test_matches(kind: &NodeKind, kt: &KindTest) -> bool {
         },
         KindTest::Document => kind.is_document(),
     }
-}
-
-/// Convenience used by hosts (minijs `document.evaluate`, window views):
-/// evaluates an axis+test from a context node without predicates.
-pub fn simple_axis(store: &Store, n: NodeRef, axis: Axis, test: &NodeTest) -> Vec<NodeRef> {
-    axis_nodes(store, n, axis)
-        .into_iter()
-        .filter(|&c| node_test_matches(store, c, axis, test))
-        .collect()
 }

@@ -4,22 +4,20 @@
 use xqib_dom::{NodeKind, NodeRef, QName};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Expr, InsertPos, NameExpr, UpdateExpr};
+use crate::ast::{InsertPos, NameExpr, UpdateExpr};
 use crate::context::DynamicContext;
 use crate::pul::UpdatePrimitive;
 
 use super::constructor::copy_into;
-use super::{eval_expr, nodes_of};
+use super::{nodes_of, Eval};
 
 /// Appends the primitives of one update expression to the pending update
-/// list. Shared by both tiers: `eval` runs a target, source or value part —
-/// `eval_expr` over the AST for the interpreter, `exec::eval_plan` over
-/// lowered plans for the executor — so evaluation order, the copy of
-/// inserted content and every `XU*` error are the same code on either tier.
+/// list: evaluation order, the copy of inserted content and every `XU*`
+/// error.
 pub(crate) fn eval_update<E>(
     ctx: &mut DynamicContext,
     u: &UpdateExpr<E>,
-    eval: fn(&mut DynamicContext, &E) -> XdmResult<Sequence>,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
     match u {
         UpdateExpr::Insert {
@@ -200,18 +198,19 @@ pub(crate) fn eval_update<E>(
     }
 }
 
-/// `copy $x := E modify U return R`: the interpreter only — the plan tier
-/// lowers a transform to a fallback.
-pub(crate) fn eval_transform(
+/// `copy $x := E modify U return R`: `modify` runs against a private
+/// pending update list applied at once to the copies, then `ret` reads them.
+pub(crate) fn eval_transform<E>(
     ctx: &mut DynamicContext,
-    bindings: &[(QName, Expr)],
-    modify: &Expr,
-    ret: &Expr,
+    bindings: &[(QName, E)],
+    modify: &E,
+    ret: &E,
+    eval: Eval<E>,
 ) -> XdmResult<Sequence> {
     ctx.push_scope();
     let result = (|| {
         for (var, src) in bindings {
-            let v = eval_expr(ctx, src)?;
+            let v = eval(ctx, src)?;
             let node = exactly_one_node(&v, "copy binding")?;
             let copied = {
                 let mut store = ctx.store.borrow_mut();
@@ -223,7 +222,7 @@ pub(crate) fn eval_transform(
         // run `modify` against a private PUL applied immediately —
         // its effects touch only the copies
         let outer_pul = ctx.pul.take();
-        let modify_result = eval_expr(ctx, modify);
+        let modify_result = eval(ctx, modify);
         let inner_pul = ctx.pul.take();
         ctx.pul = outer_pul;
         modify_result?;
@@ -231,7 +230,7 @@ pub(crate) fn eval_transform(
             let mut store = ctx.store.borrow_mut();
             inner_pul.apply(&mut store)?;
         }
-        eval_expr(ctx, ret)
+        eval(ctx, ret)
     })();
     ctx.pop_scope();
     result

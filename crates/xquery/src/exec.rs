@@ -1,6 +1,6 @@
 //! The streaming pull evaluator for [`CompiledPlan`]s.
 //!
-//! Where the interpreter materialises every intermediate sequence, this
+//! Where the AST oracle materialises every intermediate sequence, this
 //! executor evaluates plan paths through *cursors*: each axis step pulls
 //! nodes from the step before it one at a time, so `exists(//a)` touches a
 //! single node, `//x[1]` stops at the first match per context node, and a
@@ -9,14 +9,18 @@
 //! semantics are preserved — a streamed query pays proportionally to the
 //! nodes it actually touches.
 //!
+//! This is the only evaluator on a shipped path: the server, the plug-in
+//! and minijs's `document.evaluate` all run lowered plans here.
+//!
 //! # Equivalence contract
 //!
 //! For every query, `CompiledPlan::execute` produces the same sequence,
-//! the same dynamic error codes and the same pending-update effects as
-//! `CompiledQuery::execute`, with one documented exception: under a fuel
-//! budget a streamed early exit may *succeed* where the interpreter runs
-//! out of fuel (never the other way around — the executor charges at least
-//! as eagerly). The machinery behind the guarantee:
+//! the same dynamic error codes and the same pending-update effects as the
+//! AST oracle (`CompiledQuery::execute`, dev-only `oracle` feature), with
+//! one documented exception: under a fuel budget a streamed early exit may
+//! *succeed* where the oracle runs out of fuel (never the other way around
+//! — the executor charges at least as eagerly). The machinery behind the
+//! guarantee:
 //!
 //! * lazy cursors are only built for paths lowering marked `lazy` (every
 //!   predicate stage statically infallible), so a cursor can fail only
@@ -24,9 +28,9 @@
 //!   error surfaces;
 //! * steps whose per-node output cannot be concatenated in document order
 //!   (`streamed == false`) run as buffered barriers inside the pipeline,
-//!   draining their input and sorting exactly like the interpreter;
+//!   draining their input and sorting exactly like the oracle;
 //! * anything outside the streaming subset — multi-item path starts,
-//!   fallible predicates, general FLWOR shapes — replays the interpreter's
+//!   fallible predicates, general FLWOR shapes — replays the oracle's
 //!   breadth-first algorithm over the plan, value for value and charge
 //!   point for charge point;
 //! * a `descendant(-or-self)` step from a document node that opens with an
@@ -36,32 +40,30 @@
 //!   one unit per owner instead of one per node walked.
 
 use xqib_dom::{NodeRef, QName, Store};
-use xqib_xdm::{
-    atomize, effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult,
-};
+use xqib_xdm::{effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Axis, FunctionDecl};
+use crate::ast::{Axis, FlworClause, FunctionDecl};
 use crate::context::DynamicContext;
-use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds, range_items};
-use crate::eval::constructor::build_element;
-use crate::eval::flwor::sort_keyed;
+use crate::eval::arith::{atomic_operand, eval_arith, eval_neg, eval_range, range_bounds};
+use crate::eval::constructor::{build_computed, build_element};
+use crate::eval::flwor::{eval_flwor, quantified, with_tuple, Tuple};
+use crate::eval::fulltext::eval_ftcontains;
 use crate::eval::path::{
-    axis_concat_stays_sorted, axis_is_reverse, axis_nodes, node_test_matches, take_index, PosTake,
+    axis_is_reverse, axis_nodes, filter_step_output, node_test_matches, order_step_output,
+    predicate_truth, take_index, PosTake,
 };
-use crate::eval::update::eval_update;
+use crate::eval::update::{eval_transform, eval_update};
 use crate::eval::{self, EXIT_CODE};
 use crate::functions;
 use crate::plan::{
     comparable_infallible, plan_class, yields_nodes_only, CompiledPlan, ExprPlan, PathPlan,
-    PathStartPlan, Plan, PlanAxisStep, PlanClause, PlanPred, PlanStep, PlanStmt, PredStage,
-    ValClass,
+    PathStartPlan, Plan, PlanAxisStep, PlanPred, PlanStep, PlanStmt, PredStage, ValClass,
 };
 
 impl CompiledPlan {
     /// Executes the lowered program: globals, body statements with
     /// scripting visibility between them, `exit with` unwinding, final
-    /// update application. Mirrors `CompiledQuery::execute`. The plan's
-    /// static context (whose declarations carry the lowered function
+    /// update application. The plan's static context (whose declarations carry the lowered function
     /// bodies) is installed for the run.
     pub fn execute(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
         let saved = std::mem::replace(&mut ctx.sctx, self.sctx.clone());
@@ -99,25 +101,38 @@ impl CompiledPlan {
 
 impl ExprPlan {
     /// Evaluates the lowered expression in the current context. Pending
-    /// updates are left to the caller, as with `eval::eval_expr`.
+    /// updates are left to the caller.
     pub fn eval(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
         eval_plan(ctx, &self.plan)
     }
 }
 
-/// Invokes a listener function by name like [`crate::runtime::invoke`], on
-/// the plan tier: user-declared bodies run their lowered plans inside the
-/// same call frame (type checks, recursion guard, `exit with`).
+/// Invokes a listener function by name — the plug-in's re-entry point when
+/// the browser dispatches an event (Figure 1's loop). User-declared bodies
+/// run their lowered plans inside the call frame (type checks, recursion
+/// guard, `exit with`); the listener's pending updates are applied before
+/// returning, so the page reflects the handler's effects.
 pub fn invoke(ctx: &mut DynamicContext, name: &QName, args: Vec<Sequence>) -> XdmResult<Sequence> {
     eval::invoke_with(ctx, name, args, run_body)
 }
 
-/// The plan tier's [`eval::BodyEval`]: the lowered body when the
-/// declaration carries one, the interpreter otherwise.
+/// Calls a user-declared function with pre-evaluated arguments, leaving
+/// its pending updates to the caller.
+pub fn call_user_function(
+    ctx: &mut DynamicContext,
+    decl: &FunctionDecl,
+    args: Vec<Sequence>,
+) -> XdmResult<Sequence> {
+    eval::call_user_function_with(ctx, decl, args, run_body)
+}
+
+/// The executor's [`eval::BodyEval`]: the body [`crate::plan::lower_functions`]
+/// stored with the declaration, or — for a declaration whose context was
+/// never lowered — the body lowered against the caller's context.
 fn run_body(ctx: &mut DynamicContext, decl: &FunctionDecl) -> XdmResult<Sequence> {
     match &decl.plan {
         Some(p) => p.eval(ctx),
-        None => eval::eval_expr(ctx, &decl.body),
+        None => ExprPlan::lower(&ctx.sctx.clone(), &decl.body).eval(ctx),
     }
 }
 
@@ -184,13 +199,8 @@ fn exec_statement(ctx: &mut DynamicContext, stmt: &PlanStmt) -> XdmResult<Sequen
 // ---------------------------------------------------------------------------
 
 pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequence> {
-    // fallbacks charge for themselves inside `eval_expr`
-    if let Plan::Fallback(e) = p {
-        return eval::eval_expr(ctx, e);
-    }
     ctx.charge_fuel(1)?;
     match p {
-        Plan::Fallback(_) => unreachable!("handled above"),
         Plan::Const(seq) => Ok(seq.clone()),
         Plan::Var(name) => ctx
             .lookup_var(name)
@@ -204,30 +214,20 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             }
             Ok(out)
         }
-        Plan::Range(lo, hi) => {
-            let l = plan_atomic(ctx, lo)?;
-            let h = plan_atomic(ctx, hi)?;
-            range_items(l, h)
-        }
-        Plan::Arith(op, l, r) => {
-            let (Some(a), Some(b)) = (plan_atomic(ctx, l)?, plan_atomic(ctx, r)?) else {
-                return Ok(vec![]);
-            };
-            apply_arith(*op, &a, &b).map(|v| vec![Item::Atomic(v)])
-        }
-        Plan::Neg(inner) => {
-            let v = plan_atomic(ctx, inner)?;
-            neg_atomic(v)
-        }
+        Plan::Range(lo, hi) => eval_range(ctx, &**lo, &**hi, eval_plan),
+        Plan::Arith(op, l, r) => eval_arith(ctx, *op, &**l, &**r, eval_plan),
+        Plan::Neg(inner) => eval_neg(ctx, &**inner, eval_plan),
         Plan::ValueComp(op, l, r) => {
-            let ls = eval_plan(ctx, l)?;
-            let rs = eval_plan(ctx, r)?;
+            let (ls, rs) = operands(ctx, l, r)?;
             eval::value_comp_seqs(ctx, *op, &ls, &rs)
         }
         Plan::GeneralComp(op, l, r) => {
-            let ls = eval_plan(ctx, l)?;
-            let rs = eval_plan(ctx, r)?;
+            let (ls, rs) = operands(ctx, l, r)?;
             eval::general_comp_seqs(ctx, *op, &ls, &rs)
+        }
+        Plan::NodeComp(op, l, r) => {
+            let (ls, rs) = operands(ctx, l, r)?;
+            eval::node_comp_seqs(ctx, *op, &ls, &rs)
         }
         Plan::And(l, r) => {
             let lv = effective_boolean_value(&eval_plan(ctx, l)?)?;
@@ -310,13 +310,46 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             r
         }
         Plan::Update(u) => eval_update(ctx, u, eval_plan),
+        Plan::SetOp(op, l, r) => eval::set_op(ctx, *op, &**l, &**r, eval_plan),
+        Plan::Quantified {
+            kind,
+            bindings,
+            satisfies,
+        } => quantified(ctx, *kind, bindings, &**satisfies, eval_plan),
+        Plan::TypeSwitch {
+            operand,
+            cases,
+            default_var,
+            default,
+        } => eval::typeswitch(
+            ctx,
+            &**operand,
+            cases,
+            default_var.as_ref(),
+            &**default,
+            eval_plan,
+        ),
+        Plan::InstanceOf(inner, st) => eval::instance_of(ctx, &**inner, st, eval_plan),
+        Plan::TreatAs(inner, st) => eval::treat_as(ctx, &**inner, st, eval_plan),
+        Plan::CastableAs(inner, ty, opt) => eval::castable(ctx, &**inner, *ty, *opt, eval_plan),
+        Plan::CastAs(inner, ty, opt) => eval::cast(ctx, &**inner, *ty, *opt, eval_plan),
+        Plan::Computed(c) => build_computed(ctx, c, eval_plan),
+        Plan::Transform {
+            bindings,
+            modify,
+            ret,
+        } => eval_transform(ctx, bindings, &**modify, &**ret, eval_plan),
+        Plan::FtContains { source, selection } => {
+            eval_ftcontains(ctx, &**source, selection, eval_plan)
+        }
+        Plan::Browser(b) => eval::eval_browser(ctx, b, eval_plan, |_, call| call.clone()),
     }
 }
 
-/// The arithmetic operand rule over a plan operand.
-fn plan_atomic(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Option<Atomic>> {
-    let v = eval_plan(ctx, p)?;
-    atomic_from_seq(ctx, &v)
+fn operands(ctx: &mut DynamicContext, l: &Plan, r: &Plan) -> XdmResult<(Sequence, Sequence)> {
+    let ls = eval_plan(ctx, l)?;
+    let rs = eval_plan(ctx, r)?;
+    Ok((ls, rs))
 }
 
 // ---------------------------------------------------------------------------
@@ -335,8 +368,8 @@ fn open_cursor<'p>(ctx: &mut DynamicContext, p: &'p Plan) -> XdmResult<Cursor<'p
     match p {
         Plan::Range(lo, hi) => {
             ctx.charge_fuel(1)?;
-            let l = plan_atomic(ctx, lo)?;
-            let h = plan_atomic(ctx, hi)?;
+            let l = atomic_operand(ctx, &**lo, eval_plan)?;
+            let h = atomic_operand(ctx, &**hi, eval_plan)?;
             Ok(match range_bounds(l, h)? {
                 Some((l, h)) => Cursor::Range(l..=h),
                 None => Cursor::Seq(Vec::new().into_iter()),
@@ -391,7 +424,7 @@ fn eval_path_plan(ctx: &mut DynamicContext, pp: &PathPlan) -> XdmResult<Sequence
     }
 }
 
-/// Resolves the path start exactly like the interpreter and decides between
+/// Resolves the path start exactly like the oracle and decides between
 /// a streaming cursor and an eager replay. Streaming requires the `lazy`
 /// flag plus a single-node start: the static invariants were computed under
 /// that assumption, so anything else replays breadth-first.
@@ -409,7 +442,7 @@ fn open_path<'p>(ctx: &mut DynamicContext, pp: &'p PathPlan) -> XdmResult<Opened
         steps = rest;
     }
     if steps.is_empty() || start.len() != 1 || !matches!(start[0], Item::Node(_)) {
-        // non-node starts raise XPTY0019 with the interpreter's charge order
+        // non-node starts raise XPTY0019 with the oracle's charge order
         return exec_steps_eager(ctx, start, normalized, steps).map(Opened::Eager);
     }
     let Item::Node(n) = start[0] else {
@@ -444,7 +477,7 @@ fn resolve_start<'p>(
             match pp.steps.split_first() {
                 Some((PlanStep::Filter { primary, preds }, rest)) => {
                     let r = eval_plan(ctx, primary)?;
-                    let filtered = apply_plan_preds(ctx, r, preds)?;
+                    let filtered = apply_plan_preds(ctx, r, preds, Item::clone)?;
                     let normalized = filtered.len() <= 1;
                     Ok((filtered, normalized, rest))
                 }
@@ -454,7 +487,7 @@ fn resolve_start<'p>(
     }
 }
 
-// ----- eager replay (interpreter algorithm over the plan) -------------------
+// ----- eager replay (the oracle's algorithm over the plan) -------------------
 
 fn exec_steps_eager(
     ctx: &mut DynamicContext,
@@ -501,35 +534,20 @@ fn eager_axis_step(
         };
         out_refs.extend(node_survivors(ctx, *n, step, false)?);
     }
-    if out_refs.len() > 1 {
-        let store = ctx.store.borrow();
-        let elide = if input.len() == 1 {
-            true
-        } else {
-            input_normalized
-                && axis_concat_stays_sorted(step.axis)
-                && xqib_dom::order::strictly_ordered_disjoint(
-                    &store,
-                    input.iter().filter_map(|i| i.as_node()),
-                )
-        };
-        if elide {
-            if input.len() == 1 && axis_is_reverse(step.axis) {
-                out_refs.reverse();
-            }
-            xqib_dom::order::stats::record_elided_sort();
-        } else {
-            xqib_dom::order::sort_dedup(&store, &mut out_refs);
-        }
-    }
-    Ok(out_refs.into_iter().map(Item::Node).collect())
+    Ok(order_step_output(
+        ctx,
+        input,
+        step.axis,
+        input_normalized,
+        out_refs,
+    ))
 }
 
 /// Position-free stages judge each candidate on its own, so a descendant
 /// step from a node nested in an earlier input adds nothing: only the
 /// outermost inputs need to run, and their outputs need no sort (`//s//p`
 /// over nested sections). Candidates are still judged in the
-/// interpreter's order up to the first error, and never more often.
+/// oracle's order up to the first error, and never more often.
 /// `None` when the step or the (document-ordered) input does not qualify.
 fn outermost_inputs(
     ctx: &DynamicContext,
@@ -556,7 +574,7 @@ fn outermost_inputs(
     )
 }
 
-/// The interpreter's filter-step arm: per-item focus, predicates,
+/// The oracle's filter-step arm: per-item focus, predicates,
 /// homogeneity check, node normalisation.
 fn apply_filter_step(
     ctx: &mut DynamicContext,
@@ -568,45 +586,20 @@ fn apply_filter_step(
     let size = input.len();
     for (i, item) in input.iter().enumerate() {
         let result = ctx.with_focus(item.clone(), i + 1, size, |ctx| eval_plan(ctx, primary))?;
-        combined.extend(apply_plan_preds(ctx, result, preds)?);
+        combined.extend(apply_plan_preds(ctx, result, preds, Item::clone)?);
     }
-    if combined.len() <= 1 {
-        return Ok((combined, true));
-    }
-    let mut any_node = false;
-    let mut any_atomic = false;
-    for r in &combined {
-        match r {
-            Item::Node(_) => any_node = true,
-            Item::Atomic(_) => any_atomic = true,
-        }
-    }
-    if any_node && any_atomic {
-        return Err(XdmError::new(
-            "XPTY0018",
-            "path step mixes nodes and atomic values",
-        ));
-    }
-    if any_node {
-        let mut refs: Vec<NodeRef> = combined
-            .iter()
-            .map(|i| i.as_node().expect("all nodes"))
-            .collect();
-        let store = ctx.store.borrow();
-        xqib_dom::order::sort_dedup(&store, &mut refs);
-        Ok((refs.into_iter().map(Item::Node).collect(), true))
-    } else {
-        Ok((combined, false))
-    }
+    filter_step_output(ctx, combined)
 }
 
-/// Lowered-predicate application to a general sequence (the interpreter's
-/// `apply_predicates`).
-fn apply_plan_preds(
+/// Lowered-predicate application (the oracle's `apply_predicates`), to
+/// items or to one axis step's candidate nodes: `item` gives each
+/// candidate's focus item.
+fn apply_plan_preds<T: Clone>(
     ctx: &mut DynamicContext,
-    seq: Sequence,
+    seq: Vec<T>,
     preds: &[PlanPred],
-) -> XdmResult<Sequence> {
+    item: fn(&T) -> Item,
+) -> XdmResult<Vec<T>> {
     let mut current = seq;
     for pred in preds {
         if let Some(take) = &pred.take {
@@ -619,12 +612,12 @@ fn apply_plan_preds(
         }
         let size = current.len();
         let mut next = Vec::with_capacity(size);
-        for (i, item) in current.iter().enumerate() {
-            let keep = ctx.with_focus(item.clone(), i + 1, size, |ctx| {
-                plan_pred_truth(ctx, &pred.plan, i + 1)
+        for (i, c) in current.iter().enumerate() {
+            let keep = ctx.with_focus(item(c), i + 1, size, |ctx| {
+                predicate_truth(ctx, &pred.plan, i + 1, eval_plan)
             })?;
             if keep {
-                next.push(item.clone());
+                next.push(c.clone());
             }
         }
         current = next;
@@ -632,27 +625,12 @@ fn apply_plan_preds(
     Ok(current)
 }
 
-/// Predicate semantics: a numeric singleton is a position test, everything
-/// else takes the effective boolean value.
-fn plan_pred_truth(ctx: &mut DynamicContext, p: &Plan, position: usize) -> XdmResult<bool> {
-    let v = eval_plan(ctx, p)?;
-    if v.len() == 1 {
-        if let Item::Atomic(a) = &v[0] {
-            if a.is_numeric() && !matches!(a, Atomic::Untyped(_)) {
-                let d = a.as_double()?;
-                return Ok(d == position as f64);
-            }
-        }
-    }
-    effective_boolean_value(&v)
-}
-
 // ----- per-node stage machinery --------------------------------------------
 
 /// Candidates of one axis step from one context node, with all predicate
 /// stages applied (positions count along the axis direction). When
 /// `reverse` is set, reverse-axis output is flipped to document order —
-/// the interpreter's single-input elision.
+/// the oracle's single-input elision.
 fn node_survivors(
     ctx: &mut DynamicContext,
     n: NodeRef,
@@ -755,27 +733,7 @@ fn apply_stages(
             },
             PredStage::Filter(p) => current = filter_stage(ctx, current, p)?,
             PredStage::General(preds) => {
-                for pred in preds {
-                    if let Some(take) = &pred.take {
-                        ctx.charge_fuel(1)?;
-                        current = match take_index(take, current.len()) {
-                            Some(i) => vec![current[i]],
-                            None => vec![],
-                        };
-                        continue;
-                    }
-                    let size = current.len();
-                    let mut next = Vec::with_capacity(size);
-                    for (i, &c) in current.iter().enumerate() {
-                        let keep = ctx.with_focus(Item::Node(c), i + 1, size, |ctx| {
-                            plan_pred_truth(ctx, &pred.plan, i + 1)
-                        })?;
-                        if keep {
-                            next.push(c);
-                        }
-                    }
-                    current = next;
-                }
+                current = apply_plan_preds(ctx, current, preds, |&n| Item::Node(n))?;
             }
         }
     }
@@ -941,7 +899,7 @@ impl<'p> PathCursor<'p> {
             let Some(n) = self.pull_input(ctx, i)? else {
                 return Ok(None);
             };
-            // the interpreter charges one unit per (step, context item)
+            // the oracle charges one unit per (step, context item)
             ctx.charge_fuel(1)?;
             let StepCursor::Streamed { step, .. } = &self.steps[i] else {
                 unreachable!()
@@ -986,7 +944,7 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
     });
     if !walkable {
         // reverse axes are only streamed off a single context node, where
-        // the interpreter elides the sort and reverses into document order
+        // the oracle elides the sort and reverses into document order
         let survivors = node_survivors(ctx, n, step, true)?;
         return Ok(StepOut::List(survivors.into_iter()));
     }
@@ -1186,117 +1144,14 @@ fn admit(
 // FLWOR
 // ---------------------------------------------------------------------------
 
-type Tuple = Vec<(QName, Sequence)>;
-
-/// Runs `f` in a scope binding a tuple's variables: `tuple.iter().cloned()`
-/// while the tuple lives on, the tuple itself when this is its last use.
-fn with_tuple<R>(
+fn exec_flwor(
     ctx: &mut DynamicContext,
-    tuple: impl IntoIterator<Item = (QName, Sequence)>,
-    f: impl FnOnce(&mut DynamicContext) -> XdmResult<R>,
-) -> XdmResult<R> {
-    ctx.push_scope();
-    for (name, value) in tuple {
-        ctx.bind_var(name, value);
-    }
-    let r = f(ctx);
-    ctx.pop_scope();
-    r
-}
-
-fn exec_flwor(ctx: &mut DynamicContext, clauses: &[PlanClause], ret: &Plan) -> XdmResult<Sequence> {
-    if let Some(out) = try_stream_flwor(ctx, clauses, ret)? {
-        return Ok(out);
-    }
-    // interpreter-identical breadth-first tuple pipeline
-    let mut tuples: Vec<Tuple> = vec![Vec::new()];
-    for clause in clauses {
-        tuples = apply_plan_clause(ctx, tuples, clause)?;
-    }
-    let mut out = Vec::new();
-    for tuple in tuples {
-        let v = with_tuple(ctx, tuple, |ctx| eval_plan(ctx, ret))?;
-        out.extend(v);
-    }
-    Ok(out)
-}
-
-fn apply_plan_clause(
-    ctx: &mut DynamicContext,
-    tuples: Vec<Tuple>,
-    clause: &PlanClause,
-) -> XdmResult<Vec<Tuple>> {
-    match clause {
-        PlanClause::For { var, at, ty, seq } => {
-            let mut out = Vec::new();
-            for tuple in tuples {
-                let items = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, seq))?;
-                for (i, item) in items.into_iter().enumerate() {
-                    ctx.charge_fuel(1)?;
-                    if let Some(t) = ty {
-                        let single = vec![item.clone()];
-                        let ok = ctx.with_store(|s| t.matches(s, &single));
-                        if !ok {
-                            return Err(XdmError::type_error(format!(
-                                "for ${var} as {t}: item does not match"
-                            )));
-                        }
-                    }
-                    let mut new_tuple = tuple.clone();
-                    new_tuple.push((var.clone(), vec![item]));
-                    if let Some(at_var) = at {
-                        new_tuple.push((at_var.clone(), vec![Item::integer(i as i64 + 1)]));
-                    }
-                    out.push(new_tuple);
-                }
-            }
-            Ok(out)
-        }
-        PlanClause::Let { var, expr } => {
-            let mut out = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, expr))?;
-                let mut new_tuple = tuple;
-                new_tuple.push((var.clone(), v));
-                out.push(new_tuple);
-            }
-            Ok(out)
-        }
-        PlanClause::Where(cond) => {
-            let mut out = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                let keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
-                    let v = eval_plan(ctx, cond)?;
-                    effective_boolean_value(&v)
-                })?;
-                if keep {
-                    out.push(tuple);
-                }
-            }
-            Ok(out)
-        }
-        PlanClause::OrderBy(specs) => {
-            let mut keyed: Vec<(Vec<Option<Atomic>>, Tuple)> = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                let mut keys = Vec::with_capacity(specs.len());
-                for spec in specs {
-                    let v =
-                        with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, &spec.key))?;
-                    let key = match v.len() {
-                        0 => None,
-                        1 => Some(atomize(&ctx.store.borrow(), &v[0])),
-                        _ => return Err(XdmError::type_error("order by key must be a singleton")),
-                    };
-                    keys.push(key);
-                }
-                keyed.push((keys, tuple));
-            }
-            let dirs: Vec<(bool, bool)> = specs
-                .iter()
-                .map(|s| (s.descending, s.empty_least))
-                .collect();
-            sort_keyed(keyed, &dirs)
-        }
+    clauses: &[FlworClause<Plan>],
+    ret: &Plan,
+) -> XdmResult<Sequence> {
+    match try_stream_flwor(ctx, clauses, ret)? {
+        Some(out) => Ok(out),
+        None => eval_flwor(ctx, clauses, ret, eval_plan),
     }
 }
 
@@ -1306,19 +1161,19 @@ fn apply_plan_clause(
 /// phases: phase 1 pulls source bindings one at a time and applies the
 /// `let`/`where` chain immediately (all clause expressions are statically
 /// infallible and read-only, so neither error order nor the store can
-/// diverge from the interpreter's breadth-first pipeline); phase 2 runs the
+/// diverge from the oracle's breadth-first pipeline); phase 2 runs the
 /// return clause over the surviving tuples only after the cursor is fully
 /// drained, so `R` may allocate, update or raise freely. Anything outside
 /// this shape falls back to the breadth-first replica.
 fn try_stream_flwor(
     ctx: &mut DynamicContext,
-    clauses: &[PlanClause],
+    clauses: &[FlworClause<Plan>],
     ret: &Plan,
 ) -> XdmResult<Option<Sequence>> {
     let Some((first, rest)) = clauses.split_first() else {
         return Ok(None);
     };
-    let PlanClause::For {
+    let FlworClause::For {
         var,
         at,
         ty,
@@ -1332,8 +1187,8 @@ fn try_stream_flwor(
     }
     for clause in rest {
         let ok = match clause {
-            PlanClause::Where(cond) => stream_cond_ok(cond, var),
-            PlanClause::Let { expr, .. } => {
+            FlworClause::Where(cond) => stream_cond_ok(cond, var),
+            FlworClause::Let { expr, .. } => {
                 matches!(expr, Plan::Const(_)) || node_var_path(expr, var)
             }
             _ => false,
@@ -1350,7 +1205,7 @@ fn try_stream_flwor(
     let mut tuples: Vec<Tuple> = Vec::new();
     let mut pos: i64 = 0;
     while let Some(item) = source.next(ctx)? {
-        // one fuel unit per tuple, like the interpreter's `for` clause
+        // one fuel unit per tuple, like the oracle's `for` clause
         ctx.charge_fuel(1)?;
         pos += 1;
         let mut tuple: Tuple = vec![(var.clone(), vec![item])];
@@ -1360,11 +1215,11 @@ fn try_stream_flwor(
         let mut keep = true;
         for clause in rest {
             match clause {
-                PlanClause::Let { var: lv, expr } => {
+                FlworClause::Let { var: lv, expr, .. } => {
                     let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, expr))?;
                     tuple.push((lv.clone(), v));
                 }
-                PlanClause::Where(cond) => {
+                FlworClause::Where(cond) => {
                     keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
                         let v = eval_plan(ctx, cond)?;
                         effective_boolean_value(&v)

@@ -6,7 +6,7 @@
 
 use xqib_xdm::{XdmError, XdmResult};
 
-use crate::ast::{AttrContent, ElemContent, Expr, NameExpr};
+use crate::ast::{AttrContent, Computed, ElemContent, Expr, NameExpr};
 use crate::lexer::{is_name_char, is_name_start, utf8_len};
 use crate::token::Tok;
 
@@ -198,9 +198,9 @@ impl<'a> Parser<'a> {
                         }
                         let body = self.lx.src[start..*pos].to_string();
                         *pos += 3;
-                        children.push(ElemContent::Child(Expr::ComputedComment(
+                        children.push(ElemContent::Child(Expr::Computed(Computed::Comment(
                             Expr::string_lit(&body).boxed(),
-                        )));
+                        ))));
                     } else if self.starts_with(*pos, "<![CDATA[") {
                         *pos += 9;
                         let start = *pos;
@@ -225,10 +225,10 @@ impl<'a> Parser<'a> {
                         }
                         let body = self.lx.src[start..*pos].trim().to_string();
                         *pos += 2;
-                        children.push(ElemContent::Child(Expr::ComputedPi {
+                        children.push(ElemContent::Child(Expr::Computed(Computed::Pi {
                             target: NameExpr::Static(xqib_dom::QName::local(&target)),
                             content: Some(Expr::string_lit(&body).boxed()),
-                        }));
+                        })));
                     } else {
                         // nested element
                         flush_text(&mut text, &mut children);
@@ -398,19 +398,19 @@ impl<'a> Parser<'a> {
                 self.expect_tok(Tok::LBrace)?;
                 let e = self.parse_expr()?;
                 self.expect_tok(Tok::RBrace)?;
-                Ok(Expr::ComputedText(e.boxed()))
+                Ok(Expr::Computed(Computed::Text(e.boxed())))
             }
             "comment" => {
                 self.expect_tok(Tok::LBrace)?;
                 let e = self.parse_expr()?;
                 self.expect_tok(Tok::RBrace)?;
-                Ok(Expr::ComputedComment(e.boxed()))
+                Ok(Expr::Computed(Computed::Comment(e.boxed())))
             }
             "document" => {
                 self.expect_tok(Tok::LBrace)?;
                 let e = self.parse_expr()?;
                 self.expect_tok(Tok::RBrace)?;
-                Ok(Expr::ComputedDocument(e.boxed()))
+                Ok(Expr::Computed(Computed::Document(e.boxed())))
             }
             "element" | "attribute" | "processing-instruction" => {
                 let name = if self.cur.tok == Tok::LBrace {
@@ -440,14 +440,14 @@ impl<'a> Parser<'a> {
                 } else {
                     None
                 };
-                Ok(match kind {
-                    "element" => Expr::ComputedElement { name, content },
-                    "attribute" => Expr::ComputedAttribute { name, content },
-                    _ => Expr::ComputedPi {
+                Ok(Expr::Computed(match kind {
+                    "element" => Computed::Element { name, content },
+                    "attribute" => Computed::Attribute { name, content },
+                    _ => Computed::Pi {
                         target: name,
                         content,
                     },
-                })
+                }))
             }
             other => Err(self.error(format!("unknown constructor kind `{other}`"))),
         }

@@ -159,9 +159,9 @@ impl<'a> Parser<'a> {
                 BinKind::NodeComp(op) => Expr::NodeComp(op, left.boxed(), right.boxed()),
                 BinKind::Range => Expr::Range(left.boxed(), right.boxed()),
                 BinKind::Arith(op) => Expr::Arith(op, left.boxed(), right.boxed()),
-                BinKind::Union => Expr::Union(left.boxed(), right.boxed()),
-                BinKind::Intersect => Expr::Intersect(left.boxed(), right.boxed()),
-                BinKind::Except => Expr::Except(left.boxed(), right.boxed()),
+                BinKind::Union => Expr::SetOp(SetOp::Union, left.boxed(), right.boxed()),
+                BinKind::Intersect => Expr::SetOp(SetOp::Intersect, left.boxed(), right.boxed()),
+                BinKind::Except => Expr::SetOp(SetOp::Except, left.boxed(), right.boxed()),
                 BinKind::FtContains => unreachable!("handled above"),
             };
         }

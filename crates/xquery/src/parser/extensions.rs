@@ -165,36 +165,36 @@ impl<'a> Parser<'a> {
     pub(crate) fn parse_event_attach_detach(&mut self) -> XdmResult<Expr> {
         self.expect_kw("on")?;
         self.expect_kw("event")?;
-        let event = self.parse_expr_single()?;
-        let mode = if self.eat_kw("behind")? {
-            EventBindMode::Behind
-        } else {
+        let event = self.parse_expr_single()?.boxed();
+        let behind = self.eat_kw("behind")?;
+        if !behind {
             self.expect_kw("at")?;
-            EventBindMode::At
-        };
-        let target = self.parse_expr_single()?;
-        if self.eat_kw("attach")? {
-            self.expect_kw("listener")?;
-            let listener = self.parse_function_qname()?;
-            Ok(Expr::EventAttach {
-                event: event.boxed(),
-                mode,
-                target: target.boxed(),
-                listener,
-            })
-        } else {
-            self.expect_kw("detach")?;
-            self.expect_kw("listener")?;
-            let listener = self.parse_function_qname()?;
-            if mode == EventBindMode::Behind {
-                return Err(self.error("`behind` is only valid with `attach`"));
-            }
-            Ok(Expr::EventDetach {
-                event: event.boxed(),
-                target: target.boxed(),
-                listener,
-            })
         }
+        let target = self.parse_expr_single()?.boxed();
+        let attach = self.eat_kw("attach")?;
+        if !attach {
+            self.expect_kw("detach")?;
+        }
+        self.expect_kw("listener")?;
+        let listener = self.parse_function_qname()?;
+        Ok(Expr::Browser(match (behind, attach) {
+            (false, true) => BrowserExpr::Attach {
+                event,
+                target,
+                listener,
+            },
+            (true, true) => BrowserExpr::Behind {
+                event,
+                call: target,
+                listener,
+            },
+            (false, false) => BrowserExpr::Detach {
+                event,
+                target,
+                listener,
+            },
+            (true, false) => return Err(self.error("`behind` is only valid with `attach`")),
+        }))
     }
 
     /// `trigger event ExprSingle at ExprSingle`
@@ -204,10 +204,10 @@ impl<'a> Parser<'a> {
         let event = self.parse_expr_single()?;
         self.expect_kw("at")?;
         let target = self.parse_expr_single()?;
-        Ok(Expr::EventTrigger {
+        Ok(Expr::Browser(BrowserExpr::Trigger {
             event: event.boxed(),
             target: target.boxed(),
-        })
+        }))
     }
 
     /// `set style ExprSingle of TargetExpr to ExprSingle`
@@ -223,11 +223,11 @@ impl<'a> Parser<'a> {
         let target = self.parse_below_range()?;
         self.expect_kw("to")?;
         let value = self.parse_expr_single()?;
-        Ok(Expr::SetStyle {
+        Ok(Expr::Browser(BrowserExpr::SetStyle {
             prop: prop.boxed(),
             target: target.boxed(),
             value: value.boxed(),
-        })
+        }))
     }
 
     /// `get style ExprSingle of ExprSingle`
@@ -237,10 +237,10 @@ impl<'a> Parser<'a> {
         let prop = self.parse_expr_single()?;
         self.expect_kw("of")?;
         let target = self.parse_expr_single()?;
-        Ok(Expr::GetStyle {
+        Ok(Expr::Browser(BrowserExpr::GetStyle {
             prop: prop.boxed(),
             target: target.boxed(),
-        })
+        }))
     }
 
     // ----- full-text ----------------------------------------------------------

@@ -1,14 +1,14 @@
 //! Plan IR: a compact, analyzable representation lowered from the AST.
 //!
-//! The interpreter in `eval/` walks the AST directly and materializes every
-//! intermediate sequence. The plan tier lowers a compiled module once into a
-//! small IR on which four rewrites run:
+//! The AST oracle (dev-only `oracle` feature) walks the tree directly and
+//! materializes every intermediate sequence. The plan tier lowers a
+//! compiled module once into a small IR on which four rewrites run:
 //!
 //! * **constant folding** — literal arithmetic, comparisons, ranges and
 //!   boolean short-circuits collapse to [`Plan::Const`]. A computation is
 //!   only folded when it *succeeds*; anything that would raise a dynamic
 //!   error (`1 div 0`) is left in place so the error surfaces at run time
-//!   with the same code the interpreter produces.
+//!   with the same code the oracle produces.
 //! * **step fusion** — `descendant-or-self::node()/child::t` (the `//t`
 //!   expansion) fuses into a single `descendant::t` step when the child
 //!   step's predicates are statically position-free, halving the number of
@@ -23,21 +23,21 @@
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
 //!
-//! Constructs whose *parts* the IR models but whose effect it does not
-//! re-implement lower to nodes that hand lowered parts to the interpreter's
-//! own routine: direct element constructors ([`Plan::Element`],
-//! `build_element`), `insert`/`delete`/`replace`/`rename`
-//! ([`Plan::Update`], `eval_update` appending to the same pending update
-//! list), and scripting blocks ([`Plan::Block`], statements with updates
-//! applied between them). Declared function bodies are lowered once per
-//! static context by [`lower_functions`] and stored with their
-//! declarations; compiled callers run them inside the interpreter's call
-//! frame. What still lowers to [`Plan::Fallback`] — `transform`, computed
-//! constructors, `behind` and the other event and style statements,
-//! full-text, and the XQuery 1.0 forms the rewrites never needed
-//! (type-switch, quantifiers, set operators, node comparisons, `instance
-//! of`/`treat`/`cast`) — is handed verbatim to the interpreter: the plan
-//! tier is a fast path, never a second dialect.
+//! Every construct lowers: the plan is the only form a shipped query runs
+//! in. Constructs the rewrites do not touch lower to nodes that mirror the
+//! AST and hand their lowered parts to the one routine in `eval` that
+//! defines the construct, generic over the evaluator that runs the parts:
+//! constructors ([`Plan::Element`], [`Plan::Computed`]), updates and
+//! `transform` ([`Plan::Update`], [`Plan::Transform`]), quantifiers,
+//! type-switch, set operators, node comparisons, `instance of`/`treat`/
+//! `cast`, full-text and the browser statements. The AST walker behind the
+//! dev-only `oracle` feature calls the same routines, so the differential
+//! suites compare the executor against a reference that differs only in
+//! how it walks. A `behind` call is lowered once, with its statement, to
+//! the [`ExprPlan`] the host keeps and runs later. Scripting blocks
+//! ([`Plan::Block`]) run statements with updates applied between them.
+//! Declared function bodies are lowered once per static context by
+//! [`lower_functions`] and stored with their declarations.
 //!
 //! # Streaming soundness
 //!
@@ -46,12 +46,12 @@
 //! predicate stages are all *statically infallible*: a lazy cursor then
 //! either fails before yielding its first item or on fuel exhaustion, so
 //! depth-first pulling can never reorder which dynamic error surfaces
-//! relative to the interpreter's breadth-first walk — and `exists()`-style
+//! relative to the oracle's breadth-first walk — and `exists()`-style
 //! early exits are always observationally safe. Per-step `streamed` flags
 //! additionally record whether concatenating per-node axis output preserves
 //! document order (tracked through the static [`Inv`] invariant lattice);
 //! steps without the flag run as buffered sort barriers inside the lazy
-//! pipeline, exactly reproducing the interpreter's normalisation.
+//! pipeline, exactly reproducing the oracle's normalisation.
 //!
 //! The variable-valued probe [`PredStage::AttrEqVar`] is infallible only
 //! when its variable holds string-like items, which is a run-time fact, so
@@ -60,19 +60,20 @@
 //! eager per-node stage pipeline, which decides between probe and
 //! predicate once per candidate list; nothing else evaluates between two
 //! candidates of one stage, so every candidate sees the value the
-//! interpreter's per-candidate test would read.
+//! oracle's per-candidate test would read.
 
 use std::rc::Rc;
 
 use xqib_dom::{name::FN_NS, QName};
 use xqib_xdm::{
     effective_boolean_value, general_compare, value_compare, Atomic, CompOp, Item, Sequence,
-    SequenceType,
+    SequenceType, TypeName,
 };
 
 use crate::ast::{
-    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, FunctionDecl, KindTest,
-    NameExpr, NodeTest, PathStart, Statement, StepExpr, UpdateExpr,
+    ArithOp, AttrContent, Axis, AxisStep, BrowserExpr, Computed, ElemContent, Expr, FlworClause,
+    FtSelection, FunctionDecl, KindTest, NameExpr, NodeCompOp, NodeTest, OrderSpec, PathStart,
+    Quantifier, SetOp, Statement, StepExpr, UpdateExpr,
 };
 use crate::context::StaticContext;
 use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
@@ -92,8 +93,6 @@ pub struct PlanStats {
     pub early_exits: u32,
     /// paths eligible for lazy streaming evaluation
     pub lazy_paths: u32,
-    /// subexpressions lowered to interpreter fallbacks
-    pub fallbacks: u32,
 }
 
 /// A lowered main module: globals + statement list, sharing the static
@@ -158,9 +157,8 @@ pub(crate) enum PlanStmt {
     Expr(Plan),
 }
 
-/// The expression IR. Every node evaluates against the same
-/// `DynamicContext` the interpreter uses, so fallbacks and plan nodes
-/// compose freely within one query.
+/// The expression IR, evaluated by `exec::eval_plan` against a
+/// `DynamicContext`.
 pub(crate) enum Plan {
     Const(Sequence),
     Var(QName),
@@ -179,7 +177,7 @@ pub(crate) enum Plan {
         els: Box<Plan>,
     },
     Flwor {
-        clauses: Vec<PlanClause>,
+        clauses: Vec<FlworClause<Plan>>,
         ret: Box<Plan>,
     },
     Path(PathPlan),
@@ -190,7 +188,7 @@ pub(crate) enum Plan {
     },
     Count(Box<Plan>),
     Not(Box<Plan>),
-    /// generic function call through the interpreter's dispatch chain;
+    /// generic function call through the shared dispatch chain;
     /// `builtin` when the name statically resolves to an `fn:` built-in
     /// (see [`is_fn_builtin`]), which skips the user and native lookups
     Call {
@@ -198,8 +196,25 @@ pub(crate) enum Plan {
         args: Vec<Plan>,
         builtin: bool,
     },
+    NodeComp(NodeCompOp, Box<Plan>, Box<Plan>),
+    SetOp(SetOp, Box<Plan>, Box<Plan>),
+    Quantified {
+        kind: Quantifier,
+        bindings: Vec<(QName, Plan)>,
+        satisfies: Box<Plan>,
+    },
+    TypeSwitch {
+        operand: Box<Plan>,
+        cases: Vec<(SequenceType, Option<QName>, Plan)>,
+        default_var: Option<QName>,
+        default: Box<Plan>,
+    },
+    InstanceOf(Box<Plan>, SequenceType),
+    TreatAs(Box<Plan>, SequenceType),
+    CastableAs(Box<Plan>, TypeName, bool),
+    CastAs(Box<Plan>, TypeName, bool),
     /// direct element constructor with lowered enclosed parts, built by
-    /// the interpreter's own `build_element`
+    /// `build_element`
     Element {
         name: QName,
         ns_decls: Vec<(String, String)>,
@@ -209,32 +224,22 @@ pub(crate) enum Plan {
     /// scripting block: its statements run in a fresh scope, with pending
     /// updates applied between them
     Block(Vec<PlanStmt>),
+    Computed(Computed<Plan>),
     /// `insert`/`delete`/`replace`/`rename` with lowered parts, appended to
-    /// the pending update list by the interpreter's own `eval_update`
+    /// the pending update list by `eval_update`
     Update(UpdateExpr<Plan>),
-    /// anything the IR does not model: evaluated by the interpreter
-    Fallback(Rc<Expr>),
-}
-
-pub(crate) enum PlanClause {
-    For {
-        var: QName,
-        at: Option<QName>,
-        ty: Option<SequenceType>,
-        seq: Plan,
+    Transform {
+        bindings: Vec<(QName, Plan)>,
+        modify: Box<Plan>,
+        ret: Box<Plan>,
     },
-    Let {
-        var: QName,
-        expr: Plan,
+    FtContains {
+        source: Box<Plan>,
+        selection: FtSelection<Plan>,
     },
-    Where(Plan),
-    OrderBy(Vec<PlanOrderSpec>),
-}
-
-pub(crate) struct PlanOrderSpec {
-    pub key: Plan,
-    pub descending: bool,
-    pub empty_least: bool,
+    /// the browser statements; a `behind` call is lowered once, here, to the
+    /// plan the host keeps
+    Browser(BrowserExpr<Plan, Rc<ExprPlan>>),
 }
 
 /// A lowered path expression.
@@ -252,7 +257,7 @@ pub(crate) enum PathStartPlan {
     /// `/...` — the root of the context node's tree
     Root,
     /// relative path: the focus item, or a leading filter step when there
-    /// is no focus (the interpreter's `doc("x")//y` shape)
+    /// is no focus (the oracle's `doc("x")//y` shape)
     Relative,
 }
 
@@ -279,7 +284,7 @@ pub(crate) struct PlanAxisStep {
 pub(crate) struct PlanPred {
     pub plan: Plan,
     /// `[k]` / `[last()]` recognised on the original expression — mirrors
-    /// the interpreter's positional short-circuit
+    /// the oracle's positional short-circuit
     pub take: Option<PosTake>,
     /// truth value is independent of `position()`/`last()` and never a
     /// numeric position test, so it can be decided per candidate
@@ -305,7 +310,7 @@ pub(crate) enum PredStage {
     /// position-free predicate: tested one candidate at a time
     Filter(PlanPred),
     /// positional tail: buffered per node and applied with true positions,
-    /// exactly like the interpreter
+    /// exactly like the oracle
     General(Vec<PlanPred>),
 }
 
@@ -323,10 +328,10 @@ impl PredStage {
 // lowering
 // ---------------------------------------------------------------------------
 
-/// Lowers a compiled module to a plan. Lowering never fails: uncovered
-/// constructs become interpreter fallbacks. The plan's static context is
-/// the module's with every declared function body lowered (see
-/// [`lower_functions`]); the counters cover the globals and the body.
+/// Lowers a compiled module to a plan. Lowering never fails. The plan's
+/// static context is the module's with every declared function body
+/// lowered (see [`lower_functions`]); the counters cover the globals and
+/// the body.
 pub fn lower(q: &CompiledQuery) -> CompiledPlan {
     let sctx = lower_functions(&q.sctx);
     let mut stats = PlanStats::default();
@@ -496,10 +501,174 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
             Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s, stats)).collect())
         }
         Expr::Update(u) => Plan::Update(lower_update(sctx, u, stats)),
-        other => {
-            stats.fallbacks += 1;
-            Plan::Fallback(Rc::new(other.clone()))
+        Expr::NodeComp(op, a, b) => Plan::NodeComp(
+            *op,
+            Box::new(lower_expr(sctx, a, stats)),
+            Box::new(lower_expr(sctx, b, stats)),
+        ),
+        Expr::SetOp(op, a, b) => Plan::SetOp(
+            *op,
+            Box::new(lower_expr(sctx, a, stats)),
+            Box::new(lower_expr(sctx, b, stats)),
+        ),
+        Expr::Quantified {
+            kind,
+            bindings,
+            satisfies,
+        } => Plan::Quantified {
+            kind: *kind,
+            bindings: lower_bindings(sctx, bindings, stats),
+            satisfies: Box::new(lower_expr(sctx, satisfies, stats)),
+        },
+        Expr::TypeSwitch {
+            operand,
+            cases,
+            default_var,
+            default,
+        } => Plan::TypeSwitch {
+            operand: Box::new(lower_expr(sctx, operand, stats)),
+            cases: cases
+                .iter()
+                .map(|(st, var, body)| (st.clone(), var.clone(), lower_expr(sctx, body, stats)))
+                .collect(),
+            default_var: default_var.clone(),
+            default: Box::new(lower_expr(sctx, default, stats)),
+        },
+        Expr::InstanceOf(a, st) => {
+            Plan::InstanceOf(Box::new(lower_expr(sctx, a, stats)), st.clone())
         }
+        Expr::TreatAs(a, st) => Plan::TreatAs(Box::new(lower_expr(sctx, a, stats)), st.clone()),
+        Expr::CastableAs(a, ty, opt) => {
+            Plan::CastableAs(Box::new(lower_expr(sctx, a, stats)), *ty, *opt)
+        }
+        Expr::CastAs(a, ty, opt) => Plan::CastAs(Box::new(lower_expr(sctx, a, stats)), *ty, *opt),
+        Expr::Computed(c) => Plan::Computed(lower_computed(sctx, c, stats)),
+        Expr::Transform {
+            bindings,
+            modify,
+            ret,
+        } => Plan::Transform {
+            bindings: lower_bindings(sctx, bindings, stats),
+            modify: Box::new(lower_expr(sctx, modify, stats)),
+            ret: Box::new(lower_expr(sctx, ret, stats)),
+        },
+        Expr::FtContains { source, selection } => Plan::FtContains {
+            source: Box::new(lower_expr(sctx, source, stats)),
+            selection: lower_ft(sctx, selection, stats),
+        },
+        Expr::Browser(b) => Plan::Browser(lower_browser(sctx, b, stats)),
+    }
+}
+
+fn lower_bindings(
+    sctx: &StaticContext,
+    bindings: &[(QName, Expr)],
+    stats: &mut PlanStats,
+) -> Vec<(QName, Plan)> {
+    bindings
+        .iter()
+        .map(|(var, e)| (var.clone(), lower_expr(sctx, e, stats)))
+        .collect()
+}
+
+fn lower_name(sctx: &StaticContext, n: &NameExpr, stats: &mut PlanStats) -> NameExpr<Plan> {
+    match n {
+        NameExpr::Static(q) => NameExpr::Static(q.clone()),
+        NameExpr::Dynamic(e) => NameExpr::Dynamic(Box::new(lower_expr(sctx, e, stats))),
+    }
+}
+
+fn lower_computed(sctx: &StaticContext, c: &Computed, stats: &mut PlanStats) -> Computed<Plan> {
+    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+    match c {
+        Computed::Element { name, content } => Computed::Element {
+            name: lower_name(sctx, name, stats),
+            content: content
+                .as_deref()
+                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+        },
+        Computed::Attribute { name, content } => Computed::Attribute {
+            name: lower_name(sctx, name, stats),
+            content: content
+                .as_deref()
+                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+        },
+        Computed::Text(e) => Computed::Text(low(e)),
+        Computed::Comment(e) => Computed::Comment(low(e)),
+        Computed::Pi { target, content } => Computed::Pi {
+            target: lower_name(sctx, target, stats),
+            content: content
+                .as_deref()
+                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+        },
+        Computed::Document(e) => Computed::Document(low(e)),
+    }
+}
+
+fn lower_ft(sctx: &StaticContext, sel: &FtSelection, stats: &mut PlanStats) -> FtSelection<Plan> {
+    let mut all = |sels: &[FtSelection]| sels.iter().map(|s| lower_ft(sctx, s, stats)).collect();
+    match sel {
+        FtSelection::Or(sels) => FtSelection::Or(all(sels)),
+        FtSelection::And(sels) => FtSelection::And(all(sels)),
+        FtSelection::Not(inner) => FtSelection::Not(Box::new(lower_ft(sctx, inner, stats))),
+        FtSelection::Words { expr, options } => FtSelection::Words {
+            expr: Box::new(lower_expr(sctx, expr, stats)),
+            options: *options,
+        },
+    }
+}
+
+fn lower_browser(
+    sctx: &StaticContext,
+    b: &BrowserExpr,
+    stats: &mut PlanStats,
+) -> BrowserExpr<Plan, Rc<ExprPlan>> {
+    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+    match b {
+        BrowserExpr::Attach {
+            event,
+            target,
+            listener,
+        } => BrowserExpr::Attach {
+            event: low(event),
+            target: low(target),
+            listener: listener.clone(),
+        },
+        BrowserExpr::Behind {
+            event,
+            call,
+            listener,
+        } => BrowserExpr::Behind {
+            event: low(event),
+            call: Rc::new(ExprPlan::lower(sctx, call)),
+            listener: listener.clone(),
+        },
+        BrowserExpr::Detach {
+            event,
+            target,
+            listener,
+        } => BrowserExpr::Detach {
+            event: low(event),
+            target: low(target),
+            listener: listener.clone(),
+        },
+        BrowserExpr::Trigger { event, target } => BrowserExpr::Trigger {
+            event: low(event),
+            target: low(target),
+        },
+        BrowserExpr::SetStyle {
+            prop,
+            target,
+            value,
+        } => BrowserExpr::SetStyle {
+            prop: low(prop),
+            target: low(target),
+            value: low(value),
+        },
+        BrowserExpr::GetStyle { prop, target } => BrowserExpr::GetStyle {
+            prop: low(prop),
+            target: low(target),
+        },
     }
 }
 
@@ -526,37 +695,36 @@ fn lower_update(sctx: &StaticContext, u: &UpdateExpr, stats: &mut PlanStats) -> 
         },
         UpdateExpr::Rename { target, name } => UpdateExpr::Rename {
             target: low(target),
-            name: match name {
-                NameExpr::Static(q) => NameExpr::Static(q.clone()),
-                NameExpr::Dynamic(e) => NameExpr::Dynamic(low(e)),
-            },
+            name: lower_name(sctx, name, stats),
         },
     }
 }
 
-fn lower_clause(sctx: &StaticContext, c: &FlworClause, stats: &mut PlanStats) -> PlanClause {
+fn lower_clause(sctx: &StaticContext, c: &FlworClause, stats: &mut PlanStats) -> FlworClause<Plan> {
     match c {
-        FlworClause::For { var, at, ty, seq } => PlanClause::For {
+        FlworClause::For { var, at, ty, seq } => FlworClause::For {
             var: var.clone(),
             at: at.clone(),
             ty: ty.clone(),
             seq: lower_expr(sctx, seq, stats),
         },
-        FlworClause::Let { var, ty: _, expr } => PlanClause::Let {
+        FlworClause::Let { var, ty, expr } => FlworClause::Let {
             var: var.clone(),
+            ty: ty.clone(),
             expr: lower_expr(sctx, expr, stats),
         },
-        FlworClause::Where(cond) => PlanClause::Where(lower_expr(sctx, cond, stats)),
-        FlworClause::OrderBy { specs, stable: _ } => PlanClause::OrderBy(
-            specs
+        FlworClause::Where(cond) => FlworClause::Where(lower_expr(sctx, cond, stats)),
+        FlworClause::OrderBy { specs, stable } => FlworClause::OrderBy {
+            specs: specs
                 .iter()
-                .map(|s| PlanOrderSpec {
+                .map(|s| OrderSpec {
                     key: lower_expr(sctx, &s.key, stats),
                     descending: s.descending,
                     empty_least: s.empty_least,
                 })
                 .collect(),
-        ),
+            stable: *stable,
+        },
     }
 }
 
@@ -610,7 +778,7 @@ struct Inv {
 fn step_streamable(inv: Inv, axis: Axis) -> bool {
     if inv.one {
         // a single context node emits every axis in (possibly reversed)
-        // document order with no duplicates — mirrors the interpreter's
+        // document order with no duplicates — mirrors the oracle's
         // single-input sort elision
         return true;
     }
@@ -852,7 +1020,7 @@ enum EqOperand {
 }
 
 /// `[@name = "literal"]` or `[@name = $var]` (either operand order):
-/// answered by a direct attribute-table probe. Matches the interpreter
+/// answered by a direct attribute-table probe. Matches the oracle
 /// exactly: the attribute atomizes to untyped, which a general comparison
 /// against a string, untyped or `xs:anyURI` item casts to that item's type
 /// — plain string equality against any of the items, and an absent
@@ -921,7 +1089,7 @@ fn boolean_valued(sctx: &StaticContext, e: &Expr) -> bool {
         Expr::Literal(Atomic::Boolean(_) | Atomic::String(_)) => true,
         // node-set operators and paths ending in an axis step yield nodes
         // only — node sequences always take the EBV
-        Expr::Union(..) | Expr::Intersect(..) | Expr::Except(..) => true,
+        Expr::SetOp(..) => true,
         Expr::Path { steps, .. } => matches!(steps.last(), Some(StepExpr::Axis(_))),
         Expr::If { then, els, .. } => boolean_valued(sctx, then) && boolean_valued(sctx, els),
         Expr::FunctionCall { name, args } if is_fn_builtin(sctx, name, args.len()) => {
@@ -957,9 +1125,7 @@ fn focus_position_free(sctx: &StaticContext, e: &Expr) -> bool {
         | Expr::NodeComp(_, a, b)
         | Expr::And(a, b)
         | Expr::Or(a, b)
-        | Expr::Union(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Except(a, b) => rec(a) && rec(b),
+        | Expr::SetOp(_, a, b) => rec(a) && rec(b),
         Expr::Neg(a)
         | Expr::InstanceOf(a, _)
         | Expr::TreatAs(a, _)
@@ -1126,7 +1292,7 @@ pub(crate) fn plan_infallible(p: &Plan) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The arithmetic operand rule over a constant sequence. `Err(())` means
-/// "cannot fold" (the interpreter would raise or the shape is unexpected).
+/// "cannot fold" (the oracle would raise or the shape is unexpected).
 fn const_atomic(seq: &Sequence) -> Result<Option<Atomic>, ()> {
     match seq.len() {
         0 => Ok(None),
@@ -1250,7 +1416,7 @@ fn fold_general_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Pla
 fn fold_and(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
     if let Plan::Const(a) = &l {
         match effective_boolean_value(a) {
-            // short-circuit exactly like the interpreter: a false left
+            // short-circuit exactly like the oracle: a false left
             // operand means the right is never evaluated
             Ok(false) => {
                 stats.folded += 1;
@@ -1295,7 +1461,7 @@ fn fold_if(cond: Plan, then: Plan, els: Plan, stats: &mut PlanStats) -> Plan {
     if let Plan::Const(c) = &cond {
         if let Ok(b) = effective_boolean_value(c) {
             stats.folded += 1;
-            // the untaken branch is never evaluated by the interpreter
+            // the untaken branch is never evaluated by the oracle
             // either, so dropping it cannot elide an error
             return if b { then } else { els };
         }
@@ -1513,7 +1679,6 @@ mod tests {
         };
         assert!(matches!(**source, Plan::Element { .. }));
         assert!(matches!(**target, Plan::Path(_)));
-        assert_eq!(p.stats.fallbacks, 0);
     }
 
     #[test]
@@ -1525,7 +1690,6 @@ mod tests {
         let p = lower(&q);
         let decl = p.sctx.functions.values().next().expect("one declaration");
         let body = decl.plan.as_ref().expect("body lowered");
-        assert_eq!(body.stats().fallbacks, 0);
         assert!(matches!(body.plan, Plan::Block(_)));
         // lowering the lowered context again is free: the same context
         assert!(Rc::ptr_eq(&lower_functions(&p.sctx), &p.sctx));
@@ -1550,10 +1714,39 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_constructs_fall_back() {
-        let p = plan_of("element a {1}");
-        assert!(matches!(body_plan(&p), Plan::Fallback(_)));
-        assert_eq!(p.stats.fallbacks, 1);
+    fn xquery_1_forms_lower_to_mirroring_nodes() {
+        let lowers =
+            |src: &str, to: fn(&Plan) -> bool| assert!(to(body_plan(&plan_of(src))), "{src}");
+        lowers("element a {1}", |p| {
+            matches!(p, Plan::Computed(Computed::Element { .. }))
+        });
+        lowers("(//a) intersect (//b)", |p| {
+            matches!(p, Plan::SetOp(SetOp::Intersect, ..))
+        });
+        lowers("every $x in (1, 2) satisfies $x", |p| {
+            matches!(
+                p,
+                Plan::Quantified {
+                    kind: Quantifier::Every,
+                    ..
+                }
+            )
+        });
+        lowers("//a instance of element()*", |p| {
+            matches!(p, Plan::InstanceOf(..))
+        });
+        lowers("//a ftcontains 'x'", |p| {
+            matches!(p, Plan::FtContains { .. })
+        });
+    }
+
+    #[test]
+    fn behind_call_is_lowered_once_with_its_statement() {
+        let p = plan_of(r#"on event "e" behind browser:httpGet("u") attach listener local:f"#);
+        let Plan::Browser(BrowserExpr::Behind { call, .. }) = body_plan(&p) else {
+            panic!("expected a lowered behind statement");
+        };
+        assert!(matches!(call.plan, Plan::Call { .. }));
     }
 
     #[test]
@@ -1577,11 +1770,9 @@ mod tests {
         };
         assert!(matches!(inner[0], ElemContent::Enclosed(Plan::Path(_))));
         assert_eq!(p.stats.fused_steps, 1);
-        // the computed constructor inside stays an interpreter fallback
         assert!(matches!(
             children[1],
-            ElemContent::Enclosed(Plan::Fallback(_))
+            ElemContent::Enclosed(Plan::Computed(Computed::Element { .. }))
         ));
-        assert_eq!(p.stats.fallbacks, 1);
     }
 }

@@ -1,21 +1,23 @@
 //! Top-level compile & execute API.
 //!
 //! Mirrors the plug-in's processing model (§4.1/Figure 1): compile the
-//! script (prolog + body program), execute the prolog's declarations, run
-//! the body statements (registering listeners, updating the page), apply
-//! the pending updates, and later re-enter via [`invoke`] when the browser
-//! dispatches an event to a registered listener.
+//! script (prolog + body program) and lower it (`plan::lower`); executing
+//! the plan runs the prolog's declarations and the body statements
+//! (registering listeners, updating the page) and applies the pending
+//! updates; the browser later re-enters through `exec::invoke` when it
+//! dispatches an event to a registered listener. With the dev-only
+//! `oracle` feature, [`CompiledQuery::execute`] and [`invoke`] run the same
+//! program on the AST oracle.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use xqib_dom::QName;
-use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
+use xqib_xdm::{Item, Sequence, XdmResult};
 
 use crate::ast::{LibraryModule, MainModule};
 use crate::context::{DynamicContext, StaticContext};
-use crate::eval::{self, EXIT_CODE};
 use crate::parser;
+use crate::plan::lower;
 
 /// A registry of library modules (paper §3.4: modules double as web-service
 /// endpoints; the app server and the plug-in both register modules here).
@@ -103,15 +105,17 @@ pub fn compile_with(
     })
 }
 
+/// The AST oracle's entry points.
+#[cfg(any(test, feature = "oracle"))]
 impl CompiledQuery {
     /// Runs the prolog's global variable declarations.
     pub fn init_globals(&self, ctx: &mut DynamicContext) -> XdmResult<()> {
         for var in &self.module.prolog.variables {
             if let Some(init) = &var.init {
-                let v = eval::eval_expr(ctx, init)?;
+                let v = crate::eval::eval_expr(ctx, init)?;
                 ctx.bind_global(var.name.clone(), v);
             } else if ctx.lookup_var(&var.name).is_none() {
-                return Err(XdmError::undefined(format!(
+                return Err(xqib_xdm::XdmError::undefined(format!(
                     "external variable ${} was not provided",
                     var.name
                 )));
@@ -124,10 +128,11 @@ impl CompiledQuery {
     /// visibility between statements), final update application. Returns the
     /// value of the last statement.
     pub fn execute(&self, ctx: &mut DynamicContext) -> XdmResult<Sequence> {
+        use crate::eval;
         self.init_globals(ctx)?;
         let result = eval::eval_statements(ctx, &self.module.body);
         let result = match result {
-            Err(e) if e.code == EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
+            Err(e) if e.code == eval::EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
             other => other,
         }?;
         eval::apply_pending(ctx)?;
@@ -135,11 +140,12 @@ impl CompiledQuery {
     }
 }
 
-/// Convenience: compile + execute against a fresh context built on `store`.
+/// Convenience: compile, lower and execute against a fresh context built on
+/// `store`.
 pub fn run_query(src: &str, store: xqib_dom::SharedStore) -> XdmResult<(Sequence, DynamicContext)> {
-    let q = compile(src)?;
-    let mut ctx = DynamicContext::new(store, q.sctx.clone());
-    let r = q.execute(&mut ctx)?;
+    let plan = lower(&compile(src)?);
+    let mut ctx = DynamicContext::new(store, plan.static_context().clone());
+    let r = plan.execute(&mut ctx)?;
     Ok((r, ctx))
 }
 
@@ -163,11 +169,14 @@ pub fn render_sequence(ctx: &DynamicContext, seq: &Sequence) -> String {
         .join(" ")
 }
 
-/// Invokes a (listener) function by name on the interpreter — the oracle
-/// for the plug-in's re-entry point when the browser dispatches an event
-/// (Figure 1's loop; the plug-in itself uses the compiled
-/// [`crate::exec::invoke`]). Pending updates raised by the listener are
-/// applied before returning, so the page reflects the handler's effects.
-pub fn invoke(ctx: &mut DynamicContext, name: &QName, args: Vec<Sequence>) -> XdmResult<Sequence> {
-    eval::invoke_with(ctx, name, args, eval::interpret_body)
+/// Invokes a (listener) function by name on the AST oracle — the reference
+/// for the plug-in's [`crate::exec::invoke`]. Pending updates raised by the
+/// listener are applied before returning.
+#[cfg(any(test, feature = "oracle"))]
+pub fn invoke(
+    ctx: &mut DynamicContext,
+    name: &xqib_dom::QName,
+    args: Vec<Sequence>,
+) -> XdmResult<Sequence> {
+    crate::eval::invoke_with(ctx, name, args, crate::eval::interpret_body)
 }

@@ -810,9 +810,10 @@ fn modules_and_imports() {
         false,
     )
     .unwrap();
+    let plan = xqib_xquery::plan::lower(&q);
     let store = shared_store();
-    let mut ctx = xqib_xquery::DynamicContext::new(store, q.sctx.clone());
-    let out = q.execute(&mut ctx).unwrap();
+    let mut ctx = xqib_xquery::DynamicContext::new(store, plan.static_context().clone());
+    let out = plan.execute(&mut ctx).unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].as_atomic().unwrap().string_value(), "20");
 }
