@@ -67,7 +67,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
 use xqib_browser::FaultPlan;
-use xqib_storage::{content_digest, fnv1a, mix64, IntegrityError, StorageFaultPlan, VirtualDisk};
+use xqib_storage::{fnv1a, mix64, IntegrityError, StorageFaultPlan, VirtualDisk};
 
 use crate::fleet::FleetStats;
 use crate::governor::Class;
@@ -988,7 +988,6 @@ impl Cluster {
         let leader = self.shards[s].leader.as_mut()?;
         leader.db.load(uri, xml).ok()?;
         let _ = leader.db.commit();
-        leader.invalidate_snapshots();
         self.topology.pin_home(uri, s);
         Some(s)
     }
@@ -1227,21 +1226,20 @@ impl Cluster {
         if self.shards[from].leader.is_none() || self.shards[to].leader.is_none() {
             return None; // wait for failover to supply leaders
         }
-        let (xml, base_seq) = {
+        let (copy, base_seq) = {
             let leader = self.shards[from].leader.as_mut()?;
             let _ = leader.db.commit();
-            let xml = leader.db.serialize(uri)?;
-            (xml, leader.db.committed_seq())
+            let copy = leader.db.image(uri)?;
+            (copy, leader.db.committed_seq())
         };
-        let copy_digest = content_digest(uri, &xml);
+        let copy_digest = copy.digest;
         // the destination is a legitimate resident from here on, so its
         // followers accept the shipped frames
         self.topology.add_resident(uri, to);
         {
             let leader = self.shards[to].leader.as_mut()?;
-            leader.db.load(uri, &xml).ok()?;
+            leader.db.load(uri, &copy.body).ok()?;
             let _ = leader.db.commit();
-            leader.invalidate_snapshots();
         }
         self.rstats.migrations_started += 1;
         Some(MigrationPhase::Copying {
@@ -1301,12 +1299,12 @@ impl Cluster {
                 return CutoverStep::Wait;
             };
             let _ = src.db.commit();
-            src.db.serialize(uri).map(|xml| {
+            src.db.image(uri).map(|image| {
                 let tail = src.db.tail_records_touching(uri, base_seq);
-                (xml, src.db.committed_seq(), tail)
+                (image, src.db.committed_seq(), tail)
             })
         };
-        let Some((final_xml, new_base, tail)) = src_view else {
+        let Some((last, new_base, tail)) = src_view else {
             // The source durably lost the document mid-copy — a failover
             // promoted a follower that never replicated it. There is no
             // tail left to forward; the destination's intact copy is the
@@ -1321,19 +1319,17 @@ impl Cluster {
             self.rstats.migrations_completed += 1;
             return CutoverStep::Done;
         };
-        let final_digest = content_digest(uri, &final_xml);
-        if final_digest != copy_digest {
+        if last.digest != copy_digest {
             let Some(dest) = self.shards[to].leader.as_mut() else {
                 return CutoverStep::Wait;
             };
-            if dest.db.load(uri, &final_xml).is_err() {
+            if dest.db.load(uri, &last.body).is_err() {
                 return CutoverStep::Recopy;
             }
             let _ = dest.db.commit();
-            dest.invalidate_snapshots();
             return CutoverStep::Forwarded {
                 base_seq: new_base,
-                copy_digest: final_digest,
+                copy_digest: last.digest,
                 tail,
             };
         }
@@ -1609,7 +1605,8 @@ impl Cluster {
         // follower is serving an older (but internally consistent)
         // version, which bounded staleness already permits — only an
         // in-sync body that hashes wrong is corruption. The body and its
-        // digest come out of one serializer pass.
+        // digest are the document version's image: one serializer pass
+        // per version, however often it is read.
         let (body, host, verified) = {
             let sh = &self.shards[shard];
             let seat = &sh.seats[seat_idx];
@@ -1619,14 +1616,9 @@ impl Cluster {
                 .as_ref()
                 .and_then(|l| l.db.digest_of(uri))
                 .filter(|_| committed.is_some_and(|c| applied >= c));
-            let (body, verified) = match want {
-                Some(want) => {
-                    let (body, got) = node.serialize_with_digest(uri)?;
-                    (body, Some(got == want))
-                }
-                None => (node.serialize(uri)?, None),
-            };
-            (body, seat.host.clone(), verified)
+            let image = node.image(uri)?;
+            let verified = want.map(|want| image.digest == want);
+            (image.body.clone(), seat.host.clone(), verified)
         };
         match verified {
             Some(false) => {
@@ -3071,6 +3063,78 @@ mod tests {
         let ist = c.integrity_stats();
         assert_eq!(ist.reads_refused, 1);
         assert_eq!(ist.quarantines, 1);
+    }
+
+    /// One `/doc` read of `uri` at `now`, which must complete.
+    fn read_doc(c: &mut Cluster, uri: &str, now: u64) -> ClusterCompletion {
+        match c.submit(&doc_url(uri), now) {
+            Submitted::Done(d) => *d,
+            Submitted::Pending(_) => panic!("reads cannot pend"),
+        }
+    }
+
+    /// A follower whose image is warm from a verified read and whose
+    /// document is then poisoned: the next read checks the new document's
+    /// image, refuses it and quarantines the seat.
+    #[test]
+    fn a_warm_follower_image_does_not_hide_a_poisoned_document() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let (_, now) = acked_markers(&mut c, "d0.xml", 1, 10, "rr");
+        let warm = read_doc(&mut c, "d0.xml", now);
+        assert!(
+            warm.response.header("X-XQIB-Replica").is_some(),
+            "a follower read"
+        );
+        assert_eq!(c.integrity_stats().reads_verified, 1);
+        let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
+        assert!(rep.poison_document("d0.xml"));
+        let done = read_doc(&mut c, "d0.xml", now);
+        assert_eq!(done.outcome, ClusterOutcome::Served, "leader fallback");
+        assert!(
+            !done.response.body.contains("rotted"),
+            "{}",
+            done.response.body
+        );
+        let ist = c.integrity_stats();
+        assert_eq!((ist.reads_verified, ist.reads_refused), (1, 1));
+        assert_eq!(ist.quarantines, 1);
+    }
+
+    /// The scrubber hashes the tree, never the image: a poisoned follower
+    /// whose image is warm from a verified read is still flagged.
+    #[test]
+    fn the_scrubber_flags_a_poisoned_follower_with_a_warm_image() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let (_, now) = acked_markers(&mut c, "d0.xml", 1, 10, "sc");
+        let warm = read_doc(&mut c, "d0.xml", now);
+        assert!(
+            warm.response.header("X-XQIB-Replica").is_some(),
+            "a follower read"
+        );
+        let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
+        assert!(rep.poison_document("d0.xml"));
+        let scrub = c.cfg.scrub_interval_ms;
+        drive(&mut c, now, now + scrub + 2);
+        let ist = c.integrity_stats();
+        assert!(
+            ist.scrub_digest_mismatches >= 1,
+            "divergence unseen: {ist:?}"
+        );
+        assert_eq!(ist.quarantines, 1);
+        assert!(matches!(
+            c.shards[0].seats[1].health,
+            SeatHealth::Quarantined { .. }
+        ));
     }
 
     fn metrics_at(c: &mut Cluster, now: u64) -> String {

@@ -143,6 +143,10 @@ mod tests {
                 sorts_elided: 8,
                 attr_index_builds: 80,
                 attr_index_hits: 81,
+                name_index_builds: 82,
+                name_index_hits: 83,
+                doc_image_builds: 84,
+                doc_image_hits: 85,
             },
             durability: DurabilityStats {
                 wal_appends: 9,

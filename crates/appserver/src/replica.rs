@@ -9,16 +9,19 @@
 //! lost before the replica sees it, or the replica can run it and its
 //! reply be lost on the way back.
 
+use std::rc::Rc;
+
 use xqib_browser::{Fault, FaultPlan};
+#[cfg(test)]
 use xqib_dom::serialize::serialize_document;
 use xqib_dom::store::shared_store;
-use xqib_dom::SharedStore;
+use xqib_dom::{DocImage, SharedStore};
 use xqib_storage::{Checkpoint, IntegrityError, VirtualDisk, Wal, WalRecord, WAL_FILE};
 use xqib_xquery::wire;
 
 use crate::cluster::Topology;
 use crate::xmldb::{
-    apply_wal_record, doc_digest, dump_store, serialize_with_digest, with_doc, DurabilityConfig,
+    apply_wal_record, doc_digest, doc_image, dump_store, with_doc, DurabilityConfig,
 };
 
 /// A leader→follower message. It travels with the sender's term, which
@@ -168,14 +171,15 @@ impl ReplicaNode {
         self.applied
     }
 
+    #[cfg(test)]
     pub(crate) fn serialize(&self, uri: &str) -> Option<String> {
         with_doc(&self.store, uri, serialize_document)
     }
 
-    /// A locally-held document's serialization and its content digest, in
-    /// one pass (a verified follower read).
-    pub(crate) fn serialize_with_digest(&self, uri: &str) -> Option<(String, u64)> {
-        with_doc(&self.store, uri, |doc| serialize_with_digest(uri, doc))
+    /// The image of a locally-held document's current version: the body
+    /// a follower read serves and the digest a verified one checks.
+    pub(crate) fn image(&self, uri: &str) -> Option<Rc<DocImage>> {
+        with_doc(&self.store, uri, |doc| doc_image(uri, doc))
     }
 
     /// Handles one message from a leader of `term`.

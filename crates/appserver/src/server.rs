@@ -4,15 +4,15 @@
 //! Requests can carry a *deadline budget* (engine fuel units, see
 //! [`AppServer::handle_budgeted`]): the evaluator is preempted with
 //! `XQIB0014` once the budget is spent, which the HTTP layer maps to 504.
-//! The server also keeps whole-document snapshots of every bound document
-//! so the request governor can degrade render-class requests to a cached
-//! snapshot instead of failing them — the paper's own "serve whole
-//! documents rather than individual queries to documents" caching argument
-//! (§6.1). The cache is filled on demand by the first degraded read after
-//! an invalidation (successful updates invalidate it), so a write pays for
-//! the write, not for re-serialising the whole store.
-
-use std::collections::HashMap;
+//! Every whole-document read — `/doc`, and the whole-document snapshot the
+//! request governor degrades a render-class request to instead of failing
+//! it — serves the document's *image*: its body and content digest, built
+//! by one serialize-and-hash pass on the first read of a document version
+//! and shared by every later read of that version (`Document::image`).
+//! That is the paper's own "serve whole documents rather than individual
+//! queries to documents" caching argument (§6.1): an unchanged document is
+//! serialized once, a write pays for the write, and the next read of the
+//! new version pays for one pass over the one document it reads.
 
 use xqib_browser::net::percent_decode;
 use xqib_dom::order::stats as engine_stats;
@@ -79,12 +79,6 @@ pub struct AppServer {
     /// This thread's engine counters at construction time; `/metrics`
     /// reports the delta from here.
     engine_baseline: EngineStats,
-    /// Whole-document snapshots by URI: the degradation cache. `None` after
-    /// construction and after every [`Self::invalidate_snapshots`]; the
-    /// next degraded read re-dumps the store. A degraded response is always
-    /// a well-formed document the server committed — possibly stale, never
-    /// torn.
-    snapshots: Option<HashMap<String, String>>,
 }
 
 impl AppServer {
@@ -122,36 +116,25 @@ impl AppServer {
             db,
             metrics: ServerMetrics::default(),
             engine_baseline: engine_stats::snapshot(),
-            snapshots: None,
         }
     }
 
-    /// Marks the degradation cache stale after the store changed: the next
-    /// degraded read re-serialises every bound document. Costs nothing
-    /// until then.
-    pub fn invalidate_snapshots(&mut self) {
-        self.snapshots = None;
-    }
-
-    /// The cached whole-document snapshot a degraded request falls back to:
-    /// `/doc?uri=U` degrades to the snapshot of `U`, every other
-    /// render-class route (`/page`, `/index`) to the corpus snapshot. The
-    /// response carries an `X-XQIB-Degraded` marker so clients can tell a
-    /// fallback from a fresh render. The first call after an invalidation
-    /// refills the cache from the store; later calls serve from it.
-    pub fn degraded_snapshot(&mut self, url: &str) -> Option<ServerResponse> {
+    /// The whole-document snapshot a degraded request falls back to:
+    /// `/doc?uri=U` degrades to the image of `U`, every other render-class
+    /// route (`/page`, `/index`) to the corpus image. The response carries
+    /// an `X-XQIB-Degraded` marker so clients can tell a fallback from a
+    /// fresh render. It is always a well-formed document the server holds
+    /// between requests — never torn — and the first read of a document
+    /// version builds its image; later reads of that version share it.
+    pub fn degraded_snapshot(&self, url: &str) -> Option<ServerResponse> {
         let (path, query) = split_url(url);
         let uri = match path.as_str() {
             "/doc" => param(&query, "uri")?,
             _ => render::CORPUS_URI.to_string(),
         };
-        let db = &self.db;
-        let snapshots = self
-            .snapshots
-            .get_or_insert_with(|| db.dump().into_iter().collect());
-        let body = snapshots.get(&uri)?.clone();
+        let image = self.db.image(&uri)?;
         Some(
-            ServerResponse::new(200, body)
+            ServerResponse::new(200, image.body.clone())
                 .with_header("X-XQIB-Degraded", "whole-document-snapshot"),
         )
     }
@@ -230,15 +213,7 @@ impl AppServer {
                 None => (bad_request("missing uri parameter"), 0),
             },
             "/query" | "/update" => match param(&query, "xq") {
-                Some(xq) => {
-                    let r = self.render_query(&xq, budget, &[]);
-                    if path == "/update" && r.0.status == 200 {
-                        // a later degraded response reflects the last
-                        // successful update
-                        self.invalidate_snapshots();
-                    }
-                    r
-                }
+                Some(xq) => self.render_query(&xq, budget, &[]),
                 None => (bad_request("missing xq parameter"), 0),
             },
             "/metrics" => {
@@ -670,21 +645,79 @@ mod tests {
             assert_eq!(r.status, 200, "{}", r.body);
         }
         // the first degraded read after the updates sees every one of them
+        let before = engine_stats::snapshot();
         let snap = s.degraded_snapshot("/index").unwrap();
         for i in 0..5 {
             assert!(snap.body.contains(&format!("<note>n{i}</note>")));
         }
         assert_eq!(Some(snap.body.clone()), s.db.serialize("corpus.xml"));
-        // no intervening update: served from the cache, byte for byte
+        // no intervening write: served from the same image, byte for byte
         assert_eq!(s.degraded_snapshot("/index").unwrap().body, snap.body);
-        // an updating /query does not invalidate, so the cache stays put
+        let reads = engine_stats::snapshot().since(before);
+        assert_eq!((reads.doc_image_builds, reads.doc_image_hits), (1, 2));
+        // every write moves the document's version — an updating /query
+        // as well as an /update — and the next read sees it
         let r = s.handle(&format!("/query?{}", insert_note("q")));
         assert_eq!(r.status, 200, "{}", r.body);
-        assert_eq!(s.degraded_snapshot("/index").unwrap().body, snap.body);
-        // the next /update invalidates, and the refill sees both writes
+        let snap = s.degraded_snapshot("/index").unwrap();
+        assert!(snap.body.contains("<note>q</note>"));
         s.handle(&format!("/update?{}", insert_note("u")));
         let snap = s.degraded_snapshot("/index").unwrap();
         assert!(snap.body.contains("<note>q</note>") && snap.body.contains("<note>u</note>"));
+        let store = s.db.store.borrow();
+        let id = store.doc_by_uri("corpus.xml").unwrap();
+        let oracle = xqib_dom::serialize::serialize_document(store.doc(id));
+        assert_eq!(snap.body, oracle, "the image is the serializer's output");
+    }
+
+    fn durable_server() -> AppServer {
+        let corpus = generate_corpus(&CorpusSpec::default());
+        AppServer::new_durable(
+            &corpus,
+            xqib_storage::VirtualDisk::new(),
+            DurabilityConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// Two verified reads of an unchanged document serialize it once: the
+    /// second is served from the version's image, still checked against
+    /// the recorded digest and counted as a verified read.
+    #[test]
+    fn an_unchanged_document_is_serialized_once() {
+        let mut s = durable_server();
+        let before = engine_stats::snapshot();
+        let first = s.handle("/doc?uri=corpus.xml");
+        let second = s.handle("/doc?uri=corpus.xml");
+        assert_eq!((first.status, second.status), (200, 200));
+        assert_eq!(first.body, second.body);
+        let reads = engine_stats::snapshot().since(before);
+        assert_eq!((reads.doc_image_builds, reads.doc_image_hits), (1, 1));
+        assert_eq!(s.metrics.doc_reads_verified, 2);
+        // a write moves the version: the next read builds once more
+        s.handle(&format!("/update?{}", insert_note("w")));
+        let third = s.handle("/doc?uri=corpus.xml");
+        assert!(third.body.contains("<note>w</note>"), "{}", third.body);
+        let reads = engine_stats::snapshot().since(before);
+        assert_eq!((reads.doc_image_builds, reads.doc_image_hits), (2, 1));
+    }
+
+    /// A warm image does not let a read past a poisoned recorded digest:
+    /// the image's digest is compared on every read.
+    #[test]
+    fn a_warm_image_still_refuses_a_poisoned_digest() {
+        let mut s = durable_server();
+        assert_eq!(s.handle("/doc?uri=corpus.xml").status, 200);
+        assert!(s.db.poison_recorded_digest("corpus.xml"));
+        let before = engine_stats::snapshot();
+        let r = s.handle("/doc?uri=corpus.xml");
+        assert_eq!(r.status, 500, "{}", r.body);
+        assert!(r.body.contains("XQIB0019"), "{}", r.body);
+        assert_eq!(engine_stats::snapshot().since(before).doc_image_hits, 1);
+        assert_eq!(
+            (s.metrics.doc_reads_verified, s.metrics.doc_reads_refused),
+            (1, 1)
+        );
     }
 
     // ----- split_url / param edge cases -------------------------------------

@@ -26,9 +26,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use xqib_dom::serialize::{serialize_document, write_document};
+use xqib_dom::serialize::write_document;
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, Document, QName, SharedStore};
+use xqib_dom::{DocId, DocImage, Document, QName, SharedStore};
 use xqib_storage::{
     mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
@@ -55,8 +55,8 @@ pub(crate) fn doc_digest(uri: &str, doc: &Document) -> u64 {
 }
 
 /// The serialization of `doc` bound to `uri` and its content digest, in
-/// one pass: for paths that serve a body and verify it.
-pub(crate) fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
+/// one pass: what a document image is built from.
+fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
     let mut xml = String::new();
     let mut h = ContentHasher::new(uri);
     write_document(doc, &mut |piece| {
@@ -64,6 +64,16 @@ pub(crate) fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) 
         h.update(piece);
     });
     (xml, h.finish())
+}
+
+/// The image of `doc`'s current version bound to `uri`: its body and
+/// content digest from one serialize-and-hash pass, built on the first
+/// whole-document read of a version and shared by the rest. What every
+/// whole-document read serves — verified reads still compare its digest
+/// with the recorded one — while the digest checks that must see
+/// in-memory divergence ([`doc_digest`]) hash the tree itself.
+pub(crate) fn doc_image(uri: &str, doc: &Document) -> Rc<DocImage> {
+    doc.image(uri, |doc| serialize_with_digest(uri, doc))
 }
 
 /// Runs `f` on the document bound to `uri` in `store`; `None` when the URI
@@ -78,15 +88,15 @@ pub(crate) fn with_doc<T>(
     Some(f(store.doc(id)))
 }
 
-/// Serializes every document bound in `store`, sorted by URI: the
-/// checkpoint input of leaders and followers alike.
+/// Every document bound in `store` as its image's body, sorted by URI:
+/// the checkpoint input of leaders and followers alike.
 pub(crate) fn dump_store(store: &SharedStore) -> Vec<(String, String)> {
     let store = store.borrow();
     store
         .uri_bindings()
         .into_iter()
         .map(|(uri, id)| {
-            let xml = serialize_document(store.doc(id));
+            let xml = doc_image(&uri, store.doc(id)).body.clone();
             (uri, xml)
         })
         .collect()
@@ -343,9 +353,16 @@ impl XmlDb {
         Ok(id)
     }
 
-    /// Serialises a stored document (whole-document REST responses).
+    /// Serialises a stored document (whole-document REST responses), from
+    /// its image.
     pub fn serialize(&self, uri: &str) -> Option<String> {
-        with_doc(&self.store, uri, serialize_document)
+        self.image(uri).map(|image| image.body.clone())
+    }
+
+    /// The image of a stored document's current version (see
+    /// [`doc_image`]); `None` for unbound URIs.
+    pub fn image(&self, uri: &str) -> Option<Rc<DocImage>> {
+        with_doc(&self.store, uri, |doc| doc_image(uri, doc))
     }
 
     /// Serialises every bound document, sorted by URI (checkpoint input).
@@ -512,27 +529,23 @@ impl XmlDb {
             .collect()
     }
 
-    /// Serialises a document with the end-to-end check: hashes the bytes
-    /// about to be served as they are written and refuses to respond when
-    /// they no longer hash to what was acknowledged. `Ok(None)` for
-    /// unbound URIs; documents without a recorded digest (ephemeral mode,
-    /// unsealed loads) serve unchecked.
+    /// Serialises a document with the end-to-end check: the digest of the
+    /// bytes about to be served — the image's, hashed as they were written
+    /// — must equal what was acknowledged, or the read is refused.
+    /// `Ok(None)` for unbound URIs; documents without a recorded digest
+    /// (ephemeral mode, unsealed loads) serve unchecked.
     pub fn verified_serialize(&self, uri: &str) -> Result<Option<String>, IntegrityError> {
-        let Some(want) = self.digest_of(uri) else {
-            return Ok(self.serialize(uri));
-        };
-        let Some((xml, got)) = with_doc(&self.store, uri, |doc| serialize_with_digest(uri, doc))
-        else {
+        let Some(image) = self.image(uri) else {
             return Ok(None);
         };
-        if got != want {
-            return Err(IntegrityError::DigestMismatch {
+        match self.digest_of(uri) {
+            Some(want) if want != image.digest => Err(IntegrityError::DigestMismatch {
                 uri: uri.to_string(),
                 want,
-                got,
-            });
+                got: image.digest,
+            }),
+            _ => Ok(Some(image.body.clone())),
         }
-        Ok(Some(xml))
     }
 
     /// Scrubber probe: rescans the on-disk WAL and classifies the first
@@ -730,6 +743,7 @@ impl XmlDb {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use xqib_dom::serialize::serialize_document;
     use xqib_dom::testgen::random_document;
     use xqib_storage::{content_digest, StorageFaultPlan};
 

@@ -9,12 +9,14 @@
 //! since made useless (§4.2.1).
 
 use std::cell::{Ref, RefCell};
+use std::rc::Rc;
 
 use crate::attr_index::AttrIndex;
 use crate::error::{DomError, DomResult};
 use crate::name::QName;
+use crate::name_index::{NameIndex, NamedDescendants};
 use crate::node::{NodeData, NodeId, NodeKind};
-use crate::order::OrderIndex;
+use crate::order::{stats, OrderIndex};
 
 /// Tag bit marking an attribute step in a stable node path; the remaining
 /// bits index the owner element's attribute list. See [`Document::node_path`].
@@ -31,11 +33,27 @@ pub struct Document {
     epoch: u64,
     /// Lazily (re)built document-order interval index; see [`OrderIndex`].
     order_index: RefCell<OrderIndex>,
-    /// Bumped by every in-place change of an attribute's name or value,
-    /// which leaves the structure (and so `epoch`) alone.
-    value_epoch: u64,
+    /// The content version: bumped by every public `&mut self` method that
+    /// can change what the document serializes to or answers — every
+    /// structural write (with `epoch`), every in-place name or value write
+    /// and every namespace declaration. The caches below are valid for the
+    /// version they were filled at.
+    version: u64,
     /// Lazily built attribute-value index; see [`crate::attr_index`].
     attr_index: RefCell<AttrIndex>,
+    /// Lazily built element-name index; see [`crate::name_index`].
+    name_index: RefCell<NameIndex>,
+    /// The image of the last version read whole; see [`Self::image`].
+    image: RefCell<Option<(u64, Rc<DocImage>)>>,
+}
+
+/// A document's serialized body bound to a URI, with the content digest
+/// of that body: what every whole-document read serves and verifies.
+#[derive(Debug, PartialEq, Eq)]
+pub struct DocImage {
+    pub uri: Box<str>,
+    pub body: String,
+    pub digest: u64,
 }
 
 impl Default for Document {
@@ -57,33 +75,39 @@ impl Document {
             base_uri: None,
             epoch: 0,
             order_index: RefCell::new(OrderIndex::default()),
-            value_epoch: 0,
+            version: 0,
             attr_index: RefCell::new(AttrIndex::default()),
+            name_index: RefCell::new(NameIndex::default()),
+            image: RefCell::new(None),
         }
     }
 
     /// Marks the document structure as changed, invalidating the order
-    /// index. Every mutating arena method that affects node identity,
-    /// parentage or sibling order must call this.
+    /// index and every content cache. Every mutating arena method that
+    /// affects node identity, parentage or sibling order must call this.
     #[inline]
     fn touch(&mut self) {
         self.epoch += 1;
+        self.version += 1;
     }
 
-    /// Marks an in-place write to `id`'s name or value. Only attributes
-    /// matter: they are what the attribute-value index keys on, and element
-    /// names are tested after a lookup, never stored in the index.
+    /// Marks an in-place content write — a name, a value or a namespace
+    /// declaration — which leaves the structure (and so the order index)
+    /// alone but invalidates every content cache.
     #[inline]
-    fn touch_value(&mut self, id: NodeId) {
-        if self.nodes[id.index()].kind.is_attribute() {
-            self.value_epoch += 1;
-        }
+    fn touch_content(&mut self) {
+        self.version += 1;
     }
 
     /// Current mutation epoch (monotonically increasing).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    #[cfg(test)]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// The document-order index, rebuilt first if any mutation happened
@@ -100,34 +124,88 @@ impl Document {
         {
             let mut ix = self.order_index.borrow_mut();
             ix.rebuild(self, self.epoch);
-            crate::order::stats::record_rebuild();
+            stats::record_rebuild();
         }
         self.order_index.borrow()
     }
 
+    /// This version's image under `uri`: the body and digest `build`
+    /// produces, built on the first read of a version and shared by every
+    /// later read of it. `build` must be a pure function of the document
+    /// and `uri` — callers pass the one fused serialize-and-hash pass, so
+    /// the image equals what that pass would produce now. Holds one image:
+    /// a read under another URI rebuilds.
+    pub fn image(&self, uri: &str, build: impl FnOnce(&Document) -> (String, u64)) -> Rc<DocImage> {
+        if let Some((version, image)) = &*self.image.borrow() {
+            if *version == self.version && &*image.uri == uri {
+                stats::record_doc_image_hit();
+                return image.clone();
+            }
+        }
+        let (body, digest) = build(self);
+        stats::record_doc_image_build();
+        let image = Rc::new(DocImage {
+            uri: uri.into(),
+            body,
+            digest,
+        });
+        *self.image.borrow_mut() = Some((self.version, image.clone()));
+        image
+    }
+
+    /// The elements named `name` among `v`'s descendants (and `v` itself
+    /// when `or_self`) in document order, with what a pre-order walk from
+    /// `v` would visit — or `None` when the element-name index has no list
+    /// for `name` at this version and the caller should walk. `v` must be
+    /// an element or the document node. The first probe of a name after a
+    /// change returns `None`; the second builds its list (see
+    /// [`crate::name_index`]).
+    pub fn named_descendants(
+        &self,
+        v: NodeId,
+        name: &QName,
+        or_self: bool,
+    ) -> Option<NamedDescendants> {
+        if !self.name_index.borrow().is_built(self.version, name) {
+            if !self
+                .name_index
+                .borrow_mut()
+                .probe_unbuilt(self.version, name)
+            {
+                return None;
+            }
+            let ord = self.order_index();
+            self.name_index.borrow_mut().build(self, &ord, name);
+            stats::record_name_index_build();
+        }
+        stats::record_name_index_hit();
+        let ord = self.order_index();
+        Some(self.name_index.borrow().answer(&ord, v, name, or_self))
+    }
+
     /// The elements under the document node whose attribute `name` equals
     /// `value`, in document order — or `None` when the attribute-value
-    /// index has no table for `name` at the current epochs and the caller
+    /// index has no table for `name` at the current version and the caller
     /// should scan. The first probe of a name after a change returns
     /// `None`; the second builds its table (see [`crate::attr_index`]). Like
     /// [`Self::order_index`], the borrow must be dropped before the next
     /// mutation.
     pub fn attr_owners(&self, name: &QName, value: &str) -> Option<Ref<'_, [NodeId]>> {
-        let epochs = (self.epoch, self.value_epoch);
+        let version = self.version;
         let built = self
             .attr_index
             .borrow()
-            .lookup(epochs, name, value)
+            .lookup(version, name, value)
             .is_some();
         if !built {
             let mut ix = self.attr_index.borrow_mut();
-            if !ix.probe_unbuilt(self, epochs, name) {
+            if !ix.probe_unbuilt(self, version, name) {
                 return None;
             }
         }
-        crate::order::stats::record_attr_index_hit();
+        stats::record_attr_index_hit();
         Ref::filter_map(self.attr_index.borrow(), |ix| {
-            ix.lookup(epochs, name, value)
+            ix.lookup(version, name, value)
         })
         .ok()
     }
@@ -625,7 +703,7 @@ impl Document {
                 NodeKind::Attribute { value: v, .. } => *v = value,
                 _ => unreachable!(),
             }
-            self.touch_value(existing);
+            self.touch_content();
             return Ok(existing);
         }
         let attr = self.create_attribute(name, value);
@@ -651,7 +729,7 @@ impl Document {
     /// Renames an element, attribute or PI (Update Facility `rename node`).
     pub fn rename(&mut self, id: NodeId, new_name: QName) -> DomResult<()> {
         self.check_exists(id)?;
-        self.touch_value(id);
+        self.touch_content();
         match &mut self.nodes[id.index()].kind {
             NodeKind::Element { name, .. } | NodeKind::Attribute { name, .. } => {
                 *name = new_name;
@@ -672,7 +750,7 @@ impl Document {
     /// (Update Facility `replace value of node` for simple nodes).
     pub fn set_simple_value(&mut self, id: NodeId, value: impl Into<String>) -> DomResult<()> {
         self.check_exists(id)?;
-        self.touch_value(id);
+        self.touch_content();
         match &mut self.nodes[id.index()].kind {
             NodeKind::Text { value: v }
             | NodeKind::Comment { value: v }
@@ -709,6 +787,7 @@ impl Document {
         prefix: impl Into<String>,
         uri: impl Into<String>,
     ) -> DomResult<()> {
+        self.touch_content();
         match &mut self.nodes[elem.index()].kind {
             NodeKind::Element { ns_decls, .. } => {
                 let prefix = prefix.into();

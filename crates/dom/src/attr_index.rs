@@ -10,17 +10,17 @@
 //!
 //! Validity: an answer depends on the structure (which elements are
 //! attached, in what order, owning which attribute nodes) and on attribute
-//! names and values. Structural writers bump the document's epoch; the
-//! writers that change an attribute's name or value in place
-//! (`set_attribute` on an existing attribute, `rename`, `set_simple_value`,
-//! and rollback, which restores through those two) bump its *value epoch*
-//! instead, so a value write never rebuilds the order index. The index is
-//! valid for exactly the pair of epochs it was built at.
+//! names and values. Every writer of either bumps the document's content
+//! version; value writers (`set_attribute` on an existing attribute,
+//! `rename`, `set_simple_value`, and rollback, which restores through
+//! those two) bump it without the structural epoch, so a value write never
+//! rebuilds the order index. The index is valid for exactly the version it
+//! was built at.
 //!
 //! Build policy, per attribute name: the first probe of a name at a new
-//! pair of epochs returns `None` (the caller scans, as it would without an
-//! index) and records the name; the second probe of it at the same epochs
-//! builds that name's table. A document that changes between every probe
+//! version returns `None` (the caller scans, as it would without an index)
+//! and records the name; the second probe of it at the same version builds
+//! that name's table. A document that changes between every probe
 //! — a page mutated on every click — then never pays an O(n) build for a
 //! single probe, while a document probed repeatedly between writes is
 //! indexed after one scan, for the names it is actually probed by.
@@ -32,25 +32,22 @@ use crate::arena::Document;
 use crate::name::QName;
 use crate::node::NodeId;
 
-/// The structural epoch and the value epoch an index answer depends on.
-pub(crate) type Epochs = (u64, u64);
-
 /// Attribute name → value → owner elements, in document order. Lives
 /// behind a `RefCell` in its [`Document`]; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AttrIndex {
-    /// The epochs `probed` and `by_name` describe.
-    epochs: Option<Epochs>,
-    /// Names probed once at `epochs` and not built.
+    /// The content version `probed` and `by_name` describe.
+    version: Option<u64>,
+    /// Names probed once at `version` and not built.
     probed: Vec<QName>,
-    /// The names built at `epochs`: value → owners.
+    /// The names built at `version`: value → owners.
     by_name: HashMap<QName, HashMap<Box<str>, Vec<NodeId>>>,
 }
 
 impl AttrIndex {
-    /// The owners of `name` = `value` when `name` is built for `epochs`.
-    pub(crate) fn lookup(&self, epochs: Epochs, name: &QName, value: &str) -> Option<&[NodeId]> {
-        if self.epochs != Some(epochs) {
+    /// The owners of `name` = `value` when `name` is built for `version`.
+    pub(crate) fn lookup(&self, version: u64, name: &QName, value: &str) -> Option<&[NodeId]> {
+        if self.version != Some(version) {
             return None;
         }
         let by_value = self.by_name.get(name)?;
@@ -58,11 +55,11 @@ impl AttrIndex {
     }
 
     /// Records a probe of `name` that [`Self::lookup`] could not answer.
-    /// The second such probe at the same epochs builds `name` and returns
+    /// The second such probe at the same version builds `name` and returns
     /// `true`; otherwise the caller must scan.
-    pub(crate) fn probe_unbuilt(&mut self, doc: &Document, epochs: Epochs, name: &QName) -> bool {
-        if self.epochs != Some(epochs) {
-            self.epochs = Some(epochs);
+    pub(crate) fn probe_unbuilt(&mut self, doc: &Document, version: u64, name: &QName) -> bool {
+        if self.version != Some(version) {
+            self.version = Some(version);
             self.probed.clear();
             self.by_name.clear();
         }
@@ -127,7 +124,7 @@ mod tests {
     const VALUES: [&str; 4] = ["k1", "k2", "k3", "v"];
 
     /// Every (name, value) lookup equals the scan — probing twice, so the
-    /// second probe answers from an index built at the current epochs —
+    /// second probe answers from an index built at the current version —
     /// and a third probe is served without another build.
     fn assert_index_matches_scan(d: &Document) {
         for name in NAMES.map(QName::local) {

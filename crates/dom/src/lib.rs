@@ -9,21 +9,26 @@
 //!   by [`NodeId`] — compact, cache-friendly and free of `Rc` cycles;
 //! * a multi-document [`Store`] with global node identity ([`NodeRef`]);
 //! * a from-scratch, namespace-aware **XML/XHTML parser** ([`parse_document`]);
-//! * **document order** comparison and stable sorting of node sets, and an
+//! * **document order** comparison and stable sorting of node sets, an
 //!   attribute-value index that answers `//e[@a = "v"]` from a document
-//!   node with a lookup;
+//!   node with a lookup, and an element-name index that answers `$v//e`
+//!   with two binary searches;
 //! * a **mutation API** (insert/detach/replace/rename/deep-copy) used by the
 //!   XQuery Update Facility to update live web pages, exactly as the paper's
 //!   plug-in updates Internet Explorer's DOM through an XDM wrapper;
-//! * serialisation back to markup.
+//! * serialisation back to markup, and one cached image (body + digest) per
+//!   document version for whole-document reads.
 //!
 //! The DOM is deliberately *untyped* (no schema validation): the paper's whole
 //! premise is that XQuery "can natively process (untyped) Web pages" (§3.1).
 
 pub mod arena;
 pub mod attr_index;
+#[cfg(test)]
+mod cache_coherence;
 pub mod error;
 pub mod name;
+pub mod name_index;
 pub mod node;
 pub mod order;
 pub mod parser;
@@ -32,7 +37,7 @@ pub mod store;
 #[cfg(any(test, feature = "testgen"))]
 pub mod testgen;
 
-pub use arena::Document;
+pub use arena::{DocImage, Document};
 pub use error::{DomError, DomResult};
 pub use name::QName;
 pub use node::{NodeId, NodeKind};

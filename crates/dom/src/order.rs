@@ -23,9 +23,12 @@ use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
 
-/// Engine counters for the order index, path normalisation and the
-/// attribute-value index ([`crate::attr_index`]), so the wins (and rebuild
-/// storms) are observable from the app-server metrics.
+/// Engine counters for the order index, path normalisation, the
+/// attribute-value and element-name indexes ([`crate::attr_index`],
+/// [`crate::name_index`]) and document images
+/// ([`crate::Document::image`]), so the wins (and rebuild storms) are
+/// observable from the app-server metrics. Each record is one
+/// thread-local `Cell` bump.
 ///
 /// The counters are per thread: the engine is single-threaded, and a
 /// server diffing them against a baseline must not see work done by other
@@ -39,6 +42,10 @@ pub mod stats {
         static SORTS_ELIDED: Cell<u64> = const { Cell::new(0) };
         static ATTR_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
         static ATTR_INDEX_HITS: Cell<u64> = const { Cell::new(0) };
+        static NAME_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
+        static NAME_INDEX_HITS: Cell<u64> = const { Cell::new(0) };
+        static DOC_IMAGE_BUILDS: Cell<u64> = const { Cell::new(0) };
+        static DOC_IMAGE_HITS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Point-in-time snapshot of the engine counters.
@@ -54,6 +61,14 @@ pub mod stats {
         pub attr_index_builds: u64,
         /// Attribute probes answered by the attribute-value index.
         pub attr_index_hits: u64,
+        /// Element-name index builds (one O(n) pass per name each).
+        pub name_index_builds: u64,
+        /// Named descendant steps answered by the element-name index.
+        pub name_index_hits: u64,
+        /// Document images built (one serialize-and-hash pass each).
+        pub doc_image_builds: u64,
+        /// Whole-document reads served from an existing image.
+        pub doc_image_hits: u64,
     }
 
     impl EngineStats {
@@ -74,6 +89,16 @@ pub mod stats {
                 attr_index_hits: self
                     .attr_index_hits
                     .saturating_sub(baseline.attr_index_hits),
+                name_index_builds: self
+                    .name_index_builds
+                    .saturating_sub(baseline.name_index_builds),
+                name_index_hits: self
+                    .name_index_hits
+                    .saturating_sub(baseline.name_index_hits),
+                doc_image_builds: self
+                    .doc_image_builds
+                    .saturating_sub(baseline.doc_image_builds),
+                doc_image_hits: self.doc_image_hits.saturating_sub(baseline.doc_image_hits),
             }
         }
 
@@ -85,12 +110,20 @@ pub mod stats {
                 sorts_elided,
                 attr_index_builds,
                 attr_index_hits,
+                name_index_builds,
+                name_index_hits,
+                doc_image_builds,
+                doc_image_hits,
             } = *self;
             f("order-index-rebuilds", order_index_rebuilds);
             f("sorts-performed", sorts_performed);
             f("sorts-elided", sorts_elided);
             f("attr-index-builds", attr_index_builds);
             f("attr-index-hits", attr_index_hits);
+            f("name-index-builds", name_index_builds);
+            f("name-index-hits", name_index_hits);
+            f("doc-image-builds", doc_image_builds);
+            f("doc-image-hits", doc_image_hits);
         }
     }
 
@@ -109,6 +142,18 @@ pub mod stats {
     pub fn record_attr_index_hit() {
         ATTR_INDEX_HITS.set(ATTR_INDEX_HITS.get() + 1);
     }
+    pub fn record_name_index_build() {
+        NAME_INDEX_BUILDS.set(NAME_INDEX_BUILDS.get() + 1);
+    }
+    pub fn record_name_index_hit() {
+        NAME_INDEX_HITS.set(NAME_INDEX_HITS.get() + 1);
+    }
+    pub fn record_doc_image_build() {
+        DOC_IMAGE_BUILDS.set(DOC_IMAGE_BUILDS.get() + 1);
+    }
+    pub fn record_doc_image_hit() {
+        DOC_IMAGE_HITS.set(DOC_IMAGE_HITS.get() + 1);
+    }
 
     /// This thread's counters.
     pub fn snapshot() -> EngineStats {
@@ -118,6 +163,10 @@ pub mod stats {
             sorts_elided: SORTS_ELIDED.get(),
             attr_index_builds: ATTR_INDEX_BUILDS.get(),
             attr_index_hits: ATTR_INDEX_HITS.get(),
+            name_index_builds: NAME_INDEX_BUILDS.get(),
+            name_index_hits: NAME_INDEX_HITS.get(),
+            doc_image_builds: DOC_IMAGE_BUILDS.get(),
+            doc_image_hits: DOC_IMAGE_HITS.get(),
         }
     }
 }
@@ -423,17 +472,24 @@ mod tests {
     #[test]
     fn engine_stats_since_is_a_saturating_delta() {
         use stats::EngineStats;
-        let stats = |[order_index_rebuilds, sorts_performed, sorts_elided, attr_index_builds, attr_index_hits]: [u64; 5]| {
+        let stats = |[order_index_rebuilds, sorts_performed, sorts_elided, attr_index_builds, attr_index_hits, name_index_builds, name_index_hits, doc_image_builds, doc_image_hits]: [u64; 9]| {
             EngineStats {
                 order_index_rebuilds,
                 sorts_performed,
                 sorts_elided,
                 attr_index_builds,
                 attr_index_hits,
+                name_index_builds,
+                name_index_hits,
+                doc_image_builds,
+                doc_image_hits,
             }
         };
-        let (base, now) = (stats([10, 20, 30, 40, 50]), stats([12, 25, 37, 41, 59]));
-        assert_eq!(now.since(base), stats([2, 5, 7, 1, 9]));
+        let (base, now) = (
+            stats([10, 20, 30, 40, 50, 60, 70, 80, 90]),
+            stats([12, 25, 37, 41, 59, 63, 71, 88, 92]),
+        );
+        assert_eq!(now.since(base), stats([2, 5, 7, 1, 9, 3, 1, 8, 2]));
         // counters reset in between must not underflow
         assert_eq!(base.since(now), EngineStats::default());
     }

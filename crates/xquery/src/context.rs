@@ -268,6 +268,17 @@ impl DynamicContext {
         Ok(())
     }
 
+    /// Charges `n` units exactly as `n` single-unit charges would: on
+    /// exhaustion `fuel_used` stops one unit past the budget, where the
+    /// single charges would have stopped. For a skipped walk standing in
+    /// for the visits it no longer makes.
+    pub fn charge_fuel_each(&mut self, n: u64) -> XdmResult<()> {
+        match self.fuel {
+            Some(left) if left < n => self.charge_fuel(left + 1),
+            _ => self.charge_fuel(n),
+        }
+    }
+
     /// Captures the scope/barrier/focus state for later [`Self::restore`].
     pub fn checkpoint(&self) -> CtxCheckpoint {
         CtxCheckpoint {

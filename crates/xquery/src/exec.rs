@@ -37,12 +37,20 @@
 //!   attribute probe asks the document's attribute-value index instead of
 //!   enumerating the tree. The index answers with the candidates the probe
 //!   would admit, in document order, so only the charge differs: 1 plus
-//!   one unit per owner instead of one per node walked.
+//!   one unit per owner instead of one per node walked;
+//! * any other `descendant(-or-self)::name` step from an element or
+//!   document node takes its candidates from the document's element-name
+//!   index instead of walking the subtree. The remaining stages run
+//!   unchanged, and the charge is exactly the walk's: one unit per
+//!   candidate on the eager path; on the lazy path, at each pull, the
+//!   nodes the walk would have visited up to that hit, plus the rest of
+//!   the walk at exhaustion.
 
-use xqib_dom::{NodeRef, QName, Store};
+use xqib_dom::name_index::NamedDescendants;
+use xqib_dom::{DocId, NodeId, NodeRef, QName, Store};
 use xqib_xdm::{effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Axis, FlworClause, FunctionDecl};
+use crate::ast::{Axis, FlworClause, FunctionDecl, NodeTest};
 use crate::context::DynamicContext;
 use crate::eval::arith::{atomic_operand, eval_arith, eval_neg, eval_range, range_bounds};
 use crate::eval::constructor::{build_computed, build_element};
@@ -640,12 +648,19 @@ fn node_survivors(
     if let Some((hits, rest)) = indexed_candidates(ctx, n, step)? {
         return apply_stages(ctx, hits, rest);
     }
-    let candidates: Vec<NodeRef> = {
-        let store = ctx.store.borrow();
-        axis_nodes(&store, n, step.axis)
+    let candidates: Vec<NodeRef> = match named_candidates(ctx, n, step) {
+        Some(named) => named
+            .hits
             .into_iter()
-            .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
-            .collect()
+            .map(|(v, _)| NodeRef::new(n.doc, v))
+            .collect(),
+        None => {
+            let store = ctx.store.borrow();
+            axis_nodes(&store, n, step.axis)
+                .into_iter()
+                .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
+                .collect()
+        }
     };
     ctx.charge_fuel(candidates.len() as u64)?;
     let mut survivors = apply_stages(ctx, candidates, &step.stages)?;
@@ -660,7 +675,7 @@ fn node_survivors(
 /// document's attribute-value index: the owners that pass the node test,
 /// charged 1 + one unit per owner, and the stages still to run. `None`
 /// when the step does not qualify or the index is not built for the
-/// document's current epochs — the caller scans, which is also how the
+/// document's current version — the caller scans, which is also how the
 /// index gets built (see `xqib_dom::attr_index`). Every call is one probe,
 /// so each step application must ask at most once.
 fn indexed_candidates<'s>(
@@ -701,6 +716,35 @@ fn indexed_candidates<'s>(
     };
     ctx.charge_fuel(1 + owners)?;
     Ok(Some((hits, rest)))
+}
+
+/// A `descendant(-or-self)::name` step from an element or document node,
+/// answered by the document's element-name index: the named elements of
+/// the subtree in document order, with what the walk would have visited.
+/// `None` when the step does not qualify or the index has no list for the
+/// name at the document's version — the caller walks, which is also how
+/// the index gets built (see `xqib_dom::name_index`). Every call is one
+/// probe, so each step application must ask at most once.
+fn named_candidates(
+    ctx: &DynamicContext,
+    n: NodeRef,
+    step: &PlanAxisStep,
+) -> Option<NamedDescendants> {
+    let or_self = match step.axis {
+        Axis::Descendant => false,
+        Axis::DescendantOrSelf => true,
+        _ => return None,
+    };
+    let NodeTest::Name(name) = &step.test else {
+        return None;
+    };
+    let store = ctx.store.borrow();
+    let doc = store.doc(n.doc);
+    let kind = doc.kind(n.node);
+    if !kind.is_element() && !kind.is_document() {
+        return None;
+    }
+    doc.named_descendants(n.node, name, or_self)
 }
 
 fn apply_stages(
@@ -952,23 +996,32 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
         let survivors = apply_stages(ctx, hits, rest)?;
         return Ok(StepOut::List(survivors.into_iter()));
     }
-    let walker = match step.axis {
-        Axis::Child => Walker::Children { parent: n, idx: 0 },
-        Axis::Attribute => Walker::Attrs { owner: n, idx: 0 },
-        Axis::SelfAxis => Walker::SelfOnce(Some(n)),
-        Axis::Descendant => {
-            let store = ctx.store.borrow();
-            let stack = store
-                .doc(n.doc)
-                .children(n.node)
-                .iter()
-                .rev()
-                .map(|&k| NodeRef::new(n.doc, k))
-                .collect();
-            Walker::Desc { stack }
+    let walker = if let Some(NamedDescendants { hits, walked }) = named_candidates(ctx, n, step) {
+        Walker::Named(NamedWalk {
+            doc: n.doc,
+            hits: hits.into_iter(),
+            visited: 0,
+            walked,
+        })
+    } else {
+        match step.axis {
+            Axis::Child => Walker::Children { parent: n, idx: 0 },
+            Axis::Attribute => Walker::Attrs { owner: n, idx: 0 },
+            Axis::SelfAxis => Walker::SelfOnce(Some(n)),
+            Axis::Descendant => {
+                let store = ctx.store.borrow();
+                let stack = store
+                    .doc(n.doc)
+                    .children(n.node)
+                    .iter()
+                    .rev()
+                    .map(|&k| NodeRef::new(n.doc, k))
+                    .collect();
+                Walker::Desc { stack }
+            }
+            Axis::DescendantOrSelf => Walker::Desc { stack: vec![n] },
+            _ => unreachable!("walkable axes checked above"),
         }
-        Axis::DescendantOrSelf => Walker::Desc { stack: vec![n] },
-        _ => unreachable!("walkable axes checked above"),
     };
     let takes = vec![
         0u64;
@@ -1008,6 +1061,33 @@ enum Walker {
     Desc {
         stack: Vec<NodeRef>,
     },
+    /// the hits of a pre-order traversal, read from the element-name index
+    Named(NamedWalk),
+}
+
+/// A pre-order traversal answered by the element-name index: its hits,
+/// each with the nodes the traversal visits up to it; `walked`, the whole
+/// traversal's visits; `visited`, the visits charged so far.
+struct NamedWalk {
+    doc: DocId,
+    hits: std::vec::IntoIter<(NodeId, u32)>,
+    visited: u32,
+    walked: u32,
+}
+
+impl NamedWalk {
+    /// The next hit, charging the visits the traversal makes to reach it —
+    /// at exhaustion `None`, charging the rest of the traversal.
+    fn next(&mut self, ctx: &mut DynamicContext) -> XdmResult<Option<NodeRef>> {
+        let (next, upto) = match self.hits.next() {
+            Some((v, upto)) => (Some(NodeRef::new(self.doc, v)), upto),
+            None => (None, self.walked),
+        };
+        let visits = upto - self.visited;
+        self.visited = upto;
+        ctx.charge_fuel_each(u64::from(visits))?;
+        Ok(next)
+    }
 }
 
 impl Walker {
@@ -1044,6 +1124,7 @@ impl Walker {
                 }
                 Some(n)
             }
+            Walker::Named(_) => unreachable!("pulled with its charge by `walk_next`"),
         }
     }
 }
@@ -1057,16 +1138,22 @@ fn walk_next(
         return Ok(None);
     }
     loop {
-        let cand = {
-            let store = ctx.store.borrow();
-            ws.walker.next(&store)
+        let cand = match &mut ws.walker {
+            Walker::Named(named) => named.next(ctx)?,
+            walker => {
+                let cand = walker.next(&ctx.store.borrow());
+                if cand.is_some() {
+                    // one fuel unit per candidate examined: streamed
+                    // traversals pay proportionally to the nodes they
+                    // touch, preserving preemption
+                    ctx.charge_fuel(1)?;
+                }
+                cand
+            }
         };
         let Some(c) = cand else {
             return Ok(None);
         };
-        // one fuel unit per candidate examined: streamed traversals pay
-        // proportionally to the nodes they touch, preserving preemption
-        ctx.charge_fuel(1)?;
         if !ctx.with_store(|s| node_test_matches(s, c, step.axis, &step.test)) {
             continue;
         }

@@ -134,7 +134,7 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             _ => gen_path(rng),
         };
     }
-    match rng.below(22) {
+    match rng.below(23) {
         0 => format!(
             "{} {} {}",
             gen_expr(rng, depth - 1),
@@ -281,8 +281,63 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             gen_expr(rng, depth - 1),
             gen_ft_selection(rng, 2)
         ),
+        21 => gen_named(rng, true),
         _ => format!("sum(({}))", gen_expr(rng, depth - 1)),
     }
+}
+
+/// A named descendant step — `//t`, `descendant::t` or
+/// `descendant-or-self::t` — from the document node and from every node a
+/// `for` or a quantifier binds, under early exits (`[1]`, `exists`, `some`)
+/// and position-free predicates. The element-name index answers a name's
+/// second probe at a document version, so each query probes its names
+/// more than once. `attr_first` admits an `[@id = …]` predicate on a step
+/// from the document node, which the attribute-value index answers first.
+fn gen_named(rng: &mut Rng, attr_first: bool) -> String {
+    let tag = rng.pick(&TAGS);
+    let step = format!(
+        "{}{}",
+        rng.pick(&["//", "/descendant::", "/descendant-or-self::"]),
+        rng.pick(&TAGS)
+    );
+    let id = rng.pick(&IDS);
+    let pred = match rng.below(6) {
+        0 => "[1]".to_string(),
+        1 => "[2]".to_string(),
+        2 => "[last()]".to_string(),
+        3 => format!("[@id = '{id}']"),
+        4 => format!("[{}]", rng.pick(&TAGS)),
+        _ => String::new(),
+    };
+    let top = if attr_first || !pred.starts_with("[@") {
+        pred.as_str()
+    } else {
+        ""
+    };
+    match rng.below(7) {
+        0 => format!("for $v in doc('t.xml')//{tag} return $v{step}{pred}"),
+        1 => format!("for $v in doc('t.xml')//{tag} return exists($v{step}{pred})"),
+        2 => format!("for $v in doc('t.xml')//{tag} return count($v{step}{pred})"),
+        3 => format!("some $v in doc('t.xml')//{tag} satisfies exists($v{step}{pred})"),
+        4 => format!("every $v in doc('t.xml')//{tag} satisfies $v{step}{pred}/@id = '{id}'"),
+        5 => format!("doc('t.xml')//{tag}{step}{pred}"),
+        _ => format!(
+            "(doc('t.xml'){step}{top}, exists(doc('t.xml'){step}), (doc('t.xml'){step})[1])"
+        ),
+    }
+}
+
+/// Evaluates `src` on the compiled tier over an existing store; returns
+/// the rendered result (or the error code) and the fuel it charged.
+fn fuel_on(store: &SharedStore, src: &str, fuel: Option<u64>) -> (Result<String, String>, u64) {
+    let q = runtime::compile(src).expect("generated query compiles");
+    let mut ctx = DynamicContext::new(store.clone(), q.sctx.clone());
+    ctx.set_fuel(fuel);
+    let r = lower(&q)
+        .execute(&mut ctx)
+        .map(|seq| runtime::render_sequence(&ctx, &seq))
+        .map_err(|e| e.code);
+    (r, ctx.fuel_used)
 }
 
 /// A sequence type for `instance of` and `treat as`.
@@ -793,6 +848,35 @@ proptest! {
             }
         }
         prop_assert!(stats::snapshot().attr_index_hits > hits_before, "the index answered");
+    }
+
+    /// Named descendant steps through the element-name index: the compiled
+    /// tier answers like the oracle, and charges exactly what the walk it
+    /// replaces charges — on a cold store, where each name's first probe
+    /// walks, and on a warm one, where every probe is indexed, the result
+    /// and the fuel used are equal, also when a budget runs out mid-walk.
+    #[test]
+    fn named_steps_match_the_oracle_and_charge_the_walk(seed in any::<u64>()) {
+        let mut rng = Rng(seed ^ env_seed().wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        let xml = gen_doc(&mut rng);
+        let q = gen_named(&mut rng, false);
+        let (oracle, _) = run(&q, &xml, None, false);
+        let budget = match rng.below(3) {
+            0 => None,
+            _ => Some(1 + rng.below(200)),
+        };
+        let cold = fuel_on(&store_with_doc(&xml), &q, budget);
+        let warm_store = store_with_doc(&xml);
+        prop_assert_eq!(&fuel_on(&warm_store, &q, None).0, &oracle, "`{}` over {}", q, xml);
+        let hits = stats::snapshot().name_index_hits;
+        prop_assert_eq!(&fuel_on(&warm_store, &q, None).0, &oracle, "`{}` over {}", q, xml);
+        prop_assert!(stats::snapshot().name_index_hits > hits, "the index answered `{}`", q);
+        let warm = fuel_on(&warm_store, &q, budget);
+        prop_assert_eq!(&cold, &warm, "fuel of `{}` with {:?} over {}", q, budget, xml);
+        match &warm.0 {
+            Err(code) if code == "XQIB0011" => {}
+            other => prop_assert_eq!(other, &oracle, "budgeted `{}`", q),
+        }
     }
 
     /// Fuel budgets: the compiled engine either reproduces the oracle's
