@@ -1,9 +1,9 @@
-//! Closed-loop browser fleet (ROADMAP item 4): real [`Plugin`] XQIB
-//! clients against the replicated cluster of PR 7, under seeded chaos.
+//! Closed-loop browser fleet: real [`Plugin`] XQIB clients against the
+//! replicated [`Cluster`], under seeded chaos.
 //!
-//! Every prior fault/overload experiment (PRs 2–6) measured the server
-//! tier with *open-loop* synthetic request generators. This module closes
-//! the loop the way the paper's §6 deployments would: each simulated
+//! The fault and overload experiments of [`crate::simulate`] measure the
+//! server tier with *open-loop* synthetic request generators. This module
+//! closes the loop the way the paper's §6 deployments would: each simulated
 //! browser is an actual `Plugin` running one of the three §6 scenarios as
 //! an XQuery page — (a) Elsevier whole-document caching, (b) the
 //! JS/XQuery mash-up via minijs, (c) an XQuery-only shopping cart issuing
@@ -182,83 +182,38 @@ impl FleetConfig {
 // Report
 // ---------------------------------------------------------------------
 
-/// Fleet-wide totals. A cluster the totals are reported to serves them on
-/// `/metrics` as `fleet-*`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    pub clients: u64,
-    /// Interactions performed (including each client's convergence render).
-    pub interactions: u64,
-    /// `behind` calls issued by the drivers.
-    pub behind_calls: u64,
-    pub attempts: u64,
-    pub retries: u64,
-    pub timeouts: u64,
-    pub fetch_errors: u64,
-    pub breaker_opens: u64,
-    pub breaker_fast_fails: u64,
-    pub stale_served: u64,
-    pub stale_events: u64,
-    pub error_events: u64,
-    pub completions: u64,
-    /// Stale-cache entries LRU-evicted across the fleet.
-    pub evictions: u64,
-    pub quarantine_trips: u64,
-    /// Turns where a 503's `Retry-After` gated the next interaction.
-    pub retry_after_honored: u64,
-    /// Turns that observed `X-XQIB-Degraded` or high `X-XQIB-Replica-Lag`
-    /// and doubled their think time.
-    pub degraded_observed: u64,
-    /// Requests that actually reached the wire towards the cluster.
-    pub origin_requests: u64,
-    /// `(behind_calls − origin_requests) * 1000 / behind_calls`, saturating:
-    /// the §6.1 offload claim as a number.
-    pub cache_hit_permille: u64,
-}
-
-impl FleetStats {
-    /// Visits each counter under the name `/metrics` serves it by.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        let FleetStats {
-            clients,
-            interactions,
-            behind_calls,
-            attempts,
-            retries,
-            timeouts,
-            fetch_errors,
-            breaker_opens,
-            breaker_fast_fails,
-            stale_served,
-            stale_events,
-            error_events,
-            completions,
-            evictions,
-            quarantine_trips,
-            retry_after_honored,
-            degraded_observed,
-            origin_requests,
-            cache_hit_permille,
-        } = *self;
-        f("fleet-clients", clients);
-        f("fleet-interactions", interactions);
-        f("fleet-behind-calls", behind_calls);
-        f("fleet-attempts", attempts);
-        f("fleet-retries", retries);
-        f("fleet-timeouts", timeouts);
-        f("fleet-fetch-errors", fetch_errors);
-        f("fleet-breaker-opens", breaker_opens);
-        f("fleet-breaker-fast-fails", breaker_fast_fails);
-        f("fleet-stale-served", stale_served);
-        f("fleet-stale-events", stale_events);
-        f("fleet-error-events", error_events);
-        f("fleet-completions", completions);
-        f("fleet-evictions", evictions);
-        f("fleet-quarantine-trips", quarantine_trips);
-        f("fleet-retry-after-honored", retry_after_honored);
-        f("fleet-degraded-observed", degraded_observed);
-        f("fleet-origin-requests", origin_requests);
-        f("fleet-cache-hit-permille", cache_hit_permille);
+xqib_storage::counters! {
+    /// Fleet-wide totals. A cluster the totals are reported to serves them on
+    /// `/metrics` as `fleet-*`.
+    pub struct FleetStats {
+        clients: "fleet-clients",
+        /// Interactions performed (including each client's convergence render).
+        interactions: "fleet-interactions",
+        /// `behind` calls issued by the drivers.
+        behind_calls: "fleet-behind-calls",
+        attempts: "fleet-attempts",
+        retries: "fleet-retries",
+        timeouts: "fleet-timeouts",
+        fetch_errors: "fleet-fetch-errors",
+        breaker_opens: "fleet-breaker-opens",
+        breaker_fast_fails: "fleet-breaker-fast-fails",
+        stale_served: "fleet-stale-served",
+        stale_events: "fleet-stale-events",
+        error_events: "fleet-error-events",
+        completions: "fleet-completions",
+        /// Stale-cache entries LRU-evicted across the fleet.
+        evictions: "fleet-evictions",
+        quarantine_trips: "fleet-quarantine-trips",
+        /// Turns where a 503's `Retry-After` gated the next interaction.
+        retry_after_honored: "fleet-retry-after-honored",
+        /// Turns that observed `X-XQIB-Degraded` or high `X-XQIB-Replica-Lag`
+        /// and doubled their think time.
+        degraded_observed: "fleet-degraded-observed",
+        /// Requests that actually reached the wire towards the cluster.
+        origin_requests: "fleet-origin-requests",
+        /// `(behind_calls − origin_requests) * 1000 / behind_calls`, saturating:
+        /// the §6.1 offload claim as a number.
+        cache_hit_permille: "fleet-cache-hit-permille",
     }
 }
 
@@ -919,7 +874,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
             Vec::new()
         };
         for marker in &acked {
-            if !cluster.borrow().contains(&c.cart_uri, marker) {
+            if !cluster.borrow().holds_marker(&c.cart_uri, marker) {
                 missing_acked.push((c.cart_uri.clone(), marker.clone()));
             }
         }
@@ -1080,7 +1035,7 @@ pub fn missing_acked_markers(report: &FleetReport, cluster: &Cluster) -> Vec<(St
             continue;
         }
         for marker in &client.acked {
-            if !cluster.contains(&client.cart_uri, marker) {
+            if !cluster.holds_marker(&client.cart_uri, marker) {
                 missing.push((client.cart_uri.clone(), marker.clone()));
             }
         }

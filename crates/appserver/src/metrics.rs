@@ -1,7 +1,8 @@
 //! Server-side metrics for the Figure 2 experiment: how much work and
 //! traffic each deployment (server-rendered vs migrated) costs the server.
 //!
-//! Each stats struct names its counters once, in its own `visit`. A
+//! Each stats struct names each counter once, beside its field
+//! (`xqib_storage::counters!` derives its `visit` from that). A
 //! `/metrics` body is a [`MetricsSnapshot`]: every layer of the deployment
 //! fills in its own part when the body is rendered. The serving
 //! [`AppServer`](crate::AppServer) fills in its counters, its database's
@@ -21,32 +22,17 @@ use crate::cluster::{IntegrityStats, ReplicationStats, ReshardStats};
 use crate::fleet::FleetStats;
 use crate::governor::OverloadStats;
 
-/// The counters the application server increments itself.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ServerMetrics {
-    /// HTTP requests handled.
-    pub requests: u64,
-    /// Bytes shipped to clients.
-    pub bytes_out: u64,
-    /// Leader `/doc` bodies digest-verified before being served.
-    pub doc_reads_verified: u64,
-    /// Leader `/doc` bodies refused with `XQIB0019` (digest mismatch).
-    pub doc_reads_refused: u64,
-}
-
-impl ServerMetrics {
-    /// Visits each counter under the name `/metrics` serves it by.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        let ServerMetrics {
-            requests,
-            bytes_out,
-            doc_reads_verified,
-            doc_reads_refused,
-        } = *self;
-        f("requests", requests);
-        f("bytes-out", bytes_out);
-        f("doc-reads-verified", doc_reads_verified);
-        f("doc-reads-refused", doc_reads_refused);
+xqib_storage::counters! {
+    /// The counters the application server increments itself.
+    pub struct ServerMetrics {
+        /// HTTP requests handled.
+        requests: "requests",
+        /// Bytes shipped to clients.
+        bytes_out: "bytes-out",
+        /// Leader `/doc` bodies digest-verified before being served.
+        doc_reads_verified: "doc-reads-verified",
+        /// Leader `/doc` bodies refused with `XQIB0019` (digest mismatch).
+        doc_reads_refused: "doc-reads-refused",
     }
 }
 

@@ -9,20 +9,12 @@
 //! lost before the replica sees it, or the replica can run it and its
 //! reply be lost on the way back.
 
-use std::rc::Rc;
-
 use xqib_browser::{Fault, FaultPlan};
-#[cfg(test)]
-use xqib_dom::serialize::serialize_document;
-use xqib_dom::store::shared_store;
-use xqib_dom::{DocImage, SharedStore};
-use xqib_storage::{Checkpoint, IntegrityError, VirtualDisk, Wal, WalRecord, WAL_FILE};
+use xqib_storage::{Checkpoint, VirtualDisk, Wal, WalRecord};
 use xqib_xquery::wire;
 
 use crate::cluster::Topology;
-use crate::xmldb::{
-    apply_wal_record, doc_digest, doc_image, dump_store, with_doc, DurabilityConfig,
-};
+use crate::xmldb::{DurabilityConfig, XmlDb};
 
 /// A leader→follower message. It travels with the sender's term, which
 /// fences stale leaders; probes ignore it.
@@ -111,75 +103,43 @@ impl Link {
     }
 }
 
-/// A follower replica: its own store, disk and WAL position. The leader
-/// only ever talks to it through [`ReplMsg`]s carried by the seat's
-/// [`Link`].
+/// A follower replica: the protocol around a durable [`XmlDb`] over the
+/// seat's disk. The node's appended position is what the replica has
+/// applied, its committed position what it has acked; its memory, WAL and
+/// checkpoints are `XmlDb`'s own, so the disk is always an image
+/// [`XmlDb::recover`] can promote. The leader only ever talks to it
+/// through [`ReplMsg`]s carried by the seat's [`Link`].
 pub(crate) struct ReplicaNode {
     shard: usize,
     term: u64,
-    store: SharedStore,
-    disk: VirtualDisk,
-    cfg: DurabilityConfig,
-    ckpt_gen: u64,
-    /// Highest frame applied to the in-memory store.
-    applied: u64,
-    /// Highest frame durable on this follower's own disk.
-    acked: u64,
+    pub(crate) db: XmlDb,
 }
 
 impl ReplicaNode {
-    /// An empty replica of `shard` on `disk` (its WAL deleted).
+    /// An empty replica of `shard` on `disk` (its files wiped).
     pub(crate) fn fresh(shard: usize, disk: VirtualDisk, cfg: DurabilityConfig) -> ReplicaNode {
-        disk.delete(WAL_FILE);
         ReplicaNode {
             shard,
             term: 0,
-            store: shared_store(),
-            disk,
-            cfg,
-            ckpt_gen: 0,
-            applied: 0,
-            acked: 0,
+            db: XmlDb::durable(disk, cfg),
         }
     }
 
-    /// A demoted leader staying on as a follower of `term`: its intact
-    /// store, durable through `committed` by the checkpoint just written
-    /// to `disk`.
+    /// A demoted leader staying on as a follower of `term`, keeping its
+    /// intact memory and its disk.
     pub(crate) fn demoted(
         shard: usize,
         term: u64,
-        store: SharedStore,
-        disk: VirtualDisk,
+        mut db: XmlDb,
         cfg: DurabilityConfig,
-        committed: u64,
     ) -> ReplicaNode {
-        let (ck, _) = Checkpoint::read_latest_verified(&disk);
-        ReplicaNode {
-            shard,
-            term,
-            store,
-            disk,
-            cfg,
-            ckpt_gen: ck.map(|c| c.gen).unwrap_or(0),
-            applied: committed,
-            acked: committed,
-        }
+        db.set_durability_config(cfg);
+        ReplicaNode { shard, term, db }
     }
 
+    /// Highest frame applied to memory.
     pub(crate) fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    #[cfg(test)]
-    pub(crate) fn serialize(&self, uri: &str) -> Option<String> {
-        with_doc(&self.store, uri, serialize_document)
-    }
-
-    /// The image of a locally-held document's current version: the body
-    /// a follower read serves and the digest a verified one checks.
-    pub(crate) fn image(&self, uri: &str) -> Option<Rc<DocImage>> {
-        with_doc(&self.store, uri, |doc| doc_image(uri, doc))
+        self.db.appended_seq()
     }
 
     /// Handles one message from a leader of `term`.
@@ -187,7 +147,7 @@ impl ReplicaNode {
         match msg {
             ReplMsg::Probe => ReplReply::State {
                 term: self.term,
-                acked: self.acked,
+                acked: self.db.committed_seq(),
             },
             _ if term < self.term => ReplReply::StaleTerm,
             ReplMsg::Frames(data) => self.accept_frames(term, &data, topology),
@@ -216,32 +176,32 @@ impl ReplicaNode {
         let mut start = 0usize;
         let mut refused = false;
         for (seq, record, end) in replay.records {
-            let bytes = &data[start..end];
+            let frame = &data[start..end];
             start = end;
-            if seq <= self.applied {
+            let applied = self.applied();
+            if seq <= applied {
                 continue; // idempotent resend after a lost ack
             }
-            if seq != self.applied + 1 {
+            if seq != applied + 1 {
                 break; // gap: the sender must fall back to a snapshot
             }
             if !self.owns(&record, topology) {
                 refused = true;
                 break;
             }
-            if !apply_wal_record(&self.store, &record) {
+            if !self.db.accept_frame(seq, &record, frame) {
                 break;
             }
-            self.disk.append(WAL_FILE, bytes);
-            self.applied = seq;
         }
-        if self.applied > self.acked && self.disk.sync(WAL_FILE).is_ok() {
-            self.acked = self.applied;
+        let _ = self.db.commit();
+        if self.db.checkpoint_due() {
+            self.db.checkpoint_applied();
         }
-        self.maybe_checkpoint();
+        let acked = self.db.committed_seq();
         if refused {
-            ReplReply::OwnershipRefused { acked: self.acked }
+            ReplReply::OwnershipRefused { acked }
         } else {
-            ReplReply::Ack(self.acked)
+            ReplReply::Ack(acked)
         }
     }
 
@@ -259,75 +219,11 @@ impl ReplicaNode {
         {
             return refused(true);
         }
-        let store = shared_store();
-        for (uri, xml) in &ck.docs {
-            let Ok(doc) = xqib_dom::parse_document(xml) else {
-                return refused(false);
-            };
-            store.borrow_mut().add_document(doc, Some(uri));
-        }
-        let local = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: ck.seq,
-            docs: ck.docs,
-        };
-        if local.write(&self.disk).is_err() {
+        if !self.db.install_snapshot(ck) {
             return refused(false);
         }
-        self.ckpt_gen += 1;
-        self.disk.truncate(WAL_FILE);
         self.term = term;
-        self.store = store;
-        self.applied = local.seq;
-        self.acked = local.seq;
-        ReplReply::Ack(self.acked)
-    }
-
-    /// Followers checkpoint independently once their copy of the log grows
-    /// past the threshold, truncating it just like the leader does.
-    fn maybe_checkpoint(&mut self) {
-        let threshold = self.cfg.checkpoint_threshold;
-        if threshold == 0 || self.disk.len(WAL_FILE) <= threshold {
-            return;
-        }
-        self.force_checkpoint();
-    }
-
-    /// Writes a fresh checkpoint from the replica's intact in-memory state
-    /// and truncates its WAL. Beyond the size-triggered housekeeping this
-    /// is the node-local *repair* path: a rotted WAL frame or checkpoint
-    /// slot is superseded wholesale by a new snapshot of memory, with no
-    /// window where acked state exists only on damaged media.
-    pub(crate) fn force_checkpoint(&mut self) -> bool {
-        let ck = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: self.applied,
-            docs: dump_store(&self.store),
-        };
-        if ck.write(&self.disk).is_ok() {
-            self.ckpt_gen += 1;
-            self.disk.truncate(WAL_FILE);
-            // the checkpoint write fsynced the slot: state is durable
-            self.acked = self.applied;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Recomputed content digest of one locally-held document, hashed as
-    /// it is written.
-    pub(crate) fn digest_for(&self, uri: &str) -> Option<u64> {
-        with_doc(&self.store, uri, |doc| doc_digest(uri, doc))
-    }
-
-    /// Typed integrity verdicts for this replica's own disk image:
-    /// mid-prefix WAL damage plus any checkpoint-slot verdicts. A torn WAL
-    /// tail is *not* reported — it is the expected crash shape.
-    pub(crate) fn disk_damage(&self) -> (bool, Vec<IntegrityError>) {
-        let wal_rot = Wal::scan(&self.disk, WAL_FILE).mid_prefix_damage();
-        let (_, verdicts) = Checkpoint::read_latest_verified(&self.disk);
-        (wal_rot, verdicts)
+        ReplReply::Ack(self.db.committed_seq())
     }
 
     /// Fault-injection hook: silently replaces a document in the replica's
@@ -336,13 +232,14 @@ impl ReplicaNode {
     /// digest cross-check can notice.
     #[cfg(test)]
     pub(crate) fn poison_document(&mut self, uri: &str) -> bool {
-        if self.store.borrow().doc_by_uri(uri).is_none() {
+        let mut store = self.db.store.borrow_mut();
+        if store.doc_by_uri(uri).is_none() {
             return false;
         }
         let Ok(doc) = xqib_dom::parse_document("<rotted/>") else {
             return false;
         };
-        self.store.borrow_mut().add_document(doc, Some(uri));
+        store.add_document(doc, Some(uri));
         true
     }
 }
@@ -352,7 +249,7 @@ impl ReplicaNode {
 mod tests {
     use super::*;
     use crate::cluster::Router;
-    use crate::xmldb::XmlDb;
+    use xqib_storage::WAL_FILE;
 
     #[test]
     fn followers_refuse_frames_for_foreign_documents() {
@@ -375,7 +272,7 @@ mod tests {
         assert_eq!(reply, ReplReply::OwnershipRefused { acked: 0 });
         assert!(reply.refuses_ownership());
         assert_eq!(node.applied(), 0);
-        assert!(node.serialize(&foreign).is_none());
+        assert!(node.db.serialize(&foreign).is_none());
         // a stale-term sender is fenced before the frames are looked at
         let mut fenced = ReplicaNode::fresh(0, VirtualDisk::new(), DurabilityConfig::default());
         fenced.term = 3;
@@ -387,5 +284,75 @@ mod tests {
             fenced.handle(0, ReplMsg::Probe, &topology),
             ReplReply::State { term: 3, acked: 0 }
         );
+    }
+
+    /// Ships `leader`'s committed state to `node` as the pump would: the
+    /// frames after the follower's acked position, or a snapshot when a
+    /// checkpoint truncated frames it still needs.
+    fn ship(leader: &mut XmlDb, node: &mut ReplicaNode, topology: &Topology) -> ReplReply {
+        let msg = match leader.committed_frames_after(node.db.committed_seq()) {
+            Some(frames) => ReplMsg::Frames(frames.into_iter().flat_map(|f| f.bytes).collect()),
+            None => ReplMsg::Snapshot(leader.replication_snapshot().unwrap().encode()),
+        };
+        node.handle(1, msg, topology)
+    }
+
+    /// Promotion recovers a follower's disk, so every way a follower
+    /// writes it — shipped frames, a log-gap snapshot, a size-triggered
+    /// checkpoint and a scrub repair — must leave an image `XmlDb::recover`
+    /// turns back into the follower's acked state.
+    #[test]
+    fn a_followers_disk_is_a_recoverable_xmldb_image() {
+        let topology = Topology::new(Router::new(1, 3));
+        let manual = DurabilityConfig {
+            group_commit: 1,
+            checkpoint_threshold: 0,
+        };
+        let mut leader = XmlDb::durable(VirtualDisk::new(), manual);
+        let cfg = DurabilityConfig {
+            group_commit: 1,
+            checkpoint_threshold: 512,
+        };
+        let mut node = ReplicaNode::fresh(0, VirtualDisk::new(), cfg);
+        let checkpoints = |node: &ReplicaNode| node.db.durability_stats().checkpoints;
+        let update = |leader: &mut XmlDb, uri: &str, v: &str| {
+            let q = format!("insert node <v>{v}</v> into doc('{uri}')/*");
+            leader.query(&q).unwrap();
+        };
+        // shipped frames
+        leader.load("a.xml", "<a/>").unwrap();
+        update(&mut leader, "a.xml", "1");
+        assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(4));
+        // a log gap: the leader checkpointed past frames the follower lacks
+        leader.load("b.xml", "<b/>").unwrap();
+        leader.checkpoint().unwrap();
+        update(&mut leader, "b.xml", "2");
+        assert!(leader.committed_frames_after(4).is_none());
+        assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(8));
+        assert_eq!(
+            checkpoints(&node),
+            1,
+            "the snapshot is the node's own checkpoint"
+        );
+        // frames past the threshold: a size-triggered checkpoint
+        let big = format!("<c>{}</c>", "<x>padding</x>".repeat(40));
+        leader.load("c.xml", &big).unwrap();
+        assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(10));
+        assert_eq!(checkpoints(&node), 2, "the threshold was crossed");
+        // a scrub repair rewrites the checkpoint from memory, then more
+        // frames land in the truncated log
+        update(&mut leader, "a.xml", "3");
+        assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(12));
+        assert!(node.db.checkpoint_applied());
+        update(&mut leader, "c.xml", "4");
+        assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(14));
+        assert!(!node.db.disk_damage().any());
+
+        let image = node.db.disk().unwrap().clone_image();
+        let recovered = XmlDb::recover(image, cfg).unwrap();
+        assert_eq!(recovered.committed_seq(), node.db.committed_seq());
+        assert_eq!(recovered.dump(), node.db.dump());
+        assert_eq!(recovered.dump(), leader.dump());
+        assert_eq!(recovered.recorded_digests(), leader.recorded_digests());
     }
 }

@@ -503,7 +503,7 @@ impl ClusterReport {
     pub fn missing_acked_updates(&self, cluster: &Cluster) -> Vec<String> {
         self.updates
             .iter()
-            .filter(|u| u.acked && !cluster.contains(&u.uri, &u.marker))
+            .filter(|u| u.acked && !cluster.holds_marker(&u.uri, &u.marker))
             .map(|u| u.marker.clone())
             .collect()
     }
@@ -674,6 +674,28 @@ mod tests {
             to_rps: 0,
         };
         assert_eq!(down.rate_at(5_000, 10_000), 50);
+    }
+
+    /// An acked `u1` lost from a document that still holds `u10` is
+    /// missing: markers match as whole `id` attributes, not substrings.
+    #[test]
+    fn a_lost_marker_is_missing_beside_a_longer_one() {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        cluster
+            .load("d.xml", r#"<root><sim-update id="u10"/></root>"#)
+            .unwrap();
+        let acked = |marker: &str| UpdateRecord {
+            marker: marker.to_string(),
+            uri: "d.xml".to_string(),
+            acked: true,
+            shard: 0,
+            epoch: 0,
+        };
+        let report = ClusterReport {
+            updates: vec![acked("u1"), acked("u10")],
+            ..ClusterReport::default()
+        };
+        assert_eq!(report.missing_acked_updates(&cluster), vec!["u1"]);
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! of the committed WAL suffix, stopping at the first torn or corrupt
 //! frame — is idempotent even when a crash lands between the checkpoint
 //! write and the log truncation.
+//!
+//! A cluster follower is the same durable node driven by the leader: it
+//! appends shipped frames verbatim (`XmlDb::accept_frame`), installs
+//! shipped snapshots (`XmlDb::install_snapshot`) and checkpoints at its
+//! applied position (`XmlDb::checkpoint_applied`), so its disk is always
+//! an image [`XmlDb::recover`] can promote. [`XmlDb::disk_damage`] is the
+//! one probe of that image, for leaders and followers alike.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -48,7 +55,7 @@ const PLAN_CACHE_CAPACITY: usize = 64;
 /// The content digest of `doc` bound to `uri`, hashed as the document is
 /// written: equal to [`xqib_storage::content_digest`] of its serialization,
 /// without building the serialization.
-pub(crate) fn doc_digest(uri: &str, doc: &Document) -> u64 {
+fn doc_digest(uri: &str, doc: &Document) -> u64 {
     let mut h = ContentHasher::new(uri);
     write_document(doc, &mut |piece| h.update(piece));
     h.finish()
@@ -72,66 +79,47 @@ fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
 /// whole-document read serves — verified reads still compare its digest
 /// with the recorded one — while the digest checks that must see
 /// in-memory divergence ([`doc_digest`]) hash the tree itself.
-pub(crate) fn doc_image(uri: &str, doc: &Document) -> Rc<DocImage> {
+fn doc_image(uri: &str, doc: &Document) -> Rc<DocImage> {
     doc.image(uri, |doc| serialize_with_digest(uri, doc))
 }
 
 /// Runs `f` on the document bound to `uri` in `store`; `None` when the URI
 /// is unbound.
-pub(crate) fn with_doc<T>(
-    store: &SharedStore,
-    uri: &str,
-    f: impl FnOnce(&Document) -> T,
-) -> Option<T> {
+fn with_doc<T>(store: &SharedStore, uri: &str, f: impl FnOnce(&Document) -> T) -> Option<T> {
     let store = store.borrow();
     let id = store.doc_by_uri(uri)?;
     Some(f(store.doc(id)))
 }
 
-/// Every document bound in `store` as its image's body, sorted by URI:
-/// the checkpoint input of leaders and followers alike.
-pub(crate) fn dump_store(store: &SharedStore) -> Vec<(String, String)> {
-    let store = store.borrow();
-    store
-        .uri_bindings()
-        .into_iter()
-        .map(|(uri, id)| {
-            let xml = doc_image(&uri, store.doc(id)).body.clone();
-            (uri, xml)
-        })
-        .collect()
+/// A checkpoint's documents parsed into a fresh store: the state recovery
+/// and a follower's snapshot install start from. A document that does not
+/// parse is a typed error naming it.
+fn load_checkpoint(ckpt: &Checkpoint) -> XdmResult<SharedStore> {
+    let store = shared_store();
+    for (uri, xml) in &ckpt.docs {
+        let doc = xqib_dom::parse_document(xml).map_err(|e| {
+            xqib_xdm::XdmError::new(
+                wire::WIRE_ERR,
+                format!("checkpoint document {uri} unreadable: {e}"),
+            )
+        })?;
+        store.borrow_mut().add_document(doc, Some(uri));
+    }
+    Ok(store)
 }
 
-/// Applies one redo record to a store, returning `false` when the record
-/// cannot be applied (unparseable document, undecodable or inapplicable
-/// PUL). The replay-stopping condition shared by [`XmlDb::recover`] and
-/// the cluster replication receiver — both stop at the first record that
-/// refuses to apply, keeping state at a frame boundary.
-pub fn apply_wal_record(store: &SharedStore, record: &WalRecord) -> bool {
-    match record {
-        WalRecord::Load { uri, xml } => match xqib_dom::parse_document(xml) {
-            Ok(doc) => {
-                let mut s = store.borrow_mut();
-                match s.doc_by_uri(uri) {
-                    Some(id) => s.replace_document(id, doc),
-                    None => {
-                        s.add_document(doc, Some(uri));
-                    }
-                }
-                true
-            }
-            Err(_) => false,
-        },
-        WalRecord::Pul(bytes) => {
-            let mut s = store.borrow_mut();
-            match wire::decode_pul(&mut s, bytes) {
-                Ok(pul) => pul.apply(&mut s).is_ok(),
-                Err(_) => false,
-            }
-        }
-        WalRecord::Digest { uri, digest } => {
-            with_doc(store, uri, |doc| doc_digest(uri, doc)) == Some(*digest)
-        }
+/// What one probe of a durable node's disk found: damage inside the
+/// durable WAL prefix (a torn tail is the expected crash shape and does
+/// not count) and a typed verdict per written-but-corrupt checkpoint slot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DiskDamage {
+    pub wal_rot: bool,
+    pub slots: Vec<IntegrityError>,
+}
+
+impl DiskDamage {
+    pub fn any(&self) -> bool {
+        self.wal_rot || !self.slots.is_empty()
     }
 }
 
@@ -171,6 +159,41 @@ struct Durable {
     stats: DurabilityStats,
 }
 
+impl Durable {
+    /// Durable state over an open log whose prefix through `seq` is
+    /// committed, absorbed into checkpoint generation `ckpt_gen` or after.
+    fn new(disk: VirtualDisk, wal: Wal, cfg: DurabilityConfig, ckpt_gen: u64, seq: u64) -> Self {
+        Durable {
+            disk,
+            wal,
+            cfg,
+            ckpt_gen,
+            last_committed: seq,
+            last_appended: seq,
+            pending_ops: 0,
+            stats: DurabilityStats::default(),
+        }
+    }
+
+    /// The one checkpoint writer: `docs` as the next generation, absorbing
+    /// the log through `seq`, then the WAL truncated — the node is durable
+    /// through exactly `seq`. On a failed slot fsync the previous
+    /// checkpoint and the log stay authoritative.
+    fn write_checkpoint(&mut self, seq: u64, docs: Vec<(String, String)>) -> Result<(), DiskError> {
+        let ckpt = Checkpoint {
+            gen: self.ckpt_gen + 1,
+            seq,
+            docs,
+        };
+        ckpt.write(&self.disk)?;
+        self.ckpt_gen += 1;
+        self.stats.checkpoints += 1;
+        self.wal.truncate();
+        (self.last_committed, self.last_appended, self.pending_ops) = (seq, seq, 0);
+        Ok(())
+    }
+}
+
 /// A server-side XML database.
 pub struct XmlDb {
     pub store: SharedStore,
@@ -183,7 +206,10 @@ pub struct XmlDb {
     durable: Option<Durable>,
     /// Recorded content digest per document, sealed at journal time
     /// (durable mode only): what the read path and the scrubber verify
-    /// served bytes against.
+    /// served bytes against. A follower records only the digest frames it
+    /// replayed since its last snapshot install: its reads are verified
+    /// against the leader's digests, and promotion recovers the whole map
+    /// from its disk.
     digests: BTreeMap<String, u64>,
 }
 
@@ -214,21 +240,8 @@ impl XmlDb {
         }
         let wal = Wal::create(disk.clone(), WAL_FILE);
         XmlDb {
-            store: shared_store(),
-            evals: 0,
-            modules: ModuleRegistry::new(),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            durable: Some(Durable {
-                disk,
-                wal,
-                cfg,
-                ckpt_gen: 0,
-                last_committed: 0,
-                last_appended: 0,
-                pending_ops: 0,
-                stats: DurabilityStats::default(),
-            }),
-            digests: BTreeMap::new(),
+            durable: Some(Durable::new(disk, wal, cfg, 0, 0)),
+            ..XmlDb::new()
         }
     }
 
@@ -250,23 +263,10 @@ impl XmlDb {
             stats.ckpt_slots_lost = 1;
         }
         let (ckpt_gen, ckpt_seq) = ckpt.as_ref().map_or((0, 0), |c| (c.gen, c.seq));
-
-        let store = shared_store();
-        let mut digests = BTreeMap::new();
+        let mut db = XmlDb::new();
         if let Some(ckpt) = &ckpt {
-            let mut s = store.borrow_mut();
-            for (uri, xml) in &ckpt.docs {
-                let doc = xqib_dom::parse_document(xml).map_err(|e| {
-                    xqib_xdm::XdmError::new(
-                        wire::WIRE_ERR,
-                        format!("checkpoint document {uri} unreadable: {e}"),
-                    )
-                })?;
-                s.add_document(doc, Some(uri));
-            }
-            for (uri, digest) in ckpt.digests() {
-                digests.insert(uri, digest);
-            }
+            db.store = load_checkpoint(ckpt)?;
+            db.digests = ckpt.digests().into_iter().collect();
         }
 
         let mut replay = Wal::scan(&disk, WAL_FILE);
@@ -281,7 +281,7 @@ impl XmlDb {
                 good += 1; // absorbed by the checkpoint; keep the frame
                 continue;
             }
-            if !apply_wal_record(&store, record) {
+            if !db.replay(record) {
                 if let WalRecord::Digest { .. } = record {
                     // the replayed state no longer hashes to what was
                     // acknowledged: silent damage, not a torn append
@@ -289,9 +289,6 @@ impl XmlDb {
                 }
                 torn = true;
                 break;
-            }
-            if let WalRecord::Digest { uri, digest } = record {
-                digests.insert(uri.clone(), *digest);
             }
             good += 1;
             applied_seq = *seq;
@@ -305,23 +302,91 @@ impl XmlDb {
         if torn {
             stats.torn_tails_dropped = 1;
         }
-        Ok(XmlDb {
-            store,
-            evals: 0,
-            modules: ModuleRegistry::new(),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            durable: Some(Durable {
-                disk,
-                wal,
-                cfg,
-                ckpt_gen,
-                last_committed: applied_seq,
-                last_appended: applied_seq,
-                pending_ops: 0,
-                stats,
-            }),
-            digests,
-        })
+        db.durable = Some(Durable {
+            stats,
+            ..Durable::new(disk, wal, cfg, ckpt_gen, applied_seq)
+        });
+        Ok(db)
+    }
+
+    /// Binds `doc` under `uri`, replacing any existing binding in place
+    /// (same `DocId`, new content).
+    fn bind(&self, uri: &str, doc: Document) -> DocId {
+        let mut store = self.store.borrow_mut();
+        match store.doc_by_uri(uri) {
+            Some(id) => {
+                store.replace_document(id, doc);
+                id
+            }
+            None => store.add_document(doc, Some(uri)),
+        }
+    }
+
+    /// Applies one redo record to memory: the replay step of recovery and
+    /// of a follower. Both stop at the first record that refuses to apply
+    /// — an unparseable document, an undecodable or inapplicable PUL, a
+    /// digest the state no longer hashes to — keeping state at a frame
+    /// boundary. A digest frame that holds is recorded.
+    fn replay(&mut self, record: &WalRecord) -> bool {
+        match record {
+            WalRecord::Load { uri, xml } => match xqib_dom::parse_document(xml) {
+                Ok(doc) => {
+                    self.bind(uri, doc);
+                    true
+                }
+                Err(_) => false,
+            },
+            WalRecord::Pul(bytes) => {
+                let mut s = self.store.borrow_mut();
+                match wire::decode_pul(&mut s, bytes) {
+                    Ok(pul) => pul.apply(&mut s).is_ok(),
+                    Err(_) => false,
+                }
+            }
+            WalRecord::Digest { uri, digest } => {
+                let holds = self.memory_digest(uri) == Some(*digest);
+                if holds {
+                    self.digests.insert(uri.clone(), *digest);
+                }
+                holds
+            }
+        }
+    }
+
+    /// A follower's redo step: applies a frame the leader shipped and, if
+    /// it applies, appends its exact bytes to the log. Durable once
+    /// [`commit`](Self::commit) syncs it. Returns whether it applied.
+    pub(crate) fn accept_frame(&mut self, seq: u64, record: &WalRecord, frame: &[u8]) -> bool {
+        if !self.replay(record) {
+            return false;
+        }
+        if let Some(d) = &mut self.durable {
+            d.stats.wal_appends += 1;
+            d.wal.append_frame(seq, frame);
+            d.last_appended = seq;
+            d.pending_ops += 1;
+        }
+        true
+    }
+
+    /// Replaces the whole state with a shipped snapshot (a follower's
+    /// log-gap resync or new-term reset), persisted as this node's own
+    /// next checkpoint generation: durable through `ckpt.seq` on success.
+    /// `false`, with the state untouched, when a document does not parse
+    /// or the checkpoint cannot be persisted.
+    pub(crate) fn install_snapshot(&mut self, ckpt: Checkpoint) -> bool {
+        let Ok(store) = load_checkpoint(&ckpt) else {
+            return false;
+        };
+        let Some(d) = &mut self.durable else {
+            return false;
+        };
+        if d.write_checkpoint(ckpt.seq, ckpt.docs).is_err() {
+            return false;
+        }
+        self.store = store;
+        self.digests.clear();
+        true
     }
 
     /// Loads a document under a URI. If the URI is already bound the
@@ -338,16 +403,7 @@ impl XmlDb {
             });
             d.pending_ops += 1;
         }
-        let id = {
-            let mut store = self.store.borrow_mut();
-            match store.doc_by_uri(uri) {
-                Some(id) => {
-                    store.replace_document(id, doc);
-                    id
-                }
-                None => store.add_document(doc, Some(uri)),
-            }
-        };
+        let id = self.bind(uri, doc);
         self.seal_digests(&[uri.to_string()]);
         self.after_journaled_ops();
         Ok(id)
@@ -360,14 +416,23 @@ impl XmlDb {
     }
 
     /// The image of a stored document's current version (see
-    /// [`doc_image`]); `None` for unbound URIs.
+    /// `doc_image`); `None` for unbound URIs.
     pub fn image(&self, uri: &str) -> Option<Rc<DocImage>> {
         with_doc(&self.store, uri, |doc| doc_image(uri, doc))
     }
 
-    /// Serialises every bound document, sorted by URI (checkpoint input).
+    /// Every bound document as its image's body, sorted by URI: the
+    /// checkpoint input.
     pub fn dump(&self) -> Vec<(String, String)> {
-        dump_store(&self.store)
+        let store = self.store.borrow();
+        store
+            .uri_bindings()
+            .into_iter()
+            .map(|(uri, id)| {
+                let xml = doc_image(&uri, store.doc(id)).body.clone();
+                (uri, xml)
+            })
+            .collect()
     }
 
     /// Runs an XQuery against the database; returns the rendered result.
@@ -501,16 +566,36 @@ impl XmlDb {
         let Some(d) = &mut self.durable else {
             return Ok(());
         };
-        let ckpt = Checkpoint {
-            gen: d.ckpt_gen + 1,
-            seq: d.last_committed,
-            docs,
-        };
-        ckpt.write(&d.disk)?;
-        d.ckpt_gen += 1;
-        d.stats.checkpoints += 1;
-        d.wal.truncate();
-        Ok(())
+        d.write_checkpoint(d.last_committed, docs)
+    }
+
+    /// A follower's checkpoint: snapshots memory at the applied position
+    /// with no WAL sync first (the slot's own fsync makes it durable) and
+    /// truncates the log. Beyond size-triggered housekeeping it is the
+    /// node-local repair path: a rotted frame or slot is superseded by
+    /// intact memory, with no window where acked state lives only on
+    /// damaged media. Returns whether the checkpoint landed.
+    pub(crate) fn checkpoint_applied(&mut self) -> bool {
+        let docs = self.dump();
+        self.durable.as_mut().is_some_and(|d| {
+            let seq = d.last_appended;
+            d.write_checkpoint(seq, docs).is_ok()
+        })
+    }
+
+    /// Whether the log outgrew the automatic-checkpoint threshold.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.durable.as_ref().is_some_and(|d| {
+            d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold
+        })
+    }
+
+    /// The content digest of a document hashed from memory as it is
+    /// written, never from its image: what sealing, the digest-frame check
+    /// and the scrubber's cross-check compare, so in-memory divergence
+    /// shows. `None` for unbound URIs.
+    pub(crate) fn memory_digest(&self, uri: &str) -> Option<u64> {
+        with_doc(&self.store, uri, |doc| doc_digest(uri, doc))
     }
 
     /// The recorded (acknowledged) content digest of a document. `None`
@@ -548,22 +633,17 @@ impl XmlDb {
         }
     }
 
-    /// Scrubber probe: rescans the on-disk WAL and classifies the first
-    /// break, if any. `None` when the log is clean or the database is
-    /// ephemeral. A torn tail is the expected crash shape; mid-prefix
-    /// damage means the durable prefix itself rotted after it was acked.
-    pub fn wal_integrity(&self) -> Option<IntegrityError> {
-        let d = self.durable.as_ref()?;
-        Wal::scan(&d.disk, WAL_FILE).integrity_error()
-    }
-
-    /// Scrubber probe: typed verdicts for every written-but-corrupt
-    /// checkpoint slot on the backing device (empty when clean or
-    /// ephemeral).
-    pub fn checkpoint_integrity(&self) -> Vec<IntegrityError> {
-        match self.durable.as_ref() {
-            Some(d) => Checkpoint::read_latest_verified(&d.disk).1,
-            None => Vec::new(),
+    /// The disk-damage probe of the scrubber, promotion and cutover:
+    /// rescans the on-disk WAL for mid-prefix damage (the durable prefix
+    /// rotted after it was acked) and verifies both checkpoint slots.
+    /// Nothing to report for an ephemeral database.
+    pub fn disk_damage(&self) -> DiskDamage {
+        match &self.durable {
+            Some(d) => DiskDamage {
+                wal_rot: Wal::scan(&d.disk, WAL_FILE).mid_prefix_damage(),
+                slots: Checkpoint::read_latest_verified(&d.disk).1,
+            },
+            None => DiskDamage::default(),
         }
     }
 
@@ -600,6 +680,14 @@ impl XmlDb {
     /// this to know when the ack rule covers it.
     pub fn appended_seq(&self) -> u64 {
         self.durable.as_ref().map_or(0, |d| d.last_appended)
+    }
+
+    /// Re-tunes durable mode: a leader demoted to follower takes the
+    /// follower checkpoint threshold.
+    pub(crate) fn set_durability_config(&mut self, cfg: DurabilityConfig) {
+        if let Some(d) = &mut self.durable {
+            d.cfg = cfg;
+        }
     }
 
     /// The backing device, if durable.
@@ -708,7 +796,7 @@ impl XmlDb {
             return;
         }
         for uri in uris {
-            let Some(digest) = with_doc(&self.store, uri, |doc| doc_digest(uri, doc)) else {
+            let Some(digest) = self.memory_digest(uri) else {
                 continue;
             };
             self.digests.insert(uri.clone(), digest);
@@ -731,8 +819,7 @@ impl XmlDb {
         if d.pending_ops >= d.cfg.group_commit {
             let _ = self.commit();
         }
-        let Some(d) = &self.durable else { return };
-        if d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold {
+        if self.checkpoint_due() {
             let _ = self.checkpoint();
         }
     }
@@ -1016,15 +1103,18 @@ mod tests {
     }
 
     #[test]
-    fn wal_and_checkpoint_integrity_probes_classify_the_device() {
+    fn the_disk_damage_probe_classifies_the_device() {
         let disk = VirtualDisk::new();
         let mut db = XmlDb::durable(disk.clone(), DurabilityConfig::default());
         db.load("d.xml", "<r/>").unwrap();
         db.load("e.xml", "<e/>").unwrap();
         db.checkpoint().unwrap();
         db.load("f.xml", "<f/>").unwrap();
-        assert_eq!(db.wal_integrity(), None, "clean log");
-        assert!(db.checkpoint_integrity().is_empty(), "clean slots");
+        assert_eq!(
+            db.disk_damage(),
+            DiskDamage::default(),
+            "clean log and slots"
+        );
         // rot the WAL mid-prefix and one checkpoint slot
         let mut data = disk.read(WAL_FILE).unwrap();
         let first_end = xqib_storage::Wal::scan(&disk, WAL_FILE).records[0].2;
@@ -1035,21 +1125,24 @@ mod tests {
         let mid = ck.len() / 2;
         ck[mid] ^= 0x01;
         disk.write_file(slot, &ck);
-        assert!(matches!(
-            db.wal_integrity(),
-            Some(xqib_storage::IntegrityError::WalCorruption { .. })
-        ));
+        let damage = db.disk_damage();
+        assert!(damage.wal_rot && damage.any());
         assert_eq!(
-            db.checkpoint_integrity(),
+            damage.slots,
             vec![
                 xqib_storage::IntegrityError::CheckpointSlotCorrupt { slot: 1 },
                 xqib_storage::IntegrityError::AllCheckpointSlotsCorrupt,
             ],
             "the only written slot rotted: the alarm verdict fires"
         );
+        // a torn tail is the expected crash shape, not damage
+        let disk = VirtualDisk::new();
+        let mut db = XmlDb::durable(disk.clone(), DurabilityConfig::default());
+        db.load("d.xml", "<r/>").unwrap();
+        disk.append(WAL_FILE, &[7, 0, 0]);
+        assert!(!db.disk_damage().any());
         // ephemeral databases have nothing to probe
-        assert_eq!(XmlDb::new().wal_integrity(), None);
-        assert!(XmlDb::new().checkpoint_integrity().is_empty());
+        assert!(!XmlDb::new().disk_damage().any());
     }
 
     #[test]

@@ -287,11 +287,6 @@ impl VirtualDisk {
         self.inner.borrow_mut().files.remove(name);
     }
 
-    /// All file names on the device, sorted.
-    pub fn files(&self) -> Vec<String> {
-        self.inner.borrow().files.keys().cloned().collect()
-    }
-
     /// Simulates power loss. For every file: the unsynced tail survives
     /// only as a torn prefix of seeded length, surviving unsynced sectors
     /// take seeded bit flips, and (only if `corrupt_synced_permille` is

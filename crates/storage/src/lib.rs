@@ -19,6 +19,9 @@
 //!   can be truncated afterwards, and so that replay after a crash between
 //!   checkpoint and truncate skips already-absorbed records (idempotent
 //!   recovery).
+//! * [`counters!`] — declares a struct of `/metrics` counters with each
+//!   served name beside its field, for this crate's [`DurabilityStats`]
+//!   and the server tier's stats.
 
 pub mod checkpoint;
 pub mod disk;
@@ -159,19 +162,11 @@ impl ContentHasher {
     }
 }
 
-/// Typed verdict of an integrity check over a WAL or checkpoint read.
-/// Distinguishes the *expected* crash shape (a torn tail, which replay
-/// truncates) from silent damage inside the durable prefix (an alarm: no
-/// legal crash produces it, so a platter or replication fault did).
+/// Typed verdict of an integrity check over a checkpoint read or a
+/// served document. (A WAL scan classifies its own break: see
+/// [`WalReplay::mid_prefix_damage`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntegrityError {
-    /// Bytes past the last intact frame that never formed one — the
-    /// expected shape after a crash mid-append.
-    TornWalTail { at: usize },
-    /// Damage strictly inside the durable prefix: a fully-present frame
-    /// failed its CRC, re-used a sequence number, or carried a payload
-    /// that no longer decodes.
-    WalCorruption { at: usize, reason: WalBreak },
     /// A checkpoint slot was present but failed magic/CRC/digest checks.
     CheckpointSlotCorrupt { slot: usize },
     /// Every written checkpoint slot is corrupt — recovery has no snapshot
@@ -184,12 +179,6 @@ pub enum IntegrityError {
 impl std::fmt::Display for IntegrityError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IntegrityError::TornWalTail { at } => {
-                write!(f, "torn WAL tail past byte {at}")
-            }
-            IntegrityError::WalCorruption { at, reason } => {
-                write!(f, "WAL corruption at byte {at}: {reason:?}")
-            }
             IntegrityError::CheckpointSlotCorrupt { slot } => {
                 write!(f, "checkpoint slot {slot} is corrupt")
             }
@@ -208,51 +197,54 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
-/// Durability counters; the server tier reads them live for `/metrics`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Redo records appended to the WAL.
-    pub wal_appends: u64,
-    /// Successful WAL fsyncs (group commits).
-    pub fsyncs: u64,
-    /// Checkpoints written (each truncates the WAL).
-    pub checkpoints: u64,
-    /// Recoveries performed over the disk image.
-    pub recoveries: u64,
-    /// Recoveries that dropped a torn/corrupt WAL tail.
-    pub torn_tails_dropped: u64,
-    /// Recoveries that found every written checkpoint slot corrupt and had
-    /// to rebuild from the WAL alone.
-    pub ckpt_slots_lost: u64,
-    /// Mid-prefix WAL damage (CRC/decode failure on a fully-present frame)
-    /// seen during recovery — never a legal crash shape.
-    pub wal_corruptions: u64,
-    /// Recovered documents whose content digest disagreed with the digest
-    /// recorded in the WAL.
-    pub recovery_digest_mismatches: u64,
+/// Declares a struct of `u64` counters, each named beside its field by
+/// the name `/metrics` serves it under, and its `visit`, which yields every
+/// counter under that name in declaration order. One line per counter.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* $field:ident: $metric:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Visits each counter under the name `/metrics` serves it by.
+            pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+                $(f($metric, self.$field);)*
+            }
+        }
+    };
 }
 
-impl DurabilityStats {
-    /// Visits each counter under the name `/metrics` serves it by.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        let DurabilityStats {
-            wal_appends,
-            fsyncs,
-            checkpoints,
-            recoveries,
-            torn_tails_dropped,
-            ckpt_slots_lost,
-            wal_corruptions,
-            recovery_digest_mismatches,
-        } = *self;
-        f("wal-appends", wal_appends);
-        f("wal-fsyncs", fsyncs);
-        f("checkpoints", checkpoints);
-        f("recoveries", recoveries);
-        f("torn-tails-dropped", torn_tails_dropped);
-        f("ckpt-slots-lost", ckpt_slots_lost);
-        f("wal-corruptions", wal_corruptions);
-        f("recovery-digest-mismatches", recovery_digest_mismatches);
+crate::counters! {
+    /// Durability counters; the server tier reads them live for `/metrics`.
+    pub struct DurabilityStats {
+        /// Redo records appended to the WAL.
+        wal_appends: "wal-appends",
+        /// Successful WAL fsyncs (group commits).
+        fsyncs: "wal-fsyncs",
+        /// Checkpoints written (each truncates the WAL).
+        checkpoints: "checkpoints",
+        /// Recoveries performed over the disk image.
+        recoveries: "recoveries",
+        /// Recoveries that dropped a torn/corrupt WAL tail.
+        torn_tails_dropped: "torn-tails-dropped",
+        /// Recoveries that found every written checkpoint slot corrupt and had
+        /// to rebuild from the WAL alone.
+        ckpt_slots_lost: "ckpt-slots-lost",
+        /// Mid-prefix WAL damage (CRC/decode failure on a fully-present frame)
+        /// seen during recovery — never a legal crash shape.
+        wal_corruptions: "wal-corruptions",
+        /// Recovered documents whose content digest disagreed with the digest
+        /// recorded in the WAL.
+        recovery_digest_mismatches: "recovery-digest-mismatches",
     }
 }
 

@@ -19,7 +19,6 @@
 
 use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
-use crate::IntegrityError;
 
 /// Default WAL file name on the device.
 pub const WAL_FILE: &str = "wal.log";
@@ -86,25 +85,9 @@ pub struct WalReplay {
 }
 
 impl WalReplay {
-    /// Classifies the scan outcome as a typed integrity verdict: `None`
-    /// when the stream scanned clean to its last byte; a torn-tail error
-    /// (expected — the caller truncates it) when the stream ended
-    /// mid-frame; a corruption error (alarm — no legal crash produces it)
-    /// when a fully-present frame was damaged.
-    pub fn integrity_error(&self) -> Option<IntegrityError> {
-        match self.break_reason? {
-            WalBreak::TornTail => Some(IntegrityError::TornWalTail {
-                at: self.valid_bytes,
-            }),
-            reason => Some(IntegrityError::WalCorruption {
-                at: self.valid_bytes,
-                reason,
-            }),
-        }
-    }
-
     /// True when the scan hit damage *inside* the durable prefix — the
-    /// alarm case a scrubber must repair or escalate.
+    /// alarm case a scrubber must repair or escalate (no legal crash
+    /// produces it). A torn tail, the expected crash shape, is not.
     pub fn mid_prefix_damage(&self) -> bool {
         matches!(
             self.break_reason,
@@ -119,8 +102,6 @@ pub struct Wal {
     disk: VirtualDisk,
     file: String,
     next_seq: u64,
-    /// Appends since the last successful sync.
-    unsynced: u64,
 }
 
 impl Wal {
@@ -131,7 +112,6 @@ impl Wal {
             disk,
             file: file.to_string(),
             next_seq: 1,
-            unsynced: 0,
         }
     }
 
@@ -145,7 +125,6 @@ impl Wal {
             disk,
             file: file.to_string(),
             next_seq: last_seq + 1,
-            unsynced: 0,
         }
     }
 
@@ -230,7 +209,6 @@ impl Wal {
     /// [`sync`](Self::sync) succeeds.
     pub fn append(&mut self, record: &WalRecord) -> u64 {
         let seq = self.next_seq;
-        self.next_seq += 1;
         let payload = encode_record(record);
         let mut body = Vec::with_capacity(9 + payload.len());
         body.extend_from_slice(&seq.to_le_bytes());
@@ -244,36 +222,33 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        self.disk.append(&self.file, &frame);
-        self.unsynced += 1;
+        self.append_frame(seq, &frame);
         seq
+    }
+
+    /// Appends one already-encoded frame with sequence number `seq` — the
+    /// exact bytes a leader shipped, so a follower's log stays a byte-prefix
+    /// of the leader's — and continues the sequence after it. Not durable
+    /// until [`sync`](Self::sync) succeeds.
+    pub fn append_frame(&mut self, seq: u64, frame: &[u8]) {
+        self.disk.append(&self.file, frame);
+        self.next_seq = seq + 1;
     }
 
     /// Group commit: fsync the log. On success every appended frame is
     /// durable; on failure the caller must keep the batch unacknowledged.
     pub fn sync(&mut self) -> Result<(), DiskError> {
-        self.disk.sync(&self.file)?;
-        self.unsynced = 0;
-        Ok(())
+        self.disk.sync(&self.file)
     }
 
     /// Truncates the log after a checkpoint. Sequence numbers keep
     /// counting — replay uses them to skip records a checkpoint absorbed.
     pub fn truncate(&mut self) {
         self.disk.truncate(&self.file);
-        self.unsynced = 0;
     }
 
     pub fn size_bytes(&self) -> usize {
         self.disk.len(&self.file)
-    }
-
-    pub fn unsynced_appends(&self) -> u64 {
-        self.unsynced
-    }
-
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Continues the sequence from a checkpoint that is ahead of the log
@@ -444,7 +419,6 @@ mod tests {
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1].1, rec);
         assert_eq!(replay.break_reason, None);
-        assert_eq!(replay.integrity_error(), None);
     }
 
     #[test]
@@ -459,12 +433,6 @@ mod tests {
         if replay.torn_tail_dropped {
             assert_eq!(replay.break_reason, Some(WalBreak::TornTail));
             assert!(!replay.mid_prefix_damage());
-            assert_eq!(
-                replay.integrity_error(),
-                Some(crate::IntegrityError::TornWalTail {
-                    at: replay.valid_bytes
-                })
-            );
         }
     }
 
@@ -485,13 +453,7 @@ mod tests {
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.break_reason, Some(WalBreak::CrcMismatch));
         assert!(replay.mid_prefix_damage());
-        assert_eq!(
-            replay.integrity_error(),
-            Some(crate::IntegrityError::WalCorruption {
-                at: first_end,
-                reason: WalBreak::CrcMismatch
-            })
-        );
+        assert_eq!(replay.valid_bytes, first_end);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn readme_reshard_example() {
         .map(|i| cluster.owner(&format!("d{i}.xml")))
         .collect();
     let epoch_before = cluster.epoch();
-    cluster.add_shard(now);
+    cluster.add_shard();
     let (now, _) = cluster.quiesce(now);
     assert!(cluster.epoch() > epoch_before);
     assert_eq!(cluster.migrations_in_flight(), 0);
@@ -68,8 +68,8 @@ fn readme_reshard_example() {
 
     // a hot ring can be reseeded in place (same members, new salt), and
     // a shard can leave: it drains every homed document, then retires
-    cluster.rebalance(7, now);
-    assert!(cluster.decommission_shard(0, now));
+    cluster.rebalance(7);
+    assert!(cluster.decommission_shard(0));
     let (_, _) = cluster.quiesce(now);
     assert!(cluster.is_retired(0));
     assert_eq!(cluster.reshard_stats().drains, 1);
