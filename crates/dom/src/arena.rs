@@ -284,6 +284,54 @@ impl Document {
         })
     }
 
+    // ----- in-place construction (the parser) -----------------------------
+
+    /// Makes room for `additional` more nodes when the allocator grants
+    /// it: a refused estimate leaves the arena to grow as nodes arrive.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let _ = self.nodes.try_reserve(additional);
+    }
+
+    /// Pushes a new node whose parent is `parent`, or detached when
+    /// `parent` is `None`. The parent's child list is the caller's to fill,
+    /// with [`Self::set_children`]. Unchecked, like the other builder
+    /// methods: the parser keeps the tree well formed by construction.
+    pub(crate) fn push_node(&mut self, parent: Option<NodeId>, kind: NodeKind) -> NodeId {
+        self.touch();
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(NodeData { parent, kind });
+        id
+    }
+
+    /// Sets the child list of a document or element node whose children
+    /// were pushed with it as their parent.
+    pub(crate) fn set_children(&mut self, parent: NodeId, list: Vec<NodeId>) {
+        match &mut self.nodes[parent.index()].kind {
+            NodeKind::Document { children } | NodeKind::Element { children, .. } => {
+                *children = list
+            }
+            _ => unreachable!("only documents and elements have children"),
+        }
+    }
+
+    /// Gives element `elem` the attribute `name = value`. A repeated name
+    /// overwrites the earlier value and keeps its node, as
+    /// [`Self::set_attribute`] does.
+    pub(crate) fn push_attribute(&mut self, elem: NodeId, name: QName, value: String) {
+        if let Some(a) = self.attribute_node(elem, name.ns.as_deref(), &name.local) {
+            if let NodeKind::Attribute { value: v, .. } = &mut self.nodes[a.index()].kind {
+                *v = value;
+            }
+            self.touch_content();
+            return;
+        }
+        let id = self.push_node(Some(elem), NodeKind::Attribute { name, value });
+        match &mut self.nodes[elem.index()].kind {
+            NodeKind::Element { attrs, .. } => attrs.push(id),
+            _ => unreachable!("only elements have attributes"),
+        }
+    }
+
     // ----- read accessors ---------------------------------------------------
 
     /// Ordered child list of a document or element node; empty otherwise.
