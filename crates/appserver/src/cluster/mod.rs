@@ -979,7 +979,9 @@ impl Cluster {
             if i == sh.leader_seat || seat.replica.is_none() || now < seat.next_send_at {
                 continue;
             }
-            if !seat.breaker.allow(now, &mut seat.rstats) {
+            let (allowed, transition) = seat.breaker.allow(now);
+            seat.rstats.count(transition);
+            if !allowed {
                 seat.next_send_at = now + PROBE_RETRY_MS;
                 continue;
             }
@@ -1061,7 +1063,7 @@ impl Cluster {
             };
             match reply {
                 Some((ReplReply::Ack(ack), Some(latency_ms))) => {
-                    seat.breaker.on_success(&mut seat.rstats);
+                    seat.rstats.count(seat.breaker.on_success());
                     seat.attempt = 0;
                     if snapshot {
                         seat.force_snapshot = false;
@@ -1079,7 +1081,7 @@ impl Cluster {
                     if let Some((ReplReply::OwnershipRefused { acked }, Some(_))) = reply {
                         learn_acked(seat, acked);
                     }
-                    seat.breaker.on_failure(now, &mut seat.rstats);
+                    seat.rstats.count(seat.breaker.on_failure(now));
                     seat.attempt += 1;
                     seat.next_send_at = now + retry.backoff_delay(seat.attempt, backoff_id);
                 }

@@ -906,6 +906,23 @@ mod tests {
         assert_eq!(db2.durability_stats().recoveries, 1);
     }
 
+    /// Deeper than any recursion survives on a test thread's stack: the
+    /// load's digest seal, the checkpoint and the recovery walk it.
+    #[test]
+    fn deep_document_survives_checkpoint_and_recovery() {
+        const DEEP: usize = 100_000;
+        let xml = "<a>".repeat(DEEP) + "x" + &"</a>".repeat(DEEP);
+        XmlDb::new().load("d.xml", &xml).unwrap();
+        let disk = VirtualDisk::new();
+        let mut db = XmlDb::durable(disk.clone(), DurabilityConfig::default());
+        db.load("d.xml", &xml).unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        disk.crash();
+        let db2 = XmlDb::recover(disk, DurabilityConfig::default()).unwrap();
+        assert_eq!(db2.serialize("d.xml").unwrap(), xml);
+    }
+
     #[test]
     fn recovery_is_idempotent() {
         let disk = VirtualDisk::new();

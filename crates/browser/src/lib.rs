@@ -42,6 +42,6 @@ pub use quarantine::{
 };
 pub use recovery::{
     BreakerState, CircuitBreaker, RecoveryConfig, RecoveryState, RecoveryStats, RetryPolicy,
-    StaleCache,
+    StaleCache, Transition,
 };
 pub use security::Origin;

@@ -4,8 +4,8 @@
 //! being invoked (and failing) on every event — one bad handler cannot
 //! monopolise the single event loop of the paper's Figure 1.
 //!
-//! The state machine mirrors the breaker's closed → open → half-open shape
-//! under listener-flavoured names: `Healthy` → `Quarantined { until }` →
+//! Each listener's guard is a [`CircuitBreaker`], whose closed → open →
+//! half-open states read here as `Healthy` → `Quarantined { until }` →
 //! `Probation`. While quarantined, dispatch skips the listener entirely;
 //! once the (virtual-time) window expires the next matching event is a
 //! probation trial — success fully heals the listener, another failure
@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use crate::events::ListenerId;
+use crate::recovery::{BreakerState, CircuitBreaker, Transition};
 
 /// Health states of one listener.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,74 +42,24 @@ impl QuarantineState {
 /// The guard tracking one listener's failure streak.
 #[derive(Debug, Clone)]
 pub struct ListenerGuard {
-    pub state: QuarantineState,
-    consecutive_failures: u32,
-    failure_threshold: u32,
-    quarantine_ms: u64,
+    breaker: CircuitBreaker,
     /// Lifetime totals, for introspection.
     pub failures: u64,
     pub invocations: u64,
 }
 
 impl ListenerGuard {
-    fn new(failure_threshold: u32, quarantine_ms: u64) -> Self {
-        ListenerGuard {
-            state: QuarantineState::Healthy,
-            consecutive_failures: 0,
-            failure_threshold: failure_threshold.max(1),
-            quarantine_ms,
-            failures: 0,
-            invocations: 0,
+    /// The listener's health: its breaker's state.
+    pub fn state(&self) -> QuarantineState {
+        match self.breaker.state {
+            BreakerState::Closed => QuarantineState::Healthy,
+            BreakerState::Open { until } => QuarantineState::Quarantined { until },
+            BreakerState::HalfOpen => QuarantineState::Probation,
         }
     }
 
     pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Whether the listener may run at `now`. An expired quarantine window
-    /// moves to probation and admits the probe invocation.
-    fn allow(&mut self, now: u64, stats: &mut QuarantineStats) -> bool {
-        match self.state {
-            QuarantineState::Healthy | QuarantineState::Probation => true,
-            QuarantineState::Quarantined { until } if now >= until => {
-                self.state = QuarantineState::Probation;
-                stats.probes += 1;
-                true
-            }
-            QuarantineState::Quarantined { .. } => false,
-        }
-    }
-
-    fn on_success(&mut self, stats: &mut QuarantineStats) {
-        if self.state != QuarantineState::Healthy {
-            stats.recoveries += 1;
-        }
-        self.state = QuarantineState::Healthy;
-        self.consecutive_failures = 0;
-    }
-
-    fn on_failure(&mut self, now: u64, stats: &mut QuarantineStats) {
-        self.failures += 1;
-        match self.state {
-            QuarantineState::Probation => {
-                // failed probe: straight back into quarantine
-                self.state = QuarantineState::Quarantined {
-                    until: now + self.quarantine_ms,
-                };
-                stats.trips += 1;
-            }
-            QuarantineState::Healthy => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.failure_threshold {
-                    self.state = QuarantineState::Quarantined {
-                        until: now + self.quarantine_ms,
-                    };
-                    stats.trips += 1;
-                }
-            }
-            QuarantineState::Quarantined { .. } => {}
-        }
+        self.breaker.consecutive_failures()
     }
 }
 
@@ -131,6 +82,18 @@ pub struct QuarantineStats {
     pub recoveries: u64,
     /// Invocations skipped because the listener was quarantined.
     pub skipped: u64,
+}
+
+impl QuarantineStats {
+    /// Counts a guard's transition, if it made one.
+    fn count(&mut self, transition: Option<Transition>) {
+        match transition {
+            Some(Transition::Opened) => self.trips += 1,
+            Some(Transition::HalfOpened) => self.probes += 1,
+            Some(Transition::Closed) => self.recoveries += 1,
+            None => {}
+        }
+    }
 }
 
 /// Isolation knobs (what the plug-in config carries).
@@ -174,46 +137,51 @@ impl ListenerQuarantine {
         }
     }
 
-    fn guard(&mut self, id: ListenerId) -> &mut ListenerGuard {
+    /// Listener `id`'s guard, created healthy on first use, and the stats
+    /// its transitions count in.
+    fn guard(&mut self, id: ListenerId) -> (&mut ListenerGuard, &mut QuarantineStats) {
         let (threshold, window) = (self.failure_threshold, self.quarantine_ms);
-        self.guards
-            .entry(id)
-            .or_insert_with(|| ListenerGuard::new(threshold, window))
+        let guard = self.guards.entry(id).or_insert_with(|| ListenerGuard {
+            breaker: CircuitBreaker::new(threshold, window),
+            failures: 0,
+            invocations: 0,
+        });
+        (guard, &mut self.stats)
     }
 
-    /// Whether listener `id` may be invoked at `now`. Skips are counted.
+    /// Whether listener `id` may be invoked at `now`. An expired
+    /// quarantine window moves to probation and admits the probe
+    /// invocation. Skips are counted.
     pub fn allow(&mut self, id: ListenerId, now: u64) -> bool {
-        let mut stats = std::mem::take(&mut self.stats);
-        let allowed = self.guard(id).allow(now, &mut stats);
+        let (guard, stats) = self.guard(id);
+        let (allowed, transition) = guard.breaker.allow(now);
+        stats.count(transition);
         if allowed {
-            self.guard(id).invocations += 1;
+            guard.invocations += 1;
         } else {
             stats.skipped += 1;
         }
-        self.stats = stats;
         allowed
     }
 
     /// Records a normal return.
     pub fn on_success(&mut self, id: ListenerId) {
-        let mut stats = std::mem::take(&mut self.stats);
-        self.guard(id).on_success(&mut stats);
-        self.stats = stats;
+        let (guard, stats) = self.guard(id);
+        stats.count(guard.breaker.on_success());
     }
 
     /// Records a failed invocation (error or panic) at `now`.
     pub fn on_failure(&mut self, id: ListenerId, now: u64) {
-        let mut stats = std::mem::take(&mut self.stats);
-        self.guard(id).on_failure(now, &mut stats);
-        self.stats = stats;
+        let (guard, stats) = self.guard(id);
+        guard.failures += 1;
+        stats.count(guard.breaker.on_failure(now));
     }
 
     /// The state of one listener (healthy if never seen).
     pub fn state(&self, id: ListenerId) -> QuarantineState {
         self.guards
             .get(&id)
-            .map(|g| g.state)
-            .unwrap_or(QuarantineState::Healthy)
+            .map_or(QuarantineState::Healthy, ListenerGuard::state)
     }
 
     /// Every tracked listener with its guard, sorted by listener id (for

@@ -94,7 +94,22 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// A per-host circuit breaker.
+/// A state change of a [`CircuitBreaker`], returned to its owner, which
+/// counts it in its own stats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// Into [`BreakerState::Open`]: the failure streak reached the
+    /// threshold, or the half-open probe failed.
+    Opened,
+    /// Into [`BreakerState::HalfOpen`]: the open window expired and the
+    /// probe is admitted.
+    HalfOpened,
+    /// Back to [`BreakerState::Closed`] from open or half-open.
+    Closed,
+}
+
+/// A circuit breaker: per host for `behind` fetches, per link for the
+/// cluster, and per listener as its quarantine.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     pub state: BreakerState,
@@ -115,47 +130,51 @@ impl CircuitBreaker {
         }
     }
 
+    /// The failures since the last success while closed.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures
+    }
+
     /// Whether a request may be issued at `now`. An expired open window
     /// transitions to half-open and admits the probe.
-    pub fn allow(&mut self, now: u64, stats: &mut RecoveryStats) -> bool {
+    pub fn allow(&mut self, now: u64) -> (bool, Option<Transition>) {
         match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
+            BreakerState::Closed | BreakerState::HalfOpen => (true, None),
             BreakerState::Open { until } if now >= until => {
                 self.state = BreakerState::HalfOpen;
-                stats.breaker_half_opens += 1;
-                true
+                (true, Some(Transition::HalfOpened))
             }
-            BreakerState::Open { .. } => false,
+            BreakerState::Open { .. } => (false, None),
         }
     }
 
-    pub fn on_success(&mut self, stats: &mut RecoveryStats) {
-        if self.state != BreakerState::Closed {
-            stats.breaker_closes += 1;
-        }
+    pub fn on_success(&mut self) -> Option<Transition> {
+        let tripped = self.state != BreakerState::Closed;
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
+        tripped.then_some(Transition::Closed)
     }
 
-    pub fn on_failure(&mut self, now: u64, stats: &mut RecoveryStats) {
+    pub fn on_failure(&mut self, now: u64) -> Option<Transition> {
         match self.state {
             BreakerState::HalfOpen => {
                 // failed probe: straight back to open
                 self.state = BreakerState::Open {
                     until: now + self.open_ms,
                 };
-                stats.breaker_opens += 1;
+                Some(Transition::Opened)
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.failure_threshold {
-                    self.state = BreakerState::Open {
-                        until: now + self.open_ms,
-                    };
-                    stats.breaker_opens += 1;
+                if self.consecutive_failures < self.failure_threshold {
+                    return None;
                 }
+                self.state = BreakerState::Open {
+                    until: now + self.open_ms,
+                };
+                Some(Transition::Opened)
             }
-            BreakerState::Open { .. } => {}
+            BreakerState::Open { .. } => None,
         }
     }
 }
@@ -302,6 +321,18 @@ pub struct RecoveryStats {
     pub evictions: u64,
 }
 
+impl RecoveryStats {
+    /// Counts a breaker's transition, if it made one.
+    pub fn count(&mut self, transition: Option<Transition>) {
+        match transition {
+            Some(Transition::Opened) => self.breaker_opens += 1,
+            Some(Transition::HalfOpened) => self.breaker_half_opens += 1,
+            Some(Transition::Closed) => self.breaker_closes += 1,
+            None => {}
+        }
+    }
+}
+
 /// Knobs for [`RecoveryState`] (what the plug-in config carries).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
@@ -367,7 +398,8 @@ impl RecoveryState {
             .breakers
             .entry(host.to_string())
             .or_insert_with(|| CircuitBreaker::new(threshold, open_ms));
-        let allowed = breaker.allow(now, &mut self.stats);
+        let (allowed, transition) = breaker.allow(now);
+        self.stats.count(transition);
         if !allowed {
             self.stats.breaker_fast_fails += 1;
         }
@@ -376,16 +408,18 @@ impl RecoveryState {
 
     pub fn breaker_success(&mut self, host: &str) {
         if let Some(b) = self.breakers.get_mut(host) {
-            b.on_success(&mut self.stats);
+            self.stats.count(b.on_success());
         }
     }
 
     pub fn breaker_failure(&mut self, host: &str, now: u64) {
         let (threshold, open_ms) = (self.breaker_failure_threshold, self.breaker_open_ms);
-        self.breakers
+        let transition = self
+            .breakers
             .entry(host.to_string())
             .or_insert_with(|| CircuitBreaker::new(threshold, open_ms))
-            .on_failure(now, &mut self.stats);
+            .on_failure(now);
+        self.stats.count(transition);
     }
 
     /// The breaker state for a host (closed if never contacted).
@@ -453,40 +487,62 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_half_opens() {
-        let mut stats = RecoveryStats::default();
         let mut b = CircuitBreaker::new(3, 1000);
-        assert!(b.allow(0, &mut stats));
-        b.on_failure(10, &mut stats);
-        b.on_failure(20, &mut stats);
+        assert_eq!(b.allow(0), (true, None));
+        assert_eq!(b.on_failure(10), None);
+        assert_eq!(b.on_failure(20), None);
         assert_eq!(b.state, BreakerState::Closed);
-        b.on_failure(30, &mut stats);
+        assert_eq!(b.on_failure(30), Some(Transition::Opened));
         assert_eq!(b.state, BreakerState::Open { until: 1030 });
-        assert_eq!(stats.breaker_opens, 1);
-        assert!(!b.allow(500, &mut stats), "open: refuse");
-        assert!(b.allow(1030, &mut stats), "window over: probe");
+        assert_eq!(b.allow(500), (false, None), "open: refuse");
+        assert_eq!(
+            b.allow(1030),
+            (true, Some(Transition::HalfOpened)),
+            "window over: probe"
+        );
         assert_eq!(b.state, BreakerState::HalfOpen);
-        assert_eq!(stats.breaker_half_opens, 1);
         // failed probe re-opens immediately
-        b.on_failure(1040, &mut stats);
+        assert_eq!(b.on_failure(1040), Some(Transition::Opened));
         assert_eq!(b.state, BreakerState::Open { until: 2040 });
-        assert_eq!(stats.breaker_opens, 2);
         // successful probe closes
-        assert!(b.allow(2040, &mut stats));
-        b.on_success(&mut stats);
+        assert_eq!(b.allow(2040), (true, Some(Transition::HalfOpened)));
+        assert_eq!(b.on_success(), Some(Transition::Closed));
         assert_eq!(b.state, BreakerState::Closed);
-        assert_eq!(stats.breaker_closes, 1);
+        assert_eq!(b.on_success(), None, "already closed");
     }
 
     #[test]
     fn success_resets_consecutive_failures() {
-        let mut stats = RecoveryStats::default();
         let mut b = CircuitBreaker::new(2, 100);
-        b.on_failure(0, &mut stats);
-        b.on_success(&mut stats);
-        b.on_failure(1, &mut stats);
+        b.on_failure(0);
+        assert_eq!(b.consecutive_failures(), 1);
+        b.on_success();
+        b.on_failure(1);
         assert_eq!(b.state, BreakerState::Closed, "counter was reset");
-        b.on_failure(2, &mut stats);
+        b.on_failure(2);
         assert!(matches!(b.state, BreakerState::Open { .. }));
+    }
+
+    #[test]
+    fn stats_count_each_transition() {
+        let mut stats = RecoveryStats::default();
+        for t in [
+            Some(Transition::Opened),
+            Some(Transition::HalfOpened),
+            Some(Transition::Closed),
+            Some(Transition::Opened),
+            None,
+        ] {
+            stats.count(t);
+        }
+        assert_eq!(
+            (
+                stats.breaker_opens,
+                stats.breaker_half_opens,
+                stats.breaker_closes
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]

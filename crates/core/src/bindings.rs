@@ -456,13 +456,13 @@ pub fn install(ctx: &mut DynamicContext, host: Rc<RefCell<HostState>>) {
                     .guards()
                     .into_iter()
                     .map(|(id, g)| {
-                        let until = match g.state {
+                        let until = match g.state() {
                             QuarantineState::Quarantined { until } => Some(until),
                             _ => None,
                         };
                         (
                             id.0,
-                            g.state.label().to_string(),
+                            g.state().label().to_string(),
                             g.consecutive_failures(),
                             g.failures,
                             g.invocations,

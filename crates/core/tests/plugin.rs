@@ -551,3 +551,38 @@ fn prompt_and_confirm_roundtrip() {
     let alerts = p.alerts();
     assert_eq!(alerts, vec!["Hi Ghislain".to_string(), "no".to_string()]);
 }
+
+/// Deeper than any recursion survives on a test thread's stack: the
+/// response is parsed, copied into the page, ordered and serialized by
+/// walks.
+#[test]
+fn behind_fetch_of_a_deep_body_inserts_it_once() {
+    const DEEP: usize = 100_000;
+    let mut p = plugin();
+    p.host
+        .borrow_mut()
+        .net
+        .register("http://deep.test/", 25, |_| {
+            Response::ok("<a>".repeat(DEEP) + "x" + &"</a>".repeat(DEEP))
+        });
+    p.load_page(
+        r#"<html><head><script type="text/xquery"><![CDATA[
+declare updating function local:onResult($readyState, $result) {
+  if ($readyState eq 4) then insert node $result into //div[@id="sink"] else ()
+};
+on event "stateChanged" behind browser:httpGet("http://deep.test/d.xml")
+attach listener local:onResult
+]]></script></head><body><div id="sink"/></body></html>"#,
+    )
+    .unwrap();
+    p.run_until_idle().unwrap();
+    let s = p.host.borrow().recovery.stats.clone();
+    assert_eq!(
+        (s.completions, s.stale_events, s.error_events),
+        (1, 0, 0),
+        "exactly one outcome"
+    );
+    let out = p.eval("string(//div[@id='sink'])").unwrap();
+    assert_eq!(p.render(&out), "x");
+    assert_eq!(p.serialize_page().matches("<a>").count(), DEEP);
+}

@@ -17,6 +17,7 @@ use crate::name::QName;
 use crate::name_index::{NameIndex, NamedDescendants};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::order::{stats, OrderIndex};
+use crate::walk::{Visit, Walk};
 
 /// Tag bit marking an attribute step in a stable node path; the remaining
 /// bits index the owner element's attribute list. See [`Document::node_path`].
@@ -250,12 +251,7 @@ impl Document {
     // ----- constructors ---------------------------------------------------
 
     pub fn create_element(&mut self, name: QName) -> NodeId {
-        self.alloc(NodeKind::Element {
-            name,
-            attrs: Vec::new(),
-            children: Vec::new(),
-            ns_decls: Vec::new(),
-        })
+        self.alloc(NodeKind::element(name, Vec::new()))
     }
 
     pub fn create_text(&mut self, value: impl Into<String>) -> NodeId {
@@ -403,20 +399,17 @@ impl Document {
         match &self.nodes[id.index()].kind {
             NodeKind::Document { .. } | NodeKind::Element { .. } => {
                 let mut out = String::new();
-                self.collect_text(id, &mut out);
+                let mut walk = Walk::new(id);
+                while let Some(visit) = walk.next(self) {
+                    if let Visit::Open(n) = visit {
+                        if let NodeKind::Text { value } = &self.nodes[n.index()].kind {
+                            out.push_str(value);
+                        }
+                    }
+                }
                 out
             }
             _ => self.simple_value(id).unwrap_or("").to_string(),
-        }
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        for &c in self.children(id) {
-            match &self.nodes[c.index()].kind {
-                NodeKind::Text { value } => out.push_str(value),
-                NodeKind::Element { .. } => self.collect_text(c, out),
-                _ => {}
-            }
         }
     }
 
@@ -424,12 +417,10 @@ impl Document {
     /// descend into children; attributes are *not* visited).
     pub fn descendants_or_self(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            let kids = self.children(n);
-            for &k in kids.iter().rev() {
-                stack.push(k);
+        let mut walk = Walk::new(id);
+        while let Some(visit) = walk.next(self) {
+            if let Visit::Open(n) = visit {
+                out.push(n);
             }
         }
         out
@@ -442,12 +433,12 @@ impl Document {
         id: NodeId,
         mut pred: impl FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if pred(n) {
-                return Some(n);
+        let mut walk = Walk::new(id);
+        while let Some(visit) = walk.next(self) {
+            match visit {
+                Visit::Open(n) if pred(n) => return Some(n),
+                _ => {}
             }
-            stack.extend(self.children(n).iter().rev());
         }
         None
     }
@@ -856,136 +847,71 @@ impl Document {
 
     /// Deep-copies `src` (from `src_doc`) into this document; returns the
     /// new root of the copy. Used by Update Facility inserts, which insert
-    /// *copies* of their source nodes.
+    /// *copies* of their source nodes. A document node has no copy: its
+    /// single child is copied instead, or, when it has several or none,
+    /// its children under a new `#fragment` element.
     pub fn deep_copy_from(&mut self, src_doc: &Document, src: NodeId) -> NodeId {
-        match src_doc.kind(src).clone() {
-            NodeKind::Document { children } => {
-                // Copying a document yields its children wrapped under a new
-                // element-less fragment; callers normally copy elements. We
-                // copy into a fresh element-free subtree rooted at the first
-                // copied child when there is exactly one; otherwise we create
-                // a document-like container is not representable, so we copy
-                // children under a synthetic element. In practice the engine
-                // copies elements/text only.
-                if children.len() == 1 {
-                    self.deep_copy_from(src_doc, children[0])
-                } else {
-                    let holder = self.create_element(QName::local("#fragment"));
-                    for c in children {
-                        let cc = self.deep_copy_from(src_doc, c);
-                        let _ = self.append_child(holder, cc);
-                    }
-                    holder
-                }
-            }
-            NodeKind::Element {
-                name,
-                attrs,
-                children,
-                ns_decls,
-            } => {
-                let e = self.create_element(name);
-                match &mut self.nodes[e.index()].kind {
-                    NodeKind::Element { ns_decls: nd, .. } => *nd = ns_decls,
-                    _ => unreachable!(),
-                }
-                for a in attrs {
-                    let ac = self.deep_copy_from(src_doc, a);
-                    let _ = self.put_attribute_node(e, ac);
-                }
-                for c in children {
-                    let cc = self.deep_copy_from(src_doc, c);
-                    let _ = self.append_child(e, cc);
-                }
-                e
-            }
-            NodeKind::Attribute { name, value } => self.create_attribute(name, value),
-            NodeKind::Text { value } => self.create_text(value),
-            NodeKind::Comment { value } => self.create_comment(value),
-            NodeKind::ProcessingInstruction { target, value } => self.create_pi(target, value),
-        }
+        self.copy_tree(Some(src_doc), src)
     }
 
-    /// Deep copy within the same document.
+    /// Deep copy within the same document; see [`Self::deep_copy_from`].
     pub fn deep_copy(&mut self, src: NodeId) -> NodeId {
-        let snapshot = self.clone_subtree_data(src);
-        self.instantiate(&snapshot)
+        self.copy_tree(None, src)
     }
 
-    fn clone_subtree_data(&self, src: NodeId) -> SubtreeSnapshot {
-        let mut snap = SubtreeSnapshot { nodes: Vec::new() };
-        self.snapshot_into(src, &mut snap);
-        snap
-    }
-
-    fn snapshot_into(&self, src: NodeId, snap: &mut SubtreeSnapshot) -> usize {
-        let slot = snap.nodes.len();
-        snap.nodes.push(SnapNode {
-            kind: match self.kind(src) {
-                NodeKind::Element { name, ns_decls, .. } => SnapKind::Element {
-                    name: name.clone(),
-                    ns_decls: ns_decls.clone(),
-                },
-                NodeKind::Attribute { name, value } => SnapKind::Attribute {
-                    name: name.clone(),
-                    value: value.clone(),
-                },
-                NodeKind::Text { value } => SnapKind::Text(value.clone()),
-                NodeKind::Comment { value } => SnapKind::Comment(value.clone()),
-                NodeKind::ProcessingInstruction { target, value } => {
-                    SnapKind::Pi(target.clone(), value.clone())
-                }
-                NodeKind::Document { .. } => SnapKind::Text(String::new()),
-            },
-            attrs: Vec::new(),
-            children: Vec::new(),
-        });
-        let attr_ids: Vec<NodeId> = self.attributes(src).to_vec();
-        let child_ids: Vec<NodeId> = self.children(src).to_vec();
-        for a in attr_ids {
-            let ai = self.snapshot_into(a, snap);
-            snap.nodes[slot].attrs.push(ai);
-        }
-        for c in child_ids {
-            let ci = self.snapshot_into(c, snap);
-            snap.nodes[slot].children.push(ci);
-        }
-        slot
-    }
-
-    fn instantiate(&mut self, snap: &SubtreeSnapshot) -> NodeId {
-        self.instantiate_at(snap, 0)
-    }
-
-    fn instantiate_at(&mut self, snap: &SubtreeSnapshot, idx: usize) -> NodeId {
-        let node = &snap.nodes[idx];
-        let id = match &node.kind {
-            SnapKind::Element { name, ns_decls } => {
-                let e = self.create_element(name.clone());
-                match &mut self.nodes[e.index()].kind {
-                    NodeKind::Element { ns_decls: nd, .. } => *nd = ns_decls.clone(),
-                    _ => unreachable!(),
-                }
-                e
-            }
-            SnapKind::Attribute { name, value } => {
-                self.create_attribute(name.clone(), value.clone())
-            }
-            SnapKind::Text(v) => self.create_text(v.clone()),
-            SnapKind::Comment(v) => self.create_comment(v.clone()),
-            SnapKind::Pi(t, v) => self.create_pi(t.clone(), v.clone()),
+    /// The one copier: walks `src` in `from` (this document when `None`)
+    /// and pushes, in pre-order, each node's copy and then its attributes'
+    /// copies. That allocation order fixes the copy's `NodeId`s, which
+    /// seeded runs replay. A fresh copy cannot form a cycle, so it is
+    /// built unchecked; the walk borrows the source only within each step,
+    /// which lets a same-document copy write to the arena it walks.
+    fn copy_tree(&mut self, from: Option<&Document>, src: NodeId) -> NodeId {
+        let src = match from.unwrap_or(self).kind(src) {
+            NodeKind::Document { children } if children.len() == 1 => children[0],
+            _ => src,
         };
-        let attrs = snap.nodes[idx].attrs.clone();
-        let children = snap.nodes[idx].children.clone();
-        for ai in attrs {
-            let a = self.instantiate_at(snap, ai);
-            let _ = self.put_attribute_node(id, a);
+        let root = NodeId(self.nodes.len() as u32); // the first node pushed
+        let mut walk = Walk::new(src);
+        // the copies of the open source nodes, each with its children's copies
+        let mut open: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        while let Some(visit) = walk.next(from.unwrap_or(self)) {
+            let Visit::Open(n) = visit else {
+                let (copy, children) = open.pop().expect("a close follows its open");
+                self.set_children(copy, children);
+                continue;
+            };
+            let source = from.unwrap_or(self);
+            let kind = match source.kind(n) {
+                NodeKind::Document { .. } => {
+                    NodeKind::element(QName::local("#fragment"), Vec::new())
+                }
+                NodeKind::Element { name, ns_decls, .. } => {
+                    NodeKind::element(name.clone(), ns_decls.clone())
+                }
+                leaf => leaf.clone(),
+            };
+            let attrs: Vec<NodeKind> = source
+                .attributes(n)
+                .iter()
+                .map(|&a| source.kind(a).clone())
+                .collect();
+            let is_container = matches!(kind, NodeKind::Element { .. });
+            let copy = self.push_node(open.last().map(|(parent, _)| *parent), kind);
+            let attr_copies = attrs
+                .into_iter()
+                .map(|a| self.push_node(Some(copy), a))
+                .collect();
+            if let NodeKind::Element { attrs, .. } = &mut self.nodes[copy.index()].kind {
+                *attrs = attr_copies;
+            }
+            if let Some((_, siblings)) = open.last_mut() {
+                siblings.push(copy);
+            }
+            if is_container {
+                open.push((copy, Vec::new()));
+            }
         }
-        for ci in children {
-            let c = self.instantiate_at(snap, ci);
-            let _ = self.append_child(id, c);
-        }
-        id
+        root
     }
 
     /// Forcibly restores `parent`'s child list to a previously captured
@@ -1091,30 +1017,6 @@ impl Document {
         *self.children_mut(parent)? = merged;
         Ok(())
     }
-}
-
-struct SubtreeSnapshot {
-    nodes: Vec<SnapNode>,
-}
-
-struct SnapNode {
-    kind: SnapKind,
-    attrs: Vec<usize>,
-    children: Vec<usize>,
-}
-
-enum SnapKind {
-    Element {
-        name: QName,
-        ns_decls: Vec<(String, String)>,
-    },
-    Attribute {
-        name: QName,
-        value: String,
-    },
-    Text(String),
-    Comment(String),
-    Pi(String, String),
 }
 
 #[cfg(test)]
@@ -1396,5 +1298,159 @@ mod tests {
         assert_eq!(d.lookup_namespace(child, "x"), Some("urn:x"));
         assert_eq!(d.lookup_namespace(child, "y"), None);
         assert_eq!(d.lookup_namespace(child, "xml"), Some(crate::name::XML_NS));
+    }
+
+    /// The recursive kernels the walk replaced, verbatim, kept as the
+    /// oracles the cursor loops are tested against.
+    impl Document {
+        fn string_value_recursive(&self, id: NodeId) -> String {
+            match &self.nodes[id.index()].kind {
+                NodeKind::Document { .. } | NodeKind::Element { .. } => {
+                    let mut out = String::new();
+                    self.collect_text(id, &mut out);
+                    out
+                }
+                _ => self.simple_value(id).unwrap_or("").to_string(),
+            }
+        }
+
+        fn collect_text(&self, id: NodeId, out: &mut String) {
+            for &c in self.children(id) {
+                match &self.nodes[c.index()].kind {
+                    NodeKind::Text { value } => out.push_str(value),
+                    NodeKind::Element { .. } => self.collect_text(c, out),
+                    _ => {}
+                }
+            }
+        }
+
+        fn deep_copy_from_recursive(&mut self, src_doc: &Document, src: NodeId) -> NodeId {
+            match src_doc.kind(src).clone() {
+                NodeKind::Document { children } => {
+                    if children.len() == 1 {
+                        self.deep_copy_from_recursive(src_doc, children[0])
+                    } else {
+                        let holder = self.create_element(QName::local("#fragment"));
+                        for c in children {
+                            let cc = self.deep_copy_from_recursive(src_doc, c);
+                            let _ = self.append_child(holder, cc);
+                        }
+                        holder
+                    }
+                }
+                NodeKind::Element {
+                    name,
+                    attrs,
+                    children,
+                    ns_decls,
+                } => {
+                    let e = self.create_element(name);
+                    match &mut self.nodes[e.index()].kind {
+                        NodeKind::Element { ns_decls: nd, .. } => *nd = ns_decls,
+                        _ => unreachable!(),
+                    }
+                    for a in attrs {
+                        let ac = self.deep_copy_from_recursive(src_doc, a);
+                        let _ = self.put_attribute_node(e, ac);
+                    }
+                    for c in children {
+                        let cc = self.deep_copy_from_recursive(src_doc, c);
+                        let _ = self.append_child(e, cc);
+                    }
+                    e
+                }
+                NodeKind::Attribute { name, value } => self.create_attribute(name, value),
+                NodeKind::Text { value } => self.create_text(value),
+                NodeKind::Comment { value } => self.create_comment(value),
+                NodeKind::ProcessingInstruction { target, value } => self.create_pi(target, value),
+            }
+        }
+    }
+
+    /// Two arenas equal slot for slot: `NodeData`'s debug form spells out
+    /// every node's kind, parent, name parts, values, namespace
+    /// declarations and attribute and child lists.
+    fn assert_same_arena(a: &Document, b: &Document) {
+        assert_eq!(a.len(), b.len());
+        for i in 0..a.len() {
+            let id = NodeId(i as u32);
+            assert_eq!(
+                format!("{:?}", a.data(id)),
+                format!("{:?}", b.data(id)),
+                "slot {i}"
+            );
+        }
+    }
+
+    /// The walk copier and the recursive one build the same nodes under
+    /// the same `NodeId`s: copying `n` into an empty document, and copying
+    /// it within `d` (the oracle copies from `d` into a clone of it, which
+    /// allocates as a same-document copy would).
+    fn check_copies(d: &Document, n: NodeId) {
+        let (mut new, mut old) = (Document::new(), Document::new());
+        assert_eq!(new.deep_copy_from(d, n), old.deep_copy_from_recursive(d, n));
+        assert_same_arena(&new, &old);
+        let (mut new, mut old) = (d.clone(), d.clone());
+        assert_eq!(new.deep_copy(n), old.deep_copy_from_recursive(d, n));
+        assert_same_arena(&new, &old);
+    }
+
+    mod differential {
+        use super::*;
+        use crate::testgen::{
+            deep_document, mix_env, on_big_stack, random_document, wide_document,
+        };
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn walk_kernels_match_the_recursive_oracles(seed in any::<u64>()) {
+                let seed = mix_env(seed);
+                for d in [random_document(seed), wide_document(seed, 12)] {
+                    for i in 0..d.len() {
+                        let n = NodeId(i as u32);
+                        prop_assert_eq!(d.string_value(n), d.string_value_recursive(n));
+                        check_copies(&d, n);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn deep_chains_match_the_recursive_oracles() {
+            for k in 0..3 {
+                // the recursive oracles need more than a test thread's stack
+                on_big_stack(move || {
+                    let d = deep_document(mix_env(k), 10_000);
+                    for n in [d.root(), d.children(d.root())[0]] {
+                        assert_eq!(d.string_value(n), d.string_value_recursive(n));
+                        check_copies(&d, n);
+                    }
+                });
+            }
+        }
+
+        /// Deeper than any recursion survives on a test thread's stack:
+        /// every kernel here walks.
+        #[test]
+        fn deep_chains_serialize_copy_and_order_on_a_test_thread() {
+            let d = deep_document(mix_env(7), 100_000);
+            let xml = crate::serialize::serialize_document(&d);
+            let text = d.string_value(d.root());
+            let top = d.children(d.root())[0];
+            let mut copies = d.clone();
+            let same = copies.deep_copy(d.root());
+            let other = copies.deep_copy_from(&d, top);
+            for c in [same, other] {
+                assert_eq!(crate::serialize::serialize_node(&copies, c), xml);
+                assert_eq!(copies.string_value(c), text);
+            }
+            let ix = copies.order_index();
+            assert!(ix.is_ancestor_of(other, NodeId(copies.len() as u32 - 1)));
+            assert_eq!(
+                ix.end(same) - ix.begin(same),
+                ix.end(other) - ix.begin(other)
+            );
+        }
     }
 }

@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use crate::arena::Document;
 use crate::name::QName;
 use crate::node::NodeId;
+use crate::walk::{Visit, Walk};
 
 /// Attribute name → value → owner elements, in document order. Lives
 /// behind a `RefCell` in its [`Document`]; see the module docs.
@@ -77,12 +78,13 @@ impl AttrIndex {
     /// [`Document::get_attribute`] does.
     fn build(&mut self, doc: &Document, name: &QName) {
         let mut by_value: HashMap<Box<str>, Vec<NodeId>> = HashMap::new();
-        let mut stack = vec![doc.root()];
-        while let Some(v) = stack.pop() {
-            if let Some(value) = doc.get_attribute(v, name.ns.as_deref(), &name.local) {
-                by_value.entry(value.into()).or_default().push(v);
+        let mut walk = Walk::new(doc.root());
+        while let Some(visit) = walk.next(doc) {
+            if let Visit::Open(v) = visit {
+                if let Some(value) = doc.get_attribute(v, name.ns.as_deref(), &name.local) {
+                    by_value.entry(value.into()).or_default().push(v);
+                }
             }
-            stack.extend(doc.children(v).iter().rev());
         }
         self.by_name.insert(name.clone(), by_value);
     }

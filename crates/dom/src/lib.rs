@@ -17,7 +17,9 @@
 //!   XQuery Update Facility to update live web pages, exactly as the paper's
 //!   plug-in updates Internet Explorer's DOM through an XDM wrapper;
 //! * serialisation back to markup, and one cached image (body + digest) per
-//!   document version for whole-document reads.
+//!   document version for whole-document reads;
+//! * one pre-order [`Walk`] that every subtree kernel drives instead of
+//!   recursing, so no document is too deep to serialize, copy or compare.
 //!
 //! The DOM is deliberately *untyped* (no schema validation): the paper's whole
 //! premise is that XQuery "can natively process (untyped) Web pages" (§3.1).
@@ -36,6 +38,7 @@ pub mod serialize;
 pub mod store;
 #[cfg(any(test, feature = "testgen"))]
 pub mod testgen;
+pub mod walk;
 
 pub use arena::{DocImage, Document};
 pub use error::{DomError, DomResult};
@@ -44,3 +47,4 @@ pub use node::{NodeId, NodeKind};
 pub use order::{cmp_doc_order, sort_dedup, OrderIndex};
 pub use parser::{parse_document, ParseOptions};
 pub use store::{DocId, NodeRef, SharedStore, Store};
+pub use walk::{Visit, Walk};

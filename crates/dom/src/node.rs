@@ -55,6 +55,16 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
+    /// An element without attributes or children yet.
+    pub(crate) fn element(name: QName, ns_decls: Vec<(String, String)>) -> Self {
+        NodeKind::Element {
+            name,
+            attrs: Vec::new(),
+            children: Vec::new(),
+            ns_decls,
+        }
+    }
+
     pub fn kind_name(&self) -> &'static str {
         match self {
             NodeKind::Document { .. } => "document",

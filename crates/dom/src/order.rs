@@ -22,6 +22,7 @@ use std::cmp::Ordering;
 use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
+use crate::walk::{Visit, Walk};
 
 /// Engine counters for the order index, path normalisation, the
 /// attribute-value and element-name indexes ([`crate::attr_index`],
@@ -214,21 +215,16 @@ impl OrderIndex {
         self.order.clear();
         self.order.reserve(n);
 
-        // Iterative traversal: deep pages must not overflow the stack.
-        enum Frame {
-            Enter(NodeId),
-            Exit(NodeId),
-        }
-        let mut stack: Vec<Frame> = Vec::new();
+        let mut walk = Walk::new(doc.root());
         for slot in 0..n {
             let id = NodeId(slot as u32);
             if doc.parent(id).is_some() {
                 continue; // not a tree root
             }
-            stack.push(Frame::Enter(id));
-            while let Some(frame) = stack.pop() {
-                match frame {
-                    Frame::Enter(v) => {
+            walk.restart(id);
+            while let Some(visit) = walk.next(doc) {
+                match visit {
+                    Visit::Open(v) => {
                         self.begin[v.index()] = self.order.len() as u32;
                         self.root[v.index()] = id.0;
                         self.order.push(v);
@@ -239,12 +235,10 @@ impl OrderIndex {
                             self.root[a.index()] = id.0;
                             self.order.push(a);
                         }
-                        stack.push(Frame::Exit(v));
-                        for &c in doc.children(v).iter().rev() {
-                            stack.push(Frame::Enter(c));
-                        }
+                        // final for a leaf; a container's `Close` moves it
+                        self.end[v.index()] = (self.order.len() - 1) as u32;
                     }
-                    Frame::Exit(v) => {
+                    Visit::Close(v) => {
                         self.end[v.index()] = (self.order.len() - 1) as u32;
                     }
                 }

@@ -870,8 +870,6 @@ mod tests {
     }
 
     /// Deeper than any recursive parser survives on a test thread's stack.
-    /// Serializing or copying the tree still recurses, so these tests only
-    /// walk parent links.
     const DEEP: usize = 100_000;
 
     fn nested(depth: usize) -> String {

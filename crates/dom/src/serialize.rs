@@ -8,6 +8,7 @@
 use crate::arena::Document;
 use crate::name::QName;
 use crate::node::{NodeId, NodeKind};
+use crate::walk::{Visit, Walk};
 
 /// Serialises `node` (and its subtree) to markup.
 pub fn serialize_node(doc: &Document, node: NodeId) -> String {
@@ -28,73 +29,74 @@ pub fn serialize_document(doc: &Document) -> String {
 /// output. The one serializer — a `String` is just one sink, a content
 /// hash fed as the document is written is another.
 pub fn write_document(doc: &Document, sink: &mut impl FnMut(&str)) {
-    for &c in doc.children(doc.root()) {
-        write_node(doc, c, sink);
-    }
+    write_node(doc, doc.root(), sink);
 }
 
 /// Writes `node` (and its subtree) as markup to `sink`; see
-/// [`write_document`].
+/// [`write_document`]. One [`Walk`]: a start tag at an element's `Open`,
+/// its end tag at its `Close`, and `<x/>` for an element without children.
 fn write_node(doc: &Document, node: NodeId, sink: &mut impl FnMut(&str)) {
-    match doc.kind(node) {
-        NodeKind::Document { children } => {
-            for &c in children {
-                write_node(doc, c, sink);
-            }
-        }
-        NodeKind::Element {
-            name,
-            attrs,
-            children,
-            ns_decls,
-        } => {
-            sink("<");
-            write_name(name, sink);
-            for (p, u) in ns_decls {
-                if p.is_empty() {
-                    sink(" xmlns=\"");
-                } else {
-                    sink(" xmlns:");
-                    sink(p);
-                    sink("=\"");
+    let mut walk = Walk::new(node);
+    while let Some(visit) = walk.next(doc) {
+        let id = match visit {
+            Visit::Open(id) => id,
+            Visit::Close(id) => {
+                if let NodeKind::Element { name, children, .. } = doc.kind(id) {
+                    if !children.is_empty() {
+                        sink("</");
+                        write_name(name, sink);
+                        sink(">");
+                    }
                 }
-                write_escaped::<true>(u, sink);
-                sink("\"");
+                continue;
             }
-            for &a in attrs {
-                if let NodeKind::Attribute { name, value } = doc.kind(a) {
-                    sink(" ");
-                    write_attribute(name, value, sink);
-                }
-            }
-            if children.is_empty() {
-                sink("/>");
-            } else {
-                sink(">");
-                for &c in children {
-                    write_node(doc, c, sink);
-                }
-                sink("</");
+        };
+        match doc.kind(id) {
+            NodeKind::Document { .. } => {}
+            NodeKind::Element {
+                name,
+                attrs,
+                children,
+                ns_decls,
+            } => {
+                sink("<");
                 write_name(name, sink);
-                sink(">");
+                for (p, u) in ns_decls {
+                    if p.is_empty() {
+                        sink(" xmlns=\"");
+                    } else {
+                        sink(" xmlns:");
+                        sink(p);
+                        sink("=\"");
+                    }
+                    write_escaped::<true>(u, sink);
+                    sink("\"");
+                }
+                for &a in attrs {
+                    if let NodeKind::Attribute { name, value } = doc.kind(a) {
+                        sink(" ");
+                        write_attribute(name, value, sink);
+                    }
+                }
+                sink(if children.is_empty() { "/>" } else { ">" });
             }
-        }
-        // Serialising a bare attribute renders name="value".
-        NodeKind::Attribute { name, value } => write_attribute(name, value, sink),
-        NodeKind::Text { value } => write_escaped::<false>(value, sink),
-        NodeKind::Comment { value } => {
-            sink("<!--");
-            sink(value);
-            sink("-->");
-        }
-        NodeKind::ProcessingInstruction { target, value } => {
-            sink("<?");
-            sink(target);
-            if !value.is_empty() {
-                sink(" ");
+            // Serialising a bare attribute renders name="value".
+            NodeKind::Attribute { name, value } => write_attribute(name, value, sink),
+            NodeKind::Text { value } => write_escaped::<false>(value, sink),
+            NodeKind::Comment { value } => {
+                sink("<!--");
                 sink(value);
+                sink("-->");
             }
-            sink("?>");
+            NodeKind::ProcessingInstruction { target, value } => {
+                sink("<?");
+                sink(target);
+                if !value.is_empty() {
+                    sink(" ");
+                    sink(value);
+                }
+                sink("?>");
+            }
         }
     }
 }
@@ -146,7 +148,7 @@ fn write_escaped<const ATTR: bool>(s: &str, sink: &mut impl FnMut(&str)) {
 mod tests {
     use super::*;
     use crate::parser::parse_document;
-    use crate::testgen::random_document;
+    use crate::testgen::{deep_document, mix_env, on_big_stack, random_document, wide_document};
     use proptest::prelude::*;
 
     /// The char-at-a-time serializer [`write_node`] replaced, kept as the
@@ -260,15 +262,28 @@ mod tests {
     proptest! {
         #[test]
         fn streaming_writer_matches_the_char_oracle(seed in any::<u64>()) {
-            let doc = random_document(seed);
-            prop_assert_eq!(serialize_document(&doc), oracle::serialize_document(&doc));
-            // every node on its own too: bare attributes, inner subtrees
-            for i in 0..doc.len() {
-                let n = NodeId(i as u32);
-                let mut want = String::new();
-                oracle::write_node(&doc, n, &mut want);
-                prop_assert_eq!(serialize_node(&doc, n), want);
+            let seed = mix_env(seed);
+            for doc in [random_document(seed), wide_document(seed, 12)] {
+                prop_assert_eq!(serialize_document(&doc), oracle::serialize_document(&doc));
+                // every node on its own too: bare attributes, inner subtrees
+                for i in 0..doc.len() {
+                    let n = NodeId(i as u32);
+                    let mut want = String::new();
+                    oracle::write_node(&doc, n, &mut want);
+                    prop_assert_eq!(serialize_node(&doc, n), want);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn deep_chains_match_the_char_oracle() {
+        for k in 0..3 {
+            // the recursive oracle needs more than a test thread's stack
+            on_big_stack(move || {
+                let doc = deep_document(mix_env(k), 10_000);
+                assert_eq!(serialize_document(&doc), oracle::serialize_document(&doc));
+            });
         }
     }
 

@@ -180,6 +180,9 @@ pub fn shared_store() -> SharedStore {
 mod tests {
     use super::*;
     use crate::name::QName;
+    use crate::serialize::serialize_node;
+    use crate::testgen::{mix_env, random_document};
+    use proptest::prelude::*;
 
     #[test]
     fn uri_registration_and_lookup() {
@@ -222,5 +225,26 @@ mod tests {
         let r2 = s.root(d2);
         assert_ne!(r1, r2);
         assert_eq!(r1.node, r2.node, "both are NodeId(0) locally");
+    }
+
+    proptest! {
+        /// A same-document copy and a cross-document copy of any node are
+        /// the same tree: a document node copies to its child (or a
+        /// `#fragment` holder) either way, never to an empty text node.
+        #[test]
+        fn same_and_cross_document_copies_serialize_alike(seed in any::<u64>()) {
+            let mut s = Store::new();
+            let src = s.add_document(random_document(mix_env(seed)), None);
+            let other = s.new_document(None);
+            for i in 0..s.doc(src).len() {
+                let n = NodeRef::new(src, NodeId(i as u32));
+                let same = s.copy_node_between(n, src);
+                let cross = s.copy_node_between(n, other);
+                prop_assert_eq!(
+                    serialize_node(s.doc(src), same),
+                    serialize_node(s.doc(other), cross)
+                );
+            }
+        }
     }
 }

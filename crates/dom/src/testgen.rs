@@ -8,6 +8,10 @@
 //! and `xmlns` declarations; comments, processing instructions and empty
 //! elements all occur.
 //!
+//! Besides the small random documents there are two extreme shapes: a
+//! chain deeper than any recursive walk survives ([`deep_document`]) and a
+//! wide fan-out ([`wide_document`]).
+//!
 //! A tree is a pure function of one `u64` seed, so a property test draws
 //! the seed and a failing case is reproduced from it. Compiled for this
 //! crate's tests and, behind the `testgen` feature, for other crates'.
@@ -80,21 +84,7 @@ fn random_node(g: &mut Gen, doc: &mut Document, depth: u32) -> NodeId {
             doc.create_pi(target, g.string(NAME, 0, 6))
         }
         _ => {
-            let prefix = g.prefix();
-            let local = g.string(NAME, 1, 4);
-            let e = doc.create_element(QName::full(prefix.as_deref(), None, local));
-            for _ in 0..g.below(3) {
-                let p = g.string(LOWER, 0, 2);
-                doc.add_ns_decl(e, p, g.string(TEXT, 0, 8)).unwrap();
-            }
-            for _ in 0..g.below(4) {
-                // a prefix's namespace keeps same-named attributes of
-                // different prefixes apart, so each one survives
-                let p = g.prefix();
-                let ns = p.as_deref().map(|p| format!("urn:{p}"));
-                let name = QName::full(p.as_deref(), ns.as_deref(), g.string(NAME, 1, 3));
-                doc.set_attribute(e, name, g.string(TEXT, 0, 12)).unwrap();
-            }
+            let e = random_element(g, doc);
             for _ in 0..g.below(5) {
                 let c = random_node(g, doc, depth - 1);
                 doc.append_child(e, c).unwrap();
@@ -102,4 +92,89 @@ fn random_node(g: &mut Gen, doc: &mut Document, depth: u32) -> NodeId {
             e
         }
     }
+}
+
+/// An element without children: a random name, up to two namespace
+/// declarations and up to three attributes.
+fn random_element(g: &mut Gen, doc: &mut Document) -> NodeId {
+    let prefix = g.prefix();
+    let local = g.string(NAME, 1, 4);
+    let e = doc.create_element(QName::full(prefix.as_deref(), None, local));
+    for _ in 0..g.below(3) {
+        let p = g.string(LOWER, 0, 2);
+        doc.add_ns_decl(e, p, g.string(TEXT, 0, 8)).unwrap();
+    }
+    for _ in 0..g.below(4) {
+        // a prefix's namespace keeps same-named attributes of
+        // different prefixes apart, so each one survives
+        let p = g.prefix();
+        let ns = p.as_deref().map(|p| format!("urn:{p}"));
+        let name = QName::full(p.as_deref(), ns.as_deref(), g.string(NAME, 1, 3));
+        doc.set_attribute(e, name, g.string(TEXT, 0, 12)).unwrap();
+    }
+    e
+}
+
+/// A chain of `depth` random elements under the document node, each
+/// holding the next one and a leaf (text, comment or PI) before or after
+/// it. Built from the bottom up, so no insertion walks the chain.
+pub fn deep_document(seed: u64, depth: usize) -> Document {
+    let mut g = Gen(seed);
+    let mut doc = Document::new();
+    let mut below = random_node(&mut g, &mut doc, 0);
+    for _ in 0..depth {
+        let e = random_element(&mut g, &mut doc);
+        let leaf = random_node(&mut g, &mut doc, 0);
+        let kids = if g.below(2) == 0 {
+            [leaf, below]
+        } else {
+            [below, leaf]
+        };
+        for c in kids {
+            doc.append_child(e, c).unwrap();
+        }
+        below = e;
+    }
+    let root = doc.root();
+    doc.append_child(root, below).unwrap();
+    doc
+}
+
+/// One random element with `width` random children, each a leaf or a
+/// tree at most two elements deep.
+pub fn wide_document(seed: u64, width: usize) -> Document {
+    let mut g = Gen(seed);
+    let mut doc = Document::new();
+    let e = random_element(&mut g, &mut doc);
+    for _ in 0..width {
+        let c = random_node(&mut g, &mut doc, 2);
+        doc.append_child(e, c).unwrap();
+    }
+    let root = doc.root();
+    doc.append_child(root, e).unwrap();
+    doc
+}
+
+/// `seed` mixed with the `XQIB_PLAN_SEED` environment variable, so a CI
+/// matrix over it draws other trees from the same tests.
+pub fn mix_env(seed: u64) -> u64 {
+    let env: u64 = std::env::var("XQIB_PLAN_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    seed ^ env.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Runs `f` on a thread with a 256 MiB stack, for the recursive oracles
+/// that deep trees are checked against: a test thread's default stack
+/// holds a few thousand of their frames, not the depths the walk serves.
+pub fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn a big-stack thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }

@@ -47,7 +47,7 @@
 //!   the walk at exhaustion.
 
 use xqib_dom::name_index::NamedDescendants;
-use xqib_dom::{DocId, NodeId, NodeRef, QName, Store};
+use xqib_dom::{DocId, NodeId, NodeRef, QName, Store, Visit, Walk};
 use xqib_xdm::{effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult};
 
 use crate::ast::{Axis, FlworClause, FunctionDecl, NodeTest};
@@ -1009,17 +1009,14 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
             Axis::Attribute => Walker::Attrs { owner: n, idx: 0 },
             Axis::SelfAxis => Walker::SelfOnce(Some(n)),
             Axis::Descendant => {
-                let store = ctx.store.borrow();
-                let stack = store
-                    .doc(n.doc)
-                    .children(n.node)
-                    .iter()
-                    .rev()
-                    .map(|&k| NodeRef::new(n.doc, k))
-                    .collect();
-                Walker::Desc { stack }
+                let mut walk = Walk::new(n.node);
+                walk.next(ctx.store.borrow().doc(n.doc)); // opens `n` itself
+                Walker::Desc { doc: n.doc, walk }
             }
-            Axis::DescendantOrSelf => Walker::Desc { stack: vec![n] },
+            Axis::DescendantOrSelf => Walker::Desc {
+                doc: n.doc,
+                walk: Walk::new(n.node),
+            },
             _ => unreachable!("walkable axes checked above"),
         }
     };
@@ -1056,10 +1053,10 @@ enum Walker {
         idx: usize,
     },
     SelfOnce(Option<NodeRef>),
-    /// pre-order traversal (seeded with `[self]` for descendant-or-self,
-    /// the reversed child list for descendant)
+    /// a pre-order walk, past its root's `Open` for descendant
     Desc {
-        stack: Vec<NodeRef>,
+        doc: DocId,
+        walk: Walk,
     },
     /// the hits of a pre-order traversal, read from the element-name index
     Named(NamedWalk),
@@ -1116,14 +1113,11 @@ impl Walker {
                 r
             }
             Walker::SelfOnce(slot) => slot.take(),
-            Walker::Desc { stack } => {
-                let n = stack.pop()?;
-                let doc = store.doc(n.doc);
-                for &k in doc.children(n.node).iter().rev() {
-                    stack.push(NodeRef::new(n.doc, k));
+            Walker::Desc { doc, walk } => loop {
+                if let Visit::Open(k) = walk.next(store.doc(*doc))? {
+                    return Some(NodeRef::new(*doc, k));
                 }
-                Some(n)
-            }
+            },
             Walker::Named(_) => unreachable!("pulled with its charge by `walk_next`"),
         }
     }

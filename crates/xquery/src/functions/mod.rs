@@ -13,7 +13,7 @@ pub mod stemmer;
 
 use std::rc::Rc;
 
-use xqib_dom::{name::FN_NS, NodeKind, QName};
+use xqib_dom::{name::FN_NS, Document, NodeId, NodeKind, QName, Visit, Walk};
 use xqib_xdm::{
     atomize, effective_boolean_value, value_compare, Atomic, CompOp, DateTime, Item, Sequence,
     TypeName, XdmError, XdmResult,
@@ -700,10 +700,46 @@ pub fn deep_equal(store: &xqib_dom::Store, a: &Sequence, b: &Sequence) -> bool {
     })
 }
 
+/// Two trees walked in lockstep: equal when their compared visits pair
+/// up, each `Open` pair holding equal nodes (see [`same_node`]).
 fn deep_equal_nodes(store: &xqib_dom::Store, a: xqib_dom::NodeRef, b: xqib_dom::NodeRef) -> bool {
-    let da = store.doc(a.doc);
-    let db = store.doc(b.doc);
-    match (da.kind(a.node), db.kind(b.node)) {
+    let (da, db) = (store.doc(a.doc), store.doc(b.doc));
+    let (mut wa, mut wb) = (Walk::new(a.node), Walk::new(b.node));
+    loop {
+        match (compared(da, a.node, &mut wa), compared(db, b.node, &mut wb)) {
+            (None, None) => return true,
+            (Some(Visit::Open(x)), Some(Visit::Open(y))) if same_node(da, x, db, y) => {}
+            (Some(Visit::Close(_)), Some(Visit::Close(_))) => {}
+            _ => return false,
+        }
+    }
+}
+
+/// The next visit of `walk` (from `root`) that `deep-equal` compares: it
+/// skips the comments and processing instructions among an element's
+/// children. Those under a document node, and a compared root itself,
+/// count.
+fn compared(doc: &Document, root: NodeId, walk: &mut Walk) -> Option<Visit> {
+    loop {
+        let visit = walk.next(doc)?;
+        match visit {
+            Visit::Open(n)
+                if n != root
+                    && matches!(
+                        doc.kind(n),
+                        NodeKind::Comment { .. } | NodeKind::ProcessingInstruction { .. }
+                    )
+                    && doc.parent(n).is_some_and(|p| doc.kind(p).is_element()) => {}
+            visit => return Some(visit),
+        }
+    }
+}
+
+/// Whether two nodes are equal apart from their children: the same kind,
+/// name and value, and for elements the same attribute set (in any
+/// order).
+fn same_node(da: &Document, x: NodeId, db: &Document, y: NodeId) -> bool {
+    match (da.kind(x), db.kind(y)) {
         (NodeKind::Text { value: x }, NodeKind::Text { value: y }) => x == y,
         (NodeKind::Comment { value: x }, NodeKind::Comment { value: y }) => x == y,
         (
@@ -720,63 +756,29 @@ fn deep_equal_nodes(store: &xqib_dom::Store, a: xqib_dom::NodeRef, b: xqib_dom::
                 value: y,
             },
         ) => tx == ty && x == y,
-        (NodeKind::Element { name: nx, .. }, NodeKind::Element { name: ny, .. }) => {
-            if nx != ny {
-                return false;
-            }
-            // attributes: same set (order-insensitive)
-            let attrs_a = da.attributes(a.node);
-            let attrs_b = db.attributes(b.node);
-            if attrs_a.len() != attrs_b.len() {
-                return false;
-            }
-            for &aa in attrs_a {
-                let (an, av) = match da.kind(aa) {
-                    NodeKind::Attribute { name, value } => (name, value),
-                    _ => return false,
-                };
-                let found = attrs_b.iter().any(|&bb| match db.kind(bb) {
-                    NodeKind::Attribute { name, value } => name == an && value == av,
+        (
+            NodeKind::Element {
+                name: nx,
+                attrs: ax,
+                ..
+            },
+            NodeKind::Element {
+                name: ny,
+                attrs: ay,
+                ..
+            },
+        ) => {
+            nx == ny
+                && ax.len() == ay.len()
+                && ax.iter().all(|&a| match da.kind(a) {
+                    NodeKind::Attribute { name, value } => ay.iter().any(|&b| {
+                        matches!(db.kind(b), NodeKind::Attribute { name: n, value: v }
+                            if n == name && v == value)
+                    }),
                     _ => false,
-                });
-                if !found {
-                    return false;
-                }
-            }
-            // children, ignoring comments/PIs
-            let ka: Vec<_> = da
-                .children(a.node)
-                .iter()
-                .copied()
-                .filter(|&c| matches!(da.kind(c), NodeKind::Element { .. } | NodeKind::Text { .. }))
-                .collect();
-            let kb: Vec<_> = db
-                .children(b.node)
-                .iter()
-                .copied()
-                .filter(|&c| matches!(db.kind(c), NodeKind::Element { .. } | NodeKind::Text { .. }))
-                .collect();
-            ka.len() == kb.len()
-                && ka.iter().zip(kb.iter()).all(|(&x, &y)| {
-                    deep_equal_nodes(
-                        store,
-                        xqib_dom::NodeRef::new(a.doc, x),
-                        xqib_dom::NodeRef::new(b.doc, y),
-                    )
                 })
         }
-        (NodeKind::Document { .. }, NodeKind::Document { .. }) => {
-            let ka = da.children(a.node);
-            let kb = db.children(b.node);
-            ka.len() == kb.len()
-                && ka.iter().zip(kb.iter()).all(|(&x, &y)| {
-                    deep_equal_nodes(
-                        store,
-                        xqib_dom::NodeRef::new(a.doc, x),
-                        xqib_dom::NodeRef::new(b.doc, y),
-                    )
-                })
-        }
+        (NodeKind::Document { .. }, NodeKind::Document { .. }) => true,
         _ => false,
     }
 }
@@ -895,4 +897,177 @@ pub fn native(
     f: impl Fn(&mut DynamicContext, Vec<Sequence>) -> XdmResult<Sequence> + 'static,
 ) -> crate::context::NativeFn {
     Rc::new(f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use xqib_dom::testgen::{deep_document, mix_env, on_big_stack, random_document, wide_document};
+    use xqib_dom::{DocId, NodeRef, Store};
+
+    /// The recursive comparison the lockstep walk replaced, verbatim, kept
+    /// as its oracle.
+    mod oracle {
+        use super::*;
+
+        pub fn deep_equal_nodes(
+            store: &xqib_dom::Store,
+            a: xqib_dom::NodeRef,
+            b: xqib_dom::NodeRef,
+        ) -> bool {
+            let da = store.doc(a.doc);
+            let db = store.doc(b.doc);
+            match (da.kind(a.node), db.kind(b.node)) {
+                (NodeKind::Text { value: x }, NodeKind::Text { value: y }) => x == y,
+                (NodeKind::Comment { value: x }, NodeKind::Comment { value: y }) => x == y,
+                (
+                    NodeKind::Attribute { name: nx, value: x },
+                    NodeKind::Attribute { name: ny, value: y },
+                ) => nx == ny && x == y,
+                (
+                    NodeKind::ProcessingInstruction {
+                        target: tx,
+                        value: x,
+                    },
+                    NodeKind::ProcessingInstruction {
+                        target: ty,
+                        value: y,
+                    },
+                ) => tx == ty && x == y,
+                (NodeKind::Element { name: nx, .. }, NodeKind::Element { name: ny, .. }) => {
+                    if nx != ny {
+                        return false;
+                    }
+                    // attributes: same set (order-insensitive)
+                    let attrs_a = da.attributes(a.node);
+                    let attrs_b = db.attributes(b.node);
+                    if attrs_a.len() != attrs_b.len() {
+                        return false;
+                    }
+                    for &aa in attrs_a {
+                        let (an, av) = match da.kind(aa) {
+                            NodeKind::Attribute { name, value } => (name, value),
+                            _ => return false,
+                        };
+                        let found = attrs_b.iter().any(|&bb| match db.kind(bb) {
+                            NodeKind::Attribute { name, value } => name == an && value == av,
+                            _ => false,
+                        });
+                        if !found {
+                            return false;
+                        }
+                    }
+                    // children, ignoring comments/PIs
+                    let ka: Vec<_> = da
+                        .children(a.node)
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            matches!(da.kind(c), NodeKind::Element { .. } | NodeKind::Text { .. })
+                        })
+                        .collect();
+                    let kb: Vec<_> = db
+                        .children(b.node)
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            matches!(db.kind(c), NodeKind::Element { .. } | NodeKind::Text { .. })
+                        })
+                        .collect();
+                    ka.len() == kb.len()
+                        && ka.iter().zip(kb.iter()).all(|(&x, &y)| {
+                            deep_equal_nodes(
+                                store,
+                                xqib_dom::NodeRef::new(a.doc, x),
+                                xqib_dom::NodeRef::new(b.doc, y),
+                            )
+                        })
+                }
+                (NodeKind::Document { .. }, NodeKind::Document { .. }) => {
+                    let ka = da.children(a.node);
+                    let kb = db.children(b.node);
+                    ka.len() == kb.len()
+                        && ka.iter().zip(kb.iter()).all(|(&x, &y)| {
+                            deep_equal_nodes(
+                                store,
+                                xqib_dom::NodeRef::new(a.doc, x),
+                                xqib_dom::NodeRef::new(b.doc, y),
+                            )
+                        })
+                }
+                _ => false,
+            }
+        }
+    }
+
+    /// `doc` with every element's attributes in reverse order and the
+    /// comments and processing instructions among element children
+    /// detached: deep-equal to `doc` node for node, though not identical.
+    fn variant(mut doc: Document) -> Document {
+        for i in 0..doc.len() {
+            let n = NodeId(i as u32);
+            let attrs: Vec<NodeId> = doc.attributes(n).iter().rev().copied().collect();
+            if !attrs.is_empty() {
+                doc.restore_attributes(n, &attrs).unwrap();
+            }
+            let skipped = matches!(
+                doc.kind(n),
+                NodeKind::Comment { .. } | NodeKind::ProcessingInstruction { .. }
+            );
+            if skipped && doc.parent(n).is_some_and(|p| doc.kind(p).is_element()) {
+                doc.detach(n).unwrap();
+            }
+        }
+        doc
+    }
+
+    /// Compares every node of `a` with every node of `a` and `b`; returns
+    /// whether the two document nodes are deep-equal.
+    fn check(a: Document, b: Document) -> bool {
+        let mut s = Store::new();
+        let (da, db) = (s.add_document(a, None), s.add_document(b, None));
+        let nodes = |d: DocId| (0..s.doc(d).len()).map(move |i| NodeRef::new(d, NodeId(i as u32)));
+        for x in nodes(da) {
+            for y in nodes(db).chain(nodes(da)) {
+                assert_eq!(
+                    deep_equal_nodes(&s, x, y),
+                    oracle::deep_equal_nodes(&s, x, y),
+                    "{x:?} vs {y:?}"
+                );
+            }
+        }
+        deep_equal_nodes(&s, s.root(da), s.root(db))
+    }
+
+    proptest! {
+        #[test]
+        fn lockstep_walk_matches_the_recursive_oracle(seed in any::<u64>()) {
+            let seed = mix_env(seed);
+            prop_assert!(check(random_document(seed), variant(random_document(seed))));
+            check(random_document(seed), random_document(seed ^ 1));
+            prop_assert!(check(wide_document(seed, 6), variant(wide_document(seed, 6))));
+        }
+    }
+
+    #[test]
+    fn deep_chains_match_the_recursive_oracle() {
+        for k in 0..2 {
+            // the recursive oracle needs more than a test thread's stack
+            on_big_stack(move || {
+                let mut s = Store::new();
+                let a = s.add_document(deep_document(mix_env(k), 10_000), None);
+                let b = s.add_document(variant(deep_document(mix_env(k), 10_000)), None);
+                let c = s.add_document(deep_document(mix_env(k) ^ 1, 10_000), None);
+                for (x, y) in [(a, b), (a, c), (b, a)] {
+                    let (x, y) = (s.root(x), s.root(y));
+                    assert_eq!(
+                        deep_equal_nodes(&s, x, y),
+                        oracle::deep_equal_nodes(&s, x, y)
+                    );
+                }
+                assert!(deep_equal_nodes(&s, s.root(a), s.root(b)));
+            });
+        }
+    }
 }

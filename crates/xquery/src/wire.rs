@@ -13,7 +13,7 @@
 //!
 //! All integers are little-endian; strings are `u32` length + UTF-8 bytes.
 
-use xqib_dom::{NodeKind, NodeRef, QName, Store};
+use xqib_dom::{DocId, DomError, NodeId, NodeKind, NodeRef, QName, Store, Visit, Walk};
 use xqib_xdm::{XdmError, XdmResult};
 
 use crate::pul::{Pul, UpdatePrimitive};
@@ -171,60 +171,89 @@ const K_COMMENT: u8 = 2;
 const K_PI: u8 = 3;
 const K_ATTR: u8 = 4;
 
+/// Writes the payload tree under `n`: a node's record, then (for an
+/// element) its attributes' records, then its children's trees.
 fn put_tree(out: &mut Vec<u8>, store: &Store, n: NodeRef) -> XdmResult<()> {
     let doc = store.doc(n.doc);
-    match doc.kind(n.node) {
-        NodeKind::Element { name, .. } => {
-            out.push(K_ELEM);
-            put_qname(out, name);
-            let decls = doc.ns_decls(n.node);
-            put_u32(out, decls.len() as u32);
-            for (p, u) in decls {
-                put_str(out, p);
-                put_str(out, u);
+    let mut walk = Walk::new(n.node);
+    while let Some(visit) = walk.next(doc) {
+        let Visit::Open(id) = visit else {
+            continue;
+        };
+        match doc.kind(id) {
+            NodeKind::Element {
+                name,
+                attrs,
+                children,
+                ns_decls,
+            } => {
+                out.push(K_ELEM);
+                put_qname(out, name);
+                put_u32(out, ns_decls.len() as u32);
+                for (p, u) in ns_decls {
+                    put_str(out, p);
+                    put_str(out, u);
+                }
+                put_u32(out, attrs.len() as u32);
+                for &a in attrs {
+                    if let NodeKind::Attribute { name, value } = doc.kind(a) {
+                        put_attribute(out, name, value);
+                    }
+                }
+                put_u32(out, children.len() as u32);
             }
-            let attrs = doc.attributes(n.node);
-            put_u32(out, attrs.len() as u32);
-            for &a in attrs {
-                put_tree(out, store, NodeRef::new(n.doc, a))?;
+            NodeKind::Attribute { name, value } => put_attribute(out, name, value),
+            NodeKind::Text { value } => {
+                out.push(K_TEXT);
+                put_str(out, value);
             }
-            let children = doc.children(n.node);
-            put_u32(out, children.len() as u32);
-            for &c in children {
-                put_tree(out, store, NodeRef::new(n.doc, c))?;
+            NodeKind::Comment { value } => {
+                out.push(K_COMMENT);
+                put_str(out, value);
             }
-        }
-        NodeKind::Attribute { name, value } => {
-            out.push(K_ATTR);
-            put_qname(out, name);
-            put_str(out, value);
-        }
-        NodeKind::Text { value } => {
-            out.push(K_TEXT);
-            put_str(out, value);
-        }
-        NodeKind::Comment { value } => {
-            out.push(K_COMMENT);
-            put_str(out, value);
-        }
-        NodeKind::ProcessingInstruction { target, value } => {
-            out.push(K_PI);
-            put_str(out, target);
-            put_str(out, value);
-        }
-        NodeKind::Document { .. } => {
-            return Err(err("document nodes cannot be update payloads"));
+            NodeKind::ProcessingInstruction { target, value } => {
+                out.push(K_PI);
+                put_str(out, target);
+                put_str(out, value);
+            }
+            NodeKind::Document { .. } => {
+                return Err(err("document nodes cannot be update payloads"));
+            }
         }
     }
     Ok(())
 }
 
-/// Re-creates an encoded payload tree inside document `dst`.
-fn read_tree(r: &mut Reader, store: &mut Store, dst: xqib_dom::DocId) -> XdmResult<NodeRef> {
-    let map_err = |e: xqib_dom::DomError| err(e.to_string());
-    let kind = r.u8()?;
-    let node = match kind {
-        K_ELEM => {
+fn put_attribute(out: &mut Vec<u8>, name: &QName, value: &str) {
+    out.push(K_ATTR);
+    put_qname(out, name);
+    put_str(out, value);
+}
+
+/// Where [`read_tree`] re-creates payload nodes: a document of a store,
+/// or nowhere, when only the bytes are skipped.
+type Dst<'a> = Option<(&'a mut Store, DocId)>;
+
+fn dom_err(e: DomError) -> XdmError {
+    err(e.to_string())
+}
+
+/// Decodes one payload tree: re-created in `dst` when there is one (its
+/// root returned), only skipped otherwise — by the same grammar, so a
+/// skip accepts exactly what a decode does. One loop over an explicit
+/// stack of open elements, each with its count of children still to
+/// read. A node is attached once complete, while its parent is still
+/// detached, so no insertion check walks a chain of ancestors.
+fn read_tree(r: &mut Reader, dst: &mut Dst) -> XdmResult<Option<NodeId>> {
+    let mut open: Vec<(Option<NodeId>, u32)> = Vec::new();
+    loop {
+        let kind = r.u8()?;
+        let mut done = if kind != K_ELEM {
+            if kind == K_ATTR && !open.is_empty() {
+                return Err(err("attribute record among a payload element's children"));
+            }
+            read_leaf(r, kind, dst)?
+        } else {
             let name = read_qname(r)?;
             let n_decls = r.u32()? as usize;
             // two length-prefixed strings per decl = at least 8 bytes each
@@ -234,52 +263,72 @@ fn read_tree(r: &mut Reader, store: &mut Store, dst: xqib_dom::DocId) -> XdmResu
                 let u = r.str()?;
                 decls.push((p, u));
             }
-            let n_attrs = r.u32()? as usize;
-            let elem = store.doc_mut(dst).create_element(name);
+            let n_attrs = r.u32()?;
+            let elem = dst
+                .as_mut()
+                .map(|(s, d)| s.doc_mut(*d).create_element(name));
             for (p, u) in decls {
-                store
-                    .doc_mut(dst)
-                    .add_ns_decl(elem, p, u)
-                    .map_err(map_err)?;
+                if let (Some((s, d)), Some(e)) = (dst.as_mut(), elem) {
+                    s.doc_mut(*d).add_ns_decl(e, p, u).map_err(dom_err)?;
+                }
             }
             for _ in 0..n_attrs {
-                let a = read_tree(r, store, dst)?;
-                store
-                    .doc_mut(dst)
-                    .put_attribute_node(elem, a.node)
-                    .map_err(map_err)?;
+                if r.u8()? != K_ATTR {
+                    return Err(err(
+                        "non-attribute record among a payload element's attributes",
+                    ));
+                }
+                let a = read_leaf(r, K_ATTR, dst)?;
+                if let (Some((s, d)), Some(e), Some(a)) = (dst.as_mut(), elem, a) {
+                    s.doc_mut(*d).put_attribute_node(e, a).map_err(dom_err)?;
+                }
             }
-            let n_children = r.u32()? as usize;
-            for _ in 0..n_children {
-                let c = read_tree(r, store, dst)?;
-                store
-                    .doc_mut(dst)
-                    .append_child(elem, c.node)
-                    .map_err(map_err)?;
+            let n_children = r.u32()?;
+            if n_children > 0 {
+                open.push((elem, n_children));
+                continue;
             }
             elem
+        };
+        // attach `done`, and close each element whose last child it was
+        loop {
+            let Some((parent, left)) = open.last_mut() else {
+                return Ok(done);
+            };
+            if let (Some((s, d)), Some(p), Some(c)) = (dst.as_mut(), *parent, done) {
+                s.doc_mut(*d).append_child(p, c).map_err(dom_err)?;
+            }
+            *left -= 1;
+            if *left > 0 {
+                break;
+            }
+            done = open.pop().expect("checked above").0;
         }
+    }
+}
+
+/// The rest of a leaf record of `kind`, re-created in `dst` if any.
+fn read_leaf(r: &mut Reader, kind: u8, dst: &mut Dst) -> XdmResult<Option<NodeId>> {
+    let doc = dst.as_mut().map(|(s, d)| s.doc_mut(*d));
+    Ok(match kind {
         K_ATTR => {
-            let name = read_qname(r)?;
-            let value = r.str()?;
-            store.doc_mut(dst).create_attribute(name, value)
+            let (name, value) = (read_qname(r)?, r.str()?);
+            doc.map(|doc| doc.create_attribute(name, value))
         }
         K_TEXT => {
             let value = r.str()?;
-            store.doc_mut(dst).create_text(value)
+            doc.map(|doc| doc.create_text(value))
         }
         K_COMMENT => {
             let value = r.str()?;
-            store.doc_mut(dst).create_comment(value)
+            doc.map(|doc| doc.create_comment(value))
         }
         K_PI => {
-            let target = r.str()?;
-            let value = r.str()?;
-            store.doc_mut(dst).create_pi(target, value)
+            let (target, value) = (r.str()?, r.str()?);
+            doc.map(|doc| doc.create_pi(target, value))
         }
         other => return Err(err(format!("unknown payload node kind {other}"))),
-    };
-    Ok(NodeRef::new(dst, node))
+    })
 }
 
 fn put_trees(out: &mut Vec<u8>, store: &Store, nodes: &[NodeRef]) -> XdmResult<()> {
@@ -290,12 +339,17 @@ fn put_trees(out: &mut Vec<u8>, store: &Store, nodes: &[NodeRef]) -> XdmResult<(
     Ok(())
 }
 
-fn read_trees(r: &mut Reader, store: &mut Store, dst: xqib_dom::DocId) -> XdmResult<Vec<NodeRef>> {
+/// A counted list of payload trees; see [`read_tree`]. Empty when
+/// skipping.
+fn read_trees(r: &mut Reader, dst: &mut Dst) -> XdmResult<Vec<NodeRef>> {
     let n = r.u32()? as usize;
     // every encoded tree is at least one kind byte
     let mut out = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        out.push(read_tree(r, store, dst)?);
+        if let Some(node) = read_tree(r, dst)? {
+            let (_, d) = dst.as_ref().expect("a node was built");
+            out.push(NodeRef::new(*d, node));
+        }
     }
     Ok(out)
 }
@@ -400,7 +454,7 @@ pub fn decode_pul(store: &mut Store, bytes: &[u8]) -> XdmResult<Pul> {
             T_INSERT_INTO | T_INSERT_FIRST | T_INSERT_LAST | T_INSERT_BEFORE | T_INSERT_AFTER
             | T_INSERT_ATTRS | T_REPLACE_NODE => {
                 let target = read_target(&mut r, store)?;
-                let nodes = read_trees(&mut r, store, target.doc)?;
+                let nodes = read_trees(&mut r, &mut Some((&mut *store, target.doc)))?;
                 match tag {
                     T_INSERT_INTO => UpdatePrimitive::InsertInto {
                         target,
@@ -461,49 +515,6 @@ pub fn decode_pul(store: &mut Store, bytes: &[u8]) -> XdmResult<Pul> {
 // skimming: target URIs without a store
 // ---------------------------------------------------------------------------
 
-/// Skips an encoded payload tree without materialising it.
-fn skim_tree(r: &mut Reader) -> XdmResult<()> {
-    match r.u8()? {
-        K_ELEM => {
-            read_qname(r)?;
-            let n_decls = r.u32()? as usize;
-            for _ in 0..n_decls {
-                r.str()?;
-                r.str()?;
-            }
-            let n_attrs = r.u32()? as usize;
-            for _ in 0..n_attrs {
-                skim_tree(r)?;
-            }
-            let n_children = r.u32()? as usize;
-            for _ in 0..n_children {
-                skim_tree(r)?;
-            }
-        }
-        K_ATTR => {
-            read_qname(r)?;
-            r.str()?;
-        }
-        K_TEXT | K_COMMENT => {
-            r.str()?;
-        }
-        K_PI => {
-            r.str()?;
-            r.str()?;
-        }
-        other => return Err(err(format!("unknown payload node kind {other}"))),
-    }
-    Ok(())
-}
-
-fn skim_trees(r: &mut Reader) -> XdmResult<()> {
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        skim_tree(r)?;
-    }
-    Ok(())
-}
-
 /// Skips a target, returning only its document URI.
 fn skim_target(r: &mut Reader) -> XdmResult<String> {
     let uri = r.str()?;
@@ -529,7 +540,9 @@ pub fn pul_doc_uris(bytes: &[u8]) -> XdmResult<Vec<String>> {
         let uri = skim_target(&mut r)?;
         match tag {
             T_INSERT_INTO | T_INSERT_FIRST | T_INSERT_LAST | T_INSERT_BEFORE | T_INSERT_AFTER
-            | T_INSERT_ATTRS | T_REPLACE_NODE => skim_trees(&mut r)?,
+            | T_INSERT_ATTRS | T_REPLACE_NODE => {
+                read_trees(&mut r, &mut None)?;
+            }
             T_DELETE => {}
             T_REPLACE_VALUE | T_REPLACE_CONTENT => {
                 r.str()?;
@@ -553,7 +566,6 @@ pub fn pul_doc_uris(bytes: &[u8]) -> XdmResult<Vec<String>> {
 mod tests {
     use super::*;
     use xqib_dom::serialize::serialize_document;
-    use xqib_dom::DocId;
 
     fn store_with(xml: &str) -> (Store, DocId) {
         let mut s = Store::new();
@@ -721,5 +733,276 @@ mod tests {
         // corrupt records skim to a clean error, never a panic
         assert!(pul_doc_uris(&bytes[..bytes.len() - 2]).is_err());
         assert!(pul_doc_uris(&[9, 0, 0, 0]).is_err());
+    }
+
+    /// The recursive payload codec the loops replaced, verbatim, kept as
+    /// the oracle for bytes, arenas, reader positions and errors.
+    mod oracle {
+        use super::super::*;
+
+        pub fn put_tree(out: &mut Vec<u8>, store: &Store, n: NodeRef) -> XdmResult<()> {
+            let doc = store.doc(n.doc);
+            match doc.kind(n.node) {
+                NodeKind::Element { name, .. } => {
+                    out.push(K_ELEM);
+                    put_qname(out, name);
+                    let decls = doc.ns_decls(n.node);
+                    put_u32(out, decls.len() as u32);
+                    for (p, u) in decls {
+                        put_str(out, p);
+                        put_str(out, u);
+                    }
+                    let attrs = doc.attributes(n.node);
+                    put_u32(out, attrs.len() as u32);
+                    for &a in attrs {
+                        put_tree(out, store, NodeRef::new(n.doc, a))?;
+                    }
+                    let children = doc.children(n.node);
+                    put_u32(out, children.len() as u32);
+                    for &c in children {
+                        put_tree(out, store, NodeRef::new(n.doc, c))?;
+                    }
+                }
+                NodeKind::Attribute { name, value } => {
+                    out.push(K_ATTR);
+                    put_qname(out, name);
+                    put_str(out, value);
+                }
+                NodeKind::Text { value } => {
+                    out.push(K_TEXT);
+                    put_str(out, value);
+                }
+                NodeKind::Comment { value } => {
+                    out.push(K_COMMENT);
+                    put_str(out, value);
+                }
+                NodeKind::ProcessingInstruction { target, value } => {
+                    out.push(K_PI);
+                    put_str(out, target);
+                    put_str(out, value);
+                }
+                NodeKind::Document { .. } => {
+                    return Err(err("document nodes cannot be update payloads"));
+                }
+            }
+            Ok(())
+        }
+
+        pub fn read_tree(r: &mut Reader, store: &mut Store, dst: DocId) -> XdmResult<NodeRef> {
+            let map_err = |e: xqib_dom::DomError| err(e.to_string());
+            let kind = r.u8()?;
+            let node = match kind {
+                K_ELEM => {
+                    let name = read_qname(r)?;
+                    let n_decls = r.u32()? as usize;
+                    let mut decls = Vec::with_capacity(n_decls.min(r.remaining() / 8));
+                    for _ in 0..n_decls {
+                        let p = r.str()?;
+                        let u = r.str()?;
+                        decls.push((p, u));
+                    }
+                    let n_attrs = r.u32()? as usize;
+                    let elem = store.doc_mut(dst).create_element(name);
+                    for (p, u) in decls {
+                        store
+                            .doc_mut(dst)
+                            .add_ns_decl(elem, p, u)
+                            .map_err(map_err)?;
+                    }
+                    for _ in 0..n_attrs {
+                        let a = read_tree(r, store, dst)?;
+                        store
+                            .doc_mut(dst)
+                            .put_attribute_node(elem, a.node)
+                            .map_err(map_err)?;
+                    }
+                    let n_children = r.u32()? as usize;
+                    for _ in 0..n_children {
+                        let c = read_tree(r, store, dst)?;
+                        store
+                            .doc_mut(dst)
+                            .append_child(elem, c.node)
+                            .map_err(map_err)?;
+                    }
+                    elem
+                }
+                K_ATTR => {
+                    let name = read_qname(r)?;
+                    let value = r.str()?;
+                    store.doc_mut(dst).create_attribute(name, value)
+                }
+                K_TEXT => {
+                    let value = r.str()?;
+                    store.doc_mut(dst).create_text(value)
+                }
+                K_COMMENT => {
+                    let value = r.str()?;
+                    store.doc_mut(dst).create_comment(value)
+                }
+                K_PI => {
+                    let target = r.str()?;
+                    let value = r.str()?;
+                    store.doc_mut(dst).create_pi(target, value)
+                }
+                other => return Err(err(format!("unknown payload node kind {other}"))),
+            };
+            Ok(NodeRef::new(dst, node))
+        }
+
+        pub fn skim_tree(r: &mut Reader) -> XdmResult<()> {
+            match r.u8()? {
+                K_ELEM => {
+                    read_qname(r)?;
+                    let n_decls = r.u32()? as usize;
+                    for _ in 0..n_decls {
+                        r.str()?;
+                        r.str()?;
+                    }
+                    let n_attrs = r.u32()? as usize;
+                    for _ in 0..n_attrs {
+                        skim_tree(r)?;
+                    }
+                    let n_children = r.u32()? as usize;
+                    for _ in 0..n_children {
+                        skim_tree(r)?;
+                    }
+                }
+                K_ATTR => {
+                    read_qname(r)?;
+                    r.str()?;
+                }
+                K_TEXT | K_COMMENT => {
+                    r.str()?;
+                }
+                K_PI => {
+                    r.str()?;
+                    r.str()?;
+                }
+                other => return Err(err(format!("unknown payload node kind {other}"))),
+            }
+            Ok(())
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use xqib_dom::testgen::{
+            deep_document, mix_env, on_big_stack, random_document, wide_document,
+        };
+        use xqib_dom::{Document, NodeId};
+
+        /// Decodes `bytes` with the loop and with the oracle: both accept
+        /// or both refuse, and on accept they stop at the same byte and
+        /// build the same arena. Skipping accepts what decoding does and
+        /// stops where the oracle's skim does.
+        fn decode_alike(bytes: &[u8]) {
+            let (mut new, mut old) = (Store::new(), Store::new());
+            let d = new.new_document(None);
+            old.new_document(None);
+            let (mut r_new, mut r_old) = (Reader::new(bytes), Reader::new(bytes));
+            let built = read_tree(&mut r_new, &mut Some((&mut new, d)));
+            let want = oracle::read_tree(&mut r_old, &mut old, d);
+            match (&built, &want) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(*a, Some(b.node));
+                    assert_eq!(r_new.pos, r_old.pos);
+                    let (a, b) = (new.doc(d), old.doc(d));
+                    assert_eq!(a.len(), b.len());
+                    for i in 0..a.len() {
+                        let id = NodeId(i as u32);
+                        assert_eq!(format!("{:?}", a.data(id)), format!("{:?}", b.data(id)));
+                    }
+                }
+                (Err(a), Err(_)) => assert_eq!(a.code, WIRE_ERR),
+                _ => panic!("loop {built:?}, oracle {want:?} on {bytes:?}"),
+            }
+            let mut r_skip = Reader::new(bytes);
+            let skipped = read_tree(&mut r_skip, &mut None);
+            assert_eq!(skipped.is_ok(), built.is_ok(), "skipping {bytes:?}");
+            if skipped.is_ok() {
+                let mut r_old = Reader::new(bytes);
+                oracle::skim_tree(&mut r_old).unwrap();
+                assert_eq!(r_skip.pos, r_old.pos);
+            }
+        }
+
+        /// Every node of `doc` but the document node encodes to the
+        /// oracle's bytes and decodes alike. Short encodings are also
+        /// decoded cut at every length and with a byte replaced at every
+        /// offset, which reaches each malformed-input check.
+        fn check(doc: Document) {
+            let mut s = Store::new();
+            let d = s.add_document(doc, None);
+            for i in 1..s.doc(d).len() {
+                let n = NodeRef::new(d, NodeId(i as u32));
+                let (mut new, mut old) = (Vec::new(), Vec::new());
+                put_tree(&mut new, &s, n).unwrap();
+                oracle::put_tree(&mut old, &s, n).unwrap();
+                assert_eq!(new, old);
+                decode_alike(&new);
+                if new.len() <= 96 {
+                    for cut in 0..new.len() {
+                        decode_alike(&new[..cut]);
+                        for b in [0, 1, 4, 9, 0xFF] {
+                            let mut bad = new.clone();
+                            bad[cut] = b;
+                            decode_alike(&bad);
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest::proptest! {
+            #[test]
+            fn codec_loops_match_the_recursive_oracle(seed in proptest::prelude::any::<u64>()) {
+                let seed = mix_env(seed);
+                check(random_document(seed));
+                check(wide_document(seed, 12));
+            }
+        }
+
+        #[test]
+        fn deep_chains_match_the_recursive_oracle() {
+            for k in 0..2 {
+                // the recursive oracle needs more than a test thread's stack
+                on_big_stack(move || {
+                    let mut s = Store::new();
+                    let d = s.add_document(deep_document(mix_env(k), 10_000), None);
+                    let top = NodeRef::new(d, s.doc(d).children(s.doc(d).root())[0]);
+                    let (mut new, mut old) = (Vec::new(), Vec::new());
+                    put_tree(&mut new, &s, top).unwrap();
+                    oracle::put_tree(&mut old, &s, top).unwrap();
+                    assert_eq!(new, old);
+                    decode_alike(&new);
+                    decode_alike(&new[..new.len() / 2]);
+                });
+            }
+        }
+    }
+
+    /// A payload deeper than any recursion survives on a test thread's
+    /// stack encodes, skims, decodes and applies.
+    #[test]
+    fn deep_insert_round_trips() {
+        let (mut s, d) = store_with("<r/>");
+        let deep = xqib_dom::testgen::deep_document(3, 100_000);
+        let payload = s.doc_mut(d).deep_copy_from(&deep, deep.root());
+        let root = s.doc(d).children(s.doc(d).root())[0];
+        let mut pul = Pul::new();
+        pul.push(UpdatePrimitive::InsertInto {
+            target: NodeRef::new(d, root),
+            children: vec![NodeRef::new(d, payload)],
+        });
+        let bytes = encode_pul(&s, &pul).unwrap();
+        assert_eq!(pul_doc_uris(&bytes).unwrap(), ["db.xml"]);
+        let (mut fresh, _) = store_with("<r/>");
+        let decoded = decode_pul(&mut fresh, &bytes).unwrap();
+        pul.apply(&mut s).unwrap();
+        decoded.apply(&mut fresh).unwrap();
+        assert_eq!(
+            serialize_document(fresh.doc(DocId(0))),
+            serialize_document(s.doc(d))
+        );
     }
 }

@@ -570,6 +570,42 @@ fn transform_leaves_original_untouched() {
     assert_eq!(run_to_string("doc('d.xml')/r/v/text()", s).unwrap(), "1");
 }
 
+#[test]
+fn transform_copies_a_document_node_as_its_element() {
+    let s = store_with("t.xml", "<site><a>1</a></site>");
+    let copy = "copy $c := doc('t.xml') modify () return $c";
+    assert_eq!(
+        run_to_string(copy, s.clone()).unwrap(),
+        "<site><a>1</a></site>"
+    );
+    assert_eq!(
+        run_to_string(&format!("count(({copy})/self::site/a)"), s.clone()).unwrap(),
+        "1"
+    );
+    // the constructor's cross-document copy agrees
+    assert_eq!(
+        run_to_string("<x>{doc('t.xml')}</x>", s).unwrap(),
+        "<x><site><a>1</a></site></x>"
+    );
+}
+
+/// Deeper than any recursion survives on a test thread's stack.
+#[test]
+fn deep_documents_are_read_compared_and_copied() {
+    const DEEP: usize = 100_000;
+    let xml = "<a>".repeat(DEEP) + "x" + &"</a>".repeat(DEEP);
+    let s = store_with("deep.xml", &xml);
+    let twin = parse_document(&xml).unwrap();
+    s.borrow_mut().add_document(twin, Some("twin.xml"));
+    let run = |q: &str| run_to_string(q, s.clone()).unwrap_or_else(|e| panic!("{q}: {e}"));
+    assert_eq!(run("string(doc('deep.xml'))"), "x");
+    assert_eq!(run("deep-equal(doc('deep.xml'), doc('twin.xml'))"), "true");
+    assert_eq!(
+        run("string(copy $c := doc('deep.xml') modify insert node <y>y</y> into $c return $c)"),
+        "xy"
+    );
+}
+
 // ===== scripting ==============================================================
 
 #[test]
