@@ -408,6 +408,42 @@ mod tests {
         assert!(c.integrity_stats().repairs_verified >= 1);
     }
 
+    /// Shipping reads only the frames a follower lacks, so rot in frames
+    /// every follower already holds costs no snapshot resync; the
+    /// scrubber, not the shipper, detects it and demotes the leader.
+    #[test]
+    fn rot_in_frames_followers_hold_ships_no_snapshot_until_the_scrubber_demotes() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 2,
+            ack_replicas: 2,
+            ..ClusterConfig::default()
+        });
+        let scrub = c.cfg.scrub_interval_ms;
+        let (_, now) = acked_markers(&mut c, "d0.xml", 2, 10, "held");
+        let leader_seat = c.shards[0].leader_seat;
+        rot_first_frame(&c.shards[0].seats[leader_seat].disk.clone());
+        let leader = c.shards[0].leader.as_ref().unwrap();
+        assert!(leader.db.disk_damage().wal_rot);
+        assert!(now < scrub, "no scrub may run yet");
+        let snapshots = c.stats().snapshots_shipped;
+        let (_, now) = acked_markers(&mut c, "d0.xml", 3, now, "after");
+        assert!(now < scrub, "no scrub may run yet");
+        assert_eq!(
+            c.stats().snapshots_shipped,
+            snapshots,
+            "frames past the rot ship as frames"
+        );
+        assert_eq!(c.integrity_stats().leader_demotions, 0);
+        drive(&mut c, now, scrub + 20);
+        let ist = c.integrity_stats();
+        assert!(
+            ist.scrub_wal_corruptions >= 1,
+            "rot went undetected: {ist:?}"
+        );
+        assert_eq!(ist.leader_demotions, 1);
+    }
+
     #[test]
     fn a_divergent_follower_is_wiped_resynced_and_readmitted() {
         let mut c = seeded(ClusterConfig {

@@ -569,11 +569,6 @@ impl Cluster {
         self.stats.clone()
     }
 
-    /// Leader committed sequence, `None` during a blackout.
-    pub fn leader_committed(&self, shard: usize) -> Option<u64> {
-        self.shards[shard].committed()
-    }
-
     /// Per-follower lag (leader committed − follower acked), leader's view.
     pub fn replica_lag(&self, shard: usize) -> Vec<u64> {
         let sh = &self.shards[shard];

@@ -33,12 +33,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use xqib_dom::serialize::write_document;
+use xqib_dom::serialize::{serialize_document, write_document};
 use xqib_dom::store::shared_store;
 use xqib_dom::{DocId, DocImage, Document, QName, SharedStore};
 use xqib_storage::{
-    mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
-    VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
+    content_digest, mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError,
+    ShippedFrame, VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
 };
 use xqib_xdm::{Item, XdmResult};
 use xqib_xquery::context::DynamicContext;
@@ -61,20 +61,17 @@ fn doc_digest(uri: &str, doc: &Document) -> u64 {
     h.finish()
 }
 
-/// The serialization of `doc` bound to `uri` and its content digest, in
-/// one pass: what a document image is built from.
+/// The serialization of `doc` bound to `uri` and its content digest,
+/// hashed as one piece once it is written: what a document image is built
+/// from.
 fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
-    let mut xml = String::new();
-    let mut h = ContentHasher::new(uri);
-    write_document(doc, &mut |piece| {
-        xml.push_str(piece);
-        h.update(piece);
-    });
-    (xml, h.finish())
+    let xml = serialize_document(doc);
+    let digest = content_digest(uri, &xml);
+    (xml, digest)
 }
 
 /// The image of `doc`'s current version bound to `uri`: its body and
-/// content digest from one serialize-and-hash pass, built on the first
+/// content digest from one serialization, built on the first
 /// whole-document read of a version and shared by the rest. What every
 /// whole-document read serves — verified reads still compare its digest
 /// with the recorded one — while the digest checks that must see
@@ -515,14 +512,6 @@ impl XmlDb {
             .get_or_compile(src, fp, || compile_plan(src, modules, false))
     }
 
-    /// Parses and registers a library module for `import module` in later
-    /// queries. The registry feeds the plan-cache fingerprint, so plans
-    /// compiled against the previous registry contents stop matching
-    /// immediately — no manual invalidation needed.
-    pub fn register_module(&mut self, src: &str) -> XdmResult<String> {
-        self.modules.register_source(src)
-    }
-
     /// Drops every cached plan (new cache epoch). For environment changes
     /// the static-context fingerprint cannot observe.
     pub fn invalidate_plans(&mut self) {
@@ -532,11 +521,6 @@ impl XmlDb {
     /// Plan-cache hit/miss/eviction/invalidation counters.
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.plans.stats()
-    }
-
-    /// Number of plans currently cached.
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
     }
 
     /// Hard group commit: fsyncs the WAL so every journaled operation
@@ -635,13 +619,13 @@ impl XmlDb {
 
     /// The disk-damage probe of the scrubber, promotion and cutover:
     /// rescans the on-disk WAL for mid-prefix damage (the durable prefix
-    /// rotted after it was acked) and verifies both checkpoint slots.
-    /// Nothing to report for an ephemeral database.
+    /// rotted after it was acked) and verifies both checkpoint slots in
+    /// place. Nothing to report for an ephemeral database.
     pub fn disk_damage(&self) -> DiskDamage {
         match &self.durable {
             Some(d) => DiskDamage {
                 wal_rot: Wal::scan(&d.disk, WAL_FILE).mid_prefix_damage(),
-                slots: Checkpoint::read_latest_verified(&d.disk).1,
+                slots: Checkpoint::slot_verdicts(&d.disk),
             },
             None => DiskDamage::default(),
         }
@@ -696,21 +680,15 @@ impl XmlDb {
     }
 
     /// The committed WAL frames with `after < seq <= committed_seq`, for
-    /// shipping to a follower. `None` when the follower has fallen off the
-    /// log — a checkpoint truncated frames it still needs — or the
-    /// database is ephemeral; the caller must resync by snapshot instead
+    /// shipping to a follower, read by offset from the log's frame index
+    /// ([`Wal::frames_after`]). `None` when the follower has fallen off the
+    /// log — a checkpoint truncated frames it still needs, or frame
+    /// `after + 1` fails its check — or the database is ephemeral; the
+    /// caller must resync by snapshot instead
     /// ([`Self::replication_snapshot`]).
     pub fn committed_frames_after(&self, after: u64) -> Option<Vec<ShippedFrame>> {
         let d = self.durable.as_ref()?;
-        if after >= d.last_committed {
-            return Some(Vec::new());
-        }
-        let data = d.disk.read(WAL_FILE).unwrap_or_default();
-        let frames = Wal::frames_in(&data, after, d.last_committed);
-        match frames.first() {
-            Some(f) if f.seq == after + 1 => Some(frames),
-            _ => None, // gap: the needed suffix was absorbed by a checkpoint
-        }
+        d.wal.frames_after(after, d.last_committed)
     }
 
     /// How many committed WAL records with `seq > after` touch `uri` — the

@@ -6,12 +6,20 @@
 //!   commit (the full price of wire-encoding + append + fsync);
 //! * `recover` — replaying the resulting image (checkpoint + WAL suffix)
 //!   back into a fresh store, i.e. restart latency per journaled op.
+//!
+//! Plus the byte kernels under sealing, shipping and scrubbing, each over
+//! one 300 KB document body (`kernels_300k/*`): `crc32`, `content_digest`,
+//! `fnv1a` (the byte-serial hash the digest replaced, for the ratio),
+//! `streamed_digest` (the digest fed by the serializer piece by piece, as
+//! sealing and the scrubber hash a tree: mostly pieces of a few bytes) and
+//! `slot_verify` (`Checkpoint::slot_verdicts` over a slot holding the body).
 
 use criterion::{BenchmarkId, Criterion};
 
 use xqib_appserver::xmldb::{DurabilityConfig, XmlDb};
 use xqib_bench::criterion as crit;
-use xqib_storage::VirtualDisk;
+use xqib_dom::serialize::write_document;
+use xqib_storage::{content_digest, crc32, fnv1a, Checkpoint, ContentHasher, VirtualDisk};
 
 const OPS: usize = 200;
 
@@ -86,6 +94,57 @@ fn bench(c: &mut Criterion) {
             recovered.committed_seq()
         });
     });
+
+    let mut body = String::from("<db>");
+    for i in 0.. {
+        if body.len() >= 300 * 1024 {
+            break;
+        }
+        body.push_str(&format!("<item id=\"i{i}\"><v>t{i} &amp; é</v></item>"));
+    }
+    body.push_str("</db>");
+    group.bench_with_input(BenchmarkId::new("kernels_300k", "crc32"), &(), |b, _| {
+        b.iter(|| crc32(body.as_bytes()));
+    });
+    group.bench_with_input(
+        BenchmarkId::new("kernels_300k", "content_digest"),
+        &(),
+        |b, _| b.iter(|| content_digest("db.xml", &body)),
+    );
+    group.bench_with_input(BenchmarkId::new("kernels_300k", "fnv1a"), &(), |b, _| {
+        b.iter(|| fnv1a(body.as_bytes()));
+    });
+    let doc = xqib_dom::parse_document(&body).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("kernels_300k", "streamed_digest"),
+        &(),
+        |b, _| {
+            b.iter(|| {
+                let mut h = ContentHasher::new("db.xml");
+                write_document(&doc, &mut |piece| h.update(piece));
+                h.finish()
+            })
+        },
+    );
+    let slot_disk = VirtualDisk::new();
+    Checkpoint {
+        gen: 1,
+        seq: 1,
+        docs: vec![("db.xml".to_string(), body.clone())],
+    }
+    .write(&slot_disk)
+    .unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("kernels_300k", "slot_verify"),
+        &(),
+        |b, _| {
+            b.iter(|| {
+                let verdicts = Checkpoint::slot_verdicts(&slot_disk);
+                assert!(verdicts.is_empty());
+                verdicts.len()
+            });
+        },
+    );
     group.finish();
 }
 

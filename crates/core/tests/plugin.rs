@@ -584,5 +584,7 @@ attach listener local:onResult
     );
     let out = p.eval("string(//div[@id='sink'])").unwrap();
     assert_eq!(p.render(&out), "x");
+    let out = p.eval("count(//div[@id='sink']//a)").unwrap();
+    assert_eq!(p.render(&out), DEEP.to_string());
     assert_eq!(p.serialize_page().matches("<a>").count(), DEEP);
 }

@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::arena::Document;
-use crate::error::{DomError, DomResult};
 use crate::node::NodeId;
 
 /// Identifier of a document inside a [`Store`].
@@ -66,21 +65,9 @@ impl Store {
         &mut self.docs[id.0 as usize]
     }
 
-    pub fn try_doc(&self, id: DocId) -> DomResult<&Document> {
-        self.docs
-            .get(id.0 as usize)
-            .ok_or_else(|| DomError::UnknownDocument(format!("{id:?}")))
-    }
-
     /// Looks up a registered document by URI.
     pub fn doc_by_uri(&self, uri: &str) -> Option<DocId> {
         self.by_uri.get(uri).copied()
-    }
-
-    /// Registers (or re-registers) a URI for an existing document.
-    pub fn register_uri(&mut self, uri: &str, id: DocId) {
-        self.by_uri.insert(uri.to_string(), id);
-        self.docs[id.0 as usize].base_uri = Some(uri.to_string());
     }
 
     /// Removes the URI binding (the document itself stays alive).

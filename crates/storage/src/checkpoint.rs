@@ -16,17 +16,20 @@
 //! ```
 //!
 //! Strings are u32-length-prefixed UTF-8; `crc` covers everything after
-//! itself. Each document entry carries its [`content_digest`] (format v2),
-//! an end-to-end check independent of the slot CRC: decode recomputes the
-//! digest of the decoded body and refuses the slot on a mismatch, and the
-//! scrubber compares recorded digests across replicas without re-reading
-//! bodies.
+//! itself. Each document entry carries its [`content_digest`] (format v3:
+//! the word-at-a-time digest; v2 slots carried the FNV-1a one), an
+//! end-to-end check independent of the slot CRC: one verify routine checks
+//! the CRC, every entry's UTF-8 and its recomputed digest over the slot
+//! bytes in place, and refuses the slot on any mismatch. [`Checkpoint::decode`]
+//! runs it before it builds the documents; [`Checkpoint::slot_verdicts`]
+//! runs it alone, for the scrubber, which also compares recorded digests
+//! across replicas without re-reading bodies.
 
 use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
 use crate::{content_digest, IntegrityError};
 
-const MAGIC: &[u8; 8] = b"XQCKPT2\0";
+const MAGIC: &[u8; 8] = b"XQCKPT3\0";
 
 /// The two alternating snapshot slots.
 pub const CKPT_SLOTS: [&str; 2] = ["ckpt.0", "ckpt.1"];
@@ -66,42 +69,20 @@ impl Checkpoint {
         out
     }
 
-    /// Decodes a snapshot, verifying magic and CRC. `None` means the bytes
-    /// are torn, corrupt or not a checkpoint — never a panic.
+    /// Decodes a snapshot, verifying magic, CRC and every document's
+    /// digest first. `None` means the bytes are torn, corrupt or not a
+    /// checkpoint — never a panic.
     pub fn decode(data: &[u8]) -> Option<Checkpoint> {
-        if data.len() < 12 || &data[..8] != MAGIC {
-            return None;
-        }
-        let crc = u32::from_le_bytes(data[8..12].try_into().ok()?);
-        let body = &data[12..];
-        if crc32(body) != crc {
-            return None;
-        }
-        let gen = u64::from_le_bytes(body.get(0..8)?.try_into().ok()?);
-        let seq = u64::from_le_bytes(body.get(8..16)?.try_into().ok()?);
-        let count = u32::from_le_bytes(body.get(16..20)?.try_into().ok()?) as usize;
-        let mut pos = 20;
-        let mut docs = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let ulen = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            pos += 4;
-            let uri = String::from_utf8(body.get(pos..pos + ulen)?.to_vec()).ok()?;
-            pos += ulen;
-            let xlen = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            pos += 4;
-            let xml = String::from_utf8(body.get(pos..pos + xlen)?.to_vec()).ok()?;
-            pos += xlen;
-            let recorded = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
-            if recorded != content_digest(&uri, &xml) {
-                return None; // end-to-end digest disagrees with the body
-            }
-            docs.push((uri, xml));
-        }
-        if pos != body.len() {
-            return None;
-        }
-        Some(Checkpoint { gen, seq, docs })
+        let v = verify(data)?;
+        Some(Checkpoint {
+            gen: v.gen,
+            seq: v.seq,
+            docs: v
+                .docs
+                .into_iter()
+                .map(|(uri, xml)| (uri.to_string(), xml.to_string()))
+                .collect(),
+        })
     }
 
     /// Writes this snapshot to its generation's slot and fsyncs it.
@@ -123,30 +104,14 @@ impl Checkpoint {
     /// [`IntegrityError::AllCheckpointSlotsCorrupt`] — the alarm case a
     /// recovery path must surface rather than silently starting empty.
     pub fn read_latest_verified(disk: &VirtualDisk) -> (Option<Checkpoint>, Vec<IntegrityError>) {
-        let mut best: Option<Checkpoint> = None;
-        let mut verdicts = Vec::new();
-        let mut written = 0usize;
-        for (i, slot) in CKPT_SLOTS.iter().enumerate() {
-            let Some(data) = disk.read(slot) else {
-                continue;
-            };
-            if data.is_empty() {
-                continue;
-            }
-            written += 1;
-            match Self::decode(&data) {
-                Some(ckpt) => {
-                    if best.as_ref().is_none_or(|b| ckpt.gen > b.gen) {
-                        best = Some(ckpt);
-                    }
-                }
-                None => verdicts.push(IntegrityError::CheckpointSlotCorrupt { slot: i }),
-            }
-        }
-        if best.is_none() && written > 0 && verdicts.len() == written {
-            verdicts.push(IntegrityError::AllCheckpointSlotsCorrupt);
-        }
-        (best, verdicts)
+        read_slots(disk, |data| Self::decode(data).map(|c| (c.gen, c)))
+    }
+
+    /// The verdicts of [`read_latest_verified`](Self::read_latest_verified)
+    /// alone: each slot verified over the disk's bytes in place, building
+    /// no document. The scrubber's slot probe.
+    pub fn slot_verdicts(disk: &VirtualDisk) -> Vec<IntegrityError> {
+        read_slots(disk, |data| verify(data).map(|v| (v.gen, ()))).1
     }
 
     /// The recorded `(uri, digest)` pairs — what the scrubber compares
@@ -157,6 +122,82 @@ impl Checkpoint {
             .map(|(uri, xml)| (uri.clone(), content_digest(uri, xml)))
             .collect()
     }
+}
+
+/// Opens every written slot with `open`, which yields the slot's
+/// generation and payload or `None` for a corrupt slot: the newest payload
+/// (ties keep the first slot), and a typed verdict per corrupt slot,
+/// ending with [`IntegrityError::AllCheckpointSlotsCorrupt`] when no
+/// written slot opened.
+fn read_slots<T>(
+    disk: &VirtualDisk,
+    open: impl Fn(&[u8]) -> Option<(u64, T)>,
+) -> (Option<T>, Vec<IntegrityError>) {
+    let mut best: Option<(u64, T)> = None;
+    let mut verdicts = Vec::new();
+    let mut written = 0usize;
+    for (i, slot) in CKPT_SLOTS.iter().enumerate() {
+        let opened = disk.with_file(slot, |data| (!data.is_empty()).then(|| open(data)));
+        let Some(Some(opened)) = opened else {
+            continue;
+        };
+        written += 1;
+        match opened {
+            Some((gen, payload)) => {
+                if best.as_ref().is_none_or(|(g, _)| gen > *g) {
+                    best = Some((gen, payload));
+                }
+            }
+            None => verdicts.push(IntegrityError::CheckpointSlotCorrupt { slot: i }),
+        }
+    }
+    if best.is_none() && written > 0 && verdicts.len() == written {
+        verdicts.push(IntegrityError::AllCheckpointSlotsCorrupt);
+    }
+    (best.map(|(_, payload)| payload), verdicts)
+}
+
+/// A slot image that passed every check, its entries borrowed from it.
+struct Verified<'a> {
+    gen: u64,
+    seq: u64,
+    docs: Vec<(&'a str, &'a str)>,
+}
+
+/// The one slot check: magic, CRC, every length in bounds, every entry
+/// valid UTF-8 whose recomputed digest equals the recorded one, and no
+/// trailing bytes. Reads the image in place.
+fn verify(data: &[u8]) -> Option<Verified<'_>> {
+    if data.len() < 12 || &data[..8] != MAGIC {
+        return None;
+    }
+    let crc = u32::from_le_bytes(data[8..12].try_into().ok()?);
+    let body = &data[12..];
+    if crc32(body) != crc {
+        return None;
+    }
+    let mut pos = 0usize;
+    let mut take = |n: usize| {
+        let bytes = body.get(pos..pos.checked_add(n)?)?;
+        pos += n;
+        Some(bytes)
+    };
+    let gen = u64::from_le_bytes(take(8)?.try_into().ok()?);
+    let seq = u64::from_le_bytes(take(8)?.try_into().ok()?);
+    let count = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+    let mut docs = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        let ulen = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+        let uri = std::str::from_utf8(take(ulen)?).ok()?;
+        let xlen = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+        let xml = std::str::from_utf8(take(xlen)?).ok()?;
+        let recorded = u64::from_le_bytes(take(8)?.try_into().ok()?);
+        if recorded != content_digest(uri, xml) {
+            return None; // end-to-end digest disagrees with the body
+        }
+        docs.push((uri, xml));
+    }
+    (pos == body.len()).then_some(Verified { gen, seq, docs })
 }
 
 #[cfg(test)]
@@ -237,8 +278,8 @@ mod tests {
         let cases: Vec<Vec<u8>> = vec![
             vec![],
             b"XQ".to_vec(),
-            b"XQCKPT2\0".to_vec(),
-            b"XQCKPT2\0\x01\x02\x03".to_vec(),
+            b"XQCKPT3\0".to_vec(),
+            b"XQCKPT3\0\x01\x02\x03".to_vec(),
             b"NOTMAGIC________________".to_vec(),
             {
                 // valid frame truncated mid-body
@@ -254,7 +295,7 @@ mod tests {
                 body.extend_from_slice(&1u32.to_le_bytes());
                 body.extend_from_slice(&999u32.to_le_bytes());
                 body.extend_from_slice(b"short");
-                let mut out = b"XQCKPT2\0".to_vec();
+                let mut out = b"XQCKPT3\0".to_vec();
                 out.extend_from_slice(&crate::crc32(&body).to_le_bytes());
                 out.extend_from_slice(&body);
                 out

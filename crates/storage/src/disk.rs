@@ -252,6 +252,16 @@ impl VirtualDisk {
         self.inner.borrow().files.get(name).map(|f| f.data.clone())
     }
 
+    /// Runs `f` over a file's current contents in place, with no copy;
+    /// `None` when the file does not exist. `f` must not touch the disk.
+    pub fn with_file<T>(&self, name: &str, f: impl FnOnce(&[u8]) -> T) -> Option<T> {
+        self.inner
+            .borrow()
+            .files
+            .get(name)
+            .map(|file| f(&file.data))
+    }
+
     pub fn len(&self, name: &str) -> usize {
         self.inner
             .borrow()

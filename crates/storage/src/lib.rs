@@ -34,13 +34,13 @@ pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 tables (Kounavis & Berry, ISCC 2005). `CRC32_TABLES[0][i]`
+/// Slicing-by-16 tables (Kounavis & Berry, ISCC 2005). `CRC32_TABLES[0][i]`
 /// is the CRC register after shifting byte `i` through the eight bitwise
 /// steps; `CRC32_TABLES[k][i]` is the same byte followed by `k` zero bytes.
-/// So eight bytes fold into the register with eight independent lookups
-/// and one XOR tree, instead of a chain of eight dependent lookups.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// So sixteen bytes fold into the register with sixteen independent
+/// lookups and one XOR tree, instead of a chain of dependent lookups.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -57,7 +57,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -70,24 +70,23 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
-/// Slicing-by-8: eight bytes per step, the tail one byte at a time.
+/// Slicing-by-16: sixteen bytes per step, the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for w in &mut blocks {
+        let word = |i: usize| u32::from_le_bytes([w[i], w[i + 1], w[i + 2], w[i + 3]]);
+        let (a, b, c, d) = (crc ^ word(0), word(4), word(8), word(12));
+        let fold = |x: u32, k: usize| {
+            t[k + 3][(x & 0xFF) as usize]
+                ^ t[k + 2][((x >> 8) & 0xFF) as usize]
+                ^ t[k + 1][((x >> 16) & 0xFF) as usize]
+                ^ t[k][(x >> 24) as usize]
+        };
+        crc = fold(a, 12) ^ fold(b, 8) ^ fold(c, 4) ^ fold(d, 0);
     }
-    for &b in words.remainder() {
+    for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -96,18 +95,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Continues an FNV-1a hash over `bytes`.
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over a byte string — the workspace's standard content hash.
+/// FNV-1a over a byte string: the hash of short keys (URIs, file names),
+/// where one byte per step costs nothing.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
 /// SplitMix64 finaliser — the workspace's standard bit mixer.
@@ -118,12 +111,12 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// End-to-end content digest of one document binding: FNV-1a over the URI
-/// chained with FNV-1a over the canonical serialization, finished with the
-/// splitmix64 mixer. Recorded in WAL digest frames and checkpoint entries
-/// so replicas can cross-check state without shipping bodies, and so a
-/// read path can refuse to serve bytes that no longer hash to what was
-/// acknowledged.
+/// End-to-end content digest of one document binding: the URI's FNV-1a
+/// chained with a word-at-a-time hash of the canonical serialization
+/// (see [`ContentHasher`]), finished with the splitmix64 mixer. Recorded
+/// in WAL digest frames and checkpoint entries so replicas can
+/// cross-check state without shipping bodies, and so a read path can
+/// refuse to serve bytes that no longer hash to what was acknowledged.
 ///
 /// The definition is over a stream: [`ContentHasher`] takes the
 /// serialization in pieces, as a serializer writes it, and this function
@@ -134,12 +127,65 @@ pub fn content_digest(uri: &str, xml: &str) -> u64 {
     h.finish()
 }
 
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One lane step: multiply the word in, rotate, multiply. A bijection of
+/// the lane for a fixed word and of the word for a fixed lane, so one
+/// changed word always changes the lane.
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// The little-endian value of at most 8 bytes, zero-padded, read with two
+/// overlapping loads instead of a variable-length copy.
+#[inline]
+fn load_le(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    debug_assert!(n <= 8);
+    if n >= 4 {
+        let lo = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as u64;
+        let hi = u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]]);
+        lo | (hi as u64) << (8 * (n - 4))
+    } else if n > 0 {
+        bytes[0] as u64
+            | (bytes[n / 2] as u64) << (8 * (n / 2))
+            | (bytes[n - 1] as u64) << (8 * (n - 1))
+    } else {
+        0
+    }
+}
+
 /// [`content_digest`] of a serialization fed piece by piece: any split of
 /// the same bytes gives the same digest.
+///
+/// The bytes are read as little-endian 8-byte words, the last one
+/// zero-padded. Four independent multiply-rotate lanes take the words in
+/// turn, so a 32-byte block feeds each lane once and the four multiply
+/// chains overlap instead of chaining byte by byte. A piece that does not
+/// complete the current word is shifted into it, so the serializer's
+/// short pieces (a name, a `>`) cost a few register operations. The
+/// finish folds the lanes and mixes in the byte length, which tells the
+/// zero padding from real zero bytes.
 #[derive(Debug, Clone)]
 pub struct ContentHasher {
     uri: u64,
-    body: u64,
+    /// The lanes as a queue: the next word goes into `lanes[0]`, which
+    /// then moves to the back.
+    lanes: [u64; 4],
+    /// The bytes of the word being filled, and how many there are (< 8).
+    word: u64,
+    fill: usize,
+    len: u64,
 }
 
 impl ContentHasher {
@@ -147,18 +193,74 @@ impl ContentHasher {
     pub fn new(uri: &str) -> Self {
         ContentHasher {
             uri: fnv1a(uri.as_bytes()),
-            body: FNV_OFFSET,
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            word: 0,
+            fill: 0,
+            len: 0,
         }
     }
 
-    /// Hashes the next piece of the serialization.
+    fn absorb(&mut self, word: u64) {
+        let [a, b, c, d] = self.lanes;
+        self.lanes = [b, c, d, lane_round(a, word)];
+    }
+
+    /// Hashes the next piece of the serialization. Inlined across crates
+    /// with its short-piece path, the common case of a serializer's sink.
+    #[inline]
     pub fn update(&mut self, piece: &str) {
-        self.body = fnv1a_extend(self.body, piece.as_bytes());
+        self.update_bytes(piece.as_bytes());
+    }
+
+    #[inline]
+    fn update_bytes(&mut self, bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        let room = 8 - self.fill;
+        if bytes.len() < room {
+            self.word |= load_le(bytes) << (8 * self.fill);
+            self.fill += bytes.len();
+        } else {
+            self.update_words(bytes, room);
+        }
+    }
+
+    /// The piece completes the current word: absorb it, then whole
+    /// 32-byte blocks with the lanes in registers, then whole words, and
+    /// keep the rest as the next word. Out of line, so the short-piece
+    /// path inlines into a serializer's sink.
+    #[inline(never)]
+    fn update_words(&mut self, bytes: &[u8], room: usize) {
+        self.absorb(self.word | load_le(&bytes[..room]) << (8 * self.fill));
+        let mut blocks = bytes[room..].chunks_exact(32);
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in &mut blocks {
+            a = lane_round(a, word_at(block, 0));
+            b = lane_round(b, word_at(block, 8));
+            c = lane_round(c, word_at(block, 16));
+            d = lane_round(d, word_at(block, 24));
+        }
+        self.lanes = [a, b, c, d];
+        let mut words = blocks.remainder().chunks_exact(8);
+        for word in &mut words {
+            self.absorb(word_at(word, 0));
+        }
+        self.word = load_le(words.remainder());
+        self.fill = words.remainder().len();
     }
 
     /// The digest of the pieces so far.
     pub fn finish(&self) -> u64 {
-        mix64(self.uri ^ mix64(self.body))
+        let mut h = self.clone();
+        if h.fill > 0 {
+            h.absorb(h.word);
+        }
+        let [a, b, c, d] = h.lanes;
+        let body = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        mix64(self.uri ^ mix64((body ^ self.len).wrapping_mul(P3)))
     }
 }
 
@@ -278,15 +380,16 @@ mod tests {
     }
 
     proptest! {
-        /// Whole buffers, then every length from 0 to 17 at every start
-        /// offset from 0 to 7: both sides of an 8-byte step, every tail
-        /// length, and words that straddle the buffer's alignment.
+        /// Whole buffers, then every length from 0 to 33 at every start
+        /// offset from 0 to 15: both sides of one and two 16-byte steps,
+        /// every tail length, and words that straddle the buffer's
+        /// alignment.
         #[test]
         fn crc32_table_agrees_with_bitwise(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
-            if bytes.len() >= 7 + 17 {
-                for offset in 0..8 {
-                    for len in 0..=17 {
+            if bytes.len() >= 15 + 33 {
+                for offset in 0..16 {
+                    for len in 0..=33 {
                         let slice = &bytes[offset..offset + len];
                         prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
                     }
@@ -297,8 +400,8 @@ mod tests {
         #[test]
         fn content_digest_is_split_invariant(
             uri in "[a-z./-]{0,12}",
-            xml in "[a-z<>&\"é€😀 ]{0,64}",
-            cuts in prop::collection::vec(any::<usize>(), 0..6),
+            xml in "[a-z<>&\"é€😀 ]{0,4096}",
+            cuts in prop::collection::vec(any::<usize>(), 0..64),
         ) {
             // cut at char boundaries, in order
             let mut at: Vec<usize> = cuts
@@ -316,8 +419,60 @@ mod tests {
             prop_assert_eq!(h.finish(), content_digest(&uri, &xml));
             prop_assert_eq!(
                 content_digest(&uri, &xml),
-                mix64(fnv1a(uri.as_bytes()) ^ mix64(fnv1a(xml.as_bytes())))
+                mix64(fnv1a(uri.as_bytes()) ^ mix64(lanes_reference(xml.as_bytes())))
             );
         }
+    }
+
+    /// The body hash of [`ContentHasher`] over a whole byte string, one
+    /// word at a time into the lanes by turn, with no buffering: what any
+    /// split must reproduce.
+    fn lanes_reference(bytes: &[u8]) -> u64 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for (k, word) in bytes.chunks(8).enumerate() {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            lanes[k % 4] = lane_round(lanes[k % 4], u64::from_le_bytes(w));
+        }
+        // the queue has turned once per word: lane `words % 4` is first
+        lanes.rotate_left(bytes.len().div_ceil(8) % 4);
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        (h ^ bytes.len() as u64).wrapping_mul(P3)
+    }
+
+    /// A 1 KB body: 31 whole blocks and a 29-byte tail, so flips land in
+    /// block words, in whole tail words and in the zero-padded last word.
+    #[test]
+    fn every_bit_flip_of_a_body_changes_its_digest() {
+        let body: String = (0..1021u32)
+            .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+            .collect();
+        let mut bytes = body.into_bytes();
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(content_digest(
+            "d.xml",
+            std::str::from_utf8(&bytes).unwrap()
+        )));
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            // a flipped ASCII byte may leave UTF-8: hash the raw bytes
+            let mut h = ContentHasher::new("d.xml");
+            h.update_bytes(&bytes);
+            assert!(seen.insert(h.finish()), "flip of bit {bit} collided");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn the_byte_length_tells_zero_padding_from_zero_bytes() {
+        let digests: std::collections::HashSet<u64> = (0..=40)
+            .map(|n| content_digest("d.xml", &"\0".repeat(n)))
+            .collect();
+        assert_eq!(digests.len(), 41);
     }
 }

@@ -16,6 +16,10 @@
 //! or a sequence break all end replay at the previous frame boundary.
 //! Appended frames become durable only when [`Wal::sync`] succeeds; callers
 //! batch appends per group commit.
+//!
+//! An open [`Wal`] indexes its frames by `(seq, end offset)`, so shipping
+//! the frames after a follower's position ([`Wal::frames_after`]) reads and
+//! checks only those frames' bytes, never the whole log.
 
 use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
@@ -102,6 +106,10 @@ pub struct Wal {
     disk: VirtualDisk,
     file: String,
     next_seq: u64,
+    /// `(seq, end offset)` of every frame in the file, in file order; a
+    /// frame starts where the one before it ends (the first at 0). Kept by
+    /// every append, read from the scan on open, cleared on truncate.
+    index: Vec<(u64, usize)>,
 }
 
 impl Wal {
@@ -112,6 +120,7 @@ impl Wal {
             disk,
             file: file.to_string(),
             next_seq: 1,
+            index: Vec::new(),
         }
     }
 
@@ -125,13 +134,17 @@ impl Wal {
             disk,
             file: file.to_string(),
             next_seq: last_seq + 1,
+            index: replay
+                .records
+                .iter()
+                .map(|(seq, _, end)| (*seq, *end))
+                .collect(),
         }
     }
 
-    /// Scans a WAL file into the longest intact frame prefix.
+    /// Scans a WAL file, in place, into the longest intact frame prefix.
     pub fn scan(disk: &VirtualDisk, file: &str) -> WalReplay {
-        let data = disk.read(file).unwrap_or_default();
-        Self::scan_bytes(&data)
+        disk.with_file(file, Self::scan_bytes).unwrap_or_default()
     }
 
     /// Scans an in-memory frame stream — the same accept rule as
@@ -144,31 +157,14 @@ impl Wal {
         let mut pos = 0usize;
         let mut prev_seq = 0u64;
         while pos + HEADER <= data.len() {
-            let len = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]])
-                as usize;
-            let end = pos + HEADER + len;
-            if end > data.len() {
-                replay.break_reason = Some(WalBreak::TornTail);
-                break;
-            }
-            let crc =
-                u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-            let body = &data[pos + 8..end];
-            if crc32(body) != crc {
-                replay.break_reason = Some(WalBreak::CrcMismatch);
-                break;
-            }
-            let seq = u64::from_le_bytes([
-                body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-            ]);
-            if seq <= prev_seq {
-                replay.break_reason = Some(WalBreak::StaleSeq);
-                break;
-            }
-            let Some(record) = decode_record(body[8], &body[9..]) else {
-                replay.break_reason = Some(WalBreak::Malformed);
-                break;
+            let (seq, record, len) = match decode_frame(&data[pos..], prev_seq) {
+                Ok(frame) => frame,
+                Err(broke) => {
+                    replay.break_reason = Some(broke);
+                    break;
+                }
             };
+            let end = pos + len;
             replay.records.push((seq, record, end));
             replay.valid_bytes = end;
             prev_seq = seq;
@@ -184,10 +180,9 @@ impl Wal {
 
     /// Extracts shippable frames from a raw WAL image: the intact prefix
     /// per [`scan_bytes`](Self::scan_bytes), filtered to
-    /// `after < seq <= upto`. The leader uses this to cut a replication
-    /// batch of committed frames; each [`ShippedFrame`] carries the exact
-    /// on-disk bytes so the follower's log stays a byte-prefix of the
-    /// leader's.
+    /// `after < seq <= upto`. Each [`ShippedFrame`] carries the exact
+    /// on-disk bytes. The whole-log reference cut that
+    /// [`frames_after`](Self::frames_after) is checked against.
     pub fn frames_in(data: &[u8], after: u64, upto: u64) -> Vec<ShippedFrame> {
         let replay = Self::scan_bytes(data);
         let mut start = 0usize;
@@ -203,6 +198,48 @@ impl Wal {
             start = end;
         }
         out
+    }
+
+    /// The frames with `after < seq <= upto`, for shipping to a follower
+    /// at `after`: found by the index and read from the disk by offset,
+    /// so only their bytes are copied, CRC-checked and decoded. A frame
+    /// that fails its check, or whose bytes are gone, ends the batch
+    /// there, as in a scan. `Some(empty)` when `after >= upto`; `None`
+    /// when the log no longer holds frame `after + 1` (a checkpoint
+    /// truncated it) or it fails its check — the follower needs a
+    /// snapshot. Frames at or below `after` are not read, so damage in
+    /// them does not stop shipping (the scrubber's scan finds it).
+    pub fn frames_after(&self, after: u64, upto: u64) -> Option<Vec<ShippedFrame>> {
+        if after >= upto {
+            return Some(Vec::new());
+        }
+        let first = self.index.partition_point(|&(seq, _)| seq <= after);
+        if self.index.get(first)?.0 != after + 1 {
+            return None; // gap: the needed suffix was absorbed by a checkpoint
+        }
+        let last = self.index.partition_point(|&(seq, _)| seq <= upto);
+        let mut start = first.checked_sub(1).map_or(0, |i| self.index[i].1);
+        let frames = self.disk.with_file(&self.file, |data| {
+            let mut out = Vec::with_capacity(last - first);
+            for &(want, end) in &self.index[first..last] {
+                let Some(bytes) = data.get(start..end) else {
+                    break;
+                };
+                match decode_frame(bytes, want - 1) {
+                    Ok((seq, record, len)) if seq == want && len == bytes.len() => {
+                        out.push(ShippedFrame {
+                            seq,
+                            record,
+                            bytes: bytes.to_vec(),
+                        });
+                    }
+                    _ => break,
+                }
+                start = end;
+            }
+            out
+        })?;
+        (!frames.is_empty()).then_some(frames)
     }
 
     /// Appends a record, returning its sequence number. Not durable until
@@ -233,6 +270,7 @@ impl Wal {
     pub fn append_frame(&mut self, seq: u64, frame: &[u8]) {
         self.disk.append(&self.file, frame);
         self.next_seq = seq + 1;
+        self.index.push((seq, self.disk.len(&self.file)));
     }
 
     /// Group commit: fsync the log. On success every appended frame is
@@ -245,6 +283,7 @@ impl Wal {
     /// counting — replay uses them to skip records a checkpoint absorbed.
     pub fn truncate(&mut self) {
         self.disk.truncate(&self.file);
+        self.index.clear();
     }
 
     pub fn size_bytes(&self) -> usize {
@@ -279,6 +318,31 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
             out
         }
     }
+}
+
+/// Checks and decodes the frame at the start of `data`, which must follow
+/// a frame numbered `prev_seq`: its sequence number, record and byte
+/// length, or why it is not an intact next frame.
+fn decode_frame(data: &[u8], prev_seq: u64) -> Result<(u64, WalRecord, usize), WalBreak> {
+    let word = |at: usize| [data[at], data[at + 1], data[at + 2], data[at + 3]];
+    if data.len() < HEADER {
+        return Err(WalBreak::TornTail);
+    }
+    let len = u32::from_le_bytes(word(0)) as usize;
+    let end = HEADER + len;
+    if end > data.len() {
+        return Err(WalBreak::TornTail);
+    }
+    let body = &data[8..end];
+    if crc32(body) != u32::from_le_bytes(word(4)) {
+        return Err(WalBreak::CrcMismatch);
+    }
+    let seq = u64::from_le_bytes(body[..8].try_into().map_err(|_| WalBreak::Malformed)?);
+    if seq <= prev_seq {
+        return Err(WalBreak::StaleSeq);
+    }
+    let record = decode_record(body[8], &body[9..]).ok_or(WalBreak::Malformed)?;
+    Ok((seq, record, end))
 }
 
 fn decode_record(tag: u8, payload: &[u8]) -> Option<WalRecord> {

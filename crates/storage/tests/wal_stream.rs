@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use xqib_storage::wal::ShippedFrame;
-use xqib_storage::{VirtualDisk, Wal, WalBreak, WalRecord, WAL_FILE};
+use xqib_storage::{StorageFaultPlan, VirtualDisk, Wal, WalBreak, WalRecord, WAL_FILE};
 
 fn env_seed() -> u64 {
     std::env::var("XQIB_CLUSTER_SEED")
@@ -234,6 +234,79 @@ proptest! {
             let single = Wal::scan_bytes(&f.bytes);
             prop_assert_eq!(single.records.len(), 1, "each frame stands alone");
             prop_assert_eq!(&single.records[0].1, &f.record);
+        }
+    }
+}
+
+/// The whole-log shipping cut the frame index replaces: read the entire
+/// file, scan every frame, keep `after < seq <= upto`, and call it a gap
+/// unless the first kept frame is `after + 1`.
+fn whole_log_frames_after(disk: &VirtualDisk, after: u64, upto: u64) -> Option<Vec<ShippedFrame>> {
+    if after >= upto {
+        return Some(Vec::new());
+    }
+    let data = disk.read(WAL_FILE).unwrap_or_default();
+    let frames = Wal::frames_in(&data, after, upto);
+    match frames.first() {
+        Some(f) if f.seq == after + 1 => Some(frames),
+        _ => None,
+    }
+}
+
+proptest! {
+    /// Shipping by offset equals shipping by whole-log scan: over random
+    /// append / sync / checkpoint-truncate / torn-tail / reopen sequences
+    /// on a disk whose fsyncs may fail part-way, `frames_after(after,
+    /// committed)` returns exactly the oracle's frames — or its `None` —
+    /// for every `after`.
+    #[test]
+    fn indexed_shipping_equals_the_whole_log_oracle(
+        seed in 0u64..1u64 << 48,
+        n_ops in 1usize..40,
+    ) {
+        let seed = seed ^ env_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = Rng(seed);
+        let disk = VirtualDisk::with_plan(StorageFaultPlan::seeded(seed).with_sync_fail_permille(150));
+        let mut wal = Wal::create(disk.clone(), WAL_FILE);
+        // highest seq appended, known durable, and absorbed by a checkpoint
+        let (mut appended, mut committed, mut ckpt_seq) = (0u64, 0u64, 0u64);
+        for k in 0..n_ops {
+            match rng.below(10) {
+                0..=4 => {
+                    let pad = "y".repeat(rng.below(60) as usize);
+                    appended = wal.append(&WalRecord::Pul(format!("op-{k}-{pad}").into_bytes()));
+                }
+                5 | 6 => {
+                    if wal.sync().is_ok() {
+                        committed = appended;
+                    }
+                }
+                7 => {
+                    if wal.sync().is_ok() {
+                        (committed, ckpt_seq) = (appended, appended);
+                        wal.truncate();
+                    }
+                }
+                kind => {
+                    if kind == 8 {
+                        disk.crash(); // tears the unsynced tail
+                    }
+                    let replay = Wal::scan(&disk, WAL_FILE);
+                    wal = Wal::open_after(disk.clone(), WAL_FILE, &replay);
+                    wal.fast_forward(ckpt_seq);
+                    // recovery: every frame the scan kept is durable now
+                    let last = replay.records.last().map_or(0, |(seq, _, _)| *seq);
+                    committed = last.max(ckpt_seq);
+                    appended = committed;
+                }
+            }
+            for after in 0..=appended + 1 {
+                prop_assert_eq!(
+                    wal.frames_after(after, committed),
+                    whole_log_frames_after(&disk, after, committed),
+                    "after {}, committed {}, op {}", after, committed, k
+                );
+            }
         }
     }
 }

@@ -402,9 +402,6 @@ impl Expr {
     pub fn string_lit(s: &str) -> Expr {
         Expr::Literal(Atomic::str(s))
     }
-    pub fn int_lit(i: i64) -> Expr {
-        Expr::Literal(Atomic::Integer(i))
-    }
 }
 
 /// Function kinds: plain, updating (may produce a PUL), sequential

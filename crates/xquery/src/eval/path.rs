@@ -156,16 +156,20 @@ pub(crate) fn order_step_output(
             xqib_dom::order::stats::record_elided_sort();
             // Checked without the order index: building it here would make
             // a debug build do (and count in the engine stats) work that
-            // the release build skips.
-            debug_assert!(out.windows(2).all(|w| {
-                w[0].doc.cmp(&w[1].doc).then_with(|| {
-                    xqib_dom::order::cmp_doc_order_local_naive(
-                        store.doc(w[0].doc),
-                        w[0].node,
-                        w[1].node,
-                    )
-                }) == std::cmp::Ordering::Less
-            }));
+            // the release build skips. The naive order walks both ancestor
+            // chains, so a bounded sample of adjacent pairs keeps a debug
+            // build linear over deep trees.
+            debug_assert!({
+                const PAIRS: usize = 16;
+                let pairs = out.len() - 1;
+                let picks = pairs.min(PAIRS);
+                (0..picks).map(|j| j * pairs / picks).all(|i| {
+                    let (a, b) = (out[i], out[i + 1]);
+                    a.doc.cmp(&b.doc).then_with(|| {
+                        xqib_dom::order::cmp_doc_order_local_naive(store.doc(a.doc), a.node, b.node)
+                    }) == std::cmp::Ordering::Less
+                })
+            });
         } else {
             xqib_dom::order::sort_dedup(&store, &mut out);
         }

@@ -800,98 +800,6 @@ pub fn xs_constructor(
     })
 }
 
-/// Registers nothing — kept as the extension point symmetry with natives.
-pub fn builtin_exists(name: &QName, arity: usize) -> bool {
-    // cheap probe used by diagnostics: try a dry call classification
-    if name.ns.as_deref() != Some(FN_NS) {
-        return false;
-    }
-    const VARIADIC: &[&str] = &["concat"];
-    if VARIADIC.contains(&&*name.local) {
-        return arity >= 2;
-    }
-    const KNOWN: &[(&str, &[usize])] = &[
-        ("string", &[0, 1]),
-        ("data", &[1]),
-        ("node-name", &[1]),
-        ("document-uri", &[1]),
-        ("true", &[0]),
-        ("false", &[0]),
-        ("not", &[1]),
-        ("boolean", &[1]),
-        ("abs", &[1]),
-        ("ceiling", &[1]),
-        ("floor", &[1]),
-        ("round", &[1]),
-        ("round-half-to-even", &[1]),
-        ("number", &[0, 1]),
-        ("count", &[1]),
-        ("sum", &[1, 2]),
-        ("avg", &[1]),
-        ("min", &[1]),
-        ("max", &[1]),
-        ("string-join", &[2]),
-        ("substring", &[2, 3]),
-        ("string-length", &[0, 1]),
-        ("normalize-space", &[0, 1]),
-        ("upper-case", &[1]),
-        ("lower-case", &[1]),
-        ("translate", &[3]),
-        ("contains", &[2]),
-        ("starts-with", &[2]),
-        ("ends-with", &[2]),
-        ("substring-before", &[2]),
-        ("substring-after", &[2]),
-        ("matches", &[2, 3]),
-        ("replace", &[3, 4]),
-        ("tokenize", &[2, 3]),
-        ("codepoints-to-string", &[1]),
-        ("string-to-codepoints", &[1]),
-        ("encode-for-uri", &[1]),
-        ("empty", &[1]),
-        ("exists", &[1]),
-        ("reverse", &[1]),
-        ("distinct-values", &[1]),
-        ("insert-before", &[3]),
-        ("remove", &[2]),
-        ("subsequence", &[2, 3]),
-        ("index-of", &[2]),
-        ("zero-or-one", &[1]),
-        ("one-or-more", &[1]),
-        ("exactly-one", &[1]),
-        ("deep-equal", &[2]),
-        ("unordered", &[1]),
-        ("last", &[0]),
-        ("position", &[0]),
-        ("name", &[0, 1]),
-        ("local-name", &[0, 1]),
-        ("namespace-uri", &[0, 1]),
-        ("root", &[0, 1]),
-        ("doc", &[1]),
-        ("id", &[1, 2]),
-        ("doc-available", &[1]),
-        ("put", &[2]),
-        ("current-dateTime", &[0]),
-        ("current-date", &[0]),
-        ("current-time", &[0]),
-        ("year-from-date", &[1]),
-        ("month-from-date", &[1]),
-        ("day-from-date", &[1]),
-        ("year-from-dateTime", &[1]),
-        ("month-from-dateTime", &[1]),
-        ("day-from-dateTime", &[1]),
-        ("hours-from-dateTime", &[1]),
-        ("minutes-from-dateTime", &[1]),
-        ("seconds-from-dateTime", &[1]),
-        ("error", &[0, 1, 2]),
-        ("trace", &[2]),
-        ("base-uri", &[0, 1]),
-    ];
-    KNOWN
-        .iter()
-        .any(|(n, arities)| *n == &*name.local && arities.contains(&arity))
-}
-
 /// Helper: wraps a closure in the [`crate::context::NativeFn`] type.
 pub fn native(
     f: impl Fn(&mut DynamicContext, Vec<Sequence>) -> XdmResult<Sequence> + 'static,

@@ -46,6 +46,10 @@
 #                           virtual time (the bench binary writes this
 #                           report itself)
 #
+# `scripts/bench.sh <bench>` reruns one criterion bench (micro_engine,
+# fault_path, txn_apply, wal_apply or plan_eval) and rewrites only its
+# report, so a change to one kernel does not re-roll every other median.
+#
 # `scripts/bench.sh virtual` reruns only the overload, cluster_failover,
 # scrub, reshard and fleet benches and fails if BENCH_overload.json,
 # BENCH_cluster.json, BENCH_scrub.json, BENCH_reshard.json or
@@ -102,27 +106,39 @@ harvest() {
     cat "$out"
 }
 
-# Start from a clean report dir so entries from earlier runs (or other
-# bench binaries) cannot leak into the harvest.
-rm -rf target/criterion
-cargo bench -p xqib-bench --bench micro_engine
-harvest BENCH_path_eval.json
+# The criterion report each wall-clock bench writes.
+report_of() {
+    case $1 in
+        micro_engine) echo BENCH_path_eval.json ;;
+        fault_path) echo BENCH_fault_path.json ;;
+        txn_apply) echo BENCH_txn_apply.json ;;
+        wal_apply) echo BENCH_wal_apply.json ;;
+        plan_eval) echo BENCH_plan_eval.json ;;
+        *) return 1 ;;
+    esac
+}
 
-rm -rf target/criterion
-cargo bench -p xqib-bench --bench fault_path
-harvest BENCH_fault_path.json
+# Runs one criterion bench into its report. Starts from a clean report
+# dir so entries from earlier runs (or other bench binaries) cannot leak
+# into the harvest.
+run_criterion() {
+    rm -rf target/criterion
+    cargo bench -p xqib-bench --bench "$1"
+    harvest "$(report_of "$1")"
+}
 
-rm -rf target/criterion
-cargo bench -p xqib-bench --bench txn_apply
-harvest BENCH_txn_apply.json
+if [ -n "${1:-}" ]; then
+    if ! report_of "$1" > /dev/null; then
+        echo "unknown bench: $1" >&2
+        exit 2
+    fi
+    run_criterion "$1"
+    exit 0
+fi
 
-rm -rf target/criterion
-cargo bench -p xqib-bench --bench wal_apply
-harvest BENCH_wal_apply.json
-
-rm -rf target/criterion
-cargo bench -p xqib-bench --bench plan_eval
-harvest BENCH_plan_eval.json
+for bench in micro_engine fault_path txn_apply wal_apply plan_eval; do
+    run_criterion "$bench"
+done
 
 # The overload, cluster, scrub, fleet and reshard experiments measure
 # virtual-time goodput/latency, not wall-clock ns/iter, so their binaries
