@@ -357,16 +357,10 @@ impl RequestGovernor {
     }
 }
 
-/// A last-resort responder the degrade path consults before giving up
-/// with a 504 — e.g. a cluster plugging in bounded-staleness follower
-/// reads: a lagging replica beats no answer at all.
-pub type DegradeFallback = Box<dyn FnMut(&str) -> Option<ServerResponse>>;
-
 /// An [`AppServer`] behind a [`RequestGovernor`].
 pub struct GovernedServer {
     pub server: AppServer,
     pub gov: RequestGovernor,
-    fallback: Option<DegradeFallback>,
 }
 
 impl GovernedServer {
@@ -374,15 +368,7 @@ impl GovernedServer {
         GovernedServer {
             server,
             gov: RequestGovernor::new(cfg),
-            fallback: None,
         }
-    }
-
-    /// Installs a degrade fallback, consulted for render-class requests
-    /// after the snapshot cache misses and before the 504: the preference
-    /// order becomes fresh > snapshot > fallback > 504.
-    pub fn set_degrade_fallback(&mut self, fallback: DegradeFallback) {
-        self.fallback = Some(fallback);
     }
 
     /// Offers a request arriving at virtual time `now`. Either admits it
@@ -508,12 +494,6 @@ impl GovernedServer {
                 self.gov.stats.degraded += 1;
                 return (resp, Outcome::Degraded, 1);
             }
-            if let Some(fallback) = &mut self.fallback {
-                if let Some(resp) = fallback(&p.url) {
-                    self.gov.stats.degraded += 1;
-                    return (resp, Outcome::Degraded, 1);
-                }
-            }
         }
         self.gov.stats.deadline_exceeded += 1;
         (
@@ -624,36 +604,6 @@ mod tests {
         // each miss lands in exactly one bucket: degraded or failed
         assert_eq!(g.gov.stats.deadline_exceeded, 1);
         assert_eq!(g.gov.stats.degraded, 1);
-    }
-
-    #[test]
-    fn degrade_fallback_beats_the_504_when_the_snapshot_misses() {
-        // a /doc render for a URI this server never held: the snapshot
-        // cache misses, so without a fallback the deadline miss is a 504 —
-        // with one (a cluster's follower read), it degrades instead
-        let mut g = governed(GovernorConfig::default());
-        g.gov.free_at = 1000;
-        g.submit("/doc?uri=replica-only.xml", 0);
-        let done = g.drain();
-        assert_eq!(done[0].outcome, Outcome::DeadlineExceeded);
-        assert_eq!(done[0].response.status, 504);
-
-        let mut g = governed(GovernorConfig::default());
-        g.set_degrade_fallback(Box::new(|url: &str| {
-            url.contains("replica-only.xml").then(|| {
-                ServerResponse::new(200, "<from-follower/>")
-                    .with_header("X-XQIB-Replica", "s0r1")
-                    .with_header("X-XQIB-Replica-Lag", "3")
-            })
-        }));
-        g.gov.free_at = 1000;
-        g.submit("/doc?uri=replica-only.xml", 0);
-        let done = g.drain();
-        assert_eq!(done[0].outcome, Outcome::Degraded);
-        assert_eq!(done[0].response.status, 200);
-        assert_eq!(done[0].response.header("X-XQIB-Replica-Lag"), Some("3"));
-        assert_eq!(g.gov.stats.degraded, 1);
-        assert_eq!(g.gov.stats.deadline_exceeded, 0);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Experiment E8 (ablation): the paper's grammar extension
 //! (`on event … attach listener`) vs the high-order-function registration
 //! (`browser:addEventListener`) that the real Zorba-based plug-in had to
-//! ship (§5.1). Also `set style` syntax vs `browser:setStyle`.
+//! ship (§5.1). Also `set style` syntax vs `browser:setStyle`, and the
+//! `style`-attribute fallback an engine without plug-in hooks takes.
+
+use std::rc::Rc;
 
 use criterion::{BenchmarkId, Criterion};
 
 use xqib_bench::{criterion as crit, row};
 use xqib_core::plugin::{Plugin, PluginConfig};
+use xqib_xdm::Item;
+use xqib_xquery::context::{DynamicContext, Focus, StaticContext};
+use xqib_xquery::plan::lower;
+use xqib_xquery::runtime;
 
 fn page_with_buttons(n: usize) -> String {
     let mut buttons = String::new();
@@ -86,19 +93,26 @@ fn bench(c: &mut Criterion) {
                     .expect("style");
             })
         });
-        // the style-attribute fallback (no CSS store): DOM-write cost
+        // the style-attribute fallback of a hook-less engine (no plug-in,
+        // no CSS store): DOM-write cost
         group.bench_with_input(
             BenchmarkId::new("style_attribute_fallback", n),
             &n,
             |b, &n| {
-                let mut p = Plugin::new(PluginConfig {
-                    use_css_store: false,
-                    ..Default::default()
+                let store = xqib_dom::store::shared_store();
+                let page = xqib_dom::parse_document(&page_with_buttons(n)).expect("page");
+                let doc = store.borrow_mut().add_document(page, None);
+                let root = store.borrow().root(doc);
+                let mut ctx = DynamicContext::new(store, Rc::new(StaticContext::default()));
+                ctx.focus = Some(Focus {
+                    item: Item::Node(root),
+                    position: 1,
+                    size: 1,
                 });
-                p.load_page(&page_with_buttons(n)).expect("page");
+                let q = runtime::compile("set style \"color\" of //input to \"red\"");
+                let plan = lower(&q.expect("compiles"));
                 b.iter(|| {
-                    p.eval("set style \"color\" of //input to \"red\"")
-                        .expect("style");
+                    plan.execute(&mut ctx).expect("style");
                 })
             },
         );

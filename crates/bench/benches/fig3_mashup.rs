@@ -94,7 +94,7 @@ fn print_table() {
     for services in [1usize, 2, 3, 4] {
         let (mut plugin, _engine) = build(services);
         let button = plugin.element_by_id("searchbutton").expect("button");
-        plugin.host.borrow_mut().net.reset_stats();
+        plugin.host.borrow_mut().net.stats = Default::default();
         plugin.click(button).expect("dispatch");
         let page = plugin.serialize_page();
         // count only rendered results (the script source also contains the

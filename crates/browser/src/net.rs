@@ -33,14 +33,6 @@ impl Request {
         }
     }
 
-    pub fn post(url: &str, body: &str) -> Self {
-        Request {
-            method: "POST".to_string(),
-            url: url.to_string(),
-            body: Some(body.to_string()),
-        }
-    }
-
     /// The query parameter `name` from the URL, if any. Pairs without `=`
     /// are skipped rather than aborting the scan, and values are decoded
     /// (`+` → space, `%xx` → byte).
@@ -397,33 +389,6 @@ impl VirtualNetwork {
             }
         }
     }
-
-    /// Performs a request at virtual time 0 with the legacy reply shape.
-    /// Lost requests surface as status-0 responses (the browser convention
-    /// for "no response at all").
-    pub fn fetch(&mut self, req: &Request) -> (Response, u64) {
-        match self.fetch_at(req, 0) {
-            NetOutcome::Reply { resp, latency_ms } => (resp, latency_ms),
-            NetOutcome::Lost => (
-                Response {
-                    status: 0,
-                    body: "<error>request lost</error>".to_string(),
-                    content_type: "application/xml".to_string(),
-                },
-                0,
-            ),
-        }
-    }
-
-    /// Convenience GET.
-    pub fn get(&mut self, url: &str) -> (Response, u64) {
-        self.fetch(&Request::get(url))
-    }
-
-    /// Resets counters (between experiment configurations).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
 }
 
 /// Decodes `+` as space and `%xx` escapes (malformed escapes pass through
@@ -473,6 +438,14 @@ fn host_of(url: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A GET at virtual time 0 that must be answered.
+    fn get(net: &mut VirtualNetwork, url: &str) -> (Response, u64) {
+        match net.fetch_at(&Request::get(url), 0) {
+            NetOutcome::Reply { resp, latency_ms } => (resp, latency_ms),
+            NetOutcome::Lost => panic!("GET {url} lost"),
+        }
+    }
+
     #[test]
     fn routing_and_stats() {
         let mut net = VirtualNetwork::new();
@@ -481,11 +454,11 @@ mod tests {
             Response::ok(format!("<weather loc=\"{loc}\">sunny</weather>"))
         });
         net.register("http://maps.example/", 30, |_req| Response::ok("<map/>"));
-        let (resp, lat) = net.get("http://weather.example/api?q=Madrid");
+        let (resp, lat) = get(&mut net, "http://weather.example/api?q=Madrid");
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("Madrid"));
         assert_eq!(lat, 20);
-        let (resp, lat) = net.get("http://nowhere.example/");
+        let (resp, lat) = get(&mut net, "http://nowhere.example/");
         assert_eq!(resp.status, 404);
         assert_eq!(lat, 0);
         assert_eq!(net.stats.requests, 1, "404s don't count as service traffic");
@@ -503,9 +476,9 @@ mod tests {
         net.register("http://api.example/special/", 10, |_| {
             Response::ok("<special/>")
         });
-        let (resp, _) = net.get("http://api.example/special/x");
+        let (resp, _) = get(&mut net, "http://api.example/special/x");
         assert_eq!(resp.body, "<special/>");
-        let (resp, _) = net.get("http://api.example/other");
+        let (resp, _) = get(&mut net, "http://api.example/other");
         assert_eq!(resp.body, "<general/>");
     }
 
@@ -517,8 +490,8 @@ mod tests {
             hits += 1;
             Response::ok(format!("<hits>{hits}</hits>"))
         });
-        let (r1, _) = net.get("http://counter.example/");
-        let (r2, _) = net.get("http://counter.example/");
+        let (r1, _) = get(&mut net, "http://counter.example/");
+        let (r2, _) = get(&mut net, "http://counter.example/");
         assert_eq!(r1.body, "<hits>1</hits>");
         assert_eq!(r2.body, "<hits>2</hits>");
     }
@@ -530,17 +503,6 @@ mod tests {
         assert_eq!(r.query_param("q").as_deref(), Some("New York"));
         assert_eq!(r.query_param("x").as_deref(), Some("1"));
         assert_eq!(r.query_param("nope"), None);
-        let p = Request::post("http://h/", "body");
-        assert_eq!(p.method, "POST");
-    }
-
-    #[test]
-    fn reset_stats() {
-        let mut net = VirtualNetwork::new();
-        net.register("http://a/", 1, |_| Response::ok("x"));
-        net.get("http://a/1");
-        net.reset_stats();
-        assert_eq!(net.stats.requests, 0);
     }
 
     #[test]
@@ -714,17 +676,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fetch_maps_lost_to_status_zero() {
+    fn scripted_timeout_is_lost_then_heals() {
         let mut net = faulty_net();
         net.set_fault_plan(
             "svc.example",
             FaultPlan::seeded(4).fail_first(1, Fault::Timeout),
         );
-        let (resp, lat) = net.get("http://svc.example/a");
-        assert_eq!(resp.status, 0);
-        assert_eq!(lat, 0);
+        assert!(matches!(
+            net.fetch_at(&Request::get("http://svc.example/a"), 0),
+            NetOutcome::Lost
+        ));
         // the plan heals after the scripted prefix
-        let (resp, _) = net.get("http://svc.example/a");
+        let (resp, _) = get(&mut net, "http://svc.example/a");
         assert_eq!(resp.status, 200);
     }
 

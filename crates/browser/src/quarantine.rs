@@ -63,25 +63,26 @@ impl ListenerGuard {
     }
 }
 
-/// Counters over all listeners, served to XQuery by
-/// `browser:listenerStatus()`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct QuarantineStats {
-    /// Listener invocations that returned a dynamic error.
-    pub listener_errors: u64,
-    /// Listener invocations that panicked (caught at the dispatch boundary).
-    pub listener_panics: u64,
-    /// Listeners that ran out of evaluation fuel (`XQIB0011`); these also
-    /// count as `listener_errors`.
-    pub fuel_exhausted: u64,
-    /// Transitions into quarantine.
-    pub trips: u64,
-    /// Probation probes admitted after a cool-down.
-    pub probes: u64,
-    /// Listeners restored to healthy after probation.
-    pub recoveries: u64,
-    /// Invocations skipped because the listener was quarantined.
-    pub skipped: u64,
+xqib_storage::counters! {
+    /// Counters over all listeners, served to XQuery by
+    /// `browser:listenerStatus()`.
+    pub struct QuarantineStats {
+        /// Listener invocations that returned a dynamic error.
+        listener_errors: "listener-errors",
+        /// Listener invocations that panicked (caught at the dispatch boundary).
+        listener_panics: "listener-panics",
+        /// Listeners that ran out of evaluation fuel (`XQIB0011`); these also
+        /// count as `listener_errors`.
+        fuel_exhausted: "fuel-exhausted",
+        /// Transitions into quarantine.
+        trips: "trips",
+        /// Probation probes admitted after a cool-down.
+        probes: "probes",
+        /// Listeners restored to healthy after probation.
+        recoveries: "recoveries",
+        /// Invocations skipped because the listener was quarantined.
+        skipped: "skipped",
+    }
 }
 
 impl QuarantineStats {

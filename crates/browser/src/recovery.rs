@@ -292,33 +292,34 @@ impl StaleCache {
     }
 }
 
-/// Counters for the whole fault/recovery path, served to XQuery by
-/// `browser:fetchStatus()`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// `behind` attempts executed (first tries + retries).
-    pub attempts: u64,
-    /// Retry tasks scheduled on the event loop.
-    pub retries: u64,
-    /// Fetches that hit the client-side deadline (lost requests).
-    pub timeouts: u64,
-    /// Non-200 or unparsable replies observed.
-    pub fetch_errors: u64,
-    pub breaker_opens: u64,
-    pub breaker_half_opens: u64,
-    pub breaker_closes: u64,
-    /// Requests refused without touching the network (breaker open).
-    pub breaker_fast_fails: u64,
-    /// Degraded fetches answered from the stale cache.
-    pub stale_served: u64,
-    /// `behind` calls that delivered a fresh result.
-    pub completions: u64,
-    /// `stale` DOM events delivered.
-    pub stale_events: u64,
-    /// `error` DOM events delivered.
-    pub error_events: u64,
-    /// Stale-cache entries evicted to respect the capacity bound.
-    pub evictions: u64,
+xqib_storage::counters! {
+    /// Counters for the whole fault/recovery path, served to XQuery by
+    /// `browser:fetchStatus()`.
+    pub struct RecoveryStats {
+        /// `behind` attempts executed (first tries + retries).
+        attempts: "attempts",
+        /// Retry tasks scheduled on the event loop.
+        retries: "retries",
+        /// Fetches that hit the client-side deadline (lost requests).
+        timeouts: "timeouts",
+        /// Non-200 or unparsable replies observed.
+        fetch_errors: "fetch-errors",
+        breaker_opens: "breaker-opens",
+        breaker_half_opens: "breaker-half-opens",
+        breaker_closes: "breaker-closes",
+        /// Requests refused without touching the network (breaker open).
+        breaker_fast_fails: "breaker-fast-fails",
+        /// Degraded fetches answered from the stale cache.
+        stale_served: "stale-served",
+        /// `behind` calls that delivered a fresh result.
+        completions: "completions",
+        /// `stale` DOM events delivered.
+        stale_events: "stale-events",
+        /// `error` DOM events delivered.
+        error_events: "error-events",
+        /// Stale-cache entries evicted to respect the capacity bound.
+        evictions: "evictions",
+    }
 }
 
 impl RecoveryStats {

@@ -10,605 +10,338 @@
 //! REST: `httpGet` (synchronous GET, §5.1 "synchronous REST calls are
 //! possible"),
 //! plus the §5.1 high-order-function workarounds `addEventListener`,
-//! `removeEventListener`, `triggerEvent`, `setStyle`, `getStyle`.
+//! `removeEventListener`, `triggerEvent`, `setStyle`, `getStyle` (they call
+//! the host routines the grammar extensions call), and the status
+//! functions `fetchStatus`, `breakerState`, `listenerStatus`, `planCache`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xqib_browser::events::DomEvent;
-use xqib_browser::{BreakerState, NetOutcome, Origin, QuarantineState, Request};
+use xqib_browser::{BreakerState, NetOutcome, Origin, QuarantineState, Request, WindowId};
 use xqib_dom::{name::BROWSER_NS, NodeRef, QName};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 use xqib_xquery::context::DynamicContext;
 use xqib_xquery::functions::native;
 
-use crate::plugin::{dispatch_event_inner, parse_listener_name, HostState};
+use crate::plugin::{parse_listener_name, trigger, HostState};
 use crate::window_xml;
 
+/// A `browser:` function body, handed the host state its native closes over.
+type HostFn = fn(&mut DynamicContext, &Rc<RefCell<HostState>>, &[Sequence]) -> XdmResult<Sequence>;
+
+/// Attributes of a status element, in serving order.
+type Attrs = Vec<(&'static str, String)>;
+
 /// Installs the whole `browser:` library into a dynamic context.
-pub fn install(ctx: &mut DynamicContext, host: Rc<RefCell<HostState>>) {
-    let reg = |ctx: &mut DynamicContext, name: &str, arity: usize, f| {
-        ctx.register_native(QName::ns(BROWSER_NS, name), arity, f);
-    };
-
-    // ----- UI ---------------------------------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "alert",
-            1,
-            native(move |ctx, args| {
-                let msg = seq_string(ctx, &args[0]);
-                h.borrow_mut().browser.alert(&msg);
-                Ok(vec![])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "confirm",
-            1,
-            native(move |ctx, args| {
-                let msg = seq_string(ctx, &args[0]);
-                let answer = h.borrow_mut().browser.confirm(&msg);
-                Ok(vec![Item::boolean(answer)])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "prompt",
-            1,
-            native(move |ctx, args| {
-                let msg = seq_string(ctx, &args[0]);
-                let answer = h.borrow_mut().browser.prompt(&msg);
-                Ok(vec![Item::string(answer)])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "write",
-            1,
-            native(move |ctx, args| {
-                let text = seq_string(ctx, &args[0]);
-                h.borrow_mut().browser.writeln(&text);
-                Ok(vec![])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "writeln",
-            1,
-            native(move |ctx, args| {
-                let text = seq_string(ctx, &args[0]);
-                h.borrow_mut().browser.writeln(&text);
-                Ok(vec![])
-            }),
-        );
-    }
-
-    // ----- window tree (§4.2.1) ----------------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "top",
-            0,
-            native(move |ctx, _args| {
-                let (root, view) = {
-                    let host = h.borrow();
-                    let mut store = ctx.store.borrow_mut();
-                    let top = host.browser.top();
-                    window_xml::materialize_window(&mut store, &host.browser, host.page_window, top)
-                };
-                h.borrow_mut().adopt_view(view);
-                Ok(vec![Item::Node(root)])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "self",
-            0,
-            native(move |ctx, _args| {
-                // §4.2.1: self() is a descendant of the top() tree
-                let (elem, view) = {
-                    let host = h.borrow();
-                    let mut store = ctx.store.borrow_mut();
-                    let top = host.browser.top();
-                    let (_root, view) = window_xml::materialize_window(
-                        &mut store,
-                        &host.browser,
-                        host.page_window,
-                        top,
-                    );
-                    let elem = view
-                        .window_elems
-                        .iter()
-                        .find(|w| w.window == host.page_window)
-                        .map(|w| w.node);
-                    (elem, view)
-                };
-                h.borrow_mut().adopt_view(view);
-                Ok(match elem {
-                    Some(n) => vec![Item::Node(n)],
-                    None => vec![],
-                })
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "parent",
-            0,
-            native(move |ctx, _args| {
-                let parent = {
-                    let host = h.borrow();
-                    host.browser.window(host.page_window).parent
-                };
-                let Some(parent) = parent else {
-                    return Ok(vec![]);
-                };
-                let (elem, view) = {
-                    let host = h.borrow();
-                    let mut store = ctx.store.borrow_mut();
-                    let top = host.browser.top();
-                    let (_root, view) = window_xml::materialize_window(
-                        &mut store,
-                        &host.browser,
-                        host.page_window,
-                        top,
-                    );
-                    let elem = view
-                        .window_elems
-                        .iter()
-                        .find(|w| w.window == parent && w.accessible)
-                        .map(|w| w.node);
-                    (elem, view)
-                };
-                h.borrow_mut().adopt_view(view);
-                Ok(match elem {
-                    Some(n) => vec![Item::Node(n)],
-                    None => vec![],
-                })
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "document",
-            1,
-            native(move |ctx, args| {
-                // §4.2.3: the document of a window node, with a security check
-                // that yields () on failure
-                let Some(Item::Node(n)) = args[0].first() else {
-                    return Ok(vec![]);
-                };
-                let host = h.borrow();
-                let Some(&(win, accessible)) = host.window_index.get(n) else {
-                    return Ok(vec![]);
-                };
-                if !accessible {
-                    return Ok(vec![]);
-                }
-                let Some(doc) = host.browser.window(win).document else {
-                    return Ok(vec![]);
-                };
-                let store = ctx.store.borrow();
-                Ok(vec![Item::Node(store.root(doc))])
-            }),
-        );
-    }
-
-    // ----- screen & navigator (§4.2.2) ----------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "screen",
-            0,
-            native(move |ctx, _args| {
-                let host = h.borrow();
-                let mut store = ctx.store.borrow_mut();
-                let n = window_xml::materialize_screen(&mut store, &host.browser);
-                Ok(vec![Item::Node(n)])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "navigator",
-            0,
-            native(move |ctx, _args| {
-                let host = h.borrow();
-                let mut store = ctx.store.borrow_mut();
-                let n = window_xml::materialize_navigator(&mut store, &host.browser);
-                Ok(vec![Item::Node(n)])
-            }),
-        );
-    }
-
-    // ----- window management (§4.2.4) ------------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "windowOpen",
-            2,
-            native(move |ctx, args| {
-                let name = seq_string(ctx, &args[0]);
-                let url = seq_string(ctx, &args[1]);
-                let (elem, view) = {
-                    let mut host = h.borrow_mut();
-                    let w = host.browser.window_open(&name, &url);
-                    let mut store = ctx.store.borrow_mut();
-                    let actor = host.page_window;
-                    let (root, view) =
-                        window_xml::materialize_window(&mut store, &host.browser, actor, w);
-                    (root, view)
-                };
-                h.borrow_mut().adopt_view(view);
-                Ok(vec![Item::Node(elem)])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "windowClose",
-            1,
-            native(move |_ctx, args| {
-                let Some(Item::Node(n)) = args[0].first() else {
-                    return Ok(vec![]);
-                };
-                let n = *n;
-                let mut host = h.borrow_mut();
-                if let Some(&(win, true)) = host.window_index.get(&n) {
-                    host.browser.window_close(win);
-                }
-                Ok(vec![])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "windowMoveBy",
-            3,
-            native(move |ctx, args| move_window(ctx, &h, &args, false)),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "windowMoveTo",
-            3,
-            native(move |ctx, args| move_window(ctx, &h, &args, true)),
-        );
-    }
-
-    // ----- history (§4.2.4) ------------------------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "historyBack",
-            0,
-            native(move |_ctx, _args| {
-                let mut host = h.borrow_mut();
-                let w = host.page_window;
-                host.browser.history_go(w, -1);
-                Ok(vec![])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "historyForward",
-            0,
-            native(move |_ctx, _args| {
-                let mut host = h.borrow_mut();
-                let w = host.page_window;
-                host.browser.history_go(w, 1);
-                Ok(vec![])
-            }),
-        );
-    }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "historyGo",
-            1,
-            native(move |ctx, args| {
-                let delta = seq_integer(ctx, &args[0])?;
-                let mut host = h.borrow_mut();
-                let w = host.page_window;
-                host.browser.history_go(w, delta);
-                Ok(vec![])
-            }),
-        );
-    }
-
-    // ----- REST (§3.4/§5.1) -------------------------------------------------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "httpGet",
-            1,
-            native(move |ctx, args| http_get(ctx, &h, &seq_string(ctx, &args[0]))),
-        );
-    }
-    {
-        // alias matching common Zorba naming
-        let h = host.clone();
-        reg(
-            ctx,
-            "get",
-            1,
-            native(move |ctx, args| http_get(ctx, &h, &seq_string(ctx, &args[0]))),
-        );
-    }
-    {
-        // fetch-path introspection: one element with the recovery counters
-        // as attributes and a <host> child per circuit breaker
-        let h = host.clone();
-        reg(
-            ctx,
-            "fetchStatus",
-            0,
-            native(move |ctx, _args| {
-                let host = h.borrow();
-                let s = host.recovery.stats.clone();
-                let breakers = host.recovery.breaker_states();
-                drop(host);
-                let doc_id = ctx.construction_doc;
-                let mut store = ctx.store.borrow_mut();
-                let doc = store.doc_mut(doc_id);
-                let elem = doc.create_element(QName::local("fetch-status"));
-                let counters: [(&str, u64); 12] = [
-                    ("attempts", s.attempts),
-                    ("retries", s.retries),
-                    ("timeouts", s.timeouts),
-                    ("fetch-errors", s.fetch_errors),
-                    ("breaker-opens", s.breaker_opens),
-                    ("breaker-half-opens", s.breaker_half_opens),
-                    ("breaker-closes", s.breaker_closes),
-                    ("breaker-fast-fails", s.breaker_fast_fails),
-                    ("stale-served", s.stale_served),
-                    ("completions", s.completions),
-                    ("stale-events", s.stale_events),
-                    ("error-events", s.error_events),
-                ];
-                for (name, v) in counters {
-                    doc.set_attribute(elem, QName::local(name), v.to_string())
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                }
-                for (hname, state) in breakers {
-                    let hel = doc.create_element(QName::local("host"));
-                    doc.set_attribute(hel, QName::local("name"), hname)
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                    doc.set_attribute(hel, QName::local("breaker"), breaker_label(state))
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                    if let BreakerState::Open { until } = state {
-                        doc.set_attribute(hel, QName::local("until"), until.to_string())
-                            .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                    }
-                    doc.append_child(elem, hel)
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                }
-                Ok(vec![Item::Node(NodeRef::new(doc_id, elem))])
-            }),
-        );
-    }
-    {
-        // breakerState("api.example") → "closed" | "open" | "half-open"
-        let h = host.clone();
-        reg(
-            ctx,
-            "breakerState",
-            1,
-            native(move |ctx, args| {
-                let hostname = seq_string(ctx, &args[0]);
-                let state = h.borrow().recovery.breaker_state(&hostname);
-                Ok(vec![Item::string(breaker_label(state))])
-            }),
-        );
-    }
-    {
-        // listener-isolation introspection: one element with the quarantine
-        // counters as attributes and a <listener> child per tracked guard
-        let h = host.clone();
-        reg(
-            ctx,
-            "listenerStatus",
-            0,
-            native(move |ctx, _args| {
-                let host = h.borrow();
-                let s = host.quarantine.stats.clone();
-                let guards: Vec<(u64, String, u32, u64, u64, Option<u64>)> = host
-                    .quarantine
-                    .guards()
-                    .into_iter()
-                    .map(|(id, g)| {
-                        let until = match g.state() {
-                            QuarantineState::Quarantined { until } => Some(until),
-                            _ => None,
-                        };
-                        (
-                            id.0,
-                            g.state().label().to_string(),
-                            g.consecutive_failures(),
-                            g.failures,
-                            g.invocations,
-                            until,
-                        )
-                    })
-                    .collect();
-                drop(host);
-                let doc_id = ctx.construction_doc;
-                let mut store = ctx.store.borrow_mut();
-                let doc = store.doc_mut(doc_id);
-                let elem = doc.create_element(QName::local("listener-status"));
-                let counters: [(&str, u64); 7] = [
-                    ("listener-errors", s.listener_errors),
-                    ("listener-panics", s.listener_panics),
-                    ("fuel-exhausted", s.fuel_exhausted),
-                    ("trips", s.trips),
-                    ("probes", s.probes),
-                    ("recoveries", s.recoveries),
-                    ("skipped", s.skipped),
-                ];
-                for (name, v) in counters {
-                    doc.set_attribute(elem, QName::local(name), v.to_string())
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                }
-                for (id, state, streak, failures, invocations, until) in guards {
-                    let lel = doc.create_element(QName::local("listener"));
-                    let attrs: [(&str, String); 5] = [
-                        ("id", id.to_string()),
-                        ("state", state),
-                        ("consecutive-failures", streak.to_string()),
-                        ("failures", failures.to_string()),
-                        ("invocations", invocations.to_string()),
+pub fn install(ctx: &mut DynamicContext, host: &Rc<RefCell<HostState>>) {
+    let library: [(&str, usize, HostFn); 29] = [
+        // ----- UI
+        ("alert", 1, |ctx, h, args| {
+            let msg = seq_string(ctx, &args[0]);
+            h.borrow_mut().browser.alert(&msg);
+            Ok(vec![])
+        }),
+        ("confirm", 1, |ctx, h, args| {
+            let msg = seq_string(ctx, &args[0]);
+            Ok(vec![Item::boolean(h.borrow_mut().browser.confirm(&msg))])
+        }),
+        ("prompt", 1, |ctx, h, args| {
+            let msg = seq_string(ctx, &args[0]);
+            Ok(vec![Item::string(h.borrow_mut().browser.prompt(&msg))])
+        }),
+        ("write", 1, write),
+        ("writeln", 1, write),
+        // ----- window tree (§4.2.1): self() and parent() are descendants of
+        // the top() tree
+        ("top", 0, |ctx, h, _| {
+            let top = h.borrow().browser.top();
+            Ok(window_node(ctx, h, top, None))
+        }),
+        ("self", 0, |ctx, h, _| {
+            let (top, page) = (h.borrow().browser.top(), h.borrow().page_window);
+            Ok(window_node(ctx, h, top, Some(page)))
+        }),
+        ("parent", 0, |ctx, h, _| {
+            let top = h.borrow().browser.top();
+            let parent = h.borrow().browser.window(h.borrow().page_window).parent;
+            Ok(parent.map_or(vec![], |p| window_node(ctx, h, top, Some(p))))
+        }),
+        ("document", 1, |ctx, h, args| {
+            // §4.2.3: the document of a window node; () when the security
+            // check fails
+            let host = h.borrow();
+            let doc =
+                accessible_window(&host, &args[0]).and_then(|w| host.browser.window(w).document);
+            Ok(doc
+                .map(|d| Item::Node(ctx.store.borrow().root(d)))
+                .into_iter()
+                .collect())
+        }),
+        // ----- screen & navigator (§4.2.2)
+        ("screen", 0, |ctx, h, _| {
+            let n =
+                window_xml::materialize_screen(&mut ctx.store.borrow_mut(), &h.borrow().browser);
+            Ok(vec![Item::Node(n)])
+        }),
+        ("navigator", 0, |ctx, h, _| {
+            let n =
+                window_xml::materialize_navigator(&mut ctx.store.borrow_mut(), &h.borrow().browser);
+            Ok(vec![Item::Node(n)])
+        }),
+        // ----- window management and history (§4.2.4)
+        ("windowOpen", 2, |ctx, h, args| {
+            let (name, url) = (seq_string(ctx, &args[0]), seq_string(ctx, &args[1]));
+            let w = h.borrow_mut().browser.window_open(&name, &url);
+            Ok(window_node(ctx, h, w, None))
+        }),
+        ("windowClose", 1, |_, h, args| {
+            let mut host = h.borrow_mut();
+            if let Some(w) = accessible_window(&host, &args[0]) {
+                host.browser.window_close(w);
+            }
+            Ok(vec![])
+        }),
+        ("windowMoveBy", 3, |ctx, h, args| {
+            move_window(ctx, h, args, false)
+        }),
+        ("windowMoveTo", 3, |ctx, h, args| {
+            move_window(ctx, h, args, true)
+        }),
+        ("historyBack", 0, |_, h, _| history_go(h, -1)),
+        ("historyForward", 0, |_, h, _| history_go(h, 1)),
+        ("historyGo", 1, |ctx, h, args| {
+            history_go(h, seq_integer(ctx, &args[0])?)
+        }),
+        // ----- REST (§3.4/§5.1); `get` matches common Zorba naming
+        ("httpGet", 1, get),
+        ("get", 1, get),
+        // ----- status: counters as attributes, one child per tracked item
+        ("fetchStatus", 0, |ctx, h, _| {
+            let host = h.borrow();
+            let rows = host
+                .recovery
+                .breaker_states()
+                .into_iter()
+                .map(|(name, state)| {
+                    let mut row = vec![
+                        ("name", name),
+                        ("breaker", breaker_label(state).to_string()),
                     ];
-                    for (name, v) in attrs {
-                        doc.set_attribute(lel, QName::local(name), v)
-                            .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
+                    if let BreakerState::Open { until } = state {
+                        row.push(("until", until.to_string()));
                     }
-                    if let Some(until) = until {
-                        doc.set_attribute(lel, QName::local("until"), until.to_string())
-                            .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                    }
-                    doc.append_child(elem, lel)
-                        .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
+                    row
+                });
+            let counters = counters(|f| host.recovery.stats.visit(f));
+            status(ctx, "fetch-status", counters, "host", rows.collect())
+        }),
+        ("breakerState", 1, |ctx, h, args| {
+            // "closed" | "open" | "half-open"
+            let state = h
+                .borrow()
+                .recovery
+                .breaker_state(&seq_string(ctx, &args[0]));
+            Ok(vec![Item::string(breaker_label(state))])
+        }),
+        ("listenerStatus", 0, |ctx, h, _| {
+            let host = h.borrow();
+            let rows = host.quarantine.guards().into_iter().map(|(id, g)| {
+                let mut row = vec![
+                    ("id", id.0.to_string()),
+                    ("state", g.state().label().to_string()),
+                    ("consecutive-failures", g.consecutive_failures().to_string()),
+                    ("failures", g.failures.to_string()),
+                    ("invocations", g.invocations.to_string()),
+                ];
+                if let QuarantineState::Quarantined { until } = g.state() {
+                    row.push(("until", until.to_string()));
                 }
-                Ok(vec![Item::Node(NodeRef::new(doc_id, elem))])
-            }),
-        );
+                row
+            });
+            let counters = counters(|f| host.quarantine.stats.visit(f));
+            status(ctx, "listener-status", counters, "listener", rows.collect())
+        }),
+        ("planCache", 0, |ctx, h, _| {
+            let host = h.borrow();
+            let plans = &host.plans;
+            let mut counters = counters(|f| {
+                plans
+                    .stats()
+                    .visit(&mut |name, v| f(name.trim_start_matches("plan-cache-"), v))
+            });
+            for (name, v) in [
+                ("size", plans.len() as u64),
+                ("capacity", plans.capacity() as u64),
+                ("epoch", plans.epoch()),
+                ("script-version", host.script_version),
+            ] {
+                counters.push((name, v.to_string()));
+            }
+            status(ctx, "plan-cache", counters, "", vec![])
+        }),
+        // ----- the §5.1 high-order functions: the grammar's host routines
+        ("addEventListener", 3, |ctx, h, args| {
+            let (event, name) = (seq_string(ctx, &args[1]), seq_string(ctx, &args[2]));
+            let mut host = h.borrow_mut();
+            let id = host.xq_listener_id(&parse_listener_name(&name));
+            host.attach(&event, &args[0], id).map(|()| vec![])
+        }),
+        ("removeEventListener", 3, |ctx, h, args| {
+            let (event, name) = (seq_string(ctx, &args[1]), seq_string(ctx, &args[2]));
+            let mut host = h.borrow_mut();
+            let id = host.xq_listener_id(&parse_listener_name(&name));
+            host.detach(&event, &args[0], id).map(|()| vec![])
+        }),
+        ("triggerEvent", 2, |ctx, h, args| {
+            let event = seq_string(ctx, &args[0]);
+            trigger(ctx, h, &event, &args[1]).map(|()| vec![])
+        }),
+        ("setStyle", 3, |ctx, h, args| {
+            let (prop, value) = (seq_string(ctx, &args[1]), seq_string(ctx, &args[2]));
+            h.borrow_mut()
+                .set_style(&args[0], &prop, &value)
+                .map(|()| vec![])
+        }),
+        ("getStyle", 2, |ctx, h, args| {
+            let prop = seq_string(ctx, &args[1]);
+            Ok(h.borrow()
+                .get_style(&args[0], &prop)
+                .map(Item::string)
+                .into_iter()
+                .collect())
+        }),
+    ];
+    for (name, arity, f) in library {
+        let h = host.clone();
+        let f = native(move |ctx, args| f(ctx, &h, &args));
+        ctx.register_native(QName::ns(BROWSER_NS, name), arity, f);
     }
+}
 
-    // ----- HOF event/style registration (the §5.1 Zorba workaround) -------------
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "addEventListener",
-            3,
-            native(move |ctx, args| {
-                let event = seq_string(ctx, &args[1]);
-                let lname = parse_listener_name(&seq_string(ctx, &args[2]));
-                let mut host = h.borrow_mut();
-                let id = host.xq_listener_id(&lname);
-                for item in &args[0] {
-                    if let Item::Node(n) = item {
-                        host.events.add_listener(*n, &event, id, false);
-                    }
-                }
-                Ok(vec![])
-            }),
-        );
+/// `write` and `writeln`: the page's output log takes whole lines.
+fn write(
+    ctx: &mut DynamicContext,
+    h: &Rc<RefCell<HostState>>,
+    args: &[Sequence],
+) -> XdmResult<Sequence> {
+    let text = seq_string(ctx, &args[0]);
+    h.borrow_mut().browser.writeln(&text);
+    Ok(vec![])
+}
+
+/// `httpGet` and `get`.
+fn get(
+    ctx: &mut DynamicContext,
+    h: &Rc<RefCell<HostState>>,
+    args: &[Sequence],
+) -> XdmResult<Sequence> {
+    let url = seq_string(ctx, &args[0]);
+    http_get(ctx, h, &url)
+}
+
+/// Materialises the window tree under `root` as the page window sees it,
+/// adopts the view for write-back, and returns the `<window>` element of
+/// `pick` (of `root` when `None`): () when `pick` is not accessible.
+fn window_node(
+    ctx: &mut DynamicContext,
+    h: &Rc<RefCell<HostState>>,
+    root: WindowId,
+    pick: Option<WindowId>,
+) -> Sequence {
+    let (node, view) = {
+        let host = h.borrow();
+        let mut store = ctx.store.borrow_mut();
+        let (root, view) =
+            window_xml::materialize_window(&mut store, &host.browser, host.page_window, root);
+        let node = match pick {
+            None => Some(root),
+            Some(w) => view
+                .window_elems
+                .iter()
+                .find(|e| e.window == w && e.accessible)
+                .map(|e| e.node),
+        };
+        (node, view)
+    };
+    h.borrow_mut().adopt_view(view);
+    node.map(Item::Node).into_iter().collect()
+}
+
+/// The window behind the first item of `arg`, when that is the node of a
+/// window the page may access.
+fn accessible_window(host: &HostState, arg: &Sequence) -> Option<WindowId> {
+    let Some(Item::Node(n)) = arg.first() else {
+        return None;
+    };
+    match host.window_index.get(n) {
+        Some(&(w, true)) => Some(w),
+        _ => None,
     }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "removeEventListener",
-            3,
-            native(move |ctx, args| {
-                let event = seq_string(ctx, &args[1]);
-                let lname = parse_listener_name(&seq_string(ctx, &args[2]));
-                let mut host = h.borrow_mut();
-                let id = host.xq_listener_id(&lname);
-                for item in &args[0] {
-                    if let Item::Node(n) = item {
-                        host.events.remove_listener(*n, &event, id);
-                    }
-                }
-                Ok(vec![])
-            }),
-        );
+}
+
+fn move_window(
+    ctx: &mut DynamicContext,
+    h: &Rc<RefCell<HostState>>,
+    args: &[Sequence],
+    absolute: bool,
+) -> XdmResult<Sequence> {
+    let Some(win) = accessible_window(&h.borrow(), &args[0]) else {
+        return Ok(vec![]);
+    };
+    let (x, y) = (
+        seq_integer(ctx, &args[1])? as i32,
+        seq_integer(ctx, &args[2])? as i32,
+    );
+    let mut host = h.borrow_mut();
+    if absolute {
+        host.browser.window_move_to(win, x, y);
+    } else {
+        host.browser.window_move_by(win, x, y);
     }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "triggerEvent",
-            2,
-            native(move |ctx, args| {
-                let event = seq_string(ctx, &args[0]);
-                let targets: Vec<NodeRef> = args[1].iter().filter_map(|i| i.as_node()).collect();
-                for t in targets {
-                    let ev = DomEvent::new(&event, t);
-                    dispatch_event_inner(ctx, &h, &ev)?;
-                }
-                Ok(vec![])
-            }),
-        );
+    Ok(vec![])
+}
+
+fn history_go(h: &Rc<RefCell<HostState>>, delta: i64) -> XdmResult<Sequence> {
+    let mut host = h.borrow_mut();
+    let w = host.page_window;
+    host.browser.history_go(w, delta);
+    Ok(vec![])
+}
+
+/// Collects counters, in the order `visit` serves them, as attributes.
+fn counters(visit: impl FnOnce(&mut dyn FnMut(&'static str, u64))) -> Attrs {
+    let mut attrs = Vec::new();
+    visit(&mut |name, v| attrs.push((name, v.to_string())));
+    attrs
+}
+
+/// Builds a status element: `attrs` on it, then one `child` element per
+/// row, carrying the row as attributes.
+fn status(
+    ctx: &mut DynamicContext,
+    name: &str,
+    attrs: Attrs,
+    child: &str,
+    rows: Vec<Attrs>,
+) -> XdmResult<Sequence> {
+    let doc_id = ctx.construction_doc;
+    let mut store = ctx.store.borrow_mut();
+    let doc = store.doc_mut(doc_id);
+    let dom_err = |e: xqib_dom::DomError| XdmError::new("XQIB0006", e.to_string());
+    let elem = doc.create_element(QName::local(name));
+    let mut nodes = vec![(elem, attrs)];
+    for row in rows {
+        let c = doc.create_element(QName::local(child));
+        doc.append_child(elem, c).map_err(dom_err)?;
+        nodes.push((c, row));
     }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "setStyle",
-            3,
-            native(move |ctx, args| {
-                let prop = seq_string(ctx, &args[1]);
-                let value = seq_string(ctx, &args[2]);
-                let mut host = h.borrow_mut();
-                for item in &args[0] {
-                    if let Item::Node(n) = item {
-                        host.css.set(*n, &prop, &value);
-                    }
-                }
-                Ok(vec![])
-            }),
-        );
+    for (node, attrs) in nodes {
+        for (attr, v) in attrs {
+            doc.set_attribute(node, QName::local(attr), v)
+                .map_err(dom_err)?;
+        }
     }
-    {
-        let h = host.clone();
-        reg(
-            ctx,
-            "getStyle",
-            2,
-            native(move |ctx, args| {
-                let prop = seq_string(ctx, &args[1]);
-                let host = h.borrow();
-                Ok(match args[0].first().and_then(|i| i.as_node()) {
-                    Some(n) => match host.css.get(n, &prop) {
-                        Some(v) => vec![Item::string(v)],
-                        None => vec![],
-                    },
-                    None => vec![],
-                })
-            }),
-        );
-    }
+    Ok(vec![Item::Node(NodeRef::new(doc_id, elem))])
 }
 
 /// Synchronous REST GET: routes through the virtual network, parses XML
@@ -786,29 +519,6 @@ fn breaker_label(state: BreakerState) -> &'static str {
         BreakerState::Open { .. } => "open",
         BreakerState::HalfOpen => "half-open",
     }
-}
-
-fn move_window(
-    ctx: &mut DynamicContext,
-    host: &Rc<RefCell<HostState>>,
-    args: &[Sequence],
-    absolute: bool,
-) -> XdmResult<Sequence> {
-    let Some(Item::Node(n)) = args[0].first() else {
-        return Ok(vec![]);
-    };
-    let n = *n;
-    let x = seq_integer(ctx, &args[1])? as i32;
-    let y = seq_integer(ctx, &args[2])? as i32;
-    let mut host = host.borrow_mut();
-    if let Some(&(win, true)) = host.window_index.get(&n) {
-        if absolute {
-            host.browser.window_move_to(win, x, y);
-        } else {
-            host.browser.window_move_by(win, x, y);
-        }
-    }
-    Ok(vec![])
 }
 
 fn seq_string(ctx: &DynamicContext, seq: &Sequence) -> String {

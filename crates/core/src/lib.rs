@@ -11,7 +11,7 @@
 //! 3. the main query runs, typically registering event listeners through
 //!    the paper's `on event … attach listener` syntax (or the high-order
 //!    `browser:addEventListener` function, the Zorba-era workaround of
-//!    §5.1 — both are implemented);
+//!    §5.1 — both syntaxes call one host routine);
 //! 4. the plug-in loops: browser event → dispatch plan (DOM L3 capture/
 //!    target/bubble) → listener invocation in the engine → pending updates
 //!    applied to the DOM → next event.

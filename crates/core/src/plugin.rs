@@ -8,7 +8,7 @@
 //! single event loop of Figure 1.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -18,15 +18,11 @@ use xqib_browser::{
     CssStore, EventLoop, IsolationConfig, ListenerQuarantine, RecoveryConfig, RecoveryState,
     VirtualNetwork, WindowId,
 };
-use xqib_dom::{
-    name::{BROWSER_NS, LOCAL_NS},
-    DocId, NodeKind, NodeRef, QName, SharedStore,
-};
+use xqib_dom::{name::LOCAL_NS, DocId, NodeKind, NodeRef, QName, SharedStore};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 use xqib_xquery::ast::MainModule;
 use xqib_xquery::context::{DynamicContext, EngineHooks, StaticContext};
 use xqib_xquery::exec;
-use xqib_xquery::functions::native;
 use xqib_xquery::plan::{lower, lower_functions, ExprPlan};
 use xqib_xquery::plancache::{self, PlanCache};
 use xqib_xquery::runtime::{self, ModuleRegistry};
@@ -80,15 +76,12 @@ pub struct HostState {
     pub net: VirtualNetwork,
     pub listeners: HashMap<ListenerId, ListenerKind>,
     /// stable handle per XQuery listener name (so detach finds attach's id)
-    xq_ids: HashMap<String, ListenerId>,
+    xq_ids: HashMap<QName, ListenerId>,
     /// all window views materialised so far (write-back set)
     pub views: Vec<WindowView>,
     /// window-element node → (window, accessible)
     pub window_index: HashMap<NodeRef, (WindowId, bool)>,
     pub tasks: EventLoop<PluginTask>,
-    /// route `set style`/`get style` to the CSS store (`true`, §4.5 design)
-    /// or fall back to the `style` attribute (`false`) — the ablation knob.
-    pub use_css_store: bool,
     pub page_window: WindowId,
     /// accumulated simulated network latency (ms)
     pub total_latency_ms: u64,
@@ -100,21 +93,62 @@ pub struct HostState {
     pub isolation: IsolationConfig,
     /// monotonically increasing id handed to each `behind` call (jitter key)
     next_behind_id: u64,
+    /// Compiled plans for [`Plugin::eval`] snippets, served by
+    /// `browser:planCache()`.
+    pub plans: PlanCache,
+    /// Bumped whenever the page scripts are (re)compiled: eval snippets
+    /// merge the page's function library into their static context, so a
+    /// cached snippet plan must not survive a script reload.
+    pub script_version: u64,
 }
 
 impl HostState {
     /// Resolves (or creates) the stable listener handle for an XQuery
     /// listener function name.
     pub fn xq_listener_id(&mut self, name: &QName) -> ListenerId {
-        let key = format!("{}|{}", name.ns_or_empty(), name.local);
-        if let Some(&id) = self.xq_ids.get(&key) {
+        if let Some(&id) = self.xq_ids.get(name) {
             return id;
         }
         let id = self.events.fresh_listener_id();
-        self.xq_ids.insert(key, id);
+        self.xq_ids.insert(name.clone(), id);
         self.listeners
             .insert(id, ListenerKind::XQuery(name.clone()));
         id
+    }
+
+    // The browser operations. Each has one routine here, shared by the
+    // grammar extension (through [`EngineHooks`]) and the `browser:`
+    // high-order function of §5.1; both raise a type error for an atomic
+    // target.
+
+    /// Attaches listener `id` for `event` to every target.
+    pub fn attach(&mut self, event: &str, targets: &[Item], id: ListenerId) -> XdmResult<()> {
+        for t in targets {
+            self.events.add_listener(expect_node(t)?, event, id, false);
+        }
+        Ok(())
+    }
+
+    /// Detaches listener `id` for `event` from every target.
+    pub fn detach(&mut self, event: &str, targets: &[Item], id: ListenerId) -> XdmResult<()> {
+        for t in targets {
+            self.events.remove_listener(expect_node(t)?, event, id);
+        }
+        Ok(())
+    }
+
+    /// Sets a CSS property of every target in the CSS store (§4.5).
+    pub fn set_style(&mut self, targets: &[Item], prop: &str, value: &str) -> XdmResult<()> {
+        for t in targets {
+            self.css.set(expect_node(t)?, prop, value);
+        }
+        Ok(())
+    }
+
+    /// A CSS property of the first target, when it is a node with one set.
+    pub fn get_style(&self, targets: &[Item], prop: &str) -> Option<String> {
+        let node = targets.first()?.as_node()?;
+        self.css.get(node, prop).map(str::to_string)
     }
 
     /// Registers a view for write-back and indexes its window elements.
@@ -134,8 +168,6 @@ pub struct PluginConfig {
     pub window_name: String,
     /// Library modules available to `import module` (§3.4).
     pub modules: ModuleRegistry,
-    /// Use the CSS store (true) or the style-attribute fallback (false).
-    pub use_css_store: bool,
     /// Retry/timeout/backoff policy and circuit-breaker settings for the
     /// asynchronous network path.
     pub recovery: RecoveryConfig,
@@ -150,7 +182,6 @@ impl Default for PluginConfig {
             url: "http://www.xqib.org/index.html".to_string(),
             window_name: "top_window".to_string(),
             modules: ModuleRegistry::new(),
-            use_css_store: true,
             recovery: RecoveryConfig::default(),
             isolation: IsolationConfig::default(),
         }
@@ -169,13 +200,6 @@ pub struct Plugin {
     pub scripts: Vec<MainModule>,
     pub page_doc: Option<DocId>,
     modules: ModuleRegistry,
-    /// Compiled plans for [`Plugin::eval`] snippets, shared with the
-    /// `browser:planCache()` introspection function.
-    plans: Rc<RefCell<PlanCache>>,
-    /// Bumped whenever the page scripts are (re)compiled: eval snippets
-    /// merge the page's function library into their static context, so a
-    /// cached snippet plan must not survive a script reload.
-    script_version: Rc<Cell<u64>>,
 }
 
 /// The [`EngineHooks`] bridge: routes the paper's grammar extensions into
@@ -185,36 +209,16 @@ struct Hooks {
 }
 
 impl EngineHooks for Hooks {
-    fn attach_listener(
-        &self,
-        ctx: &mut DynamicContext,
-        event: &str,
-        targets: &[Item],
-        listener: &QName,
-    ) -> XdmResult<()> {
+    fn attach_listener(&self, event: &str, targets: &[Item], listener: &QName) -> XdmResult<()> {
         let mut host = self.host.borrow_mut();
         let id = host.xq_listener_id(listener);
-        for t in targets {
-            let node = expect_node(ctx, t, "event target")?;
-            host.events.add_listener(node, event, id, false);
-        }
-        Ok(())
+        host.attach(event, targets, id)
     }
 
-    fn detach_listener(
-        &self,
-        ctx: &mut DynamicContext,
-        event: &str,
-        targets: &[Item],
-        listener: &QName,
-    ) -> XdmResult<()> {
+    fn detach_listener(&self, event: &str, targets: &[Item], listener: &QName) -> XdmResult<()> {
         let mut host = self.host.borrow_mut();
         let id = host.xq_listener_id(listener);
-        for t in targets {
-            let node = expect_node(ctx, t, "event target")?;
-            host.events.remove_listener(node, event, id);
-        }
-        Ok(())
+        host.detach(event, targets, id)
     }
 
     fn trigger_event(
@@ -223,12 +227,7 @@ impl EngineHooks for Hooks {
         event: &str,
         targets: &[Item],
     ) -> XdmResult<()> {
-        for t in targets {
-            let node = expect_node(ctx, t, "event target")?;
-            let ev = DomEvent::new(event, node);
-            dispatch_event_inner(ctx, &self.host, &ev)?;
-        }
-        Ok(())
+        trigger(ctx, &self.host, event, targets)
     }
 
     fn attach_behind(
@@ -255,48 +254,23 @@ impl EngineHooks for Hooks {
         Ok(())
     }
 
-    fn set_style(
-        &self,
-        _ctx: &mut DynamicContext,
-        target: NodeRef,
-        prop: &str,
-        value: &str,
-    ) -> XdmResult<bool> {
-        let mut host = self.host.borrow_mut();
-        if host.use_css_store {
-            host.css.set(target, prop, value);
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+    fn set_style(&self, targets: &[Item], prop: &str, value: &str) -> XdmResult<()> {
+        self.host.borrow_mut().set_style(targets, prop, value)
     }
 
-    fn get_style(
-        &self,
-        _ctx: &mut DynamicContext,
-        target: NodeRef,
-        prop: &str,
-    ) -> XdmResult<Option<Option<String>>> {
-        let host = self.host.borrow();
-        if host.use_css_store {
-            Ok(Some(host.css.get(target, prop).map(|s| s.to_string())))
-        } else {
-            Ok(None)
-        }
+    fn get_style(&self, targets: &[Item], prop: &str) -> XdmResult<Option<String>> {
+        Ok(self.host.borrow().get_style(targets, prop))
     }
 }
 
-fn expect_node(ctx: &DynamicContext, item: &Item, what: &str) -> XdmResult<NodeRef> {
+fn expect_node(item: &Item) -> XdmResult<NodeRef> {
     match item {
         Item::Node(n) => Ok(*n),
         Item::Atomic(a) => Err(XdmError::type_error(format!(
-            "{what} must be a node, got {}",
+            "target must be a node, got {}",
             a.type_name()
         ))),
     }
-    .inspect(|_n| {
-        let _ = ctx; // reserved for future checks
-    })
 }
 
 impl Plugin {
@@ -315,13 +289,14 @@ impl Plugin {
             views: Vec::new(),
             window_index: HashMap::new(),
             tasks: EventLoop::new(),
-            use_css_store: config.use_css_store,
             page_window,
             total_latency_ms: 0,
             recovery: RecoveryState::new(config.recovery),
             quarantine: ListenerQuarantine::new(&config.isolation),
             isolation: config.isolation,
             next_behind_id: 0,
+            plans: PlanCache::new(EVAL_PLAN_CAPACITY),
+            script_version: 0,
         }));
         let sctx = Rc::new(StaticContext {
             browser_profile: true,
@@ -329,41 +304,7 @@ impl Plugin {
         });
         let mut ctx = DynamicContext::new(store.clone(), sctx);
         ctx.hooks = Some(Rc::new(Hooks { host: host.clone() }));
-        bindings::install(&mut ctx, host.clone());
-        let plans = Rc::new(RefCell::new(PlanCache::new(EVAL_PLAN_CAPACITY)));
-        let script_version = Rc::new(Cell::new(0u64));
-        {
-            // browser:planCache() → one element carrying the cache counters
-            let p = plans.clone();
-            let v = script_version.clone();
-            ctx.register_native(
-                QName::ns(BROWSER_NS, "planCache"),
-                0,
-                native(move |ctx, _args| {
-                    let cache = p.borrow();
-                    let s = cache.stats();
-                    let doc_id = ctx.construction_doc;
-                    let mut store = ctx.store.borrow_mut();
-                    let doc = store.doc_mut(doc_id);
-                    let elem = doc.create_element(QName::local("plan-cache"));
-                    let counters: [(&str, u64); 8] = [
-                        ("hits", s.hits),
-                        ("misses", s.misses),
-                        ("evictions", s.evictions),
-                        ("invalidations", s.invalidations),
-                        ("size", cache.len() as u64),
-                        ("capacity", cache.capacity() as u64),
-                        ("epoch", cache.epoch()),
-                        ("script-version", v.get()),
-                    ];
-                    for (name, val) in counters {
-                        doc.set_attribute(elem, QName::local(name), val.to_string())
-                            .map_err(|e| XdmError::new("XQIB0006", e.to_string()))?;
-                    }
-                    Ok(vec![Item::Node(NodeRef::new(doc_id, elem))])
-                }),
-            );
-        }
+        bindings::install(&mut ctx, &host);
         Plugin {
             store,
             host,
@@ -371,8 +312,6 @@ impl Plugin {
             scripts: Vec::new(),
             page_doc: None,
             modules: config.modules,
-            plans,
-            script_version,
         }
     }
 
@@ -466,7 +405,7 @@ impl Plugin {
                     let mut host = self.host.borrow_mut();
                     let id = host.events.fresh_listener_id();
                     host.listeners.insert(id, ListenerKind::XQueryInline(plan));
-                    host.events.add_listener(target, &event_attr, id, false);
+                    host.attach(&event_attr, &[Item::Node(target)], id)?;
                 }
                 Err(_) => {
                     // not XQuery — presumably a JavaScript handler for the
@@ -487,7 +426,7 @@ impl Plugin {
         self.scripts = modules_compiled;
         // eval-snippet plans baked the old page functions in; stop
         // matching them
-        self.script_version.set(self.script_version.get() + 1);
+        self.host.borrow_mut().script_version += 1;
         Ok(js_sources)
     }
 
@@ -514,7 +453,7 @@ impl Plugin {
         let id = host.events.fresh_listener_id();
         host.listeners
             .insert(id, ListenerKind::External(Rc::new(RefCell::new(f))));
-        host.events.add_listener(target, event_type, id, false);
+        let _ = host.attach(event_type, &[Item::Node(target)], id); // a node: cannot fail
         id
     }
 
@@ -817,14 +756,15 @@ impl Plugin {
         // the fingerprint covers everything the snippet compilation reads
         // besides its text: the module registry and (via the version
         // counter) the page functions merged in below
+        let mut host = self.host.borrow_mut();
         let fp = plancache::mix(
             plancache::static_fingerprint(&self.modules, true),
-            self.script_version.get(),
+            host.script_version,
         );
         let plan = {
             let modules = &self.modules;
             let page_sctx = self.ctx.sctx.clone();
-            self.plans.borrow_mut().get_or_compile(src, fp, || {
+            host.plans.get_or_compile(src, fp, || {
                 let q = runtime::compile_with(src, modules, true)?;
                 // merge page functions so snippets can call local: listeners
                 let mut merged = StaticContext {
@@ -843,6 +783,7 @@ impl Plugin {
                 }))
             })?
         };
+        drop(host);
         let out = plan.execute(&mut self.ctx)?;
         self.sync_views()?;
         Ok(out)
@@ -888,6 +829,20 @@ pub fn dispatch_event_inner(
         run_guarded(ctx, host, step.listener, Some(event.target.doc), |ctx| {
             invoke_listener(ctx, host, &kind, event, step.current_target)
         });
+    }
+    Ok(())
+}
+
+/// Dispatches `event` at every target: the one routine behind `trigger
+/// event` and `browser:triggerEvent`. An atomic target is a type error.
+pub fn trigger(
+    ctx: &mut DynamicContext,
+    host: &Rc<RefCell<HostState>>,
+    event: &str,
+    targets: &[Item],
+) -> XdmResult<()> {
+    for t in targets {
+        dispatch_event_inner(ctx, host, &DomEvent::new(event, expect_node(t)?))?;
     }
     Ok(())
 }
@@ -1070,12 +1025,13 @@ fn invoke_listener(
 
 /// Window-view write-back after a listener. A loop over the bound views: a
 /// page that never materialised a window view (the §6a click page) pays
-/// only the two borrows.
+/// only the two borrows. A binding writes back only what changed since it
+/// was built or last synced, so an older view cannot undo a navigation.
 fn sync_views_static(ctx: &DynamicContext, host: &Rc<RefCell<HostState>>) -> XdmResult<()> {
     let mut host = host.borrow_mut();
     let host = &mut *host;
     let store = ctx.store.borrow();
-    for view in &host.views {
+    for view in &mut host.views {
         let _ = window_xml::sync_view(&store, &mut host.browser, view);
     }
     Ok(())

@@ -35,11 +35,14 @@ pub enum WindowField {
 
 /// One write-back binding: this view node's string value mirrors the field
 /// of the window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ViewBinding {
     pub node: NodeRef,
     pub window: WindowId,
     pub field: WindowField,
+    /// The node's value when the view was built or last synced: only a
+    /// change since then is written back.
+    pub synced: String,
 }
 
 /// Mapping from a materialised `<window>` element to its window (used by
@@ -111,6 +114,7 @@ fn build_window_elem(
         ),
         window: win,
         field: WindowField::Name,
+        synced: data.name.clone(),
     });
 
     // <status>
@@ -124,6 +128,7 @@ fn build_window_elem(
         node: NodeRef::new(doc_id, status),
         window: win,
         field: WindowField::Status,
+        synced: data.status.clone(),
     });
 
     // <location><href/><protocol/><host/><port/><pathname/><search/></location>
@@ -150,6 +155,7 @@ fn build_window_elem(
                 node: NodeRef::new(doc_id, f),
                 window: win,
                 field: WindowField::Href,
+                synced: data.location.href.clone(),
             });
         }
     }
@@ -222,18 +228,23 @@ pub fn materialize_navigator(store: &mut Store, browser: &Browser) -> NodeRef {
     NodeRef::new(doc_id, elem)
 }
 
-/// Write-back: propagates changes made to view nodes back into the BOM.
-/// Returns the list of windows that were *navigated* (href changed), so the
-/// plug-in can reload them.
+/// Write-back: propagates changes made to view nodes since the view was
+/// built (or last synced) back into the BOM. An unchanged node writes
+/// nothing, so a view built before a navigation does not undo it. Returns
+/// the list of windows that were *navigated* (href changed), so the plug-in
+/// can reload them.
 pub fn sync_view(
     store: &Store,
     browser: &mut Browser,
-    view: &WindowView,
+    view: &mut WindowView,
 ) -> Vec<(WindowId, String)> {
     let mut navigations = Vec::new();
-    for b in &view.bindings {
-        let doc = store.doc(b.node.doc);
-        let current = doc.string_value(b.node.node);
+    for b in &mut view.bindings {
+        let current = store.doc(b.node.doc).string_value(b.node.node);
+        if current == b.synced {
+            continue;
+        }
+        b.synced.clone_from(&current);
         match b.field {
             WindowField::Status => {
                 if browser.window(b.window).status != current {
@@ -310,7 +321,7 @@ mod tests {
     #[test]
     fn status_write_back() {
         let (mut store, mut browser, top, _, _) = setup();
-        let (_root, view) = materialize_window(&mut store, &browser, top, top);
+        let (_root, mut view) = materialize_window(&mut store, &browser, top, top);
         let status_binding = view
             .bindings
             .iter()
@@ -320,7 +331,7 @@ mod tests {
             .doc_mut(status_binding.node.doc)
             .replace_element_value(status_binding.node.node, "Changed!")
             .unwrap();
-        let navs = sync_view(&store, &mut browser, &view);
+        let navs = sync_view(&store, &mut browser, &mut view);
         assert!(navs.is_empty());
         assert_eq!(browser.window(top).status, "Changed!");
     }
@@ -328,7 +339,7 @@ mod tests {
     #[test]
     fn href_write_back_navigates() {
         let (mut store, mut browser, top, left, _) = setup();
-        let (_root, view) = materialize_window(&mut store, &browser, top, top);
+        let (_root, mut view) = materialize_window(&mut store, &browser, top, top);
         let href = view
             .bindings
             .iter()
@@ -338,7 +349,7 @@ mod tests {
             .doc_mut(href.node.doc)
             .replace_element_value(href.node.node, "http://www.dbis.ethz.ch/new")
             .unwrap();
-        let navs = sync_view(&store, &mut browser, &view);
+        let navs = sync_view(&store, &mut browser, &mut view);
         assert_eq!(
             navs,
             vec![(left, "http://www.dbis.ethz.ch/new".to_string())]

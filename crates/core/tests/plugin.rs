@@ -8,6 +8,7 @@ use xqib_core::samples;
 use xqib_dom::QName;
 use xqib_xdm::Item;
 use xqib_xquery::functions::native;
+use xqib_xquery::runtime;
 
 fn plugin() -> Plugin {
     Plugin::new(PluginConfig::default())
@@ -207,6 +208,49 @@ fn href_writeback_navigates() {
     );
 }
 
+fn href(p: &Plugin) -> String {
+    let host = p.host.borrow();
+    host.browser.window(host.page_window).location.href.clone()
+}
+
+#[test]
+fn view_built_before_history_back_does_not_undo_it() {
+    let mut p = plugin();
+    p.load_page(samples::HELLO_WORLD).unwrap();
+    {
+        let mut host = p.host.borrow_mut();
+        let w = host.page_window;
+        host.browser.navigate(w, "http://www.xqib.org/page2");
+    }
+    // the view holds page2; going back must stick after the write-back
+    p.eval("browser:self(), browser:historyBack()").unwrap();
+    assert_eq!(href(&p), "http://www.xqib.org/index.html");
+}
+
+#[test]
+fn older_views_do_not_replay_their_href() {
+    let mut p = plugin();
+    p.load_page("<html><body/></html>").unwrap();
+    p.eval("browser:self()").unwrap();
+    p.eval(
+        r#"replace value of node browser:self()/location/href
+           with "http://www.xqib.org/page2""#,
+    )
+    .unwrap();
+    let history_len = |p: &Plugin| {
+        let host = p.host.borrow();
+        host.browser.window(host.page_window).history.len()
+    };
+    assert_eq!(history_len(&p), 2);
+    for _ in 0..3 {
+        p.eval("1").unwrap();
+    }
+    assert_eq!(history_len(&p), 2, "a no-op eval navigates nowhere");
+    assert_eq!(href(&p), "http://www.xqib.org/page2");
+    p.eval("browser:historyBack()").unwrap();
+    assert_eq!(href(&p), "http://www.xqib.org/index.html");
+}
+
 #[test]
 fn navigator_and_screen_accessible() {
     let mut p = plugin();
@@ -381,18 +425,135 @@ fn css_store_vs_attribute_ablation() {
     let out = p.eval("get style \"color\" of //div[@id=\"d\"]").unwrap();
     assert_eq!(p.render(&out), "red");
 
-    // without the store, the engine falls back to the style attribute
-    let mut p2 = Plugin::new(PluginConfig {
-        use_css_store: false,
-        ..Default::default()
-    });
-    p2.load_page(
-        r#"<html><head><script type="text/xquery">
-        set style "color" of //div[@id="d"] to "red"
-        </script></head><body><div id="d"/></body></html>"#,
+    // an engine without the plug-in's hooks falls back to the style
+    // attribute
+    let store = xqib_dom::store::shared_store();
+    let page = xqib_dom::parse_document(r#"<html><body><div id="d"/></body></html>"#).unwrap();
+    let doc = store.borrow_mut().add_document(page, Some("page.xml"));
+    let out = runtime::run_to_string(
+        r#"{ set style "color" of doc("page.xml")//div to "red";
+             get style "color" of doc("page.xml")//div }"#,
+        store.clone(),
     )
     .unwrap();
-    assert!(p2.serialize_page().contains("style=\"color: red\""));
+    assert_eq!(out, "red");
+    let page = xqib_dom::serialize::serialize_document(store.borrow().doc(doc));
+    assert!(page.contains("style=\"color: red\""), "{page}");
+}
+
+/// The page the operation table below runs on: two inputs and a listener
+/// that logs each event it sees.
+const OP_PAGE: &str = r#"<html><head><script type="text/xquery"><![CDATA[
+    declare updating function local:l($evt, $obj) {
+        insert node <p>{string($evt/type)}</p> into //body[1]
+    };
+    1
+    ]]></script></head><body><input id="a"/><input id="b"/></body></html>"#;
+
+/// What one operation leaves behind: its result (or error code), the
+/// `onclick` listener table and CSS store of both inputs, and the page after
+/// a click on `#a`.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    result: Result<String, String>,
+    listeners: [Vec<u64>; 2],
+    css: [Vec<(String, String)>; 2],
+    page: String,
+}
+
+fn observe(setup: &str, op: &str) -> Observed {
+    let mut p = plugin();
+    p.load_page(OP_PAGE).unwrap();
+    p.eval(setup).unwrap();
+    let result = p.eval(op).map(|s| p.render(&s)).map_err(|e| e.code);
+    let inputs = [p.element_by_id("a").unwrap(), p.element_by_id("b").unwrap()];
+    let (listeners, css) = {
+        let host = p.host.borrow();
+        let ids = |n| {
+            host.events
+                .listeners_at(n, "onclick")
+                .iter()
+                .map(|l| l.0)
+                .collect()
+        };
+        (inputs.map(ids), inputs.map(|n| host.css.all(n).to_vec()))
+    };
+    p.click(inputs[0]).unwrap();
+    p.run_until_idle().unwrap();
+    Observed {
+        result,
+        listeners,
+        css,
+        page: p.serialize_page(),
+    }
+}
+
+#[test]
+fn hof_and_grammar_share_one_routine_per_operation() {
+    // §5.1: each grammar extension and its high-order function are one
+    // operation. `{T}` is the target: the inputs, then an atomic value.
+    let attach = r#"on event "onclick" at //input attach listener local:l"#;
+    let ops = [
+        (
+            "()",
+            r#"on event "onclick" at {T} attach listener local:l"#,
+            r#"browser:addEventListener({T}, "onclick", "local:l")"#,
+        ),
+        (
+            attach,
+            r#"on event "onclick" at {T} detach listener local:l"#,
+            r#"browser:removeEventListener({T}, "onclick", "local:l")"#,
+        ),
+        (
+            attach,
+            r#"trigger event "onclick" at {T}"#,
+            r#"browser:triggerEvent("onclick", {T})"#,
+        ),
+        (
+            "()",
+            r#"set style "color" of {T} to "red""#,
+            r#"browser:setStyle({T}, "color", "red")"#,
+        ),
+        (
+            r#"set style "color" of //input to "red""#,
+            r#"get style "color" of {T}"#,
+            r#"browser:getStyle({T}, "color")"#,
+        ),
+    ];
+    for (setup, grammar, hof) in ops {
+        let noop = observe(setup, "()");
+        for target in ["//input", r#""x""#] {
+            let g = observe(setup, &grammar.replace("{T}", target));
+            let h = observe(setup, &hof.replace("{T}", target));
+            assert_eq!(g, h, "{grammar} ≡ {hof} at {target}");
+            if target == "//input" {
+                assert_ne!(g, noop, "{grammar} has an effect");
+            } else if !grammar.starts_with("get style") {
+                // an atomic target is a type error (`get style` reads the
+                // first target and finds no node: the empty sequence)
+                assert_eq!(g.result, Err("XPTY0004".to_string()), "{grammar}");
+            }
+        }
+    }
+}
+
+#[test]
+fn status_elements_serve_every_counter() {
+    let mut p = plugin();
+    p.load_page("<html><body/></html>").unwrap();
+    let (mut fetch, mut listener) = (Vec::new(), Vec::new());
+    {
+        let host = p.host.borrow();
+        host.recovery.stats.visit(&mut |name, _| fetch.push(name));
+        host.quarantine
+            .stats
+            .visit(&mut |name, _| listener.push(name));
+    }
+    for (f, names) in [("fetchStatus", fetch), ("listenerStatus", listener)] {
+        let q = format!("string-join(for $a in browser:{f}()/@* return name($a), ',')");
+        let out = p.eval(&q).unwrap();
+        assert_eq!(p.render(&out), names.join(","), "browser:{f}()");
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use xqib_dom::{DocId, NodeRef, QName, SharedStore, Store};
+use xqib_dom::{DocId, QName, SharedStore, Store};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 
 use crate::ast::FunctionDecl;
@@ -24,25 +24,14 @@ pub type NativeFn = Rc<dyn Fn(&mut DynamicContext, Vec<Sequence>) -> XdmResult<S
 
 /// Host bridge for the browser grammar extensions. Implemented by the XQIB
 /// plug-in; when absent, event expressions raise `XQIB0002` and style
-/// expressions fall back to the element's `style` attribute.
+/// expressions fall back to the element's `style` attribute. Targets are
+/// passed as evaluated: the host raises the type error for an atomic one.
 pub trait EngineHooks {
     /// `on event E at T attach listener Q` (§4.3.1).
-    fn attach_listener(
-        &self,
-        ctx: &mut DynamicContext,
-        event: &str,
-        targets: &[Item],
-        listener: &QName,
-    ) -> XdmResult<()>;
+    fn attach_listener(&self, event: &str, targets: &[Item], listener: &QName) -> XdmResult<()>;
 
     /// `on event E at T detach listener Q`.
-    fn detach_listener(
-        &self,
-        ctx: &mut DynamicContext,
-        event: &str,
-        targets: &[Item],
-        listener: &QName,
-    ) -> XdmResult<()>;
+    fn detach_listener(&self, event: &str, targets: &[Item], listener: &QName) -> XdmResult<()>;
 
     /// `trigger event E at T` — simulates the user action.
     fn trigger_event(
@@ -63,24 +52,11 @@ pub trait EngineHooks {
         listener: &QName,
     ) -> XdmResult<()>;
 
-    /// `set style P of T to V` (§4.5). Return `Ok(false)` to fall back to
-    /// the `style` attribute.
-    fn set_style(
-        &self,
-        ctx: &mut DynamicContext,
-        target: NodeRef,
-        prop: &str,
-        value: &str,
-    ) -> XdmResult<bool>;
+    /// `set style P of T to V` (§4.5).
+    fn set_style(&self, targets: &[Item], prop: &str, value: &str) -> XdmResult<()>;
 
-    /// `get style P of T`. Return `Ok(None)` to fall back to the `style`
-    /// attribute; `Ok(Some(v))` to answer.
-    fn get_style(
-        &self,
-        ctx: &mut DynamicContext,
-        target: NodeRef,
-        prop: &str,
-    ) -> XdmResult<Option<Option<String>>>;
+    /// `get style P of T`: the property of the first target, if set.
+    fn get_style(&self, targets: &[Item], prop: &str) -> XdmResult<Option<String>>;
 }
 
 /// The static context: user-declared functions and compile-time options.

@@ -245,7 +245,7 @@ pub(crate) fn eval_browser<E, C>(
         } => {
             let ev = string_of(ctx, &**event, eval)?;
             let targets = eval(ctx, target)?;
-            require_hooks(ctx)?.attach_listener(ctx, &ev, &targets, listener)?;
+            require_hooks(ctx)?.attach_listener(&ev, &targets, listener)?;
         }
         BrowserExpr::Behind {
             event,
@@ -263,7 +263,7 @@ pub(crate) fn eval_browser<E, C>(
         } => {
             let ev = string_of(ctx, &**event, eval)?;
             let targets = eval(ctx, target)?;
-            require_hooks(ctx)?.detach_listener(ctx, &ev, &targets, listener)?;
+            require_hooks(ctx)?.detach_listener(&ev, &targets, listener)?;
         }
         BrowserExpr::Trigger { event, target } => {
             let ev = string_of(ctx, &**event, eval)?;
@@ -277,32 +277,26 @@ pub(crate) fn eval_browser<E, C>(
         } => {
             let p = string_of(ctx, &**prop, eval)?;
             let v = string_of(ctx, &**value, eval)?;
-            for t in &eval(ctx, target)? {
-                let Item::Node(n) = t else {
-                    return Err(XdmError::type_error("set style target must be a node"));
-                };
-                let handled = match ctx.hooks.clone() {
-                    Some(h) => h.set_style(ctx, *n, &p, &v)?,
-                    None => false,
-                };
-                if !handled {
-                    set_style_attribute(ctx, *n, &p, &v)?;
+            let targets = eval(ctx, target)?;
+            match ctx.hooks.clone() {
+                Some(h) => h.set_style(&targets, &p, &v)?,
+                None => {
+                    for t in &targets {
+                        let Item::Node(n) = t else {
+                            return Err(XdmError::type_error("set style target must be a node"));
+                        };
+                        set_style_attribute(ctx, *n, &p, &v)?;
+                    }
                 }
             }
         }
         BrowserExpr::GetStyle { prop, target } => {
             let p = string_of(ctx, &**prop, eval)?;
             let targets = eval(ctx, target)?;
-            let Some(Item::Node(n)) = targets.first() else {
-                return Ok(vec![]);
-            };
-            let answered = match ctx.hooks.clone() {
-                Some(h) => h.get_style(ctx, *n, &p)?,
-                None => None,
-            };
-            let value = match answered {
-                Some(v) => v,
-                None => get_style_attribute(ctx, *n, &p),
+            let value = match (ctx.hooks.clone(), targets.first()) {
+                (Some(h), _) => h.get_style(&targets, &p)?,
+                (None, Some(Item::Node(n))) => get_style_attribute(ctx, *n, &p),
+                (None, _) => None,
             };
             return Ok(value.map(Item::string).into_iter().collect());
         }

@@ -7,9 +7,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use xqib::appserver::WebServiceHost;
-use xqib::browser::net::Response;
+use xqib::browser::net::{NetOutcome, Request, Response};
 use xqib::core::plugin::{Plugin, PluginConfig};
 use xqib::dom::QName;
+use xqib::xdm::XdmError;
 use xqib::xquery::functions::native;
 use xqib::xquery::ModuleRegistry;
 
@@ -67,7 +68,10 @@ fn remote_call_through_the_virtual_network() {
                     .map(|i| i.string_value(&ctx.store.borrow()))
                     .unwrap_or_default();
                 let url = format!("http://localhost:2001/call?fn=mul&arg={a}&arg={b}");
-                let (resp, _lat) = host.borrow_mut().net.get(&url);
+                let outcome = host.borrow_mut().net.fetch_at(&Request::get(&url), 0);
+                let NetOutcome::Reply { resp, .. } = outcome else {
+                    return Err(XdmError::new("XQIB0009", "service request lost"));
+                };
                 // <result>10</result> → 10
                 let value = resp
                     .body
