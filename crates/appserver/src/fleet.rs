@@ -91,8 +91,6 @@ pub struct FleetConfig {
     pub interactions_per_client: usize,
     /// Base think time between a client's interactions, virtual ms.
     pub think_ms: u64,
-    /// Per-client recovery knobs (stale cache bound, breaker, retries).
-    pub recovery: RecoveryConfig,
     pub cluster: ClusterConfig,
     /// The cluster's crashes, partitions and topology changes. Clients keep
     /// their cached routes across a topology change and chase the 421
@@ -114,7 +112,6 @@ impl Default for FleetConfig {
             cart_clients: 2,
             interactions_per_client: 4,
             think_ms: 200,
-            recovery: RecoveryConfig::default(),
             cluster: ClusterConfig::default(),
             chaos: ClusterChaos::default(),
             net_fault: None,
@@ -643,10 +640,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
     let mut clients: Vec<ClientState> = Vec::with_capacity(roster.len());
     let mut cart_seq = 0usize;
     for (idx, &(scenario, nocache)) in roster.iter().enumerate() {
-        let mut plugin = Plugin::new(PluginConfig {
-            recovery: cfg.recovery.clone(),
-            ..Default::default()
-        });
+        let mut plugin = Plugin::new(PluginConfig::default());
         let meta = Rc::new(RefCell::new(LastMeta::default()));
         let routes = Rc::new(RefCell::new(RouteCache::new(u64::MAX)));
         wire_cluster(
@@ -823,7 +817,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
     let settle_from = cluster_now.get().max(master.now());
     let (settled_at, _) = cluster.borrow_mut().quiesce(settle_from);
     cluster_now.set(settled_at.max(settle_from));
-    let grace = settled_at + cfg.recovery.breaker_open_ms + 1_000;
+    // every client runs the plug-in's default recovery knobs
+    let grace = settled_at + RecoveryConfig::default().breaker_open_ms + 1_000;
     let mut converged = true;
     for c in &mut clients {
         let pnow = c.plugin.now();
@@ -1024,21 +1019,4 @@ fn run_interaction(
         }
     }
     Ok(())
-}
-
-/// Checks a report's acked-durability invariant against a cluster —
-/// convenience for tests that force extra failovers after the run.
-pub fn missing_acked_markers(report: &FleetReport, cluster: &Cluster) -> Vec<(String, String)> {
-    let mut missing = Vec::new();
-    for client in &report.clients {
-        if client.scenario != Scenario::Cart {
-            continue;
-        }
-        for marker in &client.acked {
-            if !cluster.holds_marker(&client.cart_uri, marker) {
-                missing.push((client.cart_uri.clone(), marker.clone()));
-            }
-        }
-    }
-    missing
 }

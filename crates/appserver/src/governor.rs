@@ -81,6 +81,9 @@ impl Class {
     }
 }
 
+/// The `Retry-After` value (seconds) attached to shed responses.
+const RETRY_AFTER_S: u64 = 1;
+
 /// Tuning knobs for the governor.
 #[derive(Debug, Clone)]
 pub struct GovernorConfig {
@@ -99,8 +102,6 @@ pub struct GovernorConfig {
     /// CoDel interval: how long the delay must stay above target before
     /// shedding starts. `u64::MAX` disables queue-delay shedding.
     pub codel_interval_ms: u64,
-    /// The `Retry-After` value (seconds) attached to shed responses.
-    pub retry_after_s: u64,
     /// Degrade render-class deadline misses to cached snapshots instead of
     /// failing them with 504.
     pub degrade_renders: bool,
@@ -122,7 +123,6 @@ impl Default for GovernorConfig {
             fuel_per_ms: 100,
             codel_target_ms: 20,
             codel_interval_ms: 100,
-            retry_after_s: 1,
             degrade_renders: true,
         }
     }
@@ -139,7 +139,6 @@ impl GovernorConfig {
             fuel_per_ms: 100,
             codel_target_ms: u64::MAX,
             codel_interval_ms: u64::MAX,
-            retry_after_s: 1,
             degrade_renders: false,
         }
     }
@@ -353,7 +352,7 @@ impl RequestGovernor {
 
     fn shed_response(&self) -> ServerResponse {
         ServerResponse::new(503, "<error class=\"overload\">server overloaded</error>")
-            .with_header("Retry-After", &self.cfg.retry_after_s.to_string())
+            .with_header("Retry-After", &RETRY_AFTER_S.to_string())
     }
 }
 

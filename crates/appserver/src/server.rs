@@ -307,15 +307,17 @@ fn normalize_path(p: &str) -> String {
 /// skipped rather than aborting the scan, and values get real `%xx`
 /// percent-decoding (one shared helper, not a second buggy copy).
 pub(crate) fn param(query: &str, name: &str) -> Option<String> {
-    for pair in query.split('&') {
-        let Some((k, v)) = pair.split_once('=') else {
-            continue;
-        };
-        if k == name {
-            return Some(percent_decode(v));
-        }
-    }
-    None
+    params(query, name).next()
+}
+
+/// Every value of the query parameter `name`, in order, decoded as
+/// [`param`] decodes the first.
+pub(crate) fn params<'q>(query: &'q str, name: &'q str) -> impl Iterator<Item = String> + 'q {
+    query
+        .split('&')
+        .filter_map(|pair| pair.split_once('='))
+        .filter(move |&(k, _)| k == name)
+        .map(|(_, v)| percent_decode(v))
 }
 
 fn not_found(msg: &str) -> ServerResponse {

@@ -15,6 +15,8 @@ use xqib_xquery::context::{DynamicContext, StaticContext};
 use xqib_xquery::parser;
 use xqib_xquery::plan::lower_functions;
 
+use crate::server::{param, params, split_url};
+
 /// A web-service endpoint backed by an XQuery library module.
 pub struct WebServiceHost {
     module: Rc<LibraryModule>,
@@ -113,10 +115,7 @@ impl WebServiceHost {
     /// HTTP-ish entry point: `/call?fn=mul&arg=2&arg=5`, plus `/wsdl`
     /// returning a description document (the paper's import location).
     pub fn handle(&mut self, url: &str) -> (u16, String) {
-        let (path, query) = match url.split_once('?') {
-            Some((p, q)) => (strip_host(p), q.to_string()),
-            None => (strip_host(url), String::new()),
-        };
+        let (path, query) = split_url(url);
         match path.as_str() {
             "/wsdl" => {
                 let mut body = format!(
@@ -134,18 +133,8 @@ impl WebServiceHost {
                 (200, body)
             }
             "/call" => {
-                let mut fname = None;
-                let mut args: Vec<String> = Vec::new();
-                for pair in query.split('&') {
-                    if let Some((k, v)) = pair.split_once('=') {
-                        match k {
-                            "fn" => fname = Some(v.to_string()),
-                            "arg" => args.push(v.replace('+', " ")),
-                            _ => {}
-                        }
-                    }
-                }
-                let Some(fname) = fname else {
+                let args: Vec<String> = params(&query, "arg").collect();
+                let Some(fname) = param(&query, "fn") else {
                     self.failed_calls += 1;
                     return (
                         400,
@@ -189,16 +178,6 @@ fn xml_escape(s: &str) -> String {
         }
     }
     out
-}
-
-fn strip_host(url: &str) -> String {
-    match url.split_once("://") {
-        Some((_, rest)) => match rest.find('/') {
-            Some(i) => rest[i..].to_string(),
-            None => "/".to_string(),
-        },
-        None => url.to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -268,12 +247,20 @@ declare function d:inv($x) { 1 div $x };"#,
         let mut host = WebServiceHost::new(
             r#"module namespace g = "urn:greet";
 declare option fn:webservice "true";
-declare function g:hello($name) { concat("Hello, ", $name, "!") };"#,
+declare function g:hello($name) { concat("Hello, ", $name, "!") };
+declare function g:len($s) { string-length($s) };
+declare function g:both($a, $b) { concat($a, "|", $b) };"#,
         )
         .unwrap();
         assert_eq!(host.call("hello", &["World"]).unwrap(), "Hello, World!");
         let (_, body) = host.handle("/call?fn=hello&arg=XQuery+fans");
         assert_eq!(body, "<result>Hello, XQuery fans!</result>");
+        // `%xx` escapes decode: `a%26b` is the three characters `a&b`
+        let (_, body) = host.handle("/call?fn=len&arg=a%26b");
+        assert_eq!(body, "<result>3</result>");
+        // every repeated `arg` is kept, in order, and `fn` decodes too
+        let (_, body) = host.handle("/call?fn=b%6Fth&arg=x%2By&arg=%3D");
+        assert_eq!(body, "<result>x+y|=</result>");
     }
 
     #[test]

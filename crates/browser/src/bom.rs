@@ -244,10 +244,6 @@ impl Browser {
         &mut self.windows[id.0 as usize]
     }
 
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
     /// All windows in creation order (including closed ones).
     pub fn window_ids(&self) -> impl Iterator<Item = WindowId> + '_ {
         (0..self.windows.len() as u32).map(WindowId)

@@ -1,6 +1,5 @@
-//! DOM Level 3 event dispatch (§4.3): listener registration, the
-//! capture → target → bubble propagation path, `stopPropagation` and
-//! `preventDefault`.
+//! DOM Level 3 event dispatch (§4.3): listener registration and the
+//! capture → target → bubble propagation path.
 //!
 //! Listeners are opaque handles (`ListenerId` → host callback key): the
 //! event system is host-agnostic, so the XQIB plug-in registers XQuery
@@ -71,7 +70,7 @@ impl DomEvent {
 }
 
 /// One registration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Registration {
     listener: ListenerId,
     capture: bool,
@@ -86,21 +85,13 @@ pub struct DispatchStep {
     pub phase: EventPhase,
 }
 
-/// Outcome flags a listener can set.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ListenerOutcome {
-    pub stop_propagation: bool,
-    pub prevent_default: bool,
-}
-
 /// The listener registry + propagation-path computation.
 #[derive(Debug, Default)]
 pub struct EventSystem {
-    /// (node, event type) → registrations, in registration order.
-    listeners: HashMap<(NodeRef, String), Vec<Registration>>,
+    /// event type → node → registrations, in registration order. Keyed by
+    /// type first so a dispatch looks its type up once, by borrowed key.
+    listeners: HashMap<String, HashMap<NodeRef, Vec<Registration>>>,
     next_id: u64,
-    /// total dispatches performed (experiment counters)
-    pub dispatch_count: u64,
 }
 
 impl EventSystem {
@@ -124,7 +115,9 @@ impl EventSystem {
     ) {
         let regs = self
             .listeners
-            .entry((target, event_type.to_string()))
+            .entry(event_type.to_string())
+            .or_default()
+            .entry(target)
             .or_default();
         // duplicate registration of the same listener/phase is a no-op
         if !regs
@@ -137,29 +130,37 @@ impl EventSystem {
 
     /// `removeEventListener`.
     pub fn remove_listener(&mut self, target: NodeRef, event_type: &str, listener: ListenerId) {
-        if let Some(regs) = self.listeners.get_mut(&(target, event_type.to_string())) {
+        let by_node = self.listeners.get_mut(event_type);
+        if let Some(regs) = by_node.and_then(|m| m.get_mut(&target)) {
             regs.retain(|r| r.listener != listener);
         }
     }
 
     /// Count of live registrations (tests/experiments).
     pub fn listener_count(&self) -> usize {
-        self.listeners.values().map(|v| v.len()).sum()
+        self.listeners
+            .values()
+            .flat_map(HashMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     pub fn listeners_at(&self, target: NodeRef, event_type: &str) -> Vec<ListenerId> {
         self.listeners
-            .get(&(target, event_type.to_string()))
-            .map(|v| v.iter().map(|r| r.listener).collect())
+            .get(event_type)
+            .and_then(|by_node| by_node.get(&target))
+            .map(|regs| regs.iter().map(|r| r.listener).collect())
             .unwrap_or_default()
     }
 
     /// Computes the full dispatch plan for an event: the ordered list of
-    /// listener invocations along capture → target → bubble. The host runs
-    /// the steps, honouring `stop_propagation` by cutting the remainder at
-    /// the first step whose *target differs* from the stopping step's.
-    pub fn dispatch_plan(&mut self, store: &Store, event: &DomEvent) -> Vec<DispatchStep> {
-        self.dispatch_count += 1;
+    /// listener invocations along capture → target → bubble, which the
+    /// host runs in order.
+    pub fn dispatch_plan(&self, store: &Store, event: &DomEvent) -> Vec<DispatchStep> {
+        let Some(by_node) = self.listeners.get(&event.event_type) else {
+            return Vec::new();
+        };
+        let regs = |node| by_node.get(&node).map_or(&[][..], Vec::as_slice);
         // propagation path: ancestors from root down to target's parent
         let mut ancestors: Vec<NodeRef> = Vec::new();
         {
@@ -175,7 +176,7 @@ impl EventSystem {
         let mut plan = Vec::new();
         // capture phase: root → parent, capture listeners only
         for &a in &ancestors {
-            for r in self.regs(a, &event.event_type) {
+            for r in regs(a) {
                 if r.capture {
                     plan.push(DispatchStep {
                         listener: r.listener,
@@ -186,7 +187,7 @@ impl EventSystem {
             }
         }
         // target phase: all listeners at the target, registration order
-        for r in self.regs(event.target, &event.event_type) {
+        for r in regs(event.target) {
             plan.push(DispatchStep {
                 listener: r.listener,
                 current_target: event.target,
@@ -195,7 +196,7 @@ impl EventSystem {
         }
         // bubble phase: parent → root, non-capture listeners
         for &a in ancestors.iter().rev() {
-            for r in self.regs(a, &event.event_type) {
+            for r in regs(a) {
                 if !r.capture {
                     plan.push(DispatchStep {
                         listener: r.listener,
@@ -207,30 +208,6 @@ impl EventSystem {
         }
         plan
     }
-
-    fn regs(&self, target: NodeRef, event_type: &str) -> Vec<Registration> {
-        self.listeners
-            .get(&(target, event_type.to_string()))
-            .cloned()
-            .unwrap_or_default()
-    }
-}
-
-/// Applies `stopPropagation` semantics to a dispatch plan: given the index
-/// of the step whose listener stopped propagation, returns how many steps
-/// should still run (steps at the *same* current target in the same phase
-/// still fire; deeper propagation is cancelled).
-pub fn truncate_after_stop(plan: &[DispatchStep], stopped_at: usize) -> usize {
-    let stop_target = plan[stopped_at].current_target;
-    let stop_phase = plan[stopped_at].phase;
-    let mut end = stopped_at + 1;
-    while end < plan.len()
-        && plan[end].current_target == stop_target
-        && plan[end].phase == stop_phase
-    {
-        end += 1;
-    }
-    end
 }
 
 #[cfg(test)]
@@ -333,38 +310,5 @@ mod tests {
         ev.add_listener(button, "onclick", a, false);
         ev.add_listener(button, "onclick", a, false);
         assert_eq!(ev.listener_count(), 1);
-    }
-
-    #[test]
-    fn stop_propagation_truncates() {
-        let (s, _, body, div, button) = tree();
-        let mut ev = EventSystem::new();
-        let l_btn1 = ev.fresh_listener_id();
-        let l_btn2 = ev.fresh_listener_id();
-        let l_div = ev.fresh_listener_id();
-        let l_body = ev.fresh_listener_id();
-        ev.add_listener(button, "onclick", l_btn1, false);
-        ev.add_listener(button, "onclick", l_btn2, false);
-        ev.add_listener(div, "onclick", l_div, false);
-        ev.add_listener(body, "onclick", l_body, false);
-        let plan = ev.dispatch_plan(&s, &DomEvent::new("onclick", button));
-        // listener 0 (btn1) stops propagation: btn2 (same target) still
-        // runs, div/body do not
-        let end = truncate_after_stop(&plan, 0);
-        assert_eq!(end, 2);
-        assert_eq!(
-            plan[..end].iter().map(|p| p.listener).collect::<Vec<_>>(),
-            vec![l_btn1, l_btn2]
-        );
-    }
-
-    #[test]
-    fn dispatch_counter() {
-        let (s, _, _, _, button) = tree();
-        let mut ev = EventSystem::new();
-        for _ in 0..5 {
-            ev.dispatch_plan(&s, &DomEvent::new("onclick", button));
-        }
-        assert_eq!(ev.dispatch_count, 5);
     }
 }

@@ -7,7 +7,7 @@
 //! * a **Browser Object Model** — a window/frame tree with `location`,
 //!   `status`, `history`, shared `navigator` and `screen` objects (§4.2);
 //! * **DOM Level 3 events** — capture → target → bubble dispatch with
-//!   listener registration, `stopPropagation` and `preventDefault` (§4.3);
+//!   listener registration (§4.3);
 //! * a **CSS style store** keeping style properties out of the XML tree,
 //!   exactly the §4.5 design argument for `set style`/`get style`;
 //! * a **same-origin security policy** (§4.2.1) whose failed checks yield

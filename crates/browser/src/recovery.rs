@@ -32,10 +32,12 @@ pub struct RetryPolicy {
     /// … capped here, before jitter.
     pub backoff_cap_ms: u64,
     /// Deterministic jitter in `0..=jitter_ms` added to every backoff,
-    /// derived from `jitter_seed`, the call id and the attempt number.
+    /// derived from [`JITTER_SEED`], the call id and the attempt number.
     pub jitter_ms: u64,
-    pub jitter_seed: u64,
 }
+
+/// Seeds the backoff jitter: fixed, so every run schedules the same retries.
+const JITTER_SEED: u64 = 0x5eed_5eed;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -46,7 +48,6 @@ impl Default for RetryPolicy {
             backoff_factor: 2,
             backoff_cap_ms: 10_000,
             jitter_ms: 50,
-            jitter_seed: 0x5eed_5eed,
         }
     }
 }
@@ -75,7 +76,7 @@ impl RetryPolicy {
         if self.jitter_ms == 0 {
             return 0;
         }
-        let x = self.jitter_seed
+        let x = JITTER_SEED
             ^ call_id.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ (attempt as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         mix64(x) % (self.jitter_ms + 1)

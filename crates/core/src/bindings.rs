@@ -182,14 +182,16 @@ pub fn install(ctx: &mut DynamicContext, host: &Rc<RefCell<HostState>>) {
         // ----- the §5.1 high-order functions: the grammar's host routines
         ("addEventListener", 3, |ctx, h, args| {
             let (event, name) = (seq_string(ctx, &args[1]), seq_string(ctx, &args[2]));
+            let listener = parse_listener_name(&ctx.sctx, &name)?;
             let mut host = h.borrow_mut();
-            let id = host.xq_listener_id(&parse_listener_name(&name));
+            let id = host.xq_listener_id(&listener);
             host.attach(&event, &args[0], id).map(|()| vec![])
         }),
         ("removeEventListener", 3, |ctx, h, args| {
             let (event, name) = (seq_string(ctx, &args[1]), seq_string(ctx, &args[2]));
+            let listener = parse_listener_name(&ctx.sctx, &name)?;
             let mut host = h.borrow_mut();
-            let id = host.xq_listener_id(&parse_listener_name(&name));
+            let id = host.xq_listener_id(&listener);
             host.detach(&event, &args[0], id).map(|()| vec![])
         }),
         ("triggerEvent", 2, |ctx, h, args| {
@@ -393,7 +395,6 @@ pub fn http_get(
                 let mut h = host.borrow_mut();
                 let deadline = h.recovery.policy.timeout_ms;
                 h.tasks.advance(deadline);
-                h.total_latency_ms += deadline;
                 h.recovery.stats.timeouts += 1;
                 let now = h.tasks.now();
                 h.recovery.breaker_failure(&hostname, now);
@@ -411,11 +412,7 @@ pub fn http_get(
             )
         }
         NetOutcome::Reply { resp, latency_ms } => {
-            {
-                let mut h = host.borrow_mut();
-                h.tasks.advance(latency_ms);
-                h.total_latency_ms += latency_ms;
-            }
+            host.borrow_mut().tasks.advance(latency_ms);
             if resp.status != 200 {
                 record_fetch_error(host, &hostname);
                 return degraded_fallback(

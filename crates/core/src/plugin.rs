@@ -83,8 +83,6 @@ pub struct HostState {
     pub window_index: HashMap<NodeRef, (WindowId, bool)>,
     pub tasks: EventLoop<PluginTask>,
     pub page_window: WindowId,
-    /// accumulated simulated network latency (ms)
-    pub total_latency_ms: u64,
     /// retry policy, circuit breakers, stale cache and recovery counters
     pub recovery: RecoveryState,
     /// per-listener fault containment state and counters
@@ -290,7 +288,6 @@ impl Plugin {
             window_index: HashMap::new(),
             tasks: EventLoop::new(),
             page_window,
-            total_latency_ms: 0,
             recovery: RecoveryState::new(config.recovery),
             quarantine: ListenerQuarantine::new(&config.isolation),
             isolation: config.isolation,
@@ -389,6 +386,7 @@ impl Plugin {
             for f in q.sctx.functions.values() {
                 merged.declare_function((**f).clone());
             }
+            merged.namespaces.extend(q.sctx.namespaces.iter().cloned());
             modules_compiled.push(q.module.clone());
         }
         // every listener body is lowered once, here, against the page's
@@ -771,11 +769,11 @@ impl Plugin {
                     browser_profile: true,
                     ..Default::default()
                 };
-                for f in page_sctx.functions.values() {
-                    merged.declare_function((**f).clone());
-                }
-                for f in q.sctx.functions.values() {
-                    merged.declare_function((**f).clone());
+                for sctx in [&page_sctx, &q.sctx] {
+                    for f in sctx.functions.values() {
+                        merged.declare_function((**f).clone());
+                    }
+                    merged.namespaces.extend(sctx.namespaces.iter().cloned());
                 }
                 Ok(lower(&runtime::CompiledQuery {
                     module: q.module,
@@ -818,11 +816,10 @@ pub fn dispatch_event_inner(
     host: &Rc<RefCell<HostState>>,
     event: &DomEvent,
 ) -> XdmResult<()> {
-    let plan: Vec<DispatchStep> = {
-        let mut host_mut = host.borrow_mut();
-        let store = ctx.store.borrow();
-        host_mut.events.dispatch_plan(&store, event)
-    };
+    let plan: Vec<DispatchStep> = host
+        .borrow()
+        .events
+        .dispatch_plan(&ctx.store.borrow(), event);
     for step in plan {
         let kind = host.borrow().listeners.get(&step.listener).cloned();
         let Some(kind) = kind else { continue };
@@ -1077,12 +1074,14 @@ pub fn build_event_node(ctx: &mut DynamicContext, event: &DomEvent) -> XdmResult
     Ok(NodeRef::new(doc_id, elem))
 }
 
-/// Parses a listener name string like `"local:myListener"` into a QName
-/// (the high-order-function registration path of §5.1).
-pub fn parse_listener_name(name: &str) -> QName {
-    match name.split_once(':') {
-        Some(("local", l)) => QName::ns(LOCAL_NS, l),
-        Some((p, l)) => QName::full(Some(p), Some(p), l), // ns == prefix heuristically
+/// Resolves a listener name string like `"my:listener"` (the high-order
+/// registration path of §5.1) against the calling module's namespaces, as
+/// the grammar resolves `attach listener my:listener`; an unbound prefix
+/// raises `XPST0081`. The string always names a user listener, so an
+/// unprefixed name is in `local:`.
+pub fn parse_listener_name(sctx: &StaticContext, name: &str) -> XdmResult<QName> {
+    Ok(match name.split_once(':') {
+        Some((p, l)) => QName::full(Some(p), Some(sctx.resolve_prefix(p)?), l),
         None => QName::ns(LOCAL_NS, name),
-    }
+    })
 }

@@ -177,6 +177,31 @@ fn hof_registration_works_like_syntax() {
 }
 
 #[test]
+fn hof_listener_name_resolves_declared_prefix() {
+    // the name string resolves against the module's namespaces, as
+    // `attach listener my:l` does at parse time
+    let mut p = plugin();
+    p.load_page(
+        r#"<html><head><script type="text/xquery"><![CDATA[
+        declare namespace my = "urn:my";
+        declare updating function my:l($evt, $obj) {
+            insert node <p>prefixed</p> into //body[1]
+        };
+        browser:addEventListener(//input, "onclick", "my:l")
+        ]]></script></head><body><input id="b"/></body></html>"#,
+    )
+    .unwrap();
+    let b = p.element_by_id("b").unwrap();
+    p.click(b).unwrap();
+    assert!(p.serialize_page().contains("<p>prefixed</p>"));
+    assert_eq!(p.host.borrow().quarantine.stats.listener_errors, 0);
+    let err = p
+        .eval(r#"browser:addEventListener(//input, "onclick", "nope:l")"#)
+        .expect_err("an unbound prefix is a static error");
+    assert_eq!(err.code, "XPST0081");
+}
+
+#[test]
 fn window_view_and_status_writeback() {
     // §4.2.1: replace value of node browser:self()/status with "Welcome"
     let mut p = plugin();

@@ -94,11 +94,6 @@ impl StorageFaultPlan {
         self
     }
 
-    pub fn with_corrupt_synced_permille(mut self, permille: u16) -> Self {
-        self.corrupt_synced_permille = permille;
-        self
-    }
-
     pub fn with_decay_permille(mut self, permille: u16) -> Self {
         self.decay_permille = permille;
         self

@@ -56,11 +56,6 @@ impl XdmError {
         )
     }
 
-    /// XPST0008 — undefined variable or other name.
-    pub fn unknown_name(message: impl Into<String>) -> Self {
-        Self::new("XPST0008", message)
-    }
-
     /// XQIB0001 — operation blocked by the browser security profile
     /// (the paper proposes blocking `fn:doc`/`fn:put` in the browser).
     pub fn browser_blocked(message: impl Into<String>) -> Self {

@@ -50,19 +50,6 @@ pub enum Axis {
     AncestorOrSelf,
 }
 
-impl Axis {
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::PrecedingSibling
-                | Axis::Preceding
-                | Axis::AncestorOrSelf
-        )
-    }
-}
-
 /// Node tests within a step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeTest {
@@ -440,9 +427,10 @@ pub struct VarDecl {
 /// Prolog of a module.
 #[derive(Debug, Clone, Default)]
 pub struct Prolog {
+    /// Every prefix the prolog binds, `declare namespace` and `import
+    /// module namespace` alike, in declaration order.
     pub namespaces: Vec<(String, String)>,
     pub default_element_ns: Option<String>,
-    pub default_function_ns: Option<String>,
     pub variables: Vec<VarDecl>,
     pub functions: Vec<FunctionDecl>,
     pub options: Vec<(QName, String)>,

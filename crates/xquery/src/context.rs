@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use xqib_dom::name::{BROWSER_NS, FN_NS, LOCAL_NS, XML_NS, XS_NS};
 use xqib_dom::{DocId, QName, SharedStore, Store};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 
@@ -59,10 +60,24 @@ pub trait EngineHooks {
     fn get_style(&self, targets: &[Item], prop: &str) -> XdmResult<Option<String>>;
 }
 
-/// The static context: user-declared functions and compile-time options.
+/// The prefixes every module starts with: XQuery's predeclared namespaces
+/// plus the browser namespace.
+pub const PREDECLARED_NAMESPACES: [(&str, &str); 5] = [
+    ("xs", XS_NS),
+    ("fn", FN_NS),
+    ("local", LOCAL_NS),
+    ("browser", BROWSER_NS),
+    ("xml", XML_NS),
+];
+
+/// The static context: user-declared functions, namespace bindings and
+/// compile-time options.
 #[derive(Default)]
 pub struct StaticContext {
     pub functions: HashMap<(QName, usize), Rc<FunctionDecl>>,
+    /// The prolog's namespace bindings (`declare namespace`, `import module
+    /// namespace`) in declaration order; see [`Self::resolve_prefix`].
+    pub namespaces: Vec<(String, String)>,
     pub options: Vec<(QName, String)>,
     /// The browser security profile (§4.2.1): `fn:doc` resolves only against
     /// documents the plug-in has made available (the page, frames, cached or
@@ -82,6 +97,23 @@ impl StaticContext {
 
     pub fn lookup_function(&self, name: &QName, arity: usize) -> Option<Rc<FunctionDecl>> {
         self.functions.get(&(name.clone(), arity)).cloned()
+    }
+
+    /// Resolves a prefix as the module's parser did: the last binding in
+    /// [`Self::namespaces`], else [`PREDECLARED_NAMESPACES`]. An unbound
+    /// prefix raises `XPST0081`.
+    pub fn resolve_prefix(&self, prefix: &str) -> XdmResult<&str> {
+        let bound = self.namespaces.iter().rev().map(|(p, u)| (&**p, &**u));
+        bound
+            .chain(PREDECLARED_NAMESPACES)
+            .find(|&(p, _)| p == prefix)
+            .map(|(_, uri)| uri)
+            .ok_or_else(|| {
+                XdmError::new(
+                    "XPST0081",
+                    format!("undeclared namespace prefix `{prefix}`"),
+                )
+            })
     }
 }
 

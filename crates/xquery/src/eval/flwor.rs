@@ -11,11 +11,11 @@ use crate::context::DynamicContext;
 use super::Eval;
 
 /// One tuple of the FLWOR tuple stream.
-pub(crate) type Tuple = Vec<(QName, Sequence)>;
+type Tuple = Vec<(QName, Sequence)>;
 
 /// Runs `f` in a scope binding a tuple's variables: `tuple.iter().cloned()`
 /// while the tuple lives on, the tuple itself when this is its last use.
-pub(crate) fn with_tuple<R>(
+fn with_tuple<R>(
     ctx: &mut DynamicContext,
     tuple: impl IntoIterator<Item = (QName, Sequence)>,
     f: impl FnOnce(&mut DynamicContext) -> XdmResult<R>,

@@ -30,9 +30,12 @@
 //!   (`streamed == false`) run as buffered barriers inside the pipeline,
 //!   draining their input and sorting exactly like the oracle;
 //! * anything outside the streaming subset — multi-item path starts,
-//!   fallible predicates, general FLWOR shapes — replays the oracle's
-//!   breadth-first algorithm over the plan, value for value and charge
-//!   point for charge point;
+//!   fallible predicates — replays the oracle's breadth-first algorithm
+//!   over the plan, value for value and charge point for charge point;
+//! * every FLWOR runs the oracle's own breadth-first pipeline
+//!   (`eval::flwor::eval_flwor`) over its lowered clauses: each clause
+//!   maps the whole tuple stream before the next, so a `for` source is
+//!   materialised even when it is a lazy path;
 //! * a `descendant(-or-self)` step from a document node that opens with an
 //!   attribute probe asks the document's attribute-value index instead of
 //!   enumerating the tree. The index answers with the candidates the probe
@@ -50,11 +53,11 @@ use xqib_dom::name_index::NamedDescendants;
 use xqib_dom::{DocId, NodeId, NodeRef, QName, Store, Visit, Walk};
 use xqib_xdm::{effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult};
 
-use crate::ast::{Axis, FlworClause, FunctionDecl, NodeTest};
+use crate::ast::{Axis, FunctionDecl, NodeTest};
 use crate::context::DynamicContext;
 use crate::eval::arith::{atomic_operand, eval_arith, eval_neg, eval_range, range_bounds};
 use crate::eval::constructor::{build_computed, build_element};
-use crate::eval::flwor::{eval_flwor, quantified, with_tuple, Tuple};
+use crate::eval::flwor::{eval_flwor, quantified};
 use crate::eval::fulltext::eval_ftcontains;
 use crate::eval::path::{
     axis_is_reverse, axis_nodes, filter_step_output, node_test_matches, order_step_output,
@@ -64,8 +67,8 @@ use crate::eval::update::{eval_transform, eval_update};
 use crate::eval::{self, EXIT_CODE};
 use crate::functions;
 use crate::plan::{
-    comparable_infallible, plan_class, yields_nodes_only, CompiledPlan, ExprPlan, PathPlan,
-    PathStartPlan, Plan, PlanAxisStep, PlanPred, PlanStep, PlanStmt, PredStage, ValClass,
+    CompiledPlan, ExprPlan, PathPlan, PathStartPlan, Plan, PlanAxisStep, PlanPred, PlanStep,
+    PlanStmt, PredStage,
 };
 
 impl CompiledPlan {
@@ -260,7 +263,7 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
                 eval_plan(ctx, els)
             }
         }
-        Plan::Flwor { clauses, ret } => exec_flwor(ctx, clauses, ret),
+        Plan::Flwor { clauses, ret } => eval_flwor(ctx, clauses, ret, eval_plan),
         Plan::Path(pp) => eval_path_plan(ctx, pp),
         Plan::Exists { src, negate } => {
             let mut cur = open_cursor(ctx, src)?;
@@ -1219,161 +1222,6 @@ fn admit(
         }
     }
     Ok(true)
-}
-
-// ---------------------------------------------------------------------------
-// FLWOR
-// ---------------------------------------------------------------------------
-
-fn exec_flwor(
-    ctx: &mut DynamicContext,
-    clauses: &[FlworClause<Plan>],
-    ret: &Plan,
-) -> XdmResult<Sequence> {
-    match try_stream_flwor(ctx, clauses, ret)? {
-        Some(out) => Ok(out),
-        None => eval_flwor(ctx, clauses, ret, eval_plan),
-    }
-}
-
-// ----- streaming FLWOR ------------------------------------------------------
-
-/// Streams `for $v in <lazy node path> (let|where)* return R` in two
-/// phases: phase 1 pulls source bindings one at a time and applies the
-/// `let`/`where` chain immediately (all clause expressions are statically
-/// infallible and read-only, so neither error order nor the store can
-/// diverge from the oracle's breadth-first pipeline); phase 2 runs the
-/// return clause over the surviving tuples only after the cursor is fully
-/// drained, so `R` may allocate, update or raise freely. Anything outside
-/// this shape falls back to the breadth-first replica.
-fn try_stream_flwor(
-    ctx: &mut DynamicContext,
-    clauses: &[FlworClause<Plan>],
-    ret: &Plan,
-) -> XdmResult<Option<Sequence>> {
-    let Some((first, rest)) = clauses.split_first() else {
-        return Ok(None);
-    };
-    let FlworClause::For {
-        var,
-        at,
-        ty,
-        seq: Plan::Path(pp),
-    } = first
-    else {
-        return Ok(None);
-    };
-    if ty.is_some() || !pp.lazy || !yields_nodes_only(pp) {
-        return Ok(None);
-    }
-    for clause in rest {
-        let ok = match clause {
-            FlworClause::Where(cond) => stream_cond_ok(cond, var),
-            FlworClause::Let { expr, .. } => {
-                matches!(expr, Plan::Const(_)) || node_var_path(expr, var)
-            }
-            _ => false,
-        };
-        if !ok {
-            return Ok(None);
-        }
-    }
-
-    let mut source = match open_path(ctx, pp)? {
-        Opened::Stream(c) => Cursor::Path(Box::new(c)),
-        Opened::Eager(seq) => Cursor::Seq(seq.into_iter()),
-    };
-    let mut tuples: Vec<Tuple> = Vec::new();
-    let mut pos: i64 = 0;
-    while let Some(item) = source.next(ctx)? {
-        // one fuel unit per tuple, like the oracle's `for` clause
-        ctx.charge_fuel(1)?;
-        pos += 1;
-        let mut tuple: Tuple = vec![(var.clone(), vec![item])];
-        if let Some(at_var) = at {
-            tuple.push((at_var.clone(), vec![Item::integer(pos)]));
-        }
-        let mut keep = true;
-        for clause in rest {
-            match clause {
-                FlworClause::Let { var: lv, expr, .. } => {
-                    let v = with_tuple(ctx, tuple.iter().cloned(), |ctx| eval_plan(ctx, expr))?;
-                    tuple.push((lv.clone(), v));
-                }
-                FlworClause::Where(cond) => {
-                    keep = with_tuple(ctx, tuple.iter().cloned(), |ctx| {
-                        let v = eval_plan(ctx, cond)?;
-                        effective_boolean_value(&v)
-                    })?;
-                    if !keep {
-                        break;
-                    }
-                }
-                _ => unreachable!("gated above"),
-            }
-        }
-        if keep {
-            tuples.push(tuple);
-        }
-    }
-    let mut out = Vec::new();
-    for tuple in tuples {
-        let v = with_tuple(ctx, tuple, |ctx| eval_plan(ctx, ret))?;
-        out.extend(v);
-    }
-    Ok(Some(out))
-}
-
-/// `$v/axis…` — a relative path reading only the bound node: a bare-`$v`
-/// leading filter step followed by axis steps with infallible stages.
-/// With `$v` holding a single node, evaluation cannot raise and yields
-/// nodes only.
-fn node_var_path(p: &Plan, var: &QName) -> bool {
-    let Plan::Path(pp) = p else {
-        return false;
-    };
-    if pp.start != PathStartPlan::Relative {
-        return false;
-    }
-    let Some((PlanStep::Filter { primary, preds }, rest)) = pp.steps.split_first() else {
-        return false;
-    };
-    if !matches!(primary, Plan::Var(v) if v == var) || !preds.is_empty() {
-        return false;
-    }
-    !rest.is_empty()
-        && rest.iter().all(|s| match s {
-            PlanStep::Axis(ax) => ax.stages.iter().all(|st| st.infallible()),
-            PlanStep::Filter { .. } => false,
-        })
-}
-
-/// Infallible-and-EBV-safe under "`$var` holds one node, focus unknown".
-/// Deliberately narrow: the common `where` shapes over the bound variable.
-fn stream_cond_ok(p: &Plan, var: &QName) -> bool {
-    match p {
-        Plan::Const(seq) => effective_boolean_value(seq).is_ok(),
-        Plan::GeneralComp(_, l, r) => match (stream_class(l, var), stream_class(r, var)) {
-            (Some(a), Some(b)) => comparable_infallible(a, b),
-            _ => false,
-        },
-        Plan::And(l, r) | Plan::Or(l, r) => stream_cond_ok(l, var) && stream_cond_ok(r, var),
-        Plan::Exists { src, .. } => node_var_path(src, var) || matches!(&**src, Plan::Const(_)),
-        Plan::Not(src) => stream_cond_ok(src, var),
-        _ => node_var_path(p, var),
-    }
-}
-
-/// Value class of an infallible comparison operand in the same context;
-/// `None` means "may raise". A node sequence atomizes to untyped, which
-/// general comparison treats as string-like.
-fn stream_class(p: &Plan, var: &QName) -> Option<ValClass> {
-    match p {
-        Plan::Const(_) => Some(plan_class(p)),
-        Plan::Var(v) if v == var => Some(ValClass::StrLike),
-        _ if node_var_path(p, var) => Some(ValClass::StrLike),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

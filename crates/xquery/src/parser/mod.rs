@@ -14,11 +14,12 @@ mod types;
 
 use std::collections::HashMap;
 
-use xqib_dom::name::{FN_NS, LOCAL_NS, XS_NS};
+use xqib_dom::name::FN_NS;
 use xqib_dom::QName;
 use xqib_xdm::{XdmError, XdmResult};
 
 use crate::ast::{Expr, LibraryModule, MainModule, Statement};
+use crate::context::PREDECLARED_NAMESPACES;
 use crate::lexer::Lexer;
 use crate::token::{Tok, Token};
 
@@ -49,25 +50,23 @@ pub struct Parser<'a> {
     /// stack position at parser creation — the primary guard measures real
     /// bytes, since debug-build frames are large
     pub(crate) stack_base: usize,
-    /// statically-known namespaces (prefix → URI), seeded with the defaults
-    /// plus the browser namespace.
+    /// statically-known namespaces (prefix → URI), seeded with
+    /// [`PREDECLARED_NAMESPACES`].
     pub(crate) namespaces: HashMap<String, String>,
     pub(crate) default_element_ns: Option<String>,
+    /// `declare default function namespace`, once the prolog declares it
+    /// (`""` puts unprefixed function names in no namespace).
+    pub(crate) default_function_ns: Option<String>,
 }
 
 impl<'a> Parser<'a> {
     pub fn new(src: &'a str) -> XdmResult<Self> {
         let mut lx = Lexer::new(src);
         let cur = lx.next_token()?;
-        let mut namespaces = HashMap::new();
-        namespaces.insert("xs".to_string(), XS_NS.to_string());
-        namespaces.insert("fn".to_string(), FN_NS.to_string());
-        namespaces.insert("local".to_string(), LOCAL_NS.to_string());
-        namespaces.insert(
-            "browser".to_string(),
-            xqib_dom::name::BROWSER_NS.to_string(),
-        );
-        namespaces.insert("xml".to_string(), xqib_dom::name::XML_NS.to_string());
+        let namespaces = PREDECLARED_NAMESPACES
+            .iter()
+            .map(|&(p, uri)| (p.to_string(), uri.to_string()))
+            .collect();
         Ok(Parser {
             lx,
             cur,
@@ -75,6 +74,7 @@ impl<'a> Parser<'a> {
             stack_base: crate::context::approx_stack_ptr(),
             namespaces,
             default_element_ns: None,
+            default_function_ns: None,
         })
     }
 
@@ -204,14 +204,21 @@ impl<'a> Parser<'a> {
         self.resolve_qname(p, l, true)
     }
 
-    /// QName in function/variable-name position (no default element ns);
-    /// unprefixed function names resolve to `fn:`.
+    /// QName in function-name position (no default element ns);
+    /// unprefixed function names resolve to the default function namespace.
     pub(crate) fn parse_function_qname(&mut self) -> XdmResult<QName> {
         let (p, l) = self.parse_raw_qname()?;
         match p {
             Some(_) => self.resolve_qname(p, l, false),
-            None => Ok(QName::ns(FN_NS, &l)),
+            None => Ok(self.unprefixed_function_name(&l, FN_NS)),
         }
+    }
+
+    /// An unprefixed function name: in the prolog's default function
+    /// namespace when it declares one, else in `otherwise`.
+    pub(crate) fn unprefixed_function_name(&self, local: &str, otherwise: &str) -> QName {
+        let ns = self.default_function_ns.as_deref().unwrap_or(otherwise);
+        QName::full(None, Some(ns).filter(|ns| !ns.is_empty()), local)
     }
 
     /// `$name`

@@ -45,8 +45,7 @@ impl<'a> Parser<'a> {
                         prolog.default_element_ns = Some(uri);
                     } else if self.eat_kw("function")? {
                         self.expect_kw("namespace")?;
-                        let uri = self.parse_string_literal()?;
-                        prolog.default_function_ns = Some(uri);
+                        self.default_function_ns = Some(self.parse_string_literal()?);
                     } else if self.eat_kw("collation")? {
                         let _ = self.parse_string_literal()?;
                     } else if self.eat_kw("order")? {
@@ -155,6 +154,7 @@ impl<'a> Parser<'a> {
                     }
                     self.expect_tok(Tok::Semicolon)?;
                     self.namespaces.insert(prefix.clone(), uri.clone());
+                    prolog.namespaces.push((prefix.clone(), uri.clone()));
                     prolog.module_imports.push(ModuleImport {
                         prefix,
                         uri,
@@ -181,8 +181,9 @@ impl<'a> Parser<'a> {
         let (p, l) = self.parse_raw_qname()?;
         let name = match p {
             Some(_) => self.resolve_qname(p, l, false)?,
-            // unprefixed user functions live in local:
-            None => xqib_dom::QName::ns(xqib_dom::name::LOCAL_NS, &l),
+            // unprefixed user functions live in local: unless the prolog
+            // declares a default function namespace
+            None => self.unprefixed_function_name(&l, xqib_dom::name::LOCAL_NS),
         };
         self.expect_tok(Tok::LParen)?;
         let mut params = Vec::new();

@@ -80,35 +80,15 @@ use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
 use crate::eval::path::{static_positional_take, PosTake};
 use crate::runtime::CompiledQuery;
 
-/// Rewrite counters, exposed through `browser:planCache()` introspection.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PlanStats {
-    /// subexpressions collapsed to constants
-    pub folded: u32,
-    /// `//t` expansions fused into single `descendant::t` steps
-    pub fused_steps: u32,
-    /// predicates pushed into axis enumeration (filters + attribute probes)
-    pub pushed_preds: u32,
-    /// early-exit rewrites (`exists`/`empty`/`not`/`count`, positional takes)
-    pub early_exits: u32,
-    /// paths eligible for lazy streaming evaluation
-    pub lazy_paths: u32,
-}
-
 /// A lowered main module: globals + statement list, sharing the static
 /// context of the [`CompiledQuery`] it was lowered from.
 pub struct CompiledPlan {
     pub(crate) sctx: Rc<StaticContext>,
     pub(crate) globals: Vec<PlanGlobal>,
     pub(crate) body: Vec<PlanStmt>,
-    pub(crate) stats: PlanStats,
 }
 
 impl CompiledPlan {
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
     pub fn static_context(&self) -> &Rc<StaticContext> {
         &self.sctx
     }
@@ -119,26 +99,19 @@ impl CompiledPlan {
 /// number of times by [`ExprPlan::eval`].
 pub struct ExprPlan {
     pub(crate) plan: Plan,
-    stats: PlanStats,
 }
 
 impl ExprPlan {
     pub fn lower(sctx: &StaticContext, e: &Expr) -> Self {
-        let mut stats = PlanStats::default();
-        let plan = lower_expr(sctx, e, &mut stats);
-        ExprPlan { plan, stats }
-    }
-
-    pub fn stats(&self) -> PlanStats {
-        self.stats
+        ExprPlan {
+            plan: lower_expr(sctx, e),
+        }
     }
 }
 
 impl std::fmt::Debug for ExprPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExprPlan")
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
+        f.debug_struct("ExprPlan").finish_non_exhaustive()
     }
 }
 
@@ -330,11 +303,9 @@ impl PredStage {
 
 /// Lowers a compiled module to a plan. Lowering never fails. The plan's
 /// static context is the module's with every declared function body
-/// lowered (see [`lower_functions`]); the counters cover the globals and
-/// the body.
+/// lowered (see [`lower_functions`]).
 pub fn lower(q: &CompiledQuery) -> CompiledPlan {
     let sctx = lower_functions(&q.sctx);
-    let mut stats = PlanStats::default();
     let globals = q
         .module
         .prolog
@@ -342,20 +313,14 @@ pub fn lower(q: &CompiledQuery) -> CompiledPlan {
         .iter()
         .map(|v| PlanGlobal {
             name: v.name.clone(),
-            init: v.init.as_ref().map(|e| lower_expr(&sctx, e, &mut stats)),
+            init: v.init.as_ref().map(|e| lower_expr(&sctx, e)),
         })
         .collect();
-    let body = q
-        .module
-        .body
-        .iter()
-        .map(|s| lower_stmt(&sctx, s, &mut stats))
-        .collect();
+    let body = q.module.body.iter().map(|s| lower_stmt(&sctx, s)).collect();
     CompiledPlan {
         sctx,
         globals,
         body,
-        stats,
     }
 }
 
@@ -383,88 +348,60 @@ pub fn lower_functions(sctx: &Rc<StaticContext>) -> Rc<StaticContext> {
         .collect();
     Rc::new(StaticContext {
         functions,
+        namespaces: sctx.namespaces.clone(),
         options: sctx.options.clone(),
         browser_profile: sctx.browser_profile,
     })
 }
 
-fn lower_stmt(sctx: &StaticContext, s: &Statement, stats: &mut PlanStats) -> PlanStmt {
+fn lower_stmt(sctx: &StaticContext, s: &Statement) -> PlanStmt {
     match s {
         Statement::VarDecl { name, ty: _, init } => PlanStmt::VarDecl {
             name: name.clone(),
-            init: init.as_ref().map(|e| lower_expr(sctx, e, stats)),
+            init: init.as_ref().map(|e| lower_expr(sctx, e)),
         },
         Statement::Assign { name, value } => PlanStmt::Assign {
             name: name.clone(),
-            value: lower_expr(sctx, value, stats),
+            value: lower_expr(sctx, value),
         },
         Statement::While { cond, body } => PlanStmt::While {
-            cond: lower_expr(sctx, cond, stats),
-            body: body.iter().map(|b| lower_stmt(sctx, b, stats)).collect(),
+            cond: lower_expr(sctx, cond),
+            body: body.iter().map(|b| lower_stmt(sctx, b)).collect(),
         },
-        Statement::ExitWith(e) => PlanStmt::ExitWith(lower_expr(sctx, e, stats)),
-        Statement::Expr(e) => PlanStmt::Expr(lower_expr(sctx, e, stats)),
+        Statement::ExitWith(e) => PlanStmt::ExitWith(lower_expr(sctx, e)),
+        Statement::Expr(e) => PlanStmt::Expr(lower_expr(sctx, e)),
     }
 }
 
-pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) -> Plan {
+pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr) -> Plan {
     match e {
         Expr::Literal(a) => Plan::Const(vec![Item::Atomic(a.clone())]),
         Expr::VarRef(q) => Plan::Var(q.clone()),
         Expr::ContextItem => Plan::ContextItem,
         Expr::Sequence(es) => {
-            let parts: Vec<Plan> = es.iter().map(|x| lower_expr(sctx, x, stats)).collect();
-            fold_seq(parts, stats)
+            let parts: Vec<Plan> = es.iter().map(|x| lower_expr(sctx, x)).collect();
+            fold_seq(parts)
         }
-        Expr::Range(a, b) => fold_range(
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
-        Expr::Arith(op, a, b) => fold_arith(
-            *op,
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
-        Expr::Neg(a) => fold_neg(lower_expr(sctx, a, stats), stats),
-        Expr::ValueComp(op, a, b) => fold_value_comp(
-            *op,
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
-        Expr::GeneralComp(op, a, b) => fold_general_comp(
-            *op,
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
-        Expr::And(a, b) => fold_and(
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
-        Expr::Or(a, b) => fold_or(
-            lower_expr(sctx, a, stats),
-            lower_expr(sctx, b, stats),
-            stats,
-        ),
+        Expr::Range(a, b) => fold_range(lower_expr(sctx, a), lower_expr(sctx, b)),
+        Expr::Arith(op, a, b) => fold_arith(*op, lower_expr(sctx, a), lower_expr(sctx, b)),
+        Expr::Neg(a) => fold_neg(lower_expr(sctx, a)),
+        Expr::ValueComp(op, a, b) => fold_value_comp(*op, lower_expr(sctx, a), lower_expr(sctx, b)),
+        Expr::GeneralComp(op, a, b) => {
+            fold_general_comp(*op, lower_expr(sctx, a), lower_expr(sctx, b))
+        }
+        Expr::And(a, b) => fold_and(lower_expr(sctx, a), lower_expr(sctx, b)),
+        Expr::Or(a, b) => fold_or(lower_expr(sctx, a), lower_expr(sctx, b)),
         Expr::If { cond, then, els } => fold_if(
-            lower_expr(sctx, cond, stats),
-            lower_expr(sctx, then, stats),
-            lower_expr(sctx, els, stats),
-            stats,
+            lower_expr(sctx, cond),
+            lower_expr(sctx, then),
+            lower_expr(sctx, els),
         ),
         Expr::Flwor { clauses, ret } => Plan::Flwor {
-            clauses: clauses
-                .iter()
-                .map(|c| lower_clause(sctx, c, stats))
-                .collect(),
-            ret: Box::new(lower_expr(sctx, ret, stats)),
+            clauses: clauses.iter().map(|c| lower_clause(sctx, c)).collect(),
+            ret: Box::new(lower_expr(sctx, ret)),
         },
-        Expr::Path { start, steps } => lower_path(sctx, *start, steps, stats),
-        Expr::FunctionCall { name, args } => lower_call(sctx, name, args, stats),
+        Expr::Path { start, steps } => lower_path(sctx, *start, steps),
+        Expr::FunctionCall { name, args } => lower_call(sctx, name, args),
         Expr::DirectElement {
             name,
             attrs,
@@ -480,9 +417,7 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
                         .iter()
                         .map(|part| match part {
                             AttrContent::Text(t) => AttrContent::Text(t.clone()),
-                            AttrContent::Enclosed(e) => {
-                                AttrContent::Enclosed(lower_expr(sctx, e, stats))
-                            }
+                            AttrContent::Enclosed(e) => AttrContent::Enclosed(lower_expr(sctx, e)),
                         })
                         .collect();
                     (aname.clone(), parts)
@@ -492,24 +427,22 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
                 .iter()
                 .map(|child| match child {
                     ElemContent::Text(t) => ElemContent::Text(t.clone()),
-                    ElemContent::Enclosed(e) => ElemContent::Enclosed(lower_expr(sctx, e, stats)),
-                    ElemContent::Child(e) => ElemContent::Child(lower_expr(sctx, e, stats)),
+                    ElemContent::Enclosed(e) => ElemContent::Enclosed(lower_expr(sctx, e)),
+                    ElemContent::Child(e) => ElemContent::Child(lower_expr(sctx, e)),
                 })
                 .collect(),
         },
-        Expr::Block(stmts) => {
-            Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s, stats)).collect())
-        }
-        Expr::Update(u) => Plan::Update(lower_update(sctx, u, stats)),
+        Expr::Block(stmts) => Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s)).collect()),
+        Expr::Update(u) => Plan::Update(lower_update(sctx, u)),
         Expr::NodeComp(op, a, b) => Plan::NodeComp(
             *op,
-            Box::new(lower_expr(sctx, a, stats)),
-            Box::new(lower_expr(sctx, b, stats)),
+            Box::new(lower_expr(sctx, a)),
+            Box::new(lower_expr(sctx, b)),
         ),
         Expr::SetOp(op, a, b) => Plan::SetOp(
             *op,
-            Box::new(lower_expr(sctx, a, stats)),
-            Box::new(lower_expr(sctx, b, stats)),
+            Box::new(lower_expr(sctx, a)),
+            Box::new(lower_expr(sctx, b)),
         ),
         Expr::Quantified {
             kind,
@@ -517,8 +450,8 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
             satisfies,
         } => Plan::Quantified {
             kind: *kind,
-            bindings: lower_bindings(sctx, bindings, stats),
-            satisfies: Box::new(lower_expr(sctx, satisfies, stats)),
+            bindings: lower_bindings(sctx, bindings),
+            satisfies: Box::new(lower_expr(sctx, satisfies)),
         },
         Expr::TypeSwitch {
             operand,
@@ -526,104 +459,86 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
             default_var,
             default,
         } => Plan::TypeSwitch {
-            operand: Box::new(lower_expr(sctx, operand, stats)),
+            operand: Box::new(lower_expr(sctx, operand)),
             cases: cases
                 .iter()
-                .map(|(st, var, body)| (st.clone(), var.clone(), lower_expr(sctx, body, stats)))
+                .map(|(st, var, body)| (st.clone(), var.clone(), lower_expr(sctx, body)))
                 .collect(),
             default_var: default_var.clone(),
-            default: Box::new(lower_expr(sctx, default, stats)),
+            default: Box::new(lower_expr(sctx, default)),
         },
-        Expr::InstanceOf(a, st) => {
-            Plan::InstanceOf(Box::new(lower_expr(sctx, a, stats)), st.clone())
-        }
-        Expr::TreatAs(a, st) => Plan::TreatAs(Box::new(lower_expr(sctx, a, stats)), st.clone()),
-        Expr::CastableAs(a, ty, opt) => {
-            Plan::CastableAs(Box::new(lower_expr(sctx, a, stats)), *ty, *opt)
-        }
-        Expr::CastAs(a, ty, opt) => Plan::CastAs(Box::new(lower_expr(sctx, a, stats)), *ty, *opt),
-        Expr::Computed(c) => Plan::Computed(lower_computed(sctx, c, stats)),
+        Expr::InstanceOf(a, st) => Plan::InstanceOf(Box::new(lower_expr(sctx, a)), st.clone()),
+        Expr::TreatAs(a, st) => Plan::TreatAs(Box::new(lower_expr(sctx, a)), st.clone()),
+        Expr::CastableAs(a, ty, opt) => Plan::CastableAs(Box::new(lower_expr(sctx, a)), *ty, *opt),
+        Expr::CastAs(a, ty, opt) => Plan::CastAs(Box::new(lower_expr(sctx, a)), *ty, *opt),
+        Expr::Computed(c) => Plan::Computed(lower_computed(sctx, c)),
         Expr::Transform {
             bindings,
             modify,
             ret,
         } => Plan::Transform {
-            bindings: lower_bindings(sctx, bindings, stats),
-            modify: Box::new(lower_expr(sctx, modify, stats)),
-            ret: Box::new(lower_expr(sctx, ret, stats)),
+            bindings: lower_bindings(sctx, bindings),
+            modify: Box::new(lower_expr(sctx, modify)),
+            ret: Box::new(lower_expr(sctx, ret)),
         },
         Expr::FtContains { source, selection } => Plan::FtContains {
-            source: Box::new(lower_expr(sctx, source, stats)),
-            selection: lower_ft(sctx, selection, stats),
+            source: Box::new(lower_expr(sctx, source)),
+            selection: lower_ft(sctx, selection),
         },
-        Expr::Browser(b) => Plan::Browser(lower_browser(sctx, b, stats)),
+        Expr::Browser(b) => Plan::Browser(lower_browser(sctx, b)),
     }
 }
 
-fn lower_bindings(
-    sctx: &StaticContext,
-    bindings: &[(QName, Expr)],
-    stats: &mut PlanStats,
-) -> Vec<(QName, Plan)> {
+fn lower_bindings(sctx: &StaticContext, bindings: &[(QName, Expr)]) -> Vec<(QName, Plan)> {
     bindings
         .iter()
-        .map(|(var, e)| (var.clone(), lower_expr(sctx, e, stats)))
+        .map(|(var, e)| (var.clone(), lower_expr(sctx, e)))
         .collect()
 }
 
-fn lower_name(sctx: &StaticContext, n: &NameExpr, stats: &mut PlanStats) -> NameExpr<Plan> {
+fn lower_name(sctx: &StaticContext, n: &NameExpr) -> NameExpr<Plan> {
     match n {
         NameExpr::Static(q) => NameExpr::Static(q.clone()),
-        NameExpr::Dynamic(e) => NameExpr::Dynamic(Box::new(lower_expr(sctx, e, stats))),
+        NameExpr::Dynamic(e) => NameExpr::Dynamic(Box::new(lower_expr(sctx, e))),
     }
 }
 
-fn lower_computed(sctx: &StaticContext, c: &Computed, stats: &mut PlanStats) -> Computed<Plan> {
-    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+fn lower_computed(sctx: &StaticContext, c: &Computed) -> Computed<Plan> {
+    let low = |e: &Expr| Box::new(lower_expr(sctx, e));
     match c {
         Computed::Element { name, content } => Computed::Element {
-            name: lower_name(sctx, name, stats),
-            content: content
-                .as_deref()
-                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+            name: lower_name(sctx, name),
+            content: content.as_deref().map(low),
         },
         Computed::Attribute { name, content } => Computed::Attribute {
-            name: lower_name(sctx, name, stats),
-            content: content
-                .as_deref()
-                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+            name: lower_name(sctx, name),
+            content: content.as_deref().map(low),
         },
         Computed::Text(e) => Computed::Text(low(e)),
         Computed::Comment(e) => Computed::Comment(low(e)),
         Computed::Pi { target, content } => Computed::Pi {
-            target: lower_name(sctx, target, stats),
-            content: content
-                .as_deref()
-                .map(|e| Box::new(lower_expr(sctx, e, stats))),
+            target: lower_name(sctx, target),
+            content: content.as_deref().map(low),
         },
         Computed::Document(e) => Computed::Document(low(e)),
     }
 }
 
-fn lower_ft(sctx: &StaticContext, sel: &FtSelection, stats: &mut PlanStats) -> FtSelection<Plan> {
-    let mut all = |sels: &[FtSelection]| sels.iter().map(|s| lower_ft(sctx, s, stats)).collect();
+fn lower_ft(sctx: &StaticContext, sel: &FtSelection) -> FtSelection<Plan> {
+    let all = |sels: &[FtSelection]| sels.iter().map(|s| lower_ft(sctx, s)).collect();
     match sel {
         FtSelection::Or(sels) => FtSelection::Or(all(sels)),
         FtSelection::And(sels) => FtSelection::And(all(sels)),
-        FtSelection::Not(inner) => FtSelection::Not(Box::new(lower_ft(sctx, inner, stats))),
+        FtSelection::Not(inner) => FtSelection::Not(Box::new(lower_ft(sctx, inner))),
         FtSelection::Words { expr, options } => FtSelection::Words {
-            expr: Box::new(lower_expr(sctx, expr, stats)),
+            expr: Box::new(lower_expr(sctx, expr)),
             options: *options,
         },
     }
 }
 
-fn lower_browser(
-    sctx: &StaticContext,
-    b: &BrowserExpr,
-    stats: &mut PlanStats,
-) -> BrowserExpr<Plan, Rc<ExprPlan>> {
-    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+fn lower_browser(sctx: &StaticContext, b: &BrowserExpr) -> BrowserExpr<Plan, Rc<ExprPlan>> {
+    let low = |e: &Expr| Box::new(lower_expr(sctx, e));
     match b {
         BrowserExpr::Attach {
             event,
@@ -672,8 +587,8 @@ fn lower_browser(
     }
 }
 
-fn lower_update(sctx: &StaticContext, u: &UpdateExpr, stats: &mut PlanStats) -> UpdateExpr<Plan> {
-    let mut low = |e: &Expr| Box::new(lower_expr(sctx, e, stats));
+fn lower_update(sctx: &StaticContext, u: &UpdateExpr) -> UpdateExpr<Plan> {
+    let low = |e: &Expr| Box::new(lower_expr(sctx, e));
     match u {
         UpdateExpr::Insert {
             source,
@@ -695,30 +610,30 @@ fn lower_update(sctx: &StaticContext, u: &UpdateExpr, stats: &mut PlanStats) -> 
         },
         UpdateExpr::Rename { target, name } => UpdateExpr::Rename {
             target: low(target),
-            name: lower_name(sctx, name, stats),
+            name: lower_name(sctx, name),
         },
     }
 }
 
-fn lower_clause(sctx: &StaticContext, c: &FlworClause, stats: &mut PlanStats) -> FlworClause<Plan> {
+fn lower_clause(sctx: &StaticContext, c: &FlworClause) -> FlworClause<Plan> {
     match c {
         FlworClause::For { var, at, ty, seq } => FlworClause::For {
             var: var.clone(),
             at: at.clone(),
             ty: ty.clone(),
-            seq: lower_expr(sctx, seq, stats),
+            seq: lower_expr(sctx, seq),
         },
         FlworClause::Let { var, ty, expr } => FlworClause::Let {
             var: var.clone(),
             ty: ty.clone(),
-            expr: lower_expr(sctx, expr, stats),
+            expr: lower_expr(sctx, expr),
         },
-        FlworClause::Where(cond) => FlworClause::Where(lower_expr(sctx, cond, stats)),
+        FlworClause::Where(cond) => FlworClause::Where(lower_expr(sctx, cond)),
         FlworClause::OrderBy { specs, stable } => FlworClause::OrderBy {
             specs: specs
                 .iter()
                 .map(|s| OrderSpec {
-                    key: lower_expr(sctx, &s.key, stats),
+                    key: lower_expr(sctx, &s.key),
                     descending: s.descending,
                     empty_least: s.empty_least,
                 })
@@ -735,23 +650,22 @@ fn is_fn_builtin(sctx: &StaticContext, name: &QName, arity: usize) -> bool {
     name.ns.as_deref() == Some(FN_NS) && sctx.lookup_function(name, arity).is_none()
 }
 
-fn lower_call(sctx: &StaticContext, name: &QName, args: &[Expr], stats: &mut PlanStats) -> Plan {
+fn lower_call(sctx: &StaticContext, name: &QName, args: &[Expr]) -> Plan {
     if is_fn_builtin(sctx, name, args.len())
         && args.len() == 1
         && matches!(&*name.local, "exists" | "empty" | "count" | "not")
     {
-        stats.early_exits += 1;
-        let arg = lower_expr(sctx, &args[0], stats);
+        let arg = lower_expr(sctx, &args[0]);
         return match &*name.local {
-            "exists" => fold_exists(arg, false, stats),
-            "empty" => fold_exists(arg, true, stats),
-            "count" => fold_count(arg, stats),
-            _ => fold_not(arg, stats),
+            "exists" => fold_exists(arg, false),
+            "empty" => fold_exists(arg, true),
+            "count" => fold_count(arg),
+            _ => fold_not(arg),
         };
     }
     Plan::Call {
         name: name.clone(),
-        args: args.iter().map(|a| lower_expr(sctx, a, stats)).collect(),
+        args: args.iter().map(|a| lower_expr(sctx, a)).collect(),
         builtin: is_fn_builtin(sctx, name, args.len()),
     }
 }
@@ -842,12 +756,7 @@ fn step_out_inv(inv: Inv, axis: Axis, streamed: bool, has_take: bool) -> Inv {
     }
 }
 
-fn lower_path(
-    sctx: &StaticContext,
-    start: PathStart,
-    steps: &[StepExpr],
-    stats: &mut PlanStats,
-) -> Plan {
+fn lower_path(sctx: &StaticContext, start: PathStart, steps: &[StepExpr]) -> Plan {
     // `//t` parses as RootDescendant; materialize the d-o-s step so the
     // fusion pass below sees the same shape as an explicit `/descendant-
     // or-self::node()/child::t`.
@@ -897,11 +806,8 @@ fn lower_path(
                 // before the pipeline emits anything, so it keeps the
                 // optimistic invariant
                 plan_steps.push(PlanStep::Filter {
-                    primary: lower_expr(sctx, primary, stats),
-                    preds: predicates
-                        .iter()
-                        .map(|p| lower_pred(sctx, p, stats))
-                        .collect(),
+                    primary: lower_expr(sctx, primary),
+                    preds: predicates.iter().map(|p| lower_pred(sctx, p)).collect(),
                 });
             }
             StepExpr::Axis(ax) => {
@@ -923,12 +829,11 @@ fn lower_path(
                             axis = Axis::Descendant;
                             test = &next.test;
                             predicates = &next.predicates;
-                            stats.fused_steps += 1;
                             idx += 1;
                         }
                     }
                 }
-                let stages = lower_stages(sctx, predicates, stats);
+                let stages = lower_stages(sctx, predicates);
                 if !stages.iter().all(|s| s.infallible()) {
                     lazy = false;
                 }
@@ -946,9 +851,6 @@ fn lower_path(
         idx += 1;
     }
 
-    if lazy && !plan_steps.is_empty() {
-        stats.lazy_paths += 1;
-    }
     Plan::Path(PathPlan {
         start: start_plan,
         steps: plan_steps,
@@ -956,54 +858,48 @@ fn lower_path(
     })
 }
 
-fn lower_stages(sctx: &StaticContext, preds: &[Expr], stats: &mut PlanStats) -> Vec<PredStage> {
+fn lower_stages(sctx: &StaticContext, preds: &[Expr]) -> Vec<PredStage> {
     let mut stages = Vec::with_capacity(preds.len());
     let mut i = 0;
     while i < preds.len() {
         let p = &preds[i];
         if let Some(t) = static_positional_take(sctx, p) {
             stages.push(PredStage::Take(t));
-            stats.early_exits += 1;
             i += 1;
             continue;
         }
         if let Some((name, value)) = attr_eq_pattern(p) {
-            stats.pushed_preds += 1;
             i += 1;
             stages.push(match value {
                 EqOperand::Lit(value) => PredStage::AttrEq { name, value },
                 EqOperand::Var(var) => PredStage::AttrEqVar {
                     name,
                     var,
-                    pred: lower_pred(sctx, p, stats),
+                    pred: lower_pred(sctx, p),
                 },
             });
             continue;
         }
-        let lowered = lower_pred(sctx, p, stats);
+        let lowered = lower_pred(sctx, p);
         if lowered.positional_free {
             stages.push(PredStage::Filter(lowered));
-            stats.pushed_preds += 1;
             i += 1;
             continue;
         }
         // first positional predicate: everything from here on needs true
         // positions over the surviving candidate list
         stages.push(PredStage::General(
-            preds[i..]
-                .iter()
-                .map(|p| lower_pred(sctx, p, stats))
-                .collect(),
+            preds[i..].iter().map(|p| lower_pred(sctx, p)).collect(),
         ));
         break;
     }
     stages
 }
 
-fn lower_pred(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) -> PlanPred {
+fn lower_pred(sctx: &StaticContext, e: &Expr) -> PlanPred {
     let take = static_positional_take(sctx, e);
     let positional_free = is_positional_free(sctx, e);
-    let plan = lower_expr(sctx, e, stats);
+    let plan = lower_expr(sctx, e);
     let infallible = plan_infallible(&plan);
     PlanPred {
         plan,
@@ -1167,7 +1063,7 @@ fn focus_position_free(sctx: &StaticContext, e: &Expr) -> bool {
 /// Value classes for deciding whether a comparison can raise a type or
 /// cast error. Nodes atomize to untyped in this (untyped) instantiation.
 #[derive(PartialEq, Eq, Clone, Copy)]
-pub(crate) enum ValClass {
+enum ValClass {
     Empty,
     StrLike,
     Num,
@@ -1175,7 +1071,7 @@ pub(crate) enum ValClass {
     Other,
 }
 
-pub(crate) fn plan_class(p: &Plan) -> ValClass {
+fn plan_class(p: &Plan) -> ValClass {
     match p {
         Plan::Const(seq) => {
             if seq.is_empty() {
@@ -1210,7 +1106,7 @@ pub(crate) fn plan_class(p: &Plan) -> ValClass {
     }
 }
 
-pub(crate) fn yields_nodes_only(pp: &PathPlan) -> bool {
+fn yields_nodes_only(pp: &PathPlan) -> bool {
     match pp.steps.last() {
         Some(PlanStep::Axis(_)) => true,
         Some(PlanStep::Filter { .. }) => false,
@@ -1222,7 +1118,7 @@ pub(crate) fn yields_nodes_only(pp: &PathPlan) -> bool {
 /// strings/untyped compare as strings, numerics via double (NaN maps to a
 /// boolean, not an error), booleans directly. Anything mixed can need a
 /// cast or is a type error.
-pub(crate) fn comparable_infallible(a: ValClass, b: ValClass) -> bool {
+fn comparable_infallible(a: ValClass, b: ValClass) -> bool {
     a == ValClass::Empty || b == ValClass::Empty || (a == b && a != ValClass::Other)
 }
 
@@ -1304,7 +1200,7 @@ fn const_atomic(seq: &Sequence) -> Result<Option<Atomic>, ()> {
     }
 }
 
-fn fold_seq(parts: Vec<Plan>, stats: &mut PlanStats) -> Plan {
+fn fold_seq(parts: Vec<Plan>) -> Plan {
     if parts.len() == 1 {
         return parts.into_iter().next().expect("len checked");
     }
@@ -1314,7 +1210,6 @@ fn fold_seq(parts: Vec<Plan>, stats: &mut PlanStats) -> Plan {
             let Plan::Const(seq) = p else { unreachable!() };
             out.extend(seq);
         }
-        stats.folded += 1;
         return Plan::Const(out);
     }
     Plan::Seq(parts)
@@ -1324,17 +1219,13 @@ fn fold_seq(parts: Vec<Plan>, stats: &mut PlanStats) -> Plan {
 /// executor streams without materializing.
 const MAX_FOLDED_RANGE: i64 = 1024;
 
-fn fold_range(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_range(l: Plan, r: Plan) -> Plan {
     if let (Plan::Const(a), Plan::Const(b)) = (&l, &r) {
         if let (Ok(x), Ok(y)) = (const_atomic(a), const_atomic(b)) {
             match range_bounds(x, y) {
-                Ok(None) => {
-                    stats.folded += 1;
-                    return Plan::Const(vec![]);
-                }
+                Ok(None) => return Plan::Const(vec![]),
                 Ok(Some((lo, hi))) if hi - lo < MAX_FOLDED_RANGE => {
-                    stats.folded += 1;
-                    return Plan::Const((lo..=hi).map(Item::integer).collect());
+                    return Plan::Const((lo..=hi).map(Item::integer).collect())
                 }
                 _ => {}
             }
@@ -1343,16 +1234,12 @@ fn fold_range(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
     Plan::Range(Box::new(l), Box::new(r))
 }
 
-fn fold_arith(op: ArithOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_arith(op: ArithOp, l: Plan, r: Plan) -> Plan {
     if let (Plan::Const(a), Plan::Const(b)) = (&l, &r) {
         match (const_atomic(a), const_atomic(b)) {
-            (Ok(None), Ok(_)) | (Ok(Some(_)), Ok(None)) => {
-                stats.folded += 1;
-                return Plan::Const(vec![]);
-            }
+            (Ok(None), Ok(_)) | (Ok(Some(_)), Ok(None)) => return Plan::Const(vec![]),
             (Ok(Some(x)), Ok(Some(y))) => {
                 if let Ok(v) = apply_arith(op, &x, &y) {
-                    stats.folded += 1;
                     return Plan::Const(vec![Item::Atomic(v)]);
                 }
             }
@@ -1362,11 +1249,10 @@ fn fold_arith(op: ArithOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
     Plan::Arith(op, Box::new(l), Box::new(r))
 }
 
-fn fold_neg(inner: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_neg(inner: Plan) -> Plan {
     if let Plan::Const(a) = &inner {
         if let Ok(v) = const_atomic(a) {
             if let Ok(seq) = neg_atomic(v) {
-                stats.folded += 1;
                 return Plan::Const(seq);
             }
         }
@@ -1374,17 +1260,15 @@ fn fold_neg(inner: Plan, stats: &mut PlanStats) -> Plan {
     Plan::Neg(Box::new(inner))
 }
 
-fn fold_value_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_value_comp(op: CompOp, l: Plan, r: Plan) -> Plan {
     if let (Plan::Const(a), Plan::Const(b)) = (&l, &r) {
         if a.is_empty() || b.is_empty() {
-            stats.folded += 1;
             return Plan::Const(vec![]);
         }
         if let (Ok(Some(x)), Ok(Some(y))) = (const_atomic(a), const_atomic(b)) {
             // literals are never untyped, so no promotion step is needed
             if !matches!(x, Atomic::Untyped(_)) && !matches!(y, Atomic::Untyped(_)) {
                 if let Ok(v) = value_compare(op, &x, &y) {
-                    stats.folded += 1;
                     return Plan::Const(vec![Item::boolean(v)]);
                 }
             }
@@ -1393,7 +1277,7 @@ fn fold_value_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Plan 
     Plan::ValueComp(op, Box::new(l), Box::new(r))
 }
 
-fn fold_general_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_general_comp(op: CompOp, l: Plan, r: Plan) -> Plan {
     if let (Plan::Const(a), Plan::Const(b)) = (&l, &r) {
         let atoms = |seq: &Sequence| -> Option<Vec<Atomic>> {
             seq.iter()
@@ -1405,7 +1289,6 @@ fn fold_general_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Pla
         };
         if let (Some(xs), Some(ys)) = (atoms(a), atoms(b)) {
             if let Ok(v) = general_compare(op, &xs, &ys) {
-                stats.folded += 1;
                 return Plan::Const(vec![Item::boolean(v)]);
             }
         }
@@ -1413,19 +1296,15 @@ fn fold_general_comp(op: CompOp, l: Plan, r: Plan, stats: &mut PlanStats) -> Pla
     Plan::GeneralComp(op, Box::new(l), Box::new(r))
 }
 
-fn fold_and(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_and(l: Plan, r: Plan) -> Plan {
     if let Plan::Const(a) = &l {
         match effective_boolean_value(a) {
             // short-circuit exactly like the oracle: a false left
             // operand means the right is never evaluated
-            Ok(false) => {
-                stats.folded += 1;
-                return Plan::Const(vec![Item::boolean(false)]);
-            }
+            Ok(false) => return Plan::Const(vec![Item::boolean(false)]),
             Ok(true) => {
                 if let Plan::Const(b) = &r {
                     if let Ok(v) = effective_boolean_value(b) {
-                        stats.folded += 1;
                         return Plan::Const(vec![Item::boolean(v)]);
                     }
                 }
@@ -1436,17 +1315,13 @@ fn fold_and(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
     Plan::And(Box::new(l), Box::new(r))
 }
 
-fn fold_or(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_or(l: Plan, r: Plan) -> Plan {
     if let Plan::Const(a) = &l {
         match effective_boolean_value(a) {
-            Ok(true) => {
-                stats.folded += 1;
-                return Plan::Const(vec![Item::boolean(true)]);
-            }
+            Ok(true) => return Plan::Const(vec![Item::boolean(true)]),
             Ok(false) => {
                 if let Plan::Const(b) = &r {
                     if let Ok(v) = effective_boolean_value(b) {
-                        stats.folded += 1;
                         return Plan::Const(vec![Item::boolean(v)]);
                     }
                 }
@@ -1457,10 +1332,9 @@ fn fold_or(l: Plan, r: Plan, stats: &mut PlanStats) -> Plan {
     Plan::Or(Box::new(l), Box::new(r))
 }
 
-fn fold_if(cond: Plan, then: Plan, els: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_if(cond: Plan, then: Plan, els: Plan) -> Plan {
     if let Plan::Const(c) = &cond {
         if let Ok(b) = effective_boolean_value(c) {
-            stats.folded += 1;
             // the untaken branch is never evaluated by the oracle
             // either, so dropping it cannot elide an error
             return if b { then } else { els };
@@ -1473,9 +1347,8 @@ fn fold_if(cond: Plan, then: Plan, els: Plan, stats: &mut PlanStats) -> Plan {
     }
 }
 
-fn fold_exists(src: Plan, negate: bool, stats: &mut PlanStats) -> Plan {
+fn fold_exists(src: Plan, negate: bool) -> Plan {
     if let Plan::Const(seq) = &src {
-        stats.folded += 1;
         return Plan::Const(vec![Item::boolean(seq.is_empty() == negate)]);
     }
     Plan::Exists {
@@ -1484,18 +1357,16 @@ fn fold_exists(src: Plan, negate: bool, stats: &mut PlanStats) -> Plan {
     }
 }
 
-fn fold_count(src: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_count(src: Plan) -> Plan {
     if let Plan::Const(seq) = &src {
-        stats.folded += 1;
         return Plan::Const(vec![Item::integer(seq.len() as i64)]);
     }
     Plan::Count(Box::new(src))
 }
 
-fn fold_not(src: Plan, stats: &mut PlanStats) -> Plan {
+fn fold_not(src: Plan) -> Plan {
     if let Plan::Const(seq) = &src {
         if let Ok(b) = effective_boolean_value(seq) {
-            stats.folded += 1;
             return Plan::Const(vec![Item::boolean(!b)]);
         }
     }
@@ -1521,7 +1392,6 @@ mod tests {
     #[test]
     fn folds_literal_arithmetic() {
         let p = plan_of("1 + 2 * 3");
-        assert!(p.stats.folded >= 2);
         match body_plan(&p) {
             Plan::Const(seq) => {
                 assert_eq!(seq.len(), 1);
@@ -1543,7 +1413,6 @@ mod tests {
     #[test]
     fn fuses_descendant_child() {
         let p = plan_of("//item");
-        assert_eq!(p.stats.fused_steps, 1);
         match body_plan(&p) {
             Plan::Path(pp) => {
                 assert_eq!(pp.steps.len(), 1);
@@ -1560,8 +1429,12 @@ mod tests {
     #[test]
     fn positional_predicate_blocks_fusion() {
         let p = plan_of("//item[1]");
+        let Plan::Path(pp) = body_plan(&p) else {
+            panic!("expected a path");
+        };
         assert_eq!(
-            p.stats.fused_steps, 0,
+            pp.steps.len(),
+            2,
             "`//x[1]` groups positions per d-o-s node; fusing would change the result"
         );
     }
@@ -1579,7 +1452,6 @@ mod tests {
             }
             _ => panic!("expected a path"),
         }
-        assert!(p.stats.pushed_preds >= 1);
     }
 
     #[test]
@@ -1768,8 +1640,13 @@ mod tests {
         else {
             panic!("nested constructors lower recursively");
         };
-        assert!(matches!(inner[0], ElemContent::Enclosed(Plan::Path(_))));
-        assert_eq!(p.stats.fused_steps, 1);
+        let ElemContent::Enclosed(Plan::Path(pp)) = &inner[0] else {
+            panic!("enclosed path lowers to a path plan");
+        };
+        assert!(
+            matches!(&pp.steps[..], [PlanStep::Axis(ax)] if ax.axis == Axis::Descendant),
+            "`//item` fuses to one descendant step"
+        );
         assert!(matches!(
             children[1],
             ElemContent::Enclosed(Plan::Computed(Computed::Element { .. }))

@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use xqib_storage::mix64;
 use xqib_xdm::XdmResult;
 
 use crate::plan::{lower, CompiledPlan};
@@ -196,26 +197,15 @@ pub fn static_fingerprint(registry: &ModuleRegistry, browser_profile: bool) -> u
     mix(registry.fingerprint(), browser_profile as u64)
 }
 
-/// Order-sensitive 64-bit hash combiner (splitmix-style finalisation).
+/// Order-sensitive 64-bit hash combiner: `b` spread by the golden-ratio
+/// multiplier, folded into `a`, finished by the splitmix64 mixer.
 pub fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    mix64(a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// FNV-1a over bytes: deterministic across processes (unlike the std
 /// hasher), so fingerprints are stable for logs and tests.
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use xqib_storage::fnv1a as hash_bytes;
 
 #[cfg(test)]
 mod tests {

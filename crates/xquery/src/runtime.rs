@@ -98,6 +98,7 @@ pub fn compile_with(
     for f in &module.prolog.functions {
         sctx.declare_function(f.clone());
     }
+    sctx.namespaces = module.prolog.namespaces.clone();
     sctx.options = module.prolog.options.clone();
     Ok(CompiledQuery {
         module,

@@ -680,6 +680,29 @@ fn user_functions() {
 }
 
 #[test]
+fn default_function_namespace_applies_to_unprefixed_names() {
+    assert_eq!(
+        run(r#"declare namespace f = "urn:f";
+               declare default function namespace "urn:f";
+               declare function f:twice($x) { 2 * $x };
+               twice(21)"#),
+        "42"
+    );
+    // an unprefixed declaration takes it too, and `fn:` names then need
+    // their prefix
+    assert_eq!(
+        run(r#"declare default function namespace "urn:g";
+               declare function inc($x) { $x + 1 };
+               fn:count((inc(1), inc(2)))"#),
+        "2"
+    );
+    assert_eq!(
+        err_code(r#"declare default function namespace "urn:g"; count((1, 2))"#),
+        "XPST0017"
+    );
+}
+
+#[test]
 fn infinite_recursion_guarded() {
     assert_eq!(
         err_code("declare function local:f($x) { local:f($x) }; local:f(1)"),
