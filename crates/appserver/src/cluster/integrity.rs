@@ -5,7 +5,7 @@
 //! node's disk with the one damage probe,
 //! [`XmlDb::disk_damage`](crate::xmldb::XmlDb::disk_damage), which
 //! promotion and cutover share, and rewrites damaged durable state from
-//! intact memory. It cross-checks every caught-up follower's content digests
+//! intact memory. It cross-checks every caught-up follower's state digests
 //! against the leader's recorded ones; a follower that diverged is wiped
 //! and resynced by snapshot, and rejoins the read pool only once the
 //! scrubber sees it caught up with matching digests.
@@ -26,7 +26,7 @@ xqib_storage::counters! {
         scrub_cycles: "scrub-cycles",
         /// Per-document digest comparisons performed by the scrubber.
         scrub_docs_checked: "scrub-docs-checked",
-        /// Replica documents whose content digest disagreed with the digest
+        /// Replica documents whose state digest disagreed with the digest
         /// the leader recorded at journal time.
         scrub_digest_mismatches: "scrub-digest-mismatches",
         /// Mid-prefix WAL damage the scrubber found on a live node's disk
@@ -117,7 +117,7 @@ impl Cluster {
 
     /// A `/doc` body served from a follower replica. Healthy path
     /// (`any_lag = false`): round-robin over *healthy* followers within
-    /// [`MAX_READ_LAG`], and the body's content digest is verified against
+    /// [`MAX_READ_LAG`], and the body's state digest is verified against
     /// the leader's recorded digest before it leaves the cluster — a
     /// mismatch quarantines the seat for resync and falls back to the
     /// leader. Blackout path (`any_lag = true`): the most caught-up
@@ -314,12 +314,19 @@ impl Cluster {
             }
             // digest cross-check: only meaningful when the replica claims
             // to hold the leader's whole committed log — a lagged replica
-            // is old, not wrong
+            // is old, not wrong. The digests come from cached subtree
+            // hashes, which only the DOM's writers invalidate; so each pass
+            // re-hashes one document from scratch, in turn, and damage
+            // that bypassed the writers shows within one rotation.
             let caught_up = node.applied() >= committed;
             let mut diverged = false;
             if caught_up {
-                for (uri, want) in &digests {
+                let rehash = self.istats.scrub_cycles as usize % digests.len().max(1);
+                for (k, (uri, want)) in digests.iter().enumerate() {
                     self.istats.scrub_docs_checked += 1;
+                    if k == rehash {
+                        node.db.forget_hashes(uri);
+                    }
                     if node.db.memory_digest(uri) != Some(*want) {
                         self.istats.scrub_digest_mismatches += 1;
                         diverged = true;
@@ -594,7 +601,7 @@ mod tests {
         assert_eq!(ist.quarantines, 1);
     }
 
-    /// The scrubber hashes the tree, never the image: a poisoned follower
+    /// The scrubber digests the tree, never the image: a poisoned follower
     /// whose image is warm from a verified read is still flagged.
     #[test]
     fn the_scrubber_flags_a_poisoned_follower_with_a_warm_image() {

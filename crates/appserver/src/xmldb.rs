@@ -33,12 +33,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use xqib_dom::serialize::{serialize_document, write_document};
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, DocImage, Document, QName, SharedStore};
+use xqib_dom::{DocId, DocImage, Document, QName, SharedStore, TreeHash};
 use xqib_storage::{
-    content_digest, mix64, Checkpoint, ContentHasher, DiskError, DurabilityStats, IntegrityError,
-    ShippedFrame, VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
+    fnv1a, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
+    VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
 };
 use xqib_xdm::{Item, XdmResult};
 use xqib_xquery::context::DynamicContext;
@@ -52,32 +51,23 @@ use xqib_xquery::wire;
 /// keeping the O(n) LRU scan trivial.
 const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// The content digest of `doc` bound to `uri`, hashed as the document is
-/// written: equal to [`xqib_storage::content_digest`] of its serialization,
-/// without building the serialization.
-fn doc_digest(uri: &str, doc: &Document) -> u64 {
-    let mut h = ContentHasher::new(uri);
-    write_document(doc, &mut |piece| h.update(piece));
-    h.finish()
+/// The state digest of a document bound to `uri` whose serialization
+/// hashes to `hash` ([`Document::tree_hash`], cached, so it re-hashes only
+/// what changed since it was last asked): the URI's FNV-1a mixed with it.
+/// A function of the URI and of `serialize_document(doc)`, so a replica
+/// built by applying frames and one rebuilt from a snapshot's bytes
+/// agree. What sealing, the digest-frame check, images, verified reads
+/// and the scrubber compare.
+fn state_digest(uri: &str, hash: TreeHash) -> u64 {
+    mix64(fnv1a(uri.as_bytes()) ^ mix64(hash.hash ^ mix64(hash.power)))
 }
 
-/// The serialization of `doc` bound to `uri` and its content digest,
-/// hashed as one piece once it is written: what a document image is built
-/// from.
-fn serialize_with_digest(uri: &str, doc: &Document) -> (String, u64) {
-    let xml = serialize_document(doc);
-    let digest = content_digest(uri, &xml);
-    (xml, digest)
-}
-
-/// The image of `doc`'s current version bound to `uri`: its body and
-/// content digest from one serialization, built on the first
-/// whole-document read of a version and shared by the rest. What every
-/// whole-document read serves — verified reads still compare its digest
-/// with the recorded one — while the digest checks that must see
-/// in-memory divergence ([`doc_digest`]) hash the tree itself.
+/// The image of `doc`'s current version bound to `uri`: its serialization
+/// and state digest, built on the first whole-document read of a version
+/// and shared by the rest. What every whole-document read serves; verified
+/// reads still compare its digest with the recorded one.
 fn doc_image(uri: &str, doc: &Document) -> Rc<DocImage> {
-    doc.image(uri, |doc| serialize_with_digest(uri, doc))
+    doc.image(uri, |hash| state_digest(uri, hash))
 }
 
 /// Runs `f` on the document bound to `uri` in `store`; `None` when the URI
@@ -201,7 +191,7 @@ pub struct XmlDb {
     /// Compiled plans keyed by (query text, static-context fingerprint).
     plans: PlanCache,
     durable: Option<Durable>,
-    /// Recorded content digest per document, sealed at journal time
+    /// Recorded state digest per document, sealed at journal time
     /// (durable mode only): what the read path and the scrubber verify
     /// served bytes against. A follower records only the digest frames it
     /// replayed since its last snapshot install: its reads are verified
@@ -263,7 +253,11 @@ impl XmlDb {
         let mut db = XmlDb::new();
         if let Some(ckpt) = &ckpt {
             db.store = load_checkpoint(ckpt)?;
-            db.digests = ckpt.digests().into_iter().collect();
+            db.digests = ckpt
+                .docs
+                .iter()
+                .filter_map(|(uri, _)| Some((uri.clone(), db.memory_digest(uri)?)))
+                .collect();
         }
 
         let mut replay = Wal::scan(&disk, WAL_FILE);
@@ -574,15 +568,21 @@ impl XmlDb {
         })
     }
 
-    /// The content digest of a document hashed from memory as it is
-    /// written, never from its image: what sealing, the digest-frame check
-    /// and the scrubber's cross-check compare, so in-memory divergence
-    /// shows. `None` for unbound URIs.
+    /// The state digest of a document in memory, from its cached subtree
+    /// hashes: what sealing, the digest-frame check and the scrubber's
+    /// cross-check compare. `None` for unbound URIs.
     pub(crate) fn memory_digest(&self, uri: &str) -> Option<u64> {
-        with_doc(&self.store, uri, |doc| doc_digest(uri, doc))
+        with_doc(&self.store, uri, |doc| state_digest(uri, doc.tree_hash()))
     }
 
-    /// The recorded (acknowledged) content digest of a document. `None`
+    /// Drops a document's cached subtree hashes, so its next digest is
+    /// hashed from scratch: damage that bypassed the DOM's writers (and so
+    /// marked nothing) shows then.
+    pub(crate) fn forget_hashes(&self, uri: &str) {
+        with_doc(&self.store, uri, Document::forget_hashes);
+    }
+
+    /// The recorded (acknowledged) state digest of a document. `None`
     /// for unbound URIs, ephemeral databases, and loads whose digest frame
     /// was lost to a torn tail before it could seal.
     pub fn digest_of(&self, uri: &str) -> Option<u64> {
@@ -599,8 +599,8 @@ impl XmlDb {
     }
 
     /// Serialises a document with the end-to-end check: the digest of the
-    /// bytes about to be served — the image's, hashed as they were written
-    /// — must equal what was acknowledged, or the read is refused.
+    /// image about to be served must equal what was acknowledged, or the
+    /// read is refused.
     /// `Ok(None)` for unbound URIs; documents without a recorded digest
     /// (ephemeral mode, unsealed loads) serve unchecked.
     pub fn verified_serialize(&self, uri: &str) -> Result<Option<String>, IntegrityError> {
@@ -764,11 +764,12 @@ impl XmlDb {
         self.after_journaled_ops();
     }
 
-    /// Seals the content digest of each touched document: hashes it from
-    /// the applied store as it is written, records it, and journals a
-    /// digest frame per document — the end-to-end integrity assertion
-    /// recovery, replication and the scrubber all verify against. Durable mode only: the digest
-    /// map tracks *acknowledged* state, which ephemeral databases lack.
+    /// Seals the state digest of each touched document: refreshes it from
+    /// the applied store's cached subtree hashes, records it, and journals
+    /// a digest frame per document — the end-to-end integrity assertion
+    /// recovery, replication and the scrubber all verify against. Durable
+    /// mode only: the digest map tracks *acknowledged* state, which
+    /// ephemeral databases lack.
     fn seal_digests(&mut self, uris: &[String]) {
         if self.durable.is_none() {
             return;
@@ -807,23 +808,65 @@ impl XmlDb {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use xqib_dom::serialize::serialize_document;
-    use xqib_dom::testgen::random_document;
-    use xqib_storage::{content_digest, StorageFaultPlan};
+    use xqib_storage::StorageFaultPlan;
 
-    proptest! {
-        /// Hashing a document as it is written is the digest of its
-        /// serialization, on trees that put every escape next to
-        /// multibyte UTF-8; so is the fused serialize-and-hash pass.
-        #[test]
-        fn streamed_digest_is_the_serialized_digest(seed in any::<u64>()) {
-            let doc = random_document(seed);
-            let xml = serialize_document(&doc);
-            let want = content_digest("d.xml", &xml);
-            prop_assert_eq!(doc_digest("d.xml", &doc), want);
-            prop_assert_eq!(serialize_with_digest("d.xml", &doc), (xml, want));
+    /// The state digest from the serialization, hashed whole: what the
+    /// cached subtree hashes must reproduce.
+    fn digest_of_serialization(uri: &str, xml: &str) -> u64 {
+        state_digest(uri, TreeHash::of(xml.as_bytes()))
+    }
+
+    /// An ack's digest work does not grow with the document: the leader's
+    /// seal and a follower's digest-frame check of the 10,000th item
+    /// appended to a cart cost what they cost for the 100th (children
+    /// folded plus bytes hashed, `xqib_dom::digest::work`), and the
+    /// follower's digests stay the leader's.
+    #[test]
+    fn ack_digest_work_is_flat_as_a_cart_grows() {
+        use xqib_dom::digest::work;
+        // no automatic checkpoint, which would truncate frames the
+        // follower still needs and resync it by snapshot
+        let cfg = DurabilityConfig {
+            group_commit: 1,
+            checkpoint_threshold: 0,
+        };
+        let mut leader = XmlDb::durable(VirtualDisk::new(), cfg);
+        let mut follower = XmlDb::durable(VirtualDisk::new(), cfg);
+        let add = "declare variable $id external; \
+                   insert node <item id=\"{$id}\"/> into doc(\"cart.xml\")/*";
+        leader.load("cart.xml", "<cart/>").unwrap();
+        let mut costs = Vec::new();
+        for i in 1..=10_000 {
+            let before = work();
+            let id = Item::string(format!("{i:05}"));
+            leader
+                .query_with_deadline(add, None, &[("id", id)])
+                .0
+                .unwrap();
+            let seal = work() - before;
+            let before = work();
+            for f in leader
+                .committed_frames_after(follower.appended_seq())
+                .unwrap()
+            {
+                assert!(follower.accept_frame(f.seq, &f.record, &f.bytes));
+            }
+            let check = work() - before;
+            if i == 100 || i == 10_000 {
+                costs.push((seal, check));
+                assert_eq!(follower.digest_of("cart.xml"), leader.digest_of("cart.xml"));
+            }
         }
+        assert_eq!(
+            costs[0], costs[1],
+            "(seal, frame check) at 100 and 10,000 items"
+        );
+        assert!(costs[0].0 > 0 && costs[0].1 > 0);
+        let xml = leader.serialize("cart.xml").unwrap();
+        assert_eq!(
+            leader.digest_of("cart.xml"),
+            Some(digest_of_serialization("cart.xml", &xml))
+        );
     }
 
     #[test]
@@ -1026,7 +1069,7 @@ mod tests {
             .unwrap();
         let sealed = db.digest_of("d.xml").expect("digest recorded");
         let xml = db.serialize("d.xml").unwrap();
-        assert_eq!(sealed, xqib_storage::content_digest("d.xml", &xml));
+        assert_eq!(sealed, digest_of_serialization("d.xml", &xml));
         drop(db);
         disk.crash();
         let db2 = XmlDb::recover(disk, DurabilityConfig::default()).unwrap();

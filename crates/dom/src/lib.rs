@@ -16,8 +16,9 @@
 //! * a **mutation API** (insert/detach/replace/rename/deep-copy) used by the
 //!   XQuery Update Facility to update live web pages, exactly as the paper's
 //!   plug-in updates Internet Explorer's DOM through an XDM wrapper;
-//! * serialisation back to markup, and one cached image (body + digest) per
-//!   document version for whole-document reads;
+//! * serialisation back to markup, one cached image (body + digest) per
+//!   document version for whole-document reads, and a composable hash per
+//!   subtree, so a changed document's digest re-hashes only what changed;
 //! * one pre-order [`Walk`] that every subtree kernel drives instead of
 //!   recursing, so no document is too deep to serialize, copy or compare.
 //!
@@ -28,6 +29,7 @@ pub mod arena;
 pub mod attr_index;
 #[cfg(test)]
 mod cache_coherence;
+pub mod digest;
 pub mod error;
 pub mod name;
 pub mod name_index;
@@ -41,6 +43,7 @@ pub mod testgen;
 pub mod walk;
 
 pub use arena::{DocImage, Document};
+pub use digest::TreeHash;
 pub use error::{DomError, DomResult};
 pub use name::QName;
 pub use node::{NodeId, NodeKind};

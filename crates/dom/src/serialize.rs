@@ -35,6 +35,7 @@ pub fn write_document(doc: &Document, sink: &mut impl FnMut(&str)) {
 /// Writes `node` (and its subtree) as markup to `sink`; see
 /// [`write_document`]. One [`Walk`]: a start tag at an element's `Open`,
 /// its end tag at its `Close`, and `<x/>` for an element without children.
+/// The subtree digests ([`crate::digest`]) hash the same pieces.
 fn write_node(doc: &Document, node: NodeId, sink: &mut impl FnMut(&str)) {
     let mut walk = Walk::new(node);
     while let Some(visit) = walk.next(doc) {
@@ -43,9 +44,7 @@ fn write_node(doc: &Document, node: NodeId, sink: &mut impl FnMut(&str)) {
             Visit::Close(id) => {
                 if let NodeKind::Element { name, children, .. } = doc.kind(id) {
                     if !children.is_empty() {
-                        sink("</");
-                        write_name(name, sink);
-                        sink(">");
+                        write_end_tag(name, sink);
                     }
                 }
                 continue;
@@ -59,44 +58,75 @@ fn write_node(doc: &Document, node: NodeId, sink: &mut impl FnMut(&str)) {
                 children,
                 ns_decls,
             } => {
-                sink("<");
-                write_name(name, sink);
-                for (p, u) in ns_decls {
-                    if p.is_empty() {
-                        sink(" xmlns=\"");
-                    } else {
-                        sink(" xmlns:");
-                        sink(p);
-                        sink("=\"");
-                    }
-                    write_escaped::<true>(u, sink);
-                    sink("\"");
-                }
-                for &a in attrs {
-                    if let NodeKind::Attribute { name, value } = doc.kind(a) {
-                        sink(" ");
-                        write_attribute(name, value, sink);
-                    }
-                }
+                write_start_tag(doc, name, ns_decls, attrs, sink);
                 sink(if children.is_empty() { "/>" } else { ">" });
             }
-            // Serialising a bare attribute renders name="value".
-            NodeKind::Attribute { name, value } => write_attribute(name, value, sink),
-            NodeKind::Text { value } => write_escaped::<false>(value, sink),
-            NodeKind::Comment { value } => {
-                sink("<!--");
+            leaf => write_leaf(leaf, sink),
+        }
+    }
+}
+
+/// An element's start tag up to, not including, its `>` or `/>`: the
+/// name, the namespace declarations, the attributes.
+#[inline(always)]
+pub(crate) fn write_start_tag(
+    doc: &Document,
+    name: &QName,
+    ns_decls: &[(String, String)],
+    attrs: &[NodeId],
+    sink: &mut impl FnMut(&str),
+) {
+    sink("<");
+    write_name(name, sink);
+    for (p, u) in ns_decls {
+        if p.is_empty() {
+            sink(" xmlns=\"");
+        } else {
+            sink(" xmlns:");
+            sink(p);
+            sink("=\"");
+        }
+        write_escaped::<true>(u, sink);
+        sink("\"");
+    }
+    for &a in attrs {
+        if let NodeKind::Attribute { name, value } = doc.kind(a) {
+            sink(" ");
+            write_attribute(name, value, sink);
+        }
+    }
+}
+
+/// The end tag `</name>` of an element with children.
+#[inline(always)]
+pub(crate) fn write_end_tag(name: &QName, sink: &mut impl FnMut(&str)) {
+    sink("</");
+    write_name(name, sink);
+    sink(">");
+}
+
+/// The markup of a node without children: text, comment, processing
+/// instruction, or a bare attribute as `name="value"`. Nothing for a
+/// document or element.
+#[inline(always)]
+pub(crate) fn write_leaf(kind: &NodeKind, sink: &mut impl FnMut(&str)) {
+    match kind {
+        NodeKind::Document { .. } | NodeKind::Element { .. } => {}
+        NodeKind::Attribute { name, value } => write_attribute(name, value, sink),
+        NodeKind::Text { value } => write_escaped::<false>(value, sink),
+        NodeKind::Comment { value } => {
+            sink("<!--");
+            sink(value);
+            sink("-->");
+        }
+        NodeKind::ProcessingInstruction { target, value } => {
+            sink("<?");
+            sink(target);
+            if !value.is_empty() {
+                sink(" ");
                 sink(value);
-                sink("-->");
             }
-            NodeKind::ProcessingInstruction { target, value } => {
-                sink("<?");
-                sink(target);
-                if !value.is_empty() {
-                    sink(" ");
-                    sink(value);
-                }
-                sink("?>");
-            }
+            sink("?>");
         }
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! Besides the small random documents there are two extreme shapes: a
 //! chain deeper than any recursive walk survives ([`deep_document`]) and a
-//! wide fan-out ([`wide_document`]).
+//! wide fan-out ([`wide_document`]); and [`reparseable_document`], whose
+//! markup parses back to the same bytes.
 //!
 //! A tree is a pure function of one `u64` seed, so a property test draws
 //! the seed and a failing case is reproduced from it. Compiled for this
@@ -29,12 +30,17 @@ const NAME: &[char] = &['a', 'b', 'x', 'y', 'é'];
 const LOWER: &[char] = &['a', 'b', 'c', 'p', 'q'];
 
 /// SplitMix64: the seed's stream of choices.
-struct Gen(u64);
+struct Gen {
+    state: u64,
+    /// Build markup that parses back: declare every prefix a name uses on
+    /// its element, and make no empty text node.
+    reparseable: bool,
+}
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -65,7 +71,10 @@ impl Gen {
 /// A random document of one to three top-level trees, at most four
 /// elements deep. Empty elements (no children) occur at every level.
 pub fn random_document(seed: u64) -> Document {
-    let mut g = Gen(seed);
+    let mut g = Gen {
+        state: seed,
+        reparseable: false,
+    };
     let mut doc = Document::new();
     let root = doc.root();
     for _ in 0..1 + g.below(3) {
@@ -77,7 +86,8 @@ pub fn random_document(seed: u64) -> Document {
 
 fn random_node(g: &mut Gen, doc: &mut Document, depth: u32) -> NodeId {
     match g.below(if depth == 0 { 4 } else { 8 }) {
-        0 | 1 => doc.create_text(g.string(TEXT, 0, 12)),
+        // parsing drops an empty text node, which `<x></x>` shows
+        0 | 1 => doc.create_text(g.string(TEXT, usize::from(g.reparseable), 12)),
         2 => doc.create_comment(g.string(TEXT, 0, 8)),
         3 => {
             let target = g.string(LOWER, 1, 4);
@@ -102,24 +112,55 @@ fn random_element(g: &mut Gen, doc: &mut Document) -> NodeId {
     let e = doc.create_element(QName::full(prefix.as_deref(), None, local));
     for _ in 0..g.below(3) {
         let p = g.string(LOWER, 0, 2);
-        doc.add_ns_decl(e, p, g.string(TEXT, 0, 8)).unwrap();
+        // a declared prefix cannot be bound to no namespace
+        let min = usize::from(g.reparseable && !p.is_empty());
+        doc.add_ns_decl(e, p, g.string(TEXT, min, 8)).unwrap();
     }
+    let mut used = prefix.into_iter().collect::<Vec<_>>();
     for _ in 0..g.below(4) {
         // a prefix's namespace keeps same-named attributes of
         // different prefixes apart, so each one survives
-        let p = g.prefix();
+        let p = g.prefix().filter(|p| !(g.reparseable && p.is_empty()));
         let ns = p.as_deref().map(|p| format!("urn:{p}"));
         let name = QName::full(p.as_deref(), ns.as_deref(), g.string(NAME, 1, 3));
         doc.set_attribute(e, name, g.string(TEXT, 0, 12)).unwrap();
+        used.extend(p);
+    }
+    if g.reparseable {
+        for p in used.into_iter().filter(|p| !p.is_empty()) {
+            doc.add_ns_decl(e, p.clone(), format!("urn:{p}")).unwrap();
+        }
     }
     e
+}
+
+/// A random document that parses back to itself: [`wide_document`]'s
+/// shape of one root element, with every prefix declared where it is used.
+/// What a replica rebuilt from shipped bytes is checked against.
+pub fn reparseable_document(seed: u64) -> Document {
+    let mut g = Gen {
+        state: seed,
+        reparseable: true,
+    };
+    let mut doc = Document::new();
+    let e = random_element(&mut g, &mut doc);
+    for _ in 0..g.below(12) {
+        let c = random_node(&mut g, &mut doc, 3);
+        doc.append_child(e, c).unwrap();
+    }
+    let root = doc.root();
+    doc.append_child(root, e).unwrap();
+    doc
 }
 
 /// A chain of `depth` random elements under the document node, each
 /// holding the next one and a leaf (text, comment or PI) before or after
 /// it. Built from the bottom up, so no insertion walks the chain.
 pub fn deep_document(seed: u64, depth: usize) -> Document {
-    let mut g = Gen(seed);
+    let mut g = Gen {
+        state: seed,
+        reparseable: false,
+    };
     let mut doc = Document::new();
     let mut below = random_node(&mut g, &mut doc, 0);
     for _ in 0..depth {
@@ -143,7 +184,10 @@ pub fn deep_document(seed: u64, depth: usize) -> Document {
 /// One random element with `width` random children, each a leaf or a
 /// tree at most two elements deep.
 pub fn wide_document(seed: u64, width: usize) -> Document {
-    let mut g = Gen(seed);
+    let mut g = Gen {
+        state: seed,
+        reparseable: false,
+    };
     let mut doc = Document::new();
     let e = random_element(&mut g, &mut doc);
     for _ in 0..width {

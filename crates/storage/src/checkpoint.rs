@@ -17,13 +17,12 @@
 //!
 //! Strings are u32-length-prefixed UTF-8; `crc` covers everything after
 //! itself. Each document entry carries its [`content_digest`] (format v3:
-//! the word-at-a-time digest; v2 slots carried the FNV-1a one), an
-//! end-to-end check independent of the slot CRC: one verify routine checks
-//! the CRC, every entry's UTF-8 and its recomputed digest over the slot
-//! bytes in place, and refuses the slot on any mismatch. [`Checkpoint::decode`]
-//! runs it before it builds the documents; [`Checkpoint::slot_verdicts`]
-//! runs it alone, for the scrubber, which also compares recorded digests
-//! across replicas without re-reading bodies.
+//! the word-at-a-time digest; v2 slots carried the FNV-1a one), an at-rest
+//! check of the entry's bytes independent of the slot CRC: one verify
+//! routine checks the CRC, every entry's UTF-8 and its recomputed digest
+//! over the slot bytes in place, and refuses the slot on any mismatch.
+//! [`Checkpoint::decode`] runs it before it builds the documents;
+//! [`Checkpoint::slot_verdicts`] runs it alone, for the scrubber.
 
 use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
@@ -112,15 +111,6 @@ impl Checkpoint {
     /// no document. The scrubber's slot probe.
     pub fn slot_verdicts(disk: &VirtualDisk) -> Vec<IntegrityError> {
         read_slots(disk, |data| verify(data).map(|v| (v.gen, ()))).1
-    }
-
-    /// The recorded `(uri, digest)` pairs — what the scrubber compares
-    /// across replicas without shipping bodies.
-    pub fn digests(&self) -> Vec<(String, u64)> {
-        self.docs
-            .iter()
-            .map(|(uri, xml)| (uri.clone(), content_digest(uri, xml)))
-            .collect()
     }
 }
 
@@ -332,17 +322,6 @@ mod tests {
     fn encode_decode_round_trips_for_snapshot_shipping() {
         let c = ckpt(5, 42, &[("a.xml", "<a/>"), ("b.xml", "<b>x</b>")]);
         assert_eq!(Checkpoint::decode(&c.encode()), Some(c));
-    }
-
-    #[test]
-    fn recorded_digests_match_the_shared_content_digest() {
-        let c = ckpt(1, 2, &[("a.xml", "<a/>"), ("b.xml", "<b>x</b>")]);
-        let digests = c.digests();
-        assert_eq!(digests.len(), 2);
-        for ((uri, xml), (duri, d)) in c.docs.iter().zip(&digests) {
-            assert_eq!(uri, duri);
-            assert_eq!(*d, content_digest(uri, xml));
-        }
     }
 
     #[test]

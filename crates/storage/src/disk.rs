@@ -414,6 +414,69 @@ impl VirtualDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Checkpoint, IntegrityError, Wal, WalRecord, CKPT_SLOTS, WAL_FILE};
+
+    /// A disk under `corrupt_synced_permille` (and every unsynced sector
+    /// corrupted) holding a synced three-frame WAL and one synced
+    /// checkpoint, in slot 1.
+    fn synced_wal_and_checkpoint(corrupt_synced_permille: u16) -> VirtualDisk {
+        let disk = VirtualDisk::with_plan(StorageFaultPlan {
+            corrupt_permille: 1000,
+            corrupt_synced_permille,
+            ..StorageFaultPlan::seeded(11)
+        });
+        let mut wal = Wal::create(disk.clone(), WAL_FILE);
+        for k in 0..3 {
+            wal.append(&WalRecord::Load {
+                uri: format!("d{k}.xml"),
+                xml: format!("<d>{}</d>", "x".repeat(100)),
+            });
+        }
+        wal.sync().unwrap();
+        let docs = vec![("d0.xml".to_string(), "<d/>".repeat(40))];
+        Checkpoint {
+            gen: 1,
+            seq: 3,
+            docs,
+        }
+        .write(&disk)
+        .unwrap();
+        disk
+    }
+
+    /// A failing platter: a crash flips a bit in every synced sector, and
+    /// the WAL scan and the slot check both call it damage, not a tear.
+    #[test]
+    fn corrupt_synced_permille_damages_synced_sectors_on_crash() {
+        let disk = synced_wal_and_checkpoint(1000);
+        let sectors = [WAL_FILE, CKPT_SLOTS[1]]
+            .iter()
+            .map(|f| disk.len(f).div_ceil(SECTOR) as u64)
+            .sum::<u64>();
+        disk.crash();
+        assert_eq!(disk.stats().sectors_corrupted, sectors);
+        assert!(Wal::scan(&disk, WAL_FILE).mid_prefix_damage());
+        assert_eq!(
+            Checkpoint::slot_verdicts(&disk),
+            vec![
+                IntegrityError::CheckpointSlotCorrupt { slot: 1 },
+                IntegrityError::AllCheckpointSlotsCorrupt,
+            ]
+        );
+    }
+
+    /// Off, synced data is sacred: however hard unsynced sectors are hit,
+    /// a crash leaves every synced byte as it was.
+    #[test]
+    fn synced_bytes_are_untouched_when_corrupt_synced_permille_is_zero() {
+        let disk = synced_wal_and_checkpoint(0);
+        let before = [WAL_FILE, CKPT_SLOTS[1]].map(|f| disk.read(f));
+        disk.crash();
+        assert_eq!([WAL_FILE, CKPT_SLOTS[1]].map(|f| disk.read(f)), before);
+        assert_eq!(disk.stats().sectors_corrupted, 0);
+        assert!(!Wal::scan(&disk, WAL_FILE).mid_prefix_damage());
+        assert!(Checkpoint::slot_verdicts(&disk).is_empty());
+    }
 
     #[test]
     fn synced_bytes_survive_a_crash_unsynced_tail_is_torn() {

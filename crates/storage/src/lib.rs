@@ -111,20 +111,47 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// End-to-end content digest of one document binding: the URI's FNV-1a
-/// chained with a word-at-a-time hash of the canonical serialization
-/// (see [`ContentHasher`]), finished with the splitmix64 mixer. Recorded
-/// in WAL digest frames and checkpoint entries so replicas can
-/// cross-check state without shipping bodies, and so a read path can
-/// refuse to serve bytes that no longer hash to what was acknowledged.
+/// The at-rest digest of one document binding: the URI's FNV-1a chained
+/// with a word-at-a-time hash of the serialized bytes, finished with the
+/// splitmix64 mixer. Each checkpoint slot entry records it, so a slot's
+/// bytes are verified against themselves, independent of the slot CRC.
+/// (The state digests replicas compare are the server tier's cached
+/// subtree hashes, which follow a change instead of the document.)
 ///
-/// The definition is over a stream: [`ContentHasher`] takes the
-/// serialization in pieces, as a serializer writes it, and this function
-/// is its one-piece case.
+/// The bytes are read as little-endian 8-byte words, the last one
+/// zero-padded. Four independent multiply-rotate lanes take the words in
+/// turn, so a 32-byte block feeds each lane once and the four multiply
+/// chains overlap instead of chaining byte by byte. The finish folds the
+/// lanes and mixes in the byte length, which tells the zero padding from
+/// real zero bytes.
 pub fn content_digest(uri: &str, xml: &str) -> u64 {
-    let mut h = ContentHasher::new(uri);
-    h.update(xml);
-    h.finish()
+    digest_bytes(uri, xml.as_bytes())
+}
+
+fn digest_bytes(uri: &str, bytes: &[u8]) -> u64 {
+    let [mut a, mut b, mut c, mut d] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        a = lane_round(a, word_at(block, 0));
+        b = lane_round(b, word_at(block, 8));
+        c = lane_round(c, word_at(block, 16));
+        d = lane_round(d, word_at(block, 24));
+    }
+    // the tail's words continue the turn: a block is one word per lane
+    let mut lanes = [a, b, c, d];
+    for (k, word) in blocks.remainder().chunks(8).enumerate() {
+        lanes[k] = lane_round(lanes[k], load_le(word));
+    }
+    // the next lane to take a word comes first
+    lanes.rotate_left(bytes.len().div_ceil(8) % 4);
+    let [a, b, c, d] = lanes;
+    let body = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18));
+    let len = bytes.len() as u64;
+    mix64(fnv1a(uri.as_bytes()) ^ mix64((body ^ len).wrapping_mul(P3)))
 }
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -146,122 +173,11 @@ fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// The little-endian value of at most 8 bytes, zero-padded, read with two
-/// overlapping loads instead of a variable-length copy.
-#[inline]
+/// The little-endian value of at most 8 bytes, zero-padded.
 fn load_le(bytes: &[u8]) -> u64 {
-    let n = bytes.len();
-    debug_assert!(n <= 8);
-    if n >= 4 {
-        let lo = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as u64;
-        let hi = u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]]);
-        lo | (hi as u64) << (8 * (n - 4))
-    } else if n > 0 {
-        bytes[0] as u64
-            | (bytes[n / 2] as u64) << (8 * (n / 2))
-            | (bytes[n - 1] as u64) << (8 * (n - 1))
-    } else {
-        0
-    }
-}
-
-/// [`content_digest`] of a serialization fed piece by piece: any split of
-/// the same bytes gives the same digest.
-///
-/// The bytes are read as little-endian 8-byte words, the last one
-/// zero-padded. Four independent multiply-rotate lanes take the words in
-/// turn, so a 32-byte block feeds each lane once and the four multiply
-/// chains overlap instead of chaining byte by byte. A piece that does not
-/// complete the current word is shifted into it, so the serializer's
-/// short pieces (a name, a `>`) cost a few register operations. The
-/// finish folds the lanes and mixes in the byte length, which tells the
-/// zero padding from real zero bytes.
-#[derive(Debug, Clone)]
-pub struct ContentHasher {
-    uri: u64,
-    /// The lanes as a queue: the next word goes into `lanes[0]`, which
-    /// then moves to the back.
-    lanes: [u64; 4],
-    /// The bytes of the word being filled, and how many there are (< 8).
-    word: u64,
-    fill: usize,
-    len: u64,
-}
-
-impl ContentHasher {
-    /// Starts the digest of the document bound to `uri`.
-    pub fn new(uri: &str) -> Self {
-        ContentHasher {
-            uri: fnv1a(uri.as_bytes()),
-            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
-            word: 0,
-            fill: 0,
-            len: 0,
-        }
-    }
-
-    fn absorb(&mut self, word: u64) {
-        let [a, b, c, d] = self.lanes;
-        self.lanes = [b, c, d, lane_round(a, word)];
-    }
-
-    /// Hashes the next piece of the serialization. Inlined across crates
-    /// with its short-piece path, the common case of a serializer's sink.
-    #[inline]
-    pub fn update(&mut self, piece: &str) {
-        self.update_bytes(piece.as_bytes());
-    }
-
-    #[inline]
-    fn update_bytes(&mut self, bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        let room = 8 - self.fill;
-        if bytes.len() < room {
-            self.word |= load_le(bytes) << (8 * self.fill);
-            self.fill += bytes.len();
-        } else {
-            self.update_words(bytes, room);
-        }
-    }
-
-    /// The piece completes the current word: absorb it, then whole
-    /// 32-byte blocks with the lanes in registers, then whole words, and
-    /// keep the rest as the next word. Out of line, so the short-piece
-    /// path inlines into a serializer's sink.
-    #[inline(never)]
-    fn update_words(&mut self, bytes: &[u8], room: usize) {
-        self.absorb(self.word | load_le(&bytes[..room]) << (8 * self.fill));
-        let mut blocks = bytes[room..].chunks_exact(32);
-        let [mut a, mut b, mut c, mut d] = self.lanes;
-        for block in &mut blocks {
-            a = lane_round(a, word_at(block, 0));
-            b = lane_round(b, word_at(block, 8));
-            c = lane_round(c, word_at(block, 16));
-            d = lane_round(d, word_at(block, 24));
-        }
-        self.lanes = [a, b, c, d];
-        let mut words = blocks.remainder().chunks_exact(8);
-        for word in &mut words {
-            self.absorb(word_at(word, 0));
-        }
-        self.word = load_le(words.remainder());
-        self.fill = words.remainder().len();
-    }
-
-    /// The digest of the pieces so far.
-    pub fn finish(&self) -> u64 {
-        let mut h = self.clone();
-        if h.fill > 0 {
-            h.absorb(h.word);
-        }
-        let [a, b, c, d] = h.lanes;
-        let body = a
-            .rotate_left(1)
-            .wrapping_add(b.rotate_left(7))
-            .wrapping_add(c.rotate_left(12))
-            .wrapping_add(d.rotate_left(18));
-        mix64(self.uri ^ mix64((body ^ self.len).wrapping_mul(P3)))
-    }
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
 }
 
 /// Typed verdict of an integrity check over a checkpoint read or a
@@ -398,25 +314,10 @@ mod tests {
         }
 
         #[test]
-        fn content_digest_is_split_invariant(
+        fn content_digest_matches_the_lane_reference(
             uri in "[a-z./-]{0,12}",
             xml in "[a-z<>&\"é€😀 ]{0,4096}",
-            cuts in prop::collection::vec(any::<usize>(), 0..64),
         ) {
-            // cut at char boundaries, in order
-            let mut at: Vec<usize> = cuts
-                .iter()
-                .map(|c| c % (xml.len() + 1))
-                .filter(|&c| xml.is_char_boundary(c))
-                .collect();
-            at.sort_unstable();
-            let mut h = ContentHasher::new(&uri);
-            let mut from = 0;
-            for c in at.into_iter().chain([xml.len()]) {
-                h.update(&xml[from..c]);
-                from = c;
-            }
-            prop_assert_eq!(h.finish(), content_digest(&uri, &xml));
             prop_assert_eq!(
                 content_digest(&uri, &xml),
                 mix64(fnv1a(uri.as_bytes()) ^ mix64(lanes_reference(xml.as_bytes())))
@@ -424,9 +325,8 @@ mod tests {
         }
     }
 
-    /// The body hash of [`ContentHasher`] over a whole byte string, one
-    /// word at a time into the lanes by turn, with no buffering: what any
-    /// split must reproduce.
+    /// The body hash of [`content_digest`], one word at a time into the
+    /// lanes by turn: the definition the block loop must reproduce.
     fn lanes_reference(bytes: &[u8]) -> u64 {
         let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
         for (k, word) in bytes.chunks(8).enumerate() {
@@ -461,9 +361,10 @@ mod tests {
         for bit in 0..bytes.len() * 8 {
             bytes[bit / 8] ^= 1 << (bit % 8);
             // a flipped ASCII byte may leave UTF-8: hash the raw bytes
-            let mut h = ContentHasher::new("d.xml");
-            h.update_bytes(&bytes);
-            assert!(seen.insert(h.finish()), "flip of bit {bit} collided");
+            assert!(
+                seen.insert(digest_bytes("d.xml", &bytes)),
+                "flip of bit {bit} collided"
+            );
             bytes[bit / 8] ^= 1 << (bit % 8);
         }
     }

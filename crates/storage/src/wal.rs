@@ -44,7 +44,8 @@ pub enum WalRecord {
     Pul(Vec<u8>),
     /// An end-to-end integrity assertion: after applying every record up
     /// to this point, the document bound at `uri` must hash to `digest`
-    /// (see [`crate::content_digest`]). Replayers verify and stop at the
+    /// (the server tier's state digest, a function of the document's
+    /// serialization and its URI). Replayers verify and stop at the
     /// record if the recovered state disagrees; replicas use it to detect
     /// divergence at apply time.
     Digest { uri: String, digest: u64 },

@@ -430,7 +430,6 @@ pub struct Prolog {
     /// Every prefix the prolog binds, `declare namespace` and `import
     /// module namespace` alike, in declaration order.
     pub namespaces: Vec<(String, String)>,
-    pub default_element_ns: Option<String>,
     pub variables: Vec<VarDecl>,
     pub functions: Vec<FunctionDecl>,
     pub options: Vec<(QName, String)>,

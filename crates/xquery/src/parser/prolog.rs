@@ -37,12 +37,7 @@ impl<'a> Parser<'a> {
                     if self.eat_kw("element")? {
                         self.expect_kw("namespace")?;
                         let uri = self.parse_string_literal()?;
-                        self.default_element_ns = if uri.is_empty() {
-                            None
-                        } else {
-                            Some(uri.clone())
-                        };
-                        prolog.default_element_ns = Some(uri);
+                        self.default_element_ns = if uri.is_empty() { None } else { Some(uri) };
                     } else if self.eat_kw("function")? {
                         self.expect_kw("namespace")?;
                         self.default_function_ns = Some(self.parse_string_literal()?);
