@@ -160,10 +160,20 @@ pub fn run_to_string(src: &str, store: xqib_dom::SharedStore) -> XdmResult<Strin
 /// Renders a sequence for display: atomics via their lexical form, nodes as
 /// serialised markup.
 pub fn render_sequence(ctx: &DynamicContext, seq: &Sequence) -> String {
+    render_sequence_with(ctx, seq, |s| s)
+}
+
+/// [`render_sequence`] with each atomic's lexical form passed through
+/// `atomic` first (an escape, where the rendering is embedded in markup).
+pub fn render_sequence_with(
+    ctx: &DynamicContext,
+    seq: &Sequence,
+    atomic: impl Fn(String) -> String,
+) -> String {
     let store = ctx.store.borrow();
     seq.iter()
         .map(|i| match i {
-            Item::Atomic(a) => a.string_value(),
+            Item::Atomic(a) => atomic(a.string_value()),
             Item::Node(n) => xqib_dom::serialize::serialize_node(store.doc(n.doc), n.node),
         })
         .collect::<Vec<_>>()
