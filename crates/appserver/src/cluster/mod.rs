@@ -77,6 +77,7 @@ use std::collections::VecDeque;
 
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
 use xqib_browser::FaultPlan;
+use xqib_dom::SharedStore;
 use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
 
 use crate::fleet::FleetStats;
@@ -582,6 +583,25 @@ impl Cluster {
     pub fn serialize(&self, uri: &str) -> Option<String> {
         let shard = &self.shards[self.topology.owner(uri)];
         shard.leader.as_ref().and_then(|l| l.db.serialize(uri))
+    }
+
+    /// Every live seat's host and store, leaders and followers, shard by
+    /// shard: for checks of what the stores hold, not only of what they
+    /// answer.
+    #[doc(hidden)]
+    pub fn seat_stores(&self) -> Vec<(String, SharedStore)> {
+        let mut out = Vec::new();
+        for sh in &self.shards {
+            for (i, seat) in sh.seats.iter().enumerate() {
+                let db = match (&seat.replica, &sh.leader) {
+                    (Some(replica), _) => &replica.db,
+                    (None, Some(leader)) if i == sh.leader_seat => &leader.db,
+                    _ => continue,
+                };
+                out.push((seat.host.clone(), db.store.clone()));
+            }
+        }
+        out
     }
 
     /// True when the owning leader's copy of `uri` contains `needle`.

@@ -397,6 +397,72 @@ mod tests {
         assert!(engine.sorts_performed >= 1);
     }
 
+    /// Documents and arena slots in the server's store.
+    fn store_sizes(s: &AppServer) -> (usize, usize) {
+        let store = s.db.store.borrow();
+        (store.doc_count(), store.node_count())
+    }
+
+    /// Renders to run: the assertions are exact, so any per-request growth
+    /// fails them at every count; the release lib suites run the full
+    /// count.
+    const RENDERS: usize = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        100_000
+    };
+
+    /// Nothing a render builds outlives it: after the first prepared
+    /// `/page`, every later one leaves the store with exactly the documents
+    /// and arena slots it had.
+    #[test]
+    fn renders_leave_the_store_as_they_found_it() {
+        let ids = article_ids(&CorpusSpec::default());
+        let mut s = server();
+        let page = |i: usize| format!("/page?article={}", ids[i % ids.len()]);
+        assert_eq!(s.handle(&page(0)).status, 200);
+        let after_first = store_sizes(&s);
+        for i in 1..RENDERS {
+            assert_eq!(s.handle(&page(i)).status, 200);
+        }
+        assert_eq!(store_sizes(&s), after_first);
+    }
+
+    /// The same for cart updates mixed with renders: the store keeps its
+    /// document count, its only new slots are the cart's, and every
+    /// inserted item still serializes in the cart.
+    #[test]
+    fn cart_updates_grow_only_the_cart() {
+        let ids = article_ids(&CorpusSpec::default());
+        let mut s = server();
+        s.db.load("cart.xml", "<cart/>").unwrap();
+        let update = |i: usize| {
+            format!(
+                "/update?xq=insert+node+%3Citem+id%3D%22u{i}%22%2F%3E+into+doc(%27cart.xml%27)%2F*"
+            )
+        };
+        let cart_len = |s: &AppServer| {
+            let store = s.db.store.borrow();
+            store.doc(store.doc_by_uri("cart.xml").unwrap()).len()
+        };
+        assert_eq!(s.handle(&update(0)).status, 200);
+        let (docs, nodes) = store_sizes(&s);
+        let cart_after_first = cart_len(&s);
+        for i in 1..1_000 {
+            assert_eq!(s.handle(&update(i)).status, 200);
+            let page = format!("/page?article={}", ids[i % ids.len()]);
+            assert_eq!(s.handle(&page).status, 200);
+        }
+        assert_eq!(
+            store_sizes(&s),
+            (docs, nodes + cart_len(&s) - cart_after_first)
+        );
+        let cart = s.db.serialize("cart.xml").unwrap();
+        for i in 0..1_000 {
+            assert!(cart.contains(&format!("<item id=\"u{i}\"/>")), "u{i}");
+        }
+    }
+
     /// The render routes' queries compile and lower, and the executor's
     /// body is byte-identical to the oracle's for every article. `/page`
     /// is one prepared plan: a single plan-cache miss serves every

@@ -451,12 +451,39 @@ impl XmlDb {
         budget: Option<u64>,
         bindings: &[(&str, Item)],
     ) -> (XdmResult<String>, u64) {
+        self.run(src, budget, bindings, None)
+    }
+
+    /// Runs an XQuery with the context item set to a stored document.
+    pub fn query_doc(&mut self, uri: &str, src: &str) -> XdmResult<String> {
+        self.run(src, None, &[], Some(uri)).0
+    }
+
+    /// The one evaluation path of every query: plan, evaluate, journal,
+    /// render. Everything the query constructs lives in a scratch region
+    /// of the store (its construction document and any `document { }`
+    /// results) that is released before this returns, whatever the
+    /// outcome — success, error, deadline kill or update. By then the
+    /// result is a `String` and applied inserts are copies in their
+    /// target documents, so nothing can still point into the region.
+    fn run(
+        &mut self,
+        src: &str,
+        budget: Option<u64>,
+        bindings: &[(&str, Item)],
+        context_doc: Option<&str>,
+    ) -> (XdmResult<String>, u64) {
         self.evals += 1;
         let plan = match self.plan(src) {
             Ok(p) => p,
             Err(e) => return (Err(e), 0),
         };
-        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
+        let (mark, construction) = self.store.borrow_mut().open_scratch();
+        let mut ctx = DynamicContext::constructing_into(
+            self.store.clone(),
+            plan.static_context().clone(),
+            construction,
+        );
         for (name, value) in bindings {
             ctx.bind_global(QName::local(name), vec![value.clone()]);
         }
@@ -465,20 +492,23 @@ impl XmlDb {
             ctx.fuel_commit_exempt = true;
         }
         let journal = self.install_journal(&mut ctx);
-        let result = plan.execute(&mut ctx);
+        let result = self
+            .focus_on(&mut ctx, context_doc)
+            .and_then(|()| plan.execute(&mut ctx));
         self.drain_journal(journal);
         let fuel_used = ctx.fuel_used;
-        (
-            result.map(|r| runtime::render_sequence(&ctx, &r)),
-            fuel_used,
-        )
+        let rendered = result.map(|r| runtime::render_sequence(&ctx, &r));
+        drop(ctx);
+        self.store.borrow_mut().release_scratch(mark);
+        (rendered, fuel_used)
     }
 
-    /// Runs an XQuery with the context item set to a stored document.
-    pub fn query_doc(&mut self, uri: &str, src: &str) -> XdmResult<String> {
-        self.evals += 1;
-        let plan = self.plan(src)?;
-        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
+    /// Sets the context item to the root of the document bound to `uri`
+    /// (`FODC0002` if none is); no-op without a URI.
+    fn focus_on(&self, ctx: &mut DynamicContext, uri: Option<&str>) -> XdmResult<()> {
+        let Some(uri) = uri else {
+            return Ok(());
+        };
         let root = {
             let store = self.store.borrow();
             let id = store
@@ -491,11 +521,7 @@ impl XmlDb {
             position: 1,
             size: 1,
         });
-        let journal = self.install_journal(&mut ctx);
-        let result = plan.execute(&mut ctx);
-        self.drain_journal(journal);
-        let result = result?;
-        Ok(runtime::render_sequence(&ctx, &result))
+        Ok(())
     }
 
     /// The plan for `src`: cached, or compiled, lowered and cached now.
@@ -867,6 +893,53 @@ mod tests {
             leader.digest_of("cart.xml"),
             Some(digest_of_serialization("cart.xml", &xml))
         );
+    }
+
+    /// Documents and arena slots in the store.
+    fn sizes(db: &XmlDb) -> (usize, usize) {
+        let store = db.store.borrow();
+        (store.doc_count(), store.node_count())
+    }
+
+    /// Whatever way a query ends, what it constructed is gone when it
+    /// returns: an error after construction, a deadline kill in the middle
+    /// of it, a `document { }` result, a missing context document. An
+    /// update leaves exactly its inserted node behind, in its target.
+    #[test]
+    fn every_exit_path_releases_what_the_query_built() {
+        let mut db = XmlDb::new();
+        db.load("d.xml", "<r/>").unwrap();
+        let before = sizes(&db);
+        assert_eq!(db.query("(<a/>, error())").unwrap_err().code, "FOER0000");
+        assert_eq!(sizes(&db), before, "error");
+        let (killed, _) =
+            db.query_with_deadline("count(for $i in 1 to 100000 return <a/>)", Some(500), &[]);
+        assert_eq!(killed.unwrap_err().code, "XQIB0014");
+        assert_eq!(sizes(&db), before, "deadline kill");
+        assert_eq!(db.query("document { <x/> }").unwrap(), "<x/>");
+        assert_eq!(sizes(&db), before, "document constructor");
+        assert_eq!(
+            db.query_doc("nope.xml", "<a/>").unwrap_err().code,
+            "FODC0002"
+        );
+        assert_eq!(sizes(&db), before, "missing context document");
+        db.query("insert node <i/> into doc('d.xml')/r").unwrap();
+        assert_eq!(sizes(&db), (before.0, before.1 + 1), "update");
+        assert_eq!(db.serialize("d.xml").unwrap(), "<r><i/></r>");
+    }
+
+    /// Constructed nodes follow every stored document in document order,
+    /// including one loaded after the construction document was first
+    /// used and kept for reuse.
+    #[test]
+    fn constructed_nodes_follow_every_stored_document() {
+        let mut db = XmlDb::new();
+        db.load("d.xml", "<d/>").unwrap();
+        let order = "for $n in (<c/>, doc('d.xml')/d)/self::* return name($n)";
+        assert_eq!(db.query(order).unwrap(), "d c");
+        db.load("e.xml", "<e/>").unwrap();
+        let order = "for $n in (<c/>, doc('e.xml')/e, doc('d.xml')/d)/self::* return name($n)";
+        assert_eq!(db.query(order).unwrap(), "d e c");
     }
 
     #[test]

@@ -19,17 +19,19 @@
 //!   budget, interpreted vs cached-compiled: the capacity delta a governed
 //!   server gains from the cache.
 
+use std::rc::Rc;
+
 use criterion::{BenchmarkId, Criterion};
 
 use xqib_appserver::corpus::{generate_corpus, CorpusSpec};
 use xqib_appserver::{render, AppServer};
 use xqib_bench::criterion as crit;
 use xqib_dom::store::shared_store;
-use xqib_dom::QName;
-use xqib_xdm::Item;
+use xqib_dom::{QName, SharedStore};
+use xqib_xdm::{Item, Sequence, XdmResult};
 use xqib_xquery::plan::lower;
 use xqib_xquery::runtime::{self, render_sequence};
-use xqib_xquery::DynamicContext;
+use xqib_xquery::{DynamicContext, StaticContext};
 
 fn library_xml(books: usize) -> String {
     let mut out = String::from("<books>");
@@ -66,20 +68,35 @@ fn deep_xml(width: usize, depth: usize, paras: usize) -> String {
     out
 }
 
-fn store_with(uri: &str, xml: &str) -> xqib_dom::SharedStore {
+fn store_with(uri: &str, xml: &str) -> SharedStore {
     let store = shared_store();
     let doc = xqib_dom::parse_document(xml).unwrap();
     store.borrow_mut().add_document(doc, Some(uri));
     store
 }
 
+/// Evaluates `eval` in a context that constructs into a scratch region of
+/// `store` and renders its result, then releases the region, as the server
+/// releases a request's: every arm runs over a store that does not grow.
+fn in_scratch(
+    store: &SharedStore,
+    sctx: &Rc<StaticContext>,
+    eval: impl FnOnce(&mut DynamicContext) -> XdmResult<Sequence>,
+) -> String {
+    let (mark, construction) = store.borrow_mut().open_scratch();
+    let mut ctx = DynamicContext::constructing_into(store.clone(), sctx.clone(), construction);
+    let out = eval(&mut ctx).unwrap();
+    let rendered = render_sequence(&ctx, &out);
+    drop(ctx);
+    store.borrow_mut().release_scratch(mark);
+    rendered
+}
+
 /// One interpreter evaluation: compile + execute (what the server did per
 /// request before the cache).
-fn run_interp(src: &str, store: &xqib_dom::SharedStore) -> String {
+fn run_interp(src: &str, store: &SharedStore) -> String {
     let q = runtime::compile(src).unwrap();
-    let mut ctx = DynamicContext::new(store.clone(), q.sctx.clone());
-    let out = q.execute(&mut ctx).unwrap();
-    render_sequence(&ctx, &out)
+    in_scratch(store, &q.sctx, |ctx| q.execute(ctx))
 }
 
 /// One `/page` render on the oracle over the server's store, the way a
@@ -87,24 +104,22 @@ fn run_interp(src: &str, store: &xqib_dom::SharedStore) -> String {
 /// walk the AST per request, under an optional deadline budget.
 fn oracle_route(server: &AppServer, article: &str, budget: Option<u64>) -> String {
     let q = runtime::compile(render::article_page_prepared()).unwrap();
-    let mut ctx = DynamicContext::new(server.db.store.clone(), q.sctx.clone());
-    ctx.bind_global(
-        QName::local(render::ARTICLE_VAR),
-        vec![Item::string(article)],
-    );
-    if let Some(budget) = budget {
-        ctx.set_deadline_fuel(budget);
-        ctx.fuel_commit_exempt = true;
-    }
-    let out = q.execute(&mut ctx).unwrap();
-    render_sequence(&ctx, &out)
+    in_scratch(&server.db.store, &q.sctx, |ctx| {
+        ctx.bind_global(
+            QName::local(render::ARTICLE_VAR),
+            vec![Item::string(article)],
+        );
+        if let Some(budget) = budget {
+            ctx.set_deadline_fuel(budget);
+            ctx.fuel_commit_exempt = true;
+        }
+        q.execute(ctx)
+    })
 }
 
 /// One cached-plan evaluation: execute a pre-lowered plan.
-fn run_plan(plan: &xqib_xquery::plan::CompiledPlan, store: &xqib_dom::SharedStore) -> String {
-    let mut ctx = DynamicContext::new(store.clone(), plan.static_context().clone());
-    let out = plan.execute(&mut ctx).unwrap();
-    render_sequence(&ctx, &out)
+fn run_plan(plan: &xqib_xquery::plan::CompiledPlan, store: &SharedStore) -> String {
+    in_scratch(store, plan.static_context(), |ctx| plan.execute(ctx))
 }
 
 fn bench(c: &mut Criterion) {

@@ -104,6 +104,23 @@ impl Document {
         }
     }
 
+    /// Empties the document back to a bare root, keeping the arena's
+    /// capacity: what a reused scratch document costs instead of a new
+    /// one (see [`crate::Store::release_scratch`]). Every `NodeId` but
+    /// the root's is dead afterwards. The epoch and the version move on
+    /// rather than restart, so no cache built before the clear can pass
+    /// for fresh after it.
+    pub fn clear(&mut self) {
+        self.nodes.truncate(1);
+        if let NodeKind::Document { children } = &mut self.nodes[0].kind {
+            children.clear();
+        }
+        self.base_uri = None;
+        self.epoch += 1;
+        self.version += 1;
+        *self.whole.get_mut() = WholeCaches::default();
+    }
+
     /// Marks a structural change under `node` — its child or attribute
     /// list — invalidating the order index and every content cache. Every
     /// mutating arena method that affects parentage or sibling order must
@@ -1103,6 +1120,50 @@ mod tests {
         assert_eq!(d.string_value(d.root()), "Hello, World");
         assert_eq!(d.string_value(body), "Hello, World");
         assert_eq!(d.string_value(t1), "Hello, ");
+    }
+
+    /// A cleared document answers like a new one: the order, name and
+    /// attribute indexes, the subtree hashes and the image built before the
+    /// clear are all rebuilt for what is written after it.
+    #[test]
+    fn a_cleared_document_answers_like_a_new_one() {
+        fn fill(d: &mut Document, names: &[&str]) {
+            let r = d.create_element(QName::local("r"));
+            d.append_child(d.root(), r).unwrap();
+            for (i, n) in names.iter().enumerate() {
+                let e = d.create_element(QName::local(n));
+                d.set_attribute(e, QName::local("k"), i.to_string())
+                    .unwrap();
+                d.append_child(r, e).unwrap();
+            }
+        }
+        fn answers(d: &Document) -> impl PartialEq + std::fmt::Debug {
+            let (a, k) = (QName::local("a"), QName::local("k"));
+            // the second probe of a name builds its index
+            for _ in 0..2 {
+                d.named_descendants(d.root(), &a, false);
+                d.attr_owners(&k, "1");
+            }
+            (
+                d.order_index().pre_order().to_vec(),
+                d.named_descendants(d.root(), &a, false),
+                d.attr_owners(&k, "1").map(|owners| owners.to_vec()),
+                d.tree_hash(),
+                d.image("d.xml", |h| h.hash).body.clone(),
+            )
+        }
+        let mut d = Document::new();
+        fill(&mut d, &["a", "b", "a"]);
+        answers(&d);
+        d.clear();
+        assert_eq!(d.len(), 1);
+        assert_eq!(serialize_document(&d), "");
+        // as many writes as before the clear: a cache keyed by a counter
+        // that restarted would pass for fresh
+        fill(&mut d, &["b", "a", "a"]);
+        let mut fresh = Document::new();
+        fill(&mut fresh, &["b", "a", "a"]);
+        assert_eq!(answers(&d), answers(&fresh));
     }
 
     #[test]

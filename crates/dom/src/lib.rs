@@ -49,5 +49,5 @@ pub use name::QName;
 pub use node::{NodeId, NodeKind};
 pub use order::{cmp_doc_order, sort_dedup, OrderIndex};
 pub use parser::{parse_document, ParseOptions};
-pub use store::{DocId, NodeRef, SharedStore, Store};
+pub use store::{DocId, NodeRef, ScratchMark, SharedStore, Store};
 pub use walk::{Visit, Walk};

@@ -34,7 +34,16 @@ impl NodeRef {
 pub struct Store {
     docs: Vec<Document>,
     by_uri: HashMap<String, DocId>,
+    /// The last scratch region's construction document, emptied and kept
+    /// with its capacity for the next [`Store::open_scratch`].
+    spare: Option<Document>,
 }
+
+/// Where a scratch region begins: [`Store::release_scratch`] drops every
+/// document from here to the top of the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use = "a scratch region is released through its mark"]
+pub struct ScratchMark(DocId);
 
 impl Store {
     pub fn new() -> Self {
@@ -95,6 +104,45 @@ impl Store {
 
     pub fn doc_count(&self) -> usize {
         self.docs.len()
+    }
+
+    /// Arena slots over every document (detached tombstones included).
+    pub fn node_count(&self) -> usize {
+        self.docs.iter().map(Document::len).sum()
+    }
+
+    /// Whether an emptied construction document waits, outside the
+    /// document list, for the next [`Self::open_scratch`].
+    #[doc(hidden)]
+    pub fn has_spare(&self) -> bool {
+        self.spare.is_some()
+    }
+
+    /// Opens a scratch region at the top of the store and returns its mark
+    /// with the region's construction document: the spare when there is
+    /// one, else a new document. It and every document created before the
+    /// release have higher `DocId`s, so later places in document order,
+    /// than every document below the mark.
+    pub fn open_scratch(&mut self) -> (ScratchMark, DocId) {
+        let mark = ScratchMark(DocId(self.docs.len() as u32));
+        let doc = self.spare.take().unwrap_or_default();
+        (mark, self.add_document(doc, None))
+    }
+
+    /// Drops every document of the region `mark` opened. Its construction
+    /// document is emptied and kept as the spare; the rest (`document { }`
+    /// results, …) are freed. No `NodeRef` into the region may outlive
+    /// this, and no URI may be bound inside it.
+    pub fn release_scratch(&mut self, mark: ScratchMark) {
+        let base = mark.0 .0 as usize;
+        debug_assert!(
+            self.by_uri.values().all(|id| (id.0 as usize) < base),
+            "a URI is bound inside a scratch region"
+        );
+        if let Some(mut construction) = self.docs.drain(base..).next() {
+            construction.clear();
+            self.spare = Some(construction);
+        }
     }
 
     /// Root node reference of a document.
@@ -212,6 +260,30 @@ mod tests {
         let r2 = s.root(d2);
         assert_ne!(r1, r2);
         assert_eq!(r1.node, r2.node, "both are NodeId(0) locally");
+    }
+
+    /// A scratch region is released whole: documents below its mark are
+    /// untouched, its construction document comes back emptied as the next
+    /// region's, and everything else it made is gone.
+    #[test]
+    fn scratch_regions_release_down_to_their_mark() {
+        let mut s = Store::new();
+        let kept = s.new_document(Some("kept.xml"));
+        let (mark, construction) = s.open_scratch();
+        assert!(construction > kept, "constructed nodes follow stored ones");
+        let doc = s.doc_mut(construction);
+        let e = doc.create_element(QName::local("e"));
+        doc.append_child(doc.root(), e).unwrap();
+        s.new_document(None);
+        s.release_scratch(mark);
+        assert_eq!((s.doc_count(), s.node_count()), (1, 1));
+        assert!(s.has_spare());
+        let late = s.new_document(Some("late.xml"));
+        let (mark, reused) = s.open_scratch();
+        assert!(reused > late && !s.has_spare());
+        assert_eq!(s.doc(reused).len(), 1, "emptied");
+        s.release_scratch(mark);
+        assert_eq!((s.doc_count(), s.node_count()), (2, 2));
     }
 
     proptest! {

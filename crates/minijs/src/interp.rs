@@ -151,6 +151,10 @@ pub struct JsEngine {
     /// lowered XPath plans for `document.evaluate`, least recently used
     /// first out
     xpath_plans: PlanCache,
+    /// where `document.evaluate` constructs: one document for the
+    /// engine's lifetime, made on first use and never cleared, since the
+    /// snapshots it returns may point into it
+    construction_doc: Option<DocId>,
 }
 
 /// XPath plans a page keeps: more than the handful of distinct expressions
@@ -172,6 +176,7 @@ impl JsEngine {
             screen_width: 1280.0,
             ops: 0,
             xpath_plans: PlanCache::new(XPATH_PLAN_CAPACITY),
+            construction_doc: None,
         }
     }
 
@@ -794,7 +799,15 @@ impl JsEngine {
                 compile_plan(xpath, &ModuleRegistry::new(), false)
             })
             .map_err(|e| JsError(e.to_string()))?;
-        let mut ctx = DynamicContext::new(self.store.clone(), plan.static_context().clone());
+        let store = &self.store;
+        let construction = *self
+            .construction_doc
+            .get_or_insert_with(|| store.borrow_mut().new_document(None));
+        let mut ctx = DynamicContext::constructing_into(
+            self.store.clone(),
+            plan.static_context().clone(),
+            construction,
+        );
         let root = self.store.borrow().root(self.doc);
         ctx.focus = Some(xqib_xquery::context::Focus {
             item: xqib_xdm::Item::Node(root),
@@ -1040,6 +1053,21 @@ mod tests {
         assert_eq!(e.alerts, vec!["1"]);
         assert!(e.xpath_plans.len() <= e.xpath_plans.capacity());
         assert_eq!(e.xpath_plans.capacity(), XPATH_PLAN_CAPACITY);
+    }
+
+    #[test]
+    fn evaluate_constructs_into_one_document() {
+        let mut e = engine_with("<html><body><div id=\"d\"/></body></html>");
+        e.run("var r = document.evaluate(\"//div\", document, null, 7, null);")
+            .unwrap();
+        let docs = e.store.borrow().doc_count();
+        e.run(
+            "for (var i = 0; i < 1000; i = i + 1) {
+                 var r = document.evaluate(\"//div\", document, null, 7, null);
+             }",
+        )
+        .unwrap();
+        assert_eq!(e.store.borrow().doc_count(), docs);
     }
 
     #[test]

@@ -206,8 +206,20 @@ pub fn approx_stack_ptr() -> usize {
 }
 
 impl DynamicContext {
+    /// A context that constructs into a new document of its own.
     pub fn new(store: SharedStore, sctx: Rc<StaticContext>) -> Self {
         let construction_doc = store.borrow_mut().new_document(None);
+        Self::constructing_into(store, sctx, construction_doc)
+    }
+
+    /// A context that constructs into `construction_doc`, a document the
+    /// host owns and outlives the context with: a server request's
+    /// scratch document, an interpreter's one document for its lifetime.
+    pub fn constructing_into(
+        store: SharedStore,
+        sctx: Rc<StaticContext>,
+        construction_doc: DocId,
+    ) -> Self {
         DynamicContext {
             store,
             sctx,

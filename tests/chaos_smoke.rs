@@ -99,6 +99,27 @@ fn cluster_smoke() {
         c.reshard_stats().epoch_bumps
     );
     assert_eq!(metric(&m, "scrub-cycles"), c.integrity_stats().scrub_cycles);
+
+    // sizes, not only outcomes: after thousands of requests each seat
+    // holds its URI-bound documents and nothing else. A leader that ran a
+    // query keeps one emptied construction document for reuse, outside
+    // the document list.
+    let mut spares = 0;
+    for (host, store) in c.seat_stores() {
+        let store = store.borrow();
+        let bound = store.uri_bindings().len();
+        let spare = usize::from(store.has_spare());
+        spares += spare;
+        assert_eq!(
+            store.doc_count(),
+            bound,
+            "{host}: {bound} URI-bound documents, plus {spare} spare construction document"
+        );
+    }
+    assert!(
+        spares > 0,
+        "a leader that rendered keeps its construction document"
+    );
 }
 
 #[test]
