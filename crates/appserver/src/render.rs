@@ -128,6 +128,48 @@ mod tests {
         assert_eq!(years, sorted);
     }
 
+    /// Runs `src` the way `XmlDb` does, binding `$article` when given, and
+    /// returns the rendered page with the number of slots its construction
+    /// document held when the page was rendered.
+    fn render_counting(db: &XmlDb, src: &str, article: Option<&str>) -> (String, usize) {
+        let registry = xqib_xquery::ModuleRegistry::new();
+        let plan = xqib_xquery::plancache::compile_plan(src, &registry, false).unwrap();
+        let (mark, construction) = db.store.borrow_mut().open_scratch();
+        let mut ctx = xqib_xquery::DynamicContext::constructing_into(
+            db.store.clone(),
+            plan.static_context().clone(),
+            construction,
+        );
+        if let Some(id) = article {
+            ctx.bind_global(
+                xqib_dom::QName::local(ARTICLE_VAR),
+                vec![xqib_xdm::Item::string(id)],
+            );
+        }
+        let result = plan.execute(&mut ctx).unwrap();
+        let page = xqib_xquery::runtime::render_sequence(&ctx, &result);
+        drop(ctx);
+        let built = db.store.borrow().doc(construction).len();
+        db.store.borrow_mut().release_scratch(mark);
+        (page, built)
+    }
+
+    /// A page is built once: its construction document ends with exactly
+    /// the slots of the page parsed back, nested constructors and the
+    /// fresh FLWOR bodies adopted rather than copied into their parents.
+    #[test]
+    fn a_page_builds_each_of_its_nodes_once() {
+        let db = db();
+        for (src, article) in [
+            (article_page_prepared().to_string(), Some("j0-v0-i0-a0")),
+            (index_page_query(), None),
+        ] {
+            let (page, built) = render_counting(&db, &src, article);
+            let parsed = xqib_dom::parse_document(&page).unwrap().len();
+            assert_eq!(built, parsed, "{page}");
+        }
+    }
+
     #[test]
     fn index_page_lists_journals() {
         let mut db = db();

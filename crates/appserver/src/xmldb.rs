@@ -466,6 +466,12 @@ impl XmlDb {
     /// outcome — success, error, deadline kill or update. By then the
     /// result is a `String` and applied inserts are copies in their
     /// target documents, so nothing can still point into the region.
+    ///
+    /// The copies a pending update list makes when it is built are the
+    /// only slots a query adds to a stored document, at its arena's tail.
+    /// When the query fails, each stored document is cut back to its
+    /// length from before it, unless a list applied mid-script attached
+    /// some of them (see [`xqib_dom::Document::truncate_detached`]).
     fn run(
         &mut self,
         src: &str,
@@ -478,6 +484,7 @@ impl XmlDb {
             Ok(p) => p,
             Err(e) => return (Err(e), 0),
         };
+        let lens = self.store.borrow().arena_lens();
         let (mark, construction) = self.store.borrow_mut().open_scratch();
         let mut ctx = DynamicContext::constructing_into(
             self.store.clone(),
@@ -499,7 +506,11 @@ impl XmlDb {
         let fuel_used = ctx.fuel_used;
         let rendered = result.map(|r| runtime::render_sequence(&ctx, &r));
         drop(ctx);
-        self.store.borrow_mut().release_scratch(mark);
+        let mut store = self.store.borrow_mut();
+        store.release_scratch(mark);
+        if rendered.is_err() {
+            store.truncate_detached(&lens);
+        }
         (rendered, fuel_used)
     }
 
@@ -926,6 +937,54 @@ mod tests {
         db.query("insert node <i/> into doc('d.xml')/r").unwrap();
         assert_eq!(sizes(&db), (before.0, before.1 + 1), "update");
         assert_eq!(db.serialize("d.xml").unwrap(), "<r><i/></r>");
+    }
+
+    /// A read-only `copy … modify … return` copies into the request's
+    /// construction document: its source document keeps its arena, its
+    /// epoch and its cached image.
+    #[test]
+    fn a_transform_leaves_its_source_as_it_found_it() {
+        let mut db = XmlDb::new();
+        db.load("d.xml", "<r><a><b/><c/></a></r>").unwrap();
+        let image = db.image("d.xml").unwrap();
+        let state = |db: &XmlDb| {
+            let store = db.store.borrow();
+            let doc = store.doc(store.doc_by_uri("d.xml").unwrap());
+            (doc.len(), doc.epoch())
+        };
+        let before = state(&db);
+        for _ in 0..10 {
+            let q = "copy $c := doc('d.xml')/r/a modify delete node $c/b return count($c/*)";
+            assert_eq!(db.query(q).unwrap(), "1");
+        }
+        assert_eq!(state(&db), before);
+        assert!(Rc::ptr_eq(&image, &db.image("d.xml").unwrap()));
+    }
+
+    /// A query that fails after building its pending update list takes
+    /// the copies it made back out of the target, whether it raised an
+    /// error or ran out of its deadline; copies a list applied mid-script
+    /// stay with the nodes they were attached to.
+    #[test]
+    fn a_failed_update_leaves_its_target_as_it_found_it() {
+        let mut db = XmlDb::new();
+        db.load("d.xml", "<r/>").unwrap();
+        let before = sizes(&db);
+        for _ in 0..10 {
+            let q = "(insert node <i><j/><k/></i> into doc('d.xml')/r, error())";
+            assert_eq!(db.query(q).unwrap_err().code, "FOER0000");
+        }
+        assert_eq!(sizes(&db), before, "error");
+        let q = "(insert node <i/> into doc('d.xml')/r, count(for $i in 1 to 100000 return <a/>))";
+        let (killed, _) = db.query_with_deadline(q, Some(500), &[]);
+        assert_eq!(killed.unwrap_err().code, "XQIB0014");
+        assert_eq!(sizes(&db), before, "deadline kill");
+        assert_eq!(db.serialize("d.xml").unwrap(), "<r/>");
+        let q = "{ insert node <i><j/></i> into doc('d.xml')/r; \
+                 (insert node <x/> into doc('d.xml')/r, error()); }";
+        assert_eq!(db.query(q).unwrap_err().code, "FOER0000");
+        assert_eq!(db.serialize("d.xml").unwrap(), "<r><i><j/></i></r>");
+        assert_eq!(db.query("count(doc('d.xml')//*)").unwrap(), "3");
     }
 
     /// Constructed nodes follow every stored document in document order,

@@ -2,7 +2,7 @@
 //! and plan cache buy over the tree-walking AST oracle (the `interpreted`
 //! rows, built with the dev-only `oracle` feature).
 //!
-//! Four groups:
+//! Five groups:
 //!
 //! * `plan_render_route` — the §6.1 server's render route end to end:
 //!   interpreted (compile + oracle walk per request over the server's
@@ -18,6 +18,9 @@
 //! * `plan_governed` — the render route under a governor-style deadline
 //!   budget, interpreted vs cached-compiled: the capacity delta a governed
 //!   server gains from the cache.
+//! * `construct` — constructor-heavy plans: the `/page` body and 5×5 and
+//!   20×20 nested tables. Each row also prints the nodes its construction
+//!   document held when the result was rendered, the nodes built per op.
 
 use std::rc::Rc;
 
@@ -78,23 +81,26 @@ fn store_with(uri: &str, xml: &str) -> SharedStore {
 /// Evaluates `eval` in a context that constructs into a scratch region of
 /// `store` and renders its result, then releases the region, as the server
 /// releases a request's: every arm runs over a store that does not grow.
+/// Returns the rendering and the nodes the construction document held.
 fn in_scratch(
     store: &SharedStore,
     sctx: &Rc<StaticContext>,
     eval: impl FnOnce(&mut DynamicContext) -> XdmResult<Sequence>,
-) -> String {
+) -> (String, usize) {
     let (mark, construction) = store.borrow_mut().open_scratch();
     let mut ctx = DynamicContext::constructing_into(store.clone(), sctx.clone(), construction);
     let out = eval(&mut ctx).unwrap();
     let rendered = render_sequence(&ctx, &out);
     drop(ctx);
+    // the document node aside
+    let built = store.borrow().doc(construction).len() - 1;
     store.borrow_mut().release_scratch(mark);
-    rendered
+    (rendered, built)
 }
 
 /// One interpreter evaluation: compile + execute (what the server did per
 /// request before the cache).
-fn run_interp(src: &str, store: &SharedStore) -> String {
+fn run_interp(src: &str, store: &SharedStore) -> (String, usize) {
     let q = runtime::compile(src).unwrap();
     in_scratch(store, &q.sctx, |ctx| q.execute(ctx))
 }
@@ -102,7 +108,7 @@ fn run_interp(src: &str, store: &SharedStore) -> String {
 /// One `/page` render on the oracle over the server's store, the way a
 /// server answered before the plan cache and the executor: compile and
 /// walk the AST per request, under an optional deadline budget.
-fn oracle_route(server: &AppServer, article: &str, budget: Option<u64>) -> String {
+fn oracle_route(server: &AppServer, article: &str, budget: Option<u64>) -> (String, usize) {
     let q = runtime::compile(render::article_page_prepared()).unwrap();
     in_scratch(&server.db.store, &q.sctx, |ctx| {
         ctx.bind_global(
@@ -118,8 +124,16 @@ fn oracle_route(server: &AppServer, article: &str, budget: Option<u64>) -> Strin
 }
 
 /// One cached-plan evaluation: execute a pre-lowered plan.
-fn run_plan(plan: &xqib_xquery::plan::CompiledPlan, store: &SharedStore) -> String {
+fn run_plan(plan: &xqib_xquery::plan::CompiledPlan, store: &SharedStore) -> (String, usize) {
     in_scratch(store, plan.static_context(), |ctx| plan.execute(ctx))
+}
+
+/// A `rows`×`cols` table of nested direct constructors.
+fn table_query(rows: usize, cols: usize) -> String {
+    format!(
+        "<table>{{for $i in 1 to {rows} return \
+         <tr>{{for $j in 1 to {cols} return <td>{{$i * $j}}</td>}}</tr>}}</table>"
+    )
 }
 
 fn bench(c: &mut Criterion) {
@@ -226,6 +240,40 @@ fn bench(c: &mut Criterion) {
                 assert_eq!(r.status, 200);
             })
         });
+    }
+    group.finish();
+
+    // ----- construction: time and nodes built per op -----------------------
+    let mut group = c.benchmark_group("construct");
+    {
+        let server = AppServer::new(&corpus).expect("server");
+        let store = &server.db.store;
+        let plan = lower(&runtime::compile(render::article_page_prepared()).unwrap());
+        let page = || {
+            in_scratch(store, plan.static_context(), |ctx| {
+                ctx.bind_global(
+                    QName::local(render::ARTICLE_VAR),
+                    vec![Item::string(article)],
+                );
+                plan.execute(ctx)
+            })
+        };
+        group.bench_function("page", |b| b.iter(page));
+        println!(
+            "{:<64} {:>14} nodes built per op",
+            "construct/page",
+            page().1
+        );
+        for (rows, cols) in [(5, 5), (20, 20)] {
+            let plan = lower(&runtime::compile(&table_query(rows, cols)).unwrap());
+            let id = format!("table_{rows}x{cols}");
+            group.bench_function(id.as_str(), |b| b.iter(|| run_plan(&plan, store)));
+            let built = run_plan(&plan, store).1;
+            println!(
+                "{:<64} {built:>14} nodes built per op",
+                format!("construct/{id}")
+            );
+        }
     }
     group.finish();
 }

@@ -19,6 +19,7 @@ use crate::name_index::{NameIndex, NamedDescendants};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::order::{stats, OrderIndex};
 use crate::serialize::serialize_document;
+use crate::spare;
 use crate::walk::{Visit, Walk};
 
 /// Tag bit marking an attribute step in a stable node path; the remaining
@@ -84,6 +85,14 @@ impl Default for Document {
     }
 }
 
+/// A large arena outlives its document, emptied, for the next document
+/// on the thread that needs one as large (see `spare.rs`).
+impl Drop for Document {
+    fn drop(&mut self) {
+        spare::keep(std::mem::take(&mut self.nodes));
+    }
+}
+
 impl Document {
     /// Creates an empty document whose root node is `NodeId(0)`.
     pub fn new() -> Self {
@@ -119,6 +128,30 @@ impl Document {
         self.epoch += 1;
         self.version += 1;
         *self.whole.get_mut() = WholeCaches::default();
+    }
+
+    /// Drops every slot from `len` on when none of them hangs under a slot
+    /// below `len`, and returns whether it did: what takes back the copies
+    /// a failed update made in its target (see `XmlDb`). The dropped
+    /// `NodeId`s are dead afterwards. Like [`Self::clear`], the epoch and
+    /// the version move on so no index or image built before can pass for
+    /// fresh; the subtree hashes of the kept slots stay.
+    pub fn truncate_detached(&mut self, len: usize) -> bool {
+        let tail = self.nodes.get(len..).unwrap_or_default();
+        if tail.is_empty()
+            || tail
+                .iter()
+                .any(|n| n.parent.is_some_and(|p| p.index() < len))
+        {
+            return false;
+        }
+        self.nodes.truncate(len);
+        self.epoch += 1;
+        self.version += 1;
+        if let Some(slots) = &mut self.whole.get_mut().hashes {
+            slots.truncate(len);
+        }
+        true
     }
 
     /// Marks a structural change under `node` — its child or attribute
@@ -352,10 +385,29 @@ impl Document {
 
     // ----- in-place construction (the parser) -----------------------------
 
-    /// Makes room for `additional` more nodes when the allocator grants
-    /// it: a refused estimate leaves the arena to grow as nodes arrive.
+    /// Makes room for `additional` more nodes, in a spare arena when one
+    /// is large enough, else when the allocator grants it: a refused
+    /// estimate leaves the arena to grow as nodes arrive.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        let _ = self.nodes.try_reserve(additional);
+        if !self.move_to_spare(self.nodes.len() + additional) {
+            let _ = self.nodes.try_reserve(additional);
+        }
+    }
+
+    /// Moves the slots into a spare arena with room for `slots` when the
+    /// arena has less, `slots` is large enough for spares to be kept and
+    /// one is (see [`crate::spare`]), and returns whether it did. The old
+    /// arena becomes a spare in turn.
+    fn move_to_spare(&mut self, slots: usize) -> bool {
+        if slots <= self.nodes.capacity() || slots < spare::MIN_SLOTS {
+            return false;
+        }
+        let Some(mut arena) = spare::take(slots) else {
+            return false;
+        };
+        arena.append(&mut self.nodes);
+        spare::keep(std::mem::replace(&mut self.nodes, arena));
+        true
     }
 
     /// Pushes a new node whose parent is `parent`, or detached when
@@ -368,6 +420,10 @@ impl Document {
         self.epoch += 1;
         self.version += 1;
         let id = NodeId(self.nodes.len() as u32);
+        if self.nodes.len() == self.nodes.capacity() {
+            // grow as a `Vec` would, into a spare arena if one is kept
+            self.move_to_spare(2 * self.nodes.len());
+        }
         self.nodes.push(NodeData { parent, kind });
         id
     }
@@ -680,6 +736,27 @@ impl Document {
         self.children_mut(parent)?.push(child);
         self.nodes[child.index()].parent = Some(parent);
         Ok(())
+    }
+
+    /// Appends character data to `parent`'s content: onto its last child
+    /// when that is a text node, else as a new last child; nothing for an
+    /// empty string. What a constructor does with its text, so adjacent
+    /// text merges into one node (XQuery 1.0 §3.7.1.3).
+    pub fn append_text(&mut self, parent: NodeId, text: &str) -> DomResult<()> {
+        if text.is_empty() {
+            return Ok(());
+        }
+        if let Some(&last) = self.children(parent).last() {
+            if self.nodes[last.index()].kind.is_text() {
+                self.touch_content(last, 0);
+                if let NodeKind::Text { value } = &mut self.nodes[last.index()].kind {
+                    value.push_str(text);
+                }
+                return Ok(());
+            }
+        }
+        let t = self.create_text(text);
+        self.append_child(parent, t)
     }
 
     /// Inserts `child` at position `idx` of `parent`'s child list.
@@ -1120,6 +1197,60 @@ mod tests {
         assert_eq!(d.string_value(d.root()), "Hello, World");
         assert_eq!(d.string_value(body), "Hello, World");
         assert_eq!(d.string_value(t1), "Hello, ");
+    }
+
+    /// A large document's arena outlives it on its thread and serves the
+    /// next parse that grows as large; a small one goes back to the
+    /// allocator.
+    #[test]
+    fn a_dropped_arena_serves_the_next_large_parse() {
+        let big = format!("<r>{}</r>", "<a/>".repeat(spare::MIN_SLOTS));
+        let doc = crate::parse_document(&big).unwrap();
+        let arena = doc.nodes.as_ptr();
+        drop(doc);
+        assert!(spare::kept() >= spare::MIN_SLOTS);
+        let again = crate::parse_document(&big).unwrap();
+        assert_eq!(again.nodes.as_ptr(), arena);
+        assert_eq!(spare::kept(), 0);
+        assert_eq!(again.len(), spare::MIN_SLOTS + 2);
+        assert_eq!(
+            again.children(again.children(again.root())[0]).len(),
+            spare::MIN_SLOTS
+        );
+        drop(Document::new());
+        assert_eq!(spare::kept(), 0, "a small arena is not kept");
+    }
+
+    /// Detached slots at the tail go, attached ones stay, and what is left
+    /// answers like a document that never had them.
+    #[test]
+    fn only_a_detached_tail_is_truncated() {
+        let mut d = Document::new();
+        let r = d.create_element(QName::local("r"));
+        d.append_child(d.root(), r).unwrap();
+        d.tree_hash();
+        let len = d.len();
+        let copy = d.create_element(QName::local("i"));
+        let inner = d.create_element(QName::local("j"));
+        d.append_child(copy, inner).unwrap();
+        d.set_attribute(copy, QName::local("k"), "v").unwrap();
+        d.order_index();
+        let epoch = d.epoch();
+        assert!(d.truncate_detached(len));
+        assert_eq!(d.len(), len);
+        assert!(d.epoch() > epoch);
+        assert!(!d.truncate_detached(len), "nothing left to drop");
+        let attached = d.create_element(QName::local("i"));
+        d.append_child(r, attached).unwrap();
+        assert!(!d.truncate_detached(len), "an attached slot stays");
+        assert_eq!(serialize_document(&d), "<r><i/></r>");
+        let mut fresh = Document::new();
+        let fr = fresh.create_element(QName::local("r"));
+        fresh.append_child(fresh.root(), fr).unwrap();
+        let fi = fresh.create_element(QName::local("i"));
+        fresh.append_child(fr, fi).unwrap();
+        assert_eq!(d.tree_hash(), fresh.tree_hash());
+        assert_eq!(d.order_index().pre_order(), fresh.order_index().pre_order());
     }
 
     /// A cleared document answers like a new one: the order, name and

@@ -69,7 +69,7 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
     let containers = nodes_where(doc, |v| !doc.children(v).is_empty());
     let names = ["a", "b", "x", "é"];
     let name = QName::local(names[rng.below(names.len())]);
-    match rng.below(16) {
+    match rng.below(18) {
         0 => {
             let Some(e) = rng.pick(&elements) else {
                 return "none";
@@ -223,6 +223,27 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
             let t = doc.create_text("");
             let _ = doc.append_child(e, t);
             "append_child (empty text)"
+        }
+        15 => {
+            let Some(e) = rng.pick(&elements) else {
+                return "none";
+            };
+            let _ = doc.append_text(e, ["", "t", "&<"][rng.below(3)]);
+            "append_text"
+        }
+        16 => {
+            // a failed update's copies: a tail of new slots, attached or
+            // not, then the cut back to the length before them
+            let len = doc.len();
+            let Some(v) = rng.pick(&children) else {
+                return "none";
+            };
+            let copy = doc.deep_copy(v);
+            if rng.below(2) == 0 {
+                let _ = doc.insert_after(copy, v);
+            }
+            let _ = doc.truncate_detached(len);
+            "truncate_detached"
         }
         _ => {
             let Some(e) = rng.pick(&elements) else {

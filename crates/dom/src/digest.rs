@@ -212,6 +212,12 @@ impl Slots {
         *k as usize
     }
 
+    /// Forgets every node from `len` on: their slots stay unreachable
+    /// until the cache is dropped.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.index.truncate(len);
+    }
+
     /// `n`'s cached hash, if it has a slot and the slot is clean.
     #[cfg(test)]
     pub(crate) fn clean_hash(&self, n: NodeId) -> Option<TreeHash> {

@@ -37,6 +37,7 @@ pub mod node;
 pub mod order;
 pub mod parser;
 pub mod serialize;
+mod spare;
 pub mod store;
 #[cfg(any(test, feature = "testgen"))]
 pub mod testgen;

@@ -111,6 +111,22 @@ impl Store {
         self.docs.iter().map(Document::len).sum()
     }
 
+    /// Every document's arena length, by `DocId`: the marks
+    /// [`Self::truncate_detached`] cuts back to.
+    pub fn arena_lens(&self) -> Vec<usize> {
+        self.docs.iter().map(Document::len).collect()
+    }
+
+    /// Cuts each of the first `lens.len()` documents back to its length in
+    /// `lens` where the slots past it are all detached
+    /// ([`Document::truncate_detached`]): after a failed query, that drops
+    /// the copies it made for a pending update list it never applied.
+    pub fn truncate_detached(&mut self, lens: &[usize]) {
+        for (doc, &len) in self.docs.iter_mut().zip(lens) {
+            doc.truncate_detached(len);
+        }
+    }
+
     /// Whether an emptied construction document waits, outside the
     /// document list, for the next [`Self::open_scratch`].
     #[doc(hidden)]

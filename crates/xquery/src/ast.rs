@@ -151,9 +151,11 @@ pub enum Quantifier {
 pub enum ElemContent<E = Expr> {
     /// literal character data
     Text(String),
-    /// `{ expr }`
+    /// `{ expr }`: its nodes are copied into the element
     Enclosed(E),
-    /// nested constructor or other expression-valued child
+    /// owned content, whose nodes are adopted as they are: a nested
+    /// direct element, comment or PI constructor, or (in a plan) enclosed
+    /// content the lowering proved fresh
     Child(E),
 }
 

@@ -1,10 +1,18 @@
 //! Node constructors: direct element constructors (the paper builds whole
 //! page fragments with them, §6.3) and computed constructors.
 //!
-//! Constructed nodes live in the dynamic context's construction document and
-//! are deep-copied into target documents by the Update Facility on insert.
+//! Constructed nodes live in the dynamic context's construction document.
+//! A constructor's content is either *owned* or *copied*. Owned content —
+//! a nested constructor, or enclosed content the plan lowering proved
+//! fresh (see `plan::fresh`) — is new, parentless and reachable from
+//! nothing else, so its nodes are adopted: attached to the element as
+//! they are. Any other node is deep-copied, which gives the copy the new
+//! identity XQuery 1.0 §3.7.1.3 asks for. Either way the content goes
+//! through [`add_content`], so attribute placement, text joining and the
+//! `XQTY0024`/`XQDY0025` errors do not depend on which it is. The Update
+//! Facility copies inserted nodes into their target documents.
 
-use xqib_dom::{DocId, NodeId, NodeRef, QName};
+use xqib_dom::{DocId, NodeId, NodeKind, NodeRef, QName, Store};
 use xqib_xdm::{atomize, Item, Sequence, XdmError, XdmResult};
 
 use crate::ast::{AttrContent, Computed, ElemContent, NameExpr};
@@ -28,7 +36,7 @@ pub(crate) fn build_computed<E>(
             let elem_ref = NodeRef::new(doc_id, elem);
             if let Some(c) = content {
                 let seq = eval(ctx, c)?;
-                add_content(ctx, elem_ref, &seq)?;
+                add_content(ctx, elem_ref, &seq, false)?;
             }
             elem_ref
         }
@@ -73,7 +81,7 @@ pub(crate) fn build_computed<E>(
                 let doc_id = store.new_document(None);
                 store.root(doc_id)
             };
-            add_content(ctx, root, &seq)?;
+            add_content(ctx, root, &seq, false)?;
             root
         }
     };
@@ -130,7 +138,8 @@ fn resolve_name<E>(
 
 /// Builds a direct element constructor in the construction document and
 /// returns it as a one-item sequence: attribute value templates, text
-/// nodes, content copying and the `XQDY0025`/`XQTY0024` errors.
+/// nodes, content adopted ([`ElemContent::Child`]) or copied
+/// ([`ElemContent::Enclosed`]), and the `XQDY0025`/`XQTY0024` errors.
 pub(crate) fn build_element<E>(
     ctx: &mut DynamicContext,
     name: &QName,
@@ -172,16 +181,14 @@ pub(crate) fn build_element<E>(
     // children
     for child in children {
         match child {
-            ElemContent::Text(t) => {
-                let mut store = ctx.store.borrow_mut();
-                let doc = store.doc_mut(doc_id);
-                let tn = doc.create_text(t.clone());
-                doc.append_child(elem, tn)
-                    .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
-            }
-            ElemContent::Enclosed(e) | ElemContent::Child(e) => {
+            ElemContent::Text(t) => append_text(&mut ctx.store.borrow_mut(), elem_ref, t)?,
+            ElemContent::Enclosed(e) => {
                 let seq = eval(ctx, e)?;
-                add_content(ctx, elem_ref, &seq)?;
+                add_content(ctx, elem_ref, &seq, false)?;
+            }
+            ElemContent::Child(e) => {
+                let seq = eval(ctx, e)?;
+                add_content(ctx, elem_ref, &seq, true)?;
             }
         }
     }
@@ -189,12 +196,16 @@ pub(crate) fn build_element<E>(
 }
 
 /// Content-sequence processing: adjacent atomic values are joined with
-/// spaces into text nodes; nodes are deep-copied; attribute nodes attach to
-/// the element (and must precede other content).
+/// spaces into text, and adjacent text — atomics', a text node's, the
+/// constructor's literal text — merges into one text node; other nodes are
+/// adopted when `owned` (each is new, parentless, in `parent`'s document
+/// and reachable from nothing else) and deep-copied otherwise; attribute
+/// nodes attach to the element (and must precede other content).
 pub(crate) fn add_content(
     ctx: &mut DynamicContext,
     parent: NodeRef,
     seq: &Sequence,
+    owned: bool,
 ) -> XdmResult<()> {
     let mut pending_text: Option<String> = None;
     let mut saw_child = false;
@@ -214,59 +225,75 @@ pub(crate) fn add_content(
                 }
             }
             Item::Node(n) => {
-                let is_attr = {
-                    let store = ctx.store.borrow();
-                    store.doc(n.doc).kind(n.node).is_attribute()
-                };
-                if is_attr {
+                let mut store = ctx.store.borrow_mut();
+                let kind = store.doc(n.doc).kind(n.node);
+                if kind.is_attribute() {
                     if saw_child || pending_text.is_some() {
                         return Err(XdmError::new(
                             "XQTY0024",
                             "attribute nodes must precede other element content",
                         ));
                     }
-                    let mut store = ctx.store.borrow_mut();
-                    let copied = copy_into(&mut store, parent.doc, *n);
+                    let attr = place(&mut store, parent, *n, owned);
                     store
                         .doc_mut(parent.doc)
-                        .put_attribute_node(parent.node, copied)
+                        .put_attribute_node(parent.node, attr)
                         .map_err(|er| XdmError::new("XQDY0025", er.to_string()))?;
-                } else {
-                    flush_text(ctx, parent, &mut pending_text)?;
-                    saw_child = true;
-                    let mut store = ctx.store.borrow_mut();
-                    let copied = copy_into(&mut store, parent.doc, *n);
-                    store
-                        .doc_mut(parent.doc)
-                        .append_child(parent.node, copied)
-                        .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
+                    continue;
+                }
+                saw_child = true;
+                let text = match kind {
+                    NodeKind::Text { value } => Some(value.clone()),
+                    _ => None,
+                };
+                flush_text(&mut store, parent, &mut pending_text)?;
+                match text {
+                    Some(text) => append_text(&mut store, parent, &text)?,
+                    None => {
+                        let child = place(&mut store, parent, *n, owned);
+                        store
+                            .doc_mut(parent.doc)
+                            .append_child(parent.node, child)
+                            .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
+                    }
                 }
             }
         }
     }
-    flush_text(ctx, parent, &mut pending_text)?;
-    Ok(())
+    flush_text(&mut ctx.store.borrow_mut(), parent, &mut pending_text)
 }
 
-fn flush_text(
-    ctx: &mut DynamicContext,
-    parent: NodeRef,
-    pending: &mut Option<String>,
-) -> XdmResult<()> {
-    if let Some(t) = pending.take() {
-        if !t.is_empty() {
-            let mut store = ctx.store.borrow_mut();
-            let doc = store.doc_mut(parent.doc);
-            let tn = doc.create_text(t);
-            doc.append_child(parent.node, tn)
-                .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
-        }
+fn flush_text(store: &mut Store, parent: NodeRef, pending: &mut Option<String>) -> XdmResult<()> {
+    match pending.take() {
+        Some(text) => append_text(store, parent, &text),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// Appends character data to `parent`, merged into a text node that ends
+/// its content already: a text node's value, an atomic's or literal text.
+fn append_text(store: &mut Store, parent: NodeRef, text: &str) -> XdmResult<()> {
+    store
+        .doc_mut(parent.doc)
+        .append_text(parent.node, text)
+        .map_err(|er| XdmError::new("XQTY0024", er.to_string()))
+}
+
+/// The node to attach under `parent` for content node `n`: `n` itself when
+/// it is owned, else a deep copy of it in `parent`'s document.
+fn place(store: &mut Store, parent: NodeRef, n: NodeRef, owned: bool) -> NodeId {
+    if owned {
+        debug_assert!(
+            n.doc == parent.doc && store.parent(n).is_none(),
+            "owned content is new and parentless in its parent's document"
+        );
+        return n.node;
+    }
+    copy_into(store, parent.doc, n)
 }
 
 /// Deep-copies a node (possibly from another document) into `target_doc`.
-pub(crate) fn copy_into(store: &mut xqib_dom::Store, target_doc: DocId, src: NodeRef) -> NodeId {
+pub(crate) fn copy_into(store: &mut Store, target_doc: DocId, src: NodeRef) -> NodeId {
     store.copy_node_between(src, target_doc)
 }
 

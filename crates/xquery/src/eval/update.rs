@@ -198,8 +198,10 @@ pub(crate) fn eval_update<E>(
     }
 }
 
-/// `copy $x := E modify U return R`: `modify` runs against a private
-/// pending update list applied at once to the copies, then `ret` reads them.
+/// `copy $x := E modify U return R`: each copy is made in the construction
+/// document, never in its source's, so a read-only transform leaves the
+/// source document untouched; `modify` runs against a private pending
+/// update list applied at once to the copies, then `ret` reads them.
 pub(crate) fn eval_transform<E>(
     ctx: &mut DynamicContext,
     bindings: &[(QName, E)],
@@ -213,9 +215,9 @@ pub(crate) fn eval_transform<E>(
             let v = eval(ctx, src)?;
             let node = exactly_one_node(&v, "copy binding")?;
             let copied = {
+                let doc = ctx.construction_doc;
                 let mut store = ctx.store.borrow_mut();
-                let c = copy_into(&mut store, node.doc, node);
-                NodeRef::new(node.doc, c)
+                NodeRef::new(doc, copy_into(&mut store, doc, node))
             };
             ctx.bind_var(var.clone(), vec![Item::Node(copied)]);
         }

@@ -427,10 +427,21 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr) -> Plan {
                 .iter()
                 .map(|child| match child {
                     ElemContent::Text(t) => ElemContent::Text(t.clone()),
-                    ElemContent::Enclosed(e) => ElemContent::Enclosed(lower_expr(sctx, e)),
+                    ElemContent::Enclosed(e) => lower_enclosed(sctx, e),
                     ElemContent::Child(e) => ElemContent::Child(lower_expr(sctx, e)),
                 })
                 .collect(),
+        },
+        // a computed element with a static name is a direct constructor
+        // with one enclosed part, so its content is adopted the same way
+        Expr::Computed(Computed::Element {
+            name: NameExpr::Static(name),
+            content,
+        }) => Plan::Element {
+            name: name.clone(),
+            ns_decls: Vec::new(),
+            attrs: Vec::new(),
+            children: content.iter().map(|e| lower_enclosed(sctx, e)).collect(),
         },
         Expr::Block(stmts) => Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s)).collect()),
         Expr::Update(u) => Plan::Update(lower_update(sctx, u)),
@@ -486,6 +497,53 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr) -> Plan {
             selection: lower_ft(sctx, selection),
         },
         Expr::Browser(b) => Plan::Browser(lower_browser(sctx, b)),
+    }
+}
+
+/// An enclosed part of a constructor's content: owned when its plan is
+/// fresh, so the constructor adopts its nodes, copied otherwise.
+fn lower_enclosed(sctx: &StaticContext, e: &Expr) -> ElemContent<Plan> {
+    match lower_expr(sctx, e) {
+        p if fresh(&p) => ElemContent::Child(p),
+        p => ElemContent::Enclosed(p),
+    }
+}
+
+/// Whether every node `p` returns was built by that evaluation and can be
+/// reached from nothing else — no variable, global or function result —
+/// so an enclosing constructor may adopt it instead of copying it. True
+/// for a constructor other than `document { }`, a FLWOR whose `return`
+/// is fresh, an `if` or `typeswitch` whose branches all are, a sequence of
+/// fresh parts, and a plan that returns atomic values only; false for
+/// everything else, a variable reference, path or function call included.
+fn fresh(p: &Plan) -> bool {
+    match p {
+        Plan::Element { .. } => true,
+        Plan::Computed(c) => !matches!(c, Computed::Document(_)),
+        Plan::Flwor { ret, .. } => fresh(ret),
+        Plan::If { then, els, .. } => fresh(then) && fresh(els),
+        Plan::TypeSwitch { cases, default, .. } => {
+            cases.iter().all(|(_, _, body)| fresh(body)) && fresh(default)
+        }
+        Plan::Seq(parts) => parts.iter().all(fresh),
+        Plan::Const(items) => !items.iter().any(Item::is_node),
+        Plan::Range(..)
+        | Plan::Arith(..)
+        | Plan::Neg(_)
+        | Plan::ValueComp(..)
+        | Plan::GeneralComp(..)
+        | Plan::And(..)
+        | Plan::Or(..)
+        | Plan::Exists { .. }
+        | Plan::Count(_)
+        | Plan::Not(_)
+        | Plan::NodeComp(..)
+        | Plan::Quantified { .. }
+        | Plan::InstanceOf(..)
+        | Plan::CastableAs(..)
+        | Plan::CastAs(..)
+        | Plan::FtContains { .. } => true,
+        _ => false,
     }
 }
 
@@ -1589,9 +1647,13 @@ mod tests {
     fn xquery_1_forms_lower_to_mirroring_nodes() {
         let lowers =
             |src: &str, to: fn(&Plan) -> bool| assert!(to(body_plan(&plan_of(src))), "{src}");
-        lowers("element a {1}", |p| {
+        lowers("element {'a'} {1}", |p| {
             matches!(p, Plan::Computed(Computed::Element { .. }))
         });
+        lowers(
+            "element a {<b/>}",
+            |p| matches!(p, Plan::Element { children, .. } if matches!(children[..], [ElemContent::Child(_)])),
+        );
         lowers("(//a) intersect (//b)", |p| {
             matches!(p, Plan::SetOp(SetOp::Intersect, ..))
         });
@@ -1647,9 +1709,54 @@ mod tests {
             matches!(&pp.steps[..], [PlanStep::Axis(ax)] if ax.axis == Axis::Descendant),
             "`//item` fuses to one descendant step"
         );
-        assert!(matches!(
-            children[1],
-            ElemContent::Enclosed(Plan::Computed(Computed::Element { .. }))
-        ));
+        assert!(
+            matches!(children[1], ElemContent::Child(Plan::Element { .. })),
+            "a computed element is fresh content, owned by its parent, and \
+             with a static name lowers like a direct one"
+        );
+    }
+
+    /// Enclosed content the analysis proves fresh lowers to owned content;
+    /// anything a variable, path or call could also reach stays copied.
+    #[test]
+    fn only_fresh_enclosed_content_is_owned() {
+        let owned = |content: &str| {
+            let p = plan_of(&format!("let $c := <c/> return <a>{{{content}}}</a>"));
+            let Plan::Flwor { ret, .. } = body_plan(&p) else {
+                panic!("expected a FLWOR");
+            };
+            let Plan::Element { children, .. } = &**ret else {
+                panic!("expected an element plan");
+            };
+            matches!(children[..], [ElemContent::Child(_)])
+        };
+        for fresh in [
+            "<b/>",
+            "element b {}",
+            "text {1}",
+            "comment {'x'}",
+            "attribute b {1}",
+            "(<b/>, 1 + 1, <d/>)",
+            "for $i in 1 to 3 order by -$i return <b>{$i}</b>",
+            "let $x := $c return <b>{$x}</b>",
+            "if ($c) then <b/> else 'none'",
+            "typeswitch ($c) case element() return <b/> default return ()",
+            "count($c)",
+        ] {
+            assert!(owned(fresh), "`{fresh}` is fresh");
+        }
+        for shared in [
+            "$c",
+            "($c, <b/>)",
+            "$c/self::c",
+            "for $i in 1 to 3 return $c",
+            "if (1) then $c else <b/>",
+            "typeswitch ($c) case $e as element() return $e default return <b/>",
+            "document { <b/> }",
+            "fn:root($c)",
+            "copy $d := $c modify () return $d",
+        ] {
+            assert!(!owned(shared), "`{shared}` is not fresh");
+        }
     }
 }

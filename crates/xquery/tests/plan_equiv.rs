@@ -134,7 +134,7 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             _ => gen_path(rng),
         };
     }
-    match rng.below(23) {
+    match rng.below(24) {
         0 => format!(
             "{} {} {}",
             gen_expr(rng, depth - 1),
@@ -282,8 +282,60 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             gen_ft_selection(rng, 2)
         ),
         21 => gen_named(rng, true),
+        22 => gen_identity(rng, depth - 1, false),
         _ => format!("sum(({}))", gen_expr(rng, depth - 1)),
     }
+}
+
+/// The prolog [`gen_identity`]'s `global` shapes run under: a global bound
+/// to a constructed element, and a function that returns it.
+const IDENTITY_PROLOG: &str = "declare variable $g := <g><h/>{1}</g>;\n\
+                               declare function local:g() { $g };\n";
+
+/// Constructor shapes whose answer turns on node identity, where an
+/// enclosing constructor must copy what something else can still reach
+/// and may adopt what only it can: a `let`-bound constructor used twice
+/// and read through `..`, `is` and `root()`; an `order by` FLWOR, an
+/// `if`/`else` and a `typeswitch` returning constructors; a function
+/// returning a global-bound constructor (with `global`, under
+/// [`IDENTITY_PROLOG`]); and `copy`/`modify` of a constructed node.
+fn gen_identity(rng: &mut Rng, depth: u64, global: bool) -> String {
+    let ctor = gen_ctor(rng, depth);
+    let reads = "count($c/..), root($c) is $c, $c is $c, count(root($c)//*)";
+    let shape = match rng.below(if global { 6 } else { 5 }) {
+        0 => format!(
+            "let $c := {ctor} return (<w>{{$c}}{{$c}}</w>, \
+             (<v>{{$c, $c}}</v>)/*[2] is $c, {reads})"
+        ),
+        1 => format!(
+            "let $w := <w>{{for $i in {} to {} order by $i descending \
+             return <i n=\"{{$i}}\">{ctor}</i>}}</w> \
+             return ($w, count($w/*/..), for $c in $w/*/* return ({reads}))",
+            rng.below(3),
+            rng.below(4)
+        ),
+        2 => format!(
+            "let $w := <w>{{if ({}) then {ctor} else ({}, 'none')}}</w> \
+             return ($w, $w/*[1]/.. is $w, root($w/node()[1]) is $w)",
+            gen_expr(rng, 1),
+            gen_ctor(rng, depth)
+        ),
+        3 => format!(
+            "let $w := <w>{{typeswitch ({}) case $n as node() return ({ctor}, $n) \
+             default return <d/>}}</w> \
+             return ($w, for $c in $w/* return ({reads}))",
+            gen_expr(rng, 1)
+        ),
+        4 => format!(
+            "let $s := {ctor} return copy $c := $s modify insert node <z/> into $c \
+             return (<w>{{$c}}</w>, {reads}, $c is $s, count($s/*), count($s/..))"
+        ),
+        _ => format!(
+            "let $c := local:g() return (<w>{{local:g()}}{{$c/h}}</w>, {reads}, \
+             local:g() is $g, count($g/..), (<w>{{$g}}</w>)/g is $g)"
+        ),
+    };
+    format!("({shape})")
 }
 
 /// A named descendant step — `//t`, `descendant::t` or
@@ -757,6 +809,21 @@ proptest! {
         prop_assert_eq!(&idoc, &cdoc, "document divergence on `{}`", q);
     }
 
+    /// Constructed identity: where the plan tier adopts content the
+    /// lowering proved fresh and copies the rest, every answer that turns
+    /// on node identity is the oracle's, which copies all enclosed
+    /// content.
+    #[test]
+    fn constructed_identity_matches_interpreter(seed in any::<u64>()) {
+        let mut rng = Rng(seed ^ env_seed().wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let xml = gen_doc(&mut rng);
+        let q = format!("{IDENTITY_PROLOG}{}", gen_identity(&mut rng, 2, true));
+        let (ir, idoc) = run(&q, &xml, None, false);
+        let (cr, cdoc) = run(&q, &xml, None, true);
+        prop_assert_eq!(&ir, &cr, "result divergence on `{}` over {}", q, xml);
+        prop_assert_eq!(&idoc, &cdoc, "document divergence on `{}`", q);
+    }
+
     /// Updating statements: the applied pending-update list leaves both
     /// stores serializing identically.
     #[test]
@@ -954,6 +1021,36 @@ fn generated_queries_reach_every_lowered_construct_and_agree() {
     for (n, form) in ran.iter().zip(forms) {
         assert!(*n > 0, "no generated query with `{form}` ran: {ran:?}");
     }
+}
+
+/// Every identity shape [`gen_identity`] draws runs to a result on some
+/// query of a fixed sweep, and the tiers agree on all of them: the
+/// comparison covers real adoptions and copies, not matching errors.
+#[test]
+fn identity_shapes_run_and_agree() {
+    let shapes = [
+        "{$c}{$c}",
+        "order by",
+        "then",
+        "typeswitch",
+        "copy $c",
+        "local:g()",
+    ];
+    let mut ran = [0u32; 6];
+    let mut rng = Rng(env_seed() ^ 0x1D);
+    for _ in 0..600 {
+        let xml = gen_doc(&mut rng);
+        let body = gen_identity(&mut rng, 2, true);
+        let q = format!("{IDENTITY_PROLOG}{body}");
+        let oracle = run(&q, &xml, None, false);
+        assert_eq!(run(&q, &xml, None, true), oracle, "`{q}` over {xml}");
+        if oracle.0.is_ok() {
+            for (n, shape) in ran.iter_mut().zip(shapes) {
+                *n += body.contains(shape) as u32;
+            }
+        }
+    }
+    assert!(ran.iter().all(|&n| n > 0), "a shape never ran: {ran:?}");
 }
 
 /// A range longer than the implementation limit raises `XPDY0130` on both
