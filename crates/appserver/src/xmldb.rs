@@ -906,6 +906,64 @@ mod tests {
         );
     }
 
+    /// An ack's apply work does not grow with its target either: the
+    /// leader's apply and a follower's frame apply of the 10,000th item
+    /// appended to a cart read as many child kinds and copy as many node
+    /// ids into the undo log (`xqib_xquery::pul::work`) as the 100th's,
+    /// and the follower ends with the leader's cart. A delete still
+    /// copies the list it shortens.
+    #[test]
+    fn ack_apply_work_is_flat_as_a_cart_grows() {
+        use xqib_xquery::pul::work;
+        let cfg = DurabilityConfig {
+            group_commit: 1,
+            checkpoint_threshold: 0,
+        };
+        let mut leader = XmlDb::durable(VirtualDisk::new(), cfg);
+        let mut follower = XmlDb::durable(VirtualDisk::new(), cfg);
+        let add = "declare variable $id external; \
+                   insert node <item id=\"{$id}\"/> into doc(\"cart.xml\")/*";
+        leader.load("cart.xml", "<cart/>").unwrap();
+        let ship = |leader: &XmlDb, follower: &mut XmlDb| {
+            let before = work();
+            for f in leader
+                .committed_frames_after(follower.appended_seq())
+                .unwrap()
+            {
+                assert!(follower.accept_frame(f.seq, &f.record, &f.bytes));
+            }
+            work() - before
+        };
+        let mut costs = Vec::new();
+        for i in 1..=10_000 {
+            let before = work();
+            let id = Item::string(format!("{i:05}"));
+            leader
+                .query_with_deadline(add, None, &[("id", id)])
+                .0
+                .unwrap();
+            let apply = work() - before;
+            let frame_apply = ship(&leader, &mut follower);
+            if i == 100 || i == 10_000 {
+                costs.push((apply, frame_apply));
+            }
+        }
+        assert_eq!(
+            costs[0], costs[1],
+            "(leader apply, follower frame apply) at 100 and 10,000 items"
+        );
+        let before = work();
+        leader
+            .query("delete node doc('cart.xml')/*/item[1]")
+            .unwrap();
+        assert!(
+            work() - before >= 10_000,
+            "the delete's undo copies the list"
+        );
+        ship(&leader, &mut follower);
+        assert_eq!(follower.serialize("cart.xml"), leader.serialize("cart.xml"));
+    }
+
     /// Documents and arena slots in the store.
     fn sizes(db: &XmlDb) -> (usize, usize) {
         let store = db.store.borrow();
@@ -1322,7 +1380,7 @@ mod tests {
         db.load("d.xml", "<r/>").unwrap();
         db.checkpoint().unwrap();
         drop(db);
-        // forge a checkpoint whose CRC is intact but whose document body is
+        // forge a checkpoint whose checksum is intact but whose document body is
         // not XML: read_latest accepts it, the parse must fail *typed*
         let forged = Checkpoint {
             gen: 2,

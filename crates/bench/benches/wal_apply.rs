@@ -8,10 +8,12 @@
 //!   back into a fresh store, i.e. restart latency per journaled op.
 //!
 //! Plus the byte kernels under shipping and checkpointing, each over one
-//! 300 KB document body (`kernels_300k/*`): `crc32`, `content_digest` (the
-//! at-rest digest of a checkpoint entry), `fnv1a` (the byte-serial hash
-//! it replaced, for the ratio) and `slot_verify`
-//! (`Checkpoint::slot_verdicts` over a slot holding the body).
+//! 300 KB document body (`kernels_300k/*`): `crc32` (the WAL frame
+//! checksum), `content_digest` (the lane kernel, which checks a
+//! checkpoint slot as `lane_checksum`), `utf8` (the slot's other pass
+//! over its bytes), `fnv1a` (the byte-serial hash the lane kernel
+//! replaced, for the ratio) and `slot_verify` (`Checkpoint::slot_verdicts`
+//! over a slot holding the body: the lane checksum, then UTF-8).
 //!
 //! And the subtree digests behind every seal, frame check and scrub
 //! (`tree_digest/*`): `full_300k` hashes the 300 KB body's tree with a
@@ -118,6 +120,9 @@ fn bench(c: &mut Criterion) {
         &(),
         |b, _| b.iter(|| content_digest("db.xml", &body)),
     );
+    group.bench_with_input(BenchmarkId::new("kernels_300k", "utf8"), &(), |b, _| {
+        b.iter(|| std::str::from_utf8(std::hint::black_box(body.as_bytes())).is_ok());
+    });
     group.bench_with_input(BenchmarkId::new("kernels_300k", "fnv1a"), &(), |b, _| {
         b.iter(|| fnv1a(body.as_bytes()));
     });

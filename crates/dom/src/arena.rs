@@ -50,6 +50,9 @@ pub struct Document {
     /// The caches of whole-document reads, in one cell so a document is no
     /// bigger for holding both.
     whole: RefCell<WholeCaches>,
+    /// Whether no node here has two adjacent text children (see
+    /// [`Self::texts_apart`]).
+    texts_apart: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -110,6 +113,7 @@ impl Document {
             attr_index: RefCell::new(AttrIndex::default()),
             name_index: RefCell::new(NameIndex::default()),
             whole: RefCell::new(WholeCaches::default()),
+            texts_apart: true,
         }
     }
 
@@ -128,6 +132,7 @@ impl Document {
         self.epoch += 1;
         self.version += 1;
         *self.whole.get_mut() = WholeCaches::default();
+        self.texts_apart = true;
     }
 
     /// Drops every slot from `len` on when none of them hangs under a slot
@@ -135,7 +140,8 @@ impl Document {
     /// a failed update made in its target (see `XmlDb`). The dropped
     /// `NodeId`s are dead afterwards. Like [`Self::clear`], the epoch and
     /// the version move on so no index or image built before can pass for
-    /// fresh; the subtree hashes of the kept slots stay.
+    /// fresh; the subtree hashes of the kept slots stay. No kept child
+    /// list held a dropped slot, so [`Self::texts_apart`] stays too.
     pub fn truncate_detached(&mut self, len: usize) -> bool {
         let tail = self.nodes.get(len..).unwrap_or_default();
         if tail.is_empty()
@@ -198,6 +204,65 @@ impl Document {
     #[cfg(test)]
     pub(crate) fn cached_hash(&self, n: NodeId) -> Option<TreeHash> {
         self.whole.borrow().hashes.as_ref()?.clean_hash(n)
+    }
+
+    /// Whether no element or document node here, attached or not, has two
+    /// adjacent text children: then an update's text coalescing has
+    /// nothing to merge (see `xqib_xquery::pul`). A new or cleared
+    /// document starts it true, and parsing and copying keep it exact
+    /// (the list setter reads its children's kinds). A write that puts a
+    /// text node beside a text node, or removes the node between two,
+    /// makes it false at the cost of two kind reads; nothing but
+    /// [`Self::clear`] and [`Self::mark_texts_apart`] makes it true again,
+    /// so `true` is a promise and `false` only a doubt.
+    #[inline]
+    pub fn texts_apart(&self) -> bool {
+        self.texts_apart
+    }
+
+    /// Makes [`Self::texts_apart`] true again, for a caller that knows it
+    /// holds: it held before a batch of writes, and every child list those
+    /// writes could have joined text in has been coalesced since. Debug
+    /// builds check the claim on documents of up to 4,096 slots.
+    pub fn mark_texts_apart(&mut self) {
+        debug_assert!(
+            self.nodes.len() > 4096 || self.count_adjacent_text() == 0,
+            "texts_apart marked on a document with adjacent text"
+        );
+        self.texts_apart = true;
+    }
+
+    /// The pairs of adjacent text children over every child list, attached
+    /// or not: the recount [`Self::texts_apart`] promises is zero.
+    pub fn count_adjacent_text(&self) -> usize {
+        (0..self.nodes.len())
+            .map(|i| self.adjacent_text_pairs(self.children(NodeId(i as u32))))
+            .sum()
+    }
+
+    #[inline]
+    fn is_text(&self, id: NodeId) -> bool {
+        self.nodes[id.index()].kind.is_text()
+    }
+
+    #[inline]
+    fn text_at(&self, id: Option<NodeId>) -> bool {
+        id.is_some_and(|id| self.is_text(id))
+    }
+
+    fn adjacent_text_pairs(&self, list: &[NodeId]) -> usize {
+        list.windows(2)
+            .filter(|w| self.is_text(w[0]) && self.is_text(w[1]))
+            .count()
+    }
+
+    /// Clears [`Self::texts_apart`] when a child-list write `joined` text
+    /// to text.
+    #[inline]
+    fn note_join(&mut self, joined: bool) {
+        if joined {
+            self.texts_apart = false;
+        }
     }
 
     /// Current mutation epoch (monotonically increasing).
@@ -430,7 +495,9 @@ impl Document {
 
     /// Sets the child list of a document or element node whose children
     /// were pushed with it as their parent. The node is new, so dirty.
+    /// Reads each child's kind, for [`Self::texts_apart`].
     pub(crate) fn set_children(&mut self, parent: NodeId, list: Vec<NodeId>) {
+        self.note_join(self.texts_apart && self.adjacent_text_pairs(&list) > 0);
         match &mut self.nodes[parent.index()].kind {
             NodeKind::Document { children } | NodeKind::Element { children, .. } => {
                 *children = list
@@ -731,10 +798,12 @@ impl Document {
     /// Appends `child` as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> DomResult<()> {
         self.check_insertable_child(parent, child)?;
-        let keep = self.children(parent).len();
+        let kids = self.children(parent);
+        let (last, keep) = (kids.last().copied(), kids.len());
         self.touch(parent, keep);
         self.children_mut(parent)?.push(child);
         self.nodes[child.index()].parent = Some(parent);
+        self.note_join(self.is_text(child) && self.text_at(last));
         Ok(())
     }
 
@@ -770,8 +839,30 @@ impl Document {
             )));
         }
         kids.insert(idx, child);
+        let (before, after) = (
+            idx.checked_sub(1).map(|i| kids[i]),
+            kids.get(idx + 1).copied(),
+        );
         self.nodes[child.index()].parent = Some(parent);
         self.touch(parent, idx);
+        self.note_join(self.is_text(child) && (self.text_at(before) || self.text_at(after)));
+        Ok(())
+    }
+
+    /// Cuts `parent`'s child list back to its first `len` children and
+    /// detaches the rest: the inverse of appends to a list that had
+    /// `len` children (undo-log rollback). Cutting a tail joins no
+    /// siblings. Nothing to do for a node without children.
+    pub fn truncate_children(&mut self, parent: NodeId, len: usize) -> DomResult<()> {
+        self.check_exists(parent)?;
+        if self.children(parent).len() <= len {
+            return Ok(());
+        }
+        self.touch(parent, len);
+        let cut = self.children_mut(parent)?.split_off(len);
+        for c in cut {
+            self.nodes[c.index()].parent = None;
+        }
         Ok(())
     }
 
@@ -1072,6 +1163,7 @@ impl Document {
             self.nodes[c.index()].parent = Some(parent);
         }
         *self.children_mut(parent)? = snapshot.to_vec();
+        self.note_join(self.adjacent_text_pairs(snapshot) > 0);
         Ok(())
     }
 
@@ -1126,17 +1218,16 @@ impl Document {
             NodeKind::Element { children, .. } | NodeKind::Document { children } => children,
             _ => return 0,
         };
-        match list.iter().position(|&c| c == node) {
-            Some(at) => {
-                list.remove(at);
-                if is_attr {
-                    0
-                } else {
-                    at
-                }
-            }
-            None => 0,
+        let Some(at) = list.iter().position(|&c| c == node) else {
+            return 0;
+        };
+        list.remove(at);
+        if is_attr {
+            return 0;
         }
+        let (before, after) = (at.checked_sub(1).map(|i| list[i]), list.get(at).copied());
+        self.note_join(self.text_at(before) && self.text_at(after));
+        at
     }
 
     /// Merges adjacent text children of `parent` and drops empty text nodes,
@@ -1295,6 +1386,39 @@ mod tests {
         let mut fresh = Document::new();
         fill(&mut fresh, &["b", "a", "a"]);
         assert_eq!(answers(&d), answers(&fresh));
+    }
+
+    #[test]
+    fn texts_apart_follows_parses_and_writes() {
+        let joined = crate::parse_document("<a>x<![CDATA[y]]></a>").unwrap();
+        assert!(!joined.texts_apart(), "text beside a CDATA section");
+        let mut d = crate::parse_document("<a>x<b/>y<c/></a>").unwrap();
+        assert!(d.texts_apart());
+        let a = d.children(d.root())[0];
+        let [_, b, _, c] = d.children(a).try_into().unwrap();
+        d.detach(c).unwrap();
+        assert!(d.texts_apart(), "a detach at the end joins nothing");
+        d.detach(b).unwrap();
+        assert!(!d.texts_apart(), "the detach joined x and y");
+        assert_eq!(d.count_adjacent_text(), 1);
+        d.clear();
+        assert!(d.texts_apart());
+    }
+
+    #[test]
+    fn truncate_children_detaches_the_tail() {
+        let (mut d, root) = doc_with_root();
+        let kids: Vec<NodeId> = (0..3).map(|_| d.create_text("t")).collect();
+        for &k in &kids {
+            d.append_child(root, k).unwrap();
+        }
+        assert!(!d.texts_apart());
+        d.truncate_children(root, 1).unwrap();
+        assert_eq!(d.children(root), &kids[..1]);
+        assert!(kids[1..].iter().all(|&k| d.parent(k).is_none()));
+        d.truncate_children(root, 5).unwrap();
+        assert_eq!(d.children(root), &kids[..1], "a longer length cuts nothing");
+        d.truncate_children(kids[0], 0).unwrap();
     }
 
     #[test]

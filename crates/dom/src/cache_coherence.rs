@@ -9,7 +9,10 @@
 //! over [`random_document`] trees, drawing from every public `&mut self`
 //! method, and after every step checks each cache against its oracle while
 //! the caches are warm from the step before — so a writer that forgets to
-//! bump or to mark serves a stale answer and fails here.
+//! bump or to mark serves a stale answer and fails here. The same steps
+//! check the [`Document::texts_apart`] flag against a recount of adjacent
+//! text children: a writer that joins two text nodes without clearing it
+//! would let an update skip a merge it owes.
 
 use proptest::prelude::*;
 
@@ -69,7 +72,7 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
     let containers = nodes_where(doc, |v| !doc.children(v).is_empty());
     let names = ["a", "b", "x", "é"];
     let name = QName::local(names[rng.below(names.len())]);
-    match rng.below(18) {
+    match rng.below(20) {
         0 => {
             let Some(e) = rng.pick(&elements) else {
                 return "none";
@@ -184,7 +187,26 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
             "deep_copy + insert_after"
         }
         11 => {
-            let Some(v) = rng.pick(&children) else {
+            // half the time a node between two text nodes, which the
+            // detach joins
+            let between = nodes_where(doc, |v| {
+                let Some(p) = doc.parent(v) else {
+                    return false;
+                };
+                let kids = doc.children(p);
+                let at = kids.iter().position(|&k| k == v);
+                let text = |i: Option<usize>| {
+                    i.and_then(|i| kids.get(i))
+                        .is_some_and(|&k| doc.kind(k).is_text())
+                };
+                at.is_some_and(|at| text(at.checked_sub(1)) && text(Some(at + 1)))
+            });
+            let targets = if between.is_empty() || rng.below(2) == 0 {
+                children
+            } else {
+                between
+            };
+            let Some(v) = rng.pick(&targets) else {
                 return "none";
             };
             let _ = doc.detach(v);
@@ -245,6 +267,24 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
             let _ = doc.truncate_detached(len);
             "truncate_detached"
         }
+        17 => {
+            let Some(p) = rng.pick(&containers) else {
+                return "none";
+            };
+            let len = rng.below(doc.children(p).len());
+            let _ = doc.truncate_children(p, len);
+            "truncate_children"
+        }
+        18 => {
+            // a text node at any place in a list, beside text or not
+            let Some(p) = rng.pick(&containers) else {
+                return "none";
+            };
+            let at = rng.below(doc.children(p).len() + 1);
+            let t = doc.create_text("i");
+            let _ = doc.insert_child_at(p, at, t);
+            "insert_child_at (text)"
+        }
         _ => {
             let Some(e) = rng.pick(&elements) else {
                 return "none";
@@ -258,6 +298,11 @@ fn mutate(doc: &mut Document, rng: &mut Rng) -> &'static str {
 /// Every cache answers like its oracle. Probes each name twice, so the
 /// name index is built at this version and stays warm for the next step.
 fn check_caches(doc: &Document, step: &str) {
+    prop_assert!(
+        !doc.texts_apart() || doc.count_adjacent_text() == 0,
+        "texts_apart promised after {} over adjacent text",
+        step
+    );
     let image = doc.image(URI, digest);
     let body = serialize_document(doc);
     prop_assert_eq!(&image.body, &body, "stale image after {}", step);
@@ -311,11 +356,24 @@ proptest! {
     fn every_mutator_invalidates_every_cache(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let mut doc = random_document(rng.next());
+        // built by appends, the flag is exact: false only over adjacent text
+        prop_assert_eq!(doc.texts_apart(), doc.count_adjacent_text() == 0);
+        if rng.below(2) == 0 {
+            // start most steps from a promise, for a writer to break
+            for v in nodes_where(&doc, |v| !doc.children(v).is_empty()) {
+                doc.merge_adjacent_text(v).unwrap();
+            }
+            doc.mark_texts_apart();
+        }
         // the first check fills the subtree hashes, so every step is marked
         check_caches(&doc, "build");
         for _ in 0..16 {
             let step = mutate(&mut doc, &mut rng);
             check_caches(&doc, step);
+            // renew a lapsed promise, so the next writer is checked too
+            if doc.count_adjacent_text() == 0 {
+                doc.mark_texts_apart();
+            }
         }
     }
 }

@@ -5,30 +5,32 @@
 //! written alternately by generation parity, so a crash mid-write can
 //! only destroy the slot being replaced — the previous generation stays
 //! intact in the other slot. [`Checkpoint::read_latest`] picks the valid
-//! slot with the highest generation, verifying magic and CRC.
+//! slot with the highest generation.
 //!
-//! Slot layout (little-endian):
+//! Slot layout, format `XQCKPT4` (little-endian):
 //!
 //! ```text
-//! ┌───────────────┬─────────┬─────────┬─────────┬───────────┬────────────────────────────┐
-//! │ magic 8 bytes │ crc u32 │ gen u64 │ seq u64 │ count u32 │ count × (uri, xml, digest) │
-//! └───────────────┴─────────┴─────────┴─────────┴───────────┴────────────────────────────┘
+//! ┌───────────────┬──────────────┬─────────┬─────────┬───────────┬──────────────────────┐
+//! │ magic 8 bytes │ checksum u64 │ gen u64 │ seq u64 │ count u32 │ count × (uri, xml)   │
+//! └───────────────┴──────────────┴─────────┴─────────┴───────────┴──────────────────────┘
 //! ```
 //!
-//! Strings are u32-length-prefixed UTF-8; `crc` covers everything after
-//! itself. Each document entry carries its [`content_digest`] (format v3:
-//! the word-at-a-time digest; v2 slots carried the FNV-1a one), an at-rest
-//! check of the entry's bytes independent of the slot CRC: one verify
-//! routine checks the CRC, every entry's UTF-8 and its recomputed digest
-//! over the slot bytes in place, and refuses the slot on any mismatch.
+//! Strings are u32-length-prefixed UTF-8; `checksum` is the
+//! [`lane_checksum`] of everything after itself. Each byte of a slot is
+//! checked once, by that one kernel: any change within one 8-byte word
+//! always changes it. One verify routine checks the magic, the checksum,
+//! every length and every entry's UTF-8 over the slot bytes in place,
+//! and refuses the slot on any mismatch.
 //! [`Checkpoint::decode`] runs it before it builds the documents;
 //! [`Checkpoint::slot_verdicts`] runs it alone, for the scrubber.
 
-use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
-use crate::{content_digest, IntegrityError};
+use crate::{lane_checksum, IntegrityError};
 
-const MAGIC: &[u8; 8] = b"XQCKPT3\0";
+const MAGIC: &[u8; 8] = b"XQCKPT4\0";
+
+/// Magic plus checksum: the bytes before the checked body.
+const HEADER: usize = 16;
 
 /// The two alternating snapshot slots.
 pub const CKPT_SLOTS: [&str; 2] = ["ckpt.0", "ckpt.1"];
@@ -46,30 +48,34 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Encodes this snapshot into the self-checking slot format (magic +
-    /// CRC + body). Also the unit of snapshot shipping: a replica that has
-    /// fallen off the leader's WAL receives these bytes and installs them
-    /// as its own checkpoint.
+    /// checksum + body). Also the unit of snapshot shipping: a replica
+    /// that has fallen off the leader's WAL receives these bytes and
+    /// installs them as its own checkpoint.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.gen.to_le_bytes());
-        body.extend_from_slice(&self.seq.to_le_bytes());
-        body.extend_from_slice(&(self.docs.len() as u32).to_le_bytes());
-        for (uri, xml) in &self.docs {
-            body.extend_from_slice(&(uri.len() as u32).to_le_bytes());
-            body.extend_from_slice(uri.as_bytes());
-            body.extend_from_slice(&(xml.len() as u32).to_le_bytes());
-            body.extend_from_slice(xml.as_bytes());
-            body.extend_from_slice(&content_digest(uri, xml).to_le_bytes());
-        }
-        let mut out = Vec::with_capacity(12 + body.len());
+        let len = self
+            .docs
+            .iter()
+            .map(|(u, x)| 8 + u.len() + x.len())
+            .sum::<usize>();
+        let mut out = Vec::with_capacity(HEADER + 20 + len);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&[0; 8]); // the checksum, once the body is in
+        out.extend_from_slice(&self.gen.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(self.docs.len() as u32).to_le_bytes());
+        for (uri, xml) in &self.docs {
+            out.extend_from_slice(&(uri.len() as u32).to_le_bytes());
+            out.extend_from_slice(uri.as_bytes());
+            out.extend_from_slice(&(xml.len() as u32).to_le_bytes());
+            out.extend_from_slice(xml.as_bytes());
+        }
+        let checksum = lane_checksum(&out[HEADER..]);
+        out[8..HEADER].copy_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Decodes a snapshot, verifying magic, CRC and every document's
-    /// digest first. `None` means the bytes are torn, corrupt or not a
+    /// Decodes a snapshot, verifying magic, checksum, lengths and UTF-8
+    /// first. `None` means the bytes are torn, corrupt or not a
     /// checkpoint — never a panic.
     pub fn decode(data: &[u8]) -> Option<Checkpoint> {
         let v = verify(data)?;
@@ -154,16 +160,15 @@ struct Verified<'a> {
     docs: Vec<(&'a str, &'a str)>,
 }
 
-/// The one slot check: magic, CRC, every length in bounds, every entry
-/// valid UTF-8 whose recomputed digest equals the recorded one, and no
-/// trailing bytes. Reads the image in place.
+/// The one slot check: magic, checksum, every length in bounds, every
+/// entry valid UTF-8, and no trailing bytes. Reads the image in place.
 fn verify(data: &[u8]) -> Option<Verified<'_>> {
-    if data.len() < 12 || &data[..8] != MAGIC {
+    if data.len() < HEADER || &data[..8] != MAGIC {
         return None;
     }
-    let crc = u32::from_le_bytes(data[8..12].try_into().ok()?);
-    let body = &data[12..];
-    if crc32(body) != crc {
+    let checksum = u64::from_le_bytes(data[8..HEADER].try_into().ok()?);
+    let body = &data[HEADER..];
+    if lane_checksum(body) != checksum {
         return None;
     }
     let mut pos = 0usize;
@@ -181,10 +186,6 @@ fn verify(data: &[u8]) -> Option<Verified<'_>> {
         let uri = std::str::from_utf8(take(ulen)?).ok()?;
         let xlen = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
         let xml = std::str::from_utf8(take(xlen)?).ok()?;
-        let recorded = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        if recorded != content_digest(uri, xml) {
-            return None; // end-to-end digest disagrees with the body
-        }
         docs.push((uri, xml));
     }
     (pos == body.len()).then_some(Verified { gen, seq, docs })
@@ -203,6 +204,14 @@ mod tests {
                 .map(|(u, x)| (u.to_string(), x.to_string()))
                 .collect(),
         }
+    }
+
+    /// A slot image of `body` with the right magic and checksum.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&lane_checksum(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
     }
 
     #[test]
@@ -268,8 +277,8 @@ mod tests {
         let cases: Vec<Vec<u8>> = vec![
             vec![],
             b"XQ".to_vec(),
-            b"XQCKPT3\0".to_vec(),
-            b"XQCKPT3\0\x01\x02\x03".to_vec(),
+            b"XQCKPT4\0".to_vec(),
+            b"XQCKPT4\0\x01\x02\x03".to_vec(),
             b"NOTMAGIC________________".to_vec(),
             {
                 // valid frame truncated mid-body
@@ -277,19 +286,30 @@ mod tests {
                 full[..full.len() - 3].to_vec()
             },
             {
-                // CRC fixed up over a body whose doc length points past
-                // the end: decode must refuse the lengths, not overread
+                // checksum fixed up over a body whose doc length points
+                // past the end: decode must refuse the lengths, not
+                // overread
                 let mut body = Vec::new();
                 body.extend_from_slice(&7u64.to_le_bytes());
                 body.extend_from_slice(&7u64.to_le_bytes());
                 body.extend_from_slice(&1u32.to_le_bytes());
                 body.extend_from_slice(&999u32.to_le_bytes());
                 body.extend_from_slice(b"short");
-                let mut out = b"XQCKPT3\0".to_vec();
-                out.extend_from_slice(&crate::crc32(&body).to_le_bytes());
-                out.extend_from_slice(&body);
-                out
+                sealed(&body)
             },
+            // checksum fixed up over a body that is not UTF-8
+            sealed(&{
+                let mut body = ckpt(1, 2, &[("a.xml", "<a/>")]).encode()[HEADER..].to_vec();
+                let at = body.len() - 2;
+                body[at] = 0xff;
+                body
+            }),
+            // and over one with a byte past its last entry
+            sealed(&{
+                let mut body = ckpt(1, 2, &[("a.xml", "<a/>")]).encode()[HEADER..].to_vec();
+                body.push(0);
+                body
+            }),
         ];
         for (i, data) in cases.iter().enumerate() {
             assert_eq!(Checkpoint::decode(data), None, "case {i} must be None");
@@ -324,21 +344,38 @@ mod tests {
         assert_eq!(Checkpoint::decode(&c.encode()), Some(c));
     }
 
+    /// Every single flipped bit and every 2-byte burst of a small slot —
+    /// in the magic, the checksum, a length, a name or a body — is
+    /// refused by the decoder and reported by the scrubber's probe.
     #[test]
-    fn forged_digest_with_fixed_crc_is_refused() {
-        // A slot whose CRC was recomputed over a tampered body still fails
-        // the per-document digest: the end-to-end check is independent of
-        // the transport CRC.
-        let c = ckpt(1, 2, &[("a.xml", "<aaaa/>")]);
-        let encoded = c.encode();
-        let mut body = encoded[12..].to_vec();
-        // flip a byte inside the xml ("<aaaa/>" starts after gen+seq+count
-        // +ulen+uri+xlen = 8+8+4+4+5+4 = 33)
-        body[34] ^= 0x08;
-        let mut forged = encoded[..8].to_vec();
-        forged.extend_from_slice(&crate::crc32(&body).to_le_bytes());
-        forged.extend_from_slice(&body);
-        assert_eq!(Checkpoint::decode(&forged), None, "digest must refuse");
+    fn every_bit_flip_and_two_byte_burst_is_refused() {
+        let slot = ckpt(3, 8, &[("a.xml", "<a>x</a>"), ("bb.xml", "<b é='1'/>")]).encode();
+        let refused = |data: &[u8]| {
+            let disk = VirtualDisk::new();
+            disk.write_file(CKPT_SLOTS[0], data);
+            Checkpoint::decode(data).is_none()
+                && Checkpoint::slot_verdicts(&disk)
+                    == vec![
+                        IntegrityError::CheckpointSlotCorrupt { slot: 0 },
+                        IntegrityError::AllCheckpointSlotsCorrupt,
+                    ]
+        };
+        assert!(!refused(&slot), "the intact slot opens");
+        let mut data = slot.clone();
+        for bit in 0..data.len() * 8 {
+            data[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&data), "flip of bit {bit} accepted");
+            data[bit / 8] ^= 1 << (bit % 8);
+        }
+        for at in 0..data.len() - 1 {
+            for pattern in [[0xff, 0xff], [0x01, 0x80], [0x80, 0x01], [0x5a, 0xa5]] {
+                data[at] ^= pattern[0];
+                data[at + 1] ^= pattern[1];
+                assert!(refused(&data), "burst {pattern:02x?} at byte {at} accepted");
+                data[at] ^= pattern[0];
+                data[at + 1] ^= pattern[1];
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   tail, CRC mismatch, sequence break): the **prefix-durability
 //!   contract** — recovery yields exactly the state of some frame boundary,
 //!   never a torn or corrupted state.
-//! * [`Checkpoint`] — dual-slot, generation-numbered, CRC-guarded document
-//!   snapshots. A checkpoint records the WAL sequence it covers so the log
-//!   can be truncated afterwards, and so that replay after a crash between
-//!   checkpoint and truncate skips already-absorbed records (idempotent
-//!   recovery).
+//! * [`Checkpoint`] — dual-slot, generation-numbered document snapshots,
+//!   each slot guarded by one [`lane_checksum`]. A checkpoint records the
+//!   WAL sequence it covers so the log can be truncated afterwards, and so
+//!   that replay after a crash between checkpoint and truncate skips
+//!   already-absorbed records (idempotent recovery).
 //! * [`counters!`] — declares a struct of `/metrics` counters with each
 //!   served name beside its field, for this crate's [`DurabilityStats`]
 //!   and the server tier's stats.
@@ -69,7 +69,7 @@ const CRC32_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
+/// CRC-32 (IEEE 802.3, reflected) — the WAL frame checksum.
 /// Slicing-by-16: sixteen bytes per step, the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
@@ -111,24 +111,30 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The at-rest digest of one document binding: the URI's FNV-1a chained
-/// with a word-at-a-time hash of the serialized bytes, finished with the
-/// splitmix64 mixer. Each checkpoint slot entry records it, so a slot's
-/// bytes are verified against themselves, independent of the slot CRC.
-/// (The state digests replicas compare are the server tier's cached
+/// The keyed digest of one document binding: the URI's FNV-1a chained
+/// with the [`lane_checksum`] of the serialized bytes through the
+/// splitmix64 mixer. No stored format carries it (a checkpoint slot is
+/// checked by one [`lane_checksum`]); perfbench's WAL probe seals with
+/// it. (The state digests replicas compare are the server tier's cached
 /// subtree hashes, which follow a change instead of the document.)
+pub fn content_digest(uri: &str, xml: &str) -> u64 {
+    mix64(fnv1a(uri.as_bytes()) ^ lane_checksum(xml.as_bytes()))
+}
+
+/// The checkpoint slot checksum: a 64-bit hash of `bytes` at memory
+/// speed.
 ///
 /// The bytes are read as little-endian 8-byte words, the last one
 /// zero-padded. Four independent multiply-rotate lanes take the words in
 /// turn, so a 32-byte block feeds each lane once and the four multiply
 /// chains overlap instead of chaining byte by byte. The finish folds the
 /// lanes and mixes in the byte length, which tells the zero padding from
-/// real zero bytes.
-pub fn content_digest(uri: &str, xml: &str) -> u64 {
-    digest_bytes(uri, xml.as_bytes())
-}
-
-fn digest_bytes(uri: &str, bytes: &[u8]) -> u64 {
+/// real zero bytes. Each step is a bijection of the lane for a fixed word
+/// and of the word for a fixed lane, and the finish is a bijection of
+/// each lane for the others fixed, so any change confined to one word —
+/// any single flipped bit, any burst within an aligned 8 bytes — always
+/// changes the checksum.
+pub fn lane_checksum(bytes: &[u8]) -> u64 {
     let [mut a, mut b, mut c, mut d] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {
@@ -151,7 +157,7 @@ fn digest_bytes(uri: &str, bytes: &[u8]) -> u64 {
         .wrapping_add(c.rotate_left(12))
         .wrapping_add(d.rotate_left(18));
     let len = bytes.len() as u64;
-    mix64(fnv1a(uri.as_bytes()) ^ mix64((body ^ len).wrapping_mul(P3)))
+    mix64((body ^ len).wrapping_mul(P3))
 }
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -185,12 +191,14 @@ fn load_le(bytes: &[u8]) -> u64 {
 /// [`WalReplay::mid_prefix_damage`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntegrityError {
-    /// A checkpoint slot was present but failed magic/CRC/digest checks.
+    /// A checkpoint slot was present but failed its magic, checksum,
+    /// length or UTF-8 checks.
     CheckpointSlotCorrupt { slot: usize },
     /// Every written checkpoint slot is corrupt — recovery has no snapshot
     /// to stand on and degrades to the WAL alone.
     AllCheckpointSlotsCorrupt,
-    /// A document's content digest did not match its recorded value.
+    /// A served document's state digest did not match the one recorded
+    /// for it when its update was acked.
     DigestMismatch { uri: String, want: u64, got: u64 },
 }
 
@@ -314,10 +322,11 @@ mod tests {
         }
 
         #[test]
-        fn content_digest_matches_the_lane_reference(
+        fn lane_checksum_matches_the_lane_reference(
             uri in "[a-z./-]{0,12}",
             xml in "[a-z<>&\"é€😀 ]{0,4096}",
         ) {
+            prop_assert_eq!(lane_checksum(xml.as_bytes()), mix64(lanes_reference(xml.as_bytes())));
             prop_assert_eq!(
                 content_digest(&uri, &xml),
                 mix64(fnv1a(uri.as_bytes()) ^ mix64(lanes_reference(xml.as_bytes())))
@@ -325,7 +334,7 @@ mod tests {
         }
     }
 
-    /// The body hash of [`content_digest`], one word at a time into the
+    /// The body hash of [`lane_checksum`], one word at a time into the
     /// lanes by turn: the definition the block loop must reproduce.
     fn lanes_reference(bytes: &[u8]) -> u64 {
         let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
@@ -348,21 +357,17 @@ mod tests {
     /// A 1 KB body: 31 whole blocks and a 29-byte tail, so flips land in
     /// block words, in whole tail words and in the zero-padded last word.
     #[test]
-    fn every_bit_flip_of_a_body_changes_its_digest() {
+    fn every_bit_flip_of_a_body_changes_its_checksum() {
         let body: String = (0..1021u32)
             .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
             .collect();
         let mut bytes = body.into_bytes();
         let mut seen = std::collections::HashSet::new();
-        assert!(seen.insert(content_digest(
-            "d.xml",
-            std::str::from_utf8(&bytes).unwrap()
-        )));
+        assert!(seen.insert(lane_checksum(&bytes)));
         for bit in 0..bytes.len() * 8 {
             bytes[bit / 8] ^= 1 << (bit % 8);
-            // a flipped ASCII byte may leave UTF-8: hash the raw bytes
             assert!(
-                seen.insert(digest_bytes("d.xml", &bytes)),
+                seen.insert(lane_checksum(&bytes)),
                 "flip of bit {bit} collided"
             );
             bytes[bit / 8] ^= 1 << (bit % 8);

@@ -208,7 +208,6 @@ pub(crate) fn add_content(
     owned: bool,
 ) -> XdmResult<()> {
     let mut pending_text: Option<String> = None;
-    let mut saw_child = false;
     for item in seq {
         match item {
             Item::Atomic(_) => {
@@ -228,7 +227,13 @@ pub(crate) fn add_content(
                 let mut store = ctx.store.borrow_mut();
                 let kind = store.doc(n.doc).kind(n.node);
                 if kind.is_attribute() {
-                    if saw_child || pending_text.is_some() {
+                    // content before it in any part of the constructor —
+                    // literal text, an enclosed expression, a nested
+                    // constructor — but not zero-length text, which
+                    // content processing deletes (XQuery 1.0 §3.7.1.3)
+                    let after_content = pending_text.as_deref().is_some_and(|t| !t.is_empty())
+                        || !store.doc(parent.doc).children(parent.node).is_empty();
+                    if after_content {
                         return Err(XdmError::new(
                             "XQTY0024",
                             "attribute nodes must precede other element content",
@@ -241,7 +246,6 @@ pub(crate) fn add_content(
                         .map_err(|er| XdmError::new("XQDY0025", er.to_string()))?;
                     continue;
                 }
-                saw_child = true;
                 let text = match kind {
                     NodeKind::Text { value } => Some(value.clone()),
                     _ => None,

@@ -13,11 +13,17 @@
 //! pre-apply state, so the live DOM is always all-or-nothing. A seeded
 //! crash-point injector ([`CrashPoint`], `XQIB_CRASH_POINT`) forces failures
 //! at arbitrary apply steps so tests can exercise every rollback path.
+//!
+//! An apply costs what its primitives touch, not what their targets hold:
+//! an append records its target's child count, not its child list, and
+//! the text coalescing skips every document whose
+//! [`texts_apart`](xqib_dom::Document::texts_apart) flag says no two text
+//! children are adjacent anywhere in it.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use xqib_dom::{NodeRef, QName, Store};
+use xqib_dom::{DocId, NodeRef, QName, Store};
 use xqib_xdm::{XdmError, XdmResult};
 
 /// A single update primitive. Payload nodes (insertions, replacements) are
@@ -122,6 +128,11 @@ enum UndoOp {
         parent: NodeRef,
         snapshot: Vec<xqib_dom::NodeId>,
     },
+    /// Appends to `parent`'s child list, which held `len` children.
+    Appended {
+        parent: NodeRef,
+        len: usize,
+    },
     Attributes {
         elem: NodeRef,
         snapshot: Vec<xqib_dom::NodeId>,
@@ -137,14 +148,42 @@ enum UndoOp {
 }
 
 /// Transaction state threaded through one apply: the undo log, the crash
-/// injector and the step counter. `track == false` (the bench baseline)
-/// skips undo recording entirely.
+/// injector, the step counter and each written document's
+/// [`texts_apart`](xqib_dom::Document::texts_apart) flag as the apply
+/// found it. `track == false` (the bench baseline) skips undo recording
+/// entirely.
 struct Txn {
     undo: Vec<UndoOp>,
     track: bool,
     crash: CrashPoint,
     step: u64,
+    texts_apart: Vec<(DocId, bool)>,
+    /// Check every touched parent for adjacent text, trusting no
+    /// `texts_apart` flag: the oracle of the skip.
+    scan_all: bool,
 }
+
+#[cfg(any(test, feature = "oracle"))]
+thread_local! {
+    static WORK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Child kinds read by the coalescing check plus node ids copied into the
+/// undo log by this thread's applies so far: what the tests that pin an
+/// apply's cost read.
+#[cfg(any(test, feature = "oracle"))]
+pub fn work() -> u64 {
+    WORK.with(|w| w.get())
+}
+
+#[cfg(any(test, feature = "oracle"))]
+fn count(n: usize) {
+    WORK.with(|w| w.set(w.get() + n as u64));
+}
+
+#[cfg(not(any(test, feature = "oracle")))]
+#[inline(always)]
+fn count(_: usize) {}
 
 impl Txn {
     fn new(track: bool, crash: CrashPoint) -> Self {
@@ -153,6 +192,8 @@ impl Txn {
             track,
             crash,
             step: 0,
+            texts_apart: Vec::new(),
+            scan_all: false,
         }
     }
 
@@ -179,10 +220,17 @@ impl Txn {
 
     fn save_children(&mut self, store: &Store, parent: NodeRef) {
         if self.track {
-            self.undo.push(UndoOp::Children {
-                parent,
-                snapshot: store.doc(parent.doc).children(parent.node).to_vec(),
-            });
+            let snapshot = store.doc(parent.doc).children(parent.node).to_vec();
+            count(snapshot.len());
+            self.undo.push(UndoOp::Children { parent, snapshot });
+        }
+    }
+
+    /// The inverse of appends to `parent`: its child count.
+    fn save_len(&mut self, store: &Store, parent: NodeRef) {
+        if self.track {
+            let len = store.doc(parent.doc).children(parent.node).len();
+            self.undo.push(UndoOp::Appended { parent, len });
         }
     }
 
@@ -220,7 +268,8 @@ impl Txn {
     /// Rollback replays snapshots of a previously consistent document, so
     /// the individual restores cannot fail; any error here would indicate
     /// arena corruption and is deliberately not propagated (there is no
-    /// better state to return to).
+    /// better state to return to). Every child list the apply wrote is
+    /// back as it was, so each document's `texts_apart` flag is too.
     fn rollback(self, store: &mut Store) {
         for op in self.undo.into_iter().rev() {
             match op {
@@ -229,6 +278,12 @@ impl Txn {
                         .doc_mut(parent.doc)
                         .restore_children(parent.node, &snapshot);
                     debug_assert!(r.is_ok(), "child-list rollback failed: {r:?}");
+                }
+                UndoOp::Appended { parent, len } => {
+                    let r = store
+                        .doc_mut(parent.doc)
+                        .truncate_children(parent.node, len);
+                    debug_assert!(r.is_ok(), "append rollback failed: {r:?}");
                 }
                 UndoOp::Attributes { elem, snapshot } => {
                     let r = store
@@ -245,6 +300,30 @@ impl Txn {
                     debug_assert!(r.is_ok(), "name rollback failed: {r:?}");
                 }
             }
+        }
+        for (d, apart) in self.texts_apart {
+            if apart && !store.doc(d).texts_apart() {
+                store.doc_mut(d).mark_texts_apart();
+            }
+        }
+    }
+}
+
+impl UpdatePrimitive {
+    /// The document the primitive writes to.
+    fn doc(&self) -> DocId {
+        match self {
+            UpdatePrimitive::InsertInto { target, .. }
+            | UpdatePrimitive::InsertFirst { target, .. }
+            | UpdatePrimitive::InsertLast { target, .. }
+            | UpdatePrimitive::InsertAttributes { target, .. }
+            | UpdatePrimitive::Delete { target }
+            | UpdatePrimitive::ReplaceNode { target, .. }
+            | UpdatePrimitive::ReplaceValue { target, .. }
+            | UpdatePrimitive::ReplaceElementContent { target, .. }
+            | UpdatePrimitive::Rename { target, .. } => target.doc,
+            UpdatePrimitive::InsertBefore { anchor, .. }
+            | UpdatePrimitive::InsertAfter { anchor, .. } => anchor.doc,
         }
     }
 }
@@ -337,8 +416,25 @@ impl Pul {
 
     /// Transactional apply with an explicit crash point (test hook).
     pub fn apply_with_crash(self, store: &mut Store, crash: CrashPoint) -> XdmResult<()> {
-        self.check()?;
+        self.apply_txn(store, Txn::new(true, crash))
+    }
+
+    /// [`Self::apply_with_crash`] with the coalescing check run on every
+    /// touched parent, as if no document kept its `texts_apart` flag: the
+    /// oracle the skip is compared with.
+    #[cfg(feature = "oracle")]
+    pub fn apply_scanning_every_parent(
+        self,
+        store: &mut Store,
+        crash: CrashPoint,
+    ) -> XdmResult<()> {
         let mut txn = Txn::new(true, crash);
+        txn.scan_all = true;
+        self.apply_txn(store, txn)
+    }
+
+    fn apply_txn(self, store: &mut Store, mut txn: Txn) -> XdmResult<()> {
+        self.check()?;
         txn.reserve(self.prims.len());
         match self.apply_inner(store, &mut txn) {
             Ok(()) => Ok(()),
@@ -365,7 +461,16 @@ impl Pul {
     /// apply step (the crash-injection granularity) and captures its inverse
     /// *before* mutating.
     fn apply_inner(&self, store: &mut Store, txn: &mut Txn) -> XdmResult<()> {
+        for p in &self.prims {
+            let d = p.doc();
+            if txn.texts_apart.iter().all(|&(seen, _)| seen != d) {
+                txn.texts_apart.push((d, store.doc(d).texts_apart()));
+            }
+        }
         let mut touched_parents: Vec<NodeRef> = Vec::new();
+        // documents where a replace by nothing detached a child: its
+        // parent is not coalesced, so text it joined stays joined
+        let mut uncoalesced: Vec<DocId> = Vec::new();
 
         let map_err = |e: xqib_dom::DomError| XdmError::new("XUDY9999", e.to_string());
 
@@ -375,7 +480,7 @@ impl Pul {
                 UpdatePrimitive::InsertInto { target, children }
                 | UpdatePrimitive::InsertLast { target, children } => {
                     txn.step()?;
-                    txn.save_children(store, *target);
+                    txn.save_len(store, *target);
                     let doc = store.doc_mut(target.doc);
                     for c in children {
                         doc.append_child(target.node, c.node).map_err(map_err)?;
@@ -465,6 +570,9 @@ impl Pul {
                     let doc = store.doc_mut(target.doc);
                     if replacements.is_empty() {
                         doc.detach(target.node).map_err(map_err)?;
+                        if parent.is_some() && !target_is_attr {
+                            uncoalesced.push(target.doc);
+                        }
                     } else {
                         doc.replace_node(target.node, replacements[0].node)
                             .map_err(map_err)?;
@@ -561,18 +669,21 @@ impl Pul {
         // Text-node coalescing on every touched parent. Merging rewrites the
         // child list *and* concatenates values into surviving text nodes, so
         // both inverses are captured.
-        let mut seen: HashMap<NodeRef, ()> = HashMap::new();
+        let mut seen: HashSet<NodeRef> = HashSet::new();
         for parent in touched_parents {
-            if seen.insert(parent, ()).is_none() {
+            if seen.insert(parent) {
                 let doc = store.doc(parent.doc);
-                if doc.kind(parent.node).is_attribute() {
+                // no two text children adjacent anywhere in the document:
+                // nothing to merge, and no child to read
+                if (doc.texts_apart() && !txn.scan_all) || doc.kind(parent.node).is_attribute() {
                     continue;
                 }
                 // Merging only does anything when two text children are
                 // adjacent; skip the step charge and the inverse snapshots
                 // (a child-list clone plus a string per text node) otherwise.
-                let will_merge = doc
-                    .children(parent.node)
+                let kids = doc.children(parent.node);
+                count(kids.len());
+                let will_merge = kids
                     .windows(2)
                     .any(|w| doc.kind(w[0]).is_text() && doc.kind(w[1]).is_text());
                 if !will_merge {
@@ -595,6 +706,12 @@ impl Pul {
                     .doc_mut(parent.doc)
                     .merge_adjacent_text(parent.node)
                     .map_err(map_err)?;
+            }
+        }
+        // every list the phases could have joined text in is coalesced now
+        for &(d, apart) in &txn.texts_apart {
+            if apart && !uncoalesced.contains(&d) && !store.doc(d).texts_apart() {
+                store.doc_mut(d).mark_texts_apart();
             }
         }
         Ok(())

@@ -482,6 +482,35 @@ fn constructor_edge_cases() {
     );
 }
 
+/// XQuery 1.0 §3.7.1.3: an attribute after other content of the same
+/// constructor is `XQTY0024`, whether that content came in the same
+/// enclosed expression, an earlier one, literal text or a nested
+/// constructor.
+#[test]
+fn attributes_after_content_in_any_part_of_a_constructor_are_an_error() {
+    for src in [
+        "<a>{'x', attribute b {1}}</a>",
+        "<a>x{attribute b {1}}</a>",
+        "<a>{'x'}{attribute b {1}}</a>",
+        "<a><c/>{attribute b {1}}</a>",
+        // two atomics join into a text node holding a space
+        "<a>{'', '', attribute b {1}}</a>",
+    ] {
+        assert_eq!(err(src), "XQTY0024", "query: {src}");
+    }
+    // attributes before any content may come in several parts, and
+    // zero-length text is deleted before the check
+    check_all(&[
+        ("<a>{'', attribute b {1}}</a>", "<a b=\"1\"/>"),
+        ("<a>{text {''}, attribute b {1}}</a>", "<a b=\"1\"/>"),
+        (
+            "<a>{attribute b {1}}{attribute c {2}}x</a>",
+            "<a b=\"1\" c=\"2\">x</a>",
+        ),
+        ("<a>{()}{attribute b {1}}<c/></a>", "<a b=\"1\"><c/></a>"),
+    ]);
+}
+
 #[test]
 fn constructed_nodes_are_new_copies() {
     // the same expression constructs distinct nodes

@@ -215,3 +215,148 @@ proptest! {
         }
     }
 }
+
+/// [`build_store`] with text the DOM API added, as minijs's
+/// `createTextNode` + `appendChild` does: text between the `c{i}` under
+/// the root, so deleting a `c{i}` can join two text nodes, and now and
+/// then a second text node in a `c{i}`, already beside its first.
+fn build_joined_store(rng: &mut Rng) -> (Store, DocId, Vec<NodeRef>, Vec<NodeRef>) {
+    let (mut s, d, elems, mut texts) = build_store();
+    let doc = s.doc_mut(d);
+    let root = elems[0].node;
+    for (i, c) in elems[1..].iter().enumerate() {
+        if rng.below(2) == 0 {
+            let t = doc.create_text(format!("s{i}"));
+            doc.insert_before(t, c.node).unwrap();
+            texts.push(NodeRef::new(d, t));
+        }
+        if rng.below(8) == 0 {
+            let t = doc.create_text(format!("dom{i}"));
+            doc.append_child(c.node, t).unwrap();
+            texts.push(NodeRef::new(d, t));
+        }
+    }
+    let t = doc.create_text("end");
+    doc.append_child(root, t).unwrap();
+    texts.push(NodeRef::new(d, t));
+    (s, d, elems, texts)
+}
+
+/// A primitive that puts text beside text or removes what stood between:
+/// text inserted at either end of a list or beside a node, a node
+/// replaced by text or by nothing, an element deleted.
+fn gen_text_prim(
+    store: &mut Store,
+    d: DocId,
+    elems: &[NodeRef],
+    texts: &[NodeRef],
+    rng: &mut Rng,
+    i: u64,
+) -> UpdatePrimitive {
+    let mut text = |s: &str| NodeRef::new(d, store.doc_mut(d).create_text(format!("{s}{i}")));
+    let inner = &elems[1..];
+    match rng.below(7) {
+        0 => UpdatePrimitive::InsertInto {
+            target: *rng.pick(elems),
+            children: vec![text("a"), text("b")],
+        },
+        1 => UpdatePrimitive::InsertFirst {
+            target: *rng.pick(elems),
+            children: vec![text("f")],
+        },
+        2 => {
+            let anchors = if rng.below(2) == 0 { inner } else { texts };
+            UpdatePrimitive::InsertAfter {
+                anchor: *rng.pick(anchors),
+                children: vec![text("n")],
+            }
+        }
+        3 => UpdatePrimitive::InsertBefore {
+            anchor: *rng.pick(texts),
+            children: vec![text("p")],
+        },
+        4 => UpdatePrimitive::ReplaceNode {
+            target: *rng.pick(inner),
+            replacements: Vec::new(),
+        },
+        5 => UpdatePrimitive::ReplaceNode {
+            target: *rng.pick(texts),
+            replacements: vec![text("r")],
+        },
+        _ => UpdatePrimitive::Delete {
+            target: *rng.pick(inner),
+        },
+    }
+}
+
+/// Every text node's value, in document order, per document: tells
+/// `"a"`, `"b"` from `"ab"`, which the serialization cannot.
+fn text_values(s: &Store) -> Vec<Vec<String>> {
+    (0..s.doc_count())
+        .map(|i| {
+            let doc = s.doc(DocId(i as u32));
+            doc.descendants_or_self(doc.root())
+                .into_iter()
+                .filter(|&n| doc.kind(n).is_text())
+                .map(|n| doc.simple_value(n).unwrap_or_default().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// The coalescing skip is exact: over documents with and without text
+    /// the DOM API joined beforehand, a random list applies with the
+    /// skip exactly as it does when every touched parent is scanned —
+    /// same outcome, same serialization, same text nodes — and a crash
+    /// rolls both back to the state they started from, the documents'
+    /// `texts_apart` flags included. The flag never promises what a
+    /// recount denies.
+    #[test]
+    fn skipped_coalescing_matches_scanning_every_parent(seed in 0u64..1_000_000) {
+        // sixteen lists per case: the skip is cheap to check
+        for sub in 0..16 {
+            let mut shape = Rng((seed << 4 | sub) ^ env_seed());
+            let (mixed, len, crash, joined) = (
+                shape.next(),
+                1 + shape.below(6) as usize,
+                shape.below(64),
+                shape.below(2) == 0,
+            );
+            let run = |scan: bool| {
+                let mut rng = Rng(mixed);
+                let (mut store, d, elems, texts) = if joined {
+                    build_joined_store(&mut rng)
+                } else {
+                    build_store()
+                };
+                let mut pul = gen_pul(&mut store, d, &elems, &texts, &mut rng, len);
+                for i in 0..rng.below(4) {
+                    pul.push(gen_text_prim(&mut store, d, &elems, &texts, &mut rng, i));
+                }
+                let before = (snapshot(&store), text_values(&store), store.doc(d).texts_apart());
+                // crash points past the last step let the apply complete
+                let crash = CrashPoint::at(crash);
+                let outcome = if scan {
+                    pul.apply_scanning_every_parent(&mut store, crash)
+                } else {
+                    pul.apply_with_crash(&mut store, crash)
+                };
+                let doc = store.doc(d);
+                let after = (snapshot(&store), text_values(&store), doc.texts_apart());
+                let recount = doc.count_adjacent_text();
+                (outcome.err().map(|e| e.code), before, after, recount)
+            };
+            let (skip, scan) = (run(false), run(true));
+            prop_assert_eq!(&skip.0, &scan.0, "outcome");
+            prop_assert_eq!(&skip.2 .0, &scan.2 .0, "serialization");
+            prop_assert_eq!(&skip.2 .1, &scan.2 .1, "text nodes");
+            for (code, before, after, recount) in [skip, scan] {
+                prop_assert!(!after.2 || recount == 0, "texts_apart over {} pairs", recount);
+                if code.is_some() {
+                    prop_assert_eq!(after, before, "rollback");
+                }
+            }
+        }
+    }
+}
