@@ -409,8 +409,9 @@ impl Cluster {
     }
 
     /// Retires draining shards that no longer home any document and have
-    /// no in-flight migration or pending update: leadership and every
-    /// follower seat shut down; the shard refuses everything with 421.
+    /// no in-flight migration, pending update or queued request: leadership
+    /// and every follower seat shut down; the shard refuses everything
+    /// with 421.
     fn retire_drained(&mut self) {
         for s in 0..self.shards.len() {
             if !self.shards[s].draining || self.shards[s].retired {
@@ -422,7 +423,8 @@ impl Cluster {
             if self.migrations.iter().any(|m| m.from == s) {
                 continue;
             }
-            if !self.shards[s].pending.is_empty() {
+            let sh = &self.shards[s];
+            if !sh.pending.is_empty() || sh.governor.as_ref().is_some_and(|g| g.backlog() > 0) {
                 continue;
             }
             let sh = &mut self.shards[s];

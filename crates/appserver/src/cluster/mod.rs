@@ -43,6 +43,10 @@
 //! Everything runs on virtual time and seeded draws: identical seeds give
 //! bit-identical replication schedules, failovers and reports.
 //!
+//! With [`ClusterConfig::governor`] set, each shard leader has its own
+//! [`RequestGovernor`]: a request the leader runs queues there, and
+//! [`Cluster::advance`] serves it in virtual time.
+//!
 //! # Online membership & live resharding
 //!
 //! Topology is no longer fixed at construction: the ring is versioned by a
@@ -81,7 +85,7 @@ use xqib_dom::SharedStore;
 use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
 
 use crate::fleet::FleetStats;
-use crate::governor::Class;
+use crate::governor::{self, Class, GovernorConfig, RequestGovernor};
 use crate::metrics::MetricsSnapshot;
 use crate::render;
 use crate::replica::{Link, ReplMsg, ReplReply, ReplicaNode};
@@ -168,6 +172,10 @@ pub struct ClusterConfig {
     pub disk_fault: Option<StorageFaultPlan>,
     /// Anti-entropy scrub interval, virtual ms (`0` disables scrubbing).
     pub scrub_interval_ms: u64,
+    /// Overload control: `Some` fronts every shard leader with its own
+    /// [`RequestGovernor`], which queues the requests the leader runs and
+    /// serves them in virtual time; `None` serves every request at submit.
+    pub governor: Option<GovernorConfig>,
 }
 
 impl Default for ClusterConfig {
@@ -186,6 +194,7 @@ impl Default for ClusterConfig {
             ack_timeout_ms: 1500,
             disk_fault: None,
             scrub_interval_ms: 250,
+            governor: None,
         }
     }
 }
@@ -287,12 +296,13 @@ fn link_plan(cfg: &ClusterConfig, s: usize, slot: usize) -> FaultPlan {
 
 /// A request from arrival to completion: everything its
 /// [`ClusterCompletion`] carries but how and when it ended.
-struct Ticket {
-    id: u64,
-    shard: usize,
-    class: Class,
-    url: String,
-    arrival: u64,
+#[derive(Debug)]
+pub(crate) struct Ticket {
+    pub(crate) id: u64,
+    pub(crate) shard: usize,
+    pub(crate) class: Class,
+    pub(crate) url: String,
+    pub(crate) arrival: u64,
 }
 
 impl Ticket {
@@ -303,19 +313,12 @@ impl Ticket {
         outcome: ClusterOutcome,
         response: ServerResponse,
     ) -> ClusterCompletion {
-        let Ticket {
-            id,
-            shard,
-            class,
-            url,
-            arrival,
-        } = self;
         ClusterCompletion {
-            id,
-            shard,
-            class,
-            url,
-            arrival,
+            id: self.id,
+            shard: self.shard,
+            class: self.class,
+            url: self.url,
+            arrival: self.arrival,
             finished,
             outcome,
             response,
@@ -332,13 +335,16 @@ impl Ticket {
 /// An update applied on the leader but not yet covered by the ack rule.
 struct PendingUpdate {
     ticket: Ticket,
+    /// When its service ended (its arrival on an ungoverned cluster): the
+    /// ack timeout runs from here, and it completes no earlier.
+    served: u64,
     seq: u64,
     response: ServerResponse,
 }
 
 impl PendingUpdate {
-    /// The update's completion at `now`: the leader's response once acked,
-    /// a retryable 503 when it was lost in failover or timed out.
+    /// The update's completion at `now`, or at its service end if later: the
+    /// leader's response once acked, a retryable 503 if lost or timed out.
     fn finish(self, now: u64, outcome: ClusterOutcome) -> ClusterCompletion {
         let response = match outcome {
             ClusterOutcome::LostInFailover => ServerResponse::new(
@@ -354,13 +360,16 @@ impl PendingUpdate {
             .with_header("Retry-After", "1"),
             _ => self.response,
         };
-        self.ticket.finish(now, outcome, response)
+        self.ticket.finish(now.max(self.served), outcome, response)
     }
 }
 
 struct Shard {
     term: u64,
     leader: Option<AppServer>,
+    /// The leader's admission queues, on a governed cluster. They outlive
+    /// leaders: a failover keeps the counters and the virtual clock.
+    governor: Option<RequestGovernor>,
     leader_seat: usize,
     seats: Vec<Seat>,
     pending: VecDeque<PendingUpdate>,
@@ -425,6 +434,14 @@ pub enum ClusterOutcome {
     NoLeader,
     /// The target shard does not own the document.
     Misrouted,
+    /// Shed by the shard's governor with 503 + `Retry-After`: its class
+    /// queue was full, or CoDel dropped it from a standing queue.
+    Shed,
+    /// Render deadline miss answered with the leader's whole-document
+    /// snapshot (`X-XQIB-Degraded: whole-document-snapshot`).
+    Degraded,
+    /// Deadline miss failed with 504 (`XQIB0014`).
+    DeadlineExceeded,
 }
 
 /// A finished cluster request.
@@ -440,8 +457,8 @@ pub struct ClusterCompletion {
     pub response: ServerResponse,
 }
 
-/// What `submit` produced: an immediate completion, or a pending update id
-/// whose completion a later [`Cluster::advance`] will emit.
+/// What `submit` produced: an immediate completion, or the id of a queued
+/// or pending request whose completion a later [`Cluster::advance`] emits.
 #[derive(Debug)]
 pub enum Submitted {
     Done(Box<ClusterCompletion>),
@@ -530,6 +547,7 @@ impl Cluster {
         Shard {
             term: 1,
             leader: Some(AppServer::from_db(db)),
+            governor: cfg.governor.clone().map(RequestGovernor::new),
             leader_seat: 0,
             seats,
             pending: VecDeque::new(),
@@ -687,45 +705,95 @@ impl Cluster {
             return ticket.done(ClusterOutcome::Served, resp);
         }
         let uri = Self::routing_uri(url);
-        let owner = self.topology.owner(&uri);
-        if owner != shard || self.shards[shard].retired {
+        let retired = self.shards[shard].retired;
+        if let Some(refusal) = misroute(&self.topology, shard, &uri, retired) {
             self.stats.ownership_rejections += 1;
-            let refusal = ServerResponse::misrouted(shard, &uri, owner, self.topology.epoch);
             return ticket.done(ClusterOutcome::Misrouted, refusal);
         }
         match ticket.class {
-            Class::Update => self.serve_update(ticket),
-            Class::Query => match self.shards[shard].leader.as_mut() {
-                Some(leader) => ticket.done(ClusterOutcome::Served, leader.handle(url)),
-                None => ticket.done(ClusterOutcome::NoLeader, no_leader_response()),
-            },
             Class::Render => self.serve_render(ticket, &uri),
+            Class::Update | Class::Query => self.lead(ticket),
         }
     }
 
-    fn serve_update(&mut self, ticket: Ticket) -> Submitted {
-        let need = self.cfg.ack_replicas.min(self.cfg.followers);
+    /// Runs a request on its shard's leader: at once on an ungoverned
+    /// cluster; otherwise it joins the shard governor's queue, which
+    /// [`advance`](Self::advance) serves, or is shed now.
+    fn lead(&mut self, ticket: Ticket) -> Submitted {
         let sh = &mut self.shards[ticket.shard];
         let Some(leader) = sh.leader.as_mut() else {
             return ticket.done(ClusterOutcome::NoLeader, no_leader_response());
         };
-        let response = leader.handle(&ticket.url);
-        if response.status != 200 {
-            return ticket.done(ClusterOutcome::Served, response);
+        let Some(gov) = sh.governor.as_mut() else {
+            let (response, arrival) = (leader.handle(&ticket.url), ticket.arrival);
+            return self.complete(ticket, arrival, ClusterOutcome::Served, response);
+        };
+        let id = ticket.id;
+        match gov.admit(ticket) {
+            Ok(()) => Submitted::Pending(id),
+            Err(ticket) => ticket.done(ClusterOutcome::Shed, governor::shed_response()),
         }
+    }
+
+    /// Completes a request its leader answered at `finished`. A served
+    /// `/update` that succeeded waits for the ack rule: the leader commits
+    /// it, and it acks now or pends until `advance` resolves it.
+    fn complete(
+        &mut self,
+        ticket: Ticket,
+        finished: u64,
+        outcome: ClusterOutcome,
+        response: ServerResponse,
+    ) -> Submitted {
+        let written = ticket.class == Class::Update && outcome == ClusterOutcome::Served;
+        let sh = &mut self.shards[ticket.shard];
+        let leader = sh
+            .leader
+            .as_mut()
+            .filter(|_| written && response.status == 200);
+        let Some(leader) = leader else {
+            return Submitted::Done(Box::new(ticket.finish(finished, outcome, response)));
+        };
         let seq = leader.db.appended_seq();
         let _ = leader.db.commit();
         let committed = leader.db.committed_seq();
+        let need = self.cfg.ack_replicas.min(self.cfg.followers);
         if committed >= seq && sh.acks_through(seq) >= need {
-            return ticket.done(ClusterOutcome::AckedUpdate, response);
+            let acked = ticket.finish(finished, ClusterOutcome::AckedUpdate, response);
+            return Submitted::Done(Box::new(acked));
         }
         let id = ticket.id;
         sh.pending.push_back(PendingUpdate {
             ticket,
+            served: finished,
             seq,
             response,
         });
         Submitted::Pending(id)
+    }
+
+    /// Serves shard `s`'s governor queue while its leader is free by
+    /// `now`. A shard without a leader answers its whole queue with the
+    /// blackout 503: the leader those requests waited for is gone.
+    fn serve_queued(&mut self, s: usize, now: u64, out: &mut Vec<ClusterCompletion>) {
+        loop {
+            let (sh, topology) = (&mut self.shards[s], &self.topology);
+            let Some(gov) = sh.governor.as_mut() else {
+                return;
+            };
+            // the document may have been cut over while the request waited
+            let refuse = |t: &Ticket| misroute(topology, s, &Self::routing_uri(&t.url), false);
+            let served = gov.serve_next(now, sh.leader.as_mut(), refuse);
+            let Some((ticket, finished, outcome, response)) = served else {
+                return;
+            };
+            if outcome == ClusterOutcome::Misrouted {
+                self.stats.ownership_rejections += 1;
+            }
+            if let Submitted::Done(done) = self.complete(ticket, finished, outcome, response) {
+                out.push(*done);
+            }
+        }
     }
 
     fn serve_render(&mut self, ticket: Ticket, uri: &str) -> Submitted {
@@ -739,11 +807,7 @@ impl Cluster {
                     return ticket.done(ClusterOutcome::FollowerRead, resp);
                 }
             }
-            let resp = match self.shards[shard].leader.as_mut() {
-                Some(leader) => leader.handle(&ticket.url),
-                None => no_leader_response(),
-            };
-            return ticket.done(ClusterOutcome::Served, resp);
+            return self.lead(ticket);
         }
         // Blackout: a stale whole-document read beats a 503 for the
         // render surface — same contract as the governor's degrade path.
@@ -758,9 +822,10 @@ impl Cluster {
     }
 
     /// One tick of cluster housekeeping: advances latent disk decay,
-    /// executes due scheduled crashes, runs the anti-entropy scrubber,
-    /// drives failovers, pumps replication links, and resolves pending
-    /// updates. Returns the completions that finished at `now`.
+    /// executes due scheduled crashes and topology changes, serves the
+    /// governors' queues, runs the anti-entropy scrubber, drives failovers,
+    /// pumps replication links, and resolves pending updates. Returns the
+    /// completions that finished by `now`.
     pub fn advance(&mut self, now: u64) -> Vec<ClusterCompletion> {
         let mut out = Vec::new();
         // latent bit rot accrues with virtual time on every seat disk,
@@ -775,6 +840,9 @@ impl Cluster {
         }
         for change in take_due(&mut self.topo_schedule, now) {
             self.apply_change(change);
+        }
+        for s in 0..self.shards.len() {
+            self.serve_queued(s, now, &mut out);
         }
         if self.cfg.scrub_interval_ms > 0 && now >= self.next_scrub_at {
             self.next_scrub_at = now + self.cfg.scrub_interval_ms;
@@ -798,8 +866,9 @@ impl Cluster {
     }
 
     /// Steps virtual time from `from` until every shard has a leader, no
-    /// update is pending, and every follower is fully caught up (or the
-    /// iteration cap trips). Returns the final time and the completions.
+    /// request is queued or pending, and every follower is fully caught up
+    /// (or the iteration cap trips). Returns the final time and the
+    /// completions.
     pub fn quiesce(&mut self, from: u64) -> (u64, Vec<ClusterCompletion>) {
         let step = self.cfg.link_latency_ms.max(1);
         let mut now = from;
@@ -825,7 +894,9 @@ impl Cluster {
             let Some(committed) = sh.committed() else {
                 return false;
             };
-            sh.pending.is_empty() && sh.followers().all(|seat| seat.acked >= committed)
+            sh.pending.is_empty()
+                && sh.governor.as_ref().is_none_or(|g| g.backlog() == 0)
+                && sh.followers().all(|seat| seat.acked >= committed)
         })
     }
 
@@ -1118,7 +1189,7 @@ impl Cluster {
             let satisfied = committed.is_some_and(|c| c >= p.seq) && sh.acks_through(p.seq) >= need;
             if satisfied {
                 out.push(p.finish(now, ClusterOutcome::AckedUpdate));
-            } else if now.saturating_sub(p.ticket.arrival) >= timeout {
+            } else if now.saturating_sub(p.served) >= timeout {
                 out.push(p.finish(now, ClusterOutcome::AckTimeout));
             } else {
                 keep.push_back(p);
@@ -1127,26 +1198,31 @@ impl Cluster {
         sh.pending = keep;
     }
 
-    /// The `/metrics` surface: the first live leader serves its own
-    /// counters with the cluster's replication, integrity, resharding and
-    /// fleet counters added (shard 0 may be retired). With no live leader
-    /// the cluster serves its counters alone, the server's reading zero.
+    /// Every counter the `/metrics` surface serves: the first live
+    /// leader's own (shard 0 may be retired), the shard governors'
+    /// overload counters summed, and the cluster's replication, integrity,
+    /// resharding and fleet counters. With no live leader the server's
+    /// counters read zero.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let leader = self.shards.iter().find_map(|sh| sh.leader.as_ref());
+        let mut m = leader.map_or_else(MetricsSnapshot::default, AppServer::metrics_snapshot);
+        for gov in self.shards.iter().filter_map(|sh| sh.governor.as_ref()) {
+            m.overload.absorb(&gov.stats);
+        }
+        m.replication = self.stats();
+        m.integrity = self.integrity_stats();
+        m.reshard = self.rstats.clone();
+        m.fleet = self.fleet.clone();
+        m
+    }
+
+    /// The `/metrics` response, served by the leader whose counters it
+    /// reads.
     fn metrics_response(&mut self) -> ServerResponse {
-        let (replication, integrity) = (self.stats(), self.integrity_stats());
-        let (reshard, fleet) = (self.rstats.clone(), self.fleet.clone());
-        let layers = |m: &mut MetricsSnapshot| {
-            m.replication = replication;
-            m.integrity = integrity;
-            m.reshard = reshard;
-            m.fleet = fleet;
-        };
+        let m = self.metrics_snapshot();
         match self.shards.iter_mut().find_map(|sh| sh.leader.as_mut()) {
-            Some(leader) => leader.handle_layered("/metrics", None, layers).0,
-            None => {
-                let mut m = MetricsSnapshot::default();
-                layers(&mut m);
-                ServerResponse::new(200, m.to_xml())
-            }
+            Some(leader) => leader.serve_snapshot(m),
+            None => ServerResponse::new(200, m.to_xml()),
         }
     }
 
@@ -1164,7 +1240,15 @@ fn take_due<T: Copy>(schedule: &mut Vec<(u64, T)>, now: u64) -> Vec<T> {
     schedule.drain(..due).map(|(_, item)| item).collect()
 }
 
-fn no_leader_response() -> ServerResponse {
+/// The 421 shard `shard` answers a request for `uri` with when it does not
+/// serve the document: another shard owns it, or this one is retired.
+fn misroute(topology: &Topology, shard: usize, uri: &str, retired: bool) -> Option<ServerResponse> {
+    let owner = topology.owner(uri);
+    let refused = owner != shard || retired;
+    refused.then(|| ServerResponse::misrouted(shard, uri, owner, topology.epoch))
+}
+
+pub(crate) fn no_leader_response() -> ServerResponse {
     ServerResponse::new(
         503,
         "<error code=\"XQIB0016\">no leader; failover in progress</error>",
@@ -1849,5 +1933,145 @@ mod tests {
         let (done, at) = await_update(&mut c, id, now + 300);
         assert_eq!(done.outcome, ClusterOutcome::AckedUpdate);
         assert!(at < now + 500, "acked only after the second window");
+    }
+
+    /// A governed shard with one follower, its leader's render queue full.
+    fn governed_and_flooded() -> Cluster {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            governor: Some(GovernorConfig {
+                queue_capacity: 4,
+                ..GovernorConfig::default()
+            }),
+            ..ClusterConfig::default()
+        });
+        let (now, _) = c.quiesce(0);
+        for _ in 0..4 {
+            assert!(matches!(c.submit("/index", now), Submitted::Pending(_)));
+        }
+        c
+    }
+
+    /// A follower `/doc` read does not run on the leader, so it is served
+    /// at submit, outside the leader's queue; `/metrics` is never queued,
+    /// so a scrape is not shed by the overload it diagnoses.
+    #[test]
+    fn follower_reads_and_metrics_bypass_the_leaders_queue() {
+        let mut c = governed_and_flooded();
+        let shed = |s| matches!(s, Submitted::Done(d) if d.outcome == ClusterOutcome::Shed);
+        assert!(shed(c.submit("/index", 20)), "the render queue is full");
+        let read = match c.submit(&doc_url("d1.xml"), 20) {
+            Submitted::Done(d) => d,
+            Submitted::Pending(_) => panic!("a follower read is not queued"),
+        };
+        assert_eq!(read.outcome, ClusterOutcome::FollowerRead);
+        assert_eq!(read.response.status, 200);
+        let m = metrics_at(&mut c, 20);
+        assert_eq!(metric(&m, "shed"), 1);
+        assert_eq!(metric(&m, "admitted"), 4);
+    }
+
+    /// A request whose document was cut over to another shard while it
+    /// waited gets the 421 that `serve_at` would have given it, unrun.
+    #[test]
+    fn a_queued_request_for_a_moved_document_is_refused_with_421() {
+        let mut c = seeded(ClusterConfig {
+            shards: 2,
+            followers: 0,
+            ack_replicas: 0,
+            governor: Some(GovernorConfig::default()),
+            ..ClusterConfig::default()
+        });
+        let from = c.owner("d0.xml");
+        let id = match c.submit(&update_url("d0.xml", "late"), 10) {
+            Submitted::Pending(id) => id,
+            Submitted::Done(d) => panic!("an update is queued: {:?}", d.outcome),
+        };
+        c.topology.cutover("d0.xml", 1 - from);
+        let done = c.advance(10);
+        assert_eq!(done.len(), 1);
+        let d = &done[0];
+        assert_eq!(
+            (d.id, d.shard, d.outcome),
+            (id, from, ClusterOutcome::Misrouted)
+        );
+        assert_eq!(d.response.status, 421);
+        assert_eq!(
+            d.response.header("X-XQIB-Owner"),
+            Some((1 - from).to_string().as_str())
+        );
+        assert_eq!(c.stats().ownership_rejections, 1);
+        assert!(!c.holds_marker("d0.xml", "late"));
+        let leader = c.shards[from].leader.as_ref().unwrap();
+        assert!(!leader.db.serialize("d0.xml").unwrap().contains("late"));
+    }
+
+    /// An update with ≈40 virtual ms of evaluation, inside its deadline.
+    const SLOW_UPDATE: &str = "/update?xq=insert node \
+        <m n=\"{sum(for $i in 1 to 1000 return $i * 2)}\"/> into doc('d0.xml')/*";
+
+    /// A governed update's follower ack can be observed while the leader
+    /// is still, in virtual time, serving that update: it completes at the
+    /// end of its service, not before, and its ack timeout runs from there.
+    #[test]
+    fn a_governed_ack_completes_no_earlier_than_its_service() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            governor: Some(GovernorConfig::default()),
+            ..ClusterConfig::default()
+        });
+        let (now, _) = c.quiesce(0);
+        let id = match c.submit(SLOW_UPDATE, now) {
+            Submitted::Pending(id) => id,
+            Submitted::Done(d) => panic!("an update is queued: {:?}", d.outcome),
+        };
+        assert!(c.advance(now).is_empty(), "served, then pending its ack");
+        let served = c.shards[0].pending[0].served;
+        assert!(served > now + 3 * c.cfg.link_latency_ms, "{served}");
+        let (done, observed) = await_update(&mut c, id, now + 1);
+        assert_eq!(done.outcome, ClusterOutcome::AckedUpdate);
+        assert!(observed < served, "the ack arrived mid-service");
+        assert_eq!(done.finished, served);
+    }
+
+    /// An update that waited in the leader's queue longer than the ack
+    /// timeout still gets the whole timeout once served: it runs from the
+    /// end of the update's service, not from its arrival.
+    #[test]
+    fn a_queued_update_gets_the_whole_ack_timeout() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            governor: Some(GovernorConfig::unbounded()),
+            ..ClusterConfig::default()
+        });
+        let (now, _) = c.quiesce(0);
+        let timeout = c.cfg.ack_timeout_ms;
+        // the follower hears nothing, so the update can only time out
+        c.partition(0, 1, now, now + 10 * timeout);
+        for _ in 0..50 {
+            assert!(matches!(c.submit(SLOW_UPDATE, now), Submitted::Pending(_)));
+        }
+        let id = match c.submit(&update_url("d0.xml", "late"), now) {
+            Submitted::Pending(id) => id,
+            Submitted::Done(d) => panic!("an update is queued: {:?}", d.outcome),
+        };
+        let mut t = now;
+        let served = loop {
+            if let Some(p) = c.shards[0].pending.iter().find(|p| p.ticket.id == id) {
+                break p.served;
+            }
+            assert!(c.advance(t).iter().all(|d| d.id != id), "done at {t}");
+            t += 1;
+        };
+        assert!(served > now + timeout, "queued past the timeout: {served}");
+        let (done, _) = await_update(&mut c, id, t);
+        assert_eq!(done.outcome, ClusterOutcome::AckTimeout);
+        assert_eq!(done.finished, served + timeout);
     }
 }

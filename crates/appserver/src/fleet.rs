@@ -3,7 +3,9 @@
 //!
 //! The fault and overload experiments of [`crate::simulate`] measure the
 //! server tier with *open-loop* synthetic request generators. This module
-//! closes the loop the way the paper's §6 deployments would: each simulated
+//! closes the loop the way the paper's §6 deployments would, against the
+//! same [`Cluster`] (governed when its [`ClusterConfig::governor`] is set;
+//! the fleet's own configs leave it unset): each simulated
 //! browser is an actual `Plugin` running one of the three §6 scenarios as
 //! an XQuery page — (a) Elsevier whole-document caching, (b) the
 //! JS/XQuery mash-up via minijs, (c) an XQuery-only shopping cart issuing

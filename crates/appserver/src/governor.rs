@@ -1,25 +1,29 @@
-//! Overload control for the server tier: the [`RequestGovernor`] wraps an
-//! [`AppServer`] with a bounded, class-prioritised admission queue,
-//! per-request deadlines propagated into the evaluator as fuel budgets,
-//! CoDel-style queue-delay shedding, and graceful degradation of
-//! render-class requests to cached whole-document snapshots.
+//! Overload control for the server tier: a [`RequestGovernor`] fronts each
+//! shard leader of a [`Cluster`](crate::Cluster) (when
+//! [`ClusterConfig::governor`](crate::ClusterConfig::governor) is set) with
+//! bounded, class-prioritised admission queues, per-request deadlines
+//! propagated into the evaluator as fuel budgets, CoDel-style queue-delay
+//! shedding, and graceful degradation of render-class requests to cached
+//! whole-document snapshots. Load is shed at every serving leader, not at
+//! one front end, so a flood on one shard's documents costs the other
+//! shards nothing.
 //!
-//! Everything runs in *virtual time*: the governor models a single-threaded
-//! server whose service time per request is derived from the engine fuel
-//! the evaluation actually consumed ([`GovernorConfig::fuel_per_ms`]).
-//! Same inputs, same clock, same decisions — the chaos simulator
-//! (`crate::simulate`) drives millions of virtual requests through this
-//! code deterministically.
+//! Everything runs in *virtual time*: the governor models its leader as a
+//! single-threaded server whose service time per request is derived from
+//! the engine fuel the evaluation actually consumed
+//! ([`GovernorConfig::fuel_per_ms`]). Same inputs, same clock, same
+//! decisions — the chaos simulator (`crate::simulate`) drives millions of
+//! virtual requests through this code deterministically.
 //!
-//! The control loop per dequeued request:
+//! The cluster admits and serves; the policy lives here. Per request:
 //!
-//! 1. **Admission** (at [`GovernedServer::submit`]): each priority class
+//! 1. **Admission** (`admit`, from `Cluster::submit`): each priority class
 //!    has a bounded queue; overflow is shed immediately with
 //!    `503` + `Retry-After` (the client should back off — the queue being
 //!    full means waiting would blow the deadline anyway).
-//! 2. **Queue-delay shedding** (at dequeue): a simplified deterministic
-//!    CoDel — once the observed queue delay stays above
-//!    [`GovernorConfig::codel_target_ms`] for a full
+//! 2. **Queue-delay shedding** (`serve_next`, from `Cluster::advance`): a
+//!    simplified deterministic CoDel — once the observed queue delay stays
+//!    above [`GovernorConfig::codel_target_ms`] for a full
 //!    [`GovernorConfig::codel_interval_ms`] window, requests are dropped at
 //!    an increasing rate (interval/√count) until the delay recovers. This
 //!    sheds *standing* queues while tolerating bursts shorter than one
@@ -32,13 +36,15 @@
 //!    return, so a deadline-killed `/update` has applied — and journaled —
 //!    nothing.
 //! 4. **Degradation**: when a render-class request (`/page`, `/index`,
-//!    `/doc`) blows its deadline, the governor answers with the cached
-//!    whole-document snapshot (`X-XQIB-Degraded`) instead of failing —
-//!    the paper's own "serve whole documents rather than individual
-//!    queries" caching argument (§6.1).
+//!    `/doc`) blows its deadline, the governor answers with the leader's
+//!    cached whole-document snapshot (`X-XQIB-Degraded:
+//!    whole-document-snapshot`) instead of failing — the paper's own
+//!    "serve whole documents rather than individual queries" caching
+//!    argument (§6.1).
 
 use std::collections::VecDeque;
 
+use crate::cluster::{no_leader_response, ClusterOutcome, Ticket};
 use crate::metrics::nearest_rank;
 use crate::server::{split_url, AppServer, ServerResponse};
 
@@ -145,7 +151,8 @@ impl GovernorConfig {
 }
 
 /// Overload counters (and the raw queue-delay samples the percentiles are
-/// computed from). The governor serves them live on `/metrics`.
+/// computed from). The cluster serves them on `/metrics`, summed over its
+/// shard governors.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OverloadStats {
     /// Requests offered to the governor.
@@ -172,6 +179,28 @@ impl OverloadStats {
         self.shed_queue_full + self.shed_queue_delay
     }
 
+    /// Adds another governor's counters and samples to these.
+    pub fn absorb(&mut self, other: &OverloadStats) {
+        let OverloadStats {
+            submitted,
+            admitted,
+            completed,
+            shed_queue_full,
+            shed_queue_delay,
+            degraded,
+            deadline_exceeded,
+            queue_delays,
+        } = other;
+        self.submitted += submitted;
+        self.admitted += admitted;
+        self.completed += completed;
+        self.shed_queue_full += shed_queue_full;
+        self.shed_queue_delay += shed_queue_delay;
+        self.degraded += degraded;
+        self.deadline_exceeded += deadline_exceeded;
+        self.queue_delays.extend(queue_delays);
+    }
+
     /// Visits each served counter: `shed` counts both flavours, and the
     /// queue-delay percentiles are computed from the samples.
     pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
@@ -192,54 +221,6 @@ impl OverloadStats {
         f("queue-delay-p50-ms", nearest_rank(queue_delays, 50));
         f("queue-delay-p99-ms", nearest_rank(queue_delays, 99));
     }
-}
-
-/// Why a request finished the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// Served normally (any handler status, including 4xx/5xx errors the
-    /// route itself produced).
-    Served,
-    /// Shed at admission: the class queue was full.
-    ShedQueueFull,
-    /// Shed at dequeue: standing queue delay exceeded the CoDel target.
-    ShedQueueDelay,
-    /// Deadline miss degraded to a cached whole-document snapshot.
-    Degraded,
-    /// Deadline miss failed with 504 (`XQIB0014`).
-    DeadlineExceeded,
-}
-
-/// One finished request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completion {
-    pub id: u64,
-    pub class: Class,
-    /// Virtual time the request arrived at the governor.
-    pub arrival: u64,
-    /// Virtual time the response left the server.
-    pub finished: u64,
-    /// Time spent in the admission queue (0 for shed-at-admission).
-    pub queue_delay_ms: u64,
-    pub outcome: Outcome,
-    pub response: ServerResponse,
-}
-
-/// What [`GovernedServer::submit`] decided.
-#[derive(Debug)]
-pub enum Admission {
-    /// Admitted; the id will reappear in exactly one [`Completion`].
-    Queued(u64),
-    /// Shed at admission with the finished 503 response.
-    Rejected(Completion),
-}
-
-#[derive(Debug, Clone)]
-struct Pending {
-    id: u64,
-    url: String,
-    class: Class,
-    arrival: u64,
 }
 
 /// Simplified deterministic CoDel (Controlling Queue Delay, Nichols &
@@ -315,16 +296,16 @@ fn isqrt(n: u64) -> u64 {
     x
 }
 
-/// The admission/scheduling layer itself (state only; the pairing with an
-/// [`AppServer`] lives in [`GovernedServer`]).
+/// One shard leader's admission queues and virtual-time schedule. The
+/// cluster owns one per governed shard and serves through it (see the
+/// module docs).
 #[derive(Debug)]
 pub struct RequestGovernor {
     pub cfg: GovernorConfig,
-    queues: [VecDeque<Pending>; 3],
-    /// Virtual time the single-threaded server frees up.
+    queues: [VecDeque<Ticket>; 3],
+    /// Virtual time the single-threaded leader frees up.
     free_at: u64,
     codel: CoDel,
-    next_id: u64,
     pub stats: OverloadStats,
 }
 
@@ -336,7 +317,6 @@ impl RequestGovernor {
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             free_at: 0,
             codel,
-            next_id: 0,
             stats: OverloadStats::default(),
         }
     }
@@ -346,164 +326,105 @@ impl RequestGovernor {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    fn dequeue(&mut self) -> Option<Pending> {
-        self.queues.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    fn shed_response(&self) -> ServerResponse {
-        ServerResponse::new(503, "<error class=\"overload\">server overloaded</error>")
-            .with_header("Retry-After", &RETRY_AFTER_S.to_string())
-    }
-}
-
-/// An [`AppServer`] behind a [`RequestGovernor`].
-pub struct GovernedServer {
-    pub server: AppServer,
-    pub gov: RequestGovernor,
-}
-
-impl GovernedServer {
-    pub fn new(server: AppServer, cfg: GovernorConfig) -> Self {
-        GovernedServer {
-            server,
-            gov: RequestGovernor::new(cfg),
+    /// Offers a request: it enters its class queue, or comes back to be
+    /// shed at once ([`shed_response`]) when that queue is full.
+    pub(crate) fn admit(&mut self, ticket: Ticket) -> Result<(), Ticket> {
+        self.stats.submitted += 1;
+        let queue = &mut self.queues[ticket.class.index()];
+        if queue.len() >= self.cfg.queue_capacity {
+            self.stats.shed_queue_full += 1;
+            return Err(ticket);
         }
+        self.stats.admitted += 1;
+        queue.push_back(ticket);
+        Ok(())
     }
 
-    /// Offers a request arriving at virtual time `now`. Either admits it
-    /// into the bounded class queue or sheds it immediately (queue full).
-    pub fn submit(&mut self, url: &str, now: u64) -> Admission {
-        self.gov.stats.submitted += 1;
-        let class = Class::of_url(url);
-        let id = self.gov.next_id;
-        self.gov.next_id += 1;
-        if self.gov.queues[class.index()].len() >= self.gov.cfg.queue_capacity {
-            self.gov.stats.shed_queue_full += 1;
-            return Admission::Rejected(Completion {
-                id,
-                class,
-                arrival: now,
-                finished: now,
-                queue_delay_ms: 0,
-                outcome: Outcome::ShedQueueFull,
-                response: self.gov.shed_response(),
-            });
+    /// Serves the next queued request on `leader` if the leader is free by
+    /// `now`, and returns it with the virtual end of its service, its
+    /// outcome and its response; `None` when the queue is empty or the
+    /// leader busy past `now`. CoDel sheds a standing queue's victim; the
+    /// class deadline left after queueing becomes the fuel budget; a
+    /// deadline miss degrades or fails with 504. `refuse` answers a
+    /// request the shard may no longer serve (its 421) without running it,
+    /// and with no leader every queued request gets the blackout 503 now.
+    pub(crate) fn serve_next(
+        &mut self,
+        now: u64,
+        leader: Option<&mut AppServer>,
+        refuse: impl FnOnce(&Ticket) -> Option<ServerResponse>,
+    ) -> Option<(Ticket, u64, ClusterOutcome, ServerResponse)> {
+        if leader.is_some() && self.free_at > now {
+            return None;
         }
-        self.gov.stats.admitted += 1;
-        self.gov.queues[class.index()].push_back(Pending {
-            id,
-            url: url.to_string(),
-            class,
-            arrival: now,
-        });
-        Admission::Queued(id)
-    }
-
-    /// Serves queued requests until the virtual clock reaches `now` (or the
-    /// backlog empties). Every request dequeued here produces exactly one
-    /// [`Completion`].
-    pub fn run_until(&mut self, now: u64) -> Vec<Completion> {
-        let mut done = Vec::new();
-        while self.gov.free_at <= now && self.dequeue_one(&mut done).is_some() {}
-        done
-    }
-
-    /// Serves the entire backlog, advancing virtual time as far as needed.
-    /// Returns the completions in service order.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let mut done = Vec::new();
-        while self.dequeue_one(&mut done).is_some() {}
-        done
-    }
-
-    /// Virtual time at which the server is next free.
-    pub fn free_at(&self) -> u64 {
-        self.gov.free_at
-    }
-
-    /// Dequeues and serves one request, pushing its completion. Returns
-    /// `None` when the backlog is empty.
-    fn dequeue_one(&mut self, done: &mut Vec<Completion>) -> Option<()> {
-        let p = self.gov.dequeue()?;
-        let start = self.gov.free_at.max(p.arrival);
-        let delay = start - p.arrival;
-        self.gov.stats.queue_delays.push(delay);
-
-        // CoDel: shed standing-queue victims with a cheap 503
-        if self.gov.codel.should_shed(delay, start) {
-            self.gov.stats.shed_queue_delay += 1;
-            self.gov.stats.completed += 1;
-            self.gov.free_at = start; // shedding is free: no evaluation ran
-            done.push(Completion {
-                id: p.id,
-                class: p.class,
-                arrival: p.arrival,
-                finished: start,
-                queue_delay_ms: delay,
-                outcome: Outcome::ShedQueueDelay,
-                response: self.gov.shed_response(),
-            });
-            return Some(());
+        let t = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
+        self.stats.completed += 1;
+        let Some(leader) = leader else {
+            return Some((t, now, ClusterOutcome::NoLeader, no_leader_response()));
+        };
+        let start = self.free_at.max(t.arrival);
+        let delay = start - t.arrival;
+        self.stats.queue_delays.push(delay);
+        // shedding and refusing are free: no evaluation runs
+        self.free_at = start;
+        if self.codel.should_shed(delay, start) {
+            self.stats.shed_queue_delay += 1;
+            return Some((t, start, ClusterOutcome::Shed, shed_response()));
         }
-
-        let deadline = self.gov.cfg.deadline_ms[p.class.index()];
-        let (response, outcome, service_ms) = if deadline > 0 && delay >= deadline {
+        if let Some(refusal) = refuse(&t) {
+            return Some((t, start, ClusterOutcome::Misrouted, refusal));
+        }
+        let deadline = self.cfg.deadline_ms[t.class.index()];
+        let (outcome, response, service_ms) = if deadline > 0 && delay >= deadline {
             // the whole deadline was eaten by queueing: never evaluate
-            self.degrade_or_504(&p)
+            self.degrade_or_504(leader, &t)
         } else {
             let budget =
-                (deadline > 0).then(|| (deadline - delay).saturating_mul(self.gov.cfg.fuel_per_ms));
-            // a `/metrics` request served here reports the live overload
-            // counters next to the server's own
-            let stats = &self.gov.stats;
-            let (resp, fuel_used) = self.server.handle_layered(&p.url, budget, |m| {
-                m.overload = stats.clone();
-            });
+                (deadline > 0).then(|| (deadline - delay).saturating_mul(self.cfg.fuel_per_ms));
+            let (resp, fuel_used) = leader.handle_budgeted(&t.url, budget);
             // fuel retired on the engine is the virtual CPU cost; every
             // request additionally pays 1 ms of fixed routing/serialisation
-            let service_ms = fuel_used / self.gov.cfg.fuel_per_ms + 1;
+            let service_ms = fuel_used / self.cfg.fuel_per_ms + 1;
             if resp.status == 504 {
                 // XQIB0014 from the evaluator: the deadline fired mid-query
-                let (resp, outcome, _) = self.degrade_or_504(&p);
-                (resp, outcome, service_ms)
+                let (outcome, resp, _) = self.degrade_or_504(leader, &t);
+                (outcome, resp, service_ms)
             } else {
-                (resp, Outcome::Served, service_ms)
+                (ClusterOutcome::Served, resp, service_ms)
             }
         };
-        self.gov.free_at = start + service_ms;
-        self.gov.stats.completed += 1;
-        done.push(Completion {
-            id: p.id,
-            class: p.class,
-            arrival: p.arrival,
-            finished: self.gov.free_at,
-            queue_delay_ms: delay,
-            outcome,
-            response,
-        });
-        Some(())
+        self.free_at = start + service_ms;
+        Some((t, self.free_at, outcome, response))
     }
 
     /// The deadline-miss fallback: render-class requests degrade to the
-    /// cached snapshot when enabled, everything else fails with 504. The
-    /// fixed cost of either path is 1 virtual ms.
-    fn degrade_or_504(&mut self, p: &Pending) -> (ServerResponse, Outcome, u64) {
-        if p.class == Class::Render && self.gov.cfg.degrade_renders {
-            if let Some(resp) = self.server.degraded_snapshot(&p.url) {
-                self.gov.stats.degraded += 1;
-                return (resp, Outcome::Degraded, 1);
+    /// leader's whole-document snapshot when enabled, everything else
+    /// fails with 504. The fixed cost of either path is 1 virtual ms.
+    fn degrade_or_504(
+        &mut self,
+        leader: &AppServer,
+        t: &Ticket,
+    ) -> (ClusterOutcome, ServerResponse, u64) {
+        if t.class == Class::Render && self.cfg.degrade_renders {
+            if let Some(resp) = leader.degraded_snapshot(&t.url) {
+                self.stats.degraded += 1;
+                return (ClusterOutcome::Degraded, resp, 1);
             }
         }
-        self.gov.stats.deadline_exceeded += 1;
+        self.stats.deadline_exceeded += 1;
         (
-            ServerResponse::new(
-                504,
-                "<error>XQIB0014: request deadline exceeded</error>".to_string(),
-            ),
-            Outcome::DeadlineExceeded,
+            ClusterOutcome::DeadlineExceeded,
+            ServerResponse::new(504, "<error>XQIB0014: request deadline exceeded</error>"),
             1,
         )
     }
+}
+
+/// The 503 a shed request gets: the queue is full or standing, and
+/// waiting would blow the deadline anyway.
+pub(crate) fn shed_response() -> ServerResponse {
+    ServerResponse::new(503, "<error class=\"overload\">server overloaded</error>")
+        .with_header("Retry-After", &RETRY_AFTER_S.to_string())
 }
 
 #[cfg(test)]
@@ -512,9 +433,25 @@ mod tests {
     use super::*;
     use crate::corpus::{generate_corpus, CorpusSpec};
 
-    fn governed(cfg: GovernorConfig) -> GovernedServer {
-        let server = AppServer::new(&generate_corpus(&CorpusSpec::default())).unwrap();
-        GovernedServer::new(server, cfg)
+    type Served = (Ticket, u64, ClusterOutcome, ServerResponse);
+
+    fn leader() -> AppServer {
+        AppServer::new(&generate_corpus(&CorpusSpec::default())).unwrap()
+    }
+
+    fn ticket(id: u64, url: &str, arrival: u64) -> Ticket {
+        Ticket {
+            id,
+            shard: 0,
+            class: Class::of_url(url),
+            url: url.to_string(),
+            arrival,
+        }
+    }
+
+    /// Serves the whole backlog, however long it takes.
+    fn drain(g: &mut RequestGovernor, leader: &mut AppServer) -> Vec<Served> {
+        std::iter::from_fn(|| g.serve_next(u64::MAX, Some(leader), |_| None)).collect()
     }
 
     #[test]
@@ -528,81 +465,84 @@ mod tests {
 
     #[test]
     fn under_capacity_nothing_is_shed_or_degraded() {
-        let mut g = governed(GovernorConfig::default());
-        let mut ids = Vec::new();
+        let (mut g, mut leader) = (RequestGovernor::new(GovernorConfig::default()), leader());
         for k in 0..20u64 {
             // one request every 100 virtual ms: far under capacity
             let t = k * 100;
-            match g.submit("/page?article=j0-v0-i0-a0", t) {
-                Admission::Queued(id) => ids.push(id),
-                Admission::Rejected(_) => panic!("shed under capacity"),
-            }
-            for c in g.run_until(t) {
-                assert_eq!(c.outcome, Outcome::Served);
-                assert_eq!(c.response.status, 200);
+            assert!(g.admit(ticket(k, "/page?article=j0-v0-i0-a0", t)).is_ok());
+            while let Some((_, _, outcome, resp)) = g.serve_next(t, Some(&mut leader), |_| None) {
+                assert_eq!(outcome, ClusterOutcome::Served);
+                assert_eq!(resp.status, 200);
             }
         }
-        let rest = g.drain();
-        assert!(g.gov.stats.shed() == 0 && g.gov.stats.degraded == 0);
-        assert_eq!(
-            g.gov.stats.completed as usize,
-            ids.len(),
-            "drain finished the tail: {rest:?}"
-        );
+        let rest = drain(&mut g, &mut leader);
+        assert!(g.stats.shed() == 0 && g.stats.degraded == 0);
+        assert_eq!(g.stats.completed, 20, "drain finished the tail: {rest:?}");
     }
 
     #[test]
     fn queue_overflow_sheds_with_retry_after() {
-        let mut g = governed(GovernorConfig {
+        let mut g = RequestGovernor::new(GovernorConfig {
             queue_capacity: 4,
             ..Default::default()
         });
-        let mut shed = 0;
-        for _ in 0..10 {
-            if let Admission::Rejected(c) = g.submit("/page?article=j0-v0-i0-a0", 0) {
-                assert_eq!(c.response.status, 503);
-                assert_eq!(c.response.header("Retry-After"), Some("1"));
-                assert_eq!(c.outcome, Outcome::ShedQueueFull);
-                shed += 1;
-            }
-        }
+        let shed = (0..10)
+            .filter(|&k| g.admit(ticket(k, "/page?article=j0-v0-i0-a0", 0)).is_err())
+            .count();
         assert_eq!(shed, 6, "4 admitted, 6 shed");
-        assert_eq!(g.gov.backlog(), 4);
+        assert_eq!(g.backlog(), 4);
+        let resp = shed_response();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("Retry-After"), Some("1"));
     }
 
     #[test]
     fn render_class_dequeues_before_queries() {
-        let mut g = governed(GovernorConfig::default());
-        g.submit("/query?xq=1", 0);
-        g.submit("/query?xq=2", 0);
-        g.submit("/index", 0);
-        let done = g.drain();
-        assert_eq!(done[0].class, Class::Render, "render jumps the queue");
-        assert_eq!(done[1].class, Class::Query);
+        let (mut g, mut leader) = (RequestGovernor::new(GovernorConfig::default()), leader());
+        for (k, url) in ["/query?xq=1", "/query?xq=2", "/index"].iter().enumerate() {
+            g.admit(ticket(k as u64, url, 0)).unwrap();
+        }
+        let done = drain(&mut g, &mut leader);
+        assert_eq!(done[0].0.class, Class::Render, "render jumps the queue");
+        assert_eq!(done[1].0.class, Class::Query);
     }
 
     #[test]
     fn deadline_eaten_in_queue_degrades_renders_and_504s_queries() {
-        // deadline 50ms, but the server is busy until t=1000
-        let mut g = governed(GovernorConfig::default());
-        g.gov.free_at = 1000;
-        g.submit("/page?article=j0-v0-i0-a0", 0);
-        g.submit("/query?xq=1+to+3", 0);
-        let done = g.drain();
-        let page = &done[0];
-        assert_eq!(page.outcome, Outcome::Degraded);
-        assert_eq!(page.response.status, 200);
-        assert!(page.response.body.starts_with("<library>"));
+        // deadline 100ms, but the leader is busy until t=1000
+        let (mut g, mut leader) = (RequestGovernor::new(GovernorConfig::default()), leader());
+        g.free_at = 1000;
+        g.admit(ticket(0, "/page?article=j0-v0-i0-a0", 0)).unwrap();
+        g.admit(ticket(1, "/query?xq=1+to+3", 0)).unwrap();
+        let done = drain(&mut g, &mut leader);
+        let (_, _, outcome, page) = &done[0];
+        assert_eq!(*outcome, ClusterOutcome::Degraded);
+        assert_eq!(page.status, 200);
+        assert!(page.body.starts_with("<library>"));
         assert_eq!(
-            page.response.header("X-XQIB-Degraded"),
+            page.header("X-XQIB-Degraded"),
             Some("whole-document-snapshot")
         );
-        let query = &done[1];
-        assert_eq!(query.outcome, Outcome::DeadlineExceeded);
-        assert_eq!(query.response.status, 504);
+        let (_, _, outcome, query) = &done[1];
+        assert_eq!(*outcome, ClusterOutcome::DeadlineExceeded);
+        assert_eq!(query.status, 504);
         // each miss lands in exactly one bucket: degraded or failed
-        assert_eq!(g.gov.stats.deadline_exceeded, 1);
-        assert_eq!(g.gov.stats.degraded, 1);
+        assert_eq!(g.stats.deadline_exceeded, 1);
+        assert_eq!(g.stats.degraded, 1);
+    }
+
+    /// A request the shard may no longer serve is answered with the
+    /// refusal, unrun and at no cost to the queue behind it.
+    #[test]
+    fn a_refused_request_costs_nothing() {
+        let (mut g, mut leader) = (RequestGovernor::new(GovernorConfig::default()), leader());
+        g.admit(ticket(0, "/query?xq=1", 5)).unwrap();
+        let refusal = || Some(ServerResponse::new(421, "moved"));
+        let (t, finished, outcome, resp) =
+            g.serve_next(5, Some(&mut leader), |_| refusal()).unwrap();
+        assert_eq!((t.id, finished, outcome), (0, 5, ClusterOutcome::Misrouted));
+        assert_eq!(resp.status, 421);
+        assert_eq!((g.free_at, leader.db.evals), (5, 0));
     }
 
     #[test]
@@ -629,22 +569,5 @@ mod tests {
         for (n, r) in [(0, 0), (1, 1), (2, 1), (3, 1), (4, 2), (99, 9), (100, 10)] {
             assert_eq!(isqrt(n), r, "isqrt({n})");
         }
-    }
-
-    #[test]
-    fn metrics_through_the_governor_report_live_overload_counters() {
-        let mut g = governed(GovernorConfig {
-            queue_capacity: 1,
-            ..Default::default()
-        });
-        g.submit("/index", 0);
-        g.submit("/index", 0); // shed: queue full
-        g.drain();
-        g.submit("/metrics", 1_000);
-        let done = g.drain();
-        let body = &done[0].response.body;
-        // the /metrics request itself was admitted too
-        assert!(body.contains("<admitted>2</admitted>"), "{body}");
-        assert!(body.contains("<shed>1</shed>"), "{body}");
     }
 }

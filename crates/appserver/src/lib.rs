@@ -39,11 +39,9 @@ pub use cluster::{
 };
 pub use corpus::{generate_corpus, CorpusSpec};
 pub use fleet::{run_fleet, ClientReport, FleetConfig, FleetReport, FleetStats, Scenario};
-pub use governor::{Admission, Class, GovernedServer, GovernorConfig, Outcome, RequestGovernor};
+pub use governor::{Class, GovernorConfig, RequestGovernor};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use server::AppServer;
-pub use simulate::{
-    run_sim, run_sim_with_server, ArrivalPattern, ClientSpec, RouteMix, SimConfig, SimReport,
-};
+pub use simulate::{run_sim, ArrivalPattern, ClientSpec, RouteMix, SimConfig, SimReport};
 pub use webservice::WebServiceHost;
 pub use xmldb::{DurabilityConfig, XmlDb};

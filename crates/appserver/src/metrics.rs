@@ -6,8 +6,8 @@
 //! `/metrics` body is a [`MetricsSnapshot`]: every layer of the deployment
 //! fills in its own part when the body is rendered. The serving
 //! [`AppServer`](crate::AppServer) fills in its counters, its database's
-//! and the engine's, a [`GovernedServer`](crate::GovernedServer) adds its
-//! overload counters, and a [`Cluster`](crate::Cluster) its replication,
+//! and the engine's; a [`Cluster`](crate::Cluster) adds the overload
+//! counters of its shard governors, summed, and its replication,
 //! integrity, resharding and fleet counters. A layer the deployment does
 //! not run stays at its default, so every deployment serves the same
 //! names in the same order.

@@ -161,20 +161,11 @@ impl AppServer {
     /// consumed (0 for routes that evaluate nothing), which the request
     /// governor converts back into virtual service time.
     pub fn handle_budgeted(&mut self, url: &str, budget: Option<u64>) -> (ServerResponse, u64) {
-        self.handle_layered(url, budget, |_| {})
-    }
-
-    /// Like [`Self::handle_budgeted`], for a server running inside other
-    /// layers (a governor, a cluster): a `/metrics` request calls `layers`
-    /// to add their counters to this server's snapshot before rendering.
-    pub fn handle_layered(
-        &mut self,
-        url: &str,
-        budget: Option<u64>,
-        layers: impl FnOnce(&mut MetricsSnapshot),
-    ) -> (ServerResponse, u64) {
-        self.metrics.requests += 1;
         let (path, query) = split_url(url);
+        if path == "/metrics" {
+            return (self.serve_snapshot(self.metrics_snapshot()), 0);
+        }
+        self.metrics.requests += 1;
         let (resp, fuel_used) = match path.as_str() {
             "/page" => match param(&query, "article") {
                 Some(id) => self.render_query(
@@ -220,15 +211,21 @@ impl AppServer {
                 Some(xq) => self.render_query(&xq, budget, &[]),
                 None => (bad_request("missing xq parameter"), 0),
             },
-            "/metrics" => {
-                let mut snapshot = self.metrics_snapshot();
-                layers(&mut snapshot);
-                (ServerResponse::new(200, snapshot.to_xml()), 0)
-            }
             other => (not_found(&format!("no route {other}")), 0),
         };
         self.metrics.bytes_out += resp.body.len() as u64;
         (resp, fuel_used)
+    }
+
+    /// Serves a `/metrics` scrape of `m`, a [`Self::metrics_snapshot`] the
+    /// layers around this server may have added to: counts the scrape as a
+    /// request, in `m` too, and its body as bytes out.
+    pub fn serve_snapshot(&mut self, mut m: MetricsSnapshot) -> ServerResponse {
+        self.metrics.requests += 1;
+        m.server.requests = self.metrics.requests;
+        let resp = ServerResponse::new(200, m.to_xml());
+        self.metrics.bytes_out += resp.body.len() as u64;
+        resp
     }
 
     /// This server's `/metrics` counters, read from their owners now: its

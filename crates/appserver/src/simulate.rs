@@ -1,8 +1,9 @@
 //! The deterministic multi-client chaos simulator: N seeded virtual
-//! clients with arrival-rate schedules drive a (governed or ungoverned)
-//! [`AppServer`] through virtual time, optionally through the browser
-//! substrate's network fault layer ([`FaultPlan`]) and over a
-//! fault-injected [`VirtualDisk`] — the end-to-end "the system survives
+//! clients with arrival-rate schedules drive a [`Cluster`] — by default
+//! one shard, no followers, its leader behind a request governor — through
+//! virtual time, optionally through the browser substrate's network fault
+//! layer ([`FaultPlan`]) and over fault-injected seat disks
+//! ([`ClusterConfig::disk_fault`]) — the end-to-end "the system survives
 //! overload and partial failure at once" experiment.
 //!
 //! Open-loop load: arrivals follow each client's schedule regardless of how
@@ -17,18 +18,16 @@ use std::collections::HashMap;
 
 use xqib_browser::event_loop::EventLoop;
 use xqib_browser::net::{Fault, FaultPlan};
-use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
-use xqib_xdm::XdmResult;
+use xqib_storage::mix64;
 
 use crate::cluster::{
     Cluster, ClusterChaos, ClusterCompletion, ClusterConfig, ClusterOutcome, IntegrityStats,
     ReplicationStats, ReshardStats, RouteCache, Submitted, TopologyEpoch,
 };
 use crate::corpus::{generate_corpus, CorpusSpec};
-use crate::governor::{Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome};
+use crate::governor::{Class, GovernorConfig};
 use crate::metrics::{nearest_rank, MetricsSnapshot};
-use crate::server::AppServer;
-use crate::xmldb::DurabilityConfig;
+use crate::render;
 
 /// An open-loop arrival schedule, in requests per (virtual) second.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,21 +117,21 @@ pub struct SimConfig {
     /// always drained to completion afterwards).
     pub duration_ms: u64,
     pub clients: Vec<ClientSpec>,
-    /// `Some` = governed (the overload-control arm); `None` = the
-    /// ungoverned baseline (unbounded FIFO, no deadlines, no shedding).
-    pub governor: Option<GovernorConfig>,
     /// Client→server network faults (lost requests, injected errors,
     /// truncations, latency jitter), decided per request index in virtual
     /// time by the browser substrate's fault model.
     pub net_fault: Option<FaultPlan>,
-    /// When set, the server runs durably over a [`VirtualDisk`] carrying
-    /// this storage fault plan.
-    pub disk_fault: Option<StorageFaultPlan>,
+    /// The deployment under load. Its `governor` is the overload-control
+    /// arm (`GovernorConfig::default()`) or the ungoverned baseline
+    /// (`GovernorConfig::unbounded()`: unbounded FIFO, no deadlines, no
+    /// shedding); `disk_fault` puts storage faults under it.
+    pub cluster: ClusterConfig,
     pub corpus: CorpusSpec,
 }
 
 impl SimConfig {
-    /// A small governed steady-state run — the starting point tests tweak.
+    /// A small governed steady-state run on one shard with no followers —
+    /// the starting point tests tweak.
     pub fn steady(seed: u64, rps: u64, duration_ms: u64) -> Self {
         SimConfig {
             seed,
@@ -141,9 +140,15 @@ impl SimConfig {
                 pattern: ArrivalPattern::Steady { rps },
                 mix: RouteMix::default(),
             }],
-            governor: Some(GovernorConfig::default()),
             net_fault: None,
-            disk_fault: None,
+            cluster: ClusterConfig {
+                seed,
+                shards: 1,
+                followers: 0,
+                ack_replicas: 0,
+                governor: Some(GovernorConfig::default()),
+                ..ClusterConfig::default()
+            },
             corpus: CorpusSpec::default(),
         }
     }
@@ -162,6 +167,8 @@ pub struct ClassStats {
     pub shed: u64,
     /// Failed with 504 (deadline exceeded, no fallback).
     pub deadline_exceeded: u64,
+    /// Updates applied but not made durable in time: 503 `XQIB0017`.
+    pub ack_timeouts: u64,
     /// Other non-200 responses the handler itself produced.
     pub errors: u64,
     /// Requests the network lost before they reached the server.
@@ -189,8 +196,8 @@ pub struct SimReport {
     pub duration_ms: u64,
     /// Indexed by [`Class::index`].
     pub per_class: [ClassStats; 3],
-    /// The server's final counters with the governor's overload counters:
-    /// what a `/metrics` request through the governor would serve.
+    /// The cluster's final counters, overload included: what a `/metrics`
+    /// scrape would serve.
     pub metrics: MetricsSnapshot,
 }
 
@@ -267,31 +274,15 @@ fn pick_url(cfg: &SimConfig, client: usize, n: u64) -> String {
 }
 
 /// Runs the simulation to completion and reports per-class outcome
-/// counters, latency percentiles and the server's final metrics. Fails
-/// only when the generated corpus cannot be loaded (e.g. the seeded disk
-/// fault plan refuses the initial bulk load).
-pub fn run_sim(cfg: &SimConfig) -> XdmResult<SimReport> {
-    Ok(run_sim_with_server(cfg)?.0)
-}
-
-/// [`run_sim`], but also hands back the final [`GovernedServer`] so tests
-/// can reconcile observed responses against actual server state (applied
-/// update effects, durable disk images, `/metrics` output).
-pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedServer)> {
-    let corpus = generate_corpus(&cfg.corpus);
-    let server = match &cfg.disk_fault {
-        Some(plan) => AppServer::new_durable(
-            &corpus,
-            VirtualDisk::with_plan(plan.clone()),
-            DurabilityConfig::default(),
-        )?,
-        None => AppServer::new(&corpus)?,
-    };
-    let gov_cfg = cfg
-        .governor
-        .clone()
-        .unwrap_or_else(GovernorConfig::unbounded);
-    let mut g = GovernedServer::new(server, gov_cfg);
+/// counters, latency percentiles and the cluster's final metrics. Returns
+/// the cluster too, so tests can reconcile observed responses against its
+/// state (applied update effects, durable disk images, `/metrics`).
+/// Panics if the generated corpus does not load (a disk fault plan may
+/// refuse it): a run over an empty cluster measures nothing.
+pub fn run_sim(cfg: &SimConfig) -> (SimReport, Cluster) {
+    let mut c = Cluster::new(cfg.cluster.clone());
+    let loaded = c.load(render::CORPUS_URI, &generate_corpus(&cfg.corpus));
+    assert!(loaded.is_some(), "the generated corpus does not load");
 
     // --- generate every arrival's URL on the shared virtual clock ----------
     let mut clock: EventLoop<String> = EventLoop::new();
@@ -313,10 +304,10 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
         }
     }
 
-    // --- drive arrivals through the fault layer into the governor ---------
+    // --- drive arrivals through the fault layer into the cluster ----------
     // id → (net jitter, the fault its reply meets)
     let mut inflight: HashMap<u64, (u64, Option<Fault>)> = HashMap::new();
-    let complete = |c: &Completion, (jitter, fault), stats: &mut [ClassStats; 3]| {
+    let complete = |c: ClusterCompletion, (jitter, fault), stats: &mut [ClassStats; 3]| {
         let s = &mut stats[c.class.index()];
         if matches!(fault, Some(Fault::ReplyLost)) {
             // served, but the reply vanished: the client sees a loss
@@ -328,17 +319,19 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
             s.truncated += 1;
         }
         match c.outcome {
-            Outcome::Served if c.response.status == 200 => s.ok += 1,
-            Outcome::Served => s.errors += 1,
-            Outcome::Degraded => s.degraded += 1,
-            Outcome::ShedQueueFull | Outcome::ShedQueueDelay => s.shed += 1,
-            Outcome::DeadlineExceeded => s.deadline_exceeded += 1,
+            ClusterOutcome::Degraded => s.degraded += 1,
+            ClusterOutcome::Shed => s.shed += 1,
+            ClusterOutcome::DeadlineExceeded => s.deadline_exceeded += 1,
+            ClusterOutcome::AckTimeout => s.ack_timeouts += 1,
+            _ if c.response.status == 200 => s.ok += 1,
+            _ => s.errors += 1,
         }
     };
 
     let mut req_index = 0u64;
+    let mut now = 0;
     while let Some(url) = clock.pop() {
-        let now = clock.now();
+        now = clock.now();
         let class = Class::of_url(&url);
         per_class[class.index()].issued += 1;
         let (fault, jitter) = match &cfg.net_fault {
@@ -362,33 +355,33 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
             // open-loop report it lands in the lost column.
             Some(Fault::Truncate) | Some(Fault::ReplyLost) | None => {}
         }
-        match g.submit(&url, now) {
-            // a refusal is the governor's own reply, recorded unfaulted
-            Admission::Rejected(c) => complete(&c, (jitter, None), &mut per_class),
-            Admission::Queued(id) => {
+        match c.submit(&url, now) {
+            // shed at admission: the governor's own reply, unfaulted
+            Submitted::Done(d) if d.outcome == ClusterOutcome::Shed => {
+                complete(*d, (jitter, None), &mut per_class);
+            }
+            Submitted::Done(d) => complete(*d, (jitter, fault), &mut per_class),
+            Submitted::Pending(id) => {
                 inflight.insert(id, (jitter, fault));
             }
         }
-        for c in g.run_until(now) {
-            let net = inflight.remove(&c.id).unwrap_or_default();
-            complete(&c, net, &mut per_class);
+        for d in c.advance(now) {
+            let net = inflight.remove(&d.id).unwrap_or_default();
+            complete(d, net, &mut per_class);
         }
     }
-    for c in g.drain() {
-        let net = inflight.remove(&c.id).unwrap_or_default();
-        complete(&c, net, &mut per_class);
+    for d in c.quiesce(now).1 {
+        let net = inflight.remove(&d.id).unwrap_or_default();
+        complete(d, net, &mut per_class);
     }
     debug_assert!(inflight.is_empty(), "every admitted request completed");
 
     let report = SimReport {
         duration_ms: cfg.duration_ms,
         per_class,
-        metrics: MetricsSnapshot {
-            overload: g.gov.stats.clone(),
-            ..g.server.metrics_snapshot()
-        },
+        metrics: c.metrics_snapshot(),
     };
-    Ok((report, g))
+    (report, c)
 }
 
 // ---------------------------------------------------------------------
@@ -468,7 +461,7 @@ pub struct ClusterReport {
     pub ack_timeouts: u64,
     /// Requests refused during a blackout (no degraded path).
     pub no_leader: u64,
-    /// Non-200 responses the leader's handler itself produced.
+    /// Non-200 responses the leader's handler or its governor produced.
     pub errors: u64,
     /// Reads served 200 (fresh, follower or degraded).
     pub reads_ok: u64,
@@ -573,6 +566,8 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
                 report.degraded_reads += 1;
                 report.reads_ok += 1;
             }
+            ClusterOutcome::Degraded => report.reads_ok += 1,
+            ClusterOutcome::Shed | ClusterOutcome::DeadlineExceeded => report.errors += 1,
             ClusterOutcome::Served => {
                 if done.response.status == 200 {
                     if done.class == Class::Render || done.class == Class::Query {
@@ -647,6 +642,7 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use xqib_storage::StorageFaultPlan;
 
     #[test]
     fn patterns_compute_rates() {
@@ -700,7 +696,7 @@ mod tests {
 
     #[test]
     fn steady_under_capacity_is_all_goodput() {
-        let report = run_sim(&SimConfig::steady(7, 5, 4_000)).unwrap();
+        let report = run_sim(&SimConfig::steady(7, 5, 4_000)).0;
         assert_eq!(report.issued(), 20);
         assert_eq!(report.shed(), 0, "{report:?}");
         assert_eq!(report.metrics.overload.shed(), 0);
@@ -718,13 +714,13 @@ mod tests {
                 .with_error_permille(50)
                 .with_jitter_ms(20),
         );
-        cfg.disk_fault = Some(StorageFaultPlan::seeded(11));
-        let a = run_sim(&cfg).unwrap();
-        let b = run_sim(&cfg).unwrap();
+        cfg.cluster.disk_fault = Some(StorageFaultPlan::seeded(11));
+        let a = run_sim(&cfg).0;
+        let b = run_sim(&cfg).0;
         assert_eq!(a, b);
         // a different seed explores a different trajectory
         cfg.seed = 43;
-        let c = run_sim(&cfg).unwrap();
+        let c = run_sim(&cfg).0;
         assert_ne!(a, c);
     }
 
@@ -737,7 +733,7 @@ mod tests {
             from_ms: 1_000,
             to_ms: 3_000,
         };
-        let report = run_sim(&cfg).unwrap();
+        let report = run_sim(&cfg).0;
         assert!(report.shed() > 0, "the burst must overwhelm the queue");
         assert!(
             report.goodput() > 0,
@@ -750,7 +746,7 @@ mod tests {
         fn errors(&self) -> u64 {
             self.per_class
                 .iter()
-                .map(|c| c.errors + c.deadline_exceeded)
+                .map(|c| c.errors + c.ack_timeouts + c.deadline_exceeded)
                 .sum()
         }
     }

@@ -1,6 +1,7 @@
-//! Overload experiment: the same 2× overload burst replayed against the
-//! ungoverned baseline and the governed server, in deterministic virtual
-//! time. Unlike the Criterion microbenches this is not a wall-clock
+//! Overload experiment: the same 2× overload burst replayed against a
+//! one-shard, no-follower cluster whose leader sits behind an unbounded
+//! FIFO (the ungoverned baseline) or the request governor, in
+//! deterministic virtual time. Unlike the Criterion microbenches this is not a wall-clock
 //! measurement — the interesting numbers (goodput, p99 latency, shed and
 //! degraded counts) come out of the simulator itself — so the binary
 //! writes `BENCH_overload.json` directly.
@@ -12,7 +13,7 @@
 //! of the mean service time (`fuel / fuel_per_ms + 1` virtual ms) over an
 //! unloaded run, so the burst stays 2× whatever the engine charges.
 
-use xqib_appserver::governor::Class;
+use xqib_appserver::governor::{Class, GovernorConfig};
 use xqib_appserver::metrics::nearest_rank;
 use xqib_appserver::simulate::{run_sim, ArrivalPattern, SimConfig, SimReport};
 use xqib_bench::write_report;
@@ -26,8 +27,8 @@ const DURATION_MS: u64 = 6_000;
 /// even if a slow request makes the next one wait.
 fn capacity_rps(seed: u64) -> u64 {
     let mut cfg = SimConfig::steady(seed, BASE_RPS, DURATION_MS);
-    cfg.governor = None;
-    let r = run_sim(&cfg).expect("corpus load");
+    cfg.cluster.governor = Some(GovernorConfig::unbounded());
+    let r = run_sim(&cfg).0;
     let latency: u64 = r.per_class.iter().flat_map(|c| &c.latencies).sum();
     let queueing: u64 = r.metrics.overload.queue_delays.iter().sum();
     let served = r.metrics.overload.completed;
@@ -43,7 +44,7 @@ fn burst_config(seed: u64, burst_rps: u64, governed: bool) -> SimConfig {
         to_ms: 3_000,
     };
     if !governed {
-        cfg.governor = None;
+        cfg.cluster.governor = Some(GovernorConfig::unbounded());
     }
     cfg
 }
@@ -74,8 +75,8 @@ fn main() {
     let seed = 0xB02D;
     let capacity = capacity_rps(seed);
     let burst_rps = 2 * capacity;
-    let baseline = run_sim(&burst_config(seed, burst_rps, false)).expect("corpus load");
-    let governed = run_sim(&burst_config(seed, burst_rps, true)).expect("corpus load");
+    let baseline = run_sim(&burst_config(seed, burst_rps, false)).0;
+    let governed = run_sim(&burst_config(seed, burst_rps, true)).0;
 
     write_report(
         "BENCH_overload.json",

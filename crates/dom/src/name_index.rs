@@ -16,6 +16,10 @@
 //! are differences of two entries — an evaluator can charge exactly what
 //! the walk it replaces would have charged.
 //!
+//! An answer is lazy: it shares the name's list with the index and reads
+//! one hit per pull, so `exists(//p)` costs two binary searches and one
+//! hit however many `p` the subtree holds.
+//!
 //! Validity and build policy follow the attribute-value index
 //! ([`crate::attr_index`]): the index is valid for the content version it
 //! was built at; the first probe of a name at a version returns `None` (the
@@ -23,21 +27,90 @@
 //! See `DESIGN.md` § "Document-order index & invalidation".
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Range;
+use std::rc::Rc;
 
 use crate::arena::Document;
 use crate::name::QName;
 use crate::node::NodeId;
 use crate::order::OrderIndex;
 
-/// The answer to one named descendant step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One element of a name's list.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Its pre-order position.
+    pos: u32,
+    node: NodeId,
+    /// Non-attribute nodes at positions up to and including `pos`.
+    upto: u32,
+}
+
+/// The answer to one named descendant step: an iterator over the matching
+/// elements in document order, each with the number of nodes a pre-order
+/// walk from the context node visits up to and including it. Each pull
+/// reads one entry of the name's list, which the answer shares with the
+/// index, so it stays valid whatever the document does next.
+#[derive(Clone)]
 pub struct NamedDescendants {
-    /// The matching elements in document order, each with the number of
-    /// nodes a pre-order walk from the context node visits up to and
-    /// including it.
-    pub hits: Vec<(NodeId, u32)>,
+    list: Rc<[Entry]>,
+    /// The entries inside the context's subtree, not yet pulled.
+    range: Range<usize>,
+    /// Non-attribute nodes at positions before the walk's first node.
+    base: u32,
     /// The number of nodes the whole walk visits.
     pub walked: u32,
+}
+
+impl NamedDescendants {
+    /// An answer over hits already in hand (the walk oracle's).
+    fn from_hits(hits: Vec<(NodeId, u32)>, walked: u32) -> Self {
+        let list: Rc<[Entry]> = hits
+            .into_iter()
+            .map(|(node, upto)| Entry { pos: 0, node, upto })
+            .collect();
+        NamedDescendants {
+            range: 0..list.len(),
+            list,
+            base: 0,
+            walked,
+        }
+    }
+}
+
+impl ExactSizeIterator for NamedDescendants {}
+
+impl Iterator for NamedDescendants {
+    type Item = (NodeId, u32);
+
+    fn next(&mut self) -> Option<(NodeId, u32)> {
+        let e = self.list[self.range.next()?];
+        #[cfg(test)]
+        tests::MATERIALIZED.with(|n| n.set(n.get() + 1));
+        Some((e.node, e.upto - self.base))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+/// Two answers are equal when they yield the same hits and walk the same.
+impl PartialEq for NamedDescendants {
+    fn eq(&self, other: &Self) -> bool {
+        self.walked == other.walked && self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for NamedDescendants {}
+
+impl fmt::Debug for NamedDescendants {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NamedDescendants")
+            .field("hits", &self.clone().collect::<Vec<_>>())
+            .field("walked", &self.walked)
+            .finish()
+    }
 }
 
 /// Expanded element name → sorted pre-order positions. Lives behind a
@@ -51,8 +124,9 @@ pub(crate) struct NameIndex {
     /// `walked[p]`: non-attribute nodes at positions below `p` (`n + 1`
     /// entries); filled by the first build at `version`.
     walked: Vec<u32>,
-    /// The names built at `version`.
-    by_name: HashMap<QName, Vec<u32>>,
+    /// The names built at `version`, each with its elements in document
+    /// order.
+    by_name: HashMap<QName, Rc<[Entry]>>,
 }
 
 impl NameIndex {
@@ -91,13 +165,17 @@ impl NameIndex {
                 self.walked.push(count);
             }
         }
-        let positions = order
+        let list = order
             .iter()
             .enumerate()
             .filter(|&(_, &v)| doc.element_name(v) == Some(name))
-            .map(|(p, _)| p as u32)
+            .map(|(p, &node)| Entry {
+                pos: p as u32,
+                node,
+                upto: self.walked[p + 1],
+            })
             .collect();
-        self.by_name.insert(name.clone(), positions);
+        self.by_name.insert(name.clone(), list);
     }
 
     /// The elements named `name` among `v`'s descendants (and `v` itself
@@ -112,19 +190,13 @@ impl NameIndex {
         let (begin, end) = (ord.begin(v), ord.end(v));
         let lo = if or_self { begin } else { begin + 1 };
         let base = self.walked[lo as usize];
-        let positions = &self.by_name[name];
-        let from = positions.partition_point(|&p| p < lo);
-        let to = positions.partition_point(|&p| p <= end);
+        let list = &self.by_name[name];
+        let from = list.partition_point(|e| e.pos < lo);
+        let to = list.partition_point(|e| e.pos <= end);
         NamedDescendants {
-            hits: positions[from..to]
-                .iter()
-                .map(|&p| {
-                    (
-                        ord.pre_order()[p as usize],
-                        self.walked[p as usize + 1] - base,
-                    )
-                })
-                .collect(),
+            list: Rc::clone(list),
+            range: from..to,
+            base,
             walked: self.walked[end as usize + 1] - base,
         }
     }
@@ -149,16 +221,20 @@ pub fn named_descendants_naive(
         .filter(|&(_, &d)| doc.element_name(d) == Some(name))
         .map(|(i, &d)| (d, i as u32 + 1))
         .collect();
-    NamedDescendants {
-        hits,
-        walked: walk.len() as u32,
-    }
+    NamedDescendants::from_hits(hits, walk.len() as u32)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::order::stats;
+
+    thread_local! {
+        /// Hits the answers on this thread have yielded.
+        pub(super) static MATERIALIZED: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// `<r a="1"><x/><y b="2"><x/>t</y></r>` and a detached `<x><x/></x>`.
     fn sample() -> (Document, [NodeId; 5]) {
@@ -212,11 +288,11 @@ mod tests {
         assert!(d.named_descendants(d.root(), &x, false).is_none());
         let hit = d.named_descendants(d.root(), &x, false).unwrap();
         // r, x1, y, x2 — the text after x2 is walked but not a hit
-        assert_eq!(hit.hits, vec![(x1, 2), (x2, 4)]);
         assert_eq!(hit.walked, 5);
+        assert_eq!(hit.collect::<Vec<_>>(), vec![(x1, 2), (x2, 4)]);
         let hit = d.named_descendants(r, &x, false).unwrap();
-        assert_eq!(hit.hits, vec![(x1, 1), (x2, 3)]);
         assert_eq!(hit.walked, 4);
+        assert_eq!(hit.collect::<Vec<_>>(), vec![(x1, 1), (x2, 3)]);
         let delta = stats::snapshot().since(before);
         assert_eq!((delta.name_index_builds, delta.name_index_hits), (1, 2));
     }
@@ -227,6 +303,28 @@ mod tests {
         assert_index_matches_walk(&d);
         let x = QName::local("x");
         let hit = d.named_descendants(loose, &x, true).unwrap();
-        assert_eq!(hit.hits.len(), 2, "a detached tree answers for itself");
+        assert_eq!(hit.count(), 2, "a detached tree answers for itself");
+    }
+
+    /// `exists(//p)` pulls one hit: answering costs two binary searches,
+    /// not a pass over the name's list, and the first pull reads one
+    /// entry of it.
+    #[test]
+    fn an_answer_materializes_only_the_hits_pulled() {
+        let mut d = Document::new();
+        let r = d.create_element(QName::local("r"));
+        d.append_child(d.root(), r).unwrap();
+        for _ in 0..10_000 {
+            let p = d.create_element(QName::local("p"));
+            d.append_child(r, p).unwrap();
+        }
+        let p = QName::local("p");
+        assert!(d.named_descendants(d.root(), &p, false).is_none());
+        let before = MATERIALIZED.with(Cell::get);
+        let mut hit = d.named_descendants(d.root(), &p, false).unwrap();
+        assert_eq!(hit.len(), 10_000);
+        assert!(hit.next().is_some());
+        assert_eq!(MATERIALIZED.with(Cell::get) - before, 1);
+        assert_eq!(hit.walked, 10_001, "the charge still covers the walk");
     }
 }

@@ -50,7 +50,7 @@
 //!   the walk at exhaustion.
 
 use xqib_dom::name_index::NamedDescendants;
-use xqib_dom::{DocId, NodeId, NodeRef, QName, Store, Visit, Walk};
+use xqib_dom::{DocId, NodeRef, QName, Store, Visit, Walk};
 use xqib_xdm::{effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult};
 
 use crate::ast::{Axis, FunctionDecl, NodeTest};
@@ -652,11 +652,7 @@ fn node_survivors(
         return apply_stages(ctx, hits, rest);
     }
     let candidates: Vec<NodeRef> = match named_candidates(ctx, n, step) {
-        Some(named) => named
-            .hits
-            .into_iter()
-            .map(|(v, _)| NodeRef::new(n.doc, v))
-            .collect(),
+        Some(named) => named.map(|(v, _)| NodeRef::new(n.doc, v)).collect(),
         None => {
             let store = ctx.store.borrow();
             axis_nodes(&store, n, step.axis)
@@ -999,12 +995,11 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
         let survivors = apply_stages(ctx, hits, rest)?;
         return Ok(StepOut::List(survivors.into_iter()));
     }
-    let walker = if let Some(NamedDescendants { hits, walked }) = named_candidates(ctx, n, step) {
+    let walker = if let Some(hits) = named_candidates(ctx, n, step) {
         Walker::Named(NamedWalk {
             doc: n.doc,
-            hits: hits.into_iter(),
+            hits,
             visited: 0,
-            walked,
         })
     } else {
         match step.axis {
@@ -1066,13 +1061,13 @@ enum Walker {
 }
 
 /// A pre-order traversal answered by the element-name index: its hits,
-/// each with the nodes the traversal visits up to it; `walked`, the whole
-/// traversal's visits; `visited`, the visits charged so far.
+/// each with the nodes the traversal visits up to it, read one per pull
+/// (`hits.walked` is the whole traversal's visits); `visited`, the visits
+/// charged so far.
 struct NamedWalk {
     doc: DocId,
-    hits: std::vec::IntoIter<(NodeId, u32)>,
+    hits: NamedDescendants,
     visited: u32,
-    walked: u32,
 }
 
 impl NamedWalk {
@@ -1081,7 +1076,7 @@ impl NamedWalk {
     fn next(&mut self, ctx: &mut DynamicContext) -> XdmResult<Option<NodeRef>> {
         let (next, upto) = match self.hits.next() {
             Some((v, upto)) => (Some(NodeRef::new(self.doc, v)), upto),
-            None => (None, self.walked),
+            None => (None, self.hits.walked),
         };
         let visits = upto - self.visited;
         self.visited = upto;

@@ -1,15 +1,15 @@
 //! One fixed seed of each distributed experiment, small enough for the
-//! root package's test run: the governed simulator, the cluster chaos
+//! root package's test run: the governed simulator (a one-shard cluster
+//! behind the request governor), the cluster chaos
 //! scenario (leader crash, partition, latent decay, a shard added mid-run)
 //! and a quiet browser fleet. Each run's core invariant holds, a rerun
-//! with the same seed reports the same, and each deployment's `/metrics`
-//! serves exactly the golden list of names.
+//! with the same seed reports the same, each deployment's `/metrics`
+//! serves exactly the golden list of names, and every seat's store holds
+//! its URI-bound documents and nothing else.
 //!
 //!     cargo test -q --test chaos_smoke
 
-use xqib::appserver::simulate::{
-    run_cluster_sim, run_sim_with_server, ClusterSimConfig, SimConfig,
-};
+use xqib::appserver::simulate::{run_cluster_sim, run_sim, ClusterSimConfig, SimConfig};
 use xqib::appserver::{run_fleet, Cluster, FleetConfig, Submitted, TopologyChange};
 use xqib::storage::StorageFaultPlan;
 
@@ -49,22 +49,43 @@ fn cluster_metrics(c: &mut Cluster, now: u64) -> Vec<(String, u64)> {
     }
 }
 
+/// Sizes, not only outcomes: after thousands of requests each seat holds
+/// its URI-bound documents and nothing else. A leader that ran a query
+/// keeps one emptied construction document for reuse, outside the
+/// document list. Returns how many seats keep one.
+fn assert_bounded_seats(c: &Cluster) -> usize {
+    let mut spares = 0;
+    for (host, store) in c.seat_stores() {
+        let store = store.borrow();
+        let bound = store.uri_bindings().len();
+        let spare = usize::from(store.has_spare());
+        spares += spare;
+        assert_eq!(
+            store.doc_count(),
+            bound,
+            "{host}: {bound} URI-bound documents, plus {spare} spare construction document"
+        );
+    }
+    spares
+}
+
 #[test]
 fn governed_server_smoke() {
     let mut cfg = SimConfig::steady(11, 60, 1_500);
-    cfg.disk_fault = Some(StorageFaultPlan::seeded(11));
-    let (report, mut g) = run_sim_with_server(&cfg).unwrap();
-    let (again, _) = run_sim_with_server(&cfg).unwrap();
+    cfg.cluster.disk_fault = Some(StorageFaultPlan::seeded(11));
+    let (report, mut c) = run_sim(&cfg);
+    let (again, _) = run_sim(&cfg);
     assert_eq!(report, again, "same seed, same report");
     assert!(report.goodput() > 0);
 
-    g.submit("/metrics", g.free_at());
-    let done = g.drain();
-    let m = golden(&done[0].response.body);
+    // the scrape is never queued: it counts as a leader request, not as
+    // an admission
+    let m = cluster_metrics(&mut c, cfg.duration_ms + 1);
     let overload = &report.metrics.overload;
-    assert_eq!(metric(&m, "admitted"), overload.admitted + 1);
+    assert_eq!(metric(&m, "admitted"), overload.admitted);
     assert_eq!(metric(&m, "shed"), overload.shed());
     assert_eq!(metric(&m, "requests"), report.metrics.server.requests + 1);
+    assert_eq!(assert_bounded_seats(&c), 1, "the leader rendered");
 }
 
 #[test]
@@ -100,24 +121,8 @@ fn cluster_smoke() {
     );
     assert_eq!(metric(&m, "scrub-cycles"), c.integrity_stats().scrub_cycles);
 
-    // sizes, not only outcomes: after thousands of requests each seat
-    // holds its URI-bound documents and nothing else. A leader that ran a
-    // query keeps one emptied construction document for reuse, outside
-    // the document list.
-    let mut spares = 0;
-    for (host, store) in c.seat_stores() {
-        let store = store.borrow();
-        let bound = store.uri_bindings().len();
-        let spare = usize::from(store.has_spare());
-        spares += spare;
-        assert_eq!(
-            store.doc_count(),
-            bound,
-            "{host}: {bound} URI-bound documents, plus {spare} spare construction document"
-        );
-    }
     assert!(
-        spares > 0,
+        assert_bounded_seats(&c) > 0,
         "a leader that rendered keeps its construction document"
     );
 }
