@@ -444,6 +444,16 @@ pub enum ClusterOutcome {
     DeadlineExceeded,
 }
 
+impl ClusterOutcome {
+    /// The length of a tally indexed by [`index`](Self::index)
+    /// (`DeadlineExceeded` is the last variant).
+    pub const COUNT: usize = ClusterOutcome::DeadlineExceeded as usize + 1;
+
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// A finished cluster request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterCompletion {

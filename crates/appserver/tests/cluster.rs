@@ -9,7 +9,9 @@
 //! 2. **No shard serves a document it doesn't own** — direct requests to
 //!    the wrong shard are refused with 421, and the routed path never
 //!    produces a misroute;
-//! 3. **Determinism** — identical seeds give bit-identical reports.
+//! 3. **Conservation** — every arrival is counted exactly once, with one
+//!    latency sample per delivered response;
+//! 4. **Determinism** — identical seeds give bit-identical reports.
 //!
 //! Deterministic CI matrix hook: `XQIB_CLUSTER_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
@@ -17,8 +19,8 @@
 //! reproducible.
 
 use proptest::prelude::*;
-use xqib_appserver::simulate::{run_cluster_sim, ClusterSimConfig};
-use xqib_appserver::{ClusterOutcome, Submitted};
+use xqib_appserver::simulate::{run_sim, ClientSpec, SimConfig, SimReport};
+use xqib_appserver::{Cluster, ClusterOutcome, Submitted};
 use xqib_browser::FaultPlan;
 use xqib_storage::StorageFaultPlan;
 
@@ -48,9 +50,9 @@ fn mix(seed: u64, salt: u64) -> u64 {
 
 /// A random chaos scenario derived from one seed: topology, faults,
 /// partitions and crash times all follow from it.
-fn scenario(seed: u64) -> ClusterSimConfig {
+fn scenario(seed: u64) -> SimConfig {
     let seed = mix(seed, env_seed());
-    let mut cfg = ClusterSimConfig::steady(seed, 1_200 + mix(seed, 1) % 800);
+    let mut cfg = SimConfig::replicated(seed, 1_200 + mix(seed, 1) % 800);
     cfg.cluster.shards = 1 + (mix(seed, 2) % 2) as usize;
     cfg.cluster.followers = (mix(seed, 3) % 3) as usize;
     cfg.cluster.ack_replicas = if cfg.cluster.followers == 0 {
@@ -82,14 +84,16 @@ fn scenario(seed: u64) -> ClusterSimConfig {
             cfg.chaos.partitions.push((s, slot, from, to));
         }
     }
-    cfg.update_rps = 20 + mix(seed, 70) % 40;
-    cfg.read_rps = 20 + mix(seed, 71) % 60;
+    cfg.clients = vec![
+        ClientSpec::updates(20 + mix(seed, 70) % 40),
+        ClientSpec::doc_reads(20 + mix(seed, 71) % 60),
+    ];
     cfg
 }
 
 /// The full integrity composition: the base chaos scenario (net faults,
 /// partitions, leader crashes) plus silent bit rot on every seat disk.
-fn scrub_scenario(seed: u64) -> ClusterSimConfig {
+fn scrub_scenario(seed: u64) -> SimConfig {
     let seed = mix(seed, scrub_env_seed());
     let mut cfg = scenario(seed);
     // silent rot on a replication-factor-1 shard is unrecoverable by
@@ -108,6 +112,24 @@ fn scrub_scenario(seed: u64) -> ClusterSimConfig {
     cfg
 }
 
+/// Runs a scenario and checks what every run must show: each arrival
+/// counted once, every acked update present, no 421 left standing.
+fn run_checked(cfg: &SimConfig) -> (SimReport, Cluster) {
+    let (report, cluster) = run_sim(cfg);
+    assert_eq!(
+        report.conservation_violations(),
+        Vec::<String>::new(),
+        "{cfg:?}"
+    );
+    assert_eq!(
+        report.missing_acked_updates(&cluster),
+        Vec::<String>::new(),
+        "acked updates missing after the run: {cfg:?}"
+    );
+    assert_eq!(report.outcome(ClusterOutcome::Misrouted), 0, "{cfg:?}");
+    (report, cluster)
+}
+
 proptest! {
     /// The headline invariant, end to end: run the chaos scenario, then
     /// verify the acked-update ledger against live state; then crash every
@@ -115,14 +137,7 @@ proptest! {
     #[test]
     fn no_acked_update_is_ever_lost_across_failovers(case_seed in 0u64..1u64 << 48) {
         let cfg = scenario(case_seed);
-        let (report, mut cluster) = run_cluster_sim(&cfg);
-        prop_assert_eq!(
-            report.missing_acked_updates(&cluster),
-            Vec::<String>::new(),
-            "acked updates missing after the run: {:?}",
-            cfg
-        );
-        prop_assert_eq!(report.misrouted, 0);
+        let (report, mut cluster) = run_checked(&cfg);
         // torment round: kill every leader again, failover, re-verify
         let mut now = cfg.duration_ms + 10_000;
         for s in 0..cluster.shard_count() {
@@ -154,10 +169,9 @@ proptest! {
         cfg.cluster.shards = 2 + (mix(case_seed, 80) % 3) as usize;
         cfg.duration_ms = 200; // topology is what matters here
         cfg.chaos.leader_crashes.clear();
-        let (_, mut cluster) = run_cluster_sim(&cfg);
-        for i in 0..cfg.docs {
-            let uri = format!("d{i}.xml");
-            let owner = cluster.owner(&uri);
+        let (_, mut cluster) = run_checked(&cfg);
+        for (uri, _) in &cfg.docs {
+            let owner = cluster.owner(uri);
             let wrong = (owner + 1) % cluster.shard_count();
             for url in [
                 format!("/doc?uri={uri}"),
@@ -173,7 +187,7 @@ proptest! {
             }
             // and the effect really is absent: the wrongly-targeted update
             // never reached any shard's state
-            prop_assert!(!cluster.contains(&uri, "evil"));
+            prop_assert!(!cluster.contains(uri, "evil"));
         }
     }
 
@@ -183,8 +197,8 @@ proptest! {
     #[test]
     fn identical_seeds_give_bit_identical_reports(case_seed in 0u64..1u64 << 48) {
         let cfg = scenario(case_seed);
-        let (a, _) = run_cluster_sim(&cfg);
-        let (b, _) = run_cluster_sim(&cfg);
+        let (a, _) = run_checked(&cfg);
+        let (b, _) = run_sim(&cfg);
         prop_assert_eq!(a, b);
     }
 }
@@ -199,24 +213,18 @@ proptest! {
     #[test]
     fn latent_decay_is_scrubbed_without_losing_acked_updates(case_seed in 0u64..1u64 << 48) {
         let cfg = scrub_scenario(case_seed);
-        let (report, mut cluster) = run_cluster_sim(&cfg);
-        prop_assert_eq!(
-            report.missing_acked_updates(&cluster),
-            Vec::<String>::new(),
-            "acked updates missing under decay: {:?}",
-            cfg
-        );
-        prop_assert_eq!(report.misrouted, 0);
+        let (report, mut cluster) = run_checked(&cfg);
         // the decay schedule really ticked and the scrubber really looked
-        prop_assert!(report.integrity.decay_sweeps > 0, "decay never ran");
-        prop_assert!(report.integrity.scrub_cycles > 0, "scrubber never ran");
+        let integrity = &report.metrics.integrity;
+        prop_assert!(integrity.decay_sweeps > 0, "decay never ran");
+        prop_assert!(integrity.scrub_cycles > 0, "scrubber never ran");
         // with followers present, detected WAL rot always has a consequence:
         // follower rot starts a repair, leader rot forces a demotion
-        if cfg.cluster.followers > 0 && report.integrity.scrub_wal_corruptions > 0 {
+        if cfg.cluster.followers > 0 && integrity.scrub_wal_corruptions > 0 {
             prop_assert!(
-                report.integrity.repairs_started + report.integrity.leader_demotions > 0,
+                integrity.repairs_started + integrity.leader_demotions > 0,
                 "mid-prefix rot detected but never repaired or escalated: {:?}",
-                report.integrity
+                integrity
             );
         }
         // torment round: promotion under decay must still pick verified
@@ -249,8 +257,8 @@ proptest! {
     #[test]
     fn scrub_reports_are_bit_identical_per_seed(case_seed in 0u64..1u64 << 48) {
         let cfg = scrub_scenario(case_seed);
-        let (a, _) = run_cluster_sim(&cfg);
-        let (b, _) = run_cluster_sim(&cfg);
+        let (a, _) = run_checked(&cfg);
+        let (b, _) = run_sim(&cfg);
         prop_assert_eq!(a, b);
     }
 }
@@ -262,7 +270,7 @@ proptest! {
 /// may be lost at any step.
 #[test]
 fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
-    let mut cfg = ClusterSimConfig::steady(mix(171, env_seed()), 2_400);
+    let mut cfg = SimConfig::replicated(mix(171, env_seed()), 2_400);
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
@@ -272,16 +280,15 @@ fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
     cfg.cluster.follower_durability.checkpoint_threshold = 96;
     cfg.chaos.partitions = vec![(0, 2, 200, 1_200)];
     cfg.chaos.leader_crashes = vec![(1_600, 0)];
-    cfg.update_rps = 60;
-    let (report, mut cluster) = run_cluster_sim(&cfg);
-    assert!(report.acked_updates > 0);
+    cfg.clients[0] = ClientSpec::updates(60);
+    let (report, mut cluster) = run_checked(&cfg);
+    assert!(report.outcome(ClusterOutcome::AckedUpdate) > 0);
+    let repl = &report.metrics.replication;
     assert!(
-        report.stats.snapshots_shipped > 0,
-        "the healed straggler must resync via snapshot: {:?}",
-        report.stats
+        repl.snapshots_shipped > 0,
+        "the healed straggler must resync via snapshot: {repl:?}"
     );
-    assert_eq!(report.stats.failovers, 1);
-    assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
+    assert_eq!(repl.failovers, 1);
     // second failover: the promoted leader (possibly the resynced seat)
     // dies too, past the first leader's truncation horizon
     cluster.crash_leader(0, 60_000);
@@ -300,16 +307,15 @@ fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
 /// the quorum-intersection argument.
 #[test]
 fn scripted_double_failover_with_partition_keeps_acked_updates() {
-    let mut cfg = ClusterSimConfig::steady(mix(77, env_seed()), 2_000);
+    let mut cfg = SimConfig::replicated(mix(77, env_seed()), 2_000);
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
     cfg.chaos.leader_crashes = vec![(800, 0)];
     cfg.chaos.partitions = vec![(0, 2, 700, 1_300)];
-    let (report, mut cluster) = run_cluster_sim(&cfg);
-    assert!(report.acked_updates > 0);
-    assert_eq!(report.stats.failovers, 1);
-    assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
+    let (report, mut cluster) = run_checked(&cfg);
+    assert!(report.outcome(ClusterOutcome::AckedUpdate) > 0);
+    assert_eq!(report.metrics.replication.failovers, 1);
     // second failover, after the partition healed
     cluster.crash_leader(0, 50_000);
     let (_, _) = cluster.quiesce(50_000);

@@ -28,7 +28,7 @@
 
 use proptest::prelude::*;
 use xqib_appserver::governor::{Class, GovernorConfig};
-use xqib_appserver::simulate::{run_sim, ArrivalPattern, SimConfig, SimReport};
+use xqib_appserver::simulate::{run_sim, ArrivalPattern, SimConfig};
 use xqib_appserver::{
     generate_corpus, Cluster, ClusterConfig, ClusterOutcome, CorpusSpec, Submitted,
 };
@@ -40,41 +40,6 @@ fn env_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
-}
-
-/// Arrivals must balance against outcomes, per class and in total.
-fn assert_conservation(report: &SimReport) {
-    for class in Class::ALL {
-        let c = report.class(class);
-        let delivered =
-            c.ok + c.errors + c.ack_timeouts + c.degraded + c.shed + c.deadline_exceeded;
-        assert_eq!(
-            c.issued,
-            delivered + c.lost + c.net_errors,
-            "class {} leaks requests: {c:?}",
-            class.name()
-        );
-        assert_eq!(
-            c.latencies.len() as u64,
-            delivered,
-            "one latency sample per delivered response ({})",
-            class.name()
-        );
-    }
-    // the governor's own books agree with the client-side tally
-    assert_eq!(report.metrics.overload.shed(), report.shed());
-    assert_eq!(
-        report.metrics.overload.degraded,
-        report.per_class.iter().map(|c| c.degraded).sum::<u64>()
-    );
-    assert_eq!(
-        report.metrics.overload.deadline_exceeded,
-        report
-            .per_class
-            .iter()
-            .map(|c| c.deadline_exceeded)
-            .sum::<u64>()
-    );
 }
 
 /// Counts the `sim-update` marker nodes the leader's corpus carries (none
@@ -127,19 +92,23 @@ proptest! {
         }
 
         let (report, mut cluster) = run_sim(&cfg);
-        assert_conservation(&report);
+        prop_assert_eq!(report.conservation_violations(), Vec::<String>::new());
 
         // invariant 2: acknowledged updates and ack timeouts — and only
         // those — left effects. A valid update that ran on this leader
         // answers 200 or, when its fsync keeps failing, the XQIB0017 503;
         // no other update fails, and without storage faults none times out
         let updates = report.class(Class::Update);
-        prop_assert_eq!(updates.errors, 0);
+        let timeouts = updates.outcome(ClusterOutcome::AckTimeout);
+        let refused = updates.outcome(ClusterOutcome::Shed)
+            + updates.outcome(ClusterOutcome::DeadlineExceeded);
+        prop_assert_eq!(updates.goodput() + timeouts + refused, updates.delivered());
         if !durable {
-            prop_assert_eq!(updates.ack_timeouts, 0);
+            prop_assert_eq!(timeouts, 0);
         }
         let applied = marker_count(&cluster);
-        prop_assert_eq!(applied, updates.ok + updates.ack_timeouts);
+        prop_assert_eq!(applied, updates.goodput() + timeouts);
+        prop_assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
 
         if durable {
             // pull the plug and let the leader recover from its own disk:
@@ -149,7 +118,8 @@ proptest! {
             let _ = cluster.quiesce(report.duration_ms + 10_000);
             prop_assert!(cluster.has_leader(0));
             let recovered = marker_count(&cluster);
-            prop_assert!(updates.ok <= recovered && recovered <= applied);
+            prop_assert!(updates.goodput() <= recovered && recovered <= applied);
+            prop_assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
         }
 
         // invariant 5: the same config replays to the same report
@@ -172,7 +142,7 @@ proptest! {
             cfg.cluster.governor = Some(GovernorConfig::unbounded());
         }
         let (report, _) = run_sim(&cfg);
-        assert_conservation(&report);
+        prop_assert_eq!(report.conservation_violations(), Vec::<String>::new());
         prop_assert_eq!(report.shed(), 0);
         prop_assert_eq!(report.metrics.overload.degraded, 0);
         prop_assert_eq!(report.metrics.overload.deadline_exceeded, 0);

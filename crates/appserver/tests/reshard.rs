@@ -9,8 +9,10 @@
 //! 2. **Epoch-fenced single ownership** — within one topology epoch, no
 //!    two shards ever both accept updates for the same document, across
 //!    any interleaving of migration, crash, partition and re-route;
-//! 3. **Determinism** — identical seeds give bit-identical reports;
-//! 4. **Ring quality** — the consistent-hash ring balances load within a
+//! 3. **Conservation** — every arrival is counted exactly once, with one
+//!    latency sample per delivered response;
+//! 4. **Determinism** — identical seeds give bit-identical reports;
+//! 5. **Ring quality** — the consistent-hash ring balances load within a
 //!    bounded factor and adding one shard moves only ~1/N of the keys.
 //!
 //! Deterministic CI matrix hook: `XQIB_RESHARD_SEED` is mixed into every
@@ -18,8 +20,8 @@
 //! topology × fault space while any failure stays reproducible.
 
 use proptest::prelude::*;
-use xqib_appserver::simulate::{run_cluster_sim, ClusterSimConfig};
-use xqib_appserver::{Router, TopologyChange};
+use xqib_appserver::simulate::{run_sim, ClientSpec, SimConfig, SimReport};
+use xqib_appserver::{Cluster, ClusterOutcome, Router, TopologyChange};
 use xqib_browser::FaultPlan;
 
 fn env_seed() -> u64 {
@@ -40,10 +42,10 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// A random resharding chaos scenario: a topology-change schedule layered
 /// on top of net faults, partitions and leader crashes, with clients that
 /// cache routes long enough to hit the fences.
-fn reshard_scenario(seed: u64) -> ClusterSimConfig {
+fn reshard_scenario(seed: u64) -> SimConfig {
     let seed = mix(seed, env_seed());
-    let mut cfg = ClusterSimConfig::steady(seed, 1_500 + mix(seed, 1) % 800);
-    cfg.docs = 12;
+    let mut cfg = SimConfig::replicated(seed, 1_500 + mix(seed, 1) % 800);
+    cfg.docs = SimConfig::root_docs(12);
     cfg.cluster.shards = 2 + (mix(seed, 2) % 2) as usize;
     cfg.cluster.followers = (mix(seed, 3) % 3) as usize;
     cfg.cluster.ack_replicas = if cfg.cluster.followers == 0 {
@@ -92,9 +94,35 @@ fn reshard_scenario(seed: u64) -> ClusterSimConfig {
             cfg.chaos.partitions.push((s, slot, from, to));
         }
     }
-    cfg.update_rps = 30 + mix(seed, 110) % 40;
-    cfg.read_rps = 20 + mix(seed, 111) % 50;
+    cfg.clients = vec![
+        ClientSpec::updates(30 + mix(seed, 110) % 40),
+        ClientSpec::doc_reads(20 + mix(seed, 111) % 50),
+    ];
     cfg
+}
+
+/// Runs a scenario and checks what every run must show: each arrival
+/// counted once, every acked update present, one owner per document and
+/// epoch, and every stale 421 chased to the fresh owner, never surfaced.
+fn run_checked(cfg: &SimConfig) -> (SimReport, Cluster) {
+    let (report, cluster) = run_sim(cfg);
+    assert_eq!(
+        report.conservation_violations(),
+        Vec::<String>::new(),
+        "{cfg:?}"
+    );
+    assert_eq!(
+        report.missing_acked_updates(&cluster),
+        Vec::<String>::new(),
+        "acked updates missing after resharding: {cfg:?}"
+    );
+    assert_eq!(
+        report.dual_owner_violations(),
+        Vec::<String>::new(),
+        "two shards accepted updates for one document in one epoch: {cfg:?}"
+    );
+    assert_eq!(report.outcome(ClusterOutcome::Misrouted), 0, "{cfg:?}");
+    (report, cluster)
 }
 
 proptest! {
@@ -106,22 +134,12 @@ proptest! {
     #[test]
     fn resharding_loses_no_acked_update_and_never_dual_owns(case_seed in 0u64..1u64 << 48) {
         let cfg = reshard_scenario(case_seed);
-        let (report, mut cluster) = run_cluster_sim(&cfg);
-        prop_assert!(report.reshard.epoch_bumps >= 1, "no topology change applied: {:?}", cfg);
-        prop_assert_eq!(
-            report.missing_acked_updates(&cluster),
-            Vec::<String>::new(),
-            "acked updates missing after resharding: {:?}",
+        let (report, mut cluster) = run_checked(&cfg);
+        prop_assert!(
+            report.metrics.reshard.epoch_bumps >= 1,
+            "no topology change applied: {:?}",
             cfg
         );
-        prop_assert_eq!(
-            report.dual_owner_violations(),
-            Vec::<String>::new(),
-            "two shards accepted updates for one document in one epoch: {:?}",
-            cfg
-        );
-        // every stale 421 was chased to the fresh owner, never surfaced
-        prop_assert_eq!(report.misrouted, 0);
         // torment round: crash every surviving leader, re-elect, re-verify
         let mut now = cfg.duration_ms + 10_000;
         for s in 0..cluster.shard_count() {
@@ -153,8 +171,8 @@ proptest! {
     #[test]
     fn reshard_reports_are_bit_identical_per_seed(case_seed in 0u64..1u64 << 48) {
         let cfg = reshard_scenario(case_seed);
-        let (a, _) = run_cluster_sim(&cfg);
-        let (b, _) = run_cluster_sim(&cfg);
+        let (a, _) = run_checked(&cfg);
+        let (b, _) = run_sim(&cfg);
         prop_assert_eq!(a, b);
     }
 
@@ -202,8 +220,8 @@ proptest! {
 /// retry against the fresh owner — no surfaced errors, no lost acks.
 #[test]
 fn stale_clients_chase_fences_across_a_mid_run_grow_and_rebalance() {
-    let mut cfg = ClusterSimConfig::steady(mix(4242, env_seed()), 2_400);
-    cfg.docs = 12;
+    let mut cfg = SimConfig::replicated(mix(4242, env_seed()), 2_400);
+    cfg.docs = SimConfig::root_docs(12);
     cfg.cluster.shards = 2;
     cfg.cluster.followers = 1;
     cfg.cluster.ack_replicas = 1;
@@ -212,24 +230,20 @@ fn stale_clients_chase_fences_across_a_mid_run_grow_and_rebalance() {
         (600, TopologyChange::AddShard),
         (1_500, TopologyChange::Rebalance(3)),
     ];
-    cfg.update_rps = 60;
-    cfg.read_rps = 60;
-    let (report, cluster) = run_cluster_sim(&cfg);
-    assert!(report.acked_updates > 0);
-    assert_eq!(report.reshard.epoch_bumps, 2);
+    cfg.clients = vec![ClientSpec::updates(60), ClientSpec::doc_reads(60)];
+    let (report, cluster) = run_checked(&cfg);
+    assert!(report.outcome(ClusterOutcome::AckedUpdate) > 0);
+    let reshard = &report.metrics.reshard;
+    assert_eq!(reshard.epoch_bumps, 2);
     assert!(
-        report.reshard.docs_moved > 0,
-        "grow + rebalance moved nothing: {:?}",
-        report.reshard
+        reshard.docs_moved > 0,
+        "grow + rebalance moved nothing: {reshard:?}"
     );
     assert!(
         report.reroutes > 0,
         "stale clients never hit a fence: {:?}",
         report
     );
-    assert_eq!(report.misrouted, 0, "a fence was hit but never chased");
-    assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
-    assert_eq!(report.dual_owner_violations(), Vec::<String>::new());
     assert_eq!(cluster.migrations_in_flight(), 0);
     assert_eq!(report.final_epoch, cluster.epoch());
 }
@@ -239,29 +253,27 @@ fn stale_clients_chase_fences_across_a_mid_run_grow_and_rebalance() {
 /// the remaining shards.
 #[test]
 fn mid_run_decommission_drains_and_keeps_every_acked_update() {
-    let mut cfg = ClusterSimConfig::steady(mix(99, env_seed()), 2_400);
-    cfg.docs = 12;
+    let mut cfg = SimConfig::replicated(mix(99, env_seed()), 2_400);
+    cfg.docs = SimConfig::root_docs(12);
     cfg.cluster.shards = 3;
     cfg.cluster.followers = 1;
     cfg.cluster.ack_replicas = 1;
     cfg.route_refresh_ms = 300;
     cfg.chaos.topology = vec![(700, TopologyChange::Decommission(1))];
-    cfg.update_rps = 50;
-    let (report, cluster) = run_cluster_sim(&cfg);
-    assert!(report.acked_updates > 0);
+    cfg.clients[0] = ClientSpec::updates(50);
+    let (report, cluster) = run_checked(&cfg);
+    assert!(report.outcome(ClusterOutcome::AckedUpdate) > 0);
     assert!(
         cluster.is_retired(1),
         "the decommissioned shard must retire"
     );
-    assert_eq!(report.reshard.drains, 1);
-    assert!(report.reshard.docs_moved > 0);
-    for i in 0..cfg.docs {
+    assert_eq!(report.metrics.reshard.drains, 1);
+    assert!(report.metrics.reshard.docs_moved > 0);
+    for (uri, _) in &cfg.docs {
         assert_ne!(
-            cluster.owner(&format!("d{i}.xml")),
+            cluster.owner(uri),
             1,
             "a document is still routed to the retired shard"
         );
     }
-    assert_eq!(report.missing_acked_updates(&cluster), Vec::<String>::new());
-    assert_eq!(report.dual_owner_violations(), Vec::<String>::new());
 }

@@ -11,11 +11,12 @@
 //! trip), while the failover blackout stays bounded by the detection
 //! window + probe/promotion time.
 
-use xqib_appserver::simulate::{run_cluster_sim, ClusterReport, ClusterSimConfig};
+use xqib_appserver::simulate::{run_sim, SimConfig, SimReport};
+use xqib_appserver::{Class, ClusterOutcome};
 use xqib_bench::write_report;
 
-fn arm_config(seed: u64, followers: usize) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::steady(seed, 6_000);
+fn arm_config(seed: u64, followers: usize) -> SimConfig {
+    let mut cfg = SimConfig::replicated(seed, 6_000);
     cfg.cluster.shards = 1;
     cfg.cluster.followers = followers;
     cfg.cluster.ack_replicas = followers; // every follower must ack
@@ -23,22 +24,27 @@ fn arm_config(seed: u64, followers: usize) -> ClusterSimConfig {
     cfg
 }
 
-fn arm(r: &ClusterReport, duration_ms: u64) -> Vec<(&'static str, u64)> {
+fn arm(r: &SimReport, duration_ms: u64) -> Vec<(&'static str, u64)> {
+    let acked = r.outcome(ClusterOutcome::AckedUpdate);
+    let repl = &r.metrics.replication;
     vec![
-        ("issued_updates", r.issued_updates),
-        ("acked_updates", r.acked_updates),
-        ("acked_rps", r.acked_updates * 1_000 / duration_ms.max(1)),
-        ("ack_latency_p50_ms", r.ack_latency_p50),
-        ("ack_latency_p99_ms", r.ack_latency_p99),
-        ("ack_timeouts", r.ack_timeouts),
-        ("lost_in_failover", r.lost_in_failover),
-        ("no_leader", r.no_leader),
-        ("failovers", r.stats.failovers),
-        ("blackout_ms", r.stats.blackout_ms),
-        ("follower_reads", r.follower_reads),
-        ("degraded_reads", r.degraded_reads),
-        ("frames_shipped", r.stats.frames_shipped),
-        ("snapshots_shipped", r.stats.snapshots_shipped),
+        ("issued_updates", r.class(Class::Update).issued),
+        ("acked_updates", acked),
+        ("acked_rps", acked * 1_000 / duration_ms.max(1)),
+        ("ack_latency_p50_ms", r.ack_latency(50)),
+        ("ack_latency_p99_ms", r.ack_latency(99)),
+        ("ack_timeouts", r.outcome(ClusterOutcome::AckTimeout)),
+        (
+            "lost_in_failover",
+            r.outcome(ClusterOutcome::LostInFailover),
+        ),
+        ("no_leader", r.outcome(ClusterOutcome::NoLeader)),
+        ("failovers", repl.failovers),
+        ("blackout_ms", repl.blackout_ms),
+        ("follower_reads", r.outcome(ClusterOutcome::FollowerRead)),
+        ("degraded_reads", r.outcome(ClusterOutcome::DegradedRead)),
+        ("frames_shipped", repl.frames_shipped),
+        ("snapshots_shipped", repl.snapshots_shipped),
     ]
 }
 
@@ -55,19 +61,20 @@ fn main() {
         ("two_followers", 2),
     ] {
         let cfg = arm_config(seed, followers);
-        let (report, cluster) = run_cluster_sim(&cfg);
+        let (report, cluster) = run_sim(&cfg);
         // the headline invariant must hold in the benchmarked runs too
         assert_eq!(
             report.missing_acked_updates(&cluster),
             Vec::<String>::new(),
             "{name}: acked updates lost"
         );
-        assert!(report.acked_updates > 0, "{name}: no acked updates");
-        assert_eq!(report.stats.failovers, 1, "{name}: expected one failover");
         assert!(
-            report.stats.blackout_ms > 0,
-            "{name}: crash must cost a blackout"
+            report.outcome(ClusterOutcome::AckedUpdate) > 0,
+            "{name}: no acked updates"
         );
+        let repl = &report.metrics.replication;
+        assert_eq!(repl.failovers, 1, "{name}: expected one failover");
+        assert!(repl.blackout_ms > 0, "{name}: crash must cost a blackout");
         arms.push((name, arm(&report, duration)));
     }
 

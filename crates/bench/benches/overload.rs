@@ -54,7 +54,7 @@ fn arm(r: &SimReport) -> Vec<(&'static str, u64)> {
     vec![
         ("issued", r.issued()),
         ("goodput", r.goodput()),
-        ("goodput_rps", r.goodput_rps()),
+        ("goodput_rps", r.goodput() * 1000 / r.duration_ms),
         ("shed", r.shed()),
         ("degraded", r.metrics.overload.degraded),
         ("deadline_exceeded", r.metrics.overload.deadline_exceeded),

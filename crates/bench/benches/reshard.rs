@@ -12,44 +12,41 @@
 //! lose an acked update or let two shards accept updates for one
 //! document in one epoch.
 
-use xqib_appserver::simulate::{run_cluster_sim, ClusterReport, ClusterSimConfig};
-use xqib_appserver::TopologyChange;
+use xqib_appserver::simulate::{run_sim, ClientSpec, SimConfig, SimReport};
+use xqib_appserver::{Class, ClusterOutcome, TopologyChange};
 use xqib_bench::write_report;
 
-fn arm_config(seed: u64, topology: Vec<(u64, TopologyChange)>) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::steady(seed, 6_000);
-    cfg.docs = 16;
+fn arm_config(seed: u64, topology: Vec<(u64, TopologyChange)>) -> SimConfig {
+    let mut cfg = SimConfig::replicated(seed, 6_000);
+    cfg.docs = SimConfig::root_docs(16);
     cfg.cluster.shards = 2;
     cfg.cluster.followers = 1;
     cfg.cluster.ack_replicas = 1;
     // routes are cached long enough that every cutover fence is hit by
     // at least one stale client before the periodic refresh catches up
     cfg.route_refresh_ms = 500;
-    cfg.update_rps = 40;
-    cfg.read_rps = 40;
+    cfg.clients = vec![ClientSpec::updates(40), ClientSpec::doc_reads(40)];
     cfg.chaos.topology = topology;
     cfg
 }
 
-fn arm(r: &ClusterReport) -> Vec<(&'static str, u64)> {
+fn arm(r: &SimReport) -> Vec<(&'static str, u64)> {
+    let reshard = &r.metrics.reshard;
     vec![
-        ("issued_updates", r.issued_updates),
-        ("acked_updates", r.acked_updates),
-        ("ack_latency_p50_ms", r.ack_latency_p50),
-        ("ack_latency_p99_ms", r.ack_latency_p99),
-        // every fence a stale client hits is chased once by its route
-        // cache, so the two columns agree by construction
-        ("fence_refusals", r.reroutes),
+        ("issued_updates", r.class(Class::Update).issued),
+        ("acked_updates", r.outcome(ClusterOutcome::AckedUpdate)),
+        ("ack_latency_p50_ms", r.ack_latency(50)),
+        ("ack_latency_p99_ms", r.ack_latency(99)),
         ("reroutes", r.reroutes),
-        ("epoch_bumps", r.reshard.epoch_bumps),
+        ("epoch_bumps", reshard.epoch_bumps),
         ("final_epoch", r.final_epoch),
-        ("migrations_started", r.reshard.migrations_started),
-        ("migrations_completed", r.reshard.migrations_completed),
-        ("migrations_aborted", r.reshard.migrations_aborted),
-        ("docs_moved", r.reshard.docs_moved),
-        ("tail_frames_forwarded", r.reshard.tail_frames_forwarded),
-        ("cutover_fences", r.reshard.cutover_fences),
-        ("drains", r.reshard.drains),
+        ("migrations_started", reshard.migrations_started),
+        ("migrations_completed", reshard.migrations_completed),
+        ("migrations_aborted", reshard.migrations_aborted),
+        ("docs_moved", reshard.docs_moved),
+        ("tail_frames_forwarded", reshard.tail_frames_forwarded),
+        ("cutover_fences", reshard.cutover_fences),
+        ("drains", reshard.drains),
     ]
 }
 
@@ -78,7 +75,7 @@ fn main() {
     for (name, topology) in arms_spec {
         let changes = topology.len() as u64;
         let cfg = arm_config(seed, topology);
-        let (report, cluster) = run_cluster_sim(&cfg);
+        let (report, cluster) = run_sim(&cfg);
         // the headline invariants must hold in the benchmarked runs too
         assert_eq!(
             report.missing_acked_updates(&cluster),
@@ -90,9 +87,12 @@ fn main() {
             Vec::<String>::new(),
             "{name}: dual ownership within an epoch"
         );
-        assert!(report.acked_updates > 0, "{name}: no acked updates");
+        assert!(
+            report.outcome(ClusterOutcome::AckedUpdate) > 0,
+            "{name}: no acked updates"
+        );
         assert_eq!(
-            report.reshard.epoch_bumps, changes,
+            report.metrics.reshard.epoch_bumps, changes,
             "{name}: wrong number of topology installs"
         );
         assert_eq!(
@@ -101,9 +101,13 @@ fn main() {
             "{name}: migrations left in flight"
         );
         if changes > 0 {
-            assert!(report.reshard.docs_moved > 0, "{name}: nothing migrated");
+            assert!(
+                report.metrics.reshard.docs_moved > 0,
+                "{name}: nothing migrated"
+            );
             assert_eq!(
-                report.misrouted, 0,
+                report.outcome(ClusterOutcome::Misrouted),
+                0,
                 "{name}: a fence was hit but never chased"
             );
         }

@@ -11,12 +11,13 @@
 //! the durability invariant stays flat — no arm is allowed to lose an
 //! acked update, whatever the decay intensity.
 
-use xqib_appserver::simulate::{run_cluster_sim, ClusterReport, ClusterSimConfig};
+use xqib_appserver::simulate::{run_sim, SimConfig, SimReport};
+use xqib_appserver::{Class, ClusterOutcome};
 use xqib_bench::write_report;
 use xqib_storage::StorageFaultPlan;
 
-fn arm_config(seed: u64, decay_permille: u16) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::steady(seed, 6_000);
+fn arm_config(seed: u64, decay_permille: u16) -> SimConfig {
+    let mut cfg = SimConfig::replicated(seed, 6_000);
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
@@ -31,13 +32,16 @@ fn arm_config(seed: u64, decay_permille: u16) -> ClusterSimConfig {
     cfg
 }
 
-fn arm(r: &ClusterReport) -> Vec<(&'static str, u64)> {
-    let i = &r.integrity;
+fn arm(r: &SimReport) -> Vec<(&'static str, u64)> {
+    let i = &r.metrics.integrity;
     vec![
-        ("issued_updates", r.issued_updates),
-        ("acked_updates", r.acked_updates),
-        ("lost_in_failover", r.lost_in_failover),
-        ("failovers", r.stats.failovers),
+        ("issued_updates", r.class(Class::Update).issued),
+        ("acked_updates", r.outcome(ClusterOutcome::AckedUpdate)),
+        (
+            "lost_in_failover",
+            r.outcome(ClusterOutcome::LostInFailover),
+        ),
+        ("failovers", r.metrics.replication.failovers),
         ("decay_sweeps", i.decay_sweeps),
         ("sectors_decayed", i.sectors_decayed),
         ("scrub_cycles", i.scrub_cycles),
@@ -63,19 +67,23 @@ fn main() {
     let mut arms = Vec::new();
     for (name, decay_permille) in [("no_rot", 0u16), ("mild_rot", 5), ("heavy_rot", 40)] {
         let cfg = arm_config(seed, decay_permille);
-        let (report, cluster) = run_cluster_sim(&cfg);
+        let (report, cluster) = run_sim(&cfg);
         // the headline invariant must hold in the benchmarked runs too
         assert_eq!(
             report.missing_acked_updates(&cluster),
             Vec::<String>::new(),
             "{name}: acked updates lost"
         );
-        assert!(report.acked_updates > 0, "{name}: no acked updates");
-        assert!(report.integrity.scrub_cycles > 0, "{name}: scrubber idle");
+        assert!(
+            report.outcome(ClusterOutcome::AckedUpdate) > 0,
+            "{name}: no acked updates"
+        );
+        let integrity = &report.metrics.integrity;
+        assert!(integrity.scrub_cycles > 0, "{name}: scrubber idle");
         if decay_permille == 0 {
-            assert_eq!(report.integrity.sectors_decayed, 0, "rot without a plan");
+            assert_eq!(integrity.sectors_decayed, 0, "rot without a plan");
         } else {
-            assert!(report.integrity.decay_sweeps > 0, "{name}: decay idle");
+            assert!(integrity.decay_sweeps > 0, "{name}: decay idle");
         }
         arms.push((name, arm(&report)));
     }

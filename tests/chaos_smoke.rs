@@ -9,8 +9,8 @@
 //!
 //!     cargo test -q --test chaos_smoke
 
-use xqib::appserver::simulate::{run_cluster_sim, run_sim, ClusterSimConfig, SimConfig};
-use xqib::appserver::{run_fleet, Cluster, FleetConfig, Submitted, TopologyChange};
+use xqib::appserver::simulate::{run_sim, SimConfig};
+use xqib::appserver::{run_fleet, Cluster, ClusterOutcome, FleetConfig, Submitted, TopologyChange};
 use xqib::storage::StorageFaultPlan;
 
 const GOLDEN: &str = include_str!("../crates/appserver/tests/metrics_names.txt");
@@ -76,6 +76,7 @@ fn governed_server_smoke() {
     let (report, mut c) = run_sim(&cfg);
     let (again, _) = run_sim(&cfg);
     assert_eq!(report, again, "same seed, same report");
+    assert_eq!(report.conservation_violations(), Vec::<String>::new());
     assert!(report.goodput() > 0);
 
     // the scrape is never queued: it counts as a leader request, not as
@@ -90,7 +91,7 @@ fn governed_server_smoke() {
 
 #[test]
 fn cluster_smoke() {
-    let mut cfg = ClusterSimConfig::steady(5, 1_200);
+    let mut cfg = SimConfig::replicated(5, 1_200);
     cfg.cluster.shards = 2;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
@@ -102,10 +103,11 @@ fn cluster_smoke() {
     cfg.chaos.leader_crashes.push((500, 0));
     cfg.chaos.partitions.push((1, 1, 200, 600));
     cfg.chaos.topology.push((700, TopologyChange::AddShard));
-    let (report, mut c) = run_cluster_sim(&cfg);
-    let (again, _) = run_cluster_sim(&cfg);
+    let (report, mut c) = run_sim(&cfg);
+    let (again, _) = run_sim(&cfg);
     assert_eq!(report, again, "same seed, same report");
-    assert!(report.acked_updates > 0);
+    assert_eq!(report.conservation_violations(), Vec::<String>::new());
+    assert!(report.outcome(ClusterOutcome::AckedUpdate) > 0);
     assert_eq!(report.missing_acked_updates(&c), Vec::<String>::new());
     assert_eq!(report.dual_owner_violations(), Vec::<String>::new());
 
