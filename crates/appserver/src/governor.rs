@@ -135,8 +135,9 @@ impl Default for GovernorConfig {
 }
 
 impl GovernorConfig {
-    /// The ungoverned baseline: unbounded FIFO admission, no deadlines, no
-    /// queue-delay shedding, no degradation. Used by the simulator as the
+    /// The ungoverned baseline: unbounded admission, served in
+    /// class-priority order (a queued render before an older update), no
+    /// deadlines, no queue-delay shedding, no degradation. Used by the simulator as the
     /// "before" arm of the overload experiment.
     pub fn unbounded() -> Self {
         GovernorConfig {
@@ -505,6 +506,18 @@ mod tests {
         let done = drain(&mut g, &mut leader);
         assert_eq!(done[0].0.class, Class::Render, "render jumps the queue");
         assert_eq!(done[1].0.class, Class::Query);
+    }
+
+    /// The ungoverned baseline is not a FIFO: a queued render is served
+    /// before an older queued update.
+    #[test]
+    fn unbounded_baseline_serves_in_class_priority_order() {
+        let (mut g, mut leader) = (RequestGovernor::new(GovernorConfig::unbounded()), leader());
+        g.admit(ticket(0, "/update?xq=()", 0)).unwrap();
+        g.admit(ticket(1, "/index", 1)).unwrap();
+        let done = drain(&mut g, &mut leader);
+        let order: Vec<u64> = done.iter().map(|(t, ..)| t.id).collect();
+        assert_eq!(order, [1, 0], "the later render goes first");
     }
 
     #[test]

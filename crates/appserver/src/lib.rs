@@ -38,7 +38,7 @@ pub use cluster::{
     ReplicationStats, ReshardStats, RouteCache, Router, Submitted, TopologyChange, TopologyEpoch,
 };
 pub use corpus::{generate_corpus, CorpusSpec};
-pub use fleet::{run_fleet, ClientReport, FleetConfig, FleetReport, FleetStats, Scenario};
+pub use fleet::{fleet_docs, ClientReport, FleetStats, Scenario};
 pub use governor::{Class, GovernorConfig, RequestGovernor};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use server::AppServer;

@@ -1,25 +1,37 @@
-//! The deterministic open-loop simulator: seeded virtual clients with
-//! arrival-rate schedules drive a [`Cluster`] through virtual time. One
-//! driver runs every open-loop experiment: overload (one shard, no
-//! followers, its leader behind a request governor), failover, latent
-//! decay under scrubbing, and live resharding (the leader crashes,
-//! partitions and topology changes of a [`ClusterChaos`]). Requests may
-//! cross the browser substrate's network fault layer ([`FaultPlan`]), and
-//! seat disks may carry storage faults ([`ClusterConfig::disk_fault`]).
+//! The deterministic simulator: seeded virtual clients drive a [`Cluster`]
+//! through virtual time. One driver runs every experiment: overload (one
+//! shard, no followers, its leader behind a request governor), failover,
+//! latent decay under scrubbing, live resharding (the leader crashes,
+//! partitions and topology changes of a [`ClusterChaos`]), and the browser
+//! fleet. Requests may cross the browser substrate's network fault layer
+//! ([`FaultPlan`]), and seat disks may carry storage faults
+//! ([`ClusterConfig::disk_fault`]).
 //!
-//! Open-loop load: arrivals follow each client's schedule regardless of how
-//! the server is doing (the overload-realistic model — real users keep
-//! clicking). Each virtual millisecond issues every client's due arrivals,
-//! in client order, through one [`RouteCache`], then advances the cluster;
-//! [`Cluster::quiesce`] drains the backlog at the end. Every completion is
-//! tallied once, per class and by [`ClusterOutcome`], and every update
-//! that reaches the cluster enters a ledger the invariants are checked
-//! against. A whole run follows from its config: identical configs
-//! produce identical reports, bit for bit.
+//! Two kinds of client share the run. Open-loop clients follow an arrival
+//! schedule regardless of how the server is doing (the overload-realistic
+//! model — real users keep clicking). Fleet browsers ([`crate::fleet`]) are
+//! real XQIB plug-ins in a closed loop, each with the cluster as a deferred
+//! host on its network: a `behind` fetch parks until its reply arrives.
+//! Each virtual millisecond issues every open-loop client's due arrivals,
+//! in client order, through one [`RouteCache`]; runs each browser's due
+//! tasks; submits the requests the browsers sent, each through the
+//! browser's own pinned `RouteCache`; advances the cluster; and delivers
+//! each completion to its browser at `finished` + link latency. So one
+//! browser's pending request never stops another's turn. Browsers that are
+//! still mid-interaction at `duration_ms` keep the clock running until they
+//! have their outcomes; [`Cluster::quiesce`] drains the backlog, and the
+//! browsers render once more after chaos to show they converged.
+//!
+//! Every completion is tallied once, per class and by [`ClusterOutcome`],
+//! and every update that reaches the cluster, a cart browser's included,
+//! enters a ledger the invariants are checked against. A whole run follows
+//! from its config: identical configs produce identical reports, bit for
+//! bit.
 
 use std::collections::HashMap;
 
-use xqib_browser::net::{Fault, FaultPlan};
+use xqib_browser::net::{Deferred, Fault, FaultPlan};
+use xqib_browser::RecoveryConfig;
 use xqib_storage::mix64;
 
 use crate::cluster::{
@@ -27,6 +39,7 @@ use crate::cluster::{
     TopologyEpoch,
 };
 use crate::corpus::{article_ids, generate_corpus, CorpusSpec};
+use crate::fleet::{ClientReport, FleetBrowser, FleetStats, Scenario, CLUSTER_LATENCY_MS};
 use crate::governor::{Class, GovernorConfig};
 use crate::metrics::{nearest_rank, MetricsSnapshot};
 use crate::render;
@@ -141,21 +154,27 @@ pub struct SimConfig {
     /// Master seed: route choices, targets and update payloads all derive
     /// from it.
     pub seed: u64,
-    /// Arrivals are generated for this long; the backlog (queued requests,
-    /// pending acks, failovers, migrations) is always drained to completion
+    /// Arrivals are generated, and browsers start interactions, for this
+    /// long; the backlog (interactions under way, queued requests, pending
+    /// acks, failovers, migrations) is always drained to completion
     /// afterwards.
     pub duration_ms: u64,
+    /// Open-loop clients.
     pub clients: Vec<ClientSpec>,
+    /// Closed-loop fleet browsers, one per entry, each running its §6
+    /// scenario page.
+    pub browsers: Vec<Scenario>,
     /// `(uri, xml)` documents loaded before the first arrival. `/doc` and
     /// `/update` arrivals target one of them; `/page`, `/index` and
-    /// `/query` arrivals address the default generated corpus
-    /// (`corpus.xml`) and its articles.
+    /// `/query` arrivals and Elsevier browsers address the default
+    /// generated corpus (`corpus.xml`) and its articles. Browsers need the
+    /// documents of [`fleet_docs`](crate::fleet::fleet_docs).
     pub docs: Vec<(String, String)>,
     /// The deployment under load. Its `governor` puts each shard leader
     /// behind the overload-control arm (`GovernorConfig::default()`) or the
-    /// ungoverned baseline (`GovernorConfig::unbounded()`: unbounded FIFO,
-    /// no deadlines, no shedding); `disk_fault` puts storage faults under
-    /// it.
+    /// ungoverned baseline (`GovernorConfig::unbounded()`: unbounded, served
+    /// in class-priority order, no deadlines, no shedding); `disk_fault`
+    /// puts storage faults under it.
     pub cluster: ClusterConfig,
     /// Leader crashes, partitions and topology changes for the run.
     pub chaos: ClusterChaos,
@@ -166,7 +185,8 @@ pub struct SimConfig {
     pub route_refresh_ms: u64,
     /// Client→server network faults (lost requests, injected errors,
     /// truncations, latency jitter), decided per arrival index in virtual
-    /// time by the browser substrate's fault model.
+    /// time by the browser substrate's fault model. Each browser's link to
+    /// the cluster carries the plan reseeded, and heals once chaos ends.
     pub net_fault: Option<FaultPlan>,
 }
 
@@ -181,6 +201,7 @@ impl SimConfig {
                 pattern: ArrivalPattern::Steady { rps },
                 mix: RouteMix::default(),
             }],
+            browsers: Vec::new(),
             docs: vec![(
                 render::CORPUS_URI.to_string(),
                 generate_corpus(&CorpusSpec::default()),
@@ -207,6 +228,7 @@ impl SimConfig {
             seed,
             duration_ms,
             clients: vec![ClientSpec::updates(40), ClientSpec::doc_reads(60)],
+            browsers: Vec::new(),
             docs: SimConfig::root_docs(8),
             cluster: ClusterConfig {
                 seed,
@@ -276,6 +298,8 @@ impl ClassStats {
 pub struct UpdateRecord {
     pub marker: String,
     pub uri: String,
+    /// When it reached the cluster, virtual ms.
+    pub arrival: u64,
     /// Arrival→ack, virtual ms, if the update was durably acked per the
     /// replication ack rule (HTTP 200); `None` otherwise.
     pub ack_latency: Option<u64>,
@@ -301,9 +325,12 @@ pub struct SimReport {
     pub reroutes: u64,
     /// The topology epoch when the run settled.
     pub final_epoch: TopologyEpoch,
-    /// The cluster's final counters — overload, replication, integrity and
-    /// resharding included: what a `/metrics` scrape would serve.
+    /// The cluster's final counters — overload, replication, integrity,
+    /// resharding and the fleet's totals included: what a `/metrics` scrape
+    /// would serve.
     pub metrics: MetricsSnapshot,
+    /// Each fleet browser's outcome, in [`SimConfig::browsers`] order.
+    pub browsers: Vec<ClientReport>,
 }
 
 impl SimReport {
@@ -410,39 +437,6 @@ impl SimReport {
         bad.sort();
         bad
     }
-
-    /// Tallies completions of requests that pended: each must still be in
-    /// flight, so none completes twice.
-    fn settle_pending(&mut self, flights: &mut HashMap<u64, Flight>, done: Vec<ClusterCompletion>) {
-        for d in done {
-            let flight = flights.remove(&d.id);
-            let flight = flight.unwrap_or_else(|| panic!("request {} completed twice", d.id));
-            self.settle(d, flight);
-        }
-    }
-
-    /// Tallies one completion as the client side of `flight` sees it.
-    fn settle(&mut self, done: ClusterCompletion, flight: Flight) {
-        if let Some(ix) = flight.ledger {
-            let u = &mut self.updates[ix];
-            u.shard = done.shard;
-            if done.outcome == ClusterOutcome::AckedUpdate {
-                u.ack_latency = Some(done.finished - done.arrival);
-            }
-        }
-        let s = &mut self.per_class[done.class.index()];
-        if flight.fault == Some(Fault::ReplyLost) {
-            // served, but the reply vanished: the client sees a loss
-            s.lost += 1;
-            return;
-        }
-        s.latencies
-            .push(done.finished - done.arrival + flight.jitter);
-        s.truncated += u64::from(flight.fault == Some(Fault::Truncate));
-        s.outcomes[done.outcome.index()] += 1;
-        s.errors +=
-            u64::from(done.outcome == ClusterOutcome::Served && done.response.status != 200);
-    }
 }
 
 /// What the client side knows of a request in flight.
@@ -454,6 +448,8 @@ struct Flight {
     fault: Option<Fault>,
     /// Its entry in the update ledger.
     ledger: Option<usize>,
+    /// The fleet browser that sent it, and the browser's ticket for it.
+    browser: Option<(usize, u64)>,
 }
 
 /// Draws each arrival's URL. `/doc` and `/update` count their own arrivals
@@ -505,48 +501,127 @@ impl Arrivals<'_> {
     }
 }
 
+/// Browsers still mid-interaction this long after the run's last start
+/// mean a reply that never arrives: a driver fault.
+const DRAIN_LIMIT_MS: u64 = 600_000;
+
 /// Runs the simulation to completion and reports per-class outcome
-/// counters, latencies, the update ledger and the cluster's final metrics.
-/// Returns the cluster too, so tests can reconcile observed responses
-/// against its state (applied update effects, durable disk images,
-/// `/metrics`) and keep tormenting it (crash every leader, re-verify the
-/// ledger). Panics if a document does not load (a disk fault plan may
-/// refuse it): a run over a missing document measures nothing.
+/// counters, latencies, the update ledger, each browser's outcome and the
+/// cluster's final metrics. Returns the cluster too, so tests can
+/// reconcile observed responses against its state (applied update effects,
+/// durable disk images, `/metrics`) and keep tormenting it (crash every
+/// leader, re-verify the ledger). Panics if a document does not load (a
+/// disk fault plan may refuse it): a run over a missing document measures
+/// nothing.
 pub fn run_sim(cfg: &SimConfig) -> (SimReport, Cluster) {
-    let mut c = Cluster::new(cfg.cluster.clone());
+    let mut cluster = Cluster::new(cfg.cluster.clone());
     assert!(!cfg.docs.is_empty(), "a run needs documents to target");
     for (uri, xml) in &cfg.docs {
-        assert!(c.load(uri, xml).is_some(), "{uri} does not load");
+        assert!(cluster.load(uri, xml).is_some(), "{uri} does not load");
     }
-    c.schedule(&cfg.chaos);
-
-    let mut report = SimReport {
-        duration_ms: cfg.duration_ms,
-        ..SimReport::default()
-    };
-    let mut arrivals = Arrivals {
+    cluster.schedule(&cfg.chaos);
+    let mut run = Run {
         cfg,
-        articles: article_ids(&CorpusSpec::default()),
-        doc_reads: 0,
-        updates: 0,
+        cluster,
+        report: SimReport {
+            duration_ms: cfg.duration_ms,
+            ..SimReport::default()
+        },
+        arrivals: Arrivals {
+            cfg,
+            articles: article_ids(&CorpusSpec::default()),
+            doc_reads: 0,
+            updates: 0,
+        },
+        routes: RouteCache::new(cfg.route_refresh_ms),
+        issued: vec![0; cfg.clients.len()],
+        sent: 0,
+        inflight: HashMap::new(),
+        browsers: FleetBrowser::launch(cfg),
     };
-    let mut routes = RouteCache::new(cfg.route_refresh_ms);
-    let mut issued = vec![0u64; cfg.clients.len()];
-    let mut sent = 0u64;
-    // completion id → what its client knows of it
-    let mut inflight: HashMap<u64, Flight> = HashMap::new();
-    for now in 0..=cfg.duration_ms {
+    let end = run.drive(0);
+    let settled = run.quiesce(end + 1);
+    if !run.browsers.is_empty() {
+        // chaos ends, the cluster has settled, and every page renders once
+        // more, after its breaker (the plug-in's default) has had time to
+        // close
+        let grace = settled + RecoveryConfig::default().breaker_open_ms + 1_000;
+        for b in &mut run.browsers {
+            b.converge(grace, cfg.seed, &run.arrivals.articles);
+        }
+        let end = run.drive(grace);
+        // extra failovers after recovery must still hold every acked op
+        run.quiesce(end + 1);
+    }
+    run.finish()
+}
+
+/// A run in progress: the cluster, the clients' side of it, and the tally.
+struct Run<'a> {
+    cfg: &'a SimConfig,
+    cluster: Cluster,
+    report: SimReport,
+    arrivals: Arrivals<'a>,
+    /// The open-loop clients' shared routes.
+    routes: RouteCache,
+    /// Arrivals issued per open-loop client.
+    issued: Vec<u64>,
+    /// Arrivals that reached the fault layer, across clients.
+    sent: u64,
+    /// completion id → what its client knows of it
+    inflight: HashMap<u64, Flight>,
+    browsers: Vec<FleetBrowser>,
+}
+
+impl Run<'_> {
+    /// Steps each virtual ms from `from` until the run's arrivals are over
+    /// and no browser waits for an outcome; returns the last ms stepped.
+    fn drive(&mut self, from: u64) -> u64 {
+        let last = self.cfg.duration_ms.max(from);
+        for now in from.. {
+            self.step(now);
+            if now >= self.cfg.duration_ms && !self.browsers.iter().any(FleetBrowser::busy) {
+                return now;
+            }
+            assert!(now < last + DRAIN_LIMIT_MS, "fleet browsers never settled");
+        }
+        unreachable!("virtual time runs out")
+    }
+
+    /// One virtual ms: open-loop arrivals, browser tasks and the requests
+    /// they sent, then the cluster.
+    fn step(&mut self, now: u64) {
+        let open = now <= self.cfg.duration_ms;
+        if open {
+            self.arrive(now);
+        }
+        for b in &mut self.browsers {
+            b.step(now, open, self.cfg.seed, &self.arrivals.articles);
+        }
+        for i in 0..self.browsers.len() {
+            for d in self.browsers[i].sent(now) {
+                self.send(i, d, now);
+            }
+        }
+        let done = self.cluster.advance(now);
+        self.settle_pending(done);
+    }
+
+    /// Issues every open-loop client's arrivals due by `now`, in client
+    /// order, through the shared routes.
+    fn arrive(&mut self, now: u64) {
+        let cfg = self.cfg;
         for (client, spec) in cfg.clients.iter().enumerate() {
-            while issued[client] < spec.pattern.arrivals_by(now, cfg.duration_ms) {
-                let (url, update) = arrivals.next(client, issued[client]);
-                issued[client] += 1;
-                let stats = &mut report.per_class[Class::of_url(&url).index()];
+            while self.issued[client] < spec.pattern.arrivals_by(now, cfg.duration_ms) {
+                let (url, update) = self.arrivals.next(client, self.issued[client]);
+                self.issued[client] += 1;
+                let stats = &mut self.report.per_class[Class::of_url(&url).index()];
                 stats.issued += 1;
                 let (fault, jitter) = match &cfg.net_fault {
-                    Some(plan) => plan.decide(sent, now),
+                    Some(plan) => plan.decide(self.sent, now),
                     None => (None, 0),
                 };
-                sent += 1;
+                self.sent += 1;
                 match fault {
                     Some(Fault::Timeout) => {
                         // lost on the wire: the server never sees it
@@ -564,48 +639,131 @@ pub fn run_sim(cfg: &SimConfig) -> (SimReport, Cluster) {
                     // lost column.
                     Some(Fault::Truncate | Fault::ReplyLost) | None => {}
                 }
-                let submitted = routes.serve(&mut c, &url, now);
-                let ledger = update.map(|(uri, marker)| {
-                    // `settle` fills in the shard that actually served it
-                    report.updates.push(UpdateRecord {
-                        marker,
-                        uri,
-                        ack_latency: None,
-                        shard: 0,
-                        epoch: c.epoch(),
-                    });
-                    report.updates.len() - 1
-                });
-                // shed at admission: the governor's own reply, unfaulted
-                let shed =
-                    matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Shed);
-                let fault = fault.filter(|_| !shed);
+                let submitted = self.routes.serve(&mut self.cluster, &url, now);
                 let flight = Flight {
                     jitter,
                     fault,
-                    ledger,
+                    ledger: update.map(|(uri, marker)| self.ledger(uri, marker, now)),
+                    browser: None,
                 };
-                match submitted {
-                    Submitted::Done(d) => report.settle(*d, flight),
-                    Submitted::Pending(id) => {
-                        inflight.insert(id, flight);
-                    }
-                }
+                self.track(submitted, flight);
             }
         }
-        report.settle_pending(&mut inflight, c.advance(now));
     }
-    report.settle_pending(&mut inflight, c.quiesce(cfg.duration_ms + 1).1);
-    assert!(
-        inflight.is_empty(),
-        "every admitted request completes: {} never did",
-        inflight.len()
-    );
 
-    report.reroutes = routes.reroutes;
-    report.final_epoch = c.epoch();
-    report.metrics = c.metrics_snapshot();
-    (report, c)
+    /// Submits a request browser `b` sent, through the browser's own routes.
+    /// Its network has decided the fault the reply meets already.
+    fn send(&mut self, b: usize, d: Deferred, now: u64) {
+        assert!(
+            d.sent_at <= now,
+            "a request reaches the cluster after it is sent"
+        );
+        let url = &d.request.url;
+        let class = Class::of_url(url);
+        self.report.per_class[class.index()].issued += 1;
+        let browser = &mut self.browsers[b];
+        let submitted = browser.routes.serve(&mut self.cluster, url, now);
+        let op = browser.cart_op().filter(|_| class == Class::Update);
+        let flight = Flight {
+            jitter: d.jitter,
+            fault: d.fault,
+            ledger: op.map(|(uri, marker)| self.ledger(uri, marker, now)),
+            browser: Some((b, d.ticket)),
+        };
+        self.track(submitted, flight);
+    }
+
+    /// Enters an update that reached the cluster in the ledger; `settle`
+    /// fills in the shard that actually served it.
+    fn ledger(&mut self, uri: String, marker: String, now: u64) -> usize {
+        self.report.updates.push(UpdateRecord {
+            marker,
+            uri,
+            arrival: now,
+            ack_latency: None,
+            shard: 0,
+            epoch: self.cluster.epoch(),
+        });
+        self.report.updates.len() - 1
+    }
+
+    /// Settles a submitted request now, or once it completes.
+    fn track(&mut self, submitted: Submitted, mut flight: Flight) {
+        // shed at admission: the governor's own reply, unfaulted
+        if matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Shed) {
+            flight.fault = None;
+        }
+        match submitted {
+            Submitted::Done(d) => self.settle(*d, flight),
+            Submitted::Pending(id) => {
+                self.inflight.insert(id, flight);
+            }
+        }
+    }
+
+    /// Settles completions of requests that pended: each must still be in
+    /// flight, so none completes twice.
+    fn settle_pending(&mut self, done: Vec<ClusterCompletion>) {
+        for d in done {
+            let flight = self.inflight.remove(&d.id);
+            let flight = flight.unwrap_or_else(|| panic!("request {} completed twice", d.id));
+            self.settle(d, flight);
+        }
+    }
+
+    /// Delivers a completion to the browser that sent it, at `finished` +
+    /// link latency, and tallies it as the client side of `flight` sees it.
+    fn settle(&mut self, done: ClusterCompletion, flight: Flight) {
+        if let Some((b, ticket)) = flight.browser {
+            let at = done.finished + CLUSTER_LATENCY_MS + flight.jitter;
+            self.browsers[b].deliver(ticket, &done, at);
+        }
+        if let Some(ix) = flight.ledger {
+            let u = &mut self.report.updates[ix];
+            u.shard = done.shard;
+            if done.outcome == ClusterOutcome::AckedUpdate {
+                u.ack_latency = Some(done.finished - done.arrival);
+            }
+        }
+        let s = &mut self.report.per_class[done.class.index()];
+        if flight.fault == Some(Fault::ReplyLost) {
+            // served, but the reply vanished: the client sees a loss
+            s.lost += 1;
+            return;
+        }
+        s.latencies
+            .push(done.finished - done.arrival + flight.jitter);
+        s.truncated += u64::from(flight.fault == Some(Fault::Truncate));
+        s.outcomes[done.outcome.index()] += 1;
+        s.errors +=
+            u64::from(done.outcome == ClusterOutcome::Served && done.response.status != 200);
+    }
+
+    /// Drains the cluster's backlog from `from`; returns when it settled.
+    fn quiesce(&mut self, from: u64) -> u64 {
+        let (settled, done) = self.cluster.quiesce(from);
+        self.settle_pending(done);
+        settled
+    }
+
+    fn finish(mut self) -> (SimReport, Cluster) {
+        assert!(
+            self.inflight.is_empty(),
+            "every admitted request completes: {} never did",
+            self.inflight.len()
+        );
+        let report = &mut self.report;
+        report.reroutes = self.routes.reroutes;
+        report.reroutes += self.browsers.iter().map(|b| b.routes.reroutes).sum::<u64>();
+        report.final_epoch = self.cluster.epoch();
+        report.browsers = self.browsers.iter().map(FleetBrowser::report).collect();
+        if !report.browsers.is_empty() {
+            self.cluster
+                .set_fleet_stats(&FleetStats::of(&report.browsers));
+        }
+        report.metrics = self.cluster.metrics_snapshot();
+        (self.report, self.cluster)
+    }
 }
 
 #[cfg(test)]
@@ -656,6 +814,7 @@ mod tests {
         let acked = |marker: &str| UpdateRecord {
             marker: marker.to_string(),
             uri: "d.xml".to_string(),
+            arrival: 0,
             ack_latency: Some(1),
             shard: 0,
             epoch: 0,

@@ -17,38 +17,53 @@
 
 use std::fmt::Display;
 
-use xqib_appserver::fleet::{run_fleet, FleetConfig, FleetReport};
+use xqib_appserver::fleet::{fleet_docs, Scenario};
+use xqib_appserver::simulate::{run_sim, SimConfig, SimReport};
 use xqib_bench::write_report;
 
-fn elsevier_arm(seed: u64, caching: usize, nocache: usize) -> FleetConfig {
-    let mut cfg = FleetConfig::quiet(seed);
-    cfg.elsevier_clients = caching;
-    cfg.elsevier_nocache_clients = nocache;
-    cfg.mashup_clients = 0;
-    cfg.cart_clients = 0;
-    cfg.interactions_per_client = 5;
+/// 100 Elsevier browsers of one kind for one virtual second.
+fn elsevier_arm(seed: u64, scenario: Scenario) -> SimConfig {
+    let mut cfg = SimConfig::fleet(seed);
+    cfg.browsers = vec![scenario; 100];
+    cfg.docs = fleet_docs(&cfg.browsers);
+    cfg.duration_ms = 1_000;
     cfg
 }
 
-fn arm(r: &FleetReport) -> Vec<(&'static str, &dyn Display)> {
-    let t = &r.totals;
+/// Runs an arm and checks the invariants every fleet run must hold.
+fn run_arm(cfg: &SimConfig) -> SimReport {
+    let (r, cluster) = run_sim(cfg);
+    assert_eq!(r.missing_acked_updates(&cluster), Vec::<String>::new());
+    assert_eq!(r.outcome_mismatches(), Vec::<usize>::new());
+    assert_eq!(
+        r.unconverged(),
+        Vec::<usize>::new(),
+        "renders must converge"
+    );
+    assert_eq!(r.conservation_violations(), Vec::<String>::new());
+    r
+}
+
+fn arm(r: &SimReport) -> Vec<(&'static str, Box<dyn Display + '_>)> {
+    let t = &r.metrics.fleet;
+    let finished = r.browsers.iter().map(|b| b.finished_at).max().unwrap_or(0);
     vec![
-        ("clients", &t.clients),
-        ("interactions", &t.interactions),
-        ("behind_calls", &t.behind_calls),
-        ("origin_requests", &t.origin_requests),
-        ("cache_hit_permille", &t.cache_hit_permille),
-        ("completions", &t.completions),
-        ("stale_events", &t.stale_events),
-        ("error_events", &t.error_events),
-        ("retries", &t.retries),
-        ("breaker_opens", &t.breaker_opens),
-        ("retry_after_honored", &t.retry_after_honored),
-        ("degraded_observed", &t.degraded_observed),
-        ("failovers", &r.replication.failovers),
-        ("blackout_ms", &r.replication.blackout_ms),
-        ("converged", &r.converged),
-        ("duration_ms", &r.duration_ms),
+        ("clients", Box::new(t.clients)),
+        ("interactions", Box::new(t.interactions)),
+        ("behind_calls", Box::new(t.behind_calls)),
+        ("origin_requests", Box::new(t.origin_requests)),
+        ("cache_hit_permille", Box::new(t.cache_hit_permille)),
+        ("completions", Box::new(t.completions)),
+        ("stale_events", Box::new(t.stale_events)),
+        ("error_events", Box::new(t.error_events)),
+        ("retries", Box::new(t.retries)),
+        ("breaker_opens", Box::new(t.breaker_opens)),
+        ("retry_after_honored", Box::new(t.retry_after_honored)),
+        ("degraded_observed", Box::new(t.degraded_observed)),
+        ("failovers", Box::new(r.metrics.replication.failovers)),
+        ("blackout_ms", Box::new(r.metrics.replication.blackout_ms)),
+        ("converged", Box::new(r.unconverged().is_empty())),
+        ("duration_ms", Box::new(finished)),
     ]
 }
 
@@ -58,33 +73,27 @@ fn main() {
 
     let seed = 0xF1EE7;
     // ≥100 Elsevier clients, whole-document caching on
-    let (cached, _) = run_fleet(&elsevier_arm(seed, 100, 0)).expect("cached arm");
-    assert!(cached.converged, "cached arm must converge");
-    assert_eq!(cached.outcome_mismatches, vec![]);
+    let cached = run_arm(&elsevier_arm(seed, Scenario::Elsevier));
     assert!(
-        cached.totals.cache_hit_permille > 500,
+        cached.metrics.fleet.cache_hit_permille > 500,
         "repeat visits must be mostly cache hits (got {}‰)",
-        cached.totals.cache_hit_permille
+        cached.metrics.fleet.cache_hit_permille
     );
 
     // the same fleet size with cache-busting URLs: the origin baseline
-    let (uncached, _) = run_fleet(&elsevier_arm(seed, 0, 100)).expect("no-cache arm");
-    assert!(uncached.converged, "no-cache arm must converge");
+    let uncached = run_arm(&elsevier_arm(seed, Scenario::ElsevierNoCache));
     assert_eq!(
-        uncached.totals.cache_hit_permille, 0,
+        uncached.metrics.fleet.cache_hit_permille, 0,
         "cache-busting URLs must always hit the origin"
     );
     assert!(
-        uncached.totals.origin_requests > cached.totals.origin_requests,
+        uncached.metrics.fleet.origin_requests > cached.metrics.fleet.origin_requests,
         "offload must show up as origin-traffic reduction"
     );
 
     // the full chaos menu over the mixed fleet: invariants still hold
-    let (chaos, _) = run_fleet(&FleetConfig::chaotic(seed)).expect("chaos arm");
-    assert_eq!(chaos.missing_acked, vec![], "acked cart ops lost");
-    assert_eq!(chaos.outcome_mismatches, vec![]);
-    assert!(chaos.converged, "chaos arm must converge post-recovery");
-    assert!(chaos.replication.failovers >= 2);
+    let chaos = run_arm(&SimConfig::chaotic_fleet(seed));
+    assert!(chaos.metrics.replication.failovers >= 2);
 
     write_report(
         "BENCH_fleet.json",

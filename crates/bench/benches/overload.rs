@@ -1,6 +1,6 @@
 //! Overload experiment: the same 2× overload burst replayed against a
 //! one-shard, no-follower cluster whose leader sits behind an unbounded
-//! FIFO (the ungoverned baseline) or the request governor, in
+//! queue served in class-priority order (the ungoverned baseline) or the request governor, in
 //! deterministic virtual time. Unlike the Criterion microbenches this is not a wall-clock
 //! measurement — the interesting numbers (goodput, p99 latency, shed and
 //! degraded counts) come out of the simulator itself — so the binary

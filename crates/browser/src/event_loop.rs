@@ -83,8 +83,12 @@ impl<T> EventLoop<T> {
         self.now += ms;
     }
 
-    /// Pops the next task, advancing the clock to its due time.
-    pub fn pop(&mut self) -> Option<T> {
+    /// Pops the next task due by `limit`, advancing the clock to its due
+    /// time; `None` when the queue is empty or the next task is later.
+    pub fn pop(&mut self, limit: u64) -> Option<T> {
+        if self.queue.peek()?.due > limit {
+            return None;
+        }
         let task = self.queue.pop()?;
         self.now = self.now.max(task.due);
         self.processed += 1;
@@ -110,10 +114,10 @@ mod tests {
         el.schedule(0, "a");
         el.schedule(0, "b");
         el.schedule(0, "c");
-        assert_eq!(el.pop(), Some("a"));
-        assert_eq!(el.pop(), Some("b"));
-        assert_eq!(el.pop(), Some("c"));
-        assert_eq!(el.pop(), None);
+        assert_eq!(el.pop(u64::MAX), Some("a"));
+        assert_eq!(el.pop(u64::MAX), Some("b"));
+        assert_eq!(el.pop(u64::MAX), Some("c"));
+        assert_eq!(el.pop(u64::MAX), None);
     }
 
     #[test]
@@ -122,11 +126,13 @@ mod tests {
         el.schedule(50, 2);
         el.schedule(10, 1);
         el.schedule(100, 3);
-        assert_eq!(el.pop(), Some(1));
+        assert_eq!(el.pop(9), None, "nothing is due by 9");
+        assert_eq!(el.now(), 0);
+        assert_eq!(el.pop(u64::MAX), Some(1));
         assert_eq!(el.now(), 10);
-        assert_eq!(el.pop(), Some(2));
+        assert_eq!(el.pop(u64::MAX), Some(2));
         assert_eq!(el.now(), 50);
-        assert_eq!(el.pop(), Some(3));
+        assert_eq!(el.pop(u64::MAX), Some(3));
         assert_eq!(el.now(), 100);
     }
 
@@ -134,10 +140,10 @@ mod tests {
     fn clock_is_monotonic_for_tasks_scheduled_mid_run() {
         let mut el: EventLoop<&str> = EventLoop::new();
         el.schedule(100, "late");
-        assert_eq!(el.pop(), Some("late"));
+        assert_eq!(el.pop(u64::MAX), Some("late"));
         // a zero-delay task scheduled now lands at t=100, not t=0
         el.schedule(0, "after");
-        assert_eq!(el.pop(), Some("after"));
+        assert_eq!(el.pop(u64::MAX), Some("after"));
         assert_eq!(el.now(), 100);
     }
 
@@ -147,8 +153,8 @@ mod tests {
         el.schedule(1, 1);
         el.schedule(2, 2);
         assert_eq!(el.len(), 2);
-        el.pop();
-        el.pop();
+        el.pop(u64::MAX);
+        el.pop(u64::MAX);
         assert_eq!(el.processed, 2);
         assert!(el.is_empty());
     }

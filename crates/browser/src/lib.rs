@@ -36,7 +36,7 @@ pub use bom::{Browser, Location, Navigator, Screen, WindowId};
 pub use css::CssStore;
 pub use event_loop::{EventLoop, Task};
 pub use events::{DomEvent, EventPhase, EventSystem, ListenerId};
-pub use net::{Fault, FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
+pub use net::{Deferred, Fault, FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
 pub use quarantine::{
     IsolationConfig, ListenerGuard, ListenerQuarantine, QuarantineState, QuarantineStats,
 };

@@ -11,6 +11,10 @@
 //! time, all reproducible from a `u64` seed. The plan decides per request;
 //! the client-side recovery policy (retries, circuit breakers, stale
 //! serving) lives in [`crate::recovery`].
+//!
+//! A *deferred* host ([`VirtualNetwork::register_deferred`]) queues each
+//! request for its driver, which answers it later: the shape of a server on
+//! its own clock, such as a cluster that acks once its followers have it.
 
 use std::collections::HashMap;
 
@@ -88,6 +92,20 @@ impl Response {
 }
 
 type Handler = Box<dyn FnMut(&Request, u64) -> Response>;
+
+/// A request a deferred host holds for its driver.
+#[derive(Debug, Clone)]
+pub struct Deferred {
+    /// Names the request when the driver answers it.
+    pub ticket: u64,
+    pub request: Request,
+    /// Virtual time the request was sent: its driver serves it no earlier.
+    pub sent_at: u64,
+    /// What the host's fault plan does to the reply on its way back
+    /// (`ReplyLost`, `Truncate` or nothing), and its latency jitter.
+    pub fault: Option<Fault>,
+    pub jitter: u64,
+}
 
 /// One injected failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,6 +250,9 @@ pub enum NetOutcome {
     /// The request was lost; no reply will ever arrive. The client must
     /// apply its own deadline.
     Lost,
+    /// A deferred host queued the request; its driver answers the ticket
+    /// later.
+    Pending(u64),
 }
 
 /// Per-host traffic counters.
@@ -260,9 +281,15 @@ pub struct NetStats {
 /// The virtual network: URL-prefix-routed services.
 #[derive(Default)]
 pub struct VirtualNetwork {
-    services: Vec<(String, u64, Handler)>,
+    /// (prefix, latency, handler); no handler for a deferred host
+    services: Vec<(String, u64, Option<Handler>)>,
     /// host → (plan, requests issued to the host so far)
     faults: HashMap<String, (FaultPlan, u64)>,
+    /// Requests sent to deferred hosts that their drivers have not taken.
+    sent: Vec<Deferred>,
+    /// ticket → (host, the fault its reply meets), until it is answered
+    open: HashMap<u64, (String, Option<Fault>)>,
+    next_ticket: u64,
     pub stats: NetStats,
 }
 
@@ -291,11 +318,75 @@ impl VirtualNetwork {
         latency_ms: u64,
         handler: impl FnMut(&Request, u64) -> Response + 'static,
     ) {
+        self.add(prefix, latency_ms, Some(Box::new(handler)));
+    }
+
+    /// Registers a deferred host for every URL starting with `prefix`: a
+    /// request to it returns [`NetOutcome::Pending`] and waits in
+    /// [`take_sent`](Self::take_sent) for the host's driver. Requests the
+    /// fault plan loses or answers itself never reach the driver, and
+    /// `latency_ms` is the round trip of those injected error replies.
+    pub fn register_deferred(&mut self, prefix: &str, latency_ms: u64) {
+        self.add(prefix, latency_ms, None);
+    }
+
+    fn add(&mut self, prefix: &str, latency_ms: u64, service: Option<Handler>) {
         self.services
-            .push((prefix.to_string(), latency_ms, Box::new(handler)));
+            .push((prefix.to_string(), latency_ms, service));
         // longest-prefix match wins: keep sorted by descending length
         self.services
             .sort_by_key(|(prefix, _, _)| std::cmp::Reverse(prefix.len()));
+    }
+
+    /// Whether `url` is served by a deferred host.
+    pub fn defers(&self, url: &str) -> bool {
+        self.service(url)
+            .is_some_and(|svc| self.services[svc].2.is_none())
+    }
+
+    fn service(&self, url: &str) -> Option<usize> {
+        self.services
+            .iter()
+            .position(|(prefix, _, _)| url.starts_with(prefix.as_str()))
+    }
+
+    /// Hands a driver the requests its deferred hosts were sent by virtual
+    /// time `now`, in send order.
+    pub fn take_sent(&mut self, now: u64) -> Vec<Deferred> {
+        let (due, later) = std::mem::take(&mut self.sent)
+            .into_iter()
+            .partition(|d| d.sent_at <= now);
+        self.sent = later;
+        due
+    }
+
+    /// A deferred host's answer to request `ticket`, as it reaches the
+    /// client: `None` when the fault plan loses the reply or the ticket is
+    /// not open, the payload cut off under a truncation fault.
+    pub fn complete(&mut self, ticket: u64, resp: Response) -> Option<Response> {
+        let (host, fault) = self.open.remove(&ticket)?;
+        self.receive(&host, resp, fault)
+    }
+
+    /// A reply on its way back: lost or truncated per `fault`, and counted
+    /// when it arrives.
+    fn receive(
+        &mut self,
+        host: &str,
+        mut resp: Response,
+        fault: Option<Fault>,
+    ) -> Option<Response> {
+        match fault {
+            Some(Fault::ReplyLost) => return None,
+            Some(Fault::Truncate) => resp.body.truncate(resp.body.len() / 2),
+            _ => {}
+        }
+        let received = resp.body.len() as u64;
+        self.stats.bytes_received += received;
+        if let Some(hs) = self.stats.per_host.get_mut(host) {
+            hs.bytes_received += received;
+        }
+        Some(resp)
     }
 
     /// Installs (or replaces) the fault plan for a host. The per-host
@@ -316,11 +407,7 @@ impl VirtualNetwork {
     pub fn fetch_at(&mut self, req: &Request, now: u64) -> NetOutcome {
         let host = host_of(&req.url);
         let sent = req.url.len() as u64 + req.body.as_ref().map_or(0, |b| b.len() as u64);
-        let Some(svc) = self
-            .services
-            .iter()
-            .position(|(prefix, _, _)| req.url.starts_with(prefix.as_str()))
-        else {
+        let Some(svc) = self.service(&req.url) else {
             return NetOutcome::Reply {
                 resp: Response::not_found(),
                 latency_ms: 0,
@@ -336,57 +423,55 @@ impl VirtualNetwork {
         };
         self.stats.requests += 1;
         self.stats.bytes_sent += sent;
-        let hs = self.stats.per_host.entry(host).or_default();
+        let hs = self.stats.per_host.entry(host.clone()).or_default();
         hs.requests += 1;
         hs.bytes_sent += sent;
         if fault.is_some() {
             hs.faults += 1;
         }
-        let base_latency = self.services[svc].1;
-        let latency_ms = base_latency + jitter;
+        let latency_ms = self.services[svc].1 + jitter;
         match fault {
             Some(Fault::Timeout) => {
                 self.stats.injected_timeouts += 1;
-                NetOutcome::Lost
+                return NetOutcome::Lost;
             }
             Some(Fault::Error(status)) => {
                 self.stats.injected_errors += 1;
-                NetOutcome::Reply {
-                    resp: Response {
-                        status,
-                        body: "<error>injected service fault</error>".to_string(),
-                        content_type: "application/xml".to_string(),
-                    },
-                    latency_ms,
-                }
+                let resp = Response {
+                    status,
+                    body: "<error>injected service fault</error>".to_string(),
+                    content_type: "application/xml".to_string(),
+                };
+                return NetOutcome::Reply { resp, latency_ms };
             }
-            Some(Fault::ReplyLost) => {
-                // the handler runs — side effects stand — but the reply
-                // never reaches the caller
-                self.stats.injected_reply_losses += 1;
-                let _ = (self.services[svc].2)(req, now);
-                NetOutcome::Lost
-            }
-            Some(Fault::Truncate) => {
-                self.stats.injected_truncations += 1;
-                let mut resp = (self.services[svc].2)(req, now);
-                resp.body.truncate(resp.body.len() / 2);
-                let received = resp.body.len() as u64;
-                self.stats.bytes_received += received;
-                let host = host_of(&req.url);
-                let hs = self.stats.per_host.entry(host).or_default();
-                hs.bytes_received += received;
-                NetOutcome::Reply { resp, latency_ms }
-            }
+            // the request reaches the service, so its side effects stand,
+            // but the reply never reaches the caller
+            Some(Fault::ReplyLost) => self.stats.injected_reply_losses += 1,
+            Some(Fault::Truncate) => self.stats.injected_truncations += 1,
+            None => {}
+        }
+        let resp = match &mut self.services[svc].2 {
+            Some(handler) => handler(req, now),
             None => {
-                let resp = (self.services[svc].2)(req, now);
-                let received = resp.body.len() as u64;
-                self.stats.bytes_received += received;
-                let host = host_of(&req.url);
-                let hs = self.stats.per_host.entry(host).or_default();
-                hs.bytes_received += received;
-                NetOutcome::Reply { resp, latency_ms }
+                self.next_ticket += 1;
+                let ticket = self.next_ticket;
+                self.open.insert(ticket, (host, fault));
+                self.sent.push(Deferred {
+                    ticket,
+                    request: req.clone(),
+                    sent_at: now,
+                    fault,
+                    jitter,
+                });
+                return match fault {
+                    Some(Fault::ReplyLost) => NetOutcome::Lost,
+                    _ => NetOutcome::Pending(ticket),
+                };
             }
+        };
+        match self.receive(&host, resp, fault) {
+            Some(resp) => NetOutcome::Reply { resp, latency_ms },
+            None => NetOutcome::Lost,
         }
     }
 }
@@ -442,7 +527,7 @@ mod tests {
     fn get(net: &mut VirtualNetwork, url: &str) -> (Response, u64) {
         match net.fetch_at(&Request::get(url), 0) {
             NetOutcome::Reply { resp, latency_ms } => (resp, latency_ms),
-            NetOutcome::Lost => panic!("GET {url} lost"),
+            other => panic!("GET {url}: {other:?}"),
         }
     }
 
@@ -545,7 +630,7 @@ mod tests {
         ));
         match net.fetch_at(&Request::get("http://svc.example/c"), 0) {
             NetOutcome::Reply { resp, .. } => assert_eq!(resp.status, 200),
-            NetOutcome::Lost => panic!("third request should succeed"),
+            other => panic!("third request should succeed: {other:?}"),
         }
         assert_eq!(net.stats.injected_timeouts, 2);
         assert_eq!(net.stats.per_host.get("svc.example").unwrap().faults, 2);
@@ -585,14 +670,14 @@ mod tests {
                 assert_eq!(resp.status, 503);
                 assert!(resp.body.contains("injected"));
             }
-            NetOutcome::Lost => panic!("error fault replies"),
+            other => panic!("error fault replies: {other:?}"),
         }
         match net.fetch_at(&Request::get("http://svc.example/a"), 0) {
             NetOutcome::Reply { resp, .. } => {
                 assert_eq!(resp.status, 200);
                 assert_eq!(resp.body.len(), "<payload>0123456789</payload>".len() / 2);
             }
-            NetOutcome::Lost => panic!("truncation replies"),
+            other => panic!("truncation replies: {other:?}"),
         }
         assert_eq!(net.stats.injected_errors, 1);
         assert_eq!(net.stats.injected_truncations, 1);
@@ -664,7 +749,7 @@ mod tests {
                 .map(
                     |i| match net.fetch_at(&Request::get(&format!("http://svc.example/{i}")), 0) {
                         NetOutcome::Reply { latency_ms, .. } => latency_ms,
-                        NetOutcome::Lost => panic!("no loss configured"),
+                        other => panic!("no loss configured: {other:?}"),
                     },
                 )
                 .collect()
@@ -689,6 +774,68 @@ mod tests {
         // the plan heals after the scripted prefix
         let (resp, _) = get(&mut net, "http://svc.example/a");
         assert_eq!(resp.status, 200);
+    }
+
+    /// A deferred host queues each request for its driver, which sees it
+    /// no earlier than it was sent and answers it by ticket once.
+    #[test]
+    fn a_deferred_host_queues_requests_for_its_driver() {
+        let mut net = VirtualNetwork::new();
+        net.register_deferred("http://svc.example/", 10);
+        assert!(net.defers("http://svc.example/a"));
+        assert!(!net.defers("http://other.example/a"));
+        let NetOutcome::Pending(ticket) = net.fetch_at(&Request::get("http://svc.example/a"), 7)
+        else {
+            panic!("a deferred host answers later");
+        };
+        assert!(net.take_sent(6).is_empty(), "not before it was sent");
+        let sent = net.take_sent(7);
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].ticket, sent[0].sent_at), (ticket, 7));
+        assert!(net.take_sent(100).is_empty(), "taken once");
+        let resp = net.complete(ticket, Response::ok("<done/>")).unwrap();
+        assert_eq!(resp.body, "<done/>");
+        assert_eq!(net.stats.per_host["svc.example"].bytes_received, 7);
+        assert!(net.complete(ticket, Response::ok("<again/>")).is_none());
+    }
+
+    /// The fault plan still rules a deferred host: a lost request never
+    /// reaches the driver, a lost reply does but is dropped on delivery, and
+    /// a truncated one arrives cut off.
+    #[test]
+    fn a_deferred_host_keeps_its_fault_plan() {
+        let mut net = VirtualNetwork::new();
+        net.register_deferred("http://svc.example/", 10);
+        net.set_fault_plan(
+            "svc.example",
+            FaultPlan {
+                seed: 6,
+                scripted: vec![
+                    Some(Fault::Timeout),
+                    Some(Fault::ReplyLost),
+                    Some(Fault::Truncate),
+                    Some(Fault::Error(503)),
+                ],
+                ..Default::default()
+            },
+        );
+        let mut fetch = || net.fetch_at(&Request::get("http://svc.example/a"), 0);
+        assert!(matches!(fetch(), NetOutcome::Lost), "request lost");
+        assert!(matches!(fetch(), NetOutcome::Lost), "reply lost");
+        let NetOutcome::Pending(truncated) = fetch() else {
+            panic!("a truncated reply is still answered by the driver");
+        };
+        assert!(
+            matches!(fetch(), NetOutcome::Reply { resp, latency_ms: 10 } if resp.status == 503)
+        );
+        let sent = net.take_sent(0);
+        let faults: Vec<_> = sent.iter().map(|d| d.fault).collect();
+        assert_eq!(faults, [Some(Fault::ReplyLost), Some(Fault::Truncate)]);
+        assert!(net
+            .complete(sent[0].ticket, Response::ok("<done/>"))
+            .is_none());
+        let cut = net.complete(truncated, Response::ok("<done/>")).unwrap();
+        assert_eq!(cut.body, "<do");
     }
 
     #[test]

@@ -17,13 +17,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xqib_browser::{BreakerState, NetOutcome, Origin, QuarantineState, Request, WindowId};
+use xqib_browser::{
+    BreakerState, NetOutcome, Origin, QuarantineState, Request, Response, WindowId,
+};
 use xqib_dom::{name::BROWSER_NS, NodeRef, QName};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
 use xqib_xquery::context::DynamicContext;
 use xqib_xquery::functions::native;
 
-use crate::plugin::{parse_listener_name, trigger, HostState};
+use crate::plugin::{parse_listener_name, trigger, Fetch, HostState};
 use crate::window_xml;
 
 /// A `browser:` function body, handed the host state its native closes over.
@@ -357,6 +359,8 @@ fn status(
 /// in virtual time and fail with `XQIB0009`, and every failure outcome may
 /// fall back to the stale cache when the host is in degraded mode
 /// (`RecoveryState::serve_stale` — set by the plug-in's last-chance pass).
+/// Inside a `behind` attempt, a GET to a deferred host parks the attempt
+/// (see [`crate::plugin`]); outside one it fails with `XQIB0020`.
 pub fn http_get(
     ctx: &mut DynamicContext,
     host: &Rc<RefCell<HostState>>,
@@ -370,98 +374,115 @@ pub fn http_get(
         }
     }
     let hostname = Origin::from_url(url).host;
-    let allowed = {
-        let mut h = host.borrow_mut();
-        let now = h.tasks.now();
-        h.recovery.breaker_allow(&hostname, now)
+    get_fresh(ctx, host, url, &hostname)
+        .or_else(|err| degraded_fallback(ctx, host, url, &hostname, err))
+}
+
+/// The GET itself, without the stale fallback.
+fn get_fresh(
+    ctx: &mut DynamicContext,
+    host: &Rc<RefCell<HostState>>,
+    url: &str,
+    hostname: &str,
+) -> XdmResult<Sequence> {
+    let resp = match take_reply(host, url) {
+        Some(resp) => resp,
+        None => fetch(host, url, hostname)?,
     };
-    if !allowed {
-        return degraded_fallback(
-            ctx,
-            host,
-            url,
-            &hostname,
-            XdmError::new("XQIB0010", format!("circuit breaker open for {hostname}")),
-        );
+    let Some(resp) = resp else {
+        let mut h = host.borrow_mut();
+        h.recovery.stats.timeouts += 1;
+        let now = h.tasks.now();
+        h.recovery.breaker_failure(hostname, now);
+        let deadline = h.recovery.policy.timeout_ms;
+        let msg = format!("GET {url} timed out after {deadline}ms");
+        return Err(XdmError::new("XQIB0009", msg));
+    };
+    if resp.status != 200 {
+        record_fetch_error(host, hostname);
+        let msg = format!("GET {url} failed with status {}", resp.status);
+        return Err(XdmError::new("XQIB0007", msg));
     }
-    let outcome = {
-        let mut h = host.borrow_mut();
-        let now = h.tasks.now();
-        h.net.fetch_at(&Request::get(url), now)
+    let doc = if resp.content_type.contains("xml") {
+        // truncated/garbled payloads count as fetch errors
+        let doc = xqib_dom::parse_document(&resp.body).map_err(|e| {
+            record_fetch_error(host, hostname);
+            XdmError::new("XQIB0007", e.to_string())
+        })?;
+        Some(doc)
+    } else {
+        None
     };
-    match outcome {
+    {
+        let mut h = host.borrow_mut();
+        h.recovery.breaker_success(hostname);
+        let now = h.tasks.now();
+        h.recovery.store_stale(url, hostname, &resp, now);
+    }
+    Ok(match doc {
+        Some(doc) => {
+            let mut store = ctx.store.borrow_mut();
+            let id = store.add_document(doc, Some(url));
+            vec![Item::Node(store.root(id))]
+        }
+        None => vec![Item::string(resp.body)],
+    })
+}
+
+/// The reply a resumed `behind` attempt parked for, when `url` is the URL
+/// it was sent to: the response, or `None` when it was lost.
+fn take_reply(host: &Rc<RefCell<HostState>>, url: &str) -> Option<Option<Response>> {
+    let mut h = host.borrow_mut();
+    match std::mem::take(&mut h.fetch) {
+        Fetch::Resumed(u, resp) if u == url => {
+            h.fetch = Fetch::Parkable;
+            Some(resp)
+        }
+        other => {
+            h.fetch = other;
+            None
+        }
+    }
+}
+
+/// Sends a GET past the breaker: the response, or `None` when it is lost.
+/// An immediate host's round trip (or the request deadline of a lost
+/// request) passes inside the running task. A deferred host parks the
+/// `behind` attempt instead, for its driver's reply or for the network's
+/// own answer (a loss, an injected error) at the time it lands.
+fn fetch(host: &Rc<RefCell<HostState>>, url: &str, hostname: &str) -> XdmResult<Option<Response>> {
+    let mut h = host.borrow_mut();
+    let deferred = h.net.defers(url);
+    if deferred && !matches!(h.fetch, Fetch::Parkable) {
+        let msg = format!("GET {url}: {hostname} replies later, to a behind call only");
+        return Err(XdmError::new("XQIB0020", msg));
+    }
+    let now = h.tasks.now();
+    if !h.recovery.breaker_allow(hostname, now) {
+        let msg = format!("circuit breaker open for {hostname}");
+        return Err(XdmError::new("XQIB0010", msg));
+    }
+    let timeout = h.recovery.policy.timeout_ms;
+    h.fetch = match h.net.fetch_at(&Request::get(url), now) {
+        NetOutcome::Pending(ticket) => Fetch::Waiting(ticket, url.to_string()),
+        NetOutcome::Lost if deferred => Fetch::Settled(url.to_string(), None, timeout),
+        NetOutcome::Reply { resp, latency_ms } if deferred => {
+            Fetch::Settled(url.to_string(), Some(resp), latency_ms)
+        }
         NetOutcome::Lost => {
-            let deadline = {
-                let mut h = host.borrow_mut();
-                let deadline = h.recovery.policy.timeout_ms;
-                h.tasks.advance(deadline);
-                h.recovery.stats.timeouts += 1;
-                let now = h.tasks.now();
-                h.recovery.breaker_failure(&hostname, now);
-                deadline
-            };
-            degraded_fallback(
-                ctx,
-                host,
-                url,
-                &hostname,
-                XdmError::new(
-                    "XQIB0009",
-                    format!("GET {url} timed out after {deadline}ms"),
-                ),
-            )
+            h.tasks.advance(timeout);
+            return Ok(None);
         }
         NetOutcome::Reply { resp, latency_ms } => {
-            host.borrow_mut().tasks.advance(latency_ms);
-            if resp.status != 200 {
-                record_fetch_error(host, &hostname);
-                return degraded_fallback(
-                    ctx,
-                    host,
-                    url,
-                    &hostname,
-                    XdmError::new(
-                        "XQIB0007",
-                        format!("GET {url} failed with status {}", resp.status),
-                    ),
-                );
-            }
-            if resp.content_type.contains("xml") {
-                match xqib_dom::parse_document(&resp.body) {
-                    Ok(doc) => {
-                        {
-                            let mut h = host.borrow_mut();
-                            h.recovery.breaker_success(&hostname);
-                            let now = h.tasks.now();
-                            h.recovery.store_stale(url, &hostname, &resp, now);
-                        }
-                        let mut store = ctx.store.borrow_mut();
-                        let id = store.add_document(doc, Some(url));
-                        Ok(vec![Item::Node(store.root(id))])
-                    }
-                    Err(e) => {
-                        // truncated/garbled payloads count as fetch errors
-                        record_fetch_error(host, &hostname);
-                        degraded_fallback(
-                            ctx,
-                            host,
-                            url,
-                            &hostname,
-                            XdmError::new("XQIB0007", e.to_string()),
-                        )
-                    }
-                }
-            } else {
-                {
-                    let mut h = host.borrow_mut();
-                    h.recovery.breaker_success(&hostname);
-                    let now = h.tasks.now();
-                    h.recovery.store_stale(url, &hostname, &resp, now);
-                }
-                Ok(vec![Item::string(resp.body)])
-            }
+            h.tasks.advance(latency_ms);
+            return Ok(Some(resp));
         }
-    }
+    };
+    // the plug-in reads from `fetch` that the attempt parked, not from this
+    Err(XdmError::new(
+        "XQIB0021",
+        "behind attempt parked for its reply",
+    ))
 }
 
 fn record_fetch_error(host: &Rc<RefCell<HostState>>, hostname: &str) {

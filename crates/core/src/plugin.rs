@@ -6,6 +6,14 @@
 //! `error` DOM event, and repeated failures quarantine the listener
 //! (see [`xqib_browser::quarantine`]) — one bad handler cannot wedge the
 //! single event loop of Figure 1.
+//!
+//! A `behind` attempt whose `httpGet` reaches a deferred host
+//! ([`VirtualNetwork::register_deferred`]) *parks* instead of blocking the
+//! loop: its pending updates are discarded, as a failed attempt's are.
+//! [`Plugin::deliver`] runs the same attempt again when the reply arrives,
+//! and that `httpGet` takes the reply; a lost request or reply resumes it
+//! as a timeout at issue + `timeout_ms`. So retries, breaker, stale
+//! fallback and the exactly-one outcome stay those of the one `behind` path.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::RefCell;
@@ -16,7 +24,7 @@ use xqib_browser::bom::Browser;
 use xqib_browser::events::{DispatchStep, DomEvent, EventSystem, ListenerId};
 use xqib_browser::{
     CssStore, EventLoop, IsolationConfig, ListenerQuarantine, RecoveryConfig, RecoveryState,
-    VirtualNetwork, WindowId,
+    Response, VirtualNetwork, WindowId,
 };
 use xqib_dom::{name::LOCAL_NS, DocId, NodeKind, NodeRef, QName, SharedStore};
 use xqib_xdm::{Item, Sequence, XdmError, XdmResult};
@@ -52,19 +60,40 @@ pub enum ListenerKind {
 pub enum PluginTask {
     /// Dispatch a DOM event through capture/target/bubble.
     Dispatch(DomEvent),
-    /// An asynchronous `behind` call (§4.4): evaluate `call` in `env`, then
-    /// invoke `listener($readyState, $result)`. `call` is the plan lowered
-    /// once with the statement that attached it, shared by every attach
-    /// and retry. Failed attempts are rescheduled with exponential backoff
-    /// up to the retry policy's `max_attempts`; `call_id` keys the
-    /// deterministic backoff jitter.
-    Behind {
-        call: Rc<ExprPlan>,
-        env: Vec<(QName, Sequence)>,
-        listener: QName,
-        attempt: u32,
-        call_id: u64,
-    },
+    /// One attempt of an asynchronous `behind` call.
+    Behind(BehindCall),
+}
+
+/// An asynchronous `behind` call (§4.4): evaluate `call` in `env`, then
+/// invoke `listener($readyState, $result)`. `call` is the plan lowered once
+/// with the statement that attached it, shared by every attach and retry.
+/// Failed attempts are rescheduled with exponential backoff up to the retry
+/// policy's `max_attempts`; `call_id` keys the deterministic backoff jitter.
+pub struct BehindCall {
+    pub call: Rc<ExprPlan>,
+    pub env: Vec<(QName, Sequence)>,
+    pub listener: QName,
+    pub attempt: u32,
+    pub call_id: u64,
+    /// Set when the attempt resumes after parking: the URL it fetched and
+    /// the reply (`None` when the request or its reply was lost).
+    pub reply: Option<(String, Option<Response>)>,
+}
+
+/// Where `httpGet` stands with the `behind` attempt it runs in.
+#[derive(Default)]
+pub(crate) enum Fetch {
+    /// No `behind` attempt runs: a GET must be answered at once.
+    #[default]
+    Sync,
+    /// A `behind` attempt runs: a GET to a deferred host parks it.
+    Parkable,
+    /// A resumed attempt runs: the GET of the URL takes the reply.
+    Resumed(String, Option<Response>),
+    /// The attempt parked until the driver answers this ticket for the URL…
+    Waiting(u64, String),
+    /// … or until the network's own answer lands after this many ms.
+    Settled(String, Option<Response>, u64),
 }
 
 /// Mutable host state shared between the plug-in, its hooks and the
@@ -91,6 +120,10 @@ pub struct HostState {
     pub isolation: IsolationConfig,
     /// monotonically increasing id handed to each `behind` call (jitter key)
     next_behind_id: u64,
+    /// The running `behind` attempt's network state, read by `httpGet`.
+    pub(crate) fetch: Fetch,
+    /// Parked `behind` attempts, by the ticket their reply answers.
+    waiting: HashMap<u64, (String, BehindCall)>,
     /// Compiled plans for [`Plugin::eval`] snippets, served by
     /// `browser:planCache()`.
     pub plans: PlanCache,
@@ -241,13 +274,14 @@ impl EngineHooks for Hooks {
         let call_id = host.next_behind_id;
         host.tasks.schedule(
             0,
-            PluginTask::Behind {
+            PluginTask::Behind(BehindCall {
                 call,
                 env,
                 listener: listener.clone(),
                 attempt: 1,
                 call_id,
-            },
+                reply: None,
+            }),
         );
         Ok(())
     }
@@ -292,6 +326,8 @@ impl Plugin {
             quarantine: ListenerQuarantine::new(&config.isolation),
             isolation: config.isolation,
             next_behind_id: 0,
+            fetch: Fetch::Sync,
+            waiting: HashMap::new(),
             plans: PlanCache::new(EVAL_PLAN_CAPACITY),
             script_version: 0,
         }));
@@ -505,25 +541,18 @@ impl Plugin {
         Ok(())
     }
 
-    /// Drains the event loop (async `behind` completions, queued events).
-    /// Returns the number of tasks processed.
-    pub fn run_until_idle(&mut self) -> XdmResult<u64> {
+    /// Runs every task due by virtual time `limit`, in due order: queued
+    /// events, `behind` attempts and the replies parked attempts waited
+    /// for. Returns the number of tasks processed.
+    pub fn run_until(&mut self, limit: u64) -> XdmResult<u64> {
         let mut n = 0;
         loop {
-            let task = self.host.borrow_mut().tasks.pop();
+            let task = self.host.borrow_mut().tasks.pop(limit);
             let Some(task) = task else { break };
             n += 1;
             match task {
                 PluginTask::Dispatch(ev) => self.dispatch(&ev)?,
-                PluginTask::Behind {
-                    call,
-                    env,
-                    listener,
-                    attempt,
-                    call_id,
-                } => {
-                    self.run_behind(&call, env, &listener, attempt, call_id)?;
-                }
+                PluginTask::Behind(b) => self.run_behind(b)?,
             }
             if n > 1_000_000 {
                 return Err(XdmError::new("XQIB0005", "event loop runaway"));
@@ -532,60 +561,90 @@ impl Plugin {
         Ok(n)
     }
 
+    /// Drains the event loop: [`run_until`](Self::run_until)`(u64::MAX)`.
+    pub fn run_until_idle(&mut self) -> XdmResult<u64> {
+        self.run_until(u64::MAX)
+    }
+
+    /// A deferred host's driver answers request `ticket` with `resp`,
+    /// arriving at virtual time `at`: the `behind` attempt parked on it
+    /// runs again then. A reply the fault plan loses, or one for a ticket
+    /// nobody waits on, is dropped.
+    pub fn deliver(&mut self, ticket: u64, resp: Response, at: u64) {
+        let host = &mut *self.host.borrow_mut();
+        let resp = host.net.complete(ticket, resp);
+        let (Some(resp), Some((url, mut b))) = (resp, host.waiting.remove(&ticket)) else {
+            return;
+        };
+        b.reply = Some((url, Some(resp)));
+        let delay = at.saturating_sub(host.tasks.now());
+        host.tasks.schedule(delay, PluginTask::Behind(b));
+    }
+
     /// Executes one attempt of a `behind` call: readyState 1 (loading)
     /// notification on the first attempt, the call itself, then readyState 4
-    /// with the result (§4.4's AJAX model). A failed attempt discards its
-    /// pending updates and is rescheduled with exponential backoff; once the
-    /// retry policy is exhausted the call degrades (stale cache, synthetic
-    /// `stale`/`error` DOM events) instead of erroring the event loop.
-    fn run_behind(
-        &mut self,
-        call: &Rc<ExprPlan>,
-        env: Vec<(QName, Sequence)>,
-        listener: &QName,
-        attempt: u32,
-        call_id: u64,
-    ) -> XdmResult<()> {
+    /// with the result (§4.4's AJAX model). An attempt whose `httpGet`
+    /// reaches a deferred host parks until the reply arrives, then runs
+    /// again (a resumed attempt counts and notifies nothing twice). A
+    /// failed attempt discards its pending updates and is rescheduled with
+    /// exponential backoff; once the retry policy is exhausted the call
+    /// degrades (stale cache, synthetic `stale`/`error` DOM events) instead
+    /// of erroring the event loop.
+    fn run_behind(&mut self, mut b: BehindCall) -> XdmResult<()> {
         self.ctx.reset_stack_base();
-        self.host.borrow_mut().recovery.stats.attempts += 1;
-        if attempt == 1 {
-            // readyState 1: request started, no result yet
-            self.invoke_ready_state(listener, 1, vec![]);
-        }
-        match self.eval_behind_call(call, &env) {
-            Ok(result) => {
+        let fetch = match b.reply.take() {
+            Some((url, resp)) => Fetch::Resumed(url, resp),
+            None => {
+                self.host.borrow_mut().recovery.stats.attempts += 1;
+                if b.attempt == 1 {
+                    // readyState 1: request started, no result yet
+                    self.invoke_ready_state(&b.listener, 1, vec![]);
+                }
+                Fetch::Parkable
+            }
+        };
+        self.host.borrow_mut().fetch = fetch;
+        let result = self.eval_behind_call(&b.call, &b.env);
+        let fetch = std::mem::take(&mut self.host.borrow_mut().fetch);
+        match (fetch, result) {
+            (Fetch::Waiting(ticket, url), _) => {
+                // parked like a failed attempt: its updates go
+                self.ctx.pul.take();
+                self.host.borrow_mut().waiting.insert(ticket, (url, b));
+                Ok(())
+            }
+            (Fetch::Settled(url, resp, delay), _) => {
+                self.ctx.pul.take();
+                b.reply = Some((url, resp));
+                let mut host = self.host.borrow_mut();
+                host.tasks.schedule(delay, PluginTask::Behind(b));
+                Ok(())
+            }
+            (_, Ok(result)) => {
                 xqib_xquery::eval::apply_pending(&mut self.ctx)?;
                 self.host.borrow_mut().recovery.stats.completions += 1;
                 // readyState 4: done
-                self.invoke_ready_state(listener, 4, result);
+                self.invoke_ready_state(&b.listener, 4, result);
                 Ok(())
             }
-            Err(_) => {
+            (_, Err(_)) => {
                 // a failed attempt must not leak half-built page updates
                 self.ctx.pul.take();
                 let (max_attempts, delay) = {
                     let host = self.host.borrow();
                     (
                         host.recovery.policy.max_attempts,
-                        host.recovery.policy.backoff_delay(attempt, call_id),
+                        host.recovery.policy.backoff_delay(b.attempt, b.call_id),
                     )
                 };
-                if attempt < max_attempts {
+                if b.attempt < max_attempts {
                     let mut host = self.host.borrow_mut();
                     host.recovery.stats.retries += 1;
-                    host.tasks.schedule(
-                        delay,
-                        PluginTask::Behind {
-                            call: call.clone(),
-                            env,
-                            listener: listener.clone(),
-                            attempt: attempt + 1,
-                            call_id,
-                        },
-                    );
+                    b.attempt += 1;
+                    host.tasks.schedule(delay, PluginTask::Behind(b));
                     Ok(())
                 } else {
-                    self.degrade_behind(call, &env, listener)
+                    self.degrade_behind(&b.call, &b.env, &b.listener)
                 }
             }
         }

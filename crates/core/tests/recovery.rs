@@ -107,11 +107,11 @@ fn two_failures_then_success_completes_on_the_third_attempt() {
 /// The call plans of the queued `behind` tasks; the queue is left as it was.
 fn queued_calls(p: &Plugin) -> Vec<Rc<ExprPlan>> {
     let mut host = p.host.borrow_mut();
-    let tasks: Vec<PluginTask> = std::iter::from_fn(|| host.tasks.pop()).collect();
+    let tasks: Vec<PluginTask> = std::iter::from_fn(|| host.tasks.pop(u64::MAX)).collect();
     let calls = tasks
         .iter()
         .filter_map(|t| match t {
-            PluginTask::Behind { call, .. } => Some(call.clone()),
+            PluginTask::Behind(b) => Some(b.call.clone()),
             PluginTask::Dispatch(_) => None,
         })
         .collect();

@@ -245,6 +245,11 @@ macro_rules! counters {
             pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
                 $(f($metric, self.$field);)*
             }
+
+            /// Adds each of `other`'s counters to this one's.
+            pub fn add(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
         }
     };
 }

@@ -10,7 +10,7 @@
 //!     cargo test -q --test chaos_smoke
 
 use xqib::appserver::simulate::{run_sim, SimConfig};
-use xqib::appserver::{run_fleet, Cluster, ClusterOutcome, FleetConfig, Submitted, TopologyChange};
+use xqib::appserver::{Cluster, ClusterOutcome, Submitted, TopologyChange};
 use xqib::storage::StorageFaultPlan;
 
 const GOLDEN: &str = include_str!("../crates/appserver/tests/metrics_names.txt");
@@ -131,19 +131,18 @@ fn cluster_smoke() {
 
 #[test]
 fn fleet_smoke() {
-    let cfg = FleetConfig::quiet(3);
-    let (report, mut c) = run_fleet(&cfg).unwrap();
-    let (again, _) = run_fleet(&cfg).unwrap();
+    let cfg = SimConfig::fleet(3);
+    let (report, mut c) = run_sim(&cfg);
+    let (again, _) = run_sim(&cfg);
     assert_eq!(report, again, "same seed, same report");
-    assert_eq!(report.missing_acked, vec![]);
-    assert_eq!(report.outcome_mismatches, Vec::<usize>::new());
-    assert!(report.converged);
+    assert_eq!(report.missing_acked_updates(&c), Vec::<String>::new());
+    assert_eq!(report.outcome_mismatches(), Vec::<usize>::new());
+    assert_eq!(report.unconverged(), Vec::<usize>::new());
+    assert_eq!(report.conservation_violations(), Vec::<String>::new());
 
-    c.set_fleet_stats(&report.totals);
-    let m = cluster_metrics(&mut c, report.duration_ms + 1);
-    assert_eq!(metric(&m, "fleet-clients"), report.totals.clients);
-    assert_eq!(
-        metric(&m, "fleet-origin-requests"),
-        report.totals.origin_requests
-    );
+    let fleet = &report.metrics.fleet;
+    let end = report.browsers.iter().map(|b| b.finished_at).max().unwrap();
+    let m = cluster_metrics(&mut c, end + 1);
+    assert_eq!(metric(&m, "fleet-clients"), fleet.clients);
+    assert_eq!(metric(&m, "fleet-origin-requests"), fleet.origin_requests);
 }
