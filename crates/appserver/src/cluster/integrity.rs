@@ -1,10 +1,16 @@
 //! End-to-end integrity: the anti-entropy scrubber, verified follower
 //! reads and the quarantine lifecycle of a follower seat.
 //!
-//! Every seat disk decays with virtual time. The scrubber probes each
-//! node's disk with the one damage probe,
-//! [`XmlDb::disk_damage`](crate::xmldb::XmlDb::disk_damage), which
-//! promotion and cutover share, and rewrites damaged durable state from
+//! Every seat disk decays with virtual time. On each tick the scrubber
+//! probes each node's disk with
+//! [`XmlDb::scrub_step`](crate::xmldb::XmlDb::scrub_step): the whole WAL,
+//! decoding nothing, and the next bounded slice of its checkpoint slots,
+//! resuming where the last tick stopped, so a tick's cost does not grow
+//! with the store and a pass over both slots ends within
+//! [`SCRUB_PASS_TICKS`](xqib_storage::SCRUB_PASS_TICKS) ticks. (Promotion
+//! and cutover check the whole disk at once with
+//! [`XmlDb::disk_damage`](crate::xmldb::XmlDb::disk_damage), the same
+//! checks without a budget.) Damaged durable state is rewritten from
 //! intact memory. It cross-checks every caught-up follower's state digests
 //! against the leader's recorded ones; a follower that diverged is wiped
 //! and resynced by snapshot, and rejoins the read pool only once the
@@ -36,6 +42,9 @@ xqib_storage::counters! {
         scrub_ckpt_corruptions: "scrub-ckpt-corruptions",
         /// Scrub passes that found every written checkpoint slot corrupt.
         scrub_ckpt_lost: "scrub-ckpt-lost",
+        /// Checkpoint-slot bytes the scrubber's slices verified intact,
+        /// summed over every seat (the WAL probe is not counted).
+        scrub_bytes_verified: "scrub-bytes-verified",
         /// Followers pulled from the read pool over damage or divergence.
         quarantines: "integrity-quarantines",
         /// Repairs begun (node-local re-checkpoint or full snapshot resync).
@@ -62,9 +71,10 @@ xqib_storage::counters! {
 }
 
 impl IntegrityStats {
-    /// Tallies one scrub probe of a node's disk and reports whether
-    /// anything is damaged.
-    fn count_disk_damage(&mut self, damage: &DiskDamage) -> bool {
+    /// Tallies one scrub step over a node's disk, which verified `bytes`
+    /// slot bytes, and reports whether it found anything damaged.
+    fn count_scrub_step(&mut self, (damage, bytes): &(DiskDamage, u64)) -> bool {
+        self.scrub_bytes_verified += bytes;
         if damage.wal_rot {
             self.scrub_wal_corruptions += 1;
         }
@@ -262,10 +272,10 @@ impl Cluster {
 
     fn scrub_shard(&mut self, s: usize, now: u64) {
         // --- leader side -------------------------------------------------
-        let leader_probe = self.shards[s].leader.as_ref().map(|l| l.db.disk_damage());
-        if let Some(damage) = leader_probe {
-            let damaged = self.istats.count_disk_damage(&damage);
-            if damage.wal_rot && self.shards[s].followers().next().is_some() {
+        let leader_probe = self.shards[s].leader.as_mut().map(|l| l.db.scrub_step());
+        if let Some(step) = leader_probe {
+            let damaged = self.istats.count_scrub_step(&step);
+            if step.0.wal_rot && self.shards[s].followers().next().is_some() {
                 self.demote_leader(s, now);
                 return; // follower scrubbing resumes once a leader exists
             }
@@ -302,7 +312,7 @@ impl Cluster {
             // own-disk probe: typed damage self-heals from intact memory
             // (every applied frame was CRC-checked on arrival), so a fresh
             // checkpoint supersedes the rot without losing acked state
-            if self.istats.count_disk_damage(&node.db.disk_damage()) {
+            if self.istats.count_scrub_step(&node.db.scrub_step()) {
                 node.db.checkpoint_applied();
                 self.istats.repairs_started += 1;
                 if seat.health == SeatHealth::Healthy {
@@ -355,7 +365,9 @@ mod tests {
     use crate::cluster::tests::*;
     use crate::cluster::{ClusterCompletion, ClusterConfig, ClusterOutcome, Submitted};
     use crate::xmldb::DurabilityConfig;
-    use xqib_storage::{VirtualDisk, WAL_FILE};
+    use xqib_storage::{
+        Checkpoint, VirtualDisk, CKPT_SLOTS, SCRUB_PASS_TICKS, SCRUB_SLICE_FLOOR, WAL_FILE,
+    };
     /// Flips one payload byte of the first WAL frame on `disk`: with later
     /// frames behind it, the scan must classify this as mid-prefix CRC
     /// damage (an alarm), never as an ordinary torn tail.
@@ -631,5 +643,130 @@ mod tests {
             c.shards[0].seats[1].health,
             SeatHealth::Quarantined { .. }
         ));
+    }
+
+    /// A cart of `n` items, each about 40 bytes.
+    fn cart(n: usize) -> String {
+        let items: String = (0..n)
+            .map(|i| format!("<item id=\"i{i}\">{:08}</item>", i * 7))
+            .collect();
+        format!("<cart>{items}</cart>")
+    }
+
+    /// A one-seat shard holding a cart of `n` items and a 64 KB page, with
+    /// both checkpoint slots written and no scrub tick run yet.
+    fn one_seat_with_cart(n: usize) -> Cluster {
+        let mut c = Cluster::new(ClusterConfig {
+            seed: 42,
+            shards: 1,
+            followers: 0,
+            ack_replicas: 0,
+            ..ClusterConfig::default()
+        });
+        c.load("page.xml", &format!("<p>{}</p>", "x".repeat(64 * 1024)))
+            .unwrap();
+        c.load("cart.xml", &cart(n)).unwrap();
+        let leader = c.shards[0].leader.as_mut().unwrap();
+        leader.db.checkpoint().unwrap();
+        leader.db.checkpoint().unwrap();
+        c
+    }
+
+    /// The scrubber's work per tick does not follow the store: as a cart
+    /// grows from 100 to 10,000 items, each tick verifies at most the
+    /// slice bound plus one unit (a section or a header), and a pass over
+    /// both slots ends within `SCRUB_PASS_TICKS + 1` ticks.
+    #[test]
+    fn scrub_slices_stay_bounded_as_a_cart_grows() {
+        for n in [100, 1_000, 10_000] {
+            let mut c = one_seat_with_cart(n);
+            let disk = c.shards[0].seats[0].disk.clone();
+            let slots: usize = CKPT_SLOTS.iter().map(|s| disk.len(s)).sum();
+            let budget = SCRUB_SLICE_FLOOR.max(slots.div_ceil(SCRUB_PASS_TICKS));
+            let docs = c.shards[0].leader.as_ref().unwrap().db.dump();
+            let unit = docs.iter().map(|(u, x)| 16 + u.len() + x.len()).max();
+            let bound = (budget + unit.unwrap()) as u64;
+            let scrub = c.cfg.scrub_interval_ms;
+            let mut verified = Vec::new();
+            for tick in 0..2 * (SCRUB_PASS_TICKS as u64 + 1) {
+                let before = c.integrity_stats().scrub_bytes_verified;
+                drive(&mut c, tick * scrub, (tick + 1) * scrub);
+                let bytes = c.integrity_stats().scrub_bytes_verified - before;
+                assert!(
+                    bytes <= bound,
+                    "{n} items: {bytes} bytes > {bound} in one tick"
+                );
+                verified.push(bytes);
+            }
+            // the first pass starts on the first tick and checks every
+            // slot byte exactly once
+            let mut sum = 0;
+            let short = verified.iter().take_while(|&&b| {
+                sum += b;
+                sum < slots as u64
+            });
+            let ticks = 1 + short.count();
+            let pass: u64 = verified[..ticks].iter().sum();
+            assert_eq!(pass, slots as u64, "{n} items: {verified:?}");
+            assert!(
+                ticks <= SCRUB_PASS_TICKS + 1,
+                "{n} items: a pass took {ticks} ticks: {verified:?}"
+            );
+            if slots as u64 > bound {
+                assert!(ticks > 1, "{n} items: {slots} slot bytes checked at once");
+            }
+            assert_eq!(c.integrity_stats().scrub_ckpt_corruptions, 0);
+        }
+    }
+
+    /// Rot in the last section of a follower's older slot, the last unit
+    /// of a pass, on a disk whose slots are larger than the slice floor:
+    /// wherever the cursor stands, the scrubber reports it and repairs the
+    /// slot within `SCRUB_PASS_TICKS` ticks.
+    #[test]
+    fn rot_at_the_end_of_the_older_slot_is_found_within_one_pass() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        c.load("cart.xml", &cart(2_000)).unwrap();
+        c.load("page.xml", &format!("<p>{}</p>", "y".repeat(40 * 1024)))
+            .unwrap();
+        let (_, now) = acked_markers(&mut c, "d0.xml", 2, 10, "sl");
+        let scrub = c.cfg.scrub_interval_ms;
+        let now = drive(&mut c, now, now + 3 * scrub);
+        let follower = c.shards[0].seats[1].replica.as_mut().unwrap();
+        follower.db.checkpoint_applied();
+        let disk = c.shards[0].seats[1].disk.clone();
+        let gen = |slot: &str| Checkpoint::decode(&disk.read(slot).unwrap()).unwrap().gen;
+        assert!(
+            gen(CKPT_SLOTS[1]) < gen(CKPT_SLOTS[0]),
+            "the older slot must be the second one the pass reaches"
+        );
+        let slots: usize = CKPT_SLOTS.iter().map(|s| disk.len(s)).sum();
+        assert!(
+            slots > SCRUB_SLICE_FLOOR,
+            "{slots} slot bytes fit one slice"
+        );
+        let mut img = disk.read(CKPT_SLOTS[1]).unwrap();
+        let last = img.len() - 1;
+        img[last] ^= 0x04;
+        disk.write_file(CKPT_SLOTS[1], &img);
+        assert!(Checkpoint::decode(&img).is_none());
+        let before = c.integrity_stats();
+        drive(&mut c, now, now + SCRUB_PASS_TICKS as u64 * scrub);
+        let ist = c.integrity_stats();
+        assert_eq!(
+            ist.scrub_ckpt_corruptions,
+            before.scrub_ckpt_corruptions + 1
+        );
+        assert_eq!(ist.repairs_started, before.repairs_started + 1);
+        let follower = c.shards[0].seats[1].replica.as_ref().unwrap();
+        assert!(
+            !follower.db.disk_damage().any(),
+            "the slot was not rewritten"
+        );
     }
 }

@@ -179,6 +179,7 @@ mod tests {
                 scrub_wal_corruptions: 41,
                 scrub_ckpt_corruptions: 42,
                 scrub_ckpt_lost: 43,
+                scrub_bytes_verified: 86,
                 quarantines: 44,
                 repairs_started: 45,
                 repairs_verified: 46,

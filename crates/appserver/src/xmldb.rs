@@ -27,7 +27,10 @@
 //! shipped snapshots (`XmlDb::install_snapshot`) and checkpoints at its
 //! applied position (`XmlDb::checkpoint_applied`), so its disk is always
 //! an image [`XmlDb::recover`] can promote. [`XmlDb::disk_damage`] is the
-//! one probe of that image, for leaders and followers alike.
+//! one probe of that image, for leaders and followers alike; the
+//! scrubber's [`XmlDb::scrub_step`] runs the same checks a slice at a
+//! time, keeping its place in the checkpoint slots in a per-node
+//! [`SlotCursor`] that every checkpoint write tells which slot it rewrote.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -36,8 +39,8 @@ use std::rc::Rc;
 use xqib_dom::store::shared_store;
 use xqib_dom::{DocId, DocImage, Document, QName, SharedStore, TreeHash};
 use xqib_storage::{
-    fnv1a, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
-    VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
+    fnv1a, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame, SlotCursor,
+    VirtualDisk, Wal, WalBreak, WalRecord, CKPT_SLOTS, WAL_FILE,
 };
 use xqib_xdm::{Item, XdmResult};
 use xqib_xquery::context::DynamicContext;
@@ -144,6 +147,8 @@ struct Durable {
     /// Journaled operations since the last successful fsync.
     pending_ops: u64,
     stats: DurabilityStats,
+    /// Where the scrubber's pass over the checkpoint slots stands.
+    scrub: SlotCursor,
 }
 
 impl Durable {
@@ -159,7 +164,14 @@ impl Durable {
             last_appended: seq,
             pending_ops: 0,
             stats: DurabilityStats::default(),
+            scrub: SlotCursor::default(),
         }
+    }
+
+    /// Whether the durable WAL prefix holds damage: the scan's accept rule
+    /// over the frames in place, decoding nothing.
+    fn wal_rot(&self) -> bool {
+        Wal::probe(&self.disk, WAL_FILE).is_some_and(WalBreak::mid_prefix)
     }
 
     /// The one checkpoint writer: `docs` as the next generation, absorbing
@@ -172,7 +184,10 @@ impl Durable {
             seq,
             docs,
         };
-        ckpt.write(&self.disk)?;
+        let written = ckpt.write(&self.disk);
+        // the slot holds new bytes even when its fsync failed
+        self.scrub.rewrote((ckpt.gen % 2) as usize);
+        written?;
         self.ckpt_gen += 1;
         self.stats.checkpoints += 1;
         self.wal.truncate();
@@ -654,17 +669,37 @@ impl XmlDb {
         }
     }
 
-    /// The disk-damage probe of the scrubber, promotion and cutover:
-    /// rescans the on-disk WAL for mid-prefix damage (the durable prefix
+    /// The whole-disk damage probe of promotion, cutover and migration:
+    /// probes the on-disk WAL for mid-prefix damage (the durable prefix
     /// rotted after it was acked) and verifies both checkpoint slots in
-    /// place. Nothing to report for an ephemeral database.
+    /// place, whole. Nothing to report for an ephemeral database.
     pub fn disk_damage(&self) -> DiskDamage {
         match &self.durable {
             Some(d) => DiskDamage {
-                wal_rot: Wal::scan(&d.disk, WAL_FILE).mid_prefix_damage(),
+                wal_rot: d.wal_rot(),
                 slots: Checkpoint::slot_verdicts(&d.disk),
             },
             None => DiskDamage::default(),
+        }
+    }
+
+    /// The scrubber's probe, one tick of it: the whole WAL, as in
+    /// [`disk_damage`](Self::disk_damage), and the next slice of the
+    /// checkpoint slots from where the last step stopped
+    /// ([`SlotCursor::scrub_slice`]). A slot verdict is reported by the
+    /// step that finds it. Returns the damage found and the slot bytes
+    /// verified.
+    pub fn scrub_step(&mut self) -> (DiskDamage, u64) {
+        match &mut self.durable {
+            Some(d) => {
+                let slice = d.scrub.scrub_slice(&d.disk);
+                let damage = DiskDamage {
+                    wal_rot: d.wal_rot(),
+                    slots: slice.verdicts,
+                };
+                (damage, slice.bytes as u64)
+            }
+            None => (DiskDamage::default(), 0),
         }
     }
 

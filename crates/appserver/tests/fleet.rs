@@ -180,6 +180,23 @@ fn two_pending_cart_updates_overlap_and_both_ack() {
     );
 }
 
+/// A cart whose link to the cluster goes down after its first acks: the
+/// op in flight runs out of retries and the page sees an `error`, never a
+/// `stale` answer made of an earlier op's ack.
+#[test]
+fn a_cart_whose_retries_run_out_logs_error() {
+    let mut cfg = SimConfig::fleet(11 ^ env_seed());
+    cfg.browsers = vec![Scenario::Cart];
+    cfg.docs = fleet_docs(&cfg.browsers);
+    cfg.net_fault = Some(xqib_browser::FaultPlan::seeded(0).down_between(300, u64::MAX));
+    let (report, cluster) = run_sim(&cfg);
+    assert_invariants(&report, &cluster);
+    let cart = &report.browsers[0];
+    assert!(cart.acked >= 1, "the cart acked nothing before the outage");
+    assert_eq!(cart.stats.stale_events, 0, "a write answered stale");
+    assert_eq!(cart.stats.error_events, 1, "{:?}", cart.stats);
+}
+
 /// A small chaotic fleet for the property test: the full fault menu but
 /// few browsers, so each case stays fast.
 fn small_chaotic(seed: u64) -> SimConfig {

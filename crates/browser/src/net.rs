@@ -55,14 +55,19 @@ impl Request {
 
     /// The path portion (no scheme/host/query).
     pub fn path(&self) -> &str {
-        let rest = match self.url.split_once("://") {
-            Some((_, r)) => r,
-            None => &self.url,
-        };
-        let path_start = rest.find('/').unwrap_or(rest.len());
-        let path = &rest[path_start..];
-        path.split(['?', '#']).next().unwrap_or("/")
+        url_path(&self.url)
     }
+}
+
+/// The path portion of `url` (no scheme/host/query).
+pub fn url_path(url: &str) -> &str {
+    let rest = match url.split_once("://") {
+        Some((_, r)) => r,
+        None => url,
+    };
+    let path_start = rest.find('/').unwrap_or(rest.len());
+    let path = &rest[path_start..];
+    path.split(['?', '#']).next().unwrap_or("/")
 }
 
 /// A response.

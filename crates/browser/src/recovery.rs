@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use xqib_storage::mix64;
 
-use crate::net::Response;
+use crate::net::{url_path, Response};
 
 /// How a `behind` call's fetches are retried and timed out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +32,7 @@ pub struct RetryPolicy {
     /// … capped here, before jitter.
     pub backoff_cap_ms: u64,
     /// Deterministic jitter in `0..=jitter_ms` added to every backoff,
-    /// derived from [`JITTER_SEED`], the call id and the attempt number.
+    /// derived from a fixed seed, the call id and the attempt number.
     pub jitter_ms: u64,
 }
 
@@ -180,6 +180,11 @@ impl CircuitBreaker {
     }
 }
 
+/// Whether `url` asks the server to write: the cluster's `/update` route.
+fn is_write(url: &str) -> bool {
+    url_path(url) == "/update"
+}
+
 /// One cached response with its virtual-time birth and recency stamps.
 #[derive(Debug, Clone)]
 struct StaleEntry {
@@ -191,6 +196,10 @@ struct StaleEntry {
 /// Last-good responses for degradation: exact-URL entries first, with a
 /// per-host "most recent good response" fallback (the suggest-page case:
 /// serve the hints for the previous query when the current one is down).
+///
+/// Reads only: a write's answer (the cluster's `/update` route) says what
+/// that one write did, so it is never stored and a failed write is never
+/// answered from the cache — it ends in `error`, not `stale`.
 ///
 /// The per-URL map is **bounded**: at most `capacity` entries, evicted
 /// least-recently-used first, and entries older than `ttl_ms` of virtual
@@ -235,6 +244,9 @@ impl StaleCache {
     /// respect the capacity bound (the caller accounts them in
     /// [`RecoveryStats::evictions`]).
     pub fn store(&mut self, url: &str, host: &str, resp: &Response, now: u64) -> u64 {
+        if is_write(url) {
+            return 0;
+        }
         self.tick += 1;
         let entry = StaleEntry {
             resp: resp.clone(),
@@ -267,8 +279,11 @@ impl StaleCache {
 
     /// The freshest applicable last-good response at `now`, URL match
     /// preferred; expired entries are invisible. A URL hit refreshes the
-    /// entry's LRU recency.
+    /// entry's LRU recency. `None` for a write.
     pub fn lookup(&mut self, url: &str, host: &str, now: u64) -> Option<&Response> {
+        if is_write(url) {
+            return None;
+        }
         self.tick += 1;
         let tick = self.tick;
         let url_fresh = self.by_url.get(url).is_some_and(|e| self.fresh(e, now));
@@ -557,6 +572,25 @@ mod tests {
         assert_eq!(c.lookup("http://h/zzz", "h", 0).unwrap().body, "<b/>");
         assert!(c.lookup("http://other/x", "other", 0).is_none());
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn stale_cache_never_answers_or_keeps_a_write() {
+        let mut c = StaleCache::default();
+        c.store("http://h/doc?uri=a.xml", "h", &Response::ok("<a/>"), 0);
+        c.store("http://h/update?xq=x1", "h", &Response::ok("<ok/>"), 1);
+        assert_eq!(c.len(), 1, "a write's answer is not kept");
+        // a failed write gets no answer, neither its URL's nor the host's
+        assert!(c.lookup("http://h/update?xq=x1", "h", 2).is_none());
+        assert!(c.lookup("http://h/update?xq=x2", "h", 2).is_none());
+        // reads keep the host fallback, cache-busting ones included, and
+        // it never serves a write's answer
+        let busted = "http://h/doc?uri=a.xml&nocache=7";
+        assert_eq!(c.lookup(busted, "h", 2).unwrap().body, "<a/>");
+        assert_eq!(
+            c.lookup("http://h/doc?uri=b.xml", "h", 2).unwrap().body,
+            "<a/>"
+        );
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl Document {
     }
 
     /// The hash of the bytes
-    /// [`serialize_document`](crate::serialize::serialize_document)
+    /// [`crate::serialize::serialize_document`]
     /// writes, from the cache (see [`crate::digest`]): the first call
     /// hashes every byte and caches a value per branch, and every later
     /// call re-hashes only the paths changed since the one before.

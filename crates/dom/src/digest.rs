@@ -109,7 +109,7 @@ const fn pow(mut base: u64, mut exp: u64) -> u64 {
 }
 
 /// The hash of a byte string and its weight `B^len`: a monoid under
-/// [`TreeHash::then`], whose unit is [`TreeHash::EMPTY`].
+/// `TreeHash::then`, whose unit is `TreeHash::EMPTY`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeHash {
     /// `Σ s[i]·B^(len−1−i) mod M`.
@@ -123,7 +123,7 @@ impl TreeHash {
     pub(crate) const EMPTY: TreeHash = TreeHash { hash: 0, power: 1 };
 
     /// The hash of `bytes`, a word at a time: each word's weighted byte
-    /// sum from [`WEIGHT`], then one multiply and reduction on the chain
+    /// sum from `WEIGHT`, then one multiply and reduction on the chain
     /// per two words (and one for a last word, and for its tail).
     pub fn of(bytes: &[u8]) -> TreeHash {
         let mut hash = 0;

@@ -15,7 +15,9 @@
 //!   contract** — recovery yields exactly the state of some frame boundary,
 //!   never a torn or corrupted state.
 //! * [`Checkpoint`] — dual-slot, generation-numbered document snapshots,
-//!   each slot guarded by one [`lane_checksum`]. A checkpoint records the
+//!   whose header and per-document sections each carry a
+//!   [`lane_checksum`], so a [`SlotCursor`] can check them a bounded
+//!   slice at a time. A checkpoint records the
 //!   WAL sequence it covers so the log can be truncated afterwards, and so
 //!   that replay after a crash between checkpoint and truncate skips
 //!   already-absorbed records (idempotent recovery).
@@ -27,7 +29,9 @@ pub mod checkpoint;
 pub mod disk;
 pub mod wal;
 
-pub use checkpoint::{Checkpoint, CKPT_SLOTS};
+pub use checkpoint::{
+    Checkpoint, SlotCursor, SlotSlice, CKPT_SLOTS, SCRUB_PASS_TICKS, SCRUB_SLICE_FLOOR,
+};
 pub use disk::{DiskError, DiskStats, StorageFaultPlan, VirtualDisk};
 pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 

@@ -20,6 +20,12 @@
 //! An open [`Wal`] indexes its frames by `(seq, end offset)`, so shipping
 //! the frames after a follower's position ([`Wal::frames_after`]) reads and
 //! checks only those frames' bytes, never the whole log.
+//!
+//! One frame iterator applies the accept rule to frames borrowed from the
+//! bytes: [`Wal::scan_bytes`] copies each accepted record out of it, and
+//! the scrubber's probe, [`Wal::probe`], only asks where and why it
+//! stopped, building no [`WalRecord`]. The probe reads the whole log on
+//! every scrub tick; the checkpoint threshold bounds the log's length.
 
 use crate::crc32;
 use crate::disk::{DiskError, VirtualDisk};
@@ -89,15 +95,20 @@ pub struct WalReplay {
     pub break_reason: Option<WalBreak>,
 }
 
+impl WalBreak {
+    /// True for damage *inside* the durable prefix — the alarm case a
+    /// scrubber must repair or escalate (no legal crash produces it). A
+    /// torn tail, the expected crash shape, is not.
+    pub fn mid_prefix(self) -> bool {
+        self != WalBreak::TornTail
+    }
+}
+
 impl WalReplay {
-    /// True when the scan hit damage *inside* the durable prefix — the
-    /// alarm case a scrubber must repair or escalate (no legal crash
-    /// produces it). A torn tail, the expected crash shape, is not.
+    /// True when the scan hit damage inside the durable prefix (see
+    /// [`WalBreak::mid_prefix`]).
     pub fn mid_prefix_damage(&self) -> bool {
-        matches!(
-            self.break_reason,
-            Some(WalBreak::CrcMismatch) | Some(WalBreak::StaleSeq) | Some(WalBreak::Malformed)
-        )
+        self.break_reason.is_some_and(WalBreak::mid_prefix)
     }
 }
 
@@ -154,29 +165,29 @@ impl Wal {
     /// numbers, stopping at the first torn, corrupt, unknown-tag or
     /// sequence-breaking frame.
     pub fn scan_bytes(data: &[u8]) -> WalReplay {
-        let mut replay = WalReplay::default();
-        let mut pos = 0usize;
-        let mut prev_seq = 0u64;
-        while pos + HEADER <= data.len() {
-            let (seq, record, len) = match decode_frame(&data[pos..], prev_seq) {
-                Ok(frame) => frame,
-                Err(broke) => {
-                    replay.break_reason = Some(broke);
-                    break;
-                }
-            };
-            let end = pos + len;
-            replay.records.push((seq, record, end));
-            replay.valid_bytes = end;
-            prev_seq = seq;
-            pos = end;
+        let mut frames = Frames::new(data);
+        let records = frames
+            .by_ref()
+            .map(|f| (f.seq, f.record.to_record(), f.end))
+            .collect();
+        WalReplay {
+            records,
+            valid_bytes: frames.pos,
+            torn_tail_dropped: frames.pos < data.len(),
+            break_reason: frames.break_reason(),
         }
-        replay.torn_tail_dropped = replay.valid_bytes < data.len();
-        if replay.torn_tail_dropped && replay.break_reason.is_none() {
-            // leftover bytes too short to even form a header
-            replay.break_reason = Some(WalBreak::TornTail);
-        }
-        replay
+    }
+
+    /// Why a [`scan`](Self::scan) of `file` would stop before its end, if
+    /// it would: the same accept rule over the frames in place, building
+    /// no record. The scrubber's WAL probe.
+    pub fn probe(disk: &VirtualDisk, file: &str) -> Option<WalBreak> {
+        disk.with_file(file, |data| {
+            let mut frames = Frames::new(data);
+            frames.by_ref().for_each(drop);
+            frames.break_reason()
+        })
+        .flatten()
     }
 
     /// Extracts shippable frames from a raw WAL image: the intact prefix
@@ -230,7 +241,7 @@ impl Wal {
                     Ok((seq, record, len)) if seq == want && len == bytes.len() => {
                         out.push(ShippedFrame {
                             seq,
-                            record,
+                            record: record.to_record(),
                             bytes: bytes.to_vec(),
                         });
                     }
@@ -321,10 +332,97 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
     }
 }
 
-/// Checks and decodes the frame at the start of `data`, which must follow
-/// a frame numbered `prev_seq`: its sequence number, record and byte
-/// length, or why it is not an intact next frame.
-fn decode_frame(data: &[u8], prev_seq: u64) -> Result<(u64, WalRecord, usize), WalBreak> {
+/// A record as it sits in its frame: checked, borrowed, not copied.
+#[derive(Debug, Clone, Copy)]
+enum RecordRef<'a> {
+    Load { uri: &'a str, xml: &'a str },
+    Pul(&'a [u8]),
+    Digest { uri: &'a str, digest: u64 },
+}
+
+impl RecordRef<'_> {
+    fn to_record(self) -> WalRecord {
+        match self {
+            RecordRef::Load { uri, xml } => WalRecord::Load {
+                uri: uri.to_string(),
+                xml: xml.to_string(),
+            },
+            RecordRef::Pul(bytes) => WalRecord::Pul(bytes.to_vec()),
+            RecordRef::Digest { uri, digest } => WalRecord::Digest {
+                uri: uri.to_string(),
+                digest,
+            },
+        }
+    }
+}
+
+/// One accepted frame: its sequence number, its record and the offset
+/// just past it in the stream.
+struct Frame<'a> {
+    seq: u64,
+    record: RecordRef<'a>,
+    end: usize,
+}
+
+/// The accept rule as an iterator: the frames of a stream in order, each
+/// intact and numbered above the one before it, ending at the first frame
+/// that is not (or at the end of the stream).
+struct Frames<'a> {
+    data: &'a [u8],
+    /// Offset of the next frame: the bytes before it were accepted.
+    pos: usize,
+    prev_seq: u64,
+    broke: Option<WalBreak>,
+}
+
+impl<'a> Frames<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        Frames {
+            data,
+            pos: 0,
+            prev_seq: 0,
+            broke: None,
+        }
+    }
+
+    /// Once the walk has ended: why it stopped before the end of the
+    /// stream, if it did. Leftover bytes too short to form a header are a
+    /// torn tail.
+    fn break_reason(&self) -> Option<WalBreak> {
+        self.broke
+            .or((self.pos < self.data.len()).then_some(WalBreak::TornTail))
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        if self.broke.is_some() || self.pos + HEADER > self.data.len() {
+            return None;
+        }
+        match decode_frame(&self.data[self.pos..], self.prev_seq) {
+            Ok((seq, record, len)) => {
+                self.pos += len;
+                self.prev_seq = seq;
+                Some(Frame {
+                    seq,
+                    record,
+                    end: self.pos,
+                })
+            }
+            Err(broke) => {
+                self.broke = Some(broke);
+                None
+            }
+        }
+    }
+}
+
+/// Checks the frame at the start of `data`, which must follow a frame
+/// numbered `prev_seq`: its sequence number, record and byte length, or
+/// why it is not an intact next frame.
+fn decode_frame(data: &[u8], prev_seq: u64) -> Result<(u64, RecordRef<'_>, usize), WalBreak> {
     let word = |at: usize| [data[at], data[at + 1], data[at + 2], data[at + 3]];
     if data.len() < HEADER {
         return Err(WalBreak::TornTail);
@@ -346,29 +444,25 @@ fn decode_frame(data: &[u8], prev_seq: u64) -> Result<(u64, WalRecord, usize), W
     Ok((seq, record, end))
 }
 
-fn decode_record(tag: u8, payload: &[u8]) -> Option<WalRecord> {
+/// A `u32`-length-prefixed UTF-8 string at `at`, and the offset after it.
+fn str_at(payload: &[u8], at: usize) -> Option<(&str, usize)> {
+    let len = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
+    let end = (at + 4).checked_add(len)?;
+    Some((std::str::from_utf8(payload.get(at + 4..end)?).ok()?, end))
+}
+
+fn decode_record(tag: u8, payload: &[u8]) -> Option<RecordRef<'_>> {
     match tag {
         TAG_LOAD => {
-            let ulen = u32::from_le_bytes(payload.get(0..4)?.try_into().ok()?) as usize;
-            let uri = String::from_utf8(payload.get(4..4 + ulen)?.to_vec()).ok()?;
-            let xoff = 4 + ulen;
-            let xlen = u32::from_le_bytes(payload.get(xoff..xoff + 4)?.try_into().ok()?) as usize;
-            let xml = String::from_utf8(payload.get(xoff + 4..xoff + 4 + xlen)?.to_vec()).ok()?;
-            if xoff + 4 + xlen != payload.len() {
-                return None;
-            }
-            Some(WalRecord::Load { uri, xml })
+            let (uri, at) = str_at(payload, 0)?;
+            let (xml, end) = str_at(payload, at)?;
+            (end == payload.len()).then_some(RecordRef::Load { uri, xml })
         }
-        TAG_PUL => Some(WalRecord::Pul(payload.to_vec())),
+        TAG_PUL => Some(RecordRef::Pul(payload)),
         TAG_DIGEST => {
-            let ulen = u32::from_le_bytes(payload.get(0..4)?.try_into().ok()?) as usize;
-            let uri = String::from_utf8(payload.get(4..4 + ulen)?.to_vec()).ok()?;
-            let doff = 4 + ulen;
-            let digest = u64::from_le_bytes(payload.get(doff..doff + 8)?.try_into().ok()?);
-            if doff + 8 != payload.len() {
-                return None;
-            }
-            Some(WalRecord::Digest { uri, digest })
+            let (uri, at) = str_at(payload, 0)?;
+            let digest = u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
+            (at + 8 == payload.len()).then_some(RecordRef::Digest { uri, digest })
         }
         _ => None,
     }

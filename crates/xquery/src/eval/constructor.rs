@@ -8,7 +8,7 @@
 //! nothing else, so its nodes are adopted: attached to the element as
 //! they are. Any other node is deep-copied, which gives the copy the new
 //! identity XQuery 1.0 §3.7.1.3 asks for. Either way the content goes
-//! through [`add_content`], so attribute placement, text joining and the
+//! through `add_content`, so attribute placement, text joining and the
 //! `XQTY0024`/`XQDY0025` errors do not depend on which it is. The Update
 //! Facility copies inserted nodes into their target documents.
 

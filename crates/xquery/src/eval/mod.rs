@@ -1,7 +1,7 @@
 //! The semantics both evaluators share. Each routine is generic over the
 //! expression form of its parts and takes the evaluator that runs them
-//! ([`Eval`]): the plan executor (`exec::eval_plan`) on every shipped path,
-//! and the AST walker ([`eval_expr`], behind the dev-only `oracle` feature)
+//! (`Eval`): the plan executor (`exec::eval_plan`) on every shipped path,
+//! and the AST walker (`eval_expr`, behind the dev-only `oracle` feature)
 //! that the differential suites compare the executor against. A construct's
 //! evaluation order, errors and effects therefore live in one routine.
 

@@ -5,7 +5,7 @@
 //! compiled module once into a small IR on which four rewrites run:
 //!
 //! * **constant folding** — literal arithmetic, comparisons, ranges and
-//!   boolean short-circuits collapse to [`Plan::Const`]. A computation is
+//!   boolean short-circuits collapse to `Plan::Const`. A computation is
 //!   only folded when it *succeeds*; anything that would raise a dynamic
 //!   error (`1 div 0`) is left in place so the error surfaces at run time
 //!   with the same code the oracle produces.
@@ -27,21 +27,21 @@
 //! in. Constructs the rewrites do not touch lower to nodes that mirror the
 //! AST and hand their lowered parts to the one routine in `eval` that
 //! defines the construct, generic over the evaluator that runs the parts:
-//! constructors ([`Plan::Element`], [`Plan::Computed`]), updates and
-//! `transform` ([`Plan::Update`], [`Plan::Transform`]), quantifiers,
+//! constructors (`Plan::Element`, `Plan::Computed`), updates and
+//! `transform` (`Plan::Update`, `Plan::Transform`), quantifiers,
 //! type-switch, set operators, node comparisons, `instance of`/`treat`/
 //! `cast`, full-text and the browser statements. The AST walker behind the
 //! dev-only `oracle` feature calls the same routines, so the differential
 //! suites compare the executor against a reference that differs only in
 //! how it walks. A `behind` call is lowered once, with its statement, to
 //! the [`ExprPlan`] the host keeps and runs later. Scripting blocks
-//! ([`Plan::Block`]) run statements with updates applied between them.
+//! (`Plan::Block`) run statements with updates applied between them.
 //! Declared function bodies are lowered once per static context by
 //! [`lower_functions`] and stored with their declarations.
 //!
 //! # Streaming soundness
 //!
-//! The executor evaluates a [`PathPlan`] lazily only when `lazy` is set.
+//! The executor evaluates a `PathPlan` lazily only when `lazy` is set.
 //! Lowering grants it exactly when every step is an axis step whose
 //! predicate stages are all *statically infallible*: a lazy cursor then
 //! either fails before yielding its first item or on fuel exhaustion, so
@@ -49,11 +49,11 @@
 //! relative to the oracle's breadth-first walk — and `exists()`-style
 //! early exits are always observationally safe. Per-step `streamed` flags
 //! additionally record whether concatenating per-node axis output preserves
-//! document order (tracked through the static [`Inv`] invariant lattice);
+//! document order (tracked through the static `Inv` invariant lattice);
 //! steps without the flag run as buffered sort barriers inside the lazy
 //! pipeline, exactly reproducing the oracle's normalisation.
 //!
-//! The variable-valued probe [`PredStage::AttrEqVar`] is infallible only
+//! The variable-valued probe `PredStage::AttrEqVar` is infallible only
 //! when its variable holds string-like items, which is a run-time fact, so
 //! it counts as fallible (its predicate as written can raise, e.g. `@id`
 //! against a number) and a path carrying it is never lazy. It runs in the

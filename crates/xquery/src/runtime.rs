@@ -6,7 +6,7 @@
 //! (registering listeners, updating the page) and applies the pending
 //! updates; the browser later re-enters through `exec::invoke` when it
 //! dispatches an event to a registered listener. With the dev-only
-//! `oracle` feature, [`CompiledQuery::execute`] and [`invoke`] run the same
+//! `oracle` feature, `CompiledQuery::execute` and `invoke` run the same
 //! program on the AST oracle.
 
 use std::collections::HashMap;

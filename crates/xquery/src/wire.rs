@@ -1,7 +1,7 @@
 //! Wire encoding of pending update lists — the redo records of the
 //! server tier's write-ahead log.
 //!
-//! A [`Pul`](crate::pul::Pul) holds `NodeRef`s: arena indices that depend on
+//! A [`crate::pul::Pul`] holds `NodeRef`s: arena indices that depend on
 //! allocation history and tombstones, so they are meaningless after a crash.
 //! The codec therefore addresses **targets** by `(document URI, stable node
 //! path)` — see [`Document::node_path`](xqib_dom::arena::Document::node_path)
