@@ -11,10 +11,16 @@
 //! and cutover check the whole disk at once with
 //! [`XmlDb::disk_damage`](crate::xmldb::XmlDb::disk_damage), the same
 //! checks without a budget.) Damaged durable state is rewritten from
-//! intact memory. It cross-checks every caught-up follower's state digests
-//! against the leader's recorded ones; a follower that diverged is wiped
-//! and resynced by snapshot, and rejoins the read pool only once the
-//! scrubber sees it caught up with matching digests.
+//! intact memory.
+//!
+//! Memory has one reference: a node's own seals
+//! ([`XmlDb::digest_of`](crate::xmldb::XmlDb::digest_of)). Each op's
+//! digest frame ships with it, so a follower's seals are the leader's at
+//! the follower's own position, whatever its lag. The scrubber
+//! self-checks every follower's memory against them, and every follower
+//! read is verified against them. A follower that diverged is wiped and
+//! resynced by snapshot, and rejoins the read pool once a self-check is
+//! clean and its lag is within the read pool's bound.
 
 use xqib_storage::IntegrityError;
 
@@ -30,10 +36,11 @@ xqib_storage::counters! {
     pub struct IntegrityStats {
         /// Anti-entropy scrub cycles run across the cluster.
         scrub_cycles: "scrub-cycles",
-        /// Per-document digest comparisons performed by the scrubber.
+        /// Sealed follower documents the scrubber's self-checks compared
+        /// with their seals.
         scrub_docs_checked: "scrub-docs-checked",
-        /// Replica documents whose state digest disagreed with the digest
-        /// the leader recorded at journal time.
+        /// Follower documents whose memory no longer digested to the seal
+        /// the follower itself applied.
         scrub_digest_mismatches: "scrub-digest-mismatches",
         /// Mid-prefix WAL damage the scrubber found on a live node's disk
         /// (never a legal crash shape — latent rot or a replication fault).
@@ -49,8 +56,8 @@ xqib_storage::counters! {
         quarantines: "integrity-quarantines",
         /// Repairs begun (node-local re-checkpoint or full snapshot resync).
         repairs_started: "integrity-repairs-started",
-        /// Quarantined followers readmitted to the read pool after their
-        /// digests matched the leader's again.
+        /// Followers readmitted from probation to the read pool on a clean
+        /// self-check with their lag within the read pool's bound.
         repairs_verified: "integrity-repairs-verified",
         /// Leaders demoted for sitting on a damaged WAL; failover follows
         /// rather than ever serving bad bytes.
@@ -58,7 +65,9 @@ xqib_storage::counters! {
         /// Failover winners healed from intact memory before promotion, so
         /// recovery would not truncate acked state at a rotted frame.
         promote_heals: "integrity-promote-heals",
-        /// Follower `/doc` bodies digest-verified before being served.
+        /// Follower `/doc` bodies verified against the serving node's own
+        /// seal before being served, at any lag and on the blackout path
+        /// too (an unsealed document serves unchecked and is not counted).
         reads_verified: "integrity-reads-verified",
         /// Follower `/doc` bodies refused (and the seat quarantined) over a
         /// digest mismatch.
@@ -92,7 +101,7 @@ impl IntegrityStats {
 /// Bounded staleness of healthy-path follower `/doc` reads, in frames.
 const MAX_READ_LAG: u64 = 64;
 /// How long a quarantined follower stays out of the read pool before
-/// probation; readmission still requires its digests to match.
+/// probation; readmission still requires a clean self-check.
 const QUARANTINE_MS: u64 = 400;
 
 /// Read-pool standing of a follower seat — the same trip/cool-off/probe
@@ -100,13 +109,13 @@ const QUARANTINE_MS: u64 = 400;
 /// listener failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum SeatHealth {
-    /// In the read pool; digests clean as far as the scrubber knows.
+    /// In the read pool; the last self-check was clean.
     Healthy,
     /// Out of the read pool while a repair is in flight; stays out at
-    /// least until the deadline even if it catches up sooner.
+    /// least until the deadline even if its self-check is clean sooner.
     Quarantined { until: u64 },
-    /// Cool-off served; readmission waits on the scrubber verifying the
-    /// seat is caught up with matching digests.
+    /// Cool-off served; readmitted on the first scrub pass whose
+    /// self-check is clean with the seat's lag within [`MAX_READ_LAG`].
     Probation,
 }
 
@@ -127,11 +136,13 @@ impl Cluster {
 
     /// A `/doc` body served from a follower replica. Healthy path
     /// (`any_lag = false`): round-robin over *healthy* followers within
-    /// [`MAX_READ_LAG`], and the body's state digest is verified against
-    /// the leader's recorded digest before it leaves the cluster — a
+    /// [`MAX_READ_LAG`]. Blackout path (`any_lag = true`): the most
+    /// caught-up non-quarantined follower, whatever its lag. On both, the
+    /// body is verified against the node's own seal before it leaves the
+    /// cluster: a lagged follower serves an older version, which bounded
+    /// staleness permits, but sealed at its position like any other. A
     /// mismatch quarantines the seat for resync and falls back to the
-    /// leader. Blackout path (`any_lag = true`): the most caught-up
-    /// non-quarantined follower, whatever its lag.
+    /// leader.
     pub(super) fn follower_doc(
         &mut self,
         shard: usize,
@@ -168,7 +179,7 @@ impl Cluster {
         if candidates.is_empty() {
             return None;
         }
-        let (seat_idx, lag, applied) = if any_lag {
+        let (seat_idx, lag, _) = if any_lag {
             // most caught-up wins; ties go to the lowest seat
             *candidates
                 .iter()
@@ -178,35 +189,16 @@ impl Cluster {
             self.read_rr += 1;
             pick
         };
-        // End-to-end read verification: a caught-up follower's body must
-        // hash to the digest the leader sealed at journal time. A lagged
-        // follower is serving an older (but internally consistent)
-        // version, which bounded staleness already permits — only an
-        // in-sync body that hashes wrong is corruption. The body and its
-        // digest are the document version's image: one serializer pass
-        // per version, however often it is read.
-        let (body, host, verified) = {
-            let sh = &self.shards[shard];
-            let seat = &sh.seats[seat_idx];
-            let node = seat.replica.as_ref()?;
-            let want = sh
-                .leader
-                .as_ref()
-                .and_then(|l| l.db.digest_of(uri))
-                .filter(|_| committed.is_some_and(|c| applied >= c));
-            let image = node.db.image(uri)?;
-            let verified = want.map(|want| image.digest == want);
-            (image.body.clone(), seat.host.clone(), verified)
+        let seat = &self.shards[shard].seats[seat_idx];
+        let (node, host) = (seat.replica.as_ref()?, seat.host.clone());
+        let sealed = node.db.digest_of(uri).is_some();
+        let Ok(body) = node.db.verified_serialize(uri) else {
+            self.istats.reads_refused += 1;
+            self.quarantine_and_resync(shard, seat_idx, now);
+            return None;
         };
-        match verified {
-            Some(false) => {
-                self.istats.reads_refused += 1;
-                self.quarantine_and_resync(shard, seat_idx, now);
-                return None;
-            }
-            Some(true) => self.istats.reads_verified += 1,
-            None => {}
-        }
+        let body = body?;
+        self.istats.reads_verified += u64::from(sealed);
         self.stats.follower_reads += 1;
         Some(
             ServerResponse::new(200, body)
@@ -218,8 +210,8 @@ impl Cluster {
     /// Quarantines a follower seat over divergence and restarts it from
     /// nothing: files wiped, a fresh replica installed, and the leader
     /// forced to ship a full checkpoint snapshot (the ordinary straggler
-    /// resync path). The seat re-enters the read pool only after the
-    /// scrubber sees it caught up with matching digests.
+    /// resync path). The seat re-enters the read pool only after a clean
+    /// self-check past its cool-off.
     fn quarantine_and_resync(&mut self, s: usize, i: usize, now: u64) {
         let seat = &mut self.shards[s].seats[i];
         seat.restart(s, &self.cfg, now, true, true);
@@ -231,9 +223,9 @@ impl Cluster {
     }
 
     /// One anti-entropy pass over every shard: probe the leader's own WAL
-    /// and checkpoint slots, probe every follower's disk, cross-check
-    /// replica digests against the leader's recorded digests, and drive
-    /// the quarantine → repair → verified-readmission lifecycle.
+    /// and checkpoint slots, probe every follower's disk, self-check every
+    /// follower's memory against its own seals, and drive the quarantine →
+    /// repair → verified-readmission lifecycle.
     pub(super) fn scrub(&mut self, now: u64) {
         self.istats.scrub_cycles += 1;
         for s in 0..self.shards.len() {
@@ -289,11 +281,9 @@ impl Cluster {
             }
         }
         // --- follower side -----------------------------------------------
-        let Some(leader) = self.shards[s].leader.as_ref() else {
+        let Some(committed) = self.shards[s].committed() else {
             return;
         };
-        let committed = leader.db.committed_seq();
-        let digests = leader.db.recorded_digests();
         let leader_seat = self.shards[s].leader_seat;
         for i in 0..self.shards[s].seats.len() {
             if i == leader_seat {
@@ -322,35 +312,21 @@ impl Cluster {
                     self.istats.quarantines += 1;
                 }
             }
-            // digest cross-check: only meaningful when the replica claims
-            // to hold the leader's whole committed log — a lagged replica
-            // is old, not wrong. The digests come from cached subtree
-            // hashes, which only the DOM's writers invalidate; so each pass
-            // re-hashes one document from scratch, in turn, and damage
-            // that bypassed the writers shows within one rotation.
-            let caught_up = node.applied() >= committed;
-            let mut diverged = false;
-            if caught_up {
-                let rehash = self.istats.scrub_cycles as usize % digests.len().max(1);
-                for (k, (uri, want)) in digests.iter().enumerate() {
-                    self.istats.scrub_docs_checked += 1;
-                    if k == rehash {
-                        node.db.forget_hashes(uri);
-                    }
-                    if node.db.memory_digest(uri) != Some(*want) {
-                        self.istats.scrub_digest_mismatches += 1;
-                        diverged = true;
-                    }
-                }
-            }
-            if diverged {
+            // self-check at any lag: a lagged replica is old, not wrong,
+            // and its seals are the leader's at its own position
+            let (checked, mismatches) = node.db.self_check(self.istats.scrub_cycles);
+            self.istats.scrub_docs_checked += checked;
+            self.istats.scrub_digest_mismatches += mismatches;
+            if mismatches > 0 {
                 // divergence means this replica's *memory* can no longer be
                 // trusted: wipe and resync from a leader snapshot
                 self.quarantine_and_resync(s, i, now);
                 continue;
             }
-            // probation → healthy only once caught up with clean digests
-            if seat.health == SeatHealth::Probation && caught_up && seat.acked >= committed {
+            // probation → healthy on a clean self-check within the read
+            // pool's staleness bound
+            let lag = committed.saturating_sub(seat.acked);
+            if seat.health == SeatHealth::Probation && lag <= MAX_READ_LAG {
                 seat.health = SeatHealth::Healthy;
                 self.istats.repairs_verified += 1;
             }
@@ -420,7 +396,7 @@ mod tests {
             );
         }
         // cool-off elapses into probation; the scrubber readmits the seat
-        // only after seeing it caught up with matching digests
+        // on a clean self-check
         let end = now + QUARANTINE_MS + 2 * scrub + 10;
         drive(&mut c, now, end);
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
@@ -474,8 +450,8 @@ mod tests {
         let (acked, now) = acked_markers(&mut c, "d0.xml", 2, 10, "div");
         let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
         assert!(rep.poison_document("d0.xml"));
-        // disk and WAL digests are untouched — only the digest cross-check
-        // against the leader's sealed digests can notice the divergence
+        // disk, WAL and seals are untouched — only the self-check of
+        // memory against the follower's own seals can notice the divergence
         let scrub = c.cfg.scrub_interval_ms;
         let now = drive(&mut c, now, now + scrub + 2);
         let ist = c.integrity_stats();
@@ -489,7 +465,7 @@ mod tests {
             SeatHealth::Quarantined { .. }
         ));
         // the wiped seat resyncs from a leader snapshot, serves cool-off,
-        // and is readmitted once its digests match again
+        // and is readmitted on a clean self-check
         let end = now + QUARANTINE_MS + 3 * scrub;
         drive(&mut c, now, end);
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
@@ -551,7 +527,7 @@ mod tests {
         let rep = c.shards[0].seats[1].replica.as_mut().unwrap();
         assert!(rep.poison_document("d0.xml"));
         // the follower is in-sync and healthy, so the read router picks it;
-        // its body hashes wrong against the leader's sealed digest, so the
+        // its body hashes wrong against the follower's own seal, so the
         // read is refused, the seat quarantined, and the leader serves
         let done = match c.submit(&doc_url("d0.xml"), now) {
             Submitted::Done(d) => d,
@@ -571,6 +547,71 @@ mod tests {
         let ist = c.integrity_stats();
         assert_eq!(ist.reads_refused, 1);
         assert_eq!(ist.quarantines, 1);
+    }
+
+    /// Under continuous writes (an update every 25 ms, no quiet period:
+    /// the leader is ahead of both followers at every scrub tick), a
+    /// follower whose memory is poisoned mid-stream is flagged within one
+    /// rotation, resynced, and readmitted while the writes go on.
+    #[test]
+    fn a_poisoned_follower_is_readmitted_under_continuous_writes() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 2,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let scrub = c.cfg.scrub_interval_ms;
+        let docs = c.shards[0].leader.as_ref().unwrap().db.dump().len() as u64;
+        let seat = (0..3).find(|&i| i != c.shards[0].leader_seat).unwrap();
+        let poison_at = 1_010;
+        let end = poison_at + docs * scrub + QUARANTINE_MS + 4 * scrub;
+        let (mut flagged, mut readmitted, mut acked) = (None, None, 0);
+        for t in 10..end {
+            // scrub ticks fall on 10 mod 25, so each one meets an update
+            // the leader has committed and not yet shipped
+            if t % 25 == 10 {
+                let url = update_url(&format!("d{}.xml", t / 25 % 6), &format!("w{t}"));
+                if let Submitted::Done(d) = c.submit(&url, t) {
+                    assert_eq!(d.outcome, ClusterOutcome::AckedUpdate, "{}", d.url);
+                    acked += 1;
+                }
+            }
+            if t == poison_at {
+                let rep = c.shards[0].seats[seat].replica.as_mut().unwrap();
+                assert!(rep.poison_document("d0.xml"));
+            }
+            if t >= c.next_scrub_at {
+                let committed = c.shards[0].committed().unwrap();
+                let mut followers = c.shards[0].followers();
+                assert!(followers.all(|f| f.replica.as_ref().unwrap().applied() < committed));
+            }
+            for done in c.advance(t) {
+                assert_eq!(done.outcome, ClusterOutcome::AckedUpdate, "{}", done.url);
+                acked += 1;
+            }
+            let health = c.shards[0].seats[seat].health;
+            if flagged.is_none() && c.integrity_stats().scrub_digest_mismatches > 0 {
+                assert!(matches!(health, SeatHealth::Quarantined { .. }));
+                flagged = Some(t);
+            }
+            if flagged.is_some() && readmitted.is_none() && health == SeatHealth::Healthy {
+                readmitted = Some(t);
+            }
+        }
+        let flagged = flagged.expect("the poison was never flagged");
+        assert!(
+            flagged - poison_at <= docs * scrub,
+            "flagged {}ms after the poison",
+            flagged - poison_at
+        );
+        let readmitted = readmitted.expect("the repaired follower was never readmitted");
+        assert!(readmitted < end - 2 * scrub, "readmitted at {readmitted}");
+        let ist = c.integrity_stats();
+        assert_eq!((ist.quarantines, ist.repairs_verified), (1, 1), "{ist:?}");
+        assert!(acked > (end - 10) / 25 - 10, "only {acked} updates acked");
+        let rep = c.shards[0].seats[seat].replica.as_ref().unwrap();
+        assert!(!rep.db.serialize("d0.xml").unwrap().contains("rotted"));
     }
 
     /// One `/doc` read of `uri` at `now`, which must complete.

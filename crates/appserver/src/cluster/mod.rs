@@ -1093,7 +1093,7 @@ impl Cluster {
             }
             let snapshot = frames.is_none();
             // the payload, and each frame's `(seq, end offset)` in it
-            let (mut data, ends) = match frames {
+            let (mut data, ends, seals) = match frames {
                 Some(mut frames) => {
                     frames.truncate(MAX_BATCH_FRAMES);
                     let mut bytes = Vec::new();
@@ -1102,10 +1102,10 @@ impl Cluster {
                         bytes.extend_from_slice(&f.bytes);
                         ends.push((f.seq, bytes.len()));
                     }
-                    (bytes, ends)
+                    (bytes, ends, None)
                 }
                 None => match leader.db.replication_snapshot() {
-                    Some(ck) => (ck.encode(), Vec::new()),
+                    Some((ck, seals)) => (ck.encode(), Vec::new(), Some(seals)),
                     None => {
                         seat.attempt += 1;
                         seat.next_send_at = now + retry.backoff_delay(seat.attempt, backoff_id);
@@ -1138,12 +1138,11 @@ impl Cluster {
                 stats.frames_retried +=
                     sent.iter().filter(|&&q| q <= seat.shipped_top).count() as u64;
             }
-            let msg = if snapshot {
-                ReplMsg::Snapshot
-            } else {
-                ReplMsg::Frames
+            let msg = match seals {
+                Some(seals) => ReplMsg::Snapshot(data, seals),
+                None => ReplMsg::Frames(data),
             };
-            let reply = seat.send(sh.term, msg(data), topology, now, cfg.link_latency_ms);
+            let reply = seat.send(sh.term, msg, topology, now, cfg.link_latency_ms);
             if let Some(&top) = sent.last() {
                 seat.shipped_top = seat.shipped_top.max(top);
             }

@@ -9,12 +9,13 @@
 //! lost before the replica sees it, or the replica can run it and its
 //! reply be lost on the way back.
 
+use std::collections::BTreeMap;
+
 use xqib_browser::{Fault, FaultPlan};
-use xqib_storage::{Checkpoint, VirtualDisk, Wal, WalRecord};
-use xqib_xquery::wire;
+use xqib_storage::{Checkpoint, VirtualDisk, Wal};
 
 use crate::cluster::Topology;
-use crate::xmldb::{DurabilityConfig, XmlDb};
+use crate::xmldb::{record_uris, DurabilityConfig, XmlDb};
 
 /// A leader→follower message. It travels with the sender's term, which
 /// fences stale leaders; probes ignore it.
@@ -22,8 +23,9 @@ pub(crate) enum ReplMsg {
     /// Committed WAL frames, possibly cut short in flight.
     Frames(Vec<u8>),
     /// An encoded [`Checkpoint`]: a full snapshot for a log gap or a
-    /// new-term reset, possibly cut short in flight.
-    Snapshot(Vec<u8>),
+    /// new-term reset, possibly cut short in flight, and the leader's
+    /// seals that cover it (refused with it when it is cut short).
+    Snapshot(Vec<u8>, BTreeMap<String, u64>),
     /// A failover probe for the replica's `(term, acked)`.
     Probe,
 }
@@ -151,25 +153,15 @@ impl ReplicaNode {
             },
             _ if term < self.term => ReplReply::StaleTerm,
             ReplMsg::Frames(data) => self.accept_frames(term, &data, topology),
-            ReplMsg::Snapshot(data) => self.install_snapshot(term, &data, topology),
-        }
-    }
-
-    fn owns(&self, record: &WalRecord, topology: &Topology) -> bool {
-        match record {
-            WalRecord::Load { uri, .. } | WalRecord::Digest { uri, .. } => {
-                topology.replicable_at(self.shard, uri)
-            }
-            WalRecord::Pul(bytes) => match wire::pul_doc_uris(bytes) {
-                Ok(uris) => uris.iter().all(|u| topology.replicable_at(self.shard, u)),
-                Err(_) => false,
-            },
+            ReplMsg::Snapshot(data, seals) => self.install_snapshot(term, &data, seals, topology),
         }
     }
 
     /// Replays a shipped byte stream: skip what's already applied, stop at
     /// the first gap, foreign document or inapplicable record, persist the
-    /// accepted raw frames, and report the new durable position.
+    /// accepted raw frames, and report the new durable position. A frame's
+    /// documents are skimmed once, for the ownership check and the seal
+    /// rule alike.
     fn accept_frames(&mut self, term: u64, data: &[u8], topology: &Topology) -> ReplReply {
         self.term = term;
         let replay = Wal::scan_bytes(data);
@@ -185,11 +177,13 @@ impl ReplicaNode {
             if seq != applied + 1 {
                 break; // gap: the sender must fall back to a snapshot
             }
-            if !self.owns(&record, topology) {
+            let owned = record_uris(&record)
+                .filter(|uris| uris.iter().all(|u| topology.replicable_at(self.shard, u)));
+            let Some(uris) = owned else {
                 refused = true;
                 break;
-            }
-            if !self.db.accept_frame(seq, &record, frame) {
+            };
+            if !self.db.accept_frame(seq, &record, &uris, frame) {
                 break;
             }
         }
@@ -207,7 +201,13 @@ impl ReplicaNode {
 
     /// Installs a full snapshot (log-gap resync or new-term reset),
     /// replacing local state wholesale, or refuses it whole.
-    fn install_snapshot(&mut self, term: u64, data: &[u8], topology: &Topology) -> ReplReply {
+    fn install_snapshot(
+        &mut self,
+        term: u64,
+        data: &[u8],
+        seals: BTreeMap<String, u64>,
+        topology: &Topology,
+    ) -> ReplReply {
         let refused = |ownership| ReplReply::SnapshotRefused { ownership };
         let Some(ck) = Checkpoint::decode(data) else {
             return refused(false);
@@ -219,7 +219,7 @@ impl ReplicaNode {
         {
             return refused(true);
         }
-        if !self.db.install_snapshot(ck) {
+        if !self.db.install_snapshot(ck, seals) {
             return refused(false);
         }
         self.term = term;
@@ -228,8 +228,8 @@ impl ReplicaNode {
 
     /// Fault-injection hook: silently replaces a document in the replica's
     /// *memory*, modelling the divergence a mis-apply or memory fault
-    /// would cause. Disk and shipped digests are untouched, so only a
-    /// digest cross-check can notice.
+    /// would cause. Disk and seals are untouched, so only a check of
+    /// memory against the seals can notice.
     #[cfg(test)]
     pub(crate) fn poison_document(&mut self, uri: &str) -> bool {
         let mut store = self.db.store.borrow_mut();
@@ -292,7 +292,10 @@ mod tests {
     fn ship(leader: &mut XmlDb, node: &mut ReplicaNode, topology: &Topology) -> ReplReply {
         let msg = match leader.committed_frames_after(node.db.committed_seq()) {
             Some(frames) => ReplMsg::Frames(frames.into_iter().flat_map(|f| f.bytes).collect()),
-            None => ReplMsg::Snapshot(leader.replication_snapshot().unwrap().encode()),
+            None => {
+                let (ckpt, seals) = leader.replication_snapshot().unwrap();
+                ReplMsg::Snapshot(ckpt.encode(), seals)
+            }
         };
         node.handle(1, msg, topology)
     }
@@ -353,6 +356,10 @@ mod tests {
         assert_eq!(recovered.committed_seq(), node.db.committed_seq());
         assert_eq!(recovered.dump(), node.db.dump());
         assert_eq!(recovered.dump(), leader.dump());
-        assert_eq!(recovered.recorded_digests(), leader.recorded_digests());
+        for (uri, _) in leader.dump() {
+            assert!(leader.digest_of(&uri).is_some(), "{uri} unsealed");
+            assert_eq!(node.db.digest_of(&uri), leader.digest_of(&uri), "{uri}");
+            assert_eq!(recovered.digest_of(&uri), leader.digest_of(&uri), "{uri}");
+        }
     }
 }

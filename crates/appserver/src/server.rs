@@ -177,19 +177,16 @@ impl AppServer {
             },
             "/index" => self.render_query(&render::index_page_query(), budget, &[]),
             "/doc" => match param(&query, "uri") {
-                // the read path compares the image's state digest with
-                // the one sealed at journal time: a document whose state
-                // no longer digests to what was acknowledged is never
-                // served. The digest is the cached subtree hash, so damage
-                // that bypassed the DOM's writers shows once the scrubber's
-                // rotating re-hash reaches the document
+                // the one verified read (`XmlDb::verified_serialize`): a
+                // document whose state no longer digests to its seal is
+                // never served. The digest is the cached subtree hash, so
+                // damage that bypassed the DOM's writers shows only once
+                // the document is re-hashed from scratch
                 Some(uri) => {
-                    let recorded = self.db.digest_of(&uri).is_some();
+                    let sealed = self.db.digest_of(&uri).is_some();
                     match self.db.verified_serialize(&uri) {
                         Ok(Some(body)) => {
-                            if recorded {
-                                self.metrics.doc_reads_verified += 1;
-                            }
+                            self.metrics.doc_reads_verified += u64::from(sealed);
                             (ServerResponse::new(200, body), 0)
                         }
                         Ok(None) => (not_found(&format!("no document {uri}")), 0),

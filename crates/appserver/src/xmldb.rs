@@ -98,6 +98,15 @@ fn load_checkpoint(ckpt: &Checkpoint) -> XdmResult<SharedStore> {
     Ok(store)
 }
 
+/// The documents a WAL record names, skimmed without decoding a `Pul`
+/// (`None` when it does not skim).
+pub(crate) fn record_uris(record: &WalRecord) -> Option<Vec<String>> {
+    match record {
+        WalRecord::Load { uri, .. } | WalRecord::Digest { uri, .. } => Some(vec![uri.clone()]),
+        WalRecord::Pul(bytes) => wire::pul_doc_uris(bytes).ok(),
+    }
+}
+
 /// What one probe of a durable node's disk found: damage inside the
 /// durable WAL prefix (a torn tail is the expected crash shape and does
 /// not count) and a typed verdict per written-but-corrupt checkpoint slot.
@@ -206,12 +215,12 @@ pub struct XmlDb {
     /// Compiled plans keyed by (query text, static-context fingerprint).
     plans: PlanCache,
     durable: Option<Durable>,
-    /// Recorded state digest per document, sealed at journal time
-    /// (durable mode only): what the read path and the scrubber verify
-    /// served bytes against. A follower records only the digest frames it
-    /// replayed since its last snapshot install: its reads are verified
-    /// against the leader's digests, and promotion recovers the whole map
-    /// from its disk.
+    /// The seal of each document (durable mode only), the one reference
+    /// verified reads and the scrubber check memory against. Sealed at
+    /// journal time, by a replayed digest frame, from a checkpoint just
+    /// recovered, or by the leader's seals shipped with a snapshot;
+    /// unsealed by a replayed record frame ([`Self::replay`]), so every
+    /// seal covers memory at this node's own position.
     digests: BTreeMap<String, u64>,
 }
 
@@ -287,7 +296,7 @@ impl XmlDb {
                 good += 1; // absorbed by the checkpoint; keep the frame
                 continue;
             }
-            if !db.replay(record) {
+            if !record_uris(record).is_some_and(|uris| db.replay(record, &uris)) {
                 if let WalRecord::Digest { .. } = record {
                     // the replayed state no longer hashes to what was
                     // acknowledged: silent damage, not a torn append
@@ -332,38 +341,48 @@ impl XmlDb {
     /// of a follower. Both stop at the first record that refuses to apply
     /// — an unparseable document, an undecodable or inapplicable PUL, a
     /// digest the state no longer hashes to — keeping state at a frame
-    /// boundary. A digest frame that holds is recorded.
-    fn replay(&mut self, record: &WalRecord) -> bool {
-        match record {
-            WalRecord::Load { uri, xml } => match xqib_dom::parse_document(xml) {
-                Ok(doc) => {
-                    self.bind(uri, doc);
-                    true
-                }
-                Err(_) => false,
-            },
+    /// boundary.
+    ///
+    /// The seal rule: a `Load` or `Pul` that applies unseals the
+    /// documents it touches (`uris`, from [`record_uris`]); the document's
+    /// `Digest` frame seals it again, so it stays unsealed in between (for
+    /// good, if a torn tail cut the log there). A digest frame memory does
+    /// not hash to still seals, then refuses to apply: the divergence
+    /// shows to every verified read and to the self-check.
+    fn replay(&mut self, record: &WalRecord, uris: &[String]) -> bool {
+        let applied = match record {
+            WalRecord::Load { uri, xml } => xqib_dom::parse_document(xml)
+                .map(|doc| self.bind(uri, doc))
+                .is_ok(),
             WalRecord::Pul(bytes) => {
                 let mut s = self.store.borrow_mut();
-                match wire::decode_pul(&mut s, bytes) {
-                    Ok(pul) => pul.apply(&mut s).is_ok(),
-                    Err(_) => false,
-                }
+                wire::decode_pul(&mut s, bytes).is_ok_and(|pul| pul.apply(&mut s).is_ok())
             }
             WalRecord::Digest { uri, digest } => {
-                let holds = self.memory_digest(uri) == Some(*digest);
-                if holds {
-                    self.digests.insert(uri.clone(), *digest);
-                }
-                holds
+                self.digests.insert(uri.clone(), *digest);
+                return self.memory_digest(uri) == Some(*digest);
+            }
+        };
+        if applied {
+            for uri in uris {
+                self.digests.remove(uri);
             }
         }
+        applied
     }
 
-    /// A follower's redo step: applies a frame the leader shipped and, if
-    /// it applies, appends its exact bytes to the log. Durable once
-    /// [`commit`](Self::commit) syncs it. Returns whether it applied.
-    pub(crate) fn accept_frame(&mut self, seq: u64, record: &WalRecord, frame: &[u8]) -> bool {
-        if !self.replay(record) {
+    /// A follower's redo step: applies a frame the leader shipped, naming
+    /// the documents `uris`, and, if it applies, appends its exact bytes
+    /// to the log. Durable once [`commit`](Self::commit) syncs it. Returns
+    /// whether it applied.
+    pub(crate) fn accept_frame(
+        &mut self,
+        seq: u64,
+        record: &WalRecord,
+        uris: &[String],
+        frame: &[u8],
+    ) -> bool {
+        if !self.replay(record, uris) {
             return false;
         }
         if let Some(d) = &mut self.durable {
@@ -378,9 +397,16 @@ impl XmlDb {
     /// Replaces the whole state with a shipped snapshot (a follower's
     /// log-gap resync or new-term reset), persisted as this node's own
     /// next checkpoint generation: durable through `ckpt.seq` on success.
+    /// The installed documents take `seals`, the leader's seals at
+    /// `ckpt.seq` ([`Self::replication_snapshot`]), as a shipped digest
+    /// frame would give them: the next self-check verifies the install.
     /// `false`, with the state untouched, when a document does not parse
     /// or the checkpoint cannot be persisted.
-    pub(crate) fn install_snapshot(&mut self, ckpt: Checkpoint) -> bool {
+    pub(crate) fn install_snapshot(
+        &mut self,
+        ckpt: Checkpoint,
+        seals: BTreeMap<String, u64>,
+    ) -> bool {
         let Ok(store) = load_checkpoint(&ckpt) else {
             return false;
         };
@@ -391,7 +417,7 @@ impl XmlDb {
             return false;
         }
         self.store = store;
-        self.digests.clear();
+        self.digests = seals;
         true
     }
 
@@ -621,40 +647,43 @@ impl XmlDb {
     }
 
     /// The state digest of a document in memory, from its cached subtree
-    /// hashes: what sealing, the digest-frame check and the scrubber's
-    /// cross-check compare. `None` for unbound URIs.
+    /// hashes: what sealing, the digest-frame check and the self-check
+    /// compare. `None` for unbound URIs.
     pub(crate) fn memory_digest(&self, uri: &str) -> Option<u64> {
         with_doc(&self.store, uri, |doc| state_digest(uri, doc.tree_hash()))
     }
 
-    /// Drops a document's cached subtree hashes, so its next digest is
-    /// hashed from scratch: damage that bypassed the DOM's writers (and so
-    /// marked nothing) shows then.
-    pub(crate) fn forget_hashes(&self, uri: &str) {
-        with_doc(&self.store, uri, Document::forget_hashes);
+    /// The scrubber's self-check, pass `pass` of it: each sealed
+    /// document's memory digest against its seal. Cached subtree hashes
+    /// would hide damage that bypassed the DOM's writers, so sealed
+    /// document `pass % n` is first re-hashed from scratch. Returns the
+    /// documents checked and those that no longer digest to their seal.
+    pub(crate) fn self_check(&self, pass: u64) -> (u64, u64) {
+        let rehash = pass as usize % self.digests.len().max(1);
+        let mut mismatches = 0;
+        for (k, (uri, &seal)) in self.digests.iter().enumerate() {
+            if k == rehash {
+                with_doc(&self.store, uri, Document::forget_hashes);
+            }
+            if self.memory_digest(uri) != Some(seal) {
+                mismatches += 1;
+            }
+        }
+        (self.digests.len() as u64, mismatches)
     }
 
-    /// The recorded (acknowledged) state digest of a document. `None`
-    /// for unbound URIs, ephemeral databases, and loads whose digest frame
-    /// was lost to a torn tail before it could seal.
+    /// The seal of a document: its state digest when last sealed. `None`
+    /// for unbound URIs, ephemeral databases and unsealed documents (a
+    /// record frame touched them and their digest frame has not applied,
+    /// or was lost to a torn tail).
     pub fn digest_of(&self, uri: &str) -> Option<u64> {
         self.digests.get(uri).copied()
     }
 
-    /// Every recorded digest, sorted by URI — the scrubber's cross-check
-    /// input, comparable across replicas without shipping bodies.
-    pub fn recorded_digests(&self) -> Vec<(String, u64)> {
-        self.digests
-            .iter()
-            .map(|(uri, d)| (uri.clone(), *d))
-            .collect()
-    }
-
-    /// Serialises a document with the end-to-end check: the digest of the
-    /// image about to be served must equal what was acknowledged, or the
-    /// read is refused.
-    /// `Ok(None)` for unbound URIs; documents without a recorded digest
-    /// (ephemeral mode, unsealed loads) serve unchecked.
+    /// Serialises a document with the end-to-end check, the verified read
+    /// of every path: the image's digest must equal the document's seal on
+    /// this node, or the read is refused. `Ok(None)` for unbound URIs;
+    /// unsealed documents (see [`Self::digest_of`]) serve unchecked.
     pub fn verified_serialize(&self, uri: &str) -> Result<Option<String>, IntegrityError> {
         let Some(image) = self.image(uri) else {
             return Ok(None);
@@ -773,33 +802,29 @@ impl XmlDb {
         };
         frames
             .iter()
-            .filter(|f| match &f.record {
-                WalRecord::Load { uri: u, .. } | WalRecord::Digest { uri: u, .. } => u == uri,
-                WalRecord::Pul(bytes) => wire::pul_doc_uris(bytes)
-                    .map(|uris| uris.iter().any(|u| u == uri))
-                    .unwrap_or(false),
-            })
+            .filter(|f| record_uris(&f.record).is_some_and(|uris| uris.iter().any(|u| u == uri)))
             .count() as u64
     }
 
     /// A consistent snapshot of the committed state, in the checkpoint
-    /// wire format, for resyncing a follower that has fallen off the WAL.
-    /// Commits first so the document dump and the stamped sequence agree;
-    /// `None` when the database is ephemeral or the commit fsync fails
-    /// (retry later — shipping an inconsistent snapshot would double-apply
-    /// frames at the follower).
-    pub fn replication_snapshot(&mut self) -> Option<Checkpoint> {
+    /// wire format, for resyncing a follower that has fallen off the WAL,
+    /// with the seals that cover it. Commits first so the document dump,
+    /// the seals and the stamped sequence agree; `None` when the database
+    /// is ephemeral or the commit fsync fails (retry later — shipping an
+    /// inconsistent snapshot would double-apply frames at the follower).
+    pub fn replication_snapshot(&mut self) -> Option<(Checkpoint, BTreeMap<String, u64>)> {
         self.durable.as_ref()?;
         if self.commit().is_err() {
             return None;
         }
         let docs = self.dump();
         let d = self.durable.as_ref()?;
-        Some(Checkpoint {
+        let ckpt = Checkpoint {
             gen: d.ckpt_gen,
             seq: d.last_committed,
             docs,
-        })
+        };
+        Some((ckpt, self.digests.clone()))
     }
 
     fn install_journal(&self, ctx: &mut DynamicContext) -> Option<Rc<RefCell<Vec<Vec<u8>>>>> {
@@ -888,6 +913,19 @@ mod tests {
         state_digest(uri, TreeHash::of(xml.as_bytes()))
     }
 
+    /// Ships up to `n` of `leader`'s committed frames `follower` lacks,
+    /// returning how many applied.
+    fn ship_frames(leader: &XmlDb, follower: &mut XmlDb, n: usize) -> usize {
+        let frames = leader.committed_frames_after(follower.appended_seq());
+        let frames = frames.unwrap().into_iter().take(n);
+        frames
+            .take_while(|f| {
+                let uris = record_uris(&f.record).unwrap();
+                follower.accept_frame(f.seq, &f.record, &uris, &f.bytes)
+            })
+            .count()
+    }
+
     /// An ack's digest work does not grow with the document: the leader's
     /// seal and a follower's digest-frame check of the 10,000th item
     /// appended to a cart cost what they cost for the 100th (children
@@ -907,6 +945,7 @@ mod tests {
         let add = "declare variable $id external; \
                    insert node <item id=\"{$id}\"/> into doc(\"cart.xml\")/*";
         leader.load("cart.xml", "<cart/>").unwrap();
+        ship_frames(&leader, &mut follower, usize::MAX);
         let mut costs = Vec::new();
         for i in 1..=10_000 {
             let before = work();
@@ -917,12 +956,7 @@ mod tests {
                 .unwrap();
             let seal = work() - before;
             let before = work();
-            for f in leader
-                .committed_frames_after(follower.appended_seq())
-                .unwrap()
-            {
-                assert!(follower.accept_frame(f.seq, &f.record, &f.bytes));
-            }
+            assert_eq!(ship_frames(&leader, &mut follower, usize::MAX), 2);
             let check = work() - before;
             if i == 100 || i == 10_000 {
                 costs.push((seal, check));
@@ -959,14 +993,10 @@ mod tests {
         let add = "declare variable $id external; \
                    insert node <item id=\"{$id}\"/> into doc(\"cart.xml\")/*";
         leader.load("cart.xml", "<cart/>").unwrap();
+        ship_frames(&leader, &mut follower, usize::MAX);
         let ship = |leader: &XmlDb, follower: &mut XmlDb| {
             let before = work();
-            for f in leader
-                .committed_frames_after(follower.appended_seq())
-                .unwrap()
-            {
-                assert!(follower.accept_frame(f.seq, &f.record, &f.bytes));
-            }
+            assert_eq!(ship_frames(leader, follower, usize::MAX), 2);
             work() - before
         };
         let mut costs = Vec::new();
@@ -997,6 +1027,96 @@ mod tests {
         );
         ship(&leader, &mut follower);
         assert_eq!(follower.serialize("cart.xml"), leader.serialize("cart.xml"));
+    }
+
+    /// A torn tail that cuts the log between an update's record frame and
+    /// its digest frame leaves the document unsealed, not sealed with the
+    /// state before the update: the recovered node serves what it holds.
+    #[test]
+    fn a_seal_lost_to_a_torn_tail_leaves_the_document_readable() {
+        let disk = VirtualDisk::new();
+        let mut db = XmlDb::durable(disk.clone(), DurabilityConfig::default());
+        db.load("d.xml", "<d/>").unwrap();
+        db.query("insert node <x/> into doc('d.xml')/d").unwrap();
+        drop(db);
+        let scan = Wal::scan(&disk, WAL_FILE);
+        let (seq, _, end) = &scan.records[scan.records.len() - 2];
+        assert_eq!(*seq, 3, "the insert's record frame");
+        let data = disk.read(WAL_FILE).unwrap();
+        disk.write_file(WAL_FILE, &data[..end + 3]);
+        let db = XmlDb::recover(disk, DurabilityConfig::default()).unwrap();
+        assert_eq!(db.committed_seq(), 3);
+        assert_eq!(db.durability_stats().torn_tails_dropped, 1);
+        assert_eq!(db.digest_of("d.xml"), None, "unsealed");
+        let body = db.verified_serialize("d.xml").unwrap();
+        assert_eq!(body.as_deref(), Some("<d><x/></d>"));
+    }
+
+    /// A leader holding `a.xml` and `b.xml` with one insert into `b.xml`
+    /// not yet shipped, and a follower holding everything before it.
+    fn leader_one_update_ahead() -> (XmlDb, XmlDb) {
+        let cfg = DurabilityConfig {
+            group_commit: 1,
+            checkpoint_threshold: 0,
+        };
+        let mut leader = XmlDb::durable(VirtualDisk::new(), cfg);
+        let mut follower = XmlDb::durable(VirtualDisk::new(), cfg);
+        leader.load("a.xml", "<a/>").unwrap();
+        leader.load("b.xml", "<b/>").unwrap();
+        ship_frames(&leader, &mut follower, usize::MAX);
+        leader
+            .query("insert node <x/> into doc('b.xml')/b")
+            .unwrap();
+        assert_eq!(follower.self_check(0), (2, 0));
+        (leader, follower)
+    }
+
+    /// Between an update's record frame and its digest frame a follower
+    /// holds the document unsealed: its self-check skips it and counts no
+    /// mismatch, and the digest frame seals it with the leader's digest.
+    #[test]
+    fn a_document_is_unsealed_between_its_record_and_digest_frames() {
+        let (leader, mut follower) = leader_one_update_ahead();
+        assert_eq!(
+            ship_frames(&leader, &mut follower, 1),
+            1,
+            "the record frame"
+        );
+        assert_eq!(follower.serialize("b.xml").unwrap(), "<b><x/></b>");
+        assert_eq!(follower.digest_of("b.xml"), None, "unsealed");
+        assert_eq!(follower.digest_of("a.xml"), leader.digest_of("a.xml"));
+        assert_eq!(follower.self_check(0), (1, 0), "a.xml alone is checked");
+        assert!(follower.verified_serialize("b.xml").unwrap().is_some());
+        assert_eq!(
+            ship_frames(&leader, &mut follower, 1),
+            1,
+            "the digest frame"
+        );
+        assert_eq!(follower.digest_of("b.xml"), leader.digest_of("b.xml"));
+        assert_eq!(follower.self_check(1), (2, 0));
+    }
+
+    /// A digest frame that a diverged follower's memory does not hash to
+    /// is refused, but it seals: the self-check and every verified read
+    /// see the divergence instead of an unsealed document.
+    #[test]
+    fn a_digest_frame_memory_disagrees_with_still_seals() {
+        let (leader, mut follower) = leader_one_update_ahead();
+        assert_eq!(
+            ship_frames(&leader, &mut follower, 1),
+            1,
+            "the record frame"
+        );
+        let rotted = xqib_dom::parse_document("<rotted/>").unwrap();
+        follower.bind("b.xml", rotted);
+        assert_eq!(
+            ship_frames(&leader, &mut follower, 1),
+            0,
+            "the digest frame"
+        );
+        assert_eq!(follower.digest_of("b.xml"), leader.digest_of("b.xml"));
+        assert_eq!(follower.self_check(0), (2, 1));
+        assert!(follower.verified_serialize("b.xml").is_err());
     }
 
     /// Documents and arena slots in the store.
@@ -1469,7 +1589,8 @@ mod tests {
             db.committed_frames_after(0).is_none(),
             "seq 1 is gone from the log: follower at 0 needs a snapshot"
         );
-        let snap = db.replication_snapshot().unwrap();
+        let (snap, seals) = db.replication_snapshot().unwrap();
+        assert_eq!(seals.len(), 2);
         assert_eq!(snap.seq, db.committed_seq());
         assert_eq!(snap.docs.len(), 2);
         // a follower already past the checkpoint still gets frames

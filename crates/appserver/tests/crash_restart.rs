@@ -159,6 +159,14 @@ proptest! {
             &recovered.dump(), &expected[op_ix],
             "recovered state is not the state after sequence {}", seq
         );
+        // a torn digest frame leaves its document unsealed, never sealed
+        // with the state before its op: every document still serves
+        for (uri, _) in recovered.dump() {
+            prop_assert!(
+                matches!(recovered.verified_serialize(&uri), Ok(Some(_))),
+                "{} refused after recovering to sequence {}", uri, seq
+            );
+        }
         let stats = recovered.durability_stats();
         prop_assert_eq!(stats.recoveries, 1);
         drop(recovered);

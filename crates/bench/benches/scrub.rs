@@ -9,7 +9,8 @@
 //!
 //! What the arms show: detection and repair scale with the rot rate while
 //! the durability invariant stays flat — no arm is allowed to lose an
-//! acked update, whatever the decay intensity.
+//! acked update, whatever the decay intensity. Every arm self-checks
+//! documents, and both rot arms readmit at least one repaired follower.
 
 use xqib_appserver::simulate::{run_sim, SimConfig, SimReport};
 use xqib_appserver::{Class, ClusterOutcome};
@@ -80,10 +81,20 @@ fn main() {
         );
         let integrity = &report.metrics.integrity;
         assert!(integrity.scrub_cycles > 0, "{name}: scrubber idle");
+        // the self-check runs under steady writes, not only on quiet
+        // replicas, and a repaired follower comes back
+        assert!(
+            integrity.scrub_docs_checked > 0,
+            "{name}: no document self-checked"
+        );
         if decay_permille == 0 {
             assert_eq!(integrity.sectors_decayed, 0, "rot without a plan");
         } else {
             assert!(integrity.decay_sweeps > 0, "{name}: decay idle");
+            assert!(
+                integrity.repairs_verified >= 1,
+                "{name}: no repair verified"
+            );
         }
         arms.push((name, arm(&report)));
     }

@@ -39,9 +39,9 @@ fn readme_scrub_example() {
 
     // let the virtual clock run: decay rots sectors while the
     // anti-entropy scrubber (every 250ms) probes each replica's WAL and
-    // checkpoint slots, cross-checks content digests sealed at journal
-    // time, and repairs — re-checkpoint from verified memory, or wipe and
-    // resync from a leader snapshot — before readmitting a seat
+    // checkpoint slots, self-checks each follower's memory against the
+    // seals it applied, and repairs — re-checkpoint from verified memory,
+    // or wipe and resync from a leader snapshot — before readmitting a seat
     for t in now..now + 5_000 {
         let _ = cluster.advance(t);
     }
@@ -49,7 +49,7 @@ fn readme_scrub_example() {
     assert!(ist.decay_sweeps > 0 && ist.sectors_decayed > 0);
     assert!(ist.scrub_cycles >= 19);
     assert!(ist.repairs_started > 0, "this seed rots a replica's log");
-    assert!(ist.repairs_verified > 0); // readmission only after digests match
+    assert!(ist.repairs_verified > 0); // readmitted on a clean self-check
 
     // the counters surface on /metrics…
     let done = match cluster.submit("/metrics", now + 5_000) {
