@@ -253,8 +253,7 @@ impl Cluster {
         if let Some(mut leader) = sh.leader.take() {
             let _ = leader.db.checkpoint();
             let seat = &mut sh.seats[sh.leader_seat];
-            let cfg = self.cfg.follower_durability;
-            seat.replica = Some(ReplicaNode::demoted(s, sh.term, leader.db, cfg));
+            seat.replica = Some(ReplicaNode::demoted(s, sh.term, leader.db));
             seat.restart(s, &self.cfg, now, false, false);
             seat.health = SeatHealth::Healthy;
         }
@@ -303,7 +302,7 @@ impl Cluster {
             // (every applied frame was CRC-checked on arrival), so a fresh
             // checkpoint supersedes the rot without losing acked state
             if self.istats.count_scrub_step(&node.db.scrub_step()) {
-                node.db.checkpoint_applied();
+                let _ = node.db.checkpoint();
                 self.istats.repairs_started += 1;
                 if seat.health == SeatHealth::Healthy {
                     seat.health = SeatHealth::Quarantined {
@@ -341,19 +340,7 @@ mod tests {
     use crate::cluster::tests::*;
     use crate::cluster::{ClusterCompletion, ClusterConfig, ClusterOutcome, Submitted};
     use crate::xmldb::DurabilityConfig;
-    use xqib_storage::{
-        Checkpoint, VirtualDisk, CKPT_SLOTS, SCRUB_PASS_TICKS, SCRUB_SLICE_FLOOR, WAL_FILE,
-    };
-    /// Flips one payload byte of the first WAL frame on `disk`: with later
-    /// frames behind it, the scan must classify this as mid-prefix CRC
-    /// damage (an alarm), never as an ordinary torn tail.
-    fn rot_first_frame(disk: &VirtualDisk) {
-        let mut img = disk.read(WAL_FILE).expect("a journaled WAL to rot");
-        // frame layout [len u32][crc u32][seq u64][tag u8][payload]: byte
-        // 17 is the first payload byte
-        img[17] ^= 0x01;
-        disk.write_file(WAL_FILE, &img);
-    }
+    use xqib_storage::{Checkpoint, CKPT_SLOTS, SCRUB_PASS_TICKS, SCRUB_SLICE_FLOOR};
 
     #[test]
     fn scrub_repairs_a_follower_with_mid_prefix_wal_rot() {
@@ -779,7 +766,7 @@ mod tests {
         let scrub = c.cfg.scrub_interval_ms;
         let now = drive(&mut c, now, now + 3 * scrub);
         let follower = c.shards[0].seats[1].replica.as_mut().unwrap();
-        follower.db.checkpoint_applied();
+        follower.db.checkpoint().unwrap();
         let disk = c.shards[0].seats[1].disk.clone();
         let gen = |slot: &str| Checkpoint::decode(&disk.read(slot).unwrap()).unwrap().gen;
         assert!(

@@ -82,7 +82,7 @@ use std::collections::VecDeque;
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
 use xqib_browser::FaultPlan;
 use xqib_dom::SharedStore;
-use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
+use xqib_storage::{mix64, DiskError, StorageFaultPlan, VirtualDisk};
 
 use crate::fleet::FleetStats;
 use crate::governor::{self, Class, GovernorConfig, RequestGovernor};
@@ -151,10 +151,9 @@ pub struct ClusterConfig {
     /// Followers that must durably ack an update before the client sees
     /// 200 (clamped to the live follower count; 0 = leader-only acks).
     pub ack_replicas: usize,
-    /// Leader durability (group commit, checkpoint threshold).
+    /// Every seat's durability (group commit, checkpoint threshold),
+    /// whether it leads or follows.
     pub durability: DurabilityConfig,
-    /// Follower durability (checkpoint threshold for the shipped log).
-    pub follower_durability: DurabilityConfig,
     /// Fault plan template for every replication link; reseeded per
     /// follower host so links fail independently.
     pub repl_fault: Option<FaultPlan>,
@@ -186,7 +185,6 @@ impl Default for ClusterConfig {
             followers: 1,
             ack_replicas: 1,
             durability: DurabilityConfig::default(),
-            follower_durability: DurabilityConfig::default(),
             repl_fault: None,
             ship_truncate_permille: 0,
             link_latency_ms: 5,
@@ -268,11 +266,7 @@ impl Seat {
         force_snapshot: bool,
     ) {
         if wipe {
-            self.replica = Some(ReplicaNode::fresh(
-                s,
-                self.disk.clone(),
-                cfg.follower_durability,
-            ));
+            self.replica = Some(ReplicaNode::fresh(s, self.disk.clone(), cfg.durability));
         }
         self.acked = 0;
         self.shipped_top = 0;
@@ -536,8 +530,7 @@ impl Cluster {
             let follower = slot != 0;
             seats.push(Seat {
                 host: format!("s{s}r{slot}.xqib"),
-                replica: follower
-                    .then(|| ReplicaNode::fresh(s, disk.clone(), cfg.follower_durability)),
+                replica: follower.then(|| ReplicaNode::fresh(s, disk.clone(), cfg.durability)),
                 link: match &cfg.repl_fault {
                     Some(_) if follower => Link::with_plan(link_plan(cfg, s, slot)),
                     _ => Link::default(),
@@ -923,14 +916,40 @@ impl Cluster {
             return;
         };
         let disk = self.shards[s].seats[win].disk.clone();
-        match AppServer::recover(disk, self.cfg.durability) {
-            Ok(server) => self.install_leader(s, win, server, since, now, out),
-            Err(_) => {
-                // damaged candidate: drop it and re-probe the rest
+        let recovered = self
+            .heal(s, win)
+            .ok()
+            .and_then(|()| AppServer::recover(disk, self.cfg.durability).ok());
+        match recovered {
+            Some(server) => self.install_leader(s, win, server, since, now, out),
+            None => {
+                // unhealed or damaged candidate: drop it and re-probe the rest
                 self.shards[s].probed[win] = None;
                 self.shards[s].next_probe_at = now + PROBE_RETRY_MS;
             }
         }
+    }
+
+    /// Promotion guard: the winner's disk may carry latent rot that
+    /// recovery would truncate at, silently dropping acked frames its
+    /// memory still holds — and rot on the log's last frames is
+    /// indistinguishable from an ordinary torn tail, so detection can
+    /// never be complete. A live follower's memory is always at least as
+    /// new as its disk (`applied >= acked`), so seat `win` unconditionally
+    /// checkpoints from memory — truncating whatever the log carried —
+    /// before its disk goes to recovery. A heal that did not land promotes
+    /// nothing: recovery would read the very image it was to replace. A
+    /// crashed leader-only seat has no memory to heal from.
+    fn heal(&mut self, s: usize, win: usize) -> Result<(), DiskError> {
+        let Some(node) = self.shards[s].seats[win].replica.as_mut() else {
+            return Ok(());
+        };
+        let damaged = node.db.disk_damage().any();
+        node.db.checkpoint()?;
+        if damaged {
+            self.istats.promote_heals += 1;
+        }
+        Ok(())
     }
 
     /// The seat whose disk the next leader recovers from: the crashed
@@ -989,20 +1008,6 @@ impl Cluster {
                 _ => Some((i, ta)),
             })
             .unwrap_or((follower_seats[0], (0, 0)));
-        // Promotion guard: the winner's disk may carry latent rot that
-        // recovery would truncate at, silently dropping acked frames its
-        // memory still holds — and rot on the log's last frames is
-        // indistinguishable from an ordinary torn tail, so detection can
-        // never be complete. A live follower's memory is always at least
-        // as new as its disk (`applied >= acked`), so unconditionally
-        // checkpoint from memory — truncating whatever the log carried —
-        // before handing the disk to recovery.
-        if let Some(node) = self.shards[s].seats[win].replica.as_mut() {
-            let damaged = node.db.disk_damage().any();
-            if node.db.checkpoint_applied() && damaged {
-                self.istats.promote_heals += 1;
-            }
-        }
         Some(win)
     }
 
@@ -1270,6 +1275,7 @@ pub(crate) fn no_leader_response() -> ServerResponse {
 mod tests {
     use super::*;
     use xqib_browser::Fault;
+    use xqib_storage::WAL_FILE;
 
     pub(super) fn doc_url(uri: &str) -> String {
         format!("/doc?uri={uri}")
@@ -1841,6 +1847,54 @@ mod tests {
             acked.push(marker);
         }
         (acked, now)
+    }
+
+    /// Flips one payload byte of the first WAL frame on `disk`: with later
+    /// frames behind it, the scan must classify this as mid-prefix CRC
+    /// damage (an alarm), never as an ordinary torn tail.
+    pub(super) fn rot_first_frame(disk: &VirtualDisk) {
+        let mut img = disk.read(WAL_FILE).expect("a journaled WAL to rot");
+        // frame layout [len u32][crc u32][seq u64][tag u8][payload]: byte
+        // 17 is the first payload byte
+        img[17] ^= 0x01;
+        disk.write_file(WAL_FILE, &img);
+    }
+
+    /// A promotion waits until its heal lands. The caught-up winner's log
+    /// rotted mid-prefix and its every fsync fails, so no checkpoint from
+    /// its memory can land, and recovery would read the image the heal
+    /// was to replace: no seat is promoted. Once its disk syncs again the
+    /// heal lands, the seat is promoted, and every acked update is there.
+    #[test]
+    fn a_promotion_waits_until_its_heal_lands() {
+        let mut c = seeded(ClusterConfig {
+            shards: 1,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let (acked, now) = acked_markers(&mut c, "d0.xml", 3, 10, "heal");
+        let disk = c.shards[0].seats[1].disk.clone();
+        rot_first_frame(&disk);
+        disk.set_plan(StorageFaultPlan::seeded(7).with_sync_fail_permille(1000));
+        let follower = c.shards[0].seats[1].replica.as_ref().unwrap();
+        assert!(follower.db.disk_damage().wal_rot);
+        assert_eq!(follower.db.committed_seq(), c.shards[0].seats[1].acked);
+        c.crash_leader(0, now);
+        let detect = c.cfg.failover_detect_ms;
+        let now = drive(&mut c, now, now + detect + 20 * PROBE_RETRY_MS);
+        assert!(!c.has_leader(0), "promoted on a heal that never landed");
+        assert_eq!(c.stats().failovers, 0);
+        assert_eq!(c.integrity_stats().promote_heals, 0);
+        disk.set_plan(StorageFaultPlan::default());
+        let (_, _) = c.quiesce(now);
+        assert!(c.has_leader(0), "the heal lands once the disk syncs");
+        assert_eq!(c.leader_seat(0), 1);
+        assert_eq!(c.stats().failovers, 1);
+        assert_eq!(c.integrity_stats().promote_heals, 1);
+        for m in &acked {
+            assert!(c.holds_marker("d0.xml", m), "acked {m} lost");
+        }
     }
 
     /// Advances the cluster tick by tick across `[from, to)`.

@@ -129,13 +129,7 @@ impl ReplicaNode {
 
     /// A demoted leader staying on as a follower of `term`, keeping its
     /// intact memory and its disk.
-    pub(crate) fn demoted(
-        shard: usize,
-        term: u64,
-        mut db: XmlDb,
-        cfg: DurabilityConfig,
-    ) -> ReplicaNode {
-        db.set_durability_config(cfg);
+    pub(crate) fn demoted(shard: usize, term: u64, db: XmlDb) -> ReplicaNode {
         ReplicaNode { shard, term, db }
     }
 
@@ -189,7 +183,7 @@ impl ReplicaNode {
         }
         let _ = self.db.commit();
         if self.db.checkpoint_due() {
-            self.db.checkpoint_applied();
+            let _ = self.db.checkpoint();
         }
         let acked = self.db.committed_seq();
         if refused {
@@ -346,12 +340,12 @@ mod tests {
         // frames land in the truncated log
         update(&mut leader, "a.xml", "3");
         assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(12));
-        assert!(node.db.checkpoint_applied());
+        node.db.checkpoint().unwrap();
         update(&mut leader, "c.xml", "4");
         assert_eq!(ship(&mut leader, &mut node, &topology), ReplReply::Ack(14));
         assert!(!node.db.disk_damage().any());
 
-        let image = node.db.disk().unwrap().clone_image();
+        let image = node.db.disk().clone_image();
         let recovered = XmlDb::recover(image, cfg).unwrap();
         assert_eq!(recovered.committed_seq(), node.db.committed_seq());
         assert_eq!(recovered.dump(), node.db.dump());

@@ -83,13 +83,14 @@ pub struct AppServer {
 }
 
 impl AppServer {
-    /// Builds a server over a corpus document.
+    /// Builds a server over a corpus document, journaling to a fresh
+    /// [`VirtualDisk`] (see [`XmlDb::new`]).
     pub fn new(corpus_xml: &str) -> XdmResult<Self> {
         Self::with_db(XmlDb::new(), corpus_xml)
     }
 
-    /// Builds a durable server: the corpus load and every applied update
-    /// are journaled to `disk` (see [`XmlDb::durable`]).
+    /// Builds a server over the caller's `disk`: the corpus load and every
+    /// applied update are journaled to it (see [`XmlDb::durable`]).
     pub fn new_durable(
         corpus_xml: &str,
         disk: VirtualDisk,
@@ -150,7 +151,7 @@ impl AppServer {
     ///   cache-friendly REST API: "serve whole documents rather than
     ///   individual queries to documents", §6.1);
     /// * `/query?xq=Q` — ad-hoc server-side XQuery (legacy fine-grained API);
-    /// * `/update?xq=Q` — updating XQuery (journaled in durable mode);
+    /// * `/update?xq=Q` — updating XQuery (journaled before it is acknowledged);
     /// * `/metrics` — this server's [`MetricsSnapshot`] as XML.
     pub fn handle(&mut self, url: &str) -> ServerResponse {
         self.handle_budgeted(url, None).0

@@ -1,11 +1,11 @@
 //! The XML database (the MarkLogic stand-in of §6.1): a document store
-//! with a server-side XQuery execution facility, optionally made durable
-//! over a fault-injected [`VirtualDisk`].
+//! with a server-side XQuery execution facility, durable over a
+//! fault-injected [`VirtualDisk`].
 //!
 //! # Durability
 //!
-//! In durable mode every mutation is journaled to a write-ahead log
-//! *before* it is acknowledged: document loads as [`WalRecord::Load`],
+//! Every mutation is journaled to a write-ahead log *before* it is
+//! acknowledged: document loads as [`WalRecord::Load`],
 //! applied pending update lists as wire-encoded [`WalRecord::Pul`] redo
 //! records (see `xqib_xquery::wire`). Appends are grouped: the log is
 //! fsynced once every [`DurabilityConfig::group_commit`] operations. An
@@ -22,10 +22,10 @@
 //! frame — is idempotent even when a crash lands between the checkpoint
 //! write and the log truncation.
 //!
-//! A cluster follower is the same durable node driven by the leader: it
-//! appends shipped frames verbatim (`XmlDb::accept_frame`), installs
-//! shipped snapshots (`XmlDb::install_snapshot`) and checkpoints at its
-//! applied position (`XmlDb::checkpoint_applied`), so its disk is always
+//! A cluster follower is the same node driven by the leader: it appends
+//! shipped frames verbatim (`XmlDb::accept_frame`), installs shipped
+//! snapshots (`XmlDb::install_snapshot`) and checkpoints at its applied
+//! position like any node ([`XmlDb::checkpoint`]), so its disk is always
 //! an image [`XmlDb::recover`] can promote. [`XmlDb::disk_damage`] is the
 //! one probe of that image, for leaders and followers alike; the
 //! scrubber's [`XmlDb::scrub_step`] runs the same checks a slice at a
@@ -98,6 +98,64 @@ fn load_checkpoint(ckpt: &Checkpoint) -> XdmResult<SharedStore> {
     Ok(store)
 }
 
+/// Binds `doc` under `uri` in `store`, replacing any existing binding in
+/// place (same `DocId`, new content).
+fn bind(store: &SharedStore, uri: &str, doc: Document) -> DocId {
+    let mut store = store.borrow_mut();
+    match store.doc_by_uri(uri) {
+        Some(id) => {
+            store.replace_document(id, doc);
+            id
+        }
+        None => store.add_document(doc, Some(uri)),
+    }
+}
+
+/// The state digest of the document bound to `uri` in `store`, from its
+/// cached subtree hashes: what sealing, the digest-frame check and the
+/// self-check compare. `None` for unbound URIs.
+fn memory_digest(store: &SharedStore, uri: &str) -> Option<u64> {
+    with_doc(store, uri, |doc| state_digest(uri, doc.tree_hash()))
+}
+
+/// Applies one redo record to `store`: the replay step of recovery and of
+/// a follower. Both stop at the first record that refuses to apply — an
+/// unparseable document, an undecodable or inapplicable PUL, a digest the
+/// state no longer hashes to — keeping state at a frame boundary.
+///
+/// The seal rule: a `Load` or `Pul` that applies unseals the documents it
+/// touches (`uris`, from [`record_uris`]) in `digests`; the document's
+/// `Digest` frame seals it again, so it stays unsealed in between (for
+/// good, if a torn tail cut the log there). A digest frame memory does not
+/// hash to still seals, then refuses to apply: the divergence shows to
+/// every verified read and to the self-check.
+fn replay_record(
+    store: &SharedStore,
+    digests: &mut BTreeMap<String, u64>,
+    record: &WalRecord,
+    uris: &[String],
+) -> bool {
+    let applied = match record {
+        WalRecord::Load { uri, xml } => xqib_dom::parse_document(xml)
+            .map(|doc| bind(store, uri, doc))
+            .is_ok(),
+        WalRecord::Pul(bytes) => {
+            let mut s = store.borrow_mut();
+            wire::decode_pul(&mut s, bytes).is_ok_and(|pul| pul.apply(&mut s).is_ok())
+        }
+        WalRecord::Digest { uri, digest } => {
+            digests.insert(uri.clone(), *digest);
+            return memory_digest(store, uri) == Some(*digest);
+        }
+    };
+    if applied {
+        for uri in uris {
+            digests.remove(uri);
+        }
+    }
+    applied
+}
+
 /// The documents a WAL record names, skimmed without decoding a `Pul`
 /// (`None` when it does not skim).
 pub(crate) fn record_uris(record: &WalRecord) -> Option<Vec<String>> {
@@ -122,7 +180,7 @@ impl DiskDamage {
     }
 }
 
-/// Tuning knobs for durable mode.
+/// Tuning knobs of a node's journal and checkpoints.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
     /// Fsync the WAL once every `group_commit` journaled operations.
@@ -141,7 +199,8 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// Durable-mode state: the device, the open log, and commit bookkeeping.
+/// A node's durable state: the device, the open log, and commit
+/// bookkeeping.
 struct Durable {
     disk: VirtualDisk,
     wal: Wal,
@@ -175,6 +234,13 @@ impl Durable {
             stats: DurabilityStats::default(),
             scrub: SlotCursor::default(),
         }
+    }
+
+    /// Appends `record` to the log, awaiting its group commit.
+    fn journal(&mut self, record: &WalRecord) {
+        self.stats.wal_appends += 1;
+        self.last_appended = self.wal.append(record);
+        self.pending_ops += 1;
     }
 
     /// Whether the durable WAL prefix holds damage: the scan's accept rule
@@ -214,13 +280,13 @@ pub struct XmlDb {
     modules: ModuleRegistry,
     /// Compiled plans keyed by (query text, static-context fingerprint).
     plans: PlanCache,
-    durable: Option<Durable>,
-    /// The seal of each document (durable mode only), the one reference
-    /// verified reads and the scrubber check memory against. Sealed at
-    /// journal time, by a replayed digest frame, from a checkpoint just
-    /// recovered, or by the leader's seals shipped with a snapshot;
-    /// unsealed by a replayed record frame ([`Self::replay`]), so every
-    /// seal covers memory at this node's own position.
+    durable: Durable,
+    /// The seal of each document, the one reference verified reads and
+    /// the scrubber check memory against. Sealed at journal time, by a
+    /// replayed digest frame, from a checkpoint just recovered, or by the
+    /// leader's seals shipped with a snapshot; unsealed by a replayed
+    /// record frame ([`replay_record`]), so every seal covers memory at
+    /// this node's own position.
     digests: BTreeMap<String, u64>,
 }
 
@@ -231,28 +297,35 @@ impl Default for XmlDb {
 }
 
 impl XmlDb {
-    /// An ephemeral, in-memory database (no journaling).
+    /// A fresh database over a fresh [`VirtualDisk`], with the default
+    /// [`DurabilityConfig`].
     pub fn new() -> Self {
-        XmlDb {
-            store: shared_store(),
-            evals: 0,
-            modules: ModuleRegistry::new(),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            durable: None,
-            digests: BTreeMap::new(),
-        }
+        Self::durable(VirtualDisk::new(), DurabilityConfig::default())
     }
 
-    /// A fresh durable database over `disk`, wiping any previous image.
+    /// A fresh database over `disk`, wiping any previous image.
     pub fn durable(disk: VirtualDisk, cfg: DurabilityConfig) -> Self {
         disk.delete(WAL_FILE);
         for slot in CKPT_SLOTS {
             disk.delete(slot);
         }
         let wal = Wal::create(disk.clone(), WAL_FILE);
+        Self::open(
+            Durable::new(disk, wal, cfg, 0, 0),
+            shared_store(),
+            BTreeMap::new(),
+        )
+    }
+
+    /// A database over `durable` holding `store`, sealed with `digests`.
+    fn open(durable: Durable, store: SharedStore, digests: BTreeMap<String, u64>) -> Self {
         XmlDb {
-            durable: Some(Durable::new(disk, wal, cfg, 0, 0)),
-            ..XmlDb::new()
+            store,
+            evals: 0,
+            modules: ModuleRegistry::new(),
+            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
+            durable,
+            digests,
         }
     }
 
@@ -274,15 +347,18 @@ impl XmlDb {
             stats.ckpt_slots_lost = 1;
         }
         let (ckpt_gen, ckpt_seq) = ckpt.as_ref().map_or((0, 0), |c| (c.gen, c.seq));
-        let mut db = XmlDb::new();
-        if let Some(ckpt) = &ckpt {
-            db.store = load_checkpoint(ckpt)?;
-            db.digests = ckpt
-                .docs
-                .iter()
-                .filter_map(|(uri, _)| Some((uri.clone(), db.memory_digest(uri)?)))
-                .collect();
-        }
+        let (store, mut digests) = match &ckpt {
+            Some(ckpt) => {
+                let store = load_checkpoint(ckpt)?;
+                let digests = ckpt
+                    .docs
+                    .iter()
+                    .filter_map(|(uri, _)| Some((uri.clone(), memory_digest(&store, uri)?)))
+                    .collect();
+                (store, digests)
+            }
+            None => (shared_store(), BTreeMap::new()),
+        };
 
         let mut replay = Wal::scan(&disk, WAL_FILE);
         if replay.mid_prefix_damage() {
@@ -296,7 +372,9 @@ impl XmlDb {
                 good += 1; // absorbed by the checkpoint; keep the frame
                 continue;
             }
-            if !record_uris(record).is_some_and(|uris| db.replay(record, &uris)) {
+            if !record_uris(record)
+                .is_some_and(|uris| replay_record(&store, &mut digests, record, &uris))
+            {
                 if let WalRecord::Digest { .. } = record {
                     // the replayed state no longer hashes to what was
                     // acknowledged: silent damage, not a torn append
@@ -317,58 +395,11 @@ impl XmlDb {
         if torn {
             stats.torn_tails_dropped = 1;
         }
-        db.durable = Some(Durable {
+        let durable = Durable {
             stats,
             ..Durable::new(disk, wal, cfg, ckpt_gen, applied_seq)
-        });
-        Ok(db)
-    }
-
-    /// Binds `doc` under `uri`, replacing any existing binding in place
-    /// (same `DocId`, new content).
-    fn bind(&self, uri: &str, doc: Document) -> DocId {
-        let mut store = self.store.borrow_mut();
-        match store.doc_by_uri(uri) {
-            Some(id) => {
-                store.replace_document(id, doc);
-                id
-            }
-            None => store.add_document(doc, Some(uri)),
-        }
-    }
-
-    /// Applies one redo record to memory: the replay step of recovery and
-    /// of a follower. Both stop at the first record that refuses to apply
-    /// — an unparseable document, an undecodable or inapplicable PUL, a
-    /// digest the state no longer hashes to — keeping state at a frame
-    /// boundary.
-    ///
-    /// The seal rule: a `Load` or `Pul` that applies unseals the
-    /// documents it touches (`uris`, from [`record_uris`]); the document's
-    /// `Digest` frame seals it again, so it stays unsealed in between (for
-    /// good, if a torn tail cut the log there). A digest frame memory does
-    /// not hash to still seals, then refuses to apply: the divergence
-    /// shows to every verified read and to the self-check.
-    fn replay(&mut self, record: &WalRecord, uris: &[String]) -> bool {
-        let applied = match record {
-            WalRecord::Load { uri, xml } => xqib_dom::parse_document(xml)
-                .map(|doc| self.bind(uri, doc))
-                .is_ok(),
-            WalRecord::Pul(bytes) => {
-                let mut s = self.store.borrow_mut();
-                wire::decode_pul(&mut s, bytes).is_ok_and(|pul| pul.apply(&mut s).is_ok())
-            }
-            WalRecord::Digest { uri, digest } => {
-                self.digests.insert(uri.clone(), *digest);
-                return self.memory_digest(uri) == Some(*digest);
-            }
         };
-        if applied {
-            for uri in uris {
-                self.digests.remove(uri);
-            }
-        }
-        applied
+        Ok(Self::open(durable, store, digests))
     }
 
     /// A follower's redo step: applies a frame the leader shipped, naming
@@ -382,15 +413,14 @@ impl XmlDb {
         uris: &[String],
         frame: &[u8],
     ) -> bool {
-        if !self.replay(record, uris) {
+        if !replay_record(&self.store, &mut self.digests, record, uris) {
             return false;
         }
-        if let Some(d) = &mut self.durable {
-            d.stats.wal_appends += 1;
-            d.wal.append_frame(seq, frame);
-            d.last_appended = seq;
-            d.pending_ops += 1;
-        }
+        let d = &mut self.durable;
+        d.stats.wal_appends += 1;
+        d.wal.append_frame(seq, frame);
+        d.last_appended = seq;
+        d.pending_ops += 1;
         true
     }
 
@@ -410,10 +440,7 @@ impl XmlDb {
         let Ok(store) = load_checkpoint(&ckpt) else {
             return false;
         };
-        let Some(d) = &mut self.durable else {
-            return false;
-        };
-        if d.write_checkpoint(ckpt.seq, ckpt.docs).is_err() {
+        if self.durable.write_checkpoint(ckpt.seq, ckpt.docs).is_err() {
             return false;
         }
         self.store = store;
@@ -422,20 +449,16 @@ impl XmlDb {
     }
 
     /// Loads a document under a URI. If the URI is already bound the
-    /// binding is **replaced** (same `DocId`, new content). In durable
-    /// mode the load is journaled before it is acknowledged.
+    /// binding is **replaced** (same `DocId`, new content). The load is
+    /// journaled before it is acknowledged.
     pub fn load(&mut self, uri: &str, xml: &str) -> XdmResult<DocId> {
         let doc = xqib_dom::parse_document(xml)
             .map_err(|e| xqib_xdm::XdmError::new("FODC0002", e.to_string()))?;
-        if let Some(d) = &mut self.durable {
-            d.stats.wal_appends += 1;
-            d.last_appended = d.wal.append(&WalRecord::Load {
-                uri: uri.to_string(),
-                xml: xml.to_string(),
-            });
-            d.pending_ops += 1;
-        }
-        let id = self.bind(uri, doc);
+        self.durable.journal(&WalRecord::Load {
+            uri: uri.to_string(),
+            xml: xml.to_string(),
+        });
+        let id = bind(&self.store, uri, doc);
         self.seal_digests(&[uri.to_string()]);
         self.after_journaled_ops();
         Ok(id)
@@ -468,8 +491,8 @@ impl XmlDb {
     }
 
     /// Runs an XQuery against the database; returns the rendered result.
-    /// In durable mode any pending update lists the query applies are
-    /// journaled as redo records.
+    /// Any pending update lists the query applies are journaled as redo
+    /// records.
     pub fn query(&mut self, src: &str) -> XdmResult<String> {
         self.query_with_deadline(src, None, &[]).0
     }
@@ -539,7 +562,8 @@ impl XmlDb {
             ctx.set_deadline_fuel(budget);
             ctx.fuel_commit_exempt = true;
         }
-        let journal = self.install_journal(&mut ctx);
+        let journal = Rc::new(RefCell::new(Vec::new()));
+        ctx.pul_journal = Some(journal.clone());
         let result = self
             .focus_on(&mut ctx, context_doc)
             .and_then(|()| plan.execute(&mut ctx));
@@ -596,11 +620,9 @@ impl XmlDb {
     }
 
     /// Hard group commit: fsyncs the WAL so every journaled operation
-    /// becomes durable. No-op in ephemeral mode.
+    /// becomes durable.
     pub fn commit(&mut self) -> Result<(), DiskError> {
-        let Some(d) = &mut self.durable else {
-            return Ok(());
-        };
+        let d = &mut self.durable;
         if d.last_committed == d.last_appended {
             d.pending_ops = 0;
             return Ok(());
@@ -612,45 +634,24 @@ impl XmlDb {
         Ok(())
     }
 
-    /// Hard checkpoint: commits, snapshots every document into the
-    /// alternate slot, then truncates the WAL. Skipped (with an error) if
-    /// the commit or the snapshot fsync fails — the previous checkpoint
-    /// and the log stay authoritative.
+    /// Hard checkpoint, of leaders and followers alike: snapshots memory
+    /// at the appended position into the alternate slot and truncates the
+    /// WAL. The slot's own fsync makes it durable, so the frames it
+    /// absorbs need no WAL sync first. Beyond size-triggered housekeeping
+    /// it is the node-local repair path: a rotted frame or slot is
+    /// superseded by intact memory, with no window where acked state lives
+    /// only on damaged media. On a failed slot fsync the error is returned
+    /// and the previous checkpoint and the log stay authoritative.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
-        self.commit()?;
         let docs = self.dump();
-        let Some(d) = &mut self.durable else {
-            return Ok(());
-        };
-        d.write_checkpoint(d.last_committed, docs)
-    }
-
-    /// A follower's checkpoint: snapshots memory at the applied position
-    /// with no WAL sync first (the slot's own fsync makes it durable) and
-    /// truncates the log. Beyond size-triggered housekeeping it is the
-    /// node-local repair path: a rotted frame or slot is superseded by
-    /// intact memory, with no window where acked state lives only on
-    /// damaged media. Returns whether the checkpoint landed.
-    pub(crate) fn checkpoint_applied(&mut self) -> bool {
-        let docs = self.dump();
-        self.durable.as_mut().is_some_and(|d| {
-            let seq = d.last_appended;
-            d.write_checkpoint(seq, docs).is_ok()
-        })
+        let d = &mut self.durable;
+        d.write_checkpoint(d.last_appended, docs)
     }
 
     /// Whether the log outgrew the automatic-checkpoint threshold.
     pub(crate) fn checkpoint_due(&self) -> bool {
-        self.durable.as_ref().is_some_and(|d| {
-            d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold
-        })
-    }
-
-    /// The state digest of a document in memory, from its cached subtree
-    /// hashes: what sealing, the digest-frame check and the self-check
-    /// compare. `None` for unbound URIs.
-    pub(crate) fn memory_digest(&self, uri: &str) -> Option<u64> {
-        with_doc(&self.store, uri, |doc| state_digest(uri, doc.tree_hash()))
+        let d = &self.durable;
+        d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold
     }
 
     /// The scrubber's self-check, pass `pass` of it: each sealed
@@ -665,7 +666,7 @@ impl XmlDb {
             if k == rehash {
                 with_doc(&self.store, uri, Document::forget_hashes);
             }
-            if self.memory_digest(uri) != Some(seal) {
+            if memory_digest(&self.store, uri) != Some(seal) {
                 mismatches += 1;
             }
         }
@@ -673,9 +674,9 @@ impl XmlDb {
     }
 
     /// The seal of a document: its state digest when last sealed. `None`
-    /// for unbound URIs, ephemeral databases and unsealed documents (a
-    /// record frame touched them and their digest frame has not applied,
-    /// or was lost to a torn tail).
+    /// for unbound URIs and unsealed documents (a record frame touched
+    /// them and their digest frame has not applied, or was lost to a torn
+    /// tail).
     pub fn digest_of(&self, uri: &str) -> Option<u64> {
         self.digests.get(uri).copied()
     }
@@ -701,14 +702,11 @@ impl XmlDb {
     /// The whole-disk damage probe of promotion, cutover and migration:
     /// probes the on-disk WAL for mid-prefix damage (the durable prefix
     /// rotted after it was acked) and verifies both checkpoint slots in
-    /// place, whole. Nothing to report for an ephemeral database.
+    /// place, whole.
     pub fn disk_damage(&self) -> DiskDamage {
-        match &self.durable {
-            Some(d) => DiskDamage {
-                wal_rot: d.wal_rot(),
-                slots: Checkpoint::slot_verdicts(&d.disk),
-            },
-            None => DiskDamage::default(),
+        DiskDamage {
+            wal_rot: self.durable.wal_rot(),
+            slots: Checkpoint::slot_verdicts(&self.durable.disk),
         }
     }
 
@@ -719,17 +717,13 @@ impl XmlDb {
     /// step that finds it. Returns the damage found and the slot bytes
     /// verified.
     pub fn scrub_step(&mut self) -> (DiskDamage, u64) {
-        match &mut self.durable {
-            Some(d) => {
-                let slice = d.scrub.scrub_slice(&d.disk);
-                let damage = DiskDamage {
-                    wal_rot: d.wal_rot(),
-                    slots: slice.verdicts,
-                };
-                (damage, slice.bytes as u64)
-            }
-            None => (DiskDamage::default(), 0),
-        }
+        let d = &mut self.durable;
+        let slice = d.scrub.scrub_slice(&d.disk);
+        let damage = DiskDamage {
+            wal_rot: d.wal_rot(),
+            slots: slice.verdicts,
+        };
+        (damage, slice.bytes as u64)
     }
 
     /// Fault-injection hook: overwrites the recorded digest of `uri`,
@@ -747,55 +741,43 @@ impl XmlDb {
         }
     }
 
-    /// Durability counters (zeroed in ephemeral mode).
+    /// Durability counters.
     pub fn durability_stats(&self) -> DurabilityStats {
-        self.durable
-            .as_ref()
-            .map(|d| d.stats.clone())
-            .unwrap_or_default()
+        self.durable.stats.clone()
     }
 
-    /// Highest WAL sequence known durable (0 in ephemeral mode).
+    /// Highest WAL sequence known durable.
     pub fn committed_seq(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.last_committed)
+        self.durable.last_committed
     }
 
     /// Highest WAL sequence appended — it may still be awaiting its group
-    /// commit (0 in ephemeral mode). The cluster stamps each update with
-    /// this to know when the ack rule covers it.
+    /// commit. The cluster stamps each update with this to know when the
+    /// ack rule covers it.
     pub fn appended_seq(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.last_appended)
+        self.durable.last_appended
     }
 
-    /// Re-tunes durable mode: a leader demoted to follower takes the
-    /// follower checkpoint threshold.
-    pub(crate) fn set_durability_config(&mut self, cfg: DurabilityConfig) {
-        if let Some(d) = &mut self.durable {
-            d.cfg = cfg;
-        }
-    }
-
-    /// The backing device, if durable.
-    pub fn disk(&self) -> Option<VirtualDisk> {
-        self.durable.as_ref().map(|d| d.disk.clone())
+    /// The backing device.
+    pub fn disk(&self) -> VirtualDisk {
+        self.durable.disk.clone()
     }
 
     /// The committed WAL frames with `after < seq <= committed_seq`, for
     /// shipping to a follower, read by offset from the log's frame index
     /// ([`Wal::frames_after`]). `None` when the follower has fallen off the
     /// log — a checkpoint truncated frames it still needs, or frame
-    /// `after + 1` fails its check — or the database is ephemeral; the
-    /// caller must resync by snapshot instead
-    /// ([`Self::replication_snapshot`]).
+    /// `after + 1` fails its check; the caller must resync by snapshot
+    /// instead ([`Self::replication_snapshot`]).
     pub fn committed_frames_after(&self, after: u64) -> Option<Vec<ShippedFrame>> {
-        let d = self.durable.as_ref()?;
+        let d = &self.durable;
         d.wal.frames_after(after, d.last_committed)
     }
 
     /// How many committed WAL records with `seq > after` touch `uri` — the
     /// size of the update tail a migration source accepted during a copy
-    /// window. `0` for ephemeral databases or when a checkpoint already
-    /// absorbed the suffix (the caller re-snapshots then anyway).
+    /// window. `0` when a checkpoint already absorbed the suffix (the
+    /// caller re-snapshots then anyway).
     pub fn tail_records_touching(&self, uri: &str, after: u64) -> u64 {
         let Some(frames) = self.committed_frames_after(after) else {
             return 0;
@@ -809,36 +791,23 @@ impl XmlDb {
     /// A consistent snapshot of the committed state, in the checkpoint
     /// wire format, for resyncing a follower that has fallen off the WAL,
     /// with the seals that cover it. Commits first so the document dump,
-    /// the seals and the stamped sequence agree; `None` when the database
-    /// is ephemeral or the commit fsync fails (retry later — shipping an
-    /// inconsistent snapshot would double-apply frames at the follower).
+    /// the seals and the stamped sequence agree; `None` when the commit
+    /// fsync fails (retry later — shipping an inconsistent snapshot would
+    /// double-apply frames at the follower).
     pub fn replication_snapshot(&mut self) -> Option<(Checkpoint, BTreeMap<String, u64>)> {
-        self.durable.as_ref()?;
-        if self.commit().is_err() {
-            return None;
-        }
-        let docs = self.dump();
-        let d = self.durable.as_ref()?;
+        self.commit().ok()?;
         let ckpt = Checkpoint {
-            gen: d.ckpt_gen,
-            seq: d.last_committed,
-            docs,
+            gen: self.durable.ckpt_gen,
+            seq: self.durable.last_committed,
+            docs: self.dump(),
         };
         Some((ckpt, self.digests.clone()))
-    }
-
-    fn install_journal(&self, ctx: &mut DynamicContext) -> Option<Rc<RefCell<Vec<Vec<u8>>>>> {
-        self.durable.as_ref()?;
-        let journal = Rc::new(RefCell::new(Vec::new()));
-        ctx.pul_journal = Some(journal.clone());
-        Some(journal)
     }
 
     /// Appends the redo records a query produced — even when the query
     /// later failed, any PUL it already applied (mid-script) must be
     /// journaled — then runs the group-commit / checkpoint policy.
-    fn drain_journal(&mut self, journal: Option<Rc<RefCell<Vec<Vec<u8>>>>>) {
-        let Some(journal) = journal else { return };
+    fn drain_journal(&mut self, journal: Rc<RefCell<Vec<Vec<u8>>>>) {
         let records = journal.take();
         let mut touched: Vec<String> = Vec::new();
         for bytes in &records {
@@ -850,12 +819,8 @@ impl XmlDb {
                 }
             }
         }
-        if let Some(d) = &mut self.durable {
-            for bytes in records {
-                d.stats.wal_appends += 1;
-                d.last_appended = d.wal.append(&WalRecord::Pul(bytes));
-                d.pending_ops += 1;
-            }
+        for bytes in records {
+            self.durable.journal(&WalRecord::Pul(bytes));
         }
         self.seal_digests(&touched);
         self.after_journaled_ops();
@@ -864,26 +829,17 @@ impl XmlDb {
     /// Seals the state digest of each touched document: refreshes it from
     /// the applied store's cached subtree hashes, records it, and journals
     /// a digest frame per document — the end-to-end integrity assertion
-    /// recovery, replication and the scrubber all verify against. Durable
-    /// mode only: the digest map tracks *acknowledged* state, which
-    /// ephemeral databases lack.
+    /// recovery, replication and the scrubber all verify against.
     fn seal_digests(&mut self, uris: &[String]) {
-        if self.durable.is_none() {
-            return;
-        }
         for uri in uris {
-            let Some(digest) = self.memory_digest(uri) else {
+            let Some(digest) = memory_digest(&self.store, uri) else {
                 continue;
             };
             self.digests.insert(uri.clone(), digest);
-            if let Some(d) = &mut self.durable {
-                d.stats.wal_appends += 1;
-                d.last_appended = d.wal.append(&WalRecord::Digest {
-                    uri: uri.clone(),
-                    digest,
-                });
-                d.pending_ops += 1;
-            }
+            self.durable.journal(&WalRecord::Digest {
+                uri: uri.clone(),
+                digest,
+            });
         }
     }
 
@@ -891,8 +847,7 @@ impl XmlDb {
     /// outstanding (a failure leaves them pending for the next try), then
     /// checkpoint if the log outgrew its threshold.
     fn after_journaled_ops(&mut self) {
-        let Some(d) = &self.durable else { return };
-        if d.pending_ops >= d.cfg.group_commit {
+        if self.durable.pending_ops >= self.durable.cfg.group_commit {
             let _ = self.commit();
         }
         if self.checkpoint_due() {
@@ -1108,7 +1063,7 @@ mod tests {
             "the record frame"
         );
         let rotted = xqib_dom::parse_document("<rotted/>").unwrap();
-        follower.bind("b.xml", rotted);
+        bind(&follower.store, "b.xml", rotted);
         assert_eq!(
             ship_frames(&leader, &mut follower, 1),
             0,
@@ -1278,7 +1233,6 @@ mod tests {
     fn deep_document_survives_checkpoint_and_recovery() {
         const DEEP: usize = 100_000;
         let xml = "<a>".repeat(DEEP) + "x" + &"</a>".repeat(DEEP);
-        XmlDb::new().load("d.xml", &xml).unwrap();
         let disk = VirtualDisk::new();
         let mut db = XmlDb::durable(disk.clone(), DurabilityConfig::default());
         db.load("d.xml", &xml).unwrap();
@@ -1524,8 +1478,6 @@ mod tests {
         db.load("d.xml", "<r/>").unwrap();
         disk.append(WAL_FILE, &[7, 0, 0]);
         assert!(!db.disk_damage().any());
-        // ephemeral databases have nothing to probe
-        assert!(!XmlDb::new().disk_damage().any());
     }
 
     #[test]
@@ -1574,8 +1526,6 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].seq, 4);
         assert!(db.committed_frames_after(4).unwrap().is_empty());
-        // ephemeral databases have nothing to ship
-        assert!(XmlDb::new().committed_frames_after(0).is_none());
     }
 
     #[test]

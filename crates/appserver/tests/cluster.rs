@@ -274,10 +274,10 @@ fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
     cfg.cluster.shards = 1;
     cfg.cluster.followers = 2;
     cfg.cluster.ack_replicas = 1;
-    // aggressive checkpointing keeps the durable logs short, so the healed
-    // straggler finds a gap and must take the snapshot path
+    // aggressive checkpointing on every seat keeps the durable logs
+    // short, so the healed straggler finds a gap and must take the
+    // snapshot path
     cfg.cluster.durability.checkpoint_threshold = 96;
-    cfg.cluster.follower_durability.checkpoint_threshold = 96;
     cfg.chaos.partitions = vec![(0, 2, 200, 1_200)];
     cfg.chaos.leader_crashes = vec![(1_600, 0)];
     cfg.clients[0] = ClientSpec::updates(60);

@@ -1,9 +1,8 @@
-//! Durability overhead and recovery speed. Three arms:
+//! Journaling and recovery speed. Two arms:
 //!
-//! * `ephemeral` — a batch of updating queries against an in-memory
-//!   `XmlDb` (the baseline);
-//! * `durable` — the same batch with WAL journaling and per-op group
-//!   commit (the full price of wire-encoding + append + fsync);
+//! * `durable` — a batch of updating queries with WAL journaling and
+//!   per-op group commit (the full price of evaluation, apply,
+//!   wire-encoding, digest seals, append and fsync);
 //! * `recover` — replaying the resulting image (checkpoint + WAL suffix)
 //!   back into a fresh store, i.e. restart latency per journaled op.
 //!
@@ -68,15 +67,6 @@ fn bench(c: &mut Criterion) {
         group_commit: 1,
         checkpoint_threshold: 0,
     };
-
-    group.bench_with_input(BenchmarkId::new("200_ops", "ephemeral"), &(), |b, _| {
-        b.iter(|| {
-            let mut db = XmlDb::new();
-            db.load("db.xml", &corpus).unwrap();
-            run_batch(&mut db, &queries);
-            db.evals
-        });
-    });
 
     group.bench_with_input(BenchmarkId::new("200_ops", "durable"), &(), |b, _| {
         b.iter(|| {

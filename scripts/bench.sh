@@ -8,9 +8,9 @@
 #   BENCH_txn_apply.json  — transactional PUL apply (txn_apply): undo-log
 #                           tracking vs untracked baseline, plus worst-case
 #                           full rollback (target: <15% tracking overhead)
-#   BENCH_wal_apply.json  — durable server tier (wal_apply): ephemeral vs
-#                           WAL-journaled update batches, plus recovery
-#                           (checkpoint + redo replay) latency
+#   BENCH_wal_apply.json  — durable server tier (wal_apply): WAL-journaled
+#                           update batches, plus recovery (checkpoint +
+#                           redo replay) latency
 #   BENCH_overload.json   — overload control (overload): ungoverned vs
 #                           governed goodput and latency percentiles under
 #                           a 2x overload burst, in virtual time (the
